@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .eigenstructure import CompleteEigenstructure
-from .errors import FlavorMismatch, InternalInconsistency, PairingBroken, ShapeMismatch
+from .errors import FlavorMismatch, InternalInconsistency, InvalidBlock, PairingBroken, ShapeMismatch
 from .exact import MatrixPolynomial, RationalPolynomial, SkewMatrixPolynomial
 from .points import (
     INFINITY,
@@ -44,19 +44,19 @@ class GeneralBlock:
 
     def __post_init__(self):
         if self.kind not in GENERAL_KINDS:
-            raise ValueError(f"unknown general block kind {self.kind!r}")
+            raise InvalidBlock(f"unknown general block kind {self.kind!r}")
         if self.kind in ("E_finite", "E_infinite") and self.index < 1:
-            raise ValueError(f"{self.kind} blocks need index >= 1")
+            raise InvalidBlock(f"{self.kind} blocks need index >= 1")
         if self.kind in ("L", "L_T") and self.index < 0:
-            raise ValueError(f"{self.kind} blocks need index >= 0")
+            raise InvalidBlock(f"{self.kind} blocks need index >= 0")
         if self.kind == "E_finite":
             if self.eigenvalue is None:
-                raise ValueError("E_finite blocks carry an eigenvalue")
+                raise InvalidBlock("E_finite blocks carry an eigenvalue")
             object.__setattr__(self, "eigenvalue", as_eigenvalue(self.eigenvalue))
             if self.eigenvalue is INFINITY:
-                raise ValueError("use E_infinite for the infinite eigenvalue")
+                raise InvalidBlock("use E_infinite for the infinite eigenvalue")
         elif self.eigenvalue is not None:
-            raise ValueError(f"{self.kind} blocks carry no eigenvalue")
+            raise InvalidBlock(f"{self.kind} blocks carry no eigenvalue")
 
     @classmethod
     def finite(cls, index: int, eigenvalue) -> "GeneralBlock":
@@ -123,19 +123,19 @@ class SkewBlock:
 
     def __post_init__(self):
         if self.kind not in SKEW_KINDS:
-            raise ValueError(f"unknown skew block kind {self.kind!r}")
+            raise InvalidBlock(f"unknown skew block kind {self.kind!r}")
         if self.kind in ("H", "K") and self.index < 1:
-            raise ValueError(f"{self.kind} blocks need index >= 1")
+            raise InvalidBlock(f"{self.kind} blocks need index >= 1")
         if self.kind == "M" and self.index < 0:
-            raise ValueError("M blocks need index >= 0")
+            raise InvalidBlock("M blocks need index >= 0")
         if self.kind == "H":
             if self.eigenvalue is None:
-                raise ValueError("H blocks carry an eigenvalue")
+                raise InvalidBlock("H blocks carry an eigenvalue")
             object.__setattr__(self, "eigenvalue", as_eigenvalue(self.eigenvalue))
             if self.eigenvalue is INFINITY:
-                raise ValueError("use K blocks for the infinite eigenvalue")
+                raise InvalidBlock("use K blocks for the infinite eigenvalue")
         elif self.eigenvalue is not None:
-            raise ValueError(f"{self.kind} blocks carry no eigenvalue")
+            raise InvalidBlock(f"{self.kind} blocks carry no eigenvalue")
 
     @classmethod
     def h(cls, index: int, eigenvalue) -> "SkewBlock":
@@ -236,14 +236,13 @@ class BlockList:
         block_cls = GeneralBlock if flavor == "general" else SkewBlock
         blocks = []
         for item in data["blocks"]:
-            ev = item.get("eigenvalue")
-            blocks.append(
-                block_cls(
-                    item["kind"],
-                    int(item["index"]),
-                    parse_eigenvalue(ev) if ev is not None else None,
-                )
-            )
+            try:
+                ev = item.get("eigenvalue")
+                index = int(item["index"])
+                point = parse_eigenvalue(ev) if ev is not None else None
+            except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise InvalidBlock(f"malformed block {item!r}") from exc
+            blocks.append(block_cls(item["kind"], index, point))
         return cls(flavor, tuple(blocks))
 
 

@@ -12,7 +12,7 @@ import dataclasses
 import json
 import sys
 
-from .blocks import BlockList
+from .blocks import BlockList, skew_to_general
 from .codimension import (
     codim_poly_generic,
     pencil_codim_reports,
@@ -84,6 +84,8 @@ def cmd_analyze(args) -> int:
     P = read_polynomial(args.file)
     grade = args.grade if args.grade is not None else P.grade
     deg = P.degree
+    if grade < 0:
+        raise SkewstructError(f"--grade {grade} is negative")
     if deg is not NEG_INF and grade < deg:
         raise SkewstructError(f"--grade {grade} is below the degree {deg}")
     if args.backend == "float":
@@ -162,12 +164,8 @@ def cmd_closure(args) -> int:
     with open(args.source) as fh:
         source = BlockList.from_json_dict(json.load(fh))
     if target.flavor == "skew":
-        from .blocks import skew_to_general
-
         target = skew_to_general(target)
     if source.flavor == "skew":
-        from .blocks import skew_to_general
-
         source = skew_to_general(source)
     result = closure_reachable(target, source, max_steps=args.max_steps)
     if result.reachable:

@@ -8,8 +8,14 @@ minimal indices. Everything here is computed in exact rational arithmetic.
 Minimal indices and local multiplicities both come from kernel dimensions of
 banded block-Toeplitz systems (convolution matrices). Rather than eliminating
 the full dense matrices, `_Staircase` walks the band incrementally, carrying
-only the subspace of admissible trailing coefficient blocks; the dense
-matrices remain available through `convolution_matrix` for cross-checking.
+only the subspace of admissible trailing coefficient blocks, and yields the
+kernel and prefix-space dimensions lazily. One staircase serves every
+exact caller, and one pair of functions turns dimensions into indices for
+both backends: `indices_from_kernel_dims` (second differences give the
+minimal indices) and `multiplicities_from_prefix_dims` (the excess growth of
+the prefix spaces gives the partial multiplicities). The float backend in
+`sampling` feeds the same pair from numpy Toeplitz nullities; the dense
+`convolution_matrix` is kept for oracles only.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import GradeTooSmall, InternalInconsistency, ZeroRank
+from .errors import InternalInconsistency, ZeroRank
 from .exact import (
     NEG_INF,
     MatrixPolynomial,
@@ -27,6 +33,7 @@ from .exact import (
     as_skew,
     normal_rank,
     nullspace_exact,
+    rank_exact,
     rev,
     skew_smith,
 )
@@ -194,27 +201,6 @@ def convolution_matrix(P: MatrixPolynomial, order: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _integer_coefficient_matrices(P: MatrixPolynomial) -> list:
-    """Trimmed coefficient matrices scaled to a common integer grid.
-
-    Scaling by the global lcm of denominators leaves every kernel unchanged.
-    """
-    deg = P.degree
-    if deg is NEG_INF:
-        return []
-    mats = [P.coefficient_matrix(k) for k in range(int(deg) + 1)]
-    scale = 1
-    for mat in mats:
-        for row in mat:
-            for v in row:
-                scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    return [[[int(v * scale) for v in row] for row in mat] for mat in mats]
-
-
-def _mat_times_vec(mat, vec):
-    return tuple(sum(m * v for m, v in zip(row, vec)) for row in mat)
-
-
 def _strip_content(vec):
     g = 0
     for v in vec:
@@ -241,119 +227,149 @@ def _row_space_basis(vectors) -> list:
     return [tuple(row) for _, row in basis]
 
 
-def _int_rank(matrix) -> int:
-    from .exact import rank_exact
-
-    return rank_exact(matrix)
-
-
 class _Staircase:
     """Incremental kernel profile of the banded convolution system of P.
 
     At stage k the object knows the space S_k of coefficient tuples
     (x_0, ..., x_k) satisfying the first k+1 block rows of the convolution
     system, represented by the projection of S_k onto its trailing degree
-    window (the last `deg` coefficient blocks) plus the dimension of the
+    window (the last `delta` coefficient blocks) plus the dimension of the
     projection's fibers. From that, both dim S_k and dim ker C_k are cheap.
-    Requires deg >= 1; callers special-case constant and zero polynomials.
+    It starts at the empty stage -1. Constant and zero polynomials get an
+    empty window (delta = 0): each block row then holds the newest block only.
     """
 
-    def __init__(self, coeffs, n_cols):
-        self.coeffs = coeffs
-        self.delta = len(coeffs) - 1
-        self.n_cols = n_cols
-        if self.delta < 1:
-            raise ValueError("staircase needs degree >= 1")
-        # tail window: (x_{k-delta+1}, ..., x_k), earlier blocks zero-padded
-        kernel0 = nullspace_exact(coeffs[0])
-        pad = (0,) * ((self.delta - 1) * n_cols)
-        self.tail_basis = [pad + v for v in kernel0]
+    def __init__(self, P: MatrixPolynomial):
+        # coefficients up to the degree (the zero polynomial keeps its zero
+        # constant term), scaled by the lcm of all denominators: scaling
+        # leaves every kernel unchanged
+        deg = P.degree
+        self.delta = 0 if deg is NEG_INF else int(deg)
+        mats = [P.coefficient_matrix(k) for k in range(self.delta + 1)]
+        scale = math.lcm(*(v.denominator for mat in mats for row in mat for v in row))
+        self.coeffs = [[[int(v * scale) for v in row] for row in mat] for mat in mats]
+        self.n_rows, self.n_cols = P.rows, P.cols
+        # no stage k is ever needed past this (generous) bound
+        self.bound = (P.rows + P.cols) * max(P.grade, 1) + 1
+        # window (x_{k-delta+1}, ..., x_k), earlier blocks zero-padded
+        self.tail_basis = []
         self.fiber_dim = 0
-        self.stage = 0
+        self.stage = -1
 
-    def prefix_dim(self) -> int:
-        """dim S_k: solutions of the leading block rows only."""
-        return self.fiber_dim + len(self.tail_basis)
+    def kernel_dims(self, last: int):
+        """dim ker C_k for the stages k up to `last`, each computed on demand."""
+        while self.stage < last:
+            self.advance()
+            yield self.kernel_dim()
+
+    def prefix_dims(self, last: int):
+        """dim S_k for the stages k up to `last`, each computed on demand."""
+        while self.stage < last:
+            self.advance()
+            yield self.fiber_dim + len(self.tail_basis)
 
     def kernel_dim(self) -> int:
         """dim ker C_k: prefix solutions that also satisfy the trailing rows."""
         if not self.tail_basis:
             return self.fiber_dim
-        closing = [self._closing_rows(v) for v in self.tail_basis]
+        closing = [
+            [v for m in range(1, self.delta + 1) for v in self._block_row(m, tail)]
+            for tail in self.tail_basis
+        ]
         cols = list(zip(*closing))  # transpose: rows of the small system
-        return self.fiber_dim + len(self.tail_basis) - _int_rank(cols)
+        return self.fiber_dim + len(self.tail_basis) - rank_exact(cols)
 
-    def _closing_rows(self, tail):
-        """Stacked block rows k+1 .. k+delta applied to a tail vector."""
+    def _block_row(self, m, tail):
+        """Block row k+m of the convolution system applied to a window vector."""
         n, delta = self.n_cols, self.delta
-        blocks = [tail[u * n : (u + 1) * n] for u in range(delta)]
-        out = []
-        for m in range(1, delta + 1):
-            acc = [0] * len(self.coeffs[0])
-            for u in range(m, delta + 1):
-                C = self.coeffs[m + delta - u]
-                vec = blocks[u - 1]
-                for i, row in enumerate(C):
-                    acc[i] += sum(c * v for c, v in zip(row, vec))
-            out.extend(acc)
-        return tuple(out)
+        acc = [0] * self.n_rows
+        for u in range(m, delta + 1):
+            vec = tail[(u - 1) * n : u * n]
+            for i, row in enumerate(self.coeffs[m + delta - u]):
+                acc[i] += sum(c * v for c, v in zip(row, vec))
+        return acc
 
     def advance(self):
         """Move from stage k to k+1 by adjoining one more coefficient block."""
-        n, delta = self.n_cols, self.delta
-        basis = self.tail_basis
+        n, basis = self.n_cols, self.tail_basis
         nb = len(basis)
-        # first closing row applied to the basis, extended by P_0 on the new block
-        system = []
-        for i in range(len(self.coeffs[0])):
-            system.append([0] * (nb + n))
-        for b_idx, tail in enumerate(basis):
-            blocks = [tail[u * n : (u + 1) * n] for u in range(delta)]
-            acc = [0] * len(self.coeffs[0])
-            for u in range(1, delta + 1):
-                C = self.coeffs[1 + delta - u]
-                vec = blocks[u - 1]
-                for i, row in enumerate(C):
-                    acc[i] += sum(c * v for c, v in zip(row, vec))
-            for i, v in enumerate(acc):
-                system[i][b_idx] = v
-        P0 = self.coeffs[0]
-        for i, row in enumerate(P0):
-            for j, v in enumerate(row):
-                system[i][nb + j] = v
+        # block row k+1: the window's share, then P_0 on the new block; a
+        # single zero row keeps the width of a system without rows
+        shares = [self._block_row(1, tail) for tail in basis]
+        system = [
+            [share[i] for share in shares] + row for i, row in enumerate(self.coeffs[0])
+        ] or [[0] * (nb + n)]
         solutions = nullspace_exact(system)
         new_prefix_dim = self.fiber_dim + len(solutions)
         # shift the window: drop the oldest block, append the new one
         shifted = []
         for sol in solutions:
-            combo = [0] * (delta * n)
-            for c, tail in zip(sol[:nb], basis):
+            combo = [0] * (self.delta * n) + list(sol[nb:])
+            for c, tail in zip(sol, basis):
                 if c:
                     for i, t in enumerate(tail):
                         combo[i] += c * t
-            new_tail = tuple(combo[n:]) + tuple(sol[nb:])
-            shifted.append(new_tail)
+            shifted.append(tuple(combo[n:]))
         self.tail_basis = _row_space_basis(shifted)
         self.fiber_dim = new_prefix_dim - len(self.tail_basis)
         self.stage += 1
 
 
+# ---------------------------------------------------------------------------
+# kernel dimensions -> indices (shared with the float backend)
+# ---------------------------------------------------------------------------
+
+
+def indices_from_kernel_dims(dims, total: int) -> tuple:
+    """Minimal indices, sorted, from the kernel dimensions of C_0, C_1, ...
+
+    The number of indices equal to k is the second difference of the
+    dimensions at k, and their first difference reaches `total` (the number
+    of indices) exactly at the largest index, where reading stops. A
+    negative count, an overshoot, or a sequence that ends first cannot come
+    from a kernel profile and raises InternalInconsistency.
+    """
+    if total == 0:
+        return ()
+    indices = []
+    prev_dim = prev_diff = 0
+    for k, dim in enumerate(dims):
+        diff = dim - prev_dim
+        if not prev_diff <= diff <= total:
+            raise InternalInconsistency(f"impossible kernel dimension {dim} at order {k}")
+        indices.extend([k] * (diff - prev_diff))
+        if diff == total:
+            return tuple(indices)
+        prev_dim, prev_diff = dim, diff
+    raise InternalInconsistency("minimal index search exceeded its bound")
+
+
+def multiplicities_from_prefix_dims(dims, eta: int, rho: int) -> tuple:
+    """Partial multiplicities at zero, sorted and padded with zeros to rho.
+
+    dim S_k - dim S_{k-1} is eta (the rational kernel dimension) plus the
+    number of multiplicities exceeding k; reading stops at the first k that
+    none exceeds. A negative or growing excess, or a sequence that ends
+    first, cannot come from prefix spaces and raises InternalInconsistency.
+    """
+    if rho == 0:
+        return ()
+    mults = []
+    prev_dim, prev_above = 0, rho
+    for k, dim in enumerate(dims):
+        above = dim - prev_dim - eta
+        if not 0 <= above <= prev_above:
+            raise InternalInconsistency(f"impossible multiplicity count {above} at order {k}")
+        mults.extend([k] * (prev_above - above))
+        if above == 0:
+            return tuple(mults)
+        prev_dim, prev_above = dim, above
+    raise InternalInconsistency("multiplicity search exceeded its bound")
+
+
 def convolution_profile(P: MatrixPolynomial, up_to: int) -> ConvolutionProfile:
     """Kernel dimensions dim ker C_k for k = 0 .. up_to."""
-    deg = P.degree
-    if deg is NEG_INF:
-        dims = [(k + 1) * P.cols for k in range(up_to + 1)]
-        return ConvolutionProfile(tuple(dims))
-    coeffs = _integer_coefficient_matrices(P)
-    if len(coeffs) == 1:
-        nullity = P.cols - _int_rank(coeffs[0])
-        return ConvolutionProfile(tuple((k + 1) * nullity for k in range(up_to + 1)))
-    stair = _Staircase(coeffs, P.cols)
-    dims = [stair.kernel_dim()]
-    for _ in range(up_to):
-        stair.advance()
-        dims.append(stair.kernel_dim())
-    return ConvolutionProfile(tuple(dims))
+    return ConvolutionProfile(tuple(_Staircase(P).kernel_dims(up_to)))
 
 
 def minimal_indices(P: MatrixPolynomial) -> tuple:
@@ -365,33 +381,8 @@ def minimal_indices(P: MatrixPolynomial) -> tuple:
     negated transpose (for skew-symmetric inputs that is P itself, so left
     and right coincide).
     """
-    total = P.cols - normal_rank(P)
-    if total == 0:
-        return ()
-    deg = P.degree
-    if deg is NEG_INF:
-        return (0,) * P.cols
-    coeffs = _integer_coefficient_matrices(P)
-    if len(coeffs) == 1:
-        # constant matrix: every kernel vector is constant
-        return (0,) * total
-    stair = _Staircase(coeffs, P.cols)
-    bound = (P.rows + P.cols) * max(P.grade, 1) + 1
-    indices = []
-    prev_dim = 0
-    prev_diff = 0
-    k = 0
-    while True:
-        dim = stair.kernel_dim()
-        diff = dim - prev_dim
-        indices.extend([k] * (diff - prev_diff))
-        if diff == total:
-            return tuple(sorted(indices))
-        prev_dim, prev_diff = dim, diff
-        k += 1
-        if k > bound:
-            raise InternalInconsistency("minimal index search exceeded its bound")
-        stair.advance()
+    stair = _Staircase(P)
+    return indices_from_kernel_dims(stair.kernel_dims(stair.bound), P.cols - normal_rank(P))
 
 
 def left_minimal_indices(P: MatrixPolynomial) -> tuple:
@@ -407,34 +398,8 @@ def multiplicities_at_zero(P: MatrixPolynomial) -> tuple:
     multiplicities exceeding k.
     """
     rho = normal_rank(P)
-    if rho == 0:
-        return ()
-    eta = P.cols - rho
-    coeffs = _integer_coefficient_matrices(P)
-    if len(coeffs) == 1:
-        return (0,) * rho
-    stair = _Staircase(coeffs, P.cols)
-    bound = (P.rows + P.cols) * max(P.grade, 1) + 1
-    counts = []  # counts[k] = number of multiplicities >= k+1
-    prev = 0
-    while True:
-        dim = stair.prefix_dim()
-        above = dim - prev - eta
-        if above < 0:
-            raise InternalInconsistency("negative multiplicity count at zero")
-        if above == 0:
-            break
-        counts.append(above)
-        prev = dim
-        if stair.stage > bound:
-            raise InternalInconsistency("multiplicity search exceeded its bound")
-        stair.advance()
-    mults = []
-    for value in range(1, len(counts) + 1):
-        upper = counts[value] if value < len(counts) else 0
-        mults.extend([value] * (counts[value - 1] - upper))
-    mults.extend([0] * (rho - len(mults)))
-    return tuple(sorted(mults))
+    stair = _Staircase(P)
+    return multiplicities_from_prefix_dims(stair.prefix_dims(stair.bound), P.cols - rho, rho)
 
 
 def infinite_structure(P: MatrixPolynomial, grade: int | None = None) -> tuple:
@@ -445,11 +410,6 @@ def infinite_structure(P: MatrixPolynomial, grade: int | None = None) -> tuple:
     """
     if grade is None:
         grade = P.grade
-    deg = P.degree
-    if deg is not NEG_INF and grade < deg:
-        raise GradeTooSmall(f"grade {grade} < degree {deg}")
-    if deg is NEG_INF:
-        return ()
     return multiplicities_at_zero(rev(P, grade))
 
 

@@ -21,6 +21,10 @@ class FlavorMismatch(SkewstructError):
     """A block list of the wrong flavor was supplied."""
 
 
+class InvalidBlock(SkewstructError, ValueError):
+    """A canonical block's kind, index or eigenvalue is outside its domain."""
+
+
 class ParamDomain(SkewstructError):
     """Parameters violate the domain constraints of a formula."""
 

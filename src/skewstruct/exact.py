@@ -528,7 +528,6 @@ class MatrixPolynomial:
         return type(self)._rewrap(
             tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
             self.grade,
-            skew_safe=True,
             shape=(self.cols, self.rows),
         )
 
@@ -536,7 +535,6 @@ class MatrixPolynomial:
         return type(self)._rewrap(
             tuple(tuple(-e for e in row) for row in self.entries),
             self.grade,
-            skew_safe=True,
             shape=(self.rows, self.cols),
         )
 
@@ -581,7 +579,6 @@ class MatrixPolynomial:
         return type(self)._rewrap(
             tuple(tuple(RationalPolynomial._raw(_rscale(e.coeffs, s)) for e in row) for row in self.entries),
             self.grade,
-            skew_safe=True,
             shape=(self.rows, self.cols),
         )
 
@@ -592,13 +589,12 @@ class MatrixPolynomial:
             raise GradeTooSmall(f"grade {grade} < degree {deg}")
         if grade < 0:
             raise ValueError("grade must be nonnegative")
-        return type(self)._rewrap(self.entries, grade, skew_safe=True, shape=(self.rows, self.cols))
+        return type(self)._rewrap(self.entries, grade, shape=(self.rows, self.cols))
 
     @classmethod
-    def _rewrap(cls, entries, grade, skew_safe: bool, shape=None):
+    def _rewrap(cls, entries, grade, shape=None):
         # internal fast-path constructor; callers guarantee trimmed entries
-        if cls is SkewMatrixPolynomial and not skew_safe:
-            return MatrixPolynomial(entries, grade, shape=shape)
+        # and, for the skew class, skew-symmetric ones
         obj = object.__new__(cls)
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
@@ -684,7 +680,7 @@ def rev(P: MatrixPolynomial, grade: int) -> MatrixPolynomial:
         raise GradeTooSmall(f"grade {grade} < degree {deg}")
     entries = tuple(tuple(e.reversed_at(grade) for e in row) for row in P.entries)
     cls = SkewMatrixPolynomial if isinstance(P, SkewMatrixPolynomial) else MatrixPolynomial
-    return cls._rewrap(entries, grade, skew_safe=True, shape=(P.rows, P.cols))
+    return cls._rewrap(entries, grade, shape=(P.rows, P.cols))
 
 
 class FrobeniusDistance(NamedTuple):

@@ -51,12 +51,18 @@ def polynomial_from_dict(data: dict) -> SkewMatrixPolynomial:
         raw = data["coefficients"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"missing or malformed field: {exc}") from exc
-    if len(raw) != grade + 1:
-        raise FileFormatError(f"expected {grade + 1} coefficient matrices, got {len(raw)}")
+    if grade < 0:
+        raise FileFormatError(f"grade must be nonnegative, got {grade}")
+    if not isinstance(raw, list) or len(raw) != grade + 1:
+        raise FileFormatError(f"expected a list of {grade + 1} coefficient matrices")
     mats = []
     for mat in raw:
-        if len(mat) != m or any(len(row) != m for row in mat):
-            raise FileFormatError(f"coefficient matrices must be {m} x {m}")
+        if not (
+            isinstance(mat, list)
+            and len(mat) == m
+            and all(isinstance(row, list) and len(row) == m for row in mat)
+        ):
+            raise FileFormatError(f"coefficient matrices must be {m} x {m} lists")
         mats.append([[_parse_rational(v) for v in row] for row in mat])
     entries = [
         [RationalPolynomial([mat[i][j] for mat in mats]) for j in range(m)]

@@ -28,11 +28,13 @@ import numpy as np
 from .eigenstructure import (
     CompleteEigenstructure,
     analyze,
+    indices_from_kernel_dims,
+    multiplicities_from_prefix_dims,
     same_orbit,
 )
 from .errors import (
     AttemptsExhausted,
-    GradeTooSmall,
+    InternalInconsistency,
     ParamDomain,
     RankVerificationFailed,
 )
@@ -312,6 +314,8 @@ def monte_carlo_genericity(spec: SampleSpec, trials: int) -> ExperimentReport:
     In exact arithmetic a mismatch means the draw hit a proper algebraic
     subset, so the match rate should be overwhelming.
     """
+    if trials < 1:
+        raise ParamDomain(f"trials must be at least 1, got {trials}")
     expected = generic_poly_structure(spec.m, spec.d, spec.r)
     started = time.perf_counter()
     matches = 0
@@ -357,35 +361,20 @@ def _rank_fp_normal(coeffs, rows, cols, tol_rel) -> int:
     return best
 
 
-def _toeplitz_nullities(coeffs, cols, orders, tol_rel):
-    """Nullity of the lower-triangular block Toeplitz truncations."""
-    out = []
-    rows = coeffs[0].shape[0]
-    for k in orders:
-        t = np.zeros(((k + 1) * rows, (k + 1) * cols), dtype=complex)
+def _nullities(coeffs, extra: int, last: int, tol_rel):
+    """Numeric nullities of block-Toeplitz truncations of orders 0 .. last, lazily.
+
+    Order k has k+1 block columns and k+1+extra block rows of the lower
+    block-triangular Toeplitz matrix of the coefficients: extra = 0 gives the
+    prefix spaces, extra = len(coeffs) - 1 the full convolution matrix.
+    """
+    rows, cols = coeffs[0].shape
+    for k in range(last + 1):
+        t = np.zeros(((k + 1 + extra) * rows, (k + 1) * cols), dtype=coeffs[0].dtype)
         for b in range(k + 1):
-            for d, c in enumerate(coeffs):
-                if b + d <= k:
-                    t[(b + d) * rows : (b + d + 1) * rows, b * cols : (b + 1) * cols] = c
-        out.append((k + 1) * cols - rank_fp(t, tol_rel))
-    return out
-
-
-def _multiplicities_from_nullities(nullities, eta, rho):
-    counts = []
-    prev = 0
-    for n_k in nullities:
-        above = n_k - prev - eta
-        if above <= 0:
-            break
-        counts.append(above)
-        prev = n_k
-    mults = []
-    for value in range(1, len(counts) + 1):
-        upper = counts[value] if value < len(counts) else 0
-        mults.extend([value] * (counts[value - 1] - upper))
-    mults.extend([0] * (rho - len(mults)))
-    return tuple(sorted(mults))
+            for d, c in enumerate(coeffs[: k + 1 + extra - b]):
+                t[(b + d) * rows : (b + d + 1) * rows, b * cols : (b + 1) * cols] = c
+        yield (k + 1) * cols - rank_fp(t, tol_rel)
 
 
 def _shifted_coeffs(coeffs, z):
@@ -403,69 +392,41 @@ def analyze_float(
 ) -> CompleteEigenstructure:
     """Best-effort floating-point eigenstructure of a skew polynomial.
 
-    Rank and minimal indices come from SVD ranks of evaluations and
-    convolution matrices; multiplicities at infinity (and at detected
-    eigenvalues) from numeric Toeplitz nullity profiles. Eigenvalue
-    candidates are linearization eigenvalues filtered by an evaluation rank
-    drop, reported as NumericRoot annotations. Clustered or ill-conditioned
-    spectra can defeat it; the exact path is the reference.
+    Rank comes from SVD ranks of evaluations; minimal indices and the
+    multiplicities at infinity (and at detected eigenvalues) from numeric
+    Toeplitz nullity profiles, read by the same functions as the exact
+    path. Eigenvalue candidates are linearization eigenvalues filtered by an
+    evaluation rank drop, reported as NumericRoot annotations. Clustered or
+    ill-conditioned spectra can defeat it; the exact path is the reference.
     """
-    from .eigenstructure import convolution_matrix
-
     skew = as_skew(P)
-    if grade is None:
-        grade = skew.grade
-    deg = skew.degree
-    if deg is not NEG_INF and grade < deg:
-        raise GradeTooSmall(f"grade {grade} < degree {deg}")
-    skew = skew.with_grade(grade)
-    m = skew.rows
-    if skew.is_zero():
-        return CompleteEigenstructure.build(
-            rows=m, cols=m, grade=grade, rank=0, finite={}, infinite=[],
-            left_minimal=[0] * m, right_minimal=[0] * m,
-        )
+    if grade is not None:
+        skew = skew.with_grade(grade)
+    grade, m = skew.grade, skew.rows
     coeffs = _coeff_arrays(skew)
     rho = _rank_fp_normal(coeffs, m, m, tol_rel)
     eta = m - rho
+    last = rho * max(grade, 1) + 1
 
-    # minimal indices from convolution nullities
-    minimal = []
-    prev_dim = prev_diff = 0
-    k = 0
-    while len(minimal) < eta:
-        conv = np.array(
-            [[float(v) for v in row] for row in convolution_matrix(skew, k)]
-        )
-        dim = (k + 1) * m - rank_fp(conv, tol_rel)
-        diff = dim - prev_dim
-        minimal.extend([k] * (diff - prev_diff))
-        prev_dim, prev_diff = dim, diff
-        k += 1
-        if k > rho * max(grade, 1) + 1:
-            raise RankVerificationFailed("numeric minimal-index search diverged")
+    def multiplicities(taylor):
+        return multiplicities_from_prefix_dims(_nullities(taylor, 0, last, tol_rel), eta, rho)
 
-    # infinity: nullity profile of the reversal at zero
-    rev_coeffs = list(reversed(coeffs))
-    orders = range(0, rho * max(grade, 1) + 2)
-    infinite = _multiplicities_from_nullities(
-        _toeplitz_nullities(rev_coeffs, m, orders, tol_rel), eta, rho
-    )
-
-    # finite eigenvalues: companion eigenvalues filtered by rank drop
-    finite: dict = {}
-    candidates = _eigenvalue_candidates(coeffs, tol_rel)
-    for z in candidates:
-        value = sum(c * z**i for i, c in enumerate(coeffs))
-        if rank_fp(value, tol_rel) >= rho:
-            continue
-        shifted = _shifted_coeffs(coeffs, z)
-        mults = _multiplicities_from_nullities(
-            _toeplitz_nullities(shifted, m, orders, tol_rel), eta, rho
-        )
-        positive = tuple(v for v in mults if v)
-        if positive:
-            finite[NumericRoot(round(z.real, 9), round(z.imag, 9))] = positive
+    try:
+        minimal = indices_from_kernel_dims(_nullities(coeffs, grade, last, tol_rel), eta)
+        # infinity: the reversal at zero
+        infinite = multiplicities(coeffs[::-1])
+        # finite eigenvalues: companion eigenvalues filtered by rank drop
+        finite: dict = {}
+        for z in _eigenvalue_candidates(coeffs, tol_rel):
+            value = sum(c * z**i for i, c in enumerate(coeffs))
+            if rank_fp(value, tol_rel) >= rho:
+                continue
+            positive = tuple(v for v in multiplicities(_shifted_coeffs(coeffs, z)) if v)
+            if positive:
+                finite[NumericRoot(round(z.real, 9), round(z.imag, 9))] = positive
+    except InternalInconsistency as exc:
+        # an impossible profile here is numeric noise, not a library bug
+        raise RankVerificationFailed(f"inconsistent numeric kernel profile: {exc}") from exc
     return CompleteEigenstructure.build(
         rows=m,
         cols=m,
@@ -474,7 +435,7 @@ def analyze_float(
         finite=finite,
         infinite=infinite,
         left_minimal=minimal,
-        right_minimal=list(minimal),
+        right_minimal=minimal,
     )
 
 

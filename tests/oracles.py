@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's own reduction algorithms: Smith data
 comes from gcds of all k x k minors (Laplace determinants), minimal indices
-from explicit convolution matrices, so the fast paths are checked against
-slow, obviously-correct computations.
+and prefix-space dimensions from explicit convolution matrices, so the fast
+paths are checked against slow, obviously-correct computations.
 """
 
 from fractions import Fraction
@@ -94,6 +94,20 @@ def kernel_dims_by_convolution(P: MatrixPolynomial, up_to: int):
         C = convolution_matrix(P, k)
         cols = (k + 1) * P.cols
         dims.append(cols - rank_exact(C))
+    return dims
+
+
+def prefix_dims_by_toeplitz(P: MatrixPolynomial, up_to: int):
+    """dim S_k for k = 0 .. up_to, via explicit matrices and exact rank.
+
+    S_k solves the first k+1 block rows of the order-k convolution matrix:
+    the dense lower block-triangular Toeplitz matrix with (k+1) x (k+1)
+    blocks whose block (i, j) is the coefficient of degree i - j.
+    """
+    dims = []
+    for k in range(up_to + 1):
+        T = convolution_matrix(P, k)[: (k + 1) * P.rows]
+        dims.append((k + 1) * P.cols - rank_exact(T))
     return dims
 
 

@@ -1,6 +1,10 @@
 """Tests for the command-line interface and file formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,19 @@ x = P.variable()
 
 def skew2(p, grade=None):
     return SkewMatrixPolynomial([[P.zero(), p], [-p, P.zero()]], grade)
+
+
+def run_cli(*argv):
+    """Run the command line in a fresh interpreter, as a user would."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "skewstruct.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
 
 
 @pytest.fixture
@@ -135,8 +152,57 @@ class TestAnalyzeCommand:
     def test_grade_below_degree(self, poly_file, capsys):
         assert main(["analyze", poly_file, "--grade", "1"]) == 1
 
+    def test_negative_grade_override(self, tmp_path, capsys):
+        path = tmp_path / "z.json"
+        write_polynomial(SkewMatrixPolynomial.zeros(2, 2, grade=1), str(path))
+        assert main(["analyze", str(path), "--grade", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --grade -1 is negative\n"
+
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent.json"]) == 1
+
+
+class TestMalformedInput:
+    """Malformed files end in exit 1 and one error line, never a traceback."""
+
+    def assert_validation_error(self, result):
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ")
+
+    def analyze_file(self, tmp_path, data):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        return run_cli("analyze", str(path))
+
+    def closure_with_target(self, tmp_path, blocks):
+        target = tmp_path / "t.json"
+        target.write_text(json.dumps({"flavor": "skew", "blocks": blocks}))
+        source = tmp_path / "s.json"
+        source.write_text(json.dumps({"flavor": "skew", "blocks": [{"kind": "M", "index": 1}]}))
+        return run_cli("closure", "--target", str(target), "--source", str(source))
+
+    def test_negative_grade(self, tmp_path):
+        result = self.analyze_file(tmp_path, {"m": 2, "grade": -1, "coefficients": []})
+        self.assert_validation_error(result)
+
+    def test_null_coefficient_matrix(self, tmp_path):
+        result = self.analyze_file(tmp_path, {"m": 2, "grade": 0, "coefficients": [None]})
+        self.assert_validation_error(result)
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            {"kind": "Q", "index": 1},
+            {"kind": "M", "index": -2},
+            {"kind": "M", "index": "x"},
+            {"kind": "H", "index": 1, "eigenvalue": 5},
+        ],
+        ids=["unknown-kind", "negative-index", "non-integer-index", "non-string-eigenvalue"],
+    )
+    def test_malformed_block(self, tmp_path, block):
+        self.assert_validation_error(self.closure_with_target(tmp_path, [block]))
 
 
 class TestSampleAndMc:
@@ -164,6 +230,10 @@ class TestSampleAndMc:
         assert data["trials"] == 5
         assert data["matches"] + len(data["mismatch_seeds"]) == 5
         assert data["expected"]["rank"] == 2
+
+    def test_mc_rejects_negative_trials(self, capsys):
+        assert main(["mc", "--m", "3", "--d", "2", "--r", "1", "--trials", "-3"]) == 1
+        assert capsys.readouterr().err.startswith("error: trials must be at least 1")
 
 
 class TestLinearizeCommand:

@@ -7,16 +7,20 @@ import pytest
 
 from skewstruct.eigenstructure import (
     CompleteEigenstructure,
+    _Staircase,
     analyze,
     convolution_matrix,
     convolution_profile,
+    indices_from_kernel_dims,
     infinite_structure,
     left_minimal_indices,
     minimal_indices,
+    multiplicities_at_zero,
+    multiplicities_from_prefix_dims,
     same_orbit,
     smallest_infinite_multiplicity_law,
 )
-from skewstruct.errors import GradeTooSmall, NotSkewSymmetric, ZeroRank
+from skewstruct.errors import GradeTooSmall, InternalInconsistency, NotSkewSymmetric, ZeroRank
 from skewstruct.exact import (
     MatrixPolynomial,
     RationalPolynomial,
@@ -30,6 +34,8 @@ from oracles import (
     convolution_matrix as oracle_convolution_matrix,
     kernel_dims_by_convolution,
     minimal_indices_by_convolution,
+    prefix_dims_by_toeplitz,
+    smith_by_minors,
 )
 
 P = RationalPolynomial
@@ -63,26 +69,42 @@ def random_skew(rng, n, deg, bound=4):
     return SkewMatrixPolynomial.from_upper(n, upper, grade=deg)
 
 
+def random_matrix(rng, rows, cols, deg, values=range(-2, 3)):
+    return MatrixPolynomial(
+        [[P([rng.choice(values) for _ in range(deg + 1)]) for _ in range(cols)] for _ in range(rows)],
+        grade=deg,
+    )
+
+
+def unstructured_inputs(rng, count):
+    """Zero (one without rows), then random rectangular non-skew inputs of grade 0 to 2.
+
+    Sparse entries make nontrivial structure at zero likely.
+    """
+    inputs = [
+        MatrixPolynomial.zeros(2, 3, grade=1),
+        MatrixPolynomial.zeros(3, 1, grade=0),
+        MatrixPolynomial.zeros(0, 2, grade=1),
+    ]
+    for _ in range(count):
+        rows, cols, deg = rng.randint(1, 3), rng.randint(1, 4), rng.randint(0, 2)
+        inputs.append(random_matrix(rng, rows, cols, deg, values=(0, 0, 0, 1, -1, 2)))
+    return inputs
+
+
 class TestConvolution:
     def test_matrix_matches_oracle(self):
         rng = random.Random(11)
         for _ in range(10):
             rows, cols, deg = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 2)
-            m = MatrixPolynomial(
-                [
-                    [P([rng.randint(-3, 3) for _ in range(deg + 1)]) for _ in range(cols)]
-                    for _ in range(rows)
-                ],
-                grade=deg,
-            )
+            m = random_matrix(rng, rows, cols, deg, values=range(-3, 4))
             for k in range(3):
                 assert convolution_matrix(m, k) == oracle_convolution_matrix(m, k)
 
     def test_profile_matches_dense_ranks(self):
         rng = random.Random(12)
-        for _ in range(12):
-            n, deg = rng.randint(1, 3), rng.randint(1, 2)
-            m = random_skew(rng, max(n, 2), deg)
+        inputs = [random_skew(rng, max(rng.randint(1, 3), 2), rng.randint(0, 2)) for _ in range(12)]
+        for m in inputs + unstructured_inputs(rng, 12):
             profile = convolution_profile(m, 3)
             assert list(profile.kernel_dims) == kernel_dims_by_convolution(m, 3)
 
@@ -108,14 +130,7 @@ class TestMinimalIndices:
         rng = random.Random(14)
         for _ in range(15):
             rows, cols = rng.randint(1, 3), rng.randint(2, 4)
-            deg = rng.randint(0, 2)
-            m = MatrixPolynomial(
-                [
-                    [P([rng.randint(-2, 2) for _ in range(deg + 1)]) for _ in range(cols)]
-                    for _ in range(rows)
-                ],
-                grade=deg,
-            )
+            m = random_matrix(rng, rows, cols, rng.randint(0, 2))
             total = m.cols - normal_rank(m)
             assert list(minimal_indices(m)) == minimal_indices_by_convolution(m, total)
 
@@ -124,6 +139,59 @@ class TestMinimalIndices:
         for _ in range(8):
             m = random_skew(rng, 3, 1)
             assert left_minimal_indices(m) == minimal_indices(m)
+
+
+class TestPrefixDims:
+    def test_staircase_matches_toeplitz(self):
+        rng = random.Random(18)
+        for m in unstructured_inputs(rng, 20):
+            assert list(_Staircase(m).prefix_dims(3)) == prefix_dims_by_toeplitz(m, 3)
+
+    def test_multiplicities_at_zero(self):
+        rng = random.Random(19)
+        for m in unstructured_inputs(rng, 20):
+            mults = multiplicities_at_zero(m)
+            rho = normal_rank(m)
+            assert len(mults) == rho
+            # dim S_k - dim S_{k-1} - eta counts the multiplicities above k
+            dims = [0] + prefix_dims_by_toeplitz(m, max(mults, default=0) + 1)
+            for k in range(len(dims) - 1):
+                above = dims[k + 1] - dims[k] - (m.cols - rho)
+                assert above == sum(v > k for v in mults)
+            # and they are the valuations at zero of the invariant polynomials
+            assert list(mults) == sorted(g.valuation_at_zero() for g in smith_by_minors(m))
+
+
+class TestDimsToIndices:
+    def test_reads_only_as_far_as_needed(self):
+        dims = iter([0, 1, 3, 99])
+        assert indices_from_kernel_dims(dims, 2) == (1, 2)
+        assert next(dims) == 99
+        dims = iter([3, 5, 6, 99])
+        assert multiplicities_from_prefix_dims(dims, eta=1, rho=3) == (0, 1, 2)
+        assert next(dims) == 99
+
+    def test_nothing_to_read(self):
+        assert indices_from_kernel_dims(iter([]), 0) == ()
+        assert multiplicities_from_prefix_dims(iter([]), eta=2, rho=0) == ()
+
+    @pytest.mark.parametrize(
+        "dims, total",
+        [([1, 1, 3], 2), ([3, 5], 2), ([0, 1], 2)],
+        ids=["negative-count", "overshoot", "ends-first"],
+    )
+    def test_impossible_kernel_dims(self, dims, total):
+        with pytest.raises(InternalInconsistency):
+            indices_from_kernel_dims(dims, total)
+
+    @pytest.mark.parametrize(
+        "dims",
+        [[0, 1], [2, 5, 6], [2, 4]],
+        ids=["negative-excess", "growing-excess", "ends-first"],
+    )
+    def test_impossible_prefix_dims(self, dims):
+        with pytest.raises(InternalInconsistency):
+            multiplicities_from_prefix_dims(dims, eta=1, rho=2)
 
 
 class TestInfiniteStructure:

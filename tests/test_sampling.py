@@ -7,7 +7,8 @@ import pytest
 
 from skewstruct.blocks import BlockList, SkewBlock, assemble_skew
 from skewstruct.eigenstructure import analyze, same_orbit
-from skewstruct.errors import ParamDomain
+from skewstruct import sampling
+from skewstruct.errors import ParamDomain, RankVerificationFailed
 from skewstruct.exact import (
     RationalPolynomial,
     SkewMatrixPolynomial,
@@ -166,6 +167,11 @@ class TestMonteCarlo:
             draw = sample_bounded_rank(spec.with_seed(seed))
             assert not same_orbit(analyze(draw, spec.d), report.expected)
 
+    def test_rejects_nonpositive_trials(self):
+        for trials in (0, -3):
+            with pytest.raises(ParamDomain):
+                monte_carlo_genericity(SampleSpec(m=3, d=2, r=1, seed=1), trials)
+
     def test_json_fields(self):
         report = monte_carlo_genericity(SampleSpec(m=3, d=2, r=1, seed=1), trials=3)
         data = report.to_json_dict()
@@ -184,6 +190,23 @@ class TestAnalyzeFloat:
         roots = sorted(root.real for root, _ in numeric.finite)
         assert roots == pytest.approx([-3.0, 2.0])
         assert all(mults == (1, 1) for _, mults in numeric.finite)
+
+    def test_repeated_eigenvalue(self):
+        pencil = assemble_skew(BlockList.skew([SkewBlock.h(2, 1), SkewBlock.m(1)]))
+        exact = analyze(pencil, 1)
+        numeric = analyze_float(pencil, 1)
+        assert numeric.rank == exact.rank
+        assert numeric.infinite == exact.infinite
+        assert numeric.left_minimal == exact.left_minimal == (1,)
+        [(root, mults)] = numeric.finite
+        assert (root.real, root.imag) == pytest.approx((1.0, 0.0), abs=1e-6)
+        assert mults == exact.finite[0][1] == (2, 2)
+
+    def test_impossible_profile_is_a_numeric_failure(self, monkeypatch):
+        pencil = assemble_skew(BlockList.skew([SkewBlock.k(1), SkewBlock.m(1)]))
+        monkeypatch.setattr(sampling, "_nullities", lambda coeffs, extra, last, tol_rel: iter([]))
+        with pytest.raises(RankVerificationFailed):
+            analyze_float(pencil, 1)
 
     def test_infinite_detection(self):
         pencil = assemble_skew(BlockList.skew([SkewBlock.k(1), SkewBlock.m(1)]))
