@@ -238,7 +238,10 @@ class BlockList:
         for item in data["blocks"]:
             try:
                 ev = item.get("eigenvalue")
-                index = int(item["index"])
+                index = item["index"]
+                # a JSON integer: int() would truncate 1.7 and take true for 1
+                if type(index) is not int:
+                    raise TypeError(f"index {index!r} is not an integer")
                 point = parse_eigenvalue(ev) if ev is not None else None
             except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise InvalidBlock(f"malformed block {item!r}") from exc

@@ -31,6 +31,7 @@ from .exact import (
     MatrixPolynomial,
     RationalPolynomial,
     as_skew,
+    integer_coefficient_matrices,
     normal_rank,
     nullspace_exact,
     rank_exact,
@@ -240,14 +241,8 @@ class _Staircase:
     """
 
     def __init__(self, P: MatrixPolynomial):
-        # coefficients up to the degree (the zero polynomial keeps its zero
-        # constant term), scaled by the lcm of all denominators: scaling
-        # leaves every kernel unchanged
-        deg = P.degree
-        self.delta = 0 if deg is NEG_INF else int(deg)
-        mats = [P.coefficient_matrix(k) for k in range(self.delta + 1)]
-        scale = math.lcm(*(v.denominator for mat in mats for row in mat for v in row))
-        self.coeffs = [[[int(v * scale) for v in row] for row in mat] for mat in mats]
+        self.coeffs = integer_coefficient_matrices(P)
+        self.delta = len(self.coeffs) - 1
         self.n_rows, self.n_cols = P.rows, P.cols
         # no stage k is ever needed past this (generous) bound
         self.bound = (P.rows + P.cols) * max(P.grade, 1) + 1
@@ -293,8 +288,9 @@ class _Staircase:
         """Move from stage k to k+1 by adjoining one more coefficient block."""
         n, basis = self.n_cols, self.tail_basis
         nb = len(basis)
-        # block row k+1: the window's share, then P_0 on the new block; a
-        # single zero row keeps the width of a system without rows
+        # block row k+1: the window's share, then P_0 on the new block. P
+        # without rows leaves a system without rows, whose nullspace (all of
+        # it) nullspace_exact cannot size; one zero row gives it its width
         shares = [self._block_row(1, tail) for tail in basis]
         system = [
             [share[i] for share in shares] + row for i, row in enumerate(self.coeffs[0])
@@ -389,15 +385,16 @@ def left_minimal_indices(P: MatrixPolynomial) -> tuple:
     return minimal_indices(-P.transpose())
 
 
-def multiplicities_at_zero(P: MatrixPolynomial) -> tuple:
+def multiplicities_at_zero(P: MatrixPolynomial, rho: int | None = None) -> tuple:
     """Partial multiplicities of P at the point zero, padded with zeros to rank.
 
     Computed from the growth of the space of truncated power-series solutions
     of P x = 0 (the prefix spaces of the convolution system): with eta the
     rational kernel dimension, dim S_k grows by eta plus the number of
-    multiplicities exceeding k.
+    multiplicities exceeding k. rho is normal_rank(P) unless given.
     """
-    rho = normal_rank(P)
+    if rho is None:
+        rho = normal_rank(P)
     stair = _Staircase(P)
     return multiplicities_from_prefix_dims(stair.prefix_dims(stair.bound), P.cols - rho, rho)
 
@@ -407,10 +404,12 @@ def infinite_structure(P: MatrixPolynomial, grade: int | None = None) -> tuple:
 
     These are the multiplicities at zero of the grade-reversal, with zeros
     included up to length normal_rank(P); they change when the grade does.
+    The reversal has the normal rank of P, so that rank (cached) is passed
+    on instead of being recomputed for the reversal.
     """
     if grade is None:
         grade = P.grade
-    return multiplicities_at_zero(rev(P, grade))
+    return multiplicities_at_zero(rev(P, grade), normal_rank(P))
 
 
 class GradeLawReport(NamedTuple):
@@ -466,11 +465,15 @@ def _factor_rational(poly: RationalPolynomial) -> list:
 def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstructure:
     """Complete eigenstructure of a skew-symmetric matrix polynomial.
 
-    Combines the exact rank, the paired invariant polynomials (factored over
-    the rationals), the structure at infinity for the declared grade, and the
-    minimal indices. The pairing of all multiplicity lists, the equality of
-    left and right minimal indices, and the index-sum identity
-    (finite + infinite + left + right == rank * grade) are validated before
+    Computes the exact rank rho, the structure at infinity for the declared
+    grade and the minimal indices first. By the index sum theorem the finite
+    elementary divisors then have total degree
+    rho * grade - sum(infinite) - sum(left) - sum(right). Only when that
+    deficit is positive does the Smith reduction run, with its invariant
+    polynomials factored over the rationals; a zero deficit leaves no finite
+    elementary divisors, and a negative one raises InternalInconsistency.
+    The pairing of all multiplicity lists, the equality of left and right
+    minimal indices, and the index-sum identity are validated before
     returning; a violation raises InternalInconsistency.
     """
     skew = as_skew(P)
@@ -479,20 +482,23 @@ def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstruc
     grade = skew.grade
 
     rho = normal_rank(skew)
-    paired = skew_smith(skew)
-    if 2 * paired.rank != rho:
-        raise InternalInconsistency(
-            f"rank {rho} by evaluation vs {2 * paired.rank} by reduction"
-        )
-
-    finite: dict = {}
-    for g in paired.invariant_polynomials:
-        for factor, exponent in _factor_rational(g):
-            finite.setdefault(factor, []).extend([exponent, exponent])
-
     infinite = infinite_structure(skew, grade)
     right = minimal_indices(skew)
     left = right  # for skew-symmetric P, -P^T == P
+    deficit = rho * grade - sum(infinite) - sum(left) - sum(right)
+    if deficit < 0:
+        raise InternalInconsistency(f"index sums exceed rank*grade by {-deficit}")
+
+    finite: dict = {}
+    if deficit:
+        paired = skew_smith(skew)
+        if 2 * paired.rank != rho:
+            raise InternalInconsistency(
+                f"rank {rho} by evaluation vs {2 * paired.rank} by reduction"
+            )
+        for g in paired.invariant_polynomials:
+            for factor, exponent in _factor_rational(g):
+                finite.setdefault(factor, []).extend([exponent, exponent])
 
     structure = CompleteEigenstructure.build(
         rows=skew.rows,
@@ -504,6 +510,7 @@ def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstruc
         left_minimal=left,
         right_minimal=right,
     )
+    # the index-sum check here also holds the finite part to the deficit
     _validate_skew_structure(structure)
     return structure
 

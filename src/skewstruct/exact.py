@@ -383,11 +383,12 @@ def nullspace_exact(matrix) -> list:
     Returns a list of integer vectors (tuples of Python ints) spanning
     ``{x : matrix @ x = 0}``, one per free column. Elimination is
     fraction-free; rationals enter only in the back-substitution, and each
-    vector is scaled back to integers.
+    vector is scaled back to integers. A matrix without rows does not say
+    how wide its nullspace is and raises ShapeMismatch.
     """
     rows = _integer_rows(matrix)
     if not rows:
-        return []
+        raise ShapeMismatch("matrix without rows has no width")
     n_cols = len(rows[0])
     pivots = _bareiss_echelon(rows)
     pivot_set = set(pivots)
@@ -703,29 +704,42 @@ def frobenius_distance(P: MatrixPolynomial, Q: MatrixPolynomial) -> FrobeniusDis
     return FrobeniusDistance(math.sqrt(total), total)
 
 
+def integer_coefficient_matrices(P: MatrixPolynomial) -> list:
+    """Coefficient matrices 0 .. degree of P, scaled to integers.
+
+    Every matrix is multiplied by the lcm of all denominators; one common
+    positive scale leaves every rank and kernel unchanged. The zero
+    polynomial keeps its zero constant term.
+    """
+    deg = P.degree
+    mats = [P.coefficient_matrix(k) for k in range((0 if deg is NEG_INF else int(deg)) + 1)]
+    scale = math.lcm(*(v.denominator for mat in mats for row in mat for v in row))
+    return [[[v.numerator * (scale // v.denominator) for v in row] for row in mat] for mat in mats]
+
+
 @functools.lru_cache(maxsize=512)
 def normal_rank(P: MatrixPolynomial) -> int:
     """Rank of P over the field of rational functions, computed exactly.
 
-    Evaluates P at min(rows, cols) * degree + 1 distinct rational points and
-    takes the maximum constant rank. Any nonzero minor of P has degree at
-    most min(rows, cols) * degree, so it cannot vanish at all of these
-    points; the maximum is therefore exactly the rank over the function
-    field, with no probabilistic caveat. Values are immutable, so results
-    are cached (analysis asks for the same rank several times).
+    Evaluates the integer-scaled coefficients by Horner's rule at the
+    distinct integer points 0, 1, -1, 2, ... and keeps the largest constant
+    rank `best`, stopping once (best + 1) * degree + 1 points are done: a
+    nonzero (best + 1)-minor has degree at most (best + 1) * degree, so it
+    cannot vanish at that many points. The result is exactly the rank over
+    the function field, with no probabilistic caveat. Values are immutable,
+    so results are cached.
     """
-    if P.rows == 0 or P.cols == 0:
-        return 0
-    deg = P.degree
-    if deg is NEG_INF:
-        return 0
+    coeffs = integer_coefficient_matrices(P)
+    deg = len(coeffs) - 1
     bound = min(P.rows, P.cols)
-    n_points = bound * int(deg) + 1
-    best = 0
-    for idx in range(n_points):
-        best = max(best, rank_exact(P.evaluate(_eval_point(idx))))
-        if best == bound:
-            break
+    best = idx = 0
+    while best < bound and idx < (best + 1) * deg + 1:
+        x = _eval_point(idx)
+        value = coeffs[-1]
+        for mat in reversed(coeffs[:-1]):
+            value = [[v * x + c for v, c in zip(vrow, crow)] for vrow, crow in zip(value, mat)]
+        best = max(best, rank_exact(value))
+        idx += 1
     return best
 
 

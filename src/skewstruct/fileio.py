@@ -46,11 +46,13 @@ def polynomial_to_dict(P: SkewMatrixPolynomial) -> dict:
 
 def polynomial_from_dict(data: dict) -> SkewMatrixPolynomial:
     try:
-        m = int(data["m"])
-        grade = int(data["grade"])
-        raw = data["coefficients"]
-    except (KeyError, TypeError, ValueError) as exc:
+        m, grade, raw = data["m"], data["grade"], data["coefficients"]
+    except (KeyError, TypeError) as exc:
         raise FileFormatError(f"missing or malformed field: {exc}") from exc
+    for name, value in (("m", m), ("grade", grade)):
+        # a JSON integer: int() would truncate 0.5 and take true for 1
+        if type(value) is not int:
+            raise FileFormatError(f"{name} must be an integer, got {value!r}")
     if grade < 0:
         raise FileFormatError(f"grade must be nonnegative, got {grade}")
     if not isinstance(raw, list) or len(raw) != grade + 1:

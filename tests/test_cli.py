@@ -192,14 +192,35 @@ class TestMalformedInput:
         self.assert_validation_error(result)
 
     @pytest.mark.parametrize(
+        "m, grade, n_matrices",
+        [(2, 0.5, 1), (2.9, 0, 1), (2, True, 2), (True, 0, 1), (2, "0", 1)],
+        ids=["fractional-grade", "fractional-size", "boolean-grade", "boolean-size", "string-grade"],
+    )
+    def test_non_integer_field(self, tmp_path, m, grade, n_matrices):
+        # int() would truncate or coerce each of these into a valid file
+        size = int(m)
+        zeros = [["0/1"] * size for _ in range(size)]
+        data = {"m": m, "grade": grade, "coefficients": [zeros] * n_matrices}
+        self.assert_validation_error(self.analyze_file(tmp_path, data))
+
+    @pytest.mark.parametrize(
         "block",
         [
             {"kind": "Q", "index": 1},
             {"kind": "M", "index": -2},
             {"kind": "M", "index": "x"},
+            {"kind": "M", "index": 1.7},
+            {"kind": "M", "index": True},
             {"kind": "H", "index": 1, "eigenvalue": 5},
         ],
-        ids=["unknown-kind", "negative-index", "non-integer-index", "non-string-eigenvalue"],
+        ids=[
+            "unknown-kind",
+            "negative-index",
+            "non-integer-index",
+            "fractional-index",
+            "boolean-index",
+            "non-string-eigenvalue",
+        ],
     )
     def test_malformed_block(self, tmp_path, block):
         self.assert_validation_error(self.closure_with_target(tmp_path, [block]))

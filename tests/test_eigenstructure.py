@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from skewstruct import eigenstructure
 from skewstruct.eigenstructure import (
     CompleteEigenstructure,
     _Staircase,
@@ -25,6 +26,7 @@ from skewstruct.exact import (
     MatrixPolynomial,
     RationalPolynomial,
     SkewMatrixPolynomial,
+    as_skew,
     normal_rank,
     rev,
     smith_form,
@@ -219,6 +221,83 @@ class TestInfiniteStructure:
                 g.valuation_at_zero() for g in reversed_smith.invariant_polynomials
             )
             assert list(got) == expected
+
+    def test_reversal_keeps_rank(self):
+        # infinite_structure hands the rank of P to the reversal; computing
+        # the reversal's own rank gives the same multiplicities
+        rng = random.Random(24)
+        inputs = [random_skew(rng, rng.randint(2, 4), rng.randint(0, 2)) for _ in range(10)]
+        for m in inputs + unstructured_inputs(rng, 10):
+            grade = m.grade + rng.randint(0, 1)
+            reversal = rev(m.with_grade(grade), grade)
+            assert normal_rank(reversal) == normal_rank(m)
+            assert infinite_structure(m, grade) == multiplicities_at_zero(reversal)
+
+
+def _gate_fixtures():
+    """Polynomial, grade, and whether the finite-degree deficit is positive."""
+    from skewstruct.blocks import BlockList, SkewBlock, assemble_skew
+    from skewstruct.linearize import build_linearization, pad_grade
+    from skewstruct.sampling import SampleSpec, sample_bounded_rank
+
+    # the Monte Carlo draw whose linearization has the block H_1(0)
+    draw = sample_bounded_rank(SampleSpec(m=5, d=2, r=2, coeff_range=9, seed=7000099))
+    blocks = BlockList.skew([SkewBlock.h(2, Fraction(-1, 3)), SkewBlock.m(1), SkewBlock.k(1)])
+    return [
+        pytest.param(SkewMatrixPolynomial.zeros(3, 3, grade=2), 2, False, id="zero"),
+        pytest.param(M1_PENCIL, 1, False, id="M1"),
+        pytest.param(K1_PENCIL, 1, False, id="K1"),
+        pytest.param(skew2(P.constant(5), grade=0), 0, False, id="constant"),
+        pytest.param(sample_bounded_rank(SampleSpec(5, 2, 2, seed=31)), 2, False, id="generic-5-2-2"),
+        pytest.param(sample_bounded_rank(SampleSpec(6, 2, 1, seed=32)), 2, False, id="generic-6-2-1"),
+        pytest.param(skew2(x**2), 2, True, id="x-squared"),
+        pytest.param(skew2(x**2), 3, True, id="x-squared-regraded"),
+        pytest.param(skew2((x - Fraction(1, 2)) * (x + 3)), 2, True, id="rational-roots"),
+        pytest.param(skew2(x**2 + 1), 2, True, id="irreducible-quadratic"),
+        pytest.param(assemble_skew(blocks), 1, True, id="H-M-and-K-blocks"),
+        pytest.param(draw, 2, True, id="pinned-draw"),
+        pytest.param(build_linearization(pad_grade(draw)).pencil, 1, True, id="pinned-draw-H1(0)"),
+    ]
+
+
+def _finite_by_smith(poly):
+    """The finite part of analyze, from a Smith reduction run unconditionally."""
+    finite = {}
+    for g in eigenstructure.skew_smith(as_skew(poly)).invariant_polynomials:
+        for factor, exponent in eigenstructure._factor_rational(g):
+            finite.setdefault(factor, []).extend([exponent, exponent])
+    return {factor: tuple(sorted(mults)) for factor, mults in finite.items()}
+
+
+class TestIndexSumGate:
+    """Smith runs only on a positive finite-degree deficit."""
+
+    @pytest.mark.parametrize("poly, grade, positive", _gate_fixtures())
+    def test_matches_smith(self, poly, grade, positive):
+        structure = analyze(poly, grade)
+        assert (structure.index_sums()[0] > 0) == positive
+        assert structure.finite_map() == _finite_by_smith(poly)
+
+    def test_zero_deficit_skips_smith(self, monkeypatch):
+        def no_smith(P):
+            raise AssertionError("Smith reduction ran")
+
+        monkeypatch.setattr(eigenstructure, "skew_smith", no_smith)
+        assert analyze(M1_PENCIL, 1).finite == ()
+        assert analyze(SkewMatrixPolynomial.zeros(3, 3, grade=2)).finite == ()
+        with pytest.raises(AssertionError, match="Smith reduction ran"):
+            analyze(skew2(x**2), 2)
+
+    def test_negative_deficit_raises(self, monkeypatch):
+        real = eigenstructure.minimal_indices
+
+        def inflated(P):
+            indices = real(P)
+            return indices[:-1] + (indices[-1] + 1,)
+
+        monkeypatch.setattr(eigenstructure, "minimal_indices", inflated)
+        with pytest.raises(InternalInconsistency, match="exceed rank"):
+            analyze(M1_PENCIL, 1)
 
 
 class TestAnalyze:

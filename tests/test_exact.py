@@ -13,8 +13,10 @@ from skewstruct.exact import (
     MatrixPolynomial,
     RationalPolynomial,
     SkewMatrixPolynomial,
+    as_skew,
     frobenius_distance,
     normal_rank,
+    nullspace_exact,
     poly_gcd,
     rank_exact,
     rev,
@@ -129,6 +131,11 @@ class TestRankExact:
         mt = [[m[i][j] for i in range(rows)] for j in range(cols)]
         assert rank_exact(m) == rank_exact(mt)
         assert rank_exact(m) <= min(rows, cols)
+
+    def test_nullspace_without_rows(self):
+        # the whole space would be the answer, but no row says how wide it is
+        with pytest.raises(ShapeMismatch, match="without rows"):
+            nullspace_exact([])
 
     def test_regression_missing_pivot_scaling(self):
         # rows with a zero in the pivot column must still be scaled during
@@ -271,6 +278,44 @@ class TestNormalRank:
             grade=deg,
         )
         assert normal_rank(m) == normal_rank_by_minors(m)
+
+    def test_low_rank_against_minors(self):
+        # products through a thin middle factor have rank well below
+        # min(rows, cols), where the degree-bound point count stops early;
+        # coefficients with denominators go through the integer scaling
+        rng = random.Random(21)
+
+        def random_factor(rows, cols, deg):
+            return mat(
+                [
+                    [P([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(deg + 1)])
+                     for _ in range(cols)]
+                    for _ in range(rows)
+                ],
+                grade=deg,
+            )
+
+        for _ in range(20):
+            grade = rng.randint(0, 3)
+            low = rng.randint(0, grade)
+            rows, cols = rng.randint(3, 5), rng.randint(3, 5)
+            inner = rng.randint(1, min(rows, cols) - 2)
+            m = random_factor(rows, inner, low) @ random_factor(inner, cols, grade - low)
+            assert normal_rank(m) == normal_rank_by_minors(m) <= inner
+        for _ in range(12):
+            # A^T S A: skew, rank at most 2, for constant A and 2x2 skew S
+            n = rng.randint(4, 5)
+            a = random_factor(2, n, 0)
+            s = skew2(random_factor(1, 1, rng.randint(0, 3)).entry(0, 0))
+            m = as_skew(a.transpose() @ s @ a)
+            assert normal_rank(m) == normal_rank_by_minors(m) <= 2
+
+    def test_rank_seen_only_at_the_last_point(self):
+        # p vanishes at the first three points 0, 1, -1; only the fourth,
+        # the last one the degree bound asks for at rank 0, shows rank 1
+        p = x * (x - 1) * (x + 1)
+        z = P.zero()
+        assert normal_rank(mat([[p, z, z], [z, z, z]])) == 1
 
     def test_matches_rank_at_generic_point(self):
         # rank at any point never exceeds the normal rank, and a random
