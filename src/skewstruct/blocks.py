@@ -232,20 +232,24 @@ class BlockList:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BlockList":
+        """Read the JSON form; malformed input raises a SkewstructError."""
+        if not isinstance(data, dict) or "flavor" not in data or not isinstance(data.get("blocks"), list):
+            raise InvalidBlock("a block list is an object with a flavor and a list of blocks")
         flavor = data["flavor"]
         block_cls = GeneralBlock if flavor == "general" else SkewBlock
         blocks = []
         for item in data["blocks"]:
             try:
-                ev = item.get("eigenvalue")
+                kind = item["kind"]
                 index = item["index"]
+                ev = item.get("eigenvalue")
                 # a JSON integer: int() would truncate 1.7 and take true for 1
                 if type(index) is not int:
                     raise TypeError(f"index {index!r} is not an integer")
                 point = parse_eigenvalue(ev) if ev is not None else None
-            except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise InvalidBlock(f"malformed block {item!r}") from exc
-            blocks.append(block_cls(item["kind"], index, point))
+            blocks.append(block_cls(kind, index, point))
         return cls(flavor, tuple(blocks))
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .blocks import BlockList, GeneralBlock, general_to_skew
 from .errors import (
@@ -209,43 +208,27 @@ def apply_rule_paired(blocklist: BlockList, app: RuleApplication) -> BlockList:
 # ---------------------------------------------------------------------------
 
 
-def _block_key(block: GeneralBlock):
-    ev = block.eigenvalue
-    if ev is None:
-        tag = (0,)
-    elif isinstance(ev, Fraction):
-        tag = (1, ev.numerator, ev.denominator)
-    else:
-        tag = (2, ev.name)
-    return (block.kind, -block.index, tag)
-
-
-def _relabel(blocks, mapping):
-    out = []
-    for b in blocks:
-        if isinstance(b.eigenvalue, SymbolicPoint):
-            out.append(GeneralBlock.finite(b.index, mapping[b.eigenvalue.name]))
-        else:
-            out.append(b)
-    return out
-
-
 def canonical_key(blocklist: BlockList):
-    """Hashable state key, invariant under renaming of symbolic eigenvalues."""
-    blocks = blocklist.blocks
-    names = sorted({b.eigenvalue.name for b in blocks if isinstance(b.eigenvalue, SymbolicPoint)})
-    if not names:
-        return tuple(sorted(_block_key(b) for b in blocks))
-    if len(names) <= 6:
-        best = None
-        for perm in itertools.permutations(range(len(names))):
-            mapping = {name: SymbolicPoint(f"s{perm[i]}") for i, name in enumerate(names)}
-            key = tuple(sorted(_block_key(b) for b in _relabel(blocks, mapping)))
-            if best is None or key < best:
-                best = key
-        return best
-    mapping = {name: SymbolicPoint(f"s{i}") for i, name in enumerate(names)}
-    return tuple(sorted(_block_key(b) for b in _relabel(blocks, mapping)))
+    """Hashable state key: equal exactly when two lists differ by a renaming of symbols.
+
+    The key is the blocks without a symbolic eigenvalue, in the list's
+    canonical order, plus one tuple per symbol, sorted: the (kind, index)
+    pairs of its blocks in list order, which for one eigenvalue is sorted by
+    kind and index. Symbols sit only in eigenvalue blocks at finite points,
+    differ from every rational point and from each other, and are
+    interchangeable. So a renaming fixes the other blocks and only permutes
+    the symbols' block multisets, and two lists with equal keys are related
+    by the renaming that matches symbols with equal multisets. No search over
+    renamings is needed, and there is no limit on the number of symbols.
+    """
+    fixed = []
+    by_symbol: dict = {}
+    for b in blocklist.blocks:
+        if isinstance(b.eigenvalue, SymbolicPoint):
+            by_symbol.setdefault(b.eigenvalue.name, []).append((b.kind, b.index))
+        else:
+            fixed.append(b)
+    return tuple(fixed), tuple(sorted(tuple(pairs) for pairs in by_symbol.values()))
 
 
 def equal_modulo_symbols(a: BlockList, b: BlockList) -> bool:

@@ -22,10 +22,8 @@ from .exact import (
     RationalPolynomial,
     SkewMatrixPolynomial,
     as_skew,
-    normal_rank,
 )
 
-_X = RationalPolynomial.variable()
 _ONE = RationalPolynomial.one()
 _ZERO = RationalPolynomial.zero()
 
@@ -92,54 +90,19 @@ def build_linearization(P: SkewMatrixPolynomial, grade: int | None = None) -> Gs
     return GsylPencil(m=m, d=d, pencil=pencil, source=skew)
 
 
-def gsyl_membership(Q: MatrixPolynomial, m: int, d: int) -> bool:
-    """Whether Q matches the linearization template for some coefficients.
+def _template_source(Q: MatrixPolynomial, m: int, d: int) -> SkewMatrixPolynomial | None:
+    """The polynomial whose linearization is Q, or None if Q is off the template.
 
-    Checks the fixed +-I/+-xI couplings, the zero blocks, and skewness of the
-    free diagonal blocks; the template determines the coefficients uniquely,
-    so membership plus extraction is exactly an inverse of assembly.
+    The odd-position diagonal blocks of the template hold the coefficients,
+    so they are read off and assembled again: Q is in the template exactly
+    when that reproduces it.
     """
     if d < 1 or d % 2 == 0:
         raise EvenGrade(f"template space is defined for odd grades, got {d}")
     if Q.rows != m * d or Q.cols != m * d:
         raise ShapeMismatch(f"expected {m * d} x {m * d}, got {Q.rows} x {Q.cols}")
     if Q.grade != 1 or not Q.is_skew_symmetric():
-        return False
-    if d == 1:
-        return True
-
-    def block(bi, bj):
-        return [[Q.entries[bi * m + i][bj * m + j] for j in range(m)] for i in range(m)]
-
-    for bi in range(d):
-        for bj in range(d):
-            sub = block(bi, bj)
-            if bi == bj:
-                if bi % 2 == 1 and any(not e.is_zero() for row in sub for e in row):
-                    return False
-                # even-position diagonal blocks are free skew pencils, covered
-                # by the overall skewness check
-            elif abs(bi - bj) == 1:
-                lower = min(bi, bj)
-                expected_upper = -_ONE if lower % 2 == 0 else RationalPolynomial((0, -1))
-                want = expected_upper if bj > bi else -expected_upper
-                for i in range(m):
-                    for j in range(m):
-                        target = want if i == j else _ZERO
-                        if sub[i][j] != target:
-                            return False
-            else:
-                if any(not e.is_zero() for row in sub for e in row):
-                    return False
-    return True
-
-
-def coefficients_from_gsyl(Q: MatrixPolynomial, m: int, d: int) -> SkewMatrixPolynomial:
-    """Recover the source polynomial from a template pencil."""
-    if not gsyl_membership(Q, m, d):
-        raise ShapeMismatch("pencil does not match the linearization template")
-    if d == 1:
-        return as_skew(Q).with_grade(1)
+        return None
     coeff = [[[None] * m for _ in range(m)] for _ in range(d + 1)]
     for b in range(1, d + 1, 2):
         for i in range(m):
@@ -147,7 +110,7 @@ def coefficients_from_gsyl(Q: MatrixPolynomial, m: int, d: int) -> SkewMatrixPol
                 e = Q.entries[(b - 1) * m + i][(b - 1) * m + j]
                 coeff[d - b + 1][i][j] = e.coefficient(1)
                 coeff[d - b][i][j] = e.coefficient(0)
-    return SkewMatrixPolynomial.from_upper(
+    source = SkewMatrixPolynomial.from_upper(
         m,
         {
             (i, j): RationalPolynomial([coeff[k][i][j] for k in range(d + 1)])
@@ -156,6 +119,24 @@ def coefficients_from_gsyl(Q: MatrixPolynomial, m: int, d: int) -> SkewMatrixPol
         },
         grade=d,
     )
+    return source if build_linearization(source).pencil == Q else None
+
+
+def gsyl_membership(Q: MatrixPolynomial, m: int, d: int) -> bool:
+    """Whether Q matches the linearization template for some coefficients.
+
+    The template determines the coefficients uniquely, so membership plus
+    extraction is exactly an inverse of assembly.
+    """
+    return _template_source(Q, m, d) is not None
+
+
+def coefficients_from_gsyl(Q: MatrixPolynomial, m: int, d: int) -> SkewMatrixPolynomial:
+    """Recover the source polynomial from a template pencil."""
+    source = _template_source(Q, m, d)
+    if source is None:
+        raise ShapeMismatch("pencil does not match the linearization template")
+    return source
 
 
 @dataclass(frozen=True)
@@ -210,9 +191,3 @@ def verify_shift(P: SkewMatrixPolynomial, grade: int | None = None) -> ShiftRepo
     if not report.all_ok:
         raise InternalInconsistency(f"linearization contract violated: {report}")
     return report
-
-
-def linearization_rank(P: SkewMatrixPolynomial, grade: int | None = None) -> tuple:
-    """(rank of the linearized pencil, rank of P); differ by m*(d-1)."""
-    lin = build_linearization(P, grade)
-    return normal_rank(lin.pencil), normal_rank(lin.source)

@@ -3,18 +3,22 @@
 These deliberately avoid the library's own reduction algorithms: Smith data
 comes from gcds of all k x k minors (Laplace determinants), minimal indices
 and prefix-space dimensions from explicit convolution matrices, so the fast
-paths are checked against slow, obviously-correct computations.
+paths are checked against slow, obviously-correct computations; block lists
+are compared modulo renaming of symbols by trying every renaming.
 """
 
+import dataclasses
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
+from skewstruct.blocks import BlockList
 from skewstruct.exact import (
     MatrixPolynomial,
     RationalPolynomial,
     poly_gcd,
     rank_exact,
 )
+from skewstruct.points import SymbolicPoint
 
 
 def determinant_poly(rows):
@@ -127,3 +131,30 @@ def minimal_indices_by_convolution(P: MatrixPolynomial, total: int):
         prev_dim, prev_count = dim, count
         k += 1
     return sorted(indices)
+
+
+def _symbol_names(blocklist: BlockList):
+    return sorted({b.eigenvalue.name for b in blocklist.blocks if isinstance(b.eigenvalue, SymbolicPoint)})
+
+
+def equal_by_renaming(a: BlockList, b: BlockList) -> bool:
+    """Whether some bijection between the symbol names of a and b turns a into b.
+
+    Tries every bijection, so it is for lists with at most 5 symbols.
+    """
+    names_a, names_b = _symbol_names(a), _symbol_names(b)
+    if len(names_a) != len(names_b):
+        return False
+    if len(names_a) > 5:
+        raise ValueError("the brute-force renaming search is for at most 5 symbols")
+    for image in permutations(names_b):
+        rename = dict(zip(names_a, image))
+        renamed = [
+            dataclasses.replace(blk, eigenvalue=SymbolicPoint(rename[blk.eigenvalue.name]))
+            if isinstance(blk.eigenvalue, SymbolicPoint)
+            else blk
+            for blk in a.blocks
+        ]
+        if BlockList(a.flavor, tuple(renamed)) == b:
+            return True
+    return False

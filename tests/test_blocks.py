@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewstruct.blocks import (
     BlockList,
@@ -18,7 +20,7 @@ from skewstruct.blocks import (
     skew_to_general,
 )
 from skewstruct.eigenstructure import analyze, same_orbit
-from skewstruct.errors import FlavorMismatch, PairingBroken
+from skewstruct.errors import FlavorMismatch, InvalidBlock, PairingBroken, SkewstructError
 from skewstruct.exact import RationalPolynomial, normal_rank
 from skewstruct.points import INFINITY, SymbolicPoint
 
@@ -294,3 +296,70 @@ class TestBlockListJson:
         first = dump_json(bl.to_json_dict())
         again = dump_json(BlockList.from_json_dict(json.loads(first)).to_json_dict())
         assert first == again
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [],
+            "x",
+            None,
+            {"flavor": "skew", "blocks": 5},
+            {"flavor": "skew", "blocks": {"kind": "M", "index": 1}},
+            {"blocks": [{"kind": "M", "index": 1}]},
+            {"flavor": "skew"},
+            {"flavor": "skew", "blocks": [{"index": 1}]},
+            {"flavor": "skew", "blocks": [{"kind": "M"}]},
+            {"flavor": "skew", "blocks": [["M", 1]]},
+        ],
+    )
+    def test_malformed_raises_invalid_block(self, data):
+        with pytest.raises(InvalidBlock):
+            BlockList.from_json_dict(data)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+# near-miss block lists reach the per-block checks far more often than random JSON
+_BLOCK = st.fixed_dictionaries(
+    {},
+    optional={
+        "kind": st.sampled_from(["E_finite", "E_infinite", "L", "L_T", "H", "K", "M"]) | _JSON,
+        "index": st.integers(-2, 3) | _JSON,
+        "eigenvalue": st.sampled_from(["inf", "@a", "1/2", "-3", "1/0", "x", "@"]) | _JSON,
+    },
+)
+_BLOCK_LIST = st.fixed_dictionaries(
+    {},
+    optional={
+        "flavor": st.sampled_from(["general", "skew"]) | _JSON,
+        "blocks": st.lists(_BLOCK | _JSON, max_size=4) | _JSON,
+    },
+)
+# valid lists, so that the fuzz also reaches the successful return
+_POINT = st.sampled_from([0, Fraction(-1, 2), SymbolicPoint("a"), SymbolicPoint("b")])
+_VALID_LIST = st.lists(
+    st.builds(GeneralBlock.finite, st.integers(1, 3), _POINT)
+    | st.builds(GeneralBlock.infinite, st.integers(1, 3))
+    | st.builds(GeneralBlock.right, st.integers(0, 3))
+    | st.builds(GeneralBlock.left, st.integers(0, 3)),
+    max_size=4,
+).map(BlockList.general) | st.lists(
+    st.builds(SkewBlock.h, st.integers(1, 3), _POINT)
+    | st.builds(SkewBlock.k, st.integers(1, 3))
+    | st.builds(SkewBlock.m, st.integers(0, 3)),
+    max_size=4,
+).map(BlockList.skew)
+
+
+class TestBlockListJsonFuzz:
+    @given(_VALID_LIST.map(BlockList.to_json_dict) | _BLOCK_LIST | _JSON)
+    @settings(max_examples=400, deadline=None)
+    def test_returns_block_list_or_raises_library_error(self, data):
+        try:
+            out = BlockList.from_json_dict(data)
+        except SkewstructError:
+            return
+        assert isinstance(out, BlockList)

@@ -177,8 +177,11 @@ class TestMalformedInput:
         return run_cli("analyze", str(path))
 
     def closure_with_target(self, tmp_path, blocks):
+        return self.closure_with_target_file(tmp_path, {"flavor": "skew", "blocks": blocks})
+
+    def closure_with_target_file(self, tmp_path, data):
         target = tmp_path / "t.json"
-        target.write_text(json.dumps({"flavor": "skew", "blocks": blocks}))
+        target.write_text(json.dumps(data))
         source = tmp_path / "s.json"
         source.write_text(json.dumps({"flavor": "skew", "blocks": [{"kind": "M", "index": 1}]}))
         return run_cli("closure", "--target", str(target), "--source", str(source))
@@ -224,6 +227,22 @@ class TestMalformedInput:
     )
     def test_malformed_block(self, tmp_path, block):
         self.assert_validation_error(self.closure_with_target(tmp_path, [block]))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [],
+            "x",
+            {"flavor": "skew", "blocks": 5},
+            {"blocks": [{"kind": "M", "index": 1}]},
+            {"flavor": "skew"},
+            {"flavor": "skew", "blocks": [{"index": 1}]},
+            {"flavor": "skew", "blocks": [{"kind": "M"}]},
+        ],
+        ids=["list", "string", "non-list-blocks", "no-flavor", "no-blocks", "no-kind", "no-index"],
+    )
+    def test_malformed_block_list(self, tmp_path, data):
+        self.assert_validation_error(self.closure_with_target_file(tmp_path, data))
 
 
 class TestSampleAndMc:

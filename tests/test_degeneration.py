@@ -1,9 +1,11 @@
 """Tests for the degeneration rewriting system and closure search."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from oracles import equal_by_renaming
 
 from skewstruct.blocks import BlockList, GeneralBlock, SkewBlock, general_to_skew, skew_to_general
 from skewstruct.degeneration import (
@@ -145,6 +147,70 @@ class TestCanonicalization:
         b = gl(E(1, 3))
         assert not equal_modulo_symbols(a, b)
         assert equal_modulo_symbols(a, gl(E(1, 2)))
+
+    def test_seven_symbols(self):
+        # every symbol beyond the first two carries the same block, so swapping
+        # a and b is a renaming; a search capped at six symbols missed it
+        sym = SymbolicPoint
+        rest = [E(1, sym(name)) for name in "cdefg"]
+        a = gl(E(1, sym("a")), E(2, sym("b")), *rest)
+        b = gl(E(2, sym("a")), E(1, sym("b")), *rest)
+        assert equal_modulo_symbols(a, b)
+        assert canonical_key(a) == canonical_key(b)
+        assert not equal_modulo_symbols(a, gl(E(2, sym("a")), E(2, sym("b")), *rest))
+
+    def test_skew_lists(self):
+        def skew(*pairs):
+            return BlockList.skew([SkewBlock.h(k, SymbolicPoint(name)) for k, name in pairs])
+
+        assert equal_modulo_symbols(skew((1, "a"), (2, "b")), skew((2, "x"), (1, "y")))
+        assert not equal_modulo_symbols(skew((1, "a"), (2, "a")), skew((1, "a"), (2, "b")))
+        # an H block is not the E block of the same index
+        assert not equal_modulo_symbols(skew((1, "a")), gl(E(1, SymbolicPoint("a"))))
+
+    @staticmethod
+    def random_list(rng):
+        """A general list with up to 5 symbols, some shared, beside fixed blocks."""
+        names = rng.sample("abcdefgh", rng.randint(0, 5))
+        blocks = [E(rng.randint(1, 3), SymbolicPoint(name)) for name in names]
+        for _ in range(rng.randint(0, 4)):
+            pick = rng.randrange(5)
+            if pick == 0 and names:
+                blocks.append(E(rng.randint(1, 3), SymbolicPoint(rng.choice(names))))
+            elif pick == 1:
+                blocks.append(E(rng.randint(1, 2), rng.choice([0, 1, Fraction(1, 2)])))
+            elif pick == 2:
+                blocks.append(EINF(rng.randint(1, 2)))
+            else:
+                blocks.append((L if pick == 3 else LT)(rng.randint(0, 2)))
+        return gl(*blocks)
+
+    @staticmethod
+    def rename_randomly(rng, blocklist):
+        names = sorted({b.eigenvalue.name for b in blocklist.blocks if isinstance(b.eigenvalue, SymbolicPoint)})
+        rename = dict(zip(names, rng.sample("abcdefghpqrstu", len(names))))
+        return gl(*[
+            E(b.index, SymbolicPoint(rename[b.eigenvalue.name])) if isinstance(b.eigenvalue, SymbolicPoint) else b
+            for b in blocklist.blocks
+        ])
+
+    def test_against_renaming_oracle(self):
+        rng = random.Random(41)
+        outcomes = []
+        for trial in range(400):
+            a = self.random_list(rng)
+            blocks = list(a.blocks)
+            symbolic = [i for i, b in enumerate(blocks) if isinstance(b.eigenvalue, SymbolicPoint)]
+            if trial % 2 and symbolic:
+                # change one symbolic index, then rename: equal only by coincidence
+                i = rng.choice(symbolic)
+                new_index = rng.choice([k for k in (1, 2, 3) if k != blocks[i].index])
+                blocks[i] = E(new_index, blocks[i].eigenvalue)
+            b = self.rename_randomly(rng, gl(*blocks))
+            expected = equal_by_renaming(a, b)
+            assert equal_modulo_symbols(a, b) == expected, (str(a), str(b))
+            outcomes.append(expected)
+        assert outcomes.count(True) > 100 and outcomes.count(False) > 100
 
 
 class TestClosureSearch:
