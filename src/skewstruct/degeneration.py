@@ -69,23 +69,39 @@ class RuleApplication:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RuleApplication":
-        rule = int(data["rule"])
-        if rule in (1, 2):
-            return cls(rule, j=int(data["j"]), k=int(data["k"]))
-        if rule in (3, 4, 5):
-            return cls(
-                rule,
-                j=int(data["j"]),
-                k=int(data["k"]),
-                eigenvalue=parse_eigenvalue(data["eigenvalue"]),
-            )
-        return cls(
-            6,
-            p=int(data["p"]),
-            q=int(data["q"]),
-            sizes=tuple(int(s) for s in data["sizes"]),
-            eigenvalues=tuple(parse_eigenvalue(e) for e in data["eigenvalues"]),
-        )
+        """Read the JSON form; malformed input raises SideConditionViolated."""
+        try:
+            rule = _json_int(data["rule"])
+            if rule in (1, 2):
+                return cls(rule, j=_json_int(data["j"]), k=_json_int(data["k"]))
+            if rule in (3, 4, 5):
+                return cls(
+                    rule,
+                    j=_json_int(data["j"]),
+                    k=_json_int(data["k"]),
+                    eigenvalue=parse_eigenvalue(data["eigenvalue"]),
+                )
+            if rule == 6:
+                sizes, eigenvalues = data["sizes"], data["eigenvalues"]
+                if not (isinstance(sizes, list) and isinstance(eigenvalues, list)):
+                    raise TypeError("sizes and eigenvalues must be lists")
+                return cls(
+                    6,
+                    p=_json_int(data["p"]),
+                    q=_json_int(data["q"]),
+                    sizes=tuple(_json_int(s) for s in sizes),
+                    eigenvalues=tuple(parse_eigenvalue(e) for e in eigenvalues),
+                )
+        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise SideConditionViolated(f"malformed rule application {data!r}") from exc
+        raise SideConditionViolated(f"unknown rule {rule}")
+
+
+def _json_int(value) -> int:
+    # a JSON integer: int() would truncate 1.7 and take true for 1
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
 
 
 def _take(counts: dict, block: GeneralBlock):

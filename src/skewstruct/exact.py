@@ -1,10 +1,12 @@
 """Exact scalar, polynomial, and polynomial-matrix arithmetic over the rationals.
 
-Everything in this module is immutable and computes with `fractions.Fraction`;
-no floating point enters. Polynomials store their coefficients lowest degree
-first and are kept trimmed, so the zero polynomial is the empty coefficient
-tuple. Its degree is the sentinel ``NEG_INF`` (never the integer -1), which
-behaves correctly under ``max`` and comparisons.
+Everything in this module is immutable and exact; no floating point enters.
+Values are `fractions.Fraction`s, but the hot loops (rank, nullspace and
+Smith reduction) scale each row to integers first and run fraction-free, so
+they do no gcd per operation. Polynomials store their coefficients lowest
+degree first and are kept trimmed, so the zero polynomial is the empty
+coefficient tuple. Its degree is the sentinel ``NEG_INF`` (never the
+integer -1), which behaves correctly under ``max`` and comparisons.
 """
 
 from __future__ import annotations
@@ -24,16 +26,15 @@ from .errors import (
 NEG_INF = float("-inf")
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
 # raw coefficient-list helpers
 #
 # A "raw" polynomial is a trimmed list of Fractions, lowest degree first;
-# [] is the zero polynomial. The RationalPolynomial class wraps these, and
-# the Smith reduction works on raw lists directly to keep its inner loops
-# allocation-light.
+# [] is the zero polynomial. The RationalPolynomial class wraps these. The
+# Smith reduction uses trimmed lists of ints in the same layout, with its
+# own integer helpers next to it.
 # ---------------------------------------------------------------------------
 
 
@@ -381,10 +382,14 @@ def nullspace_exact(matrix) -> list:
     """Integer basis of the right nullspace of an integer/Fraction matrix.
 
     Returns a list of integer vectors (tuples of Python ints) spanning
-    ``{x : matrix @ x = 0}``, one per free column. Elimination is
-    fraction-free; rationals enter only in the back-substitution, and each
-    vector is scaled back to integers. A matrix without rows does not say
-    how wide its nullspace is and raises ShapeMismatch.
+    ``{x : matrix @ x = 0}``, one per free column: the primitive vector
+    with a positive entry in that column and zeros in the other free
+    columns. Elimination and back-substitution are both fraction-free. The
+    back-substitution scales the vector by the least factor that makes its
+    next entry an integer, so it ends as the rational solution with a 1 in
+    the free column times the lcm of that solution's denominators, which is
+    primitive. A matrix without rows does not say how wide its nullspace is
+    and raises ShapeMismatch.
     """
     rows = _integer_rows(matrix)
     if not rows:
@@ -394,22 +399,24 @@ def nullspace_exact(matrix) -> list:
     pivot_set = set(pivots)
     basis = []
     for fc in (c for c in range(n_cols) if c not in pivot_set):
-        vec = [_ZERO] * n_cols
-        vec[fc] = _ONE
+        vec = [0] * n_cols
+        vec[fc] = 1
         for k in range(len(pivots) - 1, -1, -1):
             pc = pivots[k]
             row = rows[k]
-            acc = _ZERO
+            acc = 0
             for j in range(pc + 1, n_cols):
                 vj = vec[j]
                 if vj:
                     acc += row[j] * vj
             if acc:
-                vec[pc] = -acc / row[pc]
-        scale = 1
-        for v in vec:
-            scale = scale * v.denominator // math.gcd(scale, v.denominator)
-        basis.append(tuple(int(v * scale) for v in vec))
+                p = row[pc]
+                f = abs(p) // math.gcd(acc, p)
+                if f != 1:
+                    vec = [v * f for v in vec]
+                    acc *= f
+                vec[pc] = -acc // p
+        basis.append(tuple(vec))
     return basis
 
 
@@ -762,12 +769,23 @@ def smith_form(P: MatrixPolynomial) -> SmithForm:
     """Smith normal form of a matrix polynomial under unimodular equivalence.
 
     Reduction by elementary row/column operations. The pivot is always a
-    nonzero entry of minimal degree (ties broken by smallest (row, col)),
-    which bounds coefficient growth and makes the reduction deterministic.
-    Invariant polynomials are returned monic, g_1 | g_2 | ... | g_rank.
+    nonzero entry of minimal degree, ties going to the entry with the
+    smallest coefficients (see _min_degree_pivot), which keeps coefficient
+    growth down and makes the reduction deterministic. Invariant
+    polynomials are returned monic, g_1 | g_2 | ... | g_rank.
+
+    The reduction is fraction-free: P is scaled to integer coefficients,
+    and each entry is reduced by pseudo-division, that is, by the operation
+    ``s*row_i - q*row_t`` with a positive integer ``s``, after which the
+    changed row (or column) is divided by its integer content. Scaling a
+    row or column by a nonzero constant is unimodular over Q[x], so the
+    result is still unimodularly equivalent to P over Q[x], and the monic
+    invariant polynomials, which are unique, are those of P. Only the final
+    division by the pivot's leading coefficient makes rationals.
     """
-    work = [[list(e.coeffs) for e in row] for row in P.entries]
     n_rows, n_cols = P.rows, P.cols
+    mats = integer_coefficient_matrices(P)
+    work = [[_trim([m[i][j] for m in mats]) for j in range(n_cols)] for i in range(n_rows)]
     invariants = []
     t = 0
     while t < min(n_rows, n_cols):
@@ -788,29 +806,37 @@ def smith_form(P: MatrixPolynomial) -> SmithForm:
             offender = _find_nondivisible(work, t, n_rows, n_cols)
             if offender is None:
                 break
-            # merge the offending row into row t so the next sweep reduces it
-            oi = offender
-            row_t, row_o = work[t], work[oi]
-            for j in range(t, n_cols):
-                row_t[j] = _radd(row_t[j], row_o[j])
-        invariants.append(_rmonic(work[t][t]))
+            # merge the offending row into row t so the next sweep reduces it;
+            # row t is zero right of the pivot and the offender is zero in
+            # column t, so the sum takes the offender's entries there
+            row_t, row_o = work[t], work[offender]
+            for j in range(t + 1, n_cols):
+                row_t[j] = list(row_o[j])
+        lead = work[t][t][-1]
+        invariants.append([Fraction(c, lead) for c in work[t][t]])
         t += 1
     polys = tuple(RationalPolynomial._raw(c) for c in invariants)
     return SmithForm(rank=len(polys), invariant_polynomials=polys)
 
 
 def _min_degree_pivot(work, t, n_rows, n_cols):
+    """A nonzero entry of least degree; ties go to the smallest coefficients.
+
+    Among entries of that degree, the one whose largest coefficient has the
+    fewest bits wins, then the first in row-major order. Small pivots keep
+    the pseudo-division multipliers, and with them coefficient growth, small.
+    """
     best = None
-    best_deg = None
+    best_key = None
     for i in range(t, n_rows):
         row = work[i]
         for j in range(t, n_cols):
             c = row[j]
-            if c:
-                d = len(c)
-                if best_deg is None or d < best_deg:
-                    best, best_deg = (i, j), d
-                    if d == 1:
+            if c and (best_key is None or len(c) <= best_key[0]):
+                key = (len(c), max(map(abs, c)).bit_length())
+                if best_key is None or key < best_key:
+                    best, best_key = (i, j), key
+                    if key == (1, 1):
                         return best
     return best
 
@@ -824,8 +850,69 @@ def _bring_to_corner(work, t, piv):
             row[t], row[j] = row[j], row[t]
 
 
+def _pseudo_divmod(a, b):
+    """Integer pseudo-division: (s, q, r) with s*a == q*b + r, deg r < deg b.
+
+    a and b are trimmed integer coefficient lists, b nonzero. The positive
+    integer s is as small as the leading coefficients allow: a step
+    multiplies everything by |lc(b)|/gcd(c, lc(b)) only when lc(b) does not
+    divide the coefficient c being cancelled, so s == 1 when lc(b) is +-1.
+    """
+    rem = list(a)
+    nb = len(b)
+    if len(rem) < nb:
+        return 1, [], rem
+    lead = b[-1]
+    s = 1
+    quot = [0] * (len(rem) - nb + 1)
+    for k in range(len(rem) - nb, -1, -1):
+        c = rem[k + nb - 1]
+        if not c:
+            continue
+        if c % lead:
+            f = abs(lead) // math.gcd(c, lead)
+            s *= f
+            rem = [v * f for v in rem]
+            quot = [v * f for v in quot]
+            c *= f
+        coeff = c // lead
+        quot[k] = coeff
+        for i, bi in enumerate(b):
+            if bi:
+                rem[k + i] -= coeff * bi
+    return s, _trim(quot), _trim(rem)
+
+
+def _combine(s, a, q, b):
+    """s*a - q*b for integer coefficient lists, trimmed."""
+    out = [s * v for v in a] if s != 1 else list(a)
+    if b:
+        need = len(q) + len(b) - 1
+        if len(out) < need:
+            out.extend([0] * (need - len(out)))
+        for i, qi in enumerate(q):
+            if qi:
+                for j, bj in enumerate(b):
+                    if bj:
+                        out[i + j] -= qi * bj
+    return _trim(out)
+
+
+def _strip_content(polys):
+    """Divide a list of integer polynomials, in place, by their common content."""
+    g = 0
+    for p in polys:
+        g = math.gcd(g, *p)
+        if g == 1:
+            return
+    if g > 1:
+        for p in polys:
+            for k, v in enumerate(p):
+                p[k] = v // g
+
+
 def _clear_column(work, t, n_rows, n_cols) -> bool:
-    """Subtract multiples of row t to reduce column t below the pivot."""
+    """Reduce column t below the pivot by rows s*row_i - q*row_t."""
     piv = work[t][t]
     row_t = work[t]
     dirty = False
@@ -833,34 +920,32 @@ def _clear_column(work, t, n_rows, n_cols) -> bool:
         head = work[i][t]
         if not head:
             continue
-        q, r = _rdivmod(head, piv)
+        s, q, r = _pseudo_divmod(head, piv)
         if q:
             row_i = work[i]
             row_i[t] = r
             for j in range(t + 1, n_cols):
-                cj = row_t[j]
-                if cj:
-                    row_i[j] = _rsub(row_i[j], _rmul(q, cj))
+                row_i[j] = _combine(s, row_i[j], q, row_t[j])
+            _strip_content(row_i)
         if r:
             dirty = True
     return dirty
 
 
 def _clear_row(work, t, n_rows, n_cols) -> bool:
-    """Subtract multiples of column t to reduce row t right of the pivot."""
+    """Reduce row t right of the pivot by columns s*col_j - q*col_t."""
     piv = work[t][t]
     dirty = False
     for j in range(t + 1, n_cols):
         head = work[t][j]
         if not head:
             continue
-        q, r = _rdivmod(head, piv)
+        s, q, r = _pseudo_divmod(head, piv)
         if q:
             work[t][j] = r
             for i in range(t + 1, n_rows):
-                ci = work[i][t]
-                if ci:
-                    work[i][j] = _rsub(work[i][j], _rmul(q, ci))
+                work[i][j] = _combine(s, work[i][j], q, work[i][t])
+            _strip_content([work[i][j] for i in range(t, n_rows)])
         if r:
             dirty = True
     return dirty
@@ -871,7 +956,7 @@ def _find_nondivisible(work, t, n_rows, n_cols):
     for i in range(t + 1, n_rows):
         row = work[i]
         for j in range(t + 1, n_cols):
-            if row[j] and _rdivmod(row[j], piv)[1]:
+            if row[j] and _pseudo_divmod(row[j], piv)[2]:
                 return i
     return None
 

@@ -3,11 +3,13 @@
 These deliberately avoid the library's own reduction algorithms: Smith data
 comes from gcds of all k x k minors (Laplace determinants), minimal indices
 and prefix-space dimensions from explicit convolution matrices, so the fast
-paths are checked against slow, obviously-correct computations; block lists
+paths are checked against slow, obviously-correct computations; nullspace
+vectors come from back-substitution in Fraction arithmetic; block lists
 are compared modulo renaming of symbols by trying every renaming.
 """
 
 import dataclasses
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -15,6 +17,8 @@ from skewstruct.blocks import BlockList
 from skewstruct.exact import (
     MatrixPolynomial,
     RationalPolynomial,
+    _bareiss_echelon,
+    _integer_rows,
     poly_gcd,
     rank_exact,
 )
@@ -67,6 +71,30 @@ def smith_by_minors(P: MatrixPolynomial):
 
 def normal_rank_by_minors(P: MatrixPolynomial) -> int:
     return len(minor_gcds(P))
+
+
+def nullspace_by_fractions(matrix):
+    """Right nullspace basis by Fraction back-substitution over Bareiss rows.
+
+    One vector per free column: set that column to 1 and the other free
+    columns to 0, solve the echelon rows from the bottom in Fractions, then
+    scale by the lcm of the denominators, which gives the primitive integer
+    vector with a positive entry in the free column.
+    """
+    rows = _integer_rows(matrix)
+    n_cols = len(rows[0])
+    pivots = _bareiss_echelon(rows)
+    basis = []
+    for fc in (c for c in range(n_cols) if c not in pivots):
+        vec = [Fraction(0)] * n_cols
+        vec[fc] = Fraction(1)
+        for k in range(len(pivots) - 1, -1, -1):
+            pc = pivots[k]
+            acc = sum((rows[k][j] * vec[j] for j in range(pc + 1, n_cols)), Fraction(0))
+            vec[pc] = -acc / rows[k][pc]
+        scale = math.lcm(*(v.denominator for v in vec))
+        basis.append(tuple(int(v * scale) for v in vec))
+    return basis
 
 
 def convolution_matrix(P: MatrixPolynomial, order: int):

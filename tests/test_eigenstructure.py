@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from skewstruct import eigenstructure
+from skewstruct.blocks import BlockList, SkewBlock, assemble_skew, blocklist_eigenstructure
 from skewstruct.eigenstructure import (
     CompleteEigenstructure,
     _Staircase,
@@ -28,6 +29,7 @@ from skewstruct.exact import (
     SkewMatrixPolynomial,
     as_skew,
     normal_rank,
+    rank_exact,
     rev,
     smith_form,
 )
@@ -337,8 +339,6 @@ class TestAnalyze:
             analyze(MatrixPolynomial([[x]]), 1)
 
     def test_mixed_blocks_pencil(self):
-        from skewstruct.blocks import BlockList, SkewBlock, assemble_skew
-
         pencil = assemble_skew(BlockList.skew([SkewBlock.m(1), SkewBlock.k(1)]))
         e = analyze(pencil, 1)
         assert e.rank == 4
@@ -369,6 +369,42 @@ class TestAnalyze:
             assert fin + inf + left + right == e.rank * e.grade
             assert e.rank % 2 == 0
             assert e.left_minimal == e.right_minimal
+
+
+def scramble(rng, pencil):
+    """Q^T P Q for a random nonsingular Q with entries in {-1, 0, 1}."""
+    n = pencil.rows
+    while True:
+        q = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]
+        if rank_exact(q) == n:
+            break
+    cm = MatrixPolynomial(q, grade=0)
+    return as_skew((cm.transpose() @ pencil @ cm).with_grade(1))
+
+
+class TestScrambledBlockPencils:
+    # repeated eigenvalues give a positive index-sum deficit, so Smith runs,
+    # and the congruence Q^T P Q hides the blocks from the reduction
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [SkewBlock.h(2, 1), SkewBlock.h(1, 1), SkewBlock.k(1)],
+            [SkewBlock.h(3, -1), SkewBlock.h(1, -1)],
+            [SkewBlock.h(1, 2), SkewBlock.h(1, 2), SkewBlock.m(1)],
+            [SkewBlock.h(2, Fraction(1, 2)), SkewBlock.h(1, Fraction(1, 2)), SkewBlock.k(1)],
+            [SkewBlock.h(1, 1), SkewBlock.h(1, -1), SkewBlock.h(1, 1), SkewBlock.m(0)],
+            [SkewBlock.h(1, 3), SkewBlock.h(1, 3), SkewBlock.k(2)],
+            [SkewBlock.h(2, 0), SkewBlock.h(1, 0), SkewBlock.m(0), SkewBlock.m(0)],
+        ],
+    )
+    def test_analyze_recovers_blocks(self, blocks):
+        block_list = BlockList.skew(blocks)
+        expected = blocklist_eigenstructure(block_list).to_json_dict()
+        pencil = assemble_skew(block_list)
+        assert pencil.rows <= 8
+        rng = random.Random(str(block_list))
+        for _ in range(3):
+            assert analyze(scramble(rng, pencil)).to_json_dict() == expected
 
 
 class TestGradeLaw:

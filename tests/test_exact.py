@@ -13,6 +13,7 @@ from skewstruct.exact import (
     MatrixPolynomial,
     RationalPolynomial,
     SkewMatrixPolynomial,
+    _pseudo_divmod,
     as_skew,
     frobenius_distance,
     normal_rank,
@@ -27,6 +28,7 @@ from skewstruct.exact import (
 from oracles import (
     minor_gcds,
     normal_rank_by_minors,
+    nullspace_by_fractions,
     smith_by_minors,
 )
 
@@ -158,6 +160,29 @@ class TestRankExact:
             sum(row[j] * kernel[j] for j in range(6)) == 0 for row in m
         )
 
+    def test_nullspace_matches_fraction_back_substitution(self):
+        # the integer back-substitution returns the same primitive vectors
+        # as solving in Fractions and clearing denominators
+        rng = random.Random(4099)
+        seen = {"one_row": 0, "full_rank": 0, "deficient": 0}
+        for trial in range(600):
+            rows = 1 if trial % 5 == 0 else rng.randint(2, 6)
+            cols = rng.randint(1, 7)
+            inner = rng.randint(1, min(rows, cols))
+            a = [[rational(rng) for _ in range(inner)] for _ in range(rows)]
+            b = [[rational(rng) for _ in range(cols)] for _ in range(inner)]
+            m = [[sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)] for i in range(rows)]
+            basis = nullspace_exact(m)
+            assert basis == nullspace_by_fractions(m)
+            rank = rank_exact(m)
+            assert len(basis) == cols - rank
+            for vec in basis:
+                assert all(sum(r[j] * vec[j] for j in range(cols)) == 0 for r in m)
+            seen["one_row"] += rows == 1
+            seen["full_rank"] += rank == min(rows, cols)
+            seen["deficient"] += rank < min(rows, cols)
+        assert min(seen.values()) > 50, seen
+
 
 # ---------------------------------------------------------------------------
 # matrix polynomials
@@ -166,6 +191,17 @@ class TestRankExact:
 
 def mat(entries, grade=None):
     return MatrixPolynomial(entries, grade)
+
+
+def rational(rng):
+    """A small random rational, zero about a quarter of the time."""
+    if rng.random() < 0.25:
+        return Fraction(0)
+    return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 5)))
+
+
+def rational_poly(rng, deg):
+    return P([rational(rng) for _ in range(deg + 1)])
 
 
 def skew2(p, grade=None):
@@ -383,6 +419,70 @@ class TestSmithForm:
         s = smith_form(m)
         assert s.invariant_polynomials == (P.one(), x * (x + 1))
         assert smith_by_minors(m) == [P.one(), x * (x + 1)]
+
+    def test_divisibility_fixup_non_monic(self):
+        # the same merge with non-monic entries, as the integer reduction
+        # sees them: 2x does not divide 3x + 3
+        m = mat([[2 * x, P.zero()], [P.zero(), 3 * x + 3]])
+        assert smith_form(m).invariant_polynomials == (P.one(), x * (x + 1))
+        m = mat([[-2 * x, P.zero(), P.zero()], [P.zero(), Fraction(3, 2) * x**2, P.zero()], [P.zero(), P.zero(), 5 * x - 5]])
+        assert list(smith_form(m).invariant_polynomials) == smith_by_minors(m) == [P.one(), x, x**2 * (x - 1)]
+
+    def test_fraction_coefficients_against_minors(self):
+        # rational, negative and non-unit leading coefficients, on
+        # rectangular, rank-deficient and zero-row/column inputs
+        rng = random.Random(5021)
+        kinds = ("rectangular", "deficient", "zero_line", "square")
+        leads = set()
+        for trial in range(80):
+            kind = kinds[trial % 4]
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            if kind == "rectangular":
+                while rows == cols:
+                    cols = rng.randint(1, 4)
+            elif kind == "square":
+                cols = rows
+            deg = rng.randint(1, 2)
+            if kind == "deficient":
+                rows, cols = rng.randint(2, 4), rng.randint(2, 4)
+                inner = rng.randint(1, min(rows, cols) - 1)
+                a = mat([[rational_poly(rng, 1) for _ in range(inner)] for _ in range(rows)])
+                b = mat([[rational_poly(rng, deg - 1) for _ in range(cols)] for _ in range(inner)])
+                m = a @ b
+            else:
+                grid = [[rational_poly(rng, deg) for _ in range(cols)] for _ in range(rows)]
+                if kind == "zero_line":
+                    if rng.random() < 0.5:
+                        grid[rng.randrange(rows)] = [P.zero()] * cols
+                    else:
+                        j = rng.randrange(cols)
+                        for row in grid:
+                            row[j] = P.zero()
+                m = mat(grid, grade=deg)
+            leads.update(e.leading_coefficient for row in m.entries for e in row if not e.is_zero())
+            s = smith_form(m)
+            assert list(s.invariant_polynomials) == smith_by_minors(m), (kind, m.to_string())
+        assert any(c < 0 for c in leads) and any(c.denominator > 1 for c in leads)
+        assert any(c.numerator not in (-1, 1) for c in leads)
+
+    def test_pseudo_division_identity(self):
+        rng = random.Random(808)
+        for _ in range(300):
+            b = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [rng.choice((-6, -4, -1, 1, 2, 3, 9))]
+            a = [rng.randint(-20, 20) for _ in range(rng.randint(0, 7))]
+            while a and not a[-1]:
+                a.pop()
+            s, q, r = _pseudo_divmod(a, b)
+            assert s > 0
+            assert len(r) < len(b)
+            lhs = P(a) * s
+            assert lhs == P(q) * P(b) + P(r)
+            # the same remainder as division over the rationals, up to s
+            assert P(r) == (P(a) % P(b)) * s
+            # s only collects the leading coefficient's non-dividing factors
+            assert (b[-1] ** max(len(a) - len(b) + 1, 0)) % s == 0
+            if abs(b[-1]) == 1:
+                assert s == 1
 
     def test_constant_grade_zero(self):
         m = mat([[P.one(), P.constant(2)], [P.constant(3), P.constant(6)]])
