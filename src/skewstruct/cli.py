@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from .blocks import BlockList, skew_to_general
@@ -23,9 +22,9 @@ from .eigenstructure import analyze
 from .errors import SkewstructError
 from .exact import NEG_INF
 from .fileio import (
-    FileFormatError,
     dump_json,
     polynomial_to_dict,
+    read_json,
     read_polynomial,
     write_polynomial,
 )
@@ -159,10 +158,8 @@ def cmd_codim(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    with open(args.target) as fh:
-        target = BlockList.from_json_dict(json.load(fh))
-    with open(args.source) as fh:
-        source = BlockList.from_json_dict(json.load(fh))
+    target = BlockList.from_json_dict(read_json(args.target))
+    source = BlockList.from_json_dict(read_json(args.source))
     if target.flavor == "skew":
         target = skew_to_general(target)
     if source.flavor == "skew":
@@ -269,7 +266,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     try:
         return args.func(args)
-    except (SkewstructError, FileFormatError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (SkewstructError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -316,9 +316,17 @@ def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial
 
 
 def _integer_rows(matrix) -> list:
-    """Copy a rational matrix into integer rows (each row scaled by its lcm)."""
+    """Copy a rational matrix into integer rows (each row scaled by its lcm).
+
+    A row of plain ints is copied as it is: the exact ``type`` test is much
+    cheaper than ``isinstance(v, Fraction)``, which goes through the
+    numbers ABC machinery for every int.
+    """
     rows = []
     for row in matrix:
+        if all(type(v) is int for v in row):
+            rows.append(list(row))
+            continue
         scale = 1
         for v in row:
             if isinstance(v, Fraction):
@@ -794,14 +802,21 @@ def smith_form(P: MatrixPolynomial) -> SmithForm:
             break
         _bring_to_corner(work, t, piv)
         while True:
-            piv_is_constant = len(work[t][t]) == 1
+            piv_len = len(work[t][t])
             dirty = _clear_column(work, t, n_rows, n_cols)
             dirty = _clear_row(work, t, n_rows, n_cols) or dirty
             if dirty:
+                # a dirty sweep leaves a remainder of lower degree in row or
+                # column t, so the pivot degree strictly falls; anything else
+                # is a reduction bug that would otherwise loop forever
                 p = _min_degree_pivot(work, t, n_rows, n_cols)
+                if len(work[p[0]][p[1]]) >= piv_len:
+                    raise InternalInconsistency(
+                        f"Smith pivot degree did not fall at step {t}"
+                    )
                 _bring_to_corner(work, t, p)
                 continue
-            if piv_is_constant:
+            if piv_len == 1:
                 break
             offender = _find_nondivisible(work, t, n_rows, n_cols)
             if offender is None:

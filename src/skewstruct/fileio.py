@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .errors import SkewstructError
 from .exact import RationalPolynomial, SkewMatrixPolynomial
 
 
-class FileFormatError(ValueError):
+class FileFormatError(SkewstructError, ValueError):
     """Raised when an input file does not match its documented schema."""
 
 
@@ -83,10 +84,17 @@ def write_polynomial(P: SkewMatrixPolynomial, path: str):
         fh.write(dump_json(polynomial_to_dict(P)))
 
 
-def read_polynomial(path: str) -> SkewMatrixPolynomial:
+def read_json(path: str):
+    """Parse a JSON input file; anything unreadable is a FileFormatError."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad syntax, bytes that are not UTF-8 and
+            # integers past the interpreter's digit limit; RecursionError
+            # is nesting deeper than the decoder can follow
             raise FileFormatError(f"not valid JSON: {exc}") from exc
-    return polynomial_from_dict(data)
+
+
+def read_polynomial(path: str) -> SkewMatrixPolynomial:
+    return polynomial_from_dict(read_json(path))

@@ -5,7 +5,10 @@ with a random polynomial block B and a random constant nonsingular Q: the
 inner form has rank 2*rank(B) and constant congruence preserves the complete
 eigenstructure. This realizes the generic structure for generic B; no claim
 is made that every bounded-rank polynomial arises this way (the Monte Carlo
-experiment validates the generic-structure statement, not coverage).
+experiment validates the generic-structure statement, not coverage). The
+draw is assembled in integers, one coefficient of each upper entry at a
+time, from the random integers in the order they are drawn (B's entries,
+then Q), so a seed gives the same polynomial as the direct product.
 
 The perturbation routine adds (1/k) times a constant skew matrix built from
 a unitary block-diagonalization of the polynomial evaluated away from its
@@ -75,38 +78,55 @@ class SampleSpec:
         return SampleSpec(self.m, self.d, self.r, self.coeff_range, seed)
 
 
-def _random_constant(rng, rows, cols, bound):
-    return [[Fraction(rng.randint(-bound, bound)) for _ in range(cols)] for _ in range(rows)]
-
-
 def sample_bounded_rank(spec: SampleSpec, max_attempts: int = 100) -> SkewMatrixPolynomial:
     """Draw a random skew polynomial of size m, grade d, rank exactly 2r.
 
-    Resamples until the exact rank check passes (rank deficiency of the
-    random block is the only failure mode, so retries are rare).
+    Each attempt draws the r x (m-r) block B, d+1 coefficients per entry,
+    then the m x m constant C, and resamples until C is nonsingular and the
+    exact normal rank check passes (rank deficiency of the random block is
+    the only other failure mode, so retries are rare).
     """
     rng = random.Random(spec.seed)
     m, d, r, c = spec.m, spec.d, spec.r, spec.coeff_range
-    zero = RationalPolynomial.zero()
     for _ in range(max_attempts):
         block = [
-            [RationalPolynomial([rng.randint(-c, c) for _ in range(d + 1)]) for _ in range(m - r)]
+            [[rng.randint(-c, c) for _ in range(d + 1)] for _ in range(m - r)]
             for _ in range(r)
         ]
-        inner = [[zero] * m for _ in range(m)]
-        for i in range(r):
-            for j in range(m - r):
-                inner[i][r + j] = block[i][j]
-                inner[r + j][i] = -block[i][j]
-        inner_poly = SkewMatrixPolynomial(inner, grade=d)
-        congruence = _random_constant(rng, m, m, c)
+        congruence = [[rng.randint(-c, c) for _ in range(m)] for _ in range(m)]
         if rank_exact(congruence) < m:
             continue
-        cm = MatrixPolynomial(congruence, grade=0)
-        sample = as_skew((cm.transpose() @ inner_poly @ cm).with_grade(d))
+        sample = _congruence_product(block, congruence, d)
         if normal_rank(sample) == 2 * r:
             return sample
     raise AttemptsExhausted(f"no rank-{2 * r} draw in {max_attempts} attempts")
+
+
+def _congruence_product(block, congruence, d) -> SkewMatrixPolynomial:
+    """C^T [[0, B], [-B^T, 0]] C for integer B (coefficient lists) and C.
+
+    Entry (i, j) has the degree-k coefficient
+    sum over a < r, b < m-r of B_ab[k] * (C_ai C_(r+b)j - C_(r+b)i C_aj),
+    a combination of 2x2 minors of columns i and j of C. The diagonal is
+    therefore zero and the lower triangle is the negated upper one, so the
+    result is skew by construction.
+    """
+    m, r = len(congruence), len(block)
+    top, bottom = congruence[:r], congruence[r:]
+    zero = RationalPolynomial.zero()
+    grid = [[zero] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            coeffs = [0] * (d + 1)
+            for ca, brow in zip(top, block):
+                for cb, entry in zip(bottom, brow):
+                    w = ca[i] * cb[j] - cb[i] * ca[j]
+                    if w:
+                        for k, v in enumerate(entry):
+                            coeffs[k] += v * w
+            p = RationalPolynomial(coeffs)
+            grid[i][j], grid[j][i] = p, -p
+    return SkewMatrixPolynomial._rewrap(tuple(map(tuple, grid)), d, shape=(m, m))
 
 
 # ---------------------------------------------------------------------------

@@ -4,21 +4,28 @@ These deliberately avoid the library's own reduction algorithms: Smith data
 comes from gcds of all k x k minors (Laplace determinants), minimal indices
 and prefix-space dimensions from explicit convolution matrices, so the fast
 paths are checked against slow, obviously-correct computations; nullspace
-vectors come from back-substitution in Fraction arithmetic; block lists
-are compared modulo renaming of symbols by trying every renaming.
+vectors come from back-substitution in Fraction arithmetic and ranks from
+Gaussian elimination in Fractions; bounded-rank draws come from the direct
+Fraction product of polynomial matrices; block lists are compared modulo
+renaming of symbols by trying every renaming.
 """
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from skewstruct.blocks import BlockList
+from skewstruct.errors import AttemptsExhausted
 from skewstruct.exact import (
     MatrixPolynomial,
     RationalPolynomial,
+    SkewMatrixPolynomial,
     _bareiss_echelon,
     _integer_rows,
+    as_skew,
+    normal_rank,
     poly_gcd,
     rank_exact,
 )
@@ -95,6 +102,55 @@ def nullspace_by_fractions(matrix):
         scale = math.lcm(*(v.denominator for v in vec))
         basis.append(tuple(int(v * scale) for v in vec))
     return basis
+
+
+def rank_by_fractions(matrix) -> int:
+    """Rank by Gaussian elimination in Fraction arithmetic, no integer scaling."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def sample_by_fractions(spec, max_attempts: int = 100) -> SkewMatrixPolynomial:
+    """sampling.sample_bounded_rank as the direct product Q^T [[0, B], [-B^T, 0]] Q.
+
+    Draws the same random integers in the same order (B's entries with d+1
+    coefficients each, then Q row by row) and multiplies the polynomial
+    matrices out in RationalPolynomial arithmetic, with the same rejection
+    of singular Q and of draws whose normal rank is not 2r.
+    """
+    rng = random.Random(spec.seed)
+    m, d, r, c = spec.m, spec.d, spec.r, spec.coeff_range
+    zero = RationalPolynomial.zero()
+    for _ in range(max_attempts):
+        block = [
+            [RationalPolynomial([rng.randint(-c, c) for _ in range(d + 1)]) for _ in range(m - r)]
+            for _ in range(r)
+        ]
+        inner = [[zero] * m for _ in range(m)]
+        for i in range(r):
+            for j in range(m - r):
+                inner[i][r + j] = block[i][j]
+                inner[r + j][i] = -block[i][j]
+        inner_poly = SkewMatrixPolynomial(inner, grade=d)
+        congruence = [[Fraction(rng.randint(-c, c)) for _ in range(m)] for _ in range(m)]
+        if rank_exact(congruence) < m:
+            continue
+        cm = MatrixPolynomial(congruence, grade=0)
+        sample = as_skew((cm.transpose() @ inner_poly @ cm).with_grade(d))
+        if normal_rank(sample) == 2 * r:
+            return sample
+    raise AttemptsExhausted(f"no rank-{2 * r} draw in {max_attempts} attempts")
 
 
 def convolution_matrix(P: MatrixPolynomial, order: int):

@@ -1,15 +1,19 @@
 """Tests for the command-line interface and file formats."""
 
 import json
+from fractions import Fraction
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewstruct.cli import main
-from skewstruct.exact import RationalPolynomial, SkewMatrixPolynomial
+from skewstruct.errors import SkewstructError
+from skewstruct.exact import MatrixPolynomial, RationalPolynomial, SkewMatrixPolynomial
 from skewstruct.fileio import (
     FileFormatError,
     dump_json,
@@ -243,6 +247,84 @@ class TestMalformedInput:
     )
     def test_malformed_block_list(self, tmp_path, data):
         self.assert_validation_error(self.closure_with_target_file(tmp_path, data))
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+RATIONAL_TEXTS = st.sampled_from(["0", "0/1", "1", "-1", "2/3", "-7/2", "1_0", " 4"])
+NEAR_MISS_TEXTS = RATIONAL_TEXTS | st.sampled_from(["1/0", "x", "1/2/3", "", "1.5", "1e3", "/", "9" * 5000])
+
+
+@st.composite
+def polynomial_dicts(draw):
+    """Polynomial file contents: valid skew ones and near misses of them."""
+    m, grade = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        coefficients = []
+        for _ in range(grade + 1):
+            mat = [["0"] * m for _ in range(m)]
+            for i in range(m):
+                for j in range(i + 1, m):
+                    value = Fraction(draw(RATIONAL_TEXTS).replace(" ", ""))
+                    mat[i][j], mat[j][i] = str(value), str(-value)
+            coefficients.append(mat)
+    else:
+        entry = NEAR_MISS_TEXTS | JSON_SCALARS
+        coefficients = [[[draw(entry) for _ in range(m)] for _ in range(m)] for _ in range(grade + 1)]
+    data = {"m": m, "grade": grade, "coefficients": coefficients}
+    key = draw(st.sampled_from(["m", "grade", "coefficients", None]))
+    if key is not None:
+        if draw(st.booleans()):
+            del data[key]
+        else:
+            data[key] = draw(JSON_VALUES)
+    return data
+
+
+class TestFuzzedInput:
+    """Any JSON value is a polynomial or a SkewstructError; the CLI never tracebacks."""
+
+    @given(JSON_VALUES | polynomial_dicts())
+    @settings(max_examples=400, deadline=None)
+    def test_polynomial_from_dict(self, data):
+        try:
+            result = polynomial_from_dict(data)
+        except SkewstructError:
+            return
+        assert isinstance(result, MatrixPolynomial)
+
+    @staticmethod
+    def assert_clean_exit(result):
+        assert result.returncode in (0, 1, 2, 3)
+        assert "Traceback" not in result.stderr
+        if result.returncode:
+            [line] = result.stderr.splitlines()
+            assert line.startswith("error: ")
+        else:
+            assert result.stdout
+
+    @given(polynomial_dicts())
+    @settings(max_examples=6, deadline=None)
+    def test_analyze_fuzzed_file(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "p.json"
+        path.write_text(json.dumps(data))
+        self.assert_clean_exit(run_cli("analyze", str(path)))
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{", b'{"m": ' + b"9" * 5000 + b"}", b"[" * 100_000 + b"]" * 100_000],
+        ids=["not-utf8", "over-long-integer", "deep-nesting"],
+    )
+    def test_unreadable_json(self, tmp_path, content):
+        path = tmp_path / "p.json"
+        path.write_bytes(content)
+        result = run_cli("analyze", str(path))
+        assert result.returncode == 1
+        self.assert_clean_exit(result)
 
 
 class TestSampleAndMc:

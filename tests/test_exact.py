@@ -1,13 +1,22 @@
 """Tests for the exact arithmetic layer: polynomials, ranks, Smith forms."""
 
 import random
+import signal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewstruct.errors import GradeTooSmall, NotSkewSymmetric, ShapeMismatch
+from skewstruct import exact
+from skewstruct.codimension import tangent_map_matrix
+from skewstruct.errors import (
+    GradeTooSmall,
+    InternalInconsistency,
+    NotSkewSymmetric,
+    ShapeMismatch,
+)
 from skewstruct.exact import (
     NEG_INF,
     MatrixPolynomial,
@@ -29,6 +38,7 @@ from oracles import (
     minor_gcds,
     normal_rank_by_minors,
     nullspace_by_fractions,
+    rank_by_fractions,
     smith_by_minors,
 )
 
@@ -133,6 +143,48 @@ class TestRankExact:
         mt = [[m[i][j] for i in range(rows)] for j in range(cols)]
         assert rank_exact(m) == rank_exact(mt)
         assert rank_exact(m) <= min(rows, cols)
+
+    def test_input_types_agree(self):
+        # plain-int rows are copied into the elimination as they are, other
+        # rows are scaled to integers; every form of one matrix must give
+        # the same rank and nullspace, and both must match Fractions
+        rng = random.Random(6151)
+        zero_rank = 0
+        for trial in range(300):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            inner = 0 if trial % 10 == 0 else rng.randint(1, min(rows, cols))
+            a = [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(rows)]
+            b = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(inner)]
+            ints = [[sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)] for i in range(rows)]
+            forms = [
+                ints,
+                [[Fraction(v) for v in row] for row in ints],
+                [[Fraction(v) if (i + j) % 2 else v for j, v in enumerate(row)] for i, row in enumerate(ints)],
+                [[Fraction(v, 1 + i % 3) for v in row] for i, row in enumerate(ints)],
+                [tuple(row) for row in ints],
+                np.array(ints, dtype=np.int64),
+            ]
+            rank = rank_by_fractions(ints)
+            basis = nullspace_by_fractions(ints)
+            for form in forms:
+                assert rank_exact(form) == rank, (trial, form)
+                assert nullspace_exact(form) == basis, (trial, form)
+            zero_rank += rank == 0
+        assert zero_rank >= 30
+        assert rank_exact([[True, False], [False, True]]) == 2
+
+    def test_tangent_map_entries(self):
+        # the tangent map mixes int zeros with Fraction entries in one row
+        pencil = SkewMatrixPolynomial.from_upper(
+            3,
+            {(0, 1): P((Fraction(1, 2), 1)), (0, 2): P((2, -1)), (1, 2): P((0, Fraction(3, 4)))},
+            grade=1,
+        )
+        m = tangent_map_matrix(pencil)
+        assert any(type(v) is int for row in m for v in row)
+        assert any(type(v) is Fraction for row in m for v in row)
+        assert rank_exact(m) == rank_by_fractions(m)
+        assert nullspace_exact(m) == nullspace_by_fractions(m)
 
     def test_nullspace_without_rows(self):
         # the whole space would be the answer, but no row says how wide it is
@@ -483,6 +535,24 @@ class TestSmithForm:
             assert (b[-1] ** max(len(a) - len(b) + 1, 0)) % s == 0
             if abs(b[-1]) == 1:
                 assert s == 1
+
+    def test_non_reducing_division_raises(self, monkeypatch):
+        # a pseudo-division that returns its dividend as the remainder never
+        # lowers the pivot degree; the guard must raise instead of sweeping
+        # forever (the alarm turns a hang into a failure)
+        monkeypatch.setattr(exact, "_pseudo_divmod", lambda a, b: (1, [], list(a)))
+
+        def hang(signum, frame):
+            raise TimeoutError("smith_form did not terminate")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            with pytest.raises(InternalInconsistency, match="pivot degree"):
+                smith_form(mat([[x, x + 1], [P.one(), x]]))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_constant_grade_zero(self):
         m = mat([[P.one(), P.constant(2)], [P.constant(3), P.constant(6)]])

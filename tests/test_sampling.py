@@ -8,7 +8,7 @@ import pytest
 from skewstruct.blocks import BlockList, SkewBlock, assemble_skew
 from skewstruct.eigenstructure import analyze, same_orbit
 from skewstruct import sampling
-from skewstruct.errors import ParamDomain, RankVerificationFailed
+from skewstruct.errors import AttemptsExhausted, ParamDomain, RankVerificationFailed
 from skewstruct.exact import (
     RationalPolynomial,
     SkewMatrixPolynomial,
@@ -16,6 +16,7 @@ from skewstruct.exact import (
 )
 from skewstruct.generic import generic_poly_structure
 from skewstruct.sampling import (
+    DEFAULT_COEFF_RANGE,
     SampleSpec,
     analyze_float,
     monte_carlo_genericity,
@@ -24,6 +25,8 @@ from skewstruct.sampling import (
     sample_bounded_rank,
     skew_block_diagonalization,
 )
+
+from oracles import sample_by_fractions
 
 P = RationalPolynomial
 x = P.variable()
@@ -65,6 +68,45 @@ class TestSampling:
             qm = MatrixPolynomial(q, grade=0)
             congruent = as_skew((qm.transpose() @ s @ qm).with_grade(spec.d))
             assert same_orbit(analyze(congruent, spec.d), base)
+
+    def test_matches_fraction_product(self, monkeypatch):
+        # the integer assembly must give exactly the draw of the direct
+        # Fraction product, retries included: coeff_range=1 makes singular
+        # congruences common, so the rank_exact(C) < m retry really runs
+        real_rank = sampling.rank_exact
+        singular = 0
+
+        def counting_rank(matrix):
+            nonlocal singular
+            rank = real_rank(matrix)
+            singular += rank < len(matrix)
+            return rank
+
+        monkeypatch.setattr(sampling, "rank_exact", counting_rank)
+        shapes = [(4, 2, 1), (5, 2, 2), (6, 4, 2), (7, 2, 3), (5, 3, 2), (3, 1, 1)]
+        for m, d, r in shapes:
+            for coeff_range in (DEFAULT_COEFF_RANGE, 1):
+                for seed in range(5):
+                    spec = SampleSpec(m, d, r, coeff_range, seed)
+                    got, want = sample_bounded_rank(spec), sample_by_fractions(spec)
+                    assert got == want, spec
+                    assert type(got) is type(want) is SkewMatrixPolynomial
+                    assert got.grade == want.grade == d
+        assert singular > 0
+
+    def test_attempts_exhausted_alike(self):
+        outcomes = []
+        for seed in range(30):
+            spec = SampleSpec(m=5, d=2, r=2, coeff_range=1, seed=seed)
+            results = []
+            for draw in (sample_bounded_rank, sample_by_fractions):
+                try:
+                    results.append(draw(spec, max_attempts=1))
+                except AttemptsExhausted as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1], spec
+            outcomes.append(isinstance(results[0], str))
+        assert any(outcomes) and not all(outcomes)
 
     def test_invalid_spec(self):
         with pytest.raises(ParamDomain):
