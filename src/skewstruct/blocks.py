@@ -257,43 +257,23 @@ class BlockList:
 # assembly into exact pencils
 # ---------------------------------------------------------------------------
 
-_X = RationalPolynomial.variable()
-_ONE = RationalPolynomial.one()
-_ZERO = RationalPolynomial.zero()
+def _concrete(mu):
+    if not isinstance(mu, Fraction):
+        raise ValueError(f"cannot materialize symbolic eigenvalue {mu}")
+    return mu
 
 
 def _general_block_entries(block: GeneralBlock):
-    """Entry grid for one general canonical block (pencil entries in x)."""
+    """Nonzero entries (i, j, c0, c1), meaning c0 + c1*x, of one general canonical block."""
     k = block.index
     if block.kind == "E_finite":
-        mu = block.eigenvalue
-        if not isinstance(mu, Fraction):
-            raise ValueError(f"cannot materialize symbolic eigenvalue {mu}")
-        diag = _X - RationalPolynomial.constant(mu)
-        grid = [[_ZERO] * k for _ in range(k)]
-        for i in range(k):
-            grid[i][i] = diag
-            if i + 1 < k:
-                grid[i][i + 1] = -_ONE
-        return grid
+        mu = _concrete(block.eigenvalue)
+        return [(i, i, -mu, 1) for i in range(k)] + [(i, i + 1, -1, 0) for i in range(k - 1)]
     if block.kind == "E_infinite":
-        grid = [[_ZERO] * k for _ in range(k)]
-        for i in range(k):
-            grid[i][i] = -_ONE
-            if i + 1 < k:
-                grid[i][i + 1] = _X
-        return grid
+        return [(i, i, -1, 0) for i in range(k)] + [(i, i + 1, 0, 1) for i in range(k - 1)]
     if block.kind == "L":
-        grid = [[_ZERO] * (k + 1) for _ in range(k)]
-        for i in range(k):
-            grid[i][i] = _X
-            grid[i][i + 1] = -_ONE
-        return grid
-    grid = [[_ZERO] * k for _ in range(k + 1)]
-    for j in range(k):
-        grid[j][j] = _X
-        grid[j + 1][j] = -_ONE
-    return grid
+        return [(i, i, 0, 1) for i in range(k)] + [(i, i + 1, -1, 0) for i in range(k)]
+    return [(j, j, 0, 1) for j in range(k)] + [(j + 1, j, -1, 0) for j in range(k)]
 
 
 def pencil_parts(P: MatrixPolynomial):
@@ -305,72 +285,55 @@ def pencil_parts(P: MatrixPolynomial):
     return A, B
 
 
+def _assemble(cls, rows: int, cols: int, placed):
+    """The pencil with the entries (i, j, c0, c1) and zeros elsewhere."""
+    lo = [[0] * cols for _ in range(rows)]
+    hi = [[0] * cols for _ in range(rows)]
+    for i, j, c0, c1 in placed:
+        lo[i][j], hi[i][j] = c0, c1
+    return cls._from_rationals(rows, cols, 1, [lo, hi])
+
+
 def assemble_general(blocklist: BlockList) -> MatrixPolynomial:
     """Materialize a general block list as the direct sum pencil."""
     if blocklist.flavor != "general":
         raise FlavorMismatch("assemble_general needs a general block list")
-    rows, cols = blocklist.total_rows, blocklist.total_cols
-    grid = [[_ZERO] * cols for _ in range(rows)]
+    placed = []
     r = c = 0
     for block in blocklist.blocks:
-        sub = _general_block_entries(block)
+        placed += [(r + i, c + j, c0, c1) for i, j, c0, c1 in _general_block_entries(block)]
         br, bc = block.shape
-        for i in range(br):
-            grid[r + i][c : c + bc] = sub[i]
         r += br
         c += bc
-    return MatrixPolynomial(grid, grade=1, shape=(rows, cols))
+    return _assemble(MatrixPolynomial, blocklist.total_rows, blocklist.total_cols, placed)
 
 
 def _skew_block_entries(block: SkewBlock):
-    """Entry grid for one skew canonical block."""
+    """Nonzero upper-right entries (i, j, c0, c1) of one skew block; (j, i) holds minus them."""
     k = block.index
-    n = block.shape[0]
-    grid = [[_ZERO] * n for _ in range(n)]
     if block.kind == "H":
-        mu = block.eigenvalue
-        if not isinstance(mu, Fraction):
-            raise ValueError(f"cannot materialize symbolic eigenvalue {mu}")
-        diag = _X - RationalPolynomial.constant(mu)
-        # top right block x*I - J_k(mu); bottom left its negated transpose
-        for i in range(k):
-            grid[i][k + i] = diag
-            grid[k + i][i] = -diag
-            if i + 1 < k:
-                grid[i][k + i + 1] = -_ONE
-                grid[k + i + 1][i] = _ONE
-    elif block.kind == "K":
+        # top right block x*I - J_k(mu)
+        mu = _concrete(block.eigenvalue)
+        return [(i, k + i, -mu, 1) for i in range(k)] + [(i, k + i + 1, -1, 0) for i in range(k - 1)]
+    if block.kind == "K":
         # top right block x*J_k(0) - I_k
-        for i in range(k):
-            grid[i][k + i] = -_ONE
-            grid[k + i][i] = _ONE
-            if i + 1 < k:
-                grid[i][k + i + 1] = _X
-                grid[k + i + 1][i] = -_X
-    else:
-        # top right block x*G_k - F_k of size k x (k+1)
-        for i in range(k):
-            grid[i][k + i] = _X
-            grid[k + i][i] = -_X
-            grid[i][k + i + 1] = -_ONE
-            grid[k + i + 1][i] = _ONE
-    return grid
+        return [(i, k + i, -1, 0) for i in range(k)] + [(i, k + i + 1, 0, 1) for i in range(k - 1)]
+    # top right block x*G_k - F_k of size k x (k+1)
+    return [(i, k + i, 0, 1) for i in range(k)] + [(i, k + i + 1, -1, 0) for i in range(k)]
 
 
 def assemble_skew(blocklist: BlockList) -> SkewMatrixPolynomial:
     """Materialize a skew block list as the direct sum skew pencil."""
     if blocklist.flavor != "skew":
         raise FlavorMismatch("assemble_skew needs a skew block list")
-    n = blocklist.total_rows
-    grid = [[_ZERO] * n for _ in range(n)]
+    placed = []
     offset = 0
     for block in blocklist.blocks:
-        sub = _skew_block_entries(block)
-        size = block.shape[0]
-        for i in range(size):
-            grid[offset + i][offset : offset + size] = sub[i]
-        offset += size
-    return SkewMatrixPolynomial(grid, grade=1)
+        for i, j, c0, c1 in _skew_block_entries(block):
+            placed += [(offset + i, offset + j, c0, c1), (offset + j, offset + i, -c0, -c1)]
+        offset += block.shape[0]
+    n = blocklist.total_rows
+    return _assemble(SkewMatrixPolynomial, n, n, placed)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +446,7 @@ def blocklist_eigenstructure(blocklist: BlockList) -> CompleteEigenstructure:
     for b in blocklist.blocks:
         if b.kind == "E_finite":
             mu = b.eigenvalue
-            key = (_X - RationalPolynomial.constant(mu)) if isinstance(mu, Fraction) else mu
+            key = RationalPolynomial((-mu, 1)) if isinstance(mu, Fraction) else mu
             finite.setdefault(key, []).append(b.index)
         elif b.kind == "E_infinite":
             infinite.append(b.index)

@@ -9,26 +9,20 @@ pairwise distinct eigenvalues). Applying rules can only move toward more
 generic structures; a sequence from A to B certifies that B's orbit closure
 contains A's orbit.
 
-For skew-symmetric pencils the rules are applied in mirrored or doubled
-pairs so the block list stays realizable as a skew canonical form.
-
 `closure_reachable` runs a breadth-first search over rule applications.
 Fresh eigenvalues are drawn from an opaque symbolic pool and states compare
-modulo renaming of the symbols, which keeps the search space finite.
+modulo renaming of the symbols, which keeps the search space finite; the
+target's rational eigenvalues join the pool, so rule 6 can create them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .blocks import BlockList, GeneralBlock, general_to_skew
-from .errors import (
-    MissingBlocks,
-    PairingBroken,
-    ShapeMismatch,
-    SideConditionViolated,
-)
+from .blocks import BlockList, GeneralBlock
+from .errors import MissingBlocks, ShapeMismatch, SideConditionViolated
 from .points import INFINITY, SymbolicPoint, format_eigenvalue, parse_eigenvalue
 
 
@@ -191,34 +185,6 @@ def apply_rule(blocklist: BlockList, app: RuleApplication) -> BlockList:
     return out
 
 
-def twin_application(app: RuleApplication) -> RuleApplication:
-    """The mirrored application that keeps a skew-realizable list realizable."""
-    r = app.rule
-    if r in (1, 2):
-        return RuleApplication(3 - r, j=app.j, k=app.k)
-    if r in (3, 4):
-        return RuleApplication(7 - r, j=app.j, k=app.k, eigenvalue=app.eigenvalue)
-    if r == 5:
-        return app
-    return RuleApplication(6, p=app.q, q=app.p, sizes=app.sizes, eigenvalues=app.eigenvalues)
-
-
-def apply_rule_paired(blocklist: BlockList, app: RuleApplication) -> BlockList:
-    """Apply a rule together with its twin, preserving skew realizability.
-
-    The input must be the unfolding of a skew block list. Singular-block
-    rules mirror onto the transposed blocks, eigenvalue rules run twice,
-    and the pair-conversion rule swaps its two singular indices.
-    """
-    try:
-        general_to_skew(blocklist)
-    except PairingBroken:
-        raise PairingBroken("paired application needs a skew-realizable input")
-    out = apply_rule(apply_rule(blocklist, app), twin_application(app))
-    general_to_skew(out)  # raises PairingBroken if the twin did not restore pairing
-    return out
-
-
 # ---------------------------------------------------------------------------
 # canonicalization modulo symbolic relabeling
 # ---------------------------------------------------------------------------
@@ -303,11 +269,13 @@ def _partitions(total: int):
     yield from rec(total, total)
 
 
-def enumerate_applications(blocklist: BlockList):
+def enumerate_applications(blocklist: BlockList, pool=()):
     """All legal single-rule applications from the given state.
 
-    Rule 6 draws its fresh eigenvalues from the symbolic pool; assignments
-    that differ only by which fresh symbol is used are generated once.
+    Rule 6 gives each new block an eigenvalue already in the list, one from
+    `pool` (closure_reachable passes the target's rational eigenvalues) or
+    a fresh symbol; assignments that differ only by which fresh symbol is
+    used are generated once.
     """
     counts = blocklist.counts()
     rights = sorted({b.index for b in blocklist.blocks if b.kind == "L"})
@@ -346,6 +314,7 @@ def enumerate_applications(blocklist: BlockList):
     # symbol; fresh symbols are interchangeable, so they are filled in a fixed
     # positional order and equal-size duplicates are deduplicated.
     existing = _present_eigenvalues(blocklist)
+    existing += [ev for ev in pool if ev not in existing]
     for p in rights:
         for q in lefts:
             total = p + q + 1
@@ -415,6 +384,7 @@ def closure_reachable(
         max_steps = max(source.total_rows, source.total_cols)
     target_key = canonical_key(target)
     source_key = canonical_key(source)
+    pool = [ev for ev in _present_eigenvalues(target) if isinstance(ev, Fraction)]
     if source_key == target_key:
         return ClosureResult(status="yes", certificate=(), states_explored=1)
     visited = {source_key: (None, None)}
@@ -423,7 +393,7 @@ def closure_reachable(
     for _ in range(max_steps):
         next_frontier = []
         for state, state_key in frontier:
-            for app in enumerate_applications(state):
+            for app in enumerate_applications(state, pool):
                 try:
                     nxt = apply_rule(state, app)
                 except (MissingBlocks, SideConditionViolated):

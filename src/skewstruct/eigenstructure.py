@@ -31,7 +31,6 @@ from .exact import (
     MatrixPolynomial,
     RationalPolynomial,
     as_skew,
-    integer_coefficient_matrices,
     normal_rank,
     nullspace_exact,
     rank_exact,
@@ -241,7 +240,7 @@ class _Staircase:
     """
 
     def __init__(self, P: MatrixPolynomial):
-        self.coeffs = integer_coefficient_matrices(P)
+        self.coeffs = P.numerators[: max(P.degree, 0) + 1]
         self.delta = len(self.coeffs) - 1
         self.n_rows, self.n_cols = P.rows, P.cols
         # no stage k is ever needed past this (generous) bound
@@ -293,7 +292,7 @@ class _Staircase:
         # it) nullspace_exact cannot size; one zero row gives it its width
         shares = [self._block_row(1, tail) for tail in basis]
         system = [
-            [share[i] for share in shares] + row for i, row in enumerate(self.coeffs[0])
+            [share[i] for share in shares] + list(row) for i, row in enumerate(self.coeffs[0])
         ] or [[0] * (nb + n)]
         solutions = nullspace_exact(system)
         new_prefix_dim = self.fiber_dim + len(solutions)

@@ -46,7 +46,7 @@ class SideConditionViolated(SkewstructError):
 
 
 class PairingBroken(SkewstructError):
-    """Result of a paired application is not realizable as a skew form."""
+    """A block list or structure does not pair up into a skew form."""
 
 
 class UnsupportedBlocks(SkewstructError):

@@ -1,18 +1,24 @@
 """Exact scalar, polynomial, and polynomial-matrix arithmetic over the rationals.
 
 Everything in this module is immutable and exact; no floating point enters.
-Values are `fractions.Fraction`s, but the hot loops (rank, nullspace and
-Smith reduction) scale each row to integers first and run fraction-free, so
-they do no gcd per operation. Polynomials store their coefficients lowest
-degree first and are kept trimmed, so the zero polynomial is the empty
-coefficient tuple. Its degree is the sentinel ``NEG_INF`` (never the
-integer -1), which behaves correctly under ``max`` and comparisons.
+A matrix polynomial is stored as integer coefficient matrices over one
+common positive denominator, in lowest terms, so the normal rank, the
+staircase and the Smith reduction read plain integers and run
+fraction-free, with no gcd per operation; `Fraction`s appear only at the
+edges (`coefficient_matrix`, `evaluate`, the lazily built entry grid).
+Rank and nullspace take integer or `Fraction` matrices and scale rational
+rows to integers first. Scalar polynomials (`RationalPolynomial`) store
+`Fraction` coefficients lowest degree first and are kept trimmed, so the
+zero polynomial is the empty coefficient tuple. Its degree is the sentinel
+``NEG_INF`` (never the integer -1), which behaves correctly under ``max``
+and comparisons.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -57,13 +63,6 @@ def _rneg(a):
     return [-v for v in a]
 
 
-def _rsub(a, b):
-    out = list(a) + [_ZERO] * (len(b) - len(a))
-    for i, v in enumerate(b):
-        out[i] -= v
-    return _trim(out)
-
-
 def _rmul(a, b):
     if not a or not b:
         return []
@@ -75,12 +74,6 @@ def _rmul(a, b):
             if bj:
                 out[i + j] += ai * bj
     return _trim(out)
-
-
-def _rscale(a, s):
-    if not s:
-        return []
-    return [v * s for v in a]
 
 
 def _rdivmod(a, b):
@@ -193,8 +186,7 @@ class RationalPolynomial:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return RationalPolynomial._raw(_rsub(self.coeffs, other.coeffs))
+        return self + (-_coerce(other))
 
     def __rsub__(self, other):
         return _coerce(other) - self
@@ -433,41 +425,78 @@ def nullspace_exact(matrix) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _integer_matrices(mats):
+    """Rational matrices as integer matrices over their least common denominator."""
+    den = math.lcm(*(v.denominator for mat in mats for row in mat for v in row))
+    return [[[v.numerator * (den // v.denominator) for v in row] for row in mat] for mat in mats], den
+
+
+def _fit_grade(mats, grade, rows, cols):
+    """Coefficient matrices of degrees 0 .. grade, checking that none beyond is nonzero."""
+    deg = max((k for k, mat in enumerate(mats) if any(map(any, mat))), default=-1)
+    if deg > grade:
+        raise GradeTooSmall(f"entry degree {deg} exceeds grade {grade}")
+    if grade < 0:
+        raise ValueError("grade must be nonnegative")
+    zero = [[0] * cols for _ in range(rows)]
+    return mats[: grade + 1] + [zero] * (grade + 1 - len(mats))
+
+
 class MatrixPolynomial:
-    """A rows x cols grid of RationalPolynomial entries with a declared grade.
+    """A rows x cols matrix polynomial with a declared grade.
+
+    It is stored as grade+1 integer coefficient matrices ``numerators``,
+    lowest degree first, over one positive ``denominator``: coefficient k
+    is ``numerators[k] / denominator``. The pair is kept in lowest terms
+    (the denominator is the least one that makes every coefficient an
+    integer, and 1 for the zero polynomial), so equal polynomials have equal
+    fields and hashes. ``entries``, the grid of RationalPolynomial entries,
+    is built from the integers on first access and cached.
 
     The grade is an upper bound for every entry degree; the actual degree may
     be smaller (the leading coefficient matrix may be zero), and structure at
     infinity depends on the declared grade, not the degree.
     """
 
-    __slots__ = ("rows", "cols", "grade", "entries")
+    __slots__ = ("rows", "cols", "grade", "numerators", "denominator", "_entries")
 
     def __init__(self, entries, grade: int | None = None, *, shape=None):
-        ents = tuple(
-            tuple(e if isinstance(e, RationalPolynomial) else _coerce(e) for e in row)
-            for row in entries
-        )
-        rows = len(ents)
-        cols = len(ents[0]) if rows else 0
-        if any(len(row) != cols for row in ents):
+        grid = [[_coerce(e).coeffs for e in row] for row in entries]
+        rows = len(grid)
+        cols = len(grid[0]) if rows else 0
+        if any(len(row) != cols for row in grid):
             raise ShapeMismatch("ragged entry grid")
         if shape is not None:
             # explicit shape keeps zero-row/zero-column grids well defined
             if rows and shape != (rows, cols):
                 raise ShapeMismatch(f"shape {shape} disagrees with entries {rows}x{cols}")
             rows, cols = shape
-        deg = max((e.degree for row in ents for e in row), default=NEG_INF)
+        length = max((len(c) for row in grid for c in row), default=0) or 1
+        mats = [[[0] * cols for _ in range(rows)] for _ in range(length)]
+        for i, row in enumerate(grid):
+            for j, coeffs in enumerate(row):
+                for k, v in enumerate(coeffs):
+                    mats[k][i][j] = v
         if grade is None:
-            grade = int(deg) if deg is not NEG_INF and deg >= 0 else 0
-        if deg is not NEG_INF and deg > grade:
-            raise GradeTooSmall(f"entry degree {deg} exceeds grade {grade}")
-        if grade < 0:
-            raise ValueError("grade must be nonnegative")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "grade", grade)
-        object.__setattr__(self, "entries", ents)
+            grade = length - 1
+        self._assign(rows, cols, grade, *_integer_matrices(_fit_grade(mats, grade, rows, cols)))
+        self._validate()
+
+    def _assign(self, rows, cols, grade, mats, denominator):
+        # integer matrices over a positive denominator, reduced to lowest terms
+        g = 1 if denominator == 1 else math.gcd(denominator, *(v for mat in mats for row in mat for v in row))
+        if g != 1:
+            mats = [[[v // g for v in row] for row in mat] for mat in mats]
+        obj_set = object.__setattr__
+        obj_set(self, "rows", rows)
+        obj_set(self, "cols", cols)
+        obj_set(self, "grade", grade)
+        obj_set(self, "numerators", tuple(tuple(map(tuple, mat)) for mat in mats))
+        obj_set(self, "denominator", denominator // g)
+        obj_set(self, "_entries", None)
+
+    def _validate(self):
+        """Raise if the fields break the class invariant (none beyond the shape here)."""
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixPolynomial is immutable")
@@ -475,18 +504,33 @@ class MatrixPolynomial:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _make(cls, rows, cols, grade, mats, denominator=1):
+        """Internal constructor from grade+1 integer matrices over a positive denominator.
+
+        The caller guarantees the shape and, for the skew class, skew symmetry.
+        """
+        obj = object.__new__(cls)
+        obj._assign(rows, cols, grade, mats, denominator)
+        return obj
+
+    @classmethod
+    def _from_rationals(cls, rows, cols, grade, mats):
+        """Validated constructor from int/Fraction coefficient matrices, lowest degree first."""
+        obj = cls._make(rows, cols, grade, *_integer_matrices(_fit_grade(mats, grade, rows, cols)))
+        obj._validate()
+        return obj
+
+    @classmethod
     def zeros(cls, rows: int, cols: int, grade: int = 0):
-        zero = RationalPolynomial.zero()
-        return cls(
-            tuple(tuple(zero for _ in range(cols)) for _ in range(rows)),
-            grade,
-            shape=(rows, cols),
-        )
+        return cls._from_rationals(rows, cols, grade, [])
 
     @classmethod
     def from_coefficients(cls, coefficient_matrices, grade: int | None = None):
         """Build from a list of constant matrices, lowest degree first."""
-        mats = [[[Fraction(v) for v in row] for row in mat] for mat in coefficient_matrices]
+        mats = [
+            [[v if type(v) in (int, Fraction) else Fraction(v) for v in row] for row in mat]
+            for mat in coefficient_matrices
+        ]
         if not mats:
             raise ValueError("need at least one coefficient matrix")
         rows = len(mats[0])
@@ -496,63 +540,92 @@ class MatrixPolynomial:
                 raise ShapeMismatch("coefficient matrices differ in shape")
         if grade is None:
             grade = len(mats) - 1
-        entries = [
-            [RationalPolynomial([mat[i][j] for mat in mats]) for j in range(cols)]
-            for i in range(rows)
-        ]
-        return cls(entries, grade)
+        return cls._from_rationals(rows, cols, grade, mats)
 
     # -- queries -------------------------------------------------------------
 
     @property
     def degree(self):
-        return max((e.degree for row in self.entries for e in row), default=NEG_INF)
+        for k in range(self.grade, -1, -1):
+            if any(map(any, self.numerators[k])):
+                return k
+        return NEG_INF
+
+    @property
+    def entries(self) -> tuple:
+        """The grid of RationalPolynomial entries, built on first access."""
+        if self._entries is None:
+            d, mats = self.denominator, self.numerators
+            grid = tuple(
+                tuple(
+                    RationalPolynomial._raw(_trim([Fraction(mat[i][j], d) for mat in mats]))
+                    for j in range(self.cols)
+                )
+                for i in range(self.rows)
+            )
+            object.__setattr__(self, "_entries", grid)
+        return self._entries
 
     def entry(self, i: int, j: int) -> RationalPolynomial:
         return self.entries[i][j]
 
     def coefficient_matrix(self, k: int) -> list:
         """The k-th coefficient as a list-of-lists of Fractions."""
-        return [[e.coefficient(k) for e in row] for row in self.entries]
+        if not 0 <= k <= self.grade:
+            return [[_ZERO] * self.cols for _ in range(self.rows)]
+        d = self.denominator
+        return [[Fraction(v, d) for v in row] for row in self.numerators[k]]
 
     def coefficient_matrices(self) -> list:
         """All grade+1 coefficient matrices, lowest degree first."""
         return [self.coefficient_matrix(k) for k in range(self.grade + 1)]
 
+    def _numerators_to(self, grade: int) -> tuple:
+        """The integer matrices of degrees 0 .. grade; those past self.grade are zero."""
+        zero = ((0,) * self.cols,) * self.rows
+        return self.numerators[: grade + 1] + (zero,) * (grade - self.grade)
+
     def evaluate(self, x) -> list:
         x = Fraction(x)
-        return [[e(x) for e in row] for row in self.entries]
+        p, q = x.numerator, x.denominator
+        # Horner's rule on q**grade * P(p/q): coefficient k carries q**(grade-k)
+        value = self.numerators[-1]
+        scale = 1
+        for mat in reversed(self.numerators[:-1]):
+            scale *= q
+            value = [[v * p + c * scale for v, c in zip(vrow, crow)] for vrow, crow in zip(value, mat)]
+        den = scale * self.denominator
+        return [[Fraction(v, den) for v in row] for row in value]
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return self.degree is NEG_INF
+
+    def _skew_violation(self):
+        """Why the polynomial is not skew-symmetric, or None if it is."""
+        if self.rows != self.cols:
+            return "skew matrix polynomial must be square"
+        mats = self.numerators
+        for i in range(self.rows):
+            if any(mat[i][i] for mat in mats):
+                return f"nonzero diagonal entry at ({i},{i})"
+            for j in range(i + 1, self.cols):
+                if any(mat[i][j] + mat[j][i] for mat in mats):
+                    return f"entries ({i},{j}) and ({j},{i}) are not opposite"
+        return None
 
     def is_skew_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        for i in range(self.rows):
-            if not self.entries[i][i].is_zero():
-                return False
-            for j in range(i + 1, self.cols):
-                if self.entries[i][j] != -self.entries[j][i]:
-                    return False
-        return True
+        return self._skew_violation() is None
 
     # -- algebra ---------------------------------------------------------------
 
     def transpose(self):
         # the transpose of a skew-symmetric matrix (= its negative) stays skew
-        return type(self)._rewrap(
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-            self.grade,
-            shape=(self.cols, self.rows),
-        )
+        mats = [[[mat[i][j] for i in range(self.rows)] for j in range(self.cols)] for mat in self.numerators]
+        return type(self)._make(self.cols, self.rows, self.grade, mats, self.denominator)
 
     def __neg__(self):
-        return type(self)._rewrap(
-            tuple(tuple(-e for e in row) for row in self.entries),
-            self.grade,
-            shape=(self.rows, self.cols),
-        )
+        mats = [[[-v for v in row] for row in mat] for mat in self.numerators]
+        return type(self)._make(self.rows, self.cols, self.grade, mats, self.denominator)
 
     def __add__(self, other):
         if not isinstance(other, MatrixPolynomial):
@@ -560,10 +633,13 @@ class MatrixPolynomial:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("size mismatch in matrix addition")
         grade = max(self.grade, other.grade)
-        entries = tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)
-        )
-        return MatrixPolynomial(entries, grade)
+        den = math.lcm(self.denominator, other.denominator)
+        fa, fb = den // self.denominator, den // other.denominator
+        mats = [
+            [[fa * a + fb * b for a, b in zip(ra, rb)] for ra, rb in zip(ma, mb)]
+            for ma, mb in zip(self._numerators_to(grade), other._numerators_to(grade))
+        ]
+        return MatrixPolynomial._make(self.rows, self.cols, grade, mats, den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -573,30 +649,22 @@ class MatrixPolynomial:
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeMismatch("inner dimensions disagree")
-        zero = RationalPolynomial.zero()
-        entries = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.entries[k][j]
-                    if not b.is_zero():
-                        acc = acc + a * b
-                row.append(acc)
-            entries.append(tuple(row))
-        return MatrixPolynomial(tuple(entries), self.grade + other.grade)
+        grade = self.grade + other.grade
+        mats = [[[0] * other.cols for _ in range(self.rows)] for _ in range(grade + 1)]
+        columns = [list(zip(*mat)) for mat in other.numerators]
+        for a, mat_a in enumerate(self.numerators):
+            for b, cols_b in enumerate(columns):
+                for row_a, out in zip(mat_a, mats[a + b]):
+                    if any(row_a):
+                        for j, col in enumerate(cols_b):
+                            out[j] += sum(map(operator.mul, row_a, col))
+        den = self.denominator * other.denominator
+        return MatrixPolynomial._make(self.rows, other.cols, grade, mats, den)
 
     def scale(self, s):
         s = Fraction(s)
-        return type(self)._rewrap(
-            tuple(tuple(RationalPolynomial._raw(_rscale(e.coeffs, s)) for e in row) for row in self.entries),
-            self.grade,
-            shape=(self.rows, self.cols),
-        )
+        mats = [[[v * s.numerator for v in row] for row in mat] for mat in self.numerators]
+        return type(self)._make(self.rows, self.cols, self.grade, mats, self.denominator * s.denominator)
 
     def with_grade(self, grade: int):
         """Same entries, re-declared grade (must cover the actual degree)."""
@@ -605,38 +673,20 @@ class MatrixPolynomial:
             raise GradeTooSmall(f"grade {grade} < degree {deg}")
         if grade < 0:
             raise ValueError("grade must be nonnegative")
-        return type(self)._rewrap(self.entries, grade, shape=(self.rows, self.cols))
-
-    @classmethod
-    def _rewrap(cls, entries, grade, shape=None):
-        # internal fast-path constructor; callers guarantee trimmed entries
-        # and, for the skew class, skew-symmetric ones
-        obj = object.__new__(cls)
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        if shape is not None:
-            rows, cols = shape
-        obj_set = object.__setattr__
-        obj_set(obj, "rows", rows)
-        obj_set(obj, "cols", cols)
-        obj_set(obj, "grade", grade)
-        obj_set(obj, "entries", entries)
-        return obj
+        return type(self)._make(self.rows, self.cols, grade, self._numerators_to(grade), self.denominator)
 
     # -- comparisons ----------------------------------------------------------
+
+    def _key(self):
+        return (self.rows, self.cols, self.grade, self.denominator, self.numerators)
 
     def __eq__(self, other):
         if not isinstance(other, MatrixPolynomial):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.grade == other.grade
-            and self.entries == other.entries
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.grade, self.entries))
+        return hash(self._key())
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.rows}x{self.cols} grade {self.grade}>"
@@ -653,16 +703,12 @@ class MatrixPolynomial:
 class SkewMatrixPolynomial(MatrixPolynomial):
     """Square matrix polynomial with entry(i,j) == -entry(j,i)."""
 
-    def __init__(self, entries, grade: int | None = None, *, shape=None):
-        super().__init__(entries, grade, shape=shape)
-        if self.rows != self.cols:
-            raise NotSkewSymmetric("skew matrix polynomial must be square")
-        for i in range(self.rows):
-            if not self.entries[i][i].is_zero():
-                raise NotSkewSymmetric(f"nonzero diagonal entry at ({i},{i})")
-            for j in range(i + 1, self.cols):
-                if self.entries[i][j] != -self.entries[j][i]:
-                    raise NotSkewSymmetric(f"entries ({i},{j}) and ({j},{i}) are not opposite")
+    __slots__ = ()
+
+    def _validate(self):
+        problem = self._skew_violation()
+        if problem is not None:
+            raise NotSkewSymmetric(problem)
 
     @classmethod
     def from_upper(cls, size: int, upper: dict, grade: int | None = None):
@@ -672,7 +718,7 @@ class SkewMatrixPolynomial(MatrixPolynomial):
         for (i, j), p in upper.items():
             if not i < j:
                 raise ValueError("from_upper expects strictly upper positions")
-            p = p if isinstance(p, RationalPolynomial) else _coerce(p)
+            p = _coerce(p)
             grid[i][j] = p
             grid[j][i] = -p
         return cls(grid, grade)
@@ -682,7 +728,9 @@ def as_skew(P: MatrixPolynomial) -> SkewMatrixPolynomial:
     """View a matrix polynomial as skew-symmetric, validating the invariant."""
     if isinstance(P, SkewMatrixPolynomial):
         return P
-    return SkewMatrixPolynomial(P.entries, P.grade)
+    skew = SkewMatrixPolynomial._make(P.rows, P.cols, P.grade, P.numerators, P.denominator)
+    skew._validate()
+    return skew
 
 
 def rev(P: MatrixPolynomial, grade: int) -> MatrixPolynomial:
@@ -692,11 +740,9 @@ def rev(P: MatrixPolynomial, grade: int) -> MatrixPolynomial:
     zero of the result mirrors structure at infinity of P.
     """
     deg = P.degree
-    if deg is not NEG_INF and grade < deg:
+    if grade < max(deg, 0):
         raise GradeTooSmall(f"grade {grade} < degree {deg}")
-    entries = tuple(tuple(e.reversed_at(grade) for e in row) for row in P.entries)
-    cls = SkewMatrixPolynomial if isinstance(P, SkewMatrixPolynomial) else MatrixPolynomial
-    return cls._rewrap(entries, grade, shape=(P.rows, P.cols))
+    return type(P)._make(P.rows, P.cols, grade, P._numerators_to(grade)[::-1], P.denominator)
 
 
 class FrobeniusDistance(NamedTuple):
@@ -710,33 +756,25 @@ def frobenius_distance(P: MatrixPolynomial, Q: MatrixPolynomial) -> FrobeniusDis
     """Coefficient-wise Frobenius distance between same-size, same-grade inputs."""
     if (P.rows, P.cols, P.grade) != (Q.rows, Q.cols, Q.grade):
         raise ShapeMismatch("frobenius_distance needs identical size and grade")
-    total = _ZERO
-    for ra, rb in zip(P.entries, Q.entries):
-        for a, b in zip(ra, rb):
-            d = _rsub(a.coeffs, b.coeffs)
-            for c in d:
-                total += c * c
+    den = math.lcm(P.denominator, Q.denominator)
+    fp, fq = den // P.denominator, den // Q.denominator
+    total = Fraction(
+        sum(
+            (fp * a - fq * b) ** 2
+            for ma, mb in zip(P.numerators, Q.numerators)
+            for ra, rb in zip(ma, mb)
+            for a, b in zip(ra, rb)
+        ),
+        den * den,
+    )
     return FrobeniusDistance(math.sqrt(total), total)
-
-
-def integer_coefficient_matrices(P: MatrixPolynomial) -> list:
-    """Coefficient matrices 0 .. degree of P, scaled to integers.
-
-    Every matrix is multiplied by the lcm of all denominators; one common
-    positive scale leaves every rank and kernel unchanged. The zero
-    polynomial keeps its zero constant term.
-    """
-    deg = P.degree
-    mats = [P.coefficient_matrix(k) for k in range((0 if deg is NEG_INF else int(deg)) + 1)]
-    scale = math.lcm(*(v.denominator for mat in mats for row in mat for v in row))
-    return [[[v.numerator * (scale // v.denominator) for v in row] for row in mat] for mat in mats]
 
 
 @functools.lru_cache(maxsize=512)
 def normal_rank(P: MatrixPolynomial) -> int:
     """Rank of P over the field of rational functions, computed exactly.
 
-    Evaluates the integer-scaled coefficients by Horner's rule at the
+    Evaluates the stored integer coefficients by Horner's rule at the
     distinct integer points 0, 1, -1, 2, ... and keeps the largest constant
     rank `best`, stopping once (best + 1) * degree + 1 points are done: a
     nonzero (best + 1)-minor has degree at most (best + 1) * degree, so it
@@ -744,7 +782,7 @@ def normal_rank(P: MatrixPolynomial) -> int:
     the function field, with no probabilistic caveat. Values are immutable,
     so results are cached.
     """
-    coeffs = integer_coefficient_matrices(P)
+    coeffs = P.numerators[: max(P.degree, 0) + 1]
     deg = len(coeffs) - 1
     bound = min(P.rows, P.cols)
     best = idx = 0
@@ -782,8 +820,9 @@ def smith_form(P: MatrixPolynomial) -> SmithForm:
     growth down and makes the reduction deterministic. Invariant
     polynomials are returned monic, g_1 | g_2 | ... | g_rank.
 
-    The reduction is fraction-free: P is scaled to integer coefficients,
-    and each entry is reduced by pseudo-division, that is, by the operation
+    The reduction is fraction-free: it starts from P's stored integer
+    coefficients (P times its common denominator), and each entry is
+    reduced by pseudo-division, that is, by the operation
     ``s*row_i - q*row_t`` with a positive integer ``s``, after which the
     changed row (or column) is divided by its integer content. Scaling a
     row or column by a nonzero constant is unimodular over Q[x], so the
@@ -792,7 +831,7 @@ def smith_form(P: MatrixPolynomial) -> SmithForm:
     division by the pivot's leading coefficient makes rationals.
     """
     n_rows, n_cols = P.rows, P.cols
-    mats = integer_coefficient_matrices(P)
+    mats = P.numerators
     work = [[_trim([m[i][j] for m in mats]) for j in range(n_cols)] for i in range(n_rows)]
     invariants = []
     t = 0

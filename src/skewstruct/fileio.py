@@ -2,8 +2,10 @@
 
 A polynomial file holds an m x m skew-symmetric matrix polynomial as
 grade+1 coefficient matrices, lowest degree first, with every entry an
-exact rational written "num/den". Skew-symmetry is validated on load and
-malformed rationals are rejected. Writing is canonical (sorted keys, fixed
+exact rational written "num/den" (strictly: ASCII digits with an optional
+leading minus, optionally "/" and a nonzero digit string; see
+`points.parse_rational`). Skew-symmetry is validated on load and malformed
+rationals are rejected. Writing is canonical (sorted keys, fixed
 indentation), so read-then-write is byte-identical.
 """
 
@@ -13,7 +15,8 @@ import json
 from fractions import Fraction
 
 from .errors import SkewstructError
-from .exact import RationalPolynomial, SkewMatrixPolynomial
+from .exact import SkewMatrixPolynomial
+from .points import parse_rational
 
 
 class FileFormatError(SkewstructError, ValueError):
@@ -23,10 +26,9 @@ class FileFormatError(SkewstructError, ValueError):
 def _parse_rational(text) -> Fraction:
     if not isinstance(text, str):
         raise FileFormatError(f"rational entries must be strings, got {text!r}")
-    num, sep, den = text.partition("/")
     try:
-        return Fraction(int(num), int(den) if sep else 1)
-    except (ValueError, ZeroDivisionError) as exc:
+        return parse_rational(text)
+    except ValueError as exc:
         raise FileFormatError(f"malformed rational {text!r}") from exc
 
 
@@ -67,11 +69,7 @@ def polynomial_from_dict(data: dict) -> SkewMatrixPolynomial:
         ):
             raise FileFormatError(f"coefficient matrices must be {m} x {m} lists")
         mats.append([[_parse_rational(v) for v in row] for row in mat])
-    entries = [
-        [RationalPolynomial([mat[i][j] for mat in mats]) for j in range(m)]
-        for i in range(m)
-    ]
-    return SkewMatrixPolynomial(entries, grade=grade, shape=(m, m))
+    return SkewMatrixPolynomial.from_coefficients(mats, grade)
 
 
 def dump_json(data: dict) -> str:

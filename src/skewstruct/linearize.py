@@ -17,15 +17,7 @@ from dataclasses import dataclass
 
 from .eigenstructure import CompleteEigenstructure, analyze
 from .errors import EvenGrade, InternalInconsistency, ParamDomain, ShapeMismatch
-from .exact import (
-    MatrixPolynomial,
-    RationalPolynomial,
-    SkewMatrixPolynomial,
-    as_skew,
-)
-
-_ONE = RationalPolynomial.one()
-_ZERO = RationalPolynomial.zero()
+from .exact import MatrixPolynomial, SkewMatrixPolynomial, as_skew
 
 
 def pad_grade(P: SkewMatrixPolynomial) -> SkewMatrixPolynomial:
@@ -64,29 +56,24 @@ def build_linearization(P: SkewMatrixPolynomial, grade: int | None = None) -> Gs
     m = skew.rows
     if d == 1:
         return GsylPencil(m=m, d=1, pencil=skew, source=skew)
-    coeff = skew.coefficient_matrices()
+    coeff, den = skew.numerators, skew.denominator
     n = m * d
-    grid = [[_ZERO] * n for _ in range(n)]
-
-    def put(bi, bj, i, j, value):
-        grid[bi * m + i][bj * m + j] = value
-
+    # the pencil is (lo + x*hi) / den, assembled in integers
+    lo = [[0] * n for _ in range(n)]
+    hi = [[0] * n for _ in range(n)]
     for b in range(1, d + 1):  # template block row/column, 1-based
+        o = (b - 1) * m
         if b % 2 == 1:
-            hi = coeff[d - b + 1]
-            lo = coeff[d - b]
             for i in range(m):
-                for j in range(m):
-                    p = RationalPolynomial((lo[i][j], hi[i][j]))
-                    if not p.is_zero():
-                        put(b - 1, b - 1, i, j, p)
+                hi[o + i][o : o + m] = coeff[d - b + 1][i]
+                lo[o + i][o : o + m] = coeff[d - b][i]
         if b < d:
-            # coupling between block b and b+1
-            off = -_ONE if b % 2 == 1 else RationalPolynomial((0, -1))
+            # coupling between block b and b+1: -I (odd b) or -x*I (even b)
+            off = lo if b % 2 == 1 else hi
             for i in range(m):
-                put(b - 1, b, i, i, off)
-                put(b, b - 1, i, i, -off)
-    pencil = SkewMatrixPolynomial(grid, grade=1)
+                off[o + i][o + m + i] = -den
+                off[o + m + i][o + i] = den
+    pencil = SkewMatrixPolynomial._make(n, n, 1, [lo, hi], den)
     return GsylPencil(m=m, d=d, pencil=pencil, source=skew)
 
 
@@ -103,22 +90,14 @@ def _template_source(Q: MatrixPolynomial, m: int, d: int) -> SkewMatrixPolynomia
         raise ShapeMismatch(f"expected {m * d} x {m * d}, got {Q.rows} x {Q.cols}")
     if Q.grade != 1 or not Q.is_skew_symmetric():
         return None
-    coeff = [[[None] * m for _ in range(m)] for _ in range(d + 1)]
+    lo, hi = Q.numerators
+    coeff = [None] * (d + 1)
     for b in range(1, d + 1, 2):
-        for i in range(m):
-            for j in range(m):
-                e = Q.entries[(b - 1) * m + i][(b - 1) * m + j]
-                coeff[d - b + 1][i][j] = e.coefficient(1)
-                coeff[d - b][i][j] = e.coefficient(0)
-    source = SkewMatrixPolynomial.from_upper(
-        m,
-        {
-            (i, j): RationalPolynomial([coeff[k][i][j] for k in range(d + 1)])
-            for i in range(m)
-            for j in range(i + 1, m)
-        },
-        grade=d,
-    )
+        o = (b - 1) * m
+        coeff[d - b + 1] = [row[o : o + m] for row in hi[o : o + m]]
+        coeff[d - b] = [row[o : o + m] for row in lo[o : o + m]]
+    # diagonal blocks of the skew-symmetric Q are skew-symmetric
+    source = SkewMatrixPolynomial._make(m, m, d, coeff, Q.denominator)
     return source if build_linearization(source).pencil == Q else None
 
 

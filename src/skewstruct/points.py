@@ -8,8 +8,11 @@ collisions. `INFINITY` tags the eigenvalue at infinity where a unified
 treatment is convenient.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -77,10 +80,23 @@ def format_eigenvalue(value) -> str:
     return str(value)
 
 
+def parse_rational(text: str) -> Fraction:
+    """Read "num" or "num/den": ASCII digits, an optional leading minus, den nonzero.
+
+    Anything else, such as spaces, "+", "_" digit separators, a sign on the
+    denominator or an empty part, raises ValueError.
+    """
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"malformed rational {text!r}")
+    num, _, den = text.partition("/")
+    if den and not int(den):
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(num), int(den or 1))
+
+
 def parse_eigenvalue(text: str):
     if text == "inf":
         return INFINITY
     if text.startswith("@"):
         return SymbolicPoint(text[1:])
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    return parse_rational(text)

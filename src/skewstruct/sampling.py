@@ -45,7 +45,6 @@ from .exact import (
     NEG_INF,
     FrobeniusDistance,
     MatrixPolynomial,
-    RationalPolynomial,
     SkewMatrixPolynomial,
     as_skew,
     frobenius_distance,
@@ -113,20 +112,18 @@ def _congruence_product(block, congruence, d) -> SkewMatrixPolynomial:
     """
     m, r = len(congruence), len(block)
     top, bottom = congruence[:r], congruence[r:]
-    zero = RationalPolynomial.zero()
-    grid = [[zero] * m for _ in range(m)]
+    mats = [[[0] * m for _ in range(m)] for _ in range(d + 1)]
     for i in range(m):
         for j in range(i + 1, m):
-            coeffs = [0] * (d + 1)
             for ca, brow in zip(top, block):
                 for cb, entry in zip(bottom, brow):
                     w = ca[i] * cb[j] - cb[i] * ca[j]
                     if w:
-                        for k, v in enumerate(entry):
-                            coeffs[k] += v * w
-            p = RationalPolynomial(coeffs)
-            grid[i][j], grid[j][i] = p, -p
-    return SkewMatrixPolynomial._rewrap(tuple(map(tuple, grid)), d, shape=(m, m))
+                        for mat, v in zip(mats, entry):
+                            mat[i][j] += v * w
+            for mat in mats:
+                mat[j][i] = -mat[i][j]
+    return SkewMatrixPolynomial._make(m, m, d, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +246,8 @@ def perturb_rank_increase(
     e_exact = tuple(
         tuple(Fraction(e_float[i, j]) for j in range(m)) for i in range(m)
     )
-    scale = Fraction(1, k)
-    entries = [
-        [
-            skew.entries[i][j] + RationalPolynomial((e_exact[i][j] * scale,))
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    perturbed = SkewMatrixPolynomial(entries, grade=skew.grade)
+    step = MatrixPolynomial.from_coefficients([e_exact], grade=skew.grade).scale(Fraction(1, k))
+    perturbed = as_skew(skew + step)
 
     rng = random.Random(check_seed)
     extra = Fraction(rng.randint(10, 99), rng.randint(1, 9))
@@ -272,12 +262,8 @@ def perturb_rank_increase(
                 f"rank {got} != {2 * r} at {mu}; singular values {svals}"
             )
 
-    zero = MatrixPolynomial.zeros(m, m, skew.grade)
-    e_poly = MatrixPolynomial(
-        [[RationalPolynomial((v,)) for v in row] for row in e_exact], grade=skew.grade
-    )
     distance = frobenius_distance(perturbed, skew)
-    expected = frobenius_distance(e_poly.scale(scale), zero)
+    expected = frobenius_distance(step, MatrixPolynomial.zeros(m, m, skew.grade))
     if distance.squared != expected.squared:
         raise RankVerificationFailed("perturbation distance bookkeeping failed")
     return Perturbation(

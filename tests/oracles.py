@@ -7,7 +7,8 @@ paths are checked against slow, obviously-correct computations; nullspace
 vectors come from back-substitution in Fraction arithmetic and ranks from
 Gaussian elimination in Fractions; bounded-rank draws come from the direct
 Fraction product of polynomial matrices; block lists are compared modulo
-renaming of symbols by trying every renaming.
+renaming of symbols by trying every renaming; matrix polynomial arithmetic
+is checked against entrywise RationalPolynomial formulas on entry grids.
 """
 
 import dataclasses
@@ -151,6 +152,54 @@ def sample_by_fractions(spec, max_attempts: int = 100) -> SkewMatrixPolynomial:
         if normal_rank(sample) == 2 * r:
             return sample
     raise AttemptsExhausted(f"no rank-{2 * r} draw in {max_attempts} attempts")
+
+
+# ---------------------------------------------------------------------------
+# entrywise reference for MatrixPolynomial arithmetic
+#
+# A grid is a tuple of rows of RationalPolynomial entries, as MatrixPolynomial
+# stored it before it moved to integer coefficient matrices. Each function is
+# the entry-by-entry formula for one operation.
+# ---------------------------------------------------------------------------
+
+
+def grid_transpose(grid, cols: int):
+    return tuple(tuple(row[j] for row in grid) for j in range(cols))
+
+
+def grid_neg(grid):
+    return tuple(tuple(-e for e in row) for row in grid)
+
+
+def grid_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def grid_matmul(a, b, cols: int):
+    zero = RationalPolynomial.zero()
+    return tuple(
+        tuple(sum((row[k] * b[k][j] for k in range(len(row))), zero) for j in range(cols))
+        for row in a
+    )
+
+
+def grid_scale(grid, s):
+    return tuple(tuple(e * Fraction(s) for e in row) for row in grid)
+
+
+def grid_rev(grid, grade: int):
+    return tuple(tuple(e.reversed_at(grade) for e in row) for row in grid)
+
+
+def grid_evaluate(grid, x):
+    return [[e(x) for e in row] for row in grid]
+
+
+def grid_frobenius_squared(a, b) -> Fraction:
+    return sum(
+        (c * c for ra, rb in zip(a, b) for x, y in zip(ra, rb) for c in (x - y).coeffs),
+        Fraction(0),
+    )
 
 
 def convolution_matrix(P: MatrixPolynomial, order: int):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from skewstruct.cli import main
 from skewstruct.errors import SkewstructError
 from skewstruct.exact import MatrixPolynomial, RationalPolynomial, SkewMatrixPolynomial
+from skewstruct.points import parse_rational
 from skewstruct.fileio import (
     FileFormatError,
     dump_json,
@@ -78,6 +79,14 @@ class TestPolynomialFile:
         }
         with pytest.raises(FileFormatError):
             polynomial_from_dict(data)
+
+    def test_strict_rational_format(self):
+        valid = {"0": 0, "-0": 0, "007": 7, "-7/2": Fraction(-7, 2), "4/6": Fraction(2, 3)}
+        for text, value in valid.items():
+            assert parse_rational(text) == value
+        for text in [" 1_0 ", "-1_0", "+3", "1/-2", "1/", "/2", "1/0", "1/00", "٣", "1\n", "1.5", ""]:
+            with pytest.raises(ValueError):
+                parse_rational(text)
 
     def test_rejects_non_skew(self):
         data = {
@@ -209,6 +218,20 @@ class TestMalformedInput:
         zeros = [["0/1"] * size for _ in range(size)]
         data = {"m": m, "grade": grade, "coefficients": [zeros] * n_matrices}
         self.assert_validation_error(self.analyze_file(tmp_path, data))
+
+    @pytest.mark.parametrize(
+        "text, negated", [(" 1_0 ", "-10"), ("-1_0", "10"), ("+3", "-3"), ("1/-2", "1/2")]
+    )
+    def test_non_canonical_rational(self, tmp_path, text, negated):
+        # int() reads each of these, and with its negation the file is skew
+        data = {"m": 2, "grade": 0, "coefficients": [[["0", text], [negated, "0"]]]}
+        self.assert_validation_error(self.analyze_file(tmp_path, data))
+
+    @pytest.mark.parametrize("text", [" 1_0 ", "-1_0", "+3", "1/-2", "1/"])
+    def test_non_canonical_eigenvalue(self, tmp_path, text):
+        # H_1 + M_0 has the size of the source M_1, so a parsed value would search
+        blocks = [{"kind": "H", "index": 1, "eigenvalue": text}, {"kind": "M", "index": 0}]
+        self.assert_validation_error(self.closure_with_target(tmp_path, blocks))
 
     @pytest.mark.parametrize(
         "block",

@@ -7,21 +7,18 @@ from fractions import Fraction
 import pytest
 from oracles import equal_by_renaming
 
-from skewstruct.blocks import BlockList, GeneralBlock, SkewBlock, general_to_skew, skew_to_general
+from skewstruct.blocks import BlockList, GeneralBlock, SkewBlock, skew_to_general
 from skewstruct.degeneration import (
     RuleApplication,
     apply_rule,
-    apply_rule_paired,
     canonical_key,
     closure_reachable,
     enumerate_applications,
     equal_modulo_symbols,
     replay_certificate,
-    twin_application,
 )
 from skewstruct.errors import (
     MissingBlocks,
-    PairingBroken,
     ShapeMismatch,
     SideConditionViolated,
 )
@@ -99,40 +96,6 @@ class TestApplyRule:
         before = gl(L(0), L(2), E(1, 3))
         after = apply_rule(before, RuleApplication(1, j=1, k=1))
         assert (after.total_rows, after.total_cols) == (before.total_rows, before.total_cols)
-
-
-class TestPairedApplication:
-    def test_paired_singular_trade(self):
-        start = gl(L(0), L(2), LT(0), LT(2))
-        out = apply_rule_paired(start, RuleApplication(1, j=1, k=1))
-        assert out == gl(L(1), L(1), LT(1), LT(1))
-        assert general_to_skew(out) == BlockList.skew([SkewBlock.m(1), SkewBlock.m(1)])
-
-    def test_paired_absorb_shrinks_jordan_pair(self):
-        # duplicated eigenvalue pair absorbed by the two halves of an M block
-        start = skew_to_general(BlockList.skew([SkewBlock.m(0), SkewBlock.h(1, 2)]))
-        out = apply_rule_paired(start, RuleApplication(3, j=0, k=0, eigenvalue=Fraction(2)))
-        assert general_to_skew(out) == BlockList.skew([SkewBlock.m(1)])
-
-    def test_paired_rule6_twice_raises_rank(self):
-        start = skew_to_general(BlockList.skew([SkewBlock.m(0), SkewBlock.m(0)]))
-        mu = SymbolicPoint("fresh")
-        out = apply_rule_paired(
-            start, RuleApplication(6, p=0, q=0, sizes=(1,), eigenvalues=(mu,))
-        )
-        back = general_to_skew(out)
-        assert back.rank == start.rank + 2
-        assert back == BlockList.skew([SkewBlock.h(1, mu)])
-
-    def test_pairing_broken_on_unpaired_input(self):
-        with pytest.raises(PairingBroken):
-            apply_rule_paired(gl(L(0), L(2)), RuleApplication(1, j=1, k=1))
-
-    def test_twins(self):
-        assert twin_application(RuleApplication(1, j=1, k=2)).rule == 2
-        assert twin_application(RuleApplication(4, j=0, k=1, eigenvalue=INFINITY)).rule == 3
-        app6 = RuleApplication(6, p=1, q=0, sizes=(2,), eigenvalues=(Fraction(1),))
-        assert twin_application(app6).p == 0 and twin_application(app6).q == 1
 
 
 class TestCanonicalization:
@@ -226,6 +189,15 @@ class TestClosureSearch:
         assert res.reachable
         assert len(res.certificate) == 1
         assert res.certificate[0].rule == 6
+
+    def test_rule6_reaches_target_eigenvalue(self):
+        # the 1x1 zero pencil lies in the closure of the orbit of x - 5; rule 6
+        # can only create 5 if the target's eigenvalues are in its pool
+        source, target = gl(L(0), LT(0)), gl(E(1, 5))
+        res = closure_reachable(target, source)
+        assert res.status == "yes"
+        assert replay_certificate(source, res.certificate) == target
+        assert res.certificate[0].eigenvalues == (Fraction(5),)
 
     def test_generic_pencil_reachable(self):
         # 5x5 skew, rank 4, exactly one block at infinity, degenerate source:
@@ -374,6 +346,12 @@ class TestRuleApplicationJson:
     def test_malformed_raises(self, data):
         with pytest.raises(SideConditionViolated, match="malformed"):
             RuleApplication.from_json_dict(data)
+
+    @pytest.mark.parametrize("text", [" 1_0 ", "-1_0", "+3", "1/-2", "1/"])
+    def test_non_canonical_eigenvalue(self, text):
+        # int() reads the first four, and "1/" was read as 1
+        with pytest.raises(SideConditionViolated, match="malformed"):
+            RuleApplication.from_json_dict({"rule": 3, "j": 0, "k": 1, "eigenvalue": text})
 
     @pytest.mark.parametrize("rule", [0, 7, 9, -1])
     def test_unknown_rule(self, rule):

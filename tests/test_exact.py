@@ -1,5 +1,6 @@
 """Tests for the exact arithmetic layer: polynomials, ranks, Smith forms."""
 
+import math
 import random
 import signal
 from fractions import Fraction
@@ -35,6 +36,14 @@ from skewstruct.exact import (
 )
 
 from oracles import (
+    grid_add,
+    grid_evaluate,
+    grid_frobenius_squared,
+    grid_matmul,
+    grid_neg,
+    grid_rev,
+    grid_scale,
+    grid_transpose,
     minor_gcds,
     normal_rank_by_minors,
     nullspace_by_fractions,
@@ -326,6 +335,92 @@ class TestMatrixPolynomial:
             assert d.squared == frobenius_distance(
                 MatrixPolynomial.zeros(2, 2, 1), e
             ).squared * Fraction(1, k**2)
+
+
+def random_grid(rng, rows, cols):
+    """A rows x cols grid of rational polynomials: zero, constant or up to degree 3."""
+    deg = rng.choice((-1, 0, 1, 2, 3))
+    return tuple(
+        tuple(rational_poly(rng, deg) if deg >= 0 else P.zero() for _ in range(cols))
+        for _ in range(rows)
+    )
+
+
+def grid_degree(grid):
+    return max((len(e.coeffs) - 1 for row in grid for e in row), default=-1)
+
+
+SHAPES = [(0, 0), (0, 3), (2, 0), (1, 1), (2, 3), (3, 2), (3, 3), (4, 4)]
+
+
+class TestRepresentationReference:
+    """The integer storage gives what the entrywise formulas give, entry for entry."""
+
+    def case(self, rng, rows, cols):
+        grid = random_grid(rng, rows, cols)
+        # the declared grade often exceeds the degree
+        grade = max(grid_degree(grid), 0) + rng.choice((0, 0, 1, 2))
+        return grid, MatrixPolynomial(grid, grade, shape=(rows, cols))
+
+    def check(self, result, grid, rows, cols, grade):
+        assert (result.rows, result.cols, result.grade) == (rows, cols, grade)
+        assert result.entries == grid
+        expected = MatrixPolynomial(grid, grade, shape=(rows, cols))
+        assert result == expected and hash(result) == hash(expected)
+        # lowest terms: no integer above 1 divides the denominator and every numerator
+        assert math.gcd(result.denominator, *(v for m in result.numerators for row in m for v in row)) == 1
+
+    def test_operations_match_entrywise_formulas(self):
+        rng = random.Random(2024)
+        for trial in range(200):
+            rows, cols = SHAPES[trial % len(SHAPES)]
+            grid, p = self.case(rng, rows, cols)
+            assert p.entries == grid
+            assert all(p.entry(i, j) == grid[i][j] for i in range(rows) for j in range(cols))
+            if rows:
+                again = MatrixPolynomial.from_coefficients(p.coefficient_matrices(), p.grade)
+                assert again == p and hash(again) == hash(p)
+            self.check(p.transpose(), grid_transpose(grid, cols), cols, rows, p.grade)
+            self.check(-p, grid_neg(grid), rows, cols, p.grade)
+            other_grid, other = self.case(rng, rows, cols)
+            self.check(p + other, grid_add(grid, other_grid), rows, cols, max(p.grade, other.grade))
+            width = rng.randint(0, 3)
+            right_grid, right = self.case(rng, cols, width)
+            self.check(p @ right, grid_matmul(grid, right_grid, width), rows, width, p.grade + right.grade)
+            s = rational(rng)
+            self.check(p.scale(s), grid_scale(grid, s), rows, cols, p.grade)
+            grade = p.grade + rng.randint(0, 1)
+            self.check(rev(p, grade), grid_rev(grid, grade), rows, cols, grade)
+            point = rational(rng)
+            assert p.evaluate(point) == grid_evaluate(grid, point)
+            squared = grid_frobenius_squared(grid, other_grid)
+            top = max(p.grade, other.grade)
+            assert frobenius_distance(p.with_grade(top), other.with_grade(top)) == (math.sqrt(squared), squared)
+
+    def test_no_entry_grid_on_integer_paths(self, monkeypatch, tmp_path):
+        # sampling, reading, linearizing and a zero-deficit analysis run on the
+        # integer matrices alone and build no RationalPolynomial
+        from skewstruct.eigenstructure import analyze
+        from skewstruct.fileio import read_polynomial, write_polynomial
+        from skewstruct.linearize import build_linearization, pad_grade
+        from skewstruct.sampling import SampleSpec, sample_bounded_rank
+
+        sample = sample_bounded_rank(SampleSpec(5, 2, 2, seed=3))
+        path = str(tmp_path / "p.json")
+        write_polynomial(sample, path)
+        built = []
+        init, raw = P.__init__, P._raw.__func__
+        monkeypatch.setattr(P, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+        monkeypatch.setattr(P, "_raw", classmethod(lambda cls, c: built.append(1) or raw(cls, c)))
+        assert P((1, 2)).coeffs == (1, 2) and len(built) == 1
+        built.clear()
+        sample = sample_bounded_rank(SampleSpec(5, 2, 2, seed=4))
+        loaded = read_polynomial(path)
+        pencil = build_linearization(pad_grade(loaded)).pencil
+        # generic inputs: the finite-degree deficit is zero, so Smith does not run
+        assert analyze(loaded).finite == () and analyze(pencil, 1).finite == ()
+        assert built == []
+        assert sample.is_skew_symmetric() and pencil.is_skew_symmetric()
 
 
 # ---------------------------------------------------------------------------
