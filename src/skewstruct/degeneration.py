@@ -13,6 +13,10 @@ contains A's orbit.
 Fresh eigenvalues are drawn from an opaque symbolic pool and states compare
 modulo renaming of the symbols, which keeps the search space finite; the
 target's rational eigenvalues join the pool, so rule 6 can create them.
+Rules 1-5 keep the rank and rule 6 raises it by exactly one, so the search
+applies rule 6 only below the target's rank and never builds a state of
+higher rank: `states_explored` counts only states of rank at most the
+target's.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from fractions import Fraction
 
 from .blocks import BlockList, GeneralBlock
 from .errors import MissingBlocks, ShapeMismatch, SideConditionViolated
+from .fileio import json_int
 from .points import INFINITY, SymbolicPoint, format_eigenvalue, parse_eigenvalue
 
 
@@ -65,14 +70,14 @@ class RuleApplication:
     def from_json_dict(cls, data: dict) -> "RuleApplication":
         """Read the JSON form; malformed input raises SideConditionViolated."""
         try:
-            rule = _json_int(data["rule"])
+            rule = json_int(data["rule"])
             if rule in (1, 2):
-                return cls(rule, j=_json_int(data["j"]), k=_json_int(data["k"]))
+                return cls(rule, j=json_int(data["j"]), k=json_int(data["k"]))
             if rule in (3, 4, 5):
                 return cls(
                     rule,
-                    j=_json_int(data["j"]),
-                    k=_json_int(data["k"]),
+                    j=json_int(data["j"]),
+                    k=json_int(data["k"]),
                     eigenvalue=parse_eigenvalue(data["eigenvalue"]),
                 )
             if rule == 6:
@@ -81,21 +86,14 @@ class RuleApplication:
                     raise TypeError("sizes and eigenvalues must be lists")
                 return cls(
                     6,
-                    p=_json_int(data["p"]),
-                    q=_json_int(data["q"]),
-                    sizes=tuple(_json_int(s) for s in sizes),
+                    p=json_int(data["p"]),
+                    q=json_int(data["q"]),
+                    sizes=tuple(json_int(s) for s in sizes),
                     eigenvalues=tuple(parse_eigenvalue(e) for e in eigenvalues),
                 )
         except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SideConditionViolated(f"malformed rule application {data!r}") from exc
         raise SideConditionViolated(f"unknown rule {rule}")
-
-
-def _json_int(value) -> int:
-    # a JSON integer: int() would truncate 1.7 and take true for 1
-    if type(value) is not int:
-        raise TypeError(f"{value!r} is not an integer")
-    return value
 
 
 def _take(counts: dict, block: GeneralBlock):
@@ -269,17 +267,19 @@ def _partitions(total: int):
     yield from rec(total, total)
 
 
-def enumerate_applications(blocklist: BlockList, pool=()):
-    """All legal single-rule applications from the given state.
+def _singular_indices(blocklist: BlockList, kind: str):
+    return sorted({b.index for b in blocklist.blocks if b.kind == kind})
 
-    Rule 6 gives each new block an eigenvalue already in the list, one from
-    `pool` (closure_reachable passes the target's rational eigenvalues) or
-    a fresh symbol; assignments that differ only by which fresh symbol is
-    used are generated once.
+
+def _rank_preserving_applications(blocklist: BlockList):
+    """Rules 1-5 from the given state; each keeps the rank.
+
+    Their consumed and produced blocks have equal index sums, and the rank
+    of a block is its index: j-1 + k+1 = j + k for rules 1 and 2, j + k+1
+    for rules 3 and 4, j + k for rule 5.
     """
-    counts = blocklist.counts()
-    rights = sorted({b.index for b in blocklist.blocks if b.kind == "L"})
-    lefts = sorted({b.index for b in blocklist.blocks if b.kind == "L_T"})
+    rights = _singular_indices(blocklist, "L")
+    lefts = _singular_indices(blocklist, "L_T")
     eigen_indices: dict = {}
     for b in blocklist.blocks:
         if b.kind == "E_finite":
@@ -287,19 +287,18 @@ def enumerate_applications(blocklist: BlockList, pool=()):
         elif b.kind == "E_infinite":
             eigen_indices.setdefault(INFINITY, []).append(b.index)
 
-    apps = []
     # rules 1/2: trade sizes between same-side singular blocks
     for rule, idxs in ((1, rights), (2, lefts)):
         for u in idxs:
             for v in idxs:
                 if u + 2 <= v:
-                    apps.append(RuleApplication(rule, j=u + 1, k=v - 1))
+                    yield RuleApplication(rule, j=u + 1, k=v - 1)
     # rules 3/4: a singular block absorbs one unit of an eigenvalue block
     for rule, idxs in ((3, rights), (4, lefts)):
         for u in idxs:
             for ev, sizes in eigen_indices.items():
                 for size in sorted(set(sizes)):
-                    apps.append(RuleApplication(rule, j=u, k=size - 1, eigenvalue=ev))
+                    yield RuleApplication(rule, j=u, k=size - 1, eigenvalue=ev)
     # rule 5: rebalance two blocks at one eigenvalue
     for ev, sizes in eigen_indices.items():
         distinct = sorted(set(sizes))
@@ -308,14 +307,22 @@ def enumerate_applications(blocklist: BlockList, pool=()):
                 continue
             for k in distinct:
                 if j < k or (j == k and sizes.count(j) >= 2):
-                    apps.append(RuleApplication(5, j=j, k=k, eigenvalue=ev))
-    # rule 6: convert a right/left singular pair into eigenvalue blocks.
-    # Each part takes either an existing eigenvalue (injectively) or a fresh
-    # symbol; fresh symbols are interchangeable, so they are filled in a fixed
-    # positional order and equal-size duplicates are deduplicated.
+                    yield RuleApplication(5, j=j, k=k, eigenvalue=ev)
+
+
+def _rank_raising_applications(blocklist: BlockList, pool):
+    """Rule 6 from the given state; each raises the rank by exactly one.
+
+    It turns L_p + L_q^T, of rank p + q, into eigenvalue blocks of total
+    size p + q + 1. Each part takes either an existing eigenvalue
+    (injectively) or a fresh symbol; fresh symbols are interchangeable, so
+    they are filled in a fixed positional order and equal-size duplicates
+    are deduplicated.
+    """
     existing = _present_eigenvalues(blocklist)
     existing += [ev for ev in pool if ev not in existing]
-    for p in rights:
+    lefts = _singular_indices(blocklist, "L_T")
+    for p in _singular_indices(blocklist, "L"):
         for q in lefts:
             total = p + q + 1
             for sizes in _partitions(total):
@@ -341,12 +348,23 @@ def enumerate_applications(blocklist: BlockList, pool=()):
                             if sig in seen:
                                 continue
                             seen.add(sig)
-                            apps.append(
-                                RuleApplication(
-                                    6, p=p, q=q, sizes=sizes, eigenvalues=tuple(chosen)
-                                )
+                            yield RuleApplication(
+                                6, p=p, q=q, sizes=sizes, eigenvalues=tuple(chosen)
                             )
-    return apps
+
+
+def enumerate_applications(blocklist: BlockList, pool=()):
+    """All legal single-rule applications from the given state, rules 1-5 first.
+
+    Rule 6 gives each new block an eigenvalue already in the list, one from
+    `pool` (closure_reachable passes the target's rational eigenvalues) or
+    a fresh symbol; assignments that differ only by which fresh symbol is
+    used are generated once.
+    """
+    return [
+        *_rank_preserving_applications(blocklist),
+        *_rank_raising_applications(blocklist, pool),
+    ]
 
 
 @dataclass
@@ -377,6 +395,13 @@ def closure_reachable(
     Symbolic eigenvalues match modulo renaming. "yes" comes with the found
     rule sequence; "no_within_bound" is inconclusive by design (the step
     bound defaults to the pencil size and may simply be too small).
+
+    Rules 1-5 keep the rank and rule 6 raises it by one, so no state of
+    rank above the target's leads to the target. The search generates rule
+    6 only from states below the target's rank, and a source above it ends
+    at once; `states_explored` (and `max_states`) count only states of rank
+    at most the target's. Every surviving state is found from the same
+    parent, in the same order, as by the search without this bound.
     """
     if (target.total_rows, target.total_cols) != (source.total_rows, source.total_cols):
         raise ShapeMismatch("target and source must have equal total sizes")
@@ -387,13 +412,20 @@ def closure_reachable(
     pool = [ev for ev in _present_eigenvalues(target) if isinstance(ev, Fraction)]
     if source_key == target_key:
         return ClosureResult(status="yes", certificate=(), states_explored=1)
+    target_rank = target.rank
+    if source.rank > target_rank:
+        return ClosureResult(status="no_within_bound", states_explored=1)
     visited = {source_key: (None, None)}
     frontier = [(source, source_key)]
     explored = 1
     for _ in range(max_steps):
         next_frontier = []
         for state, state_key in frontier:
-            for app in enumerate_applications(state, pool):
+            if state.rank < target_rank:
+                apps = enumerate_applications(state, pool)
+            else:
+                apps = _rank_preserving_applications(state)
+            for app in apps:
                 try:
                     nxt = apply_rule(state, app)
                 except (MissingBlocks, SideConditionViolated):

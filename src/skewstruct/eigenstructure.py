@@ -37,7 +37,8 @@ from .exact import (
     rev,
     skew_smith,
 )
-from .points import eigenvalue_sort_key
+from .fileio import FileFormatError, json_int, json_rational
+from .points import eigenvalue_sort_key, parse_eigenvalue
 
 
 def _finite_sort_key(factor):
@@ -133,26 +134,42 @@ class CompleteEigenstructure:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CompleteEigenstructure":
-        from .points import parse_eigenvalue
+        """Read the JSON form; malformed input raises FileFormatError.
 
-        finite = {}
-        for item in data["finite"]:
-            key = item["factor"]
-            if isinstance(key, list):
-                factor = RationalPolynomial([Fraction(c) for c in key])
-            else:
-                factor = parse_eigenvalue(key)
-            finite[factor] = tuple(item["multiplicities"])
+        Factor coefficients are strict "num/den" strings, as the writer
+        emits them (`points.parse_rational`); counts are JSON integers.
+        """
+        try:
+            finite = {}
+            for item in data["finite"]:
+                key = item["factor"]
+                if isinstance(key, list):
+                    factor = RationalPolynomial([json_rational(c) for c in key])
+                else:
+                    factor = parse_eigenvalue(key)
+                finite[factor] = _json_ints(item["multiplicities"])
+            size, grade, rank = (json_int(data[name]) for name in ("size", "grade", "rank"))
+            infinite, left, right = (
+                _json_ints(data[name]) for name in ("infinite", "left_minimal", "right_minimal")
+            )
+        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise FileFormatError(f"malformed eigenstructure: {exc}") from exc
         return cls.build(
-            rows=data["size"],
-            cols=data["size"],
-            grade=data["grade"],
-            rank=data["rank"],
+            rows=size,
+            cols=size,
+            grade=grade,
+            rank=rank,
             finite=finite,
-            infinite=data["infinite"],
-            left_minimal=data["left_minimal"],
-            right_minimal=data["right_minimal"],
+            infinite=infinite,
+            left_minimal=left,
+            right_minimal=right,
         )
+
+
+def _json_ints(values) -> tuple:
+    if not isinstance(values, list):
+        raise TypeError(f"{values!r} is not a list")
+    return tuple(json_int(v) for v in values)
 
 
 def same_orbit(first: CompleteEigenstructure, second: CompleteEigenstructure) -> bool:

@@ -23,7 +23,18 @@ class FileFormatError(SkewstructError, ValueError):
     """Raised when an input file does not match its documented schema."""
 
 
-def _parse_rational(text) -> Fraction:
+def json_int(value) -> int:
+    """A JSON integer; raises TypeError for anything else, bools included.
+
+    int() would truncate 1.7 and take true for 1.
+    """
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def json_rational(text) -> Fraction:
+    """A strict "num/den" string (`points.parse_rational`); FileFormatError otherwise."""
     if not isinstance(text, str):
         raise FileFormatError(f"rational entries must be strings, got {text!r}")
     try:
@@ -68,7 +79,7 @@ def polynomial_from_dict(data: dict) -> SkewMatrixPolynomial:
             and all(isinstance(row, list) and len(row) == m for row in mat)
         ):
             raise FileFormatError(f"coefficient matrices must be {m} x {m} lists")
-        mats.append([[_parse_rational(v) for v in row] for row in mat])
+        mats.append([[json_rational(v) for v in row] for row in mat])
     return SkewMatrixPolynomial.from_coefficients(mats, grade)
 
 

@@ -8,7 +8,9 @@ vectors come from back-substitution in Fraction arithmetic and ranks from
 Gaussian elimination in Fractions; bounded-rank draws come from the direct
 Fraction product of polynomial matrices; block lists are compared modulo
 renaming of symbols by trying every renaming; matrix polynomial arithmetic
-is checked against entrywise RationalPolynomial formulas on entry grids.
+is checked against entrywise RationalPolynomial formulas on entry grids;
+the closure search is checked against the same breadth-first search
+without its rank bound, which applies every rule from every state.
 """
 
 import dataclasses
@@ -18,7 +20,14 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from skewstruct.blocks import BlockList
-from skewstruct.errors import AttemptsExhausted
+from skewstruct.degeneration import (
+    ClosureResult,
+    _present_eigenvalues,
+    apply_rule,
+    canonical_key,
+    enumerate_applications,
+)
+from skewstruct.errors import AttemptsExhausted, MissingBlocks, SideConditionViolated
 from skewstruct.exact import (
     MatrixPolynomial,
     RationalPolynomial,
@@ -291,3 +300,53 @@ def equal_by_renaming(a: BlockList, b: BlockList) -> bool:
         if BlockList(a.flavor, tuple(renamed)) == b:
             return True
     return False
+
+
+def closure_reachable_unpruned(target: BlockList, source: BlockList, max_steps=None, max_states=100_000):
+    """closure_reachable's breadth-first search with no rank bound.
+
+    Every state expands by every rule, rule 6 included, whatever its rank,
+    so states above the target's rank are built and counted too.
+    """
+    if max_steps is None:
+        max_steps = max(source.total_rows, source.total_cols)
+    target_key = canonical_key(target)
+    source_key = canonical_key(source)
+    pool = [ev for ev in _present_eigenvalues(target) if isinstance(ev, Fraction)]
+    if source_key == target_key:
+        return ClosureResult(status="yes", certificate=(), states_explored=1)
+    visited = {source_key: (None, None)}
+    frontier = [(source, source_key)]
+    explored = 1
+    for _ in range(max_steps):
+        next_frontier = []
+        for state, state_key in frontier:
+            for app in enumerate_applications(state, pool):
+                try:
+                    nxt = apply_rule(state, app)
+                except (MissingBlocks, SideConditionViolated):
+                    continue
+                key = canonical_key(nxt)
+                if key in visited:
+                    continue
+                visited[key] = (state_key, app)
+                explored += 1
+                if key == target_key:
+                    cert = []
+                    k = key
+                    while visited[k][1] is not None:
+                        parent, used = visited[k]
+                        cert.append(used)
+                        k = parent
+                    return ClosureResult(
+                        status="yes",
+                        certificate=tuple(reversed(cert)),
+                        states_explored=explored,
+                    )
+                next_frontier.append((nxt, key))
+                if explored >= max_states:
+                    return ClosureResult(status="no_within_bound", states_explored=explored)
+        frontier = next_frontier
+        if not frontier:
+            break
+    return ClosureResult(status="no_within_bound", states_explored=explored)

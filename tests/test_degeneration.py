@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import equal_by_renaming
+from oracles import closure_reachable_unpruned, equal_by_renaming
 
 from skewstruct.blocks import BlockList, GeneralBlock, SkewBlock, skew_to_general
 from skewstruct.degeneration import (
@@ -272,20 +272,17 @@ class TestDegenerateDrawReachesGeneric:
 
 
 class TestForwardFuzz:
+    STARTS = [
+        gl(L(0), L(0), LT(0), LT(0), E(1, 2), E(1, 2)),
+        gl(L(1), LT(1), EINF(1), EINF(1)),
+        gl(L(0), L(2), LT(0), LT(2)),
+    ]
+
     def test_random_forward_paths_are_found(self):
         # apply random legal rules forward, then confirm the search certifies
         # the resulting degeneration and the replay reaches the same state
-        import random
-
-        from skewstruct.degeneration import enumerate_applications
-
         rng = random.Random(424242)
-        starts = [
-            gl(L(0), L(0), LT(0), LT(0), E(1, 2), E(1, 2)),
-            gl(L(1), LT(1), EINF(1), EINF(1)),
-            gl(L(0), L(2), LT(0), LT(2)),
-        ]
-        for start in starts:
+        for start in self.STARTS:
             for _ in range(4):
                 state = start
                 path_len = rng.randint(1, 3)
@@ -299,6 +296,82 @@ class TestForwardFuzz:
                 final = replay_certificate(start, res.certificate)
                 assert equal_modulo_symbols(final, state)
                 assert len(res.certificate) <= path_len
+
+    def test_rule6_alone_changes_the_rank(self):
+        # the fact the search's rank bound rests on: rules 1-5 keep the rank
+        # and rule 6 raises it by exactly one, from every state reachable
+        # from the starts above
+        seen = set()
+        todo = list(self.STARTS)
+        rules = set()
+        while todo:
+            state = todo.pop()
+            key = canonical_key(state)
+            if key in seen:
+                continue
+            seen.add(key)
+            for app in enumerate_applications(state):
+                nxt = apply_rule(state, app)
+                assert nxt.rank - state.rank == (app.rule == 6), (str(state), app)
+                rules.add(app.rule)
+                todo.append(nxt)
+        assert rules == {1, 2, 3, 4, 5, 6}
+        assert len(seen) > 300
+
+
+def skew_sources(n):
+    """Every skew block list of size n, with H blocks at up to two symbols, one per renaming class."""
+    kinds = [(2 * k + 1, SkewBlock.m(k)) for k in range(n // 2 + 1)]
+    for k in range(1, n // 2 + 1):
+        kinds.append((2 * k, SkewBlock.k(k)))
+        kinds += [(2 * k, SkewBlock.h(k, SymbolicPoint(name))) for name in "ab"]
+    found = {}
+
+    def fill(left, start, chosen):
+        if left == 0:
+            general = skew_to_general(BlockList.skew(chosen))
+            found.setdefault(canonical_key(general), general)
+        for i in range(start, len(kinds)):
+            size, block = kinds[i]
+            if size <= left:
+                fill(left - size, i, chosen + [block])
+
+    fill(n, 0, [])
+    return list(found.values())
+
+
+def certificate_json(result):
+    if result.certificate is None:
+        return None
+    return json.dumps([app.to_json_dict() for app in result.certificate])
+
+
+class TestRankBound:
+    CELLS = [(3, 1, 0), (3, 1, 1), (4, 1, 0), (4, 1, 1), (5, 1, 0), (5, 1, 1),
+             (5, 2, 0), (5, 2, 1), (5, 2, 2), (6, 2, 0)]
+
+    def test_matches_the_unbounded_search(self):
+        # every skew source against the generic structure of each cell, of
+        # every rank: below the target's (rule 6 still runs, the zero pencil
+        # among them), equal to it and above it (answered at once)
+        relations = {-1: 0, 0: 0, 1: 0}
+        fewer = 0
+        for n, w, r in self.CELLS:
+            target = skew_to_general(generic_pencil_structure(n, w, r))
+            for source in skew_sources(n):
+                bounded = closure_reachable(target, source)
+                full = closure_reachable_unpruned(target, source)
+                label = (n, w, r, str(source))
+                assert bounded.status == full.status, label
+                assert certificate_json(bounded) == certificate_json(full), label
+                assert bounded.states_explored <= full.states_explored, label
+                fewer += bounded.states_explored < full.states_explored
+                relation = (source.rank > target.rank) - (source.rank < target.rank)
+                relations[relation] += 1
+                if relation == 1:
+                    assert (bounded.status, bounded.states_explored) == ("no_within_bound", 1)
+        assert min(relations.values()) >= 20, relations
+        assert fewer > 50
 
 
 class TestRuleApplicationJson:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewstruct import eigenstructure
 from skewstruct.blocks import BlockList, SkewBlock, assemble_skew, blocklist_eigenstructure
@@ -22,7 +24,13 @@ from skewstruct.eigenstructure import (
     same_orbit,
     smallest_infinite_multiplicity_law,
 )
-from skewstruct.errors import GradeTooSmall, InternalInconsistency, NotSkewSymmetric, ZeroRank
+from skewstruct.errors import (
+    GradeTooSmall,
+    InternalInconsistency,
+    NotSkewSymmetric,
+    SkewstructError,
+    ZeroRank,
+)
 from skewstruct.exact import (
     MatrixPolynomial,
     RationalPolynomial,
@@ -433,3 +441,61 @@ class TestSameOrbit:
         e = analyze(skew2((x**2 + 1) * x), 3)
         again = CompleteEigenstructure.from_json_dict(e.to_json_dict())
         assert same_orbit(e, again)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+_COUNTS = st.lists(st.integers(-1, 3), max_size=3) | _JSON
+_COEFF = st.sampled_from(["1", "-1/2", "0/1", "2/4", " -1_0 ", "+3", "1.5", "1e3", "1/0", ""]) | _JSON
+# near-miss structures reach the per-field checks far more often than random JSON
+_STRUCTURE = st.fixed_dictionaries(
+    {
+        "size": st.integers(0, 4) | _JSON,
+        "grade": st.integers(0, 3) | _JSON,
+        "rank": st.integers(0, 4) | _JSON,
+        "finite": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "factor": st.lists(_COEFF, max_size=3)
+                    | st.sampled_from(["inf", "@a", "3", "1/2", "x", "@"])
+                    | _JSON,
+                    "multiplicities": _COUNTS,
+                }
+            )
+            | _JSON,
+            max_size=3,
+        )
+        | _JSON,
+        "infinite": _COUNTS,
+        "left_minimal": _COUNTS,
+        "right_minimal": _COUNTS,
+    }
+)
+_VALID_STRUCTURES = [
+    analyze(skew2((x**2 + 1) * x), 3).to_json_dict(),
+    analyze(M1_PENCIL, 1).to_json_dict(),
+    blocklist_eigenstructure(BlockList.skew([SkewBlock.h(2, Fraction(-1, 2)), SkewBlock.k(1)])).to_json_dict(),
+]
+
+
+class TestEigenstructureJson:
+    @pytest.mark.parametrize("coeff", [" -1_0 ", "+3", "1.5", "1e3", "1/-2", "1/0", 3, None, ["1"]])
+    def test_non_canonical_coefficient(self, coeff):
+        # Fraction() read the first four, as -10, 3, 3/2 and 1000
+        data = _VALID_STRUCTURES[0] | {"finite": [{"factor": [coeff, "1"], "multiplicities": [1]}]}
+        with pytest.raises(SkewstructError, match="malformed"):
+            CompleteEigenstructure.from_json_dict(data)
+
+    @given(st.sampled_from(_VALID_STRUCTURES) | _STRUCTURE | _JSON)
+    @settings(max_examples=400, deadline=None)
+    def test_round_trips_or_raises_library_error(self, data):
+        try:
+            out = CompleteEigenstructure.from_json_dict(data)
+        except SkewstructError:
+            return
+        again = CompleteEigenstructure.from_json_dict(out.to_json_dict())
+        assert again == out
+        assert again.to_json_dict() == out.to_json_dict()
