@@ -41,7 +41,6 @@ from .eigenstructure import (
     CompleteEigenstructure,
     ConvolutionProfile,
     analyze,
-    convolution_matrix,
     convolution_profile,
     infinite_structure,
     left_minimal_indices,
@@ -120,7 +119,6 @@ __all__ = [
     "codim_pencil_closed",
     "codim_poly_generic",
     "codim_tangent",
-    "convolution_matrix",
     "convolution_profile",
     "equal_modulo_symbols",
     "frobenius_distance",

@@ -2,7 +2,8 @@
 
 Subcommands: generic, analyze, sample, mc, linearize, codim, closure.
 Exit codes: 0 success, 1 validation failure, 2 inconclusive closure search,
-3 numeric backend failure. All randomness flows from --seed flags.
+3 numeric backend failure, 4 closure search answered "no" (the source is
+not in the target's orbit closure). All randomness flows from --seed flags.
 """
 
 from __future__ import annotations
@@ -42,6 +43,13 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_NUMERIC = 3
+EXIT_UNREACHABLE = 4
+
+
+def _print_error(message) -> None:
+    # one line on stderr, whatever line breaks the message or the argv it
+    # quotes may hold
+    print("error: " + " ".join(str(message).splitlines()), file=sys.stderr)
 
 
 def _descending(values) -> str:
@@ -91,7 +99,7 @@ def cmd_analyze(args) -> int:
         try:
             structure = analyze_float(P, grade, args.tol)
         except Exception as exc:  # numeric path is best-effort by contract
-            print(f"numeric backend failed: {exc}", file=sys.stderr)
+            _print_error(f"numeric backend failed: {exc}")
             return EXIT_NUMERIC
         data = structure.to_json_dict()
         data["tolerance"] = args.tol
@@ -174,16 +182,27 @@ def cmd_closure(args) -> int:
         print(dump_json(data), end="")
         return EXIT_OK
     print(dump_json({"status": result.status, "states_explored": result.states_explored}), end="")
-    return EXIT_INCONCLUSIVE
+    return EXIT_UNREACHABLE if result.status == "no" else EXIT_INCONCLUSIVE
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach `main` as one line.
+
+    argparse would print the usage and exit by itself; raising lets `main`
+    print a single `error:` line and return the validation exit code.
+    Subparsers are built from the same class.
+    """
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skewstruct",
         description="Generic eigenstructures of bounded-rank skew-symmetric "
         "matrix pencils and polynomials: canonical forms, linearizations, "
         "degenerations, codimensions.",
-        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -258,16 +277,15 @@ def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except argparse.ArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return EXIT_VALIDATION
     except SystemExit as exc:
-        # argparse exits itself for --help (0) and some usage errors (2);
-        # fold the latter into the validation exit code
+        # argparse exits by itself only for --help
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     try:
         return args.func(args)
     except (SkewstructError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return EXIT_VALIDATION
 
 

@@ -371,8 +371,10 @@ def enumerate_applications(blocklist: BlockList, pool=()):
 class ClosureResult:
     """Outcome of the reachability search.
 
-    status "yes" certifies closure containment via the certificate; the
-    inconclusive status only means nothing was found within the step bound.
+    status "yes" certifies closure containment via the certificate; "no"
+    certifies that the source is not in the target's orbit closure (given
+    only for a source of rank above the target's); "no_within_bound" is
+    inconclusive and only means nothing was found within the bounds.
     """
 
     status: str
@@ -393,15 +395,17 @@ def closure_reachable(
     """Breadth-first search for a rule sequence turning source into target.
 
     Symbolic eigenvalues match modulo renaming. "yes" comes with the found
-    rule sequence; "no_within_bound" is inconclusive by design (the step
-    bound defaults to the pencil size and may simply be too small).
+    rule sequence; "no" is certified; "no_within_bound" is inconclusive by
+    design (the step bound defaults to the pencil size and may simply be too
+    small).
 
     Rules 1-5 keep the rank and rule 6 raises it by one, so no state of
     rank above the target's leads to the target. The search generates rule
-    6 only from states below the target's rank, and a source above it ends
-    at once; `states_explored` (and `max_states`) count only states of rank
-    at most the target's. Every surviving state is found from the same
-    parent, in the same order, as by the search without this bound.
+    6 only from states below the target's rank, and a source above it is
+    answered "no" at once; `states_explored` (and `max_states`) count only
+    states of rank at most the target's. Every surviving state is found
+    from the same parent, in the same order, as by the search without this
+    bound.
     """
     if (target.total_rows, target.total_cols) != (source.total_rows, source.total_cols):
         raise ShapeMismatch("target and source must have equal total sizes")
@@ -414,7 +418,7 @@ def closure_reachable(
         return ClosureResult(status="yes", certificate=(), states_explored=1)
     target_rank = target.rank
     if source.rank > target_rank:
-        return ClosureResult(status="no_within_bound", states_explored=1)
+        return ClosureResult(status="no", states_explored=1)
     visited = {source_key: (None, None)}
     frontier = [(source, source_key)]
     explored = 1

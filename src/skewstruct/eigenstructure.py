@@ -14,13 +14,11 @@ exact caller, and one pair of functions turns dimensions into indices for
 both backends: `indices_from_kernel_dims` (second differences give the
 minimal indices) and `multiplicities_from_prefix_dims` (the excess growth of
 the prefix spaces gives the partial multiplicities). The float backend in
-`sampling` feeds the same pair from numpy Toeplitz nullities; the dense
-`convolution_matrix` is kept for oracles only.
+`sampling` feeds the same pair from numpy Toeplitz nullities.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -30,6 +28,7 @@ from .exact import (
     NEG_INF,
     MatrixPolynomial,
     RationalPolynomial,
+    _strip_content,
     as_skew,
     normal_rank,
     nullspace_exact,
@@ -190,43 +189,9 @@ class ConvolutionProfile:
             raise InternalInconsistency("convolution kernel profile is not convex")
 
 
-def convolution_matrix(P: MatrixPolynomial, order: int) -> list:
-    """Dense order-k convolution matrix of P, as rows of Fractions.
-
-    Maps the stacked coefficients of a degree <= order vector polynomial x to
-    the stacked coefficients of P @ x (degrees 0 .. grade + order).
-    """
-    coeffs = P.coefficient_matrices()
-    n_rows = (P.grade + order + 1) * P.rows
-    n_cols = (order + 1) * P.cols
-    zero = Fraction(0)
-    out = [[zero] * n_cols for _ in range(n_rows)]
-    for col_block in range(order + 1):
-        for d, C in enumerate(coeffs):
-            base_r = (col_block + d) * P.rows
-            base_c = col_block * P.cols
-            for i in range(P.rows):
-                row = out[base_r + i]
-                ci = C[i]
-                for j in range(P.cols):
-                    row[base_c + j] = ci[j]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # banded staircase over the convolution system
 # ---------------------------------------------------------------------------
-
-
-def _strip_content(vec):
-    g = 0
-    for v in vec:
-        g = math.gcd(g, v)
-        if g == 1:
-            return vec
-    if g <= 1:
-        return vec
-    return tuple(v // g for v in vec)
 
 
 def _row_space_basis(vectors) -> list:
@@ -240,7 +205,8 @@ def _row_space_basis(vectors) -> list:
                 row = [b * r - f * s for r, s in zip(row, brow)]
         piv = next((i for i, v in enumerate(row) if v), None)
         if piv is not None:
-            basis.append((piv, list(_strip_content(tuple(row)))))
+            _strip_content([row])
+            basis.append((piv, row))
     return [tuple(row) for _, row in basis]
 
 

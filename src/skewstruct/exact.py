@@ -814,10 +814,14 @@ class SmithForm(NamedTuple):
 def smith_form(P: MatrixPolynomial) -> SmithForm:
     """Smith normal form of a matrix polynomial under unimodular equivalence.
 
-    Reduction by elementary row/column operations. The pivot is always a
-    nonzero entry of minimal degree, ties going to the entry with the
-    smallest coefficients (see _min_degree_pivot), which keeps coefficient
-    growth down and makes the reduction deterministic. Invariant
+    First diagonalize: step t brings a nonzero entry of minimal degree to
+    (t, t), ties going to the smallest coefficients (see _min_degree_pivot),
+    which keeps coefficient growth down and makes the reduction
+    deterministic. One routine, `_clear_column`, sweeps column t and, on the
+    transpose, row t, until both are zero off the pivot; a remainder left
+    behind becomes the next, lower-degree pivot. Then normalize: diag(a, b)
+    is equivalent to diag(gcd(a, b), lcm(a, b)), and `_divisibility_chain`
+    uses this to make the diagonal a divisibility chain. Invariant
     polynomials are returned monic, g_1 | g_2 | ... | g_rank.
 
     The reduction is fraction-free: it starts from P's stored integer
@@ -828,48 +832,35 @@ def smith_form(P: MatrixPolynomial) -> SmithForm:
     row or column by a nonzero constant is unimodular over Q[x], so the
     result is still unimodularly equivalent to P over Q[x], and the monic
     invariant polynomials, which are unique, are those of P. Only the final
-    division by the pivot's leading coefficient makes rationals.
+    division by each leading coefficient makes rationals.
     """
     n_rows, n_cols = P.rows, P.cols
     mats = P.numerators
     work = [[_trim([m[i][j] for m in mats]) for j in range(n_cols)] for i in range(n_rows)]
-    invariants = []
-    t = 0
-    while t < min(n_rows, n_cols):
+    diagonal = []
+    for t in range(min(n_rows, n_cols)):
         piv = _min_degree_pivot(work, t, n_rows, n_cols)
         if piv is None:
             break
         _bring_to_corner(work, t, piv)
         while True:
             piv_len = len(work[t][t])
-            dirty = _clear_column(work, t, n_rows, n_cols)
-            dirty = _clear_row(work, t, n_rows, n_cols) or dirty
-            if dirty:
-                # a dirty sweep leaves a remainder of lower degree in row or
-                # column t, so the pivot degree strictly falls; anything else
-                # is a reduction bug that would otherwise loop forever
-                p = _min_degree_pivot(work, t, n_rows, n_cols)
-                if len(work[p[0]][p[1]]) >= piv_len:
-                    raise InternalInconsistency(
-                        f"Smith pivot degree did not fall at step {t}"
-                    )
-                _bring_to_corner(work, t, p)
-                continue
-            if piv_len == 1:
+            dirty = _clear_column(work, t)
+            work = [list(col) for col in zip(*work)]
+            dirty = _clear_column(work, t) or dirty
+            work = [list(col) for col in zip(*work)]
+            if not dirty:
                 break
-            offender = _find_nondivisible(work, t, n_rows, n_cols)
-            if offender is None:
-                break
-            # merge the offending row into row t so the next sweep reduces it;
-            # row t is zero right of the pivot and the offender is zero in
-            # column t, so the sum takes the offender's entries there
-            row_t, row_o = work[t], work[offender]
-            for j in range(t + 1, n_cols):
-                row_t[j] = list(row_o[j])
-        lead = work[t][t][-1]
-        invariants.append([Fraction(c, lead) for c in work[t][t]])
-        t += 1
-    polys = tuple(RationalPolynomial._raw(c) for c in invariants)
+            # a dirty sweep leaves a remainder of lower degree in row or
+            # column t, so the pivot degree strictly falls; anything else
+            # is a reduction bug that would otherwise loop forever
+            p = _min_degree_pivot(work, t, n_rows, n_cols)
+            if len(work[p[0]][p[1]]) >= piv_len:
+                raise InternalInconsistency(f"Smith pivot degree did not fall at step {t}")
+            _bring_to_corner(work, t, p)
+        diagonal.append(work[t][t])
+    _divisibility_chain(diagonal)
+    polys = tuple(RationalPolynomial._raw([Fraction(c, d[-1]) for c in d]) for d in diagonal)
     return SmithForm(rank=len(polys), invariant_polynomials=polys)
 
 
@@ -965,20 +956,23 @@ def _strip_content(polys):
                 p[k] = v // g
 
 
-def _clear_column(work, t, n_rows, n_cols) -> bool:
-    """Reduce column t below the pivot by rows s*row_i - q*row_t."""
-    piv = work[t][t]
+def _clear_column(work, t) -> bool:
+    """Reduce column t below the pivot by rows s*row_i - q*row_t.
+
+    Returns whether a nonzero remainder is left in column t. On the
+    transpose, the same steps reduce row t by column operations.
+    """
     row_t = work[t]
+    piv = row_t[t]
     dirty = False
-    for i in range(t + 1, n_rows):
-        head = work[i][t]
+    for row_i in work[t + 1 :]:
+        head = row_i[t]
         if not head:
             continue
         s, q, r = _pseudo_divmod(head, piv)
         if q:
-            row_i = work[i]
             row_i[t] = r
-            for j in range(t + 1, n_cols):
+            for j in range(t + 1, len(row_t)):
                 row_i[j] = _combine(s, row_i[j], q, row_t[j])
             _strip_content(row_i)
         if r:
@@ -986,33 +980,33 @@ def _clear_column(work, t, n_rows, n_cols) -> bool:
     return dirty
 
 
-def _clear_row(work, t, n_rows, n_cols) -> bool:
-    """Reduce row t right of the pivot by columns s*col_j - q*col_t."""
-    piv = work[t][t]
-    dirty = False
-    for j in range(t + 1, n_cols):
-        head = work[t][j]
-        if not head:
-            continue
-        s, q, r = _pseudo_divmod(head, piv)
-        if q:
-            work[t][j] = r
-            for i in range(t + 1, n_rows):
-                work[i][j] = _combine(s, work[i][j], q, work[i][t])
-            _strip_content([work[i][j] for i in range(t, n_rows)])
-        if r:
-            dirty = True
-    return dirty
+def _divisibility_chain(diagonal):
+    """Make a diagonal of integer polynomials a divisibility chain, in place.
 
-
-def _find_nondivisible(work, t, n_rows, n_cols):
-    piv = work[t][t]
-    for i in range(t + 1, n_rows):
-        row = work[i]
-        for j in range(t + 1, n_cols):
-            if row[j] and _pseudo_divmod(row[j], piv)[2]:
-                return i
-    return None
+    Each pair d_i, d_j (i < j) with d_i not dividing d_j becomes (gcd, lcm),
+    up to constant factors. Then d_i divides every later entry, and keeps
+    dividing them, since it divides the gcd and the lcm of its multiples.
+    """
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            a, b = diagonal[i], diagonal[j]
+            if len(a) == 1 or not _pseudo_divmod(b, a)[2]:
+                continue
+            g, h = a, b
+            while h:  # primitive remainder sequence
+                r = _pseudo_divmod(g, h)[2]
+                if len(r) >= len(h):
+                    raise InternalInconsistency("Smith gcd remainder degree did not fall")
+                _strip_content([r])
+                g, h = h, r
+            q = _pseudo_divmod(a, g)[1]  # a/g times a constant
+            lcm = [0] * (len(q) + len(b) - 1)
+            for k, qk in enumerate(q):
+                for m, bm in enumerate(b):
+                    lcm[k + m] += qk * bm
+            _strip_content([lcm])
+            diagonal[i] = g
+            diagonal[j] = lcm
 
 
 def skew_smith(P: MatrixPolynomial) -> SmithForm:

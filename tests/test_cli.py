@@ -1,5 +1,7 @@
 """Tests for the command-line interface and file formats."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 import os
@@ -11,10 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewstruct.blocks import BlockList, GeneralBlock, SkewBlock
 from skewstruct.cli import main
 from skewstruct.errors import SkewstructError
 from skewstruct.exact import MatrixPolynomial, RationalPolynomial, SkewMatrixPolynomial
+from skewstruct.generic import generic_pencil_structure
 from skewstruct.points import parse_rational
+from skewstruct.sampling import SampleSpec, sample_bounded_rank
 from skewstruct.fileio import (
     FileFormatError,
     dump_json,
@@ -350,6 +355,97 @@ class TestFuzzedInput:
         self.assert_clean_exit(result)
 
 
+SUBCOMMANDS = ["generic", "analyze", "sample", "mc", "linearize", "codim", "closure"]
+SWITCHES = ["--pencil", "--json", "--pad", "--via-tangent", "--help", "-h"]
+VALUED_FLAGS = [
+    "--m", "--d", "--r", "--n", "--w", "--grade", "--trials", "--coeff-range", "--seed",
+    "--max-steps", "--backend", "--tol", "--out", "--target", "--source",
+]
+JUNK = st.text(max_size=6)
+
+
+def argv_value(flag, files):
+    """Values for one flag: mostly plausible, sometimes junk."""
+    if flag == "--trials":
+        plausible = st.integers(-1, 3).map(str)
+    elif flag in ("--backend", "--tol"):
+        plausible = st.sampled_from(["exact", "float", "1e-8", "0", "-1", "nan", "inf"])
+    elif flag == "--out":
+        # never an input file, so no example changes what later ones read
+        return st.sampled_from(files["other"]) | JUNK
+    elif flag in ("--target", "--source"):
+        plausible = st.sampled_from(files["block_lists"])
+    else:
+        plausible = st.integers(-1, 6).map(str)
+    return plausible | st.sampled_from(files["all"]) | JUNK
+
+
+@st.composite
+def cli_argv(draw, files):
+    """Command lines from the real subcommands and flags, small integers,
+    junk strings and paths to valid, malformed and missing files."""
+    argv = [draw(st.sampled_from(SUBCOMMANDS) | JUNK)]
+    if argv[0] in ("analyze", "linearize") and draw(st.integers(0, 9)):
+        argv.append(draw(st.sampled_from(files["polynomials"]) | st.sampled_from(files["all"])))
+    if argv[0] == "closure" and draw(st.integers(0, 9)):
+        for flag in ("--target", "--source"):
+            argv += [flag, draw(st.sampled_from(files["block_lists"]))]
+    for _ in range(draw(st.integers(0, 7))):
+        flag = draw(st.sampled_from(VALUED_FLAGS + SWITCHES) | JUNK)
+        argv.append(flag)
+        if flag in VALUED_FLAGS and draw(st.integers(0, 9)):
+            argv.append(draw(argv_value(flag, files)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    (root / "cwd").mkdir()
+    write_polynomial(skew2(x**2, grade=2), str(root / "even.json"))
+    write_polynomial(sample_bounded_rank(SampleSpec(m=3, d=1, r=1, seed=0)), str(root / "odd.json"))
+    block_lists = {
+        "skew_source.json": BlockList.skew([SkewBlock.m(0), SkewBlock.h(1, 3), SkewBlock.k(1)]),
+        "skew_target.json": generic_pencil_structure(5, 2, 1),
+        "general_source.json": BlockList.general([GeneralBlock.right(0), GeneralBlock.right(2)]),
+        "general_target.json": BlockList.general([GeneralBlock.right(1), GeneralBlock.right(1)]),
+        # 2x2 pencils of rank 0 and 2: exit 4 one way, 0 or 2 the other
+        "zero.json": BlockList.general([GeneralBlock.right(0)] * 2 + [GeneralBlock.left(0)] * 2),
+        "regular.json": BlockList.general([GeneralBlock.finite(1, 1), GeneralBlock.finite(1, 2)]),
+    }
+    for name, blocks in block_lists.items():
+        (root / name).write_text(dump_json(blocks.to_json_dict()))
+    (root / "malformed.json").write_text(json.dumps({"m": 2, "grade": 0, "coefficients": [None]}))
+    (root / "not_json.json").write_bytes(b"\xff{")
+    files = {
+        "polynomials": [str(root / "even.json"), str(root / "odd.json")],
+        "block_lists": [str(root / name) for name in block_lists],
+        "other": [str(root / name) for name in ("out.json", "missing.json")] + [str(root)],
+    }
+    files["all"] = [p for group in files.values() for p in group] + [
+        str(root / "malformed.json"),
+        str(root / "not_json.json"),
+    ]
+    files["cwd"] = str(root / "cwd")
+    return files
+
+
+class TestFuzzedArgv:
+    """Any command line exits 0-4 with at most one error line, never a traceback."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=10_000)
+    def test_main(self, cli_files, data):
+        argv = data.draw(cli_argv(cli_files))
+        out, err = io.StringIO(), io.StringIO()
+        # a junk --out path is written relative to the working directory
+        with contextlib.chdir(cli_files["cwd"]), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3, 4)
+        lines = err.getvalue().splitlines()
+        assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), lines
+
+
 class TestSampleAndMc:
     def test_sample_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "s.json"
@@ -437,6 +533,31 @@ class TestClosureCommand:
         assert data["certificate"][0]["rule"] == 1
 
     def test_inconclusive_exit_code(self, tmp_path, capsys):
+        # the zero 2x2 pencil needs two rule-6 steps to reach rank 2
+        source = self._write(
+            tmp_path / "s.json",
+            {
+                "flavor": "general",
+                "blocks": [{"kind": "L", "index": 0}] * 2 + [{"kind": "L_T", "index": 0}] * 2,
+            },
+        )
+        target = self._write(
+            tmp_path / "t.json",
+            {
+                "flavor": "general",
+                "blocks": [
+                    {"kind": "E_finite", "index": 1, "eigenvalue": "@z"},
+                    {"kind": "E_finite", "index": 1, "eigenvalue": "@w"},
+                ],
+            },
+        )
+        code = main(["closure", "--target", target, "--source", source, "--max-steps", "1"])
+        assert code == 2
+        data = json.loads(capsys.readouterr().out)
+        assert data["status"] == "no_within_bound"
+        assert main(["closure", "--target", target, "--source", source]) == 0
+
+    def test_rank_above_target_exit_code(self, tmp_path, capsys):
         source = self._write(
             tmp_path / "s.json",
             {
@@ -459,9 +580,8 @@ class TestClosureCommand:
             },
         )
         code = main(["closure", "--target", target, "--source", source, "--max-steps", "3"])
-        assert code == 2
-        data = json.loads(capsys.readouterr().out)
-        assert data["status"] == "no_within_bound"
+        assert code == 4
+        assert json.loads(capsys.readouterr().out) == {"status": "no", "states_explored": 1}
 
     def test_skew_inputs_accepted(self, tmp_path, capsys):
         source = self._write(

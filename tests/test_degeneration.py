@@ -231,11 +231,23 @@ class TestClosureSearch:
         assert equal_modulo_symbols(final, target)
 
     def test_inconclusive(self):
-        # shrinking rank is impossible: stays inconclusive
+        # the zero 2x2 pencil is in every 2x2 orbit closure, but reaching
+        # rank 2 takes two rule-6 steps, so one step is inconclusive
+        target = gl(E(1, SymbolicPoint("z")), E(1, SymbolicPoint("w")))
+        source = gl(L(0), L(0), LT(0), LT(0))
+        res = closure_reachable(target, source, max_steps=1)
+        assert res.status == "no_within_bound"
+        assert closure_reachable(target, source, max_steps=2).reachable
+
+    def test_rank_above_target_is_no(self):
+        # no rule lowers the rank, so a source of higher rank is certified
+        # unreachable after one state, whatever the step bound
         target = gl(L(0), LT(0), E(1, SymbolicPoint("z")))
         source = gl(E(1, 5), E(1, 7))
-        res = closure_reachable(target, source, max_steps=3)
-        assert res.status == "no_within_bound"
+        for steps in (None, 3, 0):
+            res = closure_reachable(target, source, max_steps=steps)
+            assert (res.status, res.states_explored, res.certificate) == ("no", 1, None)
+            assert not res.reachable
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -353,7 +365,8 @@ class TestRankBound:
     def test_matches_the_unbounded_search(self):
         # every skew source against the generic structure of each cell, of
         # every rank: below the target's (rule 6 still runs, the zero pencil
-        # among them), equal to it and above it (answered at once)
+        # among them), equal to it and above it (answered "no" at once; the
+        # unbounded search cannot certify that and stays inconclusive)
         relations = {-1: 0, 0: 0, 1: 0}
         fewer = 0
         for n, w, r in self.CELLS:
@@ -362,14 +375,16 @@ class TestRankBound:
                 bounded = closure_reachable(target, source)
                 full = closure_reachable_unpruned(target, source)
                 label = (n, w, r, str(source))
-                assert bounded.status == full.status, label
-                assert certificate_json(bounded) == certificate_json(full), label
-                assert bounded.states_explored <= full.states_explored, label
-                fewer += bounded.states_explored < full.states_explored
                 relation = (source.rank > target.rank) - (source.rank < target.rank)
                 relations[relation] += 1
                 if relation == 1:
-                    assert (bounded.status, bounded.states_explored) == ("no_within_bound", 1)
+                    assert (bounded.status, bounded.states_explored) == ("no", 1), label
+                    assert full.status == "no_within_bound", label
+                else:
+                    assert bounded.status == full.status, label
+                assert certificate_json(bounded) == certificate_json(full), label
+                assert bounded.states_explored <= full.states_explored, label
+                fewer += bounded.states_explored < full.states_explored
         assert min(relations.values()) >= 20, relations
         assert fewer > 50
 

@@ -13,7 +13,6 @@ from skewstruct.eigenstructure import (
     CompleteEigenstructure,
     _Staircase,
     analyze,
-    convolution_matrix,
     convolution_profile,
     indices_from_kernel_dims,
     infinite_structure,
@@ -43,7 +42,6 @@ from skewstruct.exact import (
 )
 
 from oracles import (
-    convolution_matrix as oracle_convolution_matrix,
     kernel_dims_by_convolution,
     minimal_indices_by_convolution,
     prefix_dims_by_toeplitz,
@@ -105,14 +103,6 @@ def unstructured_inputs(rng, count):
 
 
 class TestConvolution:
-    def test_matrix_matches_oracle(self):
-        rng = random.Random(11)
-        for _ in range(10):
-            rows, cols, deg = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 2)
-            m = random_matrix(rng, rows, cols, deg, values=range(-3, 4))
-            for k in range(3):
-                assert convolution_matrix(m, k) == oracle_convolution_matrix(m, k)
-
     def test_profile_matches_dense_ranks(self):
         rng = random.Random(12)
         inputs = [random_skew(rng, max(rng.randint(1, 3), 2), rng.randint(0, 2)) for _ in range(12)]

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewstruct import exact
+from skewstruct.blocks import BlockList, SkewBlock, assemble_skew
 from skewstruct.codimension import tangent_map_matrix
 from skewstruct.errors import (
     GradeTooSmall,
@@ -512,6 +513,26 @@ class TestNormalRank:
 # ---------------------------------------------------------------------------
 
 
+def diagonal_matrix(entries):
+    n = len(entries)
+    return mat([[entries[i] if i == j else P.zero() for j in range(n)] for i in range(n)])
+
+
+@pytest.fixture
+def reworked(monkeypatch):
+    """One flag per Smith reduction: did the gcd/lcm pass change its diagonal?"""
+    flags = []
+    chain = exact._divisibility_chain
+
+    def counting(diagonal):
+        before = [list(d) for d in diagonal]
+        chain(diagonal)
+        flags.append(diagonal != before)
+
+    monkeypatch.setattr(exact, "_divisibility_chain", counting)
+    return flags
+
+
 class TestSmithForm:
     def test_diag_example(self):
         m = mat([[x, P.zero()], [P.zero(), x * (x - 1)]])
@@ -560,20 +581,76 @@ class TestSmithForm:
         assert smith_form(u @ m).invariant_polynomials == smith_form(m).invariant_polynomials
 
     def test_divisibility_fixup(self):
-        # diag(x, x+1) forces the non-divisible-entry merge: the pivot x does
-        # not divide x+1, so the chain must come out as 1, x(x+1)
+        # diag(x, x+1) is already diagonal, but x does not divide x+1, so the
+        # gcd/lcm pass must turn it into the chain 1, x(x+1)
         m = mat([[x, P.zero()], [P.zero(), x + 1]])
         s = smith_form(m)
         assert s.invariant_polynomials == (P.one(), x * (x + 1))
         assert smith_by_minors(m) == [P.one(), x * (x + 1)]
 
     def test_divisibility_fixup_non_monic(self):
-        # the same merge with non-monic entries, as the integer reduction
+        # the same pass with non-monic entries, as the integer reduction
         # sees them: 2x does not divide 3x + 3
         m = mat([[2 * x, P.zero()], [P.zero(), 3 * x + 3]])
         assert smith_form(m).invariant_polynomials == (P.one(), x * (x + 1))
         m = mat([[-2 * x, P.zero(), P.zero()], [P.zero(), Fraction(3, 2) * x**2, P.zero()], [P.zero(), P.zero(), 5 * x - 5]])
         assert list(smith_form(m).invariant_polynomials) == smith_by_minors(m) == [P.one(), x, x**2 * (x - 1)]
+
+    def test_divisibility_pass_examples(self):
+        # several non-dividing pairs, chains of three or more entries, a
+        # constant among them, negative and non-unit leading coefficients
+        cases = [
+            ([x - 1, x - 2, (x - 1) * (x - 2)], [P.one(), (x - 1) * (x - 2), (x - 1) * (x - 2)]),
+            ([x**2, x * (x - 1), 2 * x + 2], [P.one(), x, x**2 * (x - 1) * (x + 1)]),
+            (
+                [-2 * x - 2, P.constant(3), -x, 5 * x**2, 1 - x**2],
+                [P.one(), P.one(), P.one(), x * (x + 1), x**2 * (x + 1) * (x - 1)],
+            ),
+        ]
+        for diag, expected in cases:
+            m = diagonal_matrix(diag)
+            assert list(smith_form(m).invariant_polynomials) == smith_by_minors(m) == expected
+
+    def test_divisibility_chain_alone(self):
+        # the pass on an integer diagonal in no particular order, with a
+        # constant after non-constants: 2x+2, 3x^2, -5, 1-x, -x
+        diagonal = [[2, 2], [0, 0, 3], [-5], [1, -1], [0, -1]]
+        exact._divisibility_chain(diagonal)
+        assert [P(d).monic() for d in diagonal] == [
+            P.one(), P.one(), P.one(), x, x**2 * (x - 1) * (x + 1)
+        ]
+
+    def test_divisibility_pass_on_seeded_family(self, reworked):
+        # U^T D V for diagonals D of small factors and unimodular U, V; a
+        # counter confirms that the pass has pairs to rework on many inputs
+        rng = random.Random(909)
+        factors = [x, x - 1, x + 1, 2 * x + 1, P.constant(-3), P.constant(2)]
+
+        def unimodular(n):
+            # upper triangular with nonzero constants on the diagonal
+            return mat([
+                [
+                    P.constant(rng.choice((1, -1, 2))) if i == j
+                    else P([rng.randint(-1, 1), rng.randint(-1, 1)]) if i < j
+                    else P.zero()
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ])
+
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            diag = []
+            for _ in range(n):
+                d = P.one()
+                for _ in range(rng.randint(0, 2)):
+                    d = d * rng.choice(factors)
+                diag.append(d)
+            m = diagonal_matrix(diag)
+            if rng.random() < 0.5:
+                m = unimodular(n).transpose() @ m @ unimodular(n)
+            assert list(smith_form(m).invariant_polynomials) == smith_by_minors(m), m.to_string()
+        assert sum(reworked) >= 10, sum(reworked)
 
     def test_fraction_coefficients_against_minors(self):
         # rational, negative and non-unit leading coefficients, on
@@ -703,6 +780,24 @@ class TestSkewSmith:
     def test_rejects_non_skew(self):
         with pytest.raises(NotSkewSymmetric):
             skew_smith(mat([[x]]))
+
+    def test_divisibility_pass_on_scrambled_blocks(self, reworked):
+        # H_1(1) + H_1(2) + H_2(1), as a direct sum and under two congruences
+        # Q^T P Q, each of which leaves the pass non-dividing pairs to rework
+        blocks = BlockList.skew([SkewBlock.h(1, 1), SkewBlock.h(1, 2), SkewBlock.h(2, 1)])
+        pencil = assemble_skew(blocks)
+        expected = (P.one(), P.one(), x - 1, (x - 1) ** 2 * (x - 2))
+        assert skew_smith(pencil).invariant_polynomials == expected
+        for seed in (0, 10):
+            rng = random.Random(seed)
+            while True:
+                q = [[rng.choice((-1, 0, 1)) for _ in range(8)] for _ in range(8)]
+                if rank_exact(q) == 8:
+                    break
+            cm = mat(q, grade=0)
+            scrambled = as_skew((cm.transpose() @ pencil @ cm).with_grade(1))
+            assert skew_smith(scrambled).invariant_polynomials == expected
+        assert reworked == [True, True, True]
 
     def test_pairing_against_full_smith(self):
         rng = random.Random(7)
