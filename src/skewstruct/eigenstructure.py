@@ -19,6 +19,7 @@ the prefix spaces gives the partial multiplicities). The float backend in
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -28,6 +29,7 @@ from .exact import (
     NEG_INF,
     MatrixPolynomial,
     RationalPolynomial,
+    _point_ranks,
     _strip_content,
     as_skew,
     normal_rank,
@@ -220,6 +222,12 @@ class _Staircase:
     projection's fibers. From that, both dim S_k and dim ker C_k are cheap.
     It starts at the empty stage -1. Constant and zero polynomials get an
     empty window (delta = 0): each block row then holds the newest block only.
+
+    The kernel dimensions also bound the normal rank rho from above: the
+    first difference dim ker C_k - dim ker C_{k-1} counts the right minimal
+    indices at most k, which is at most cols - rho, and reaches it at the
+    largest index. `_rank_and_right_indices` plays this against the ranks at
+    points, which bound rho from below.
     """
 
     def __init__(self, P: MatrixPolynomial):
@@ -350,17 +358,52 @@ def convolution_profile(P: MatrixPolynomial, up_to: int) -> ConvolutionProfile:
     return ConvolutionProfile(tuple(_Staircase(P).kernel_dims(up_to)))
 
 
+def _rank_and_right_indices(P: MatrixPolynomial) -> tuple:
+    """(normal rank rho, right minimal indices) of P, from one staircase.
+
+    rho is pinned between two exact bounds. The rank at any point is a lower
+    bound `lo`, and the rank at (lo + 1) * degree + 1 points proves it, as
+    in `normal_rank`. Each staircase stage k gives the upper bound
+    cols - (dim ker C_k - dim ker C_{k-1}), which reaches rho at the largest
+    minimal index. Starting from the rank at 0, while the bounds differ and
+    the point count does not yet prove lo, one more point is evaluated and
+    then one more stage run (points are the cheaper step). The indices are
+    then read from the dimensions computed so far plus the rest of the same
+    staircase. No input evaluates more points than `normal_rank` does.
+    """
+    ranks = _point_ranks(P)
+    stair = _Staircase(P)
+    stages = stair.kernel_dims(stair.bound)
+    deg = stair.delta
+    lo, points = next(ranks), 1
+    hi = min(P.rows, P.cols)
+    dims = []
+
+    def unproven():
+        return lo < hi and points < (lo + 1) * deg + 1
+
+    while unproven():
+        lo = max(lo, next(ranks))
+        points += 1
+        if unproven():
+            dims.append(next(stages))
+            at_most_k = dims[-1] - (dims[-2] if len(dims) > 1 else 0)
+            hi = min(hi, P.cols - at_most_k)
+    return lo, indices_from_kernel_dims(itertools.chain(dims, stages), P.cols - lo)
+
+
 def minimal_indices(P: MatrixPolynomial) -> tuple:
     """Right minimal indices of P, sorted ascending.
 
     The count of indices equal to k is the second difference of the kernel
     dimensions of the convolution matrices; the total count always equals
-    cols - normal_rank(P). Left minimal indices are the right ones of the
-    negated transpose (for skew-symmetric inputs that is P itself, so left
-    and right coincide).
+    cols - normal_rank(P). That rank comes from the same staircase, with
+    evaluation points only until the two bounds of `_rank_and_right_indices`
+    meet, not the full point count `normal_rank` needs. Left minimal indices
+    are the right ones of the negated transpose (for skew-symmetric inputs
+    that is P itself, so left and right coincide).
     """
-    stair = _Staircase(P)
-    return indices_from_kernel_dims(stair.kernel_dims(stair.bound), P.cols - normal_rank(P))
+    return _rank_and_right_indices(P)[1]
 
 
 def left_minimal_indices(P: MatrixPolynomial) -> tuple:
@@ -447,8 +490,11 @@ def _factor_rational(poly: RationalPolynomial) -> list:
 def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstructure:
     """Complete eigenstructure of a skew-symmetric matrix polynomial.
 
-    Computes the exact rank rho, the structure at infinity for the declared
-    grade and the minimal indices first. By the index sum theorem the finite
+    Computes the exact rank rho and the minimal indices first, together
+    (`_rank_and_right_indices`: the ranks at points bound rho from below and
+    each staircase stage bounds it from above; the rank at 0 usually is rho
+    already, and the stages the indices need anyway prove it), then the
+    structure at infinity for the declared grade. By the index sum theorem the finite
     elementary divisors then have total degree
     rho * grade - sum(infinite) - sum(left) - sum(right). Only when that
     deficit is positive does the Smith reduction run, with its invariant
@@ -463,9 +509,9 @@ def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstruc
         skew = skew.with_grade(grade)
     grade = skew.grade
 
-    rho = normal_rank(skew)
-    infinite = infinite_structure(skew, grade)
-    right = minimal_indices(skew)
+    rho, right = _rank_and_right_indices(skew)
+    # the reversal has the normal rank of skew
+    infinite = multiplicities_at_zero(rev(skew, grade), rho)
     left = right  # for skew-symmetric P, -P^T == P
     deficit = rho * grade - sum(infinite) - sum(left) - sum(right)
     if deficit < 0:

@@ -17,6 +17,7 @@ and comparisons.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -774,34 +775,39 @@ def frobenius_distance(P: MatrixPolynomial, Q: MatrixPolynomial) -> FrobeniusDis
 def normal_rank(P: MatrixPolynomial) -> int:
     """Rank of P over the field of rational functions, computed exactly.
 
-    Evaluates the stored integer coefficients by Horner's rule at the
-    distinct integer points 0, 1, -1, 2, ... and keeps the largest constant
-    rank `best`, stopping once (best + 1) * degree + 1 points are done: a
-    nonzero (best + 1)-minor has degree at most (best + 1) * degree, so it
-    cannot vanish at that many points. The result is exactly the rank over
-    the function field, with no probabilistic caveat. Values are immutable,
-    so results are cached.
+    Takes the ranks of P at the distinct integer points 0, 1, -1, 2, ...
+    (`_point_ranks`) and keeps the largest, `best`, stopping once
+    (best + 1) * degree + 1 points are done: a nonzero (best + 1)-minor has
+    degree at most (best + 1) * degree, so it cannot vanish at that many
+    points. The result is exactly the rank over the function field, with no
+    probabilistic caveat. This is the lower half of the two-sided bound in
+    `eigenstructure.analyze`, which also has an upper bound from the
+    minimal-index staircase and so usually needs far fewer points. Values
+    are immutable, so results are cached.
     """
-    coeffs = P.numerators[: max(P.degree, 0) + 1]
-    deg = len(coeffs) - 1
+    deg = max(P.degree, 0)
     bound = min(P.rows, P.cols)
+    ranks = _point_ranks(P)
     best = idx = 0
     while best < bound and idx < (best + 1) * deg + 1:
-        x = _eval_point(idx)
-        value = coeffs[-1]
-        for mat in reversed(coeffs[:-1]):
-            value = [[v * x + c for v, c in zip(vrow, crow)] for vrow, crow in zip(value, mat)]
-        best = max(best, rank_exact(value))
+        best = max(best, next(ranks))
         idx += 1
     return best
 
 
-def _eval_point(idx: int) -> int:
-    # 0, 1, -1, 2, -2, 3, -3, ...
-    if idx == 0:
-        return 0
-    half = (idx + 1) // 2
-    return half if idx % 2 else -half
+def _point_ranks(P: MatrixPolynomial):
+    """Exact ranks of P at the integer points 0, 1, -1, 2, -2, ..., without end.
+
+    Each value is the stored integer coefficients (P times its denominator,
+    which keeps the rank) evaluated by Horner's rule.
+    """
+    coeffs = P.numerators[: max(P.degree, 0) + 1]
+    for half in itertools.count():
+        for x in (half, -half) if half else (0,):
+            value = coeffs[-1]
+            for mat in reversed(coeffs[:-1]):
+                value = [[v * x + c for v, c in zip(vrow, crow)] for vrow, crow in zip(value, mat)]
+            yield rank_exact(value)
 
 
 class SmithForm(NamedTuple):
@@ -819,10 +825,12 @@ def smith_form(P: MatrixPolynomial) -> SmithForm:
     which keeps coefficient growth down and makes the reduction
     deterministic. One routine, `_clear_column`, sweeps column t and, on the
     transpose, row t, until both are zero off the pivot; a remainder left
-    behind becomes the next, lower-degree pivot. Then normalize: diag(a, b)
-    is equivalent to diag(gcd(a, b), lcm(a, b)), and `_divisibility_chain`
-    uses this to make the diagonal a divisibility chain. Invariant
-    polynomials are returned monic, g_1 | g_2 | ... | g_rank.
+    behind becomes the next, lower-degree pivot. Rows and columns before t
+    are finished, so the loop works on the trailing block from row and
+    column t on, and drops the pivot's row and column once they are clear.
+    Then normalize: diag(a, b) is equivalent to diag(gcd(a, b), lcm(a, b)),
+    and `_divisibility_chain` uses this to make the diagonal a divisibility
+    chain. Invariant polynomials are returned monic, g_1 | g_2 | ... | g_rank.
 
     The reduction is fraction-free: it starts from P's stored integer
     coefficients (P times its common denominator), and each entry is
@@ -834,37 +842,37 @@ def smith_form(P: MatrixPolynomial) -> SmithForm:
     invariant polynomials, which are unique, are those of P. Only the final
     division by each leading coefficient makes rationals.
     """
-    n_rows, n_cols = P.rows, P.cols
     mats = P.numerators
-    work = [[_trim([m[i][j] for m in mats]) for j in range(n_cols)] for i in range(n_rows)]
+    work = [[_trim([m[i][j] for m in mats]) for j in range(P.cols)] for i in range(P.rows)]
     diagonal = []
-    for t in range(min(n_rows, n_cols)):
-        piv = _min_degree_pivot(work, t, n_rows, n_cols)
-        if piv is None:
-            break
-        _bring_to_corner(work, t, piv)
+    # work is the trailing block: its (0, 0) entry is position (t, t) of P
+    while (piv := _min_degree_pivot(work)) is not None:
+        _bring_to_corner(work, piv)
         while True:
-            piv_len = len(work[t][t])
-            dirty = _clear_column(work, t)
+            piv_len = len(work[0][0])
+            dirty = _clear_column(work)
             work = [list(col) for col in zip(*work)]
-            dirty = _clear_column(work, t) or dirty
+            dirty = _clear_column(work) or dirty
             work = [list(col) for col in zip(*work)]
             if not dirty:
                 break
             # a dirty sweep leaves a remainder of lower degree in row or
             # column t, so the pivot degree strictly falls; anything else
             # is a reduction bug that would otherwise loop forever
-            p = _min_degree_pivot(work, t, n_rows, n_cols)
+            p = _min_degree_pivot(work)
             if len(work[p[0]][p[1]]) >= piv_len:
-                raise InternalInconsistency(f"Smith pivot degree did not fall at step {t}")
-            _bring_to_corner(work, t, p)
-        diagonal.append(work[t][t])
+                raise InternalInconsistency(
+                    f"Smith pivot degree did not fall at step {len(diagonal)}"
+                )
+            _bring_to_corner(work, p)
+        diagonal.append(work[0][0])
+        work = [row[1:] for row in work[1:]]
     _divisibility_chain(diagonal)
     polys = tuple(RationalPolynomial._raw([Fraction(c, d[-1]) for c in d]) for d in diagonal)
     return SmithForm(rank=len(polys), invariant_polynomials=polys)
 
 
-def _min_degree_pivot(work, t, n_rows, n_cols):
+def _min_degree_pivot(work):
     """A nonzero entry of least degree; ties go to the smallest coefficients.
 
     Among entries of that degree, the one whose largest coefficient has the
@@ -873,10 +881,8 @@ def _min_degree_pivot(work, t, n_rows, n_cols):
     """
     best = None
     best_key = None
-    for i in range(t, n_rows):
-        row = work[i]
-        for j in range(t, n_cols):
-            c = row[j]
+    for i, row in enumerate(work):
+        for j, c in enumerate(row):
             if c and (best_key is None or len(c) <= best_key[0]):
                 key = (len(c), max(map(abs, c)).bit_length())
                 if best_key is None or key < best_key:
@@ -886,13 +892,13 @@ def _min_degree_pivot(work, t, n_rows, n_cols):
     return best
 
 
-def _bring_to_corner(work, t, piv):
+def _bring_to_corner(work, piv):
     i, j = piv
-    if i != t:
-        work[t], work[i] = work[i], work[t]
-    if j != t:
+    if i:
+        work[0], work[i] = work[i], work[0]
+    if j:
         for row in work:
-            row[t], row[j] = row[j], row[t]
+            row[0], row[j] = row[j], row[0]
 
 
 def _pseudo_divmod(a, b):
@@ -956,24 +962,24 @@ def _strip_content(polys):
                 p[k] = v // g
 
 
-def _clear_column(work, t) -> bool:
-    """Reduce column t below the pivot by rows s*row_i - q*row_t.
+def _clear_column(work) -> bool:
+    """Reduce column 0 below the pivot work[0][0] by rows s*row_i - q*row_0.
 
-    Returns whether a nonzero remainder is left in column t. On the
-    transpose, the same steps reduce row t by column operations.
+    Returns whether a nonzero remainder is left in column 0. On the
+    transpose, the same steps reduce row 0 by column operations.
     """
-    row_t = work[t]
-    piv = row_t[t]
+    row_0 = work[0]
+    piv = row_0[0]
     dirty = False
-    for row_i in work[t + 1 :]:
-        head = row_i[t]
+    for row_i in work[1:]:
+        head = row_i[0]
         if not head:
             continue
         s, q, r = _pseudo_divmod(head, piv)
         if q:
-            row_i[t] = r
-            for j in range(t + 1, len(row_t)):
-                row_i[j] = _combine(s, row_i[j], q, row_t[j])
+            row_i[0] = r
+            for j in range(1, len(row_0)):
+                row_i[j] = _combine(s, row_i[j], q, row_0[j])
             _strip_content(row_i)
         if r:
             dirty = True

@@ -20,6 +20,7 @@ rational, only the real orthogonal reduction is implemented.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -46,6 +47,7 @@ from .exact import (
     FrobeniusDistance,
     MatrixPolynomial,
     SkewMatrixPolynomial,
+    _point_ranks,
     as_skew,
     frobenius_distance,
     normal_rank,
@@ -82,8 +84,11 @@ def sample_bounded_rank(spec: SampleSpec, max_attempts: int = 100) -> SkewMatrix
 
     Each attempt draws the r x (m-r) block B, d+1 coefficients per entry,
     then the m x m constant C, and resamples until C is nonsingular and the
-    exact normal rank check passes (rank deficiency of the random block is
-    the only other failure mode, so retries are rare).
+    draw has normal rank 2r (rank deficiency of the random block is the only
+    other failure mode, so retries are rare). The draw has rank at most 2r,
+    and a nonzero 2r-minor has degree at most 2r*d, so the draw is accepted
+    at the first of 2r*d + 1 points where its rank is 2r, which decides
+    exactly what `normal_rank(draw) == 2r` would.
     """
     rng = random.Random(spec.seed)
     m, d, r, c = spec.m, spec.d, spec.r, spec.coeff_range
@@ -96,7 +101,7 @@ def sample_bounded_rank(spec: SampleSpec, max_attempts: int = 100) -> SkewMatrix
         if rank_exact(congruence) < m:
             continue
         sample = _congruence_product(block, congruence, d)
-        if normal_rank(sample) == 2 * r:
+        if 2 * r in itertools.islice(_point_ranks(sample), 2 * r * d + 1):
             return sample
     raise AttemptsExhausted(f"no rank-{2 * r} draw in {max_attempts} attempts")
 

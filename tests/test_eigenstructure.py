@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewstruct import eigenstructure
+from skewstruct import eigenstructure, exact
 from skewstruct.blocks import BlockList, SkewBlock, assemble_skew, blocklist_eigenstructure
 from skewstruct.eigenstructure import (
     CompleteEigenstructure,
+    _rank_and_right_indices,
     _Staircase,
     analyze,
     convolution_profile,
@@ -40,10 +41,13 @@ from skewstruct.exact import (
     rev,
     smith_form,
 )
+from skewstruct.linearize import build_linearization, pad_grade
+from skewstruct.sampling import SampleSpec, sample_bounded_rank
 
 from oracles import (
     kernel_dims_by_convolution,
     minimal_indices_by_convolution,
+    normal_rank_by_minors,
     prefix_dims_by_toeplitz,
     smith_by_minors,
 )
@@ -84,6 +88,31 @@ def random_matrix(rng, rows, cols, deg, values=range(-2, 3)):
         [[P([rng.choice(values) for _ in range(deg + 1)]) for _ in range(cols)] for _ in range(rows)],
         grade=deg,
     )
+
+
+def undershooting_inputs(rng, count):
+    """Zero and constant inputs, then products A(x) diag(f) B(x) of random shapes.
+
+    The diagonal factors vanish at the first evaluation points 0, 1, -1
+    (x*(x-1)*(x+1) at all three), so the ranks there often fall short of
+    the normal rank; zero and unit factors give rank 0 and full rank.
+    """
+    factors = (x, x**2 - 1, x * (x - 1) * (x + 1), P.one(), P.zero())
+    inputs = [
+        MatrixPolynomial.zeros(2, 3, grade=2),
+        MatrixPolynomial.zeros(3, 1, grade=0),
+        random_matrix(rng, 3, 2, 0),
+        random_matrix(rng, 2, 4, 0),
+    ]
+    for _ in range(count):
+        rows, inner, cols = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 4)
+        diag = MatrixPolynomial(
+            [[rng.choice(factors) if i == j else P.zero() for j in range(inner)] for i in range(inner)]
+        )
+        a = random_matrix(rng, rows, inner, rng.randint(0, 1))
+        b = random_matrix(rng, inner, cols, rng.randint(0, 1))
+        inputs.append(a @ diag @ b)
+    return inputs
 
 
 def unstructured_inputs(rng, count):
@@ -135,6 +164,45 @@ class TestMinimalIndices:
             m = random_matrix(rng, rows, cols, rng.randint(0, 2))
             total = m.cols - normal_rank(m)
             assert list(minimal_indices(m)) == minimal_indices_by_convolution(m, total)
+
+    def test_rank_and_indices_where_first_points_undershoot(self):
+        rng = random.Random(16)
+        undershot = 0
+        for m in undershooting_inputs(rng, 150):
+            rho, right = _rank_and_right_indices(m)
+            assert rho == normal_rank_by_minors(m)
+            assert list(right) == minimal_indices_by_convolution(m, m.cols - rho)
+            undershot += rank_exact(m.evaluate(0)) < rho
+        assert undershot >= 30
+
+    def test_linearization_needs_few_points(self, monkeypatch):
+        # padded (d, m, r) = (4, 8, 1): a 40x40 pencil of rank 34, for which
+        # normal_rank would evaluate 36 points
+        sample = sample_bounded_rank(SampleSpec(8, 4, 1, seed=0))
+        pencil = build_linearization(pad_grade(sample)).pencil
+        points = []
+        stages = []
+        real_rank, real_advance = exact.rank_exact, _Staircase.advance
+
+        def counted_rank(matrix):
+            points.append(1)
+            return real_rank(matrix)
+
+        def counted_advance(stair):
+            # only the staircase of the pencil, not that of its reversal
+            if stair.coeffs == pencil.numerators:
+                stages.append(1)
+            real_advance(stair)
+
+        def no_normal_rank(P):
+            raise AssertionError("normal_rank ran")
+
+        monkeypatch.setattr(exact, "rank_exact", counted_rank)
+        monkeypatch.setattr(_Staircase, "advance", counted_advance)
+        monkeypatch.setattr(exact, "normal_rank", no_normal_rank)
+        monkeypatch.setattr(eigenstructure, "normal_rank", no_normal_rank)
+        assert analyze(pencil, 1).rank == 2 + 8 * 4
+        assert 1 <= len(points) <= len(stages) + 1
 
     def test_left_equals_right_for_skew(self):
         rng = random.Random(15)
@@ -289,13 +357,13 @@ class TestIndexSumGate:
             analyze(skew2(x**2), 2)
 
     def test_negative_deficit_raises(self, monkeypatch):
-        real = eigenstructure.minimal_indices
+        real = eigenstructure._rank_and_right_indices
 
         def inflated(P):
-            indices = real(P)
-            return indices[:-1] + (indices[-1] + 1,)
+            rho, indices = real(P)
+            return rho, indices[:-1] + (indices[-1] + 1,)
 
-        monkeypatch.setattr(eigenstructure, "minimal_indices", inflated)
+        monkeypatch.setattr(eigenstructure, "_rank_and_right_indices", inflated)
         with pytest.raises(InternalInconsistency, match="exceed rank"):
             analyze(M1_PENCIL, 1)
 
