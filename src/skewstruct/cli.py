@@ -284,7 +284,8 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     try:
         return args.func(args)
-    except (SkewstructError, OSError, KeyError) as exc:
+    except (SkewstructError, OSError, KeyError, OverflowError) as exc:
+        # OverflowError: an integer argument past sys.maxsize used as a size
         _print_error(exc)
         return EXIT_VALIDATION
 

@@ -7,13 +7,16 @@ minimal indices. Everything here is computed in exact rational arithmetic.
 
 Minimal indices and local multiplicities both come from kernel dimensions of
 banded block-Toeplitz systems (convolution matrices). Rather than eliminating
-the full dense matrices, `_Staircase` walks the band incrementally, carrying
-only the subspace of admissible trailing coefficient blocks, and yields the
-kernel and prefix-space dimensions lazily. One staircase serves every
-exact caller, and one pair of functions turns dimensions into indices for
-both backends: `indices_from_kernel_dims` (second differences give the
-minimal indices) and `multiplicities_from_prefix_dims` (the excess growth of
-the prefix spaces gives the partial multiplicities). The float backend in
+the full dense matrices, the generator `_staircase` walks the band one stage
+at a time, carrying only the projection of the prefix space S_k onto its
+trailing coefficient blocks, and yields dim S_k and the dimension of that
+projection's fiber F_k. ker C_k is the fiber of stage k + deg P, so the one
+elimination per stage gives both the prefix and the kernel dimensions. One
+staircase serves every exact caller, and one pair of functions turns
+dimensions into indices for both backends: `indices_from_kernel_dims`
+(second differences give the minimal indices) and
+`multiplicities_from_prefix_dims` (the excess growth of the prefix spaces
+gives the partial multiplicities). The float backend in
 `sampling` feeds the same pair from numpy Toeplitz nullities.
 """
 
@@ -34,7 +37,6 @@ from .exact import (
     as_skew,
     normal_rank,
     nullspace_exact,
-    rank_exact,
     rev,
     skew_smith,
 )
@@ -212,93 +214,54 @@ def _row_space_basis(vectors) -> list:
     return [tuple(row) for _, row in basis]
 
 
-class _Staircase:
-    """Incremental kernel profile of the banded convolution system of P.
+def _staircase(P: MatrixPolynomial):
+    """(dim S_k, dim F_k) for the stages k = 0, 1, ... of P's convolution system.
 
-    At stage k the object knows the space S_k of coefficient tuples
-    (x_0, ..., x_k) satisfying the first k+1 block rows of the convolution
-    system, represented by the projection of S_k onto its trailing degree
-    window (the last `delta` coefficient blocks) plus the dimension of the
-    projection's fibers. From that, both dim S_k and dim ker C_k are cheap.
-    It starts at the empty stage -1. Constant and zero polynomials get an
-    empty window (delta = 0): each block row then holds the newest block only.
-
-    The kernel dimensions also bound the normal rank rho from above: the
-    first difference dim ker C_k - dim ker C_{k-1} counts the right minimal
-    indices at most k, which is at most cols - rho, and reaches it at the
-    largest index. `_rank_and_right_indices` plays this against the ranks at
-    points, which bound rho from below.
+    S_k is the space of coefficient tuples (x_0, ..., x_k) satisfying the
+    first k+1 block rows of the convolution system, and the fiber F_k is its
+    subspace whose last delta = deg P blocks are zero. With x_{k+1}, ...,
+    x_{k+delta} zero, the first k+delta+1 block rows are those of C_k, so
+    ker C_k is F_{k+delta}: kernel dimensions are the fiber dimensions from
+    stage delta on. Each stage carries S_k as a basis of its projection onto
+    the trailing window (x_{k-delta+1}, ..., x_k), whose fibers are the F_k.
+    Constant and zero polynomials get an empty window (delta = 0): each
+    block row then holds the newest block only. The stages never end: each
+    reader takes what it needs, and the index readers stop at `_last_stage`.
     """
-
-    def __init__(self, P: MatrixPolynomial):
-        self.coeffs = P.numerators[: max(P.degree, 0) + 1]
-        self.delta = len(self.coeffs) - 1
-        self.n_rows, self.n_cols = P.rows, P.cols
-        # no stage k is ever needed past this (generous) bound
-        self.bound = (P.rows + P.cols) * max(P.grade, 1) + 1
-        # window (x_{k-delta+1}, ..., x_k), earlier blocks zero-padded
-        self.tail_basis = []
-        self.fiber_dim = 0
-        self.stage = -1
-
-    def kernel_dims(self, last: int):
-        """dim ker C_k for the stages k up to `last`, each computed on demand."""
-        while self.stage < last:
-            self.advance()
-            yield self.kernel_dim()
-
-    def prefix_dims(self, last: int):
-        """dim S_k for the stages k up to `last`, each computed on demand."""
-        while self.stage < last:
-            self.advance()
-            yield self.fiber_dim + len(self.tail_basis)
-
-    def kernel_dim(self) -> int:
-        """dim ker C_k: prefix solutions that also satisfy the trailing rows."""
-        if not self.tail_basis:
-            return self.fiber_dim
-        closing = [
-            [v for m in range(1, self.delta + 1) for v in self._block_row(m, tail)]
-            for tail in self.tail_basis
-        ]
-        cols = list(zip(*closing))  # transpose: rows of the small system
-        return self.fiber_dim + len(self.tail_basis) - rank_exact(cols)
-
-    def _block_row(self, m, tail):
-        """Block row k+m of the convolution system applied to a window vector."""
-        n, delta = self.n_cols, self.delta
-        acc = [0] * self.n_rows
-        for u in range(m, delta + 1):
-            vec = tail[(u - 1) * n : u * n]
-            for i, row in enumerate(self.coeffs[m + delta - u]):
-                acc[i] += sum(c * v for c, v in zip(row, vec))
-        return acc
-
-    def advance(self):
-        """Move from stage k to k+1 by adjoining one more coefficient block."""
-        n, basis = self.n_cols, self.tail_basis
-        nb = len(basis)
+    coeffs = P.numerators[: max(P.degree, 0) + 1]
+    delta, n = len(coeffs) - 1, P.cols
+    # row i of [P_delta ... P_1], which applies block row k+1 to the window
+    shares = [[v for mat in coeffs[:0:-1] for v in mat[i]] for i in range(P.rows)]
+    # window (x_{k-delta+1}, ..., x_k), earlier blocks zero-padded
+    window, fiber_dim = [], 0
+    while True:
+        nb = len(window)
         # block row k+1: the window's share, then P_0 on the new block. P
         # without rows leaves a system without rows, whose nullspace (all of
         # it) nullspace_exact cannot size; one zero row gives it its width
-        shares = [self._block_row(1, tail) for tail in basis]
         system = [
-            [share[i] for share in shares] + list(row) for i, row in enumerate(self.coeffs[0])
+            [sum(c * v for c, v in zip(share, tail)) for tail in window] + list(row)
+            for share, row in zip(shares, coeffs[0])
         ] or [[0] * (nb + n)]
         solutions = nullspace_exact(system)
-        new_prefix_dim = self.fiber_dim + len(solutions)
+        prefix_dim = fiber_dim + len(solutions)
         # shift the window: drop the oldest block, append the new one
         shifted = []
         for sol in solutions:
-            combo = [0] * (self.delta * n) + list(sol[nb:])
-            for c, tail in zip(sol, basis):
+            combo = [0] * (delta * n) + list(sol[nb:])
+            for c, tail in zip(sol, window):
                 if c:
                     for i, t in enumerate(tail):
                         combo[i] += c * t
             shifted.append(tuple(combo[n:]))
-        self.tail_basis = _row_space_basis(shifted)
-        self.fiber_dim = new_prefix_dim - len(self.tail_basis)
-        self.stage += 1
+        window = _row_space_basis(shifted)
+        fiber_dim = prefix_dim - len(window)
+        yield prefix_dim, fiber_dim
+
+
+def _last_stage(P: MatrixPolynomial) -> int:
+    """A generous bound on the order k of any kernel or prefix dimension needed."""
+    return (P.rows + P.cols) * max(P.grade, 1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +316,15 @@ def multiplicities_from_prefix_dims(dims, eta: int, rho: int) -> tuple:
     raise InternalInconsistency("multiplicity search exceeded its bound")
 
 
+def _kernel_dims(P: MatrixPolynomial):
+    """dim ker C_k for k = 0, 1, ...: the fibers of the stages from deg P on."""
+    fibers = (fiber for _, fiber in _staircase(P))
+    return itertools.islice(fibers, max(P.degree, 0), None)
+
+
 def convolution_profile(P: MatrixPolynomial, up_to: int) -> ConvolutionProfile:
     """Kernel dimensions dim ker C_k for k = 0 .. up_to."""
-    return ConvolutionProfile(tuple(_Staircase(P).kernel_dims(up_to)))
+    return ConvolutionProfile(tuple(itertools.islice(_kernel_dims(P), up_to + 1)))
 
 
 def _rank_and_right_indices(P: MatrixPolynomial) -> tuple:
@@ -363,18 +332,19 @@ def _rank_and_right_indices(P: MatrixPolynomial) -> tuple:
 
     rho is pinned between two exact bounds. The rank at any point is a lower
     bound `lo`, and the rank at (lo + 1) * degree + 1 points proves it, as
-    in `normal_rank`. Each staircase stage k gives the upper bound
-    cols - (dim ker C_k - dim ker C_{k-1}), which reaches rho at the largest
-    minimal index. Starting from the rank at 0, while the bounds differ and
-    the point count does not yet prove lo, one more point is evaluated and
-    then one more stage run (points are the cheaper step). The indices are
-    then read from the dimensions computed so far plus the rest of the same
-    staircase. No input evaluates more points than `normal_rank` does.
+    in `normal_rank`. dim ker C_k is the fiber dimension of staircase stage
+    k + degree, and each such k gives the upper bound
+    cols - (dim ker C_k - dim ker C_{k-1}): that difference counts the right
+    minimal indices at most k, which is at most cols - rho, and reaches it
+    at the largest minimal index. Starting from the rank at 0, while the
+    bounds differ and the point count does not yet prove lo, one more point
+    is evaluated and then one more kernel dimension read (points are the
+    cheaper step). The indices are then read from the dimensions computed
+    so far plus the rest of the same staircase. No input evaluates more points than `normal_rank` does.
     """
     ranks = _point_ranks(P)
-    stair = _Staircase(P)
-    stages = stair.kernel_dims(stair.bound)
-    deg = stair.delta
+    stages = itertools.islice(_kernel_dims(P), _last_stage(P) + 1)
+    deg = max(P.degree, 0)
     lo, points = next(ranks), 1
     hi = min(P.rows, P.cols)
     dims = []
@@ -420,8 +390,8 @@ def multiplicities_at_zero(P: MatrixPolynomial, rho: int | None = None) -> tuple
     """
     if rho is None:
         rho = normal_rank(P)
-    stair = _Staircase(P)
-    return multiplicities_from_prefix_dims(stair.prefix_dims(stair.bound), P.cols - rho, rho)
+    prefix_dims = (dim for dim, _ in itertools.islice(_staircase(P), _last_stage(P) + 1))
+    return multiplicities_from_prefix_dims(prefix_dims, P.cols - rho, rho)
 
 
 def infinite_structure(P: MatrixPolynomial, grade: int | None = None) -> tuple:

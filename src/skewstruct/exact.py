@@ -149,10 +149,6 @@ class RationalPolynomial:
         return cls((0, 1))
 
     @classmethod
-    def monomial(cls, degree: int, coefficient=1) -> "RationalPolynomial":
-        return cls((0,) * degree + (Fraction(coefficient),))
-
-    @classmethod
     def _raw(cls, coeffs: list) -> "RationalPolynomial":
         p = object.__new__(cls)
         object.__setattr__(p, "coeffs", tuple(coeffs))
@@ -795,19 +791,26 @@ def normal_rank(P: MatrixPolynomial) -> int:
     return best
 
 
+def _points():
+    """The integer evaluation points 0, 1, -1, 2, -2, ..., without end."""
+    yield 0
+    for half in itertools.count(1):
+        yield half
+        yield -half
+
+
 def _point_ranks(P: MatrixPolynomial):
-    """Exact ranks of P at the integer points 0, 1, -1, 2, -2, ..., without end.
+    """Exact ranks of P at the points of `_points`, in that order, without end.
 
     Each value is the stored integer coefficients (P times its denominator,
     which keeps the rank) evaluated by Horner's rule.
     """
     coeffs = P.numerators[: max(P.degree, 0) + 1]
-    for half in itertools.count():
-        for x in (half, -half) if half else (0,):
-            value = coeffs[-1]
-            for mat in reversed(coeffs[:-1]):
-                value = [[v * x + c for v, c in zip(vrow, crow)] for vrow, crow in zip(value, mat)]
-            yield rank_exact(value)
+    for x in _points():
+        value = coeffs[-1]
+        for mat in reversed(coeffs[:-1]):
+            value = [[v * x + c for v, c in zip(vrow, crow)] for vrow, crow in zip(value, mat)]
+        yield rank_exact(value)
 
 
 class SmithForm(NamedTuple):

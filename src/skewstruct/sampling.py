@@ -48,6 +48,7 @@ from .exact import (
     MatrixPolynomial,
     SkewMatrixPolynomial,
     _point_ranks,
+    _points,
     as_skew,
     frobenius_distance,
     normal_rank,
@@ -227,15 +228,11 @@ def perturb_rank_increase(
     if r <= r1:
         raise ParamDomain(f"target half-rank {r} must exceed current {r1}")
 
-    # a point where the evaluation attains the normal rank (exact check)
-    point = None
+    # the first point where the evaluation attains the normal rank (exact check)
     deg = skew.degree
     candidates = max(1, (0 if deg is NEG_INF else int(deg)) * m + 1)
-    for idx in range(candidates):
-        mu = Fraction(idx if idx % 2 == 0 else -(idx + 1) // 2, 1)
-        if rank_exact(skew.evaluate(mu)) == rank_q:
-            point = mu
-            break
+    ranks = itertools.islice(_point_ranks(skew), candidates)
+    point = next((Fraction(mu) for mu, rank in zip(_points(), ranks) if rank == rank_q), None)
     if point is None:
         raise RankVerificationFailed("no evaluation point attains the normal rank")
 

@@ -180,6 +180,31 @@ class TestAnalyzeCommand:
         assert main(["analyze", "/nonexistent.json"]) == 1
 
 
+HUGE = str(10**20)  # past sys.maxsize, so it fails before anything is allocated
+
+
+class TestHugeIntegers:
+    """Integer arguments too large for a size end in exit 1 and one error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{file}", "--grade", HUGE],
+            ["generic", "--m", HUGE, "--d", "1", "--r", "1"],
+            ["generic", "--pencil", "--n", HUGE, "--w", "1", "--r", "0"],
+            ["codim", "--pencil", "--n", HUGE, "--w", "1", "--r", "0"],
+        ],
+        ids=["analyze-grade", "generic-m", "generic-pencil-n", "codim-pencil-n"],
+    )
+    def test_exit_code(self, poly_file, capsys, argv):
+        assert int(HUGE) > sys.maxsize
+        assert main([arg.format(file=poly_file) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+
+
 class TestMalformedInput:
     """Malformed files end in exit 1 and one error line, never a traceback."""
 

@@ -1,5 +1,6 @@
 """Tests for minimal indices, structure at infinity, and full analysis."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from skewstruct.blocks import BlockList, SkewBlock, assemble_skew, blocklist_eig
 from skewstruct.eigenstructure import (
     CompleteEigenstructure,
     _rank_and_right_indices,
-    _Staircase,
+    _staircase,
     analyze,
     convolution_profile,
     indices_from_kernel_dims,
@@ -131,6 +132,25 @@ def unstructured_inputs(rng, count):
     return inputs
 
 
+def shifted_inputs(rng, count):
+    """Inputs for the deg P stage shift between the staircase and C_k.
+
+    Shapes without rows or columns, degree 3, and degree below the grade,
+    each paired with an order up_to >= deg + 3.
+    """
+    inputs = [
+        MatrixPolynomial.zeros(0, 3, grade=3),
+        MatrixPolynomial.zeros(3, 0, grade=2),
+        MatrixPolynomial.zeros(0, 0, grade=1),
+        MatrixPolynomial.zeros(2, 1, grade=3),
+        random_matrix(rng, 2, 3, 1).with_grade(3),
+    ]
+    for _ in range(count):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        inputs.append(random_matrix(rng, rows, cols, 3, values=(0, 0, 0, 1, -1, 2)))
+    return [(m, max(m.degree, 0) + rng.randint(3, 4)) for m in inputs]
+
+
 class TestConvolution:
     def test_profile_matches_dense_ranks(self):
         rng = random.Random(12)
@@ -138,6 +158,9 @@ class TestConvolution:
         for m in inputs + unstructured_inputs(rng, 12):
             profile = convolution_profile(m, 3)
             assert list(profile.kernel_dims) == kernel_dims_by_convolution(m, 3)
+        for m, up_to in shifted_inputs(rng, 12):
+            profile = convolution_profile(m, up_to)
+            assert list(profile.kernel_dims) == kernel_dims_by_convolution(m, up_to)
 
     def test_profile_of_zero(self):
         z = MatrixPolynomial.zeros(2, 3, grade=1)
@@ -182,23 +205,24 @@ class TestMinimalIndices:
         pencil = build_linearization(pad_grade(sample)).pencil
         points = []
         stages = []
-        real_rank, real_advance = exact.rank_exact, _Staircase.advance
+        real_rank, real_staircase = exact.rank_exact, _staircase
 
         def counted_rank(matrix):
             points.append(1)
             return real_rank(matrix)
 
-        def counted_advance(stair):
-            # only the staircase of the pencil, not that of its reversal
-            if stair.coeffs == pencil.numerators:
-                stages.append(1)
-            real_advance(stair)
+        def counted_staircase(P):
+            for stage in real_staircase(P):
+                # only the staircase of the pencil, not that of its reversal
+                if P.numerators == pencil.numerators:
+                    stages.append(1)
+                yield stage
 
         def no_normal_rank(P):
             raise AssertionError("normal_rank ran")
 
         monkeypatch.setattr(exact, "rank_exact", counted_rank)
-        monkeypatch.setattr(_Staircase, "advance", counted_advance)
+        monkeypatch.setattr(eigenstructure, "_staircase", counted_staircase)
         monkeypatch.setattr(exact, "normal_rank", no_normal_rank)
         monkeypatch.setattr(eigenstructure, "normal_rank", no_normal_rank)
         assert analyze(pencil, 1).rank == 2 + 8 * 4
@@ -211,11 +235,18 @@ class TestMinimalIndices:
             assert left_minimal_indices(m) == minimal_indices(m)
 
 
+def prefix_dims(P, up_to):
+    """dim S_k for k = 0 .. up_to, from the staircase."""
+    return [dim for dim, _ in itertools.islice(_staircase(P), up_to + 1)]
+
+
 class TestPrefixDims:
     def test_staircase_matches_toeplitz(self):
         rng = random.Random(18)
         for m in unstructured_inputs(rng, 20):
-            assert list(_Staircase(m).prefix_dims(3)) == prefix_dims_by_toeplitz(m, 3)
+            assert prefix_dims(m, 3) == prefix_dims_by_toeplitz(m, 3)
+        for m, up_to in shifted_inputs(rng, 12):
+            assert prefix_dims(m, up_to) == prefix_dims_by_toeplitz(m, up_to)
 
     def test_multiplicities_at_zero(self):
         rng = random.Random(19)

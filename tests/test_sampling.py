@@ -13,6 +13,7 @@ from skewstruct.exact import (
     RationalPolynomial,
     SkewMatrixPolynomial,
     normal_rank,
+    rank_exact,
 )
 from skewstruct.generic import generic_poly_structure
 from skewstruct.sampling import (
@@ -176,6 +177,16 @@ class TestPerturbation:
         result = perturb_rank_increase(base, r=2, k=10)
         assert normal_rank(result.polynomial) == 4
         assert result.base_rank == 2
+
+    def test_point_is_the_first_to_attain_the_normal_rank(self):
+        # the evaluation points are 0, 1, -1, 2, ...; each factor vanishes
+        # at the points before the expected one
+        for factor, expected in ((x, 1), (x * (x - 1), -1), (x * (x - 1) * (x + 1), 2)):
+            base = SkewMatrixPolynomial.from_upper(5, {(0, 1): factor}, grade=factor.degree)
+            result = perturb_rank_increase(base, r=2, k=3)
+            assert result.point == expected and isinstance(result.point, Fraction)
+            assert rank_exact(base.evaluate(result.point)) == normal_rank(base) == 2
+            assert normal_rank(result.polynomial) == 4
 
     def test_target_must_exceed_current(self):
         base = assemble_skew(BlockList.skew([SkewBlock.m(1), SkewBlock.m(0), SkewBlock.m(0)]))
