@@ -185,6 +185,21 @@ def cmd_closure(args) -> int:
     return EXIT_UNREACHABLE if result.status == "no" else EXIT_INCONCLUSIVE
 
 
+def _size(text: str) -> int:
+    """An integer flag that sets a size or a count, refused past sys.maxsize.
+
+    Such a value could never be a size, and used as one it would fail far
+    from the flag; refused here, the error line names the flag.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if abs(value) > sys.maxsize:
+        raise argparse.ArgumentTypeError(f"{text} exceeds {sys.maxsize} in absolute value")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors reach `main` as one line.
 
@@ -207,36 +222,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generic", help="print the generic bounded-rank structure")
-    g.add_argument("--m", type=int, help="polynomial size")
-    g.add_argument("--d", type=int, help="polynomial grade")
-    g.add_argument("--r", type=int, required=True, help="half rank (or K-block count with --pencil)")
+    g.add_argument("--m", type=_size, help="polynomial size")
+    g.add_argument("--d", type=_size, help="polynomial grade")
+    g.add_argument("--r", type=_size, required=True, help="half rank (or K-block count with --pencil)")
     g.add_argument("--pencil", action="store_true", help="pencil variant (uses --n/--w)")
-    g.add_argument("--n", type=int, help="pencil size (with --pencil)")
-    g.add_argument("--w", type=int, help="pencil half rank (with --pencil; note 2w <= n-1, so full-rank pencils are out of scope)")
+    g.add_argument("--n", type=_size, help="pencil size (with --pencil)")
+    g.add_argument("--w", type=_size, help="pencil half rank (with --pencil; note 2w <= n-1, so full-rank pencils are out of scope)")
     g.add_argument("--json", action="store_true")
     g.set_defaults(func=cmd_generic)
 
     a = sub.add_parser("analyze", help="complete eigenstructure of a polynomial file")
     a.add_argument("file")
-    a.add_argument("--grade", type=int, help="override the declared grade")
+    a.add_argument("--grade", type=_size, help="override the declared grade")
     a.add_argument("--backend", choices=("exact", "float"), default="exact")
     a.add_argument("--tol", type=float, default=DEFAULT_TOL, help="relative rank tolerance (float backend)")
     a.set_defaults(func=cmd_analyze)
 
     s = sub.add_parser("sample", help="draw a random bounded-rank polynomial")
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--d", type=int, required=True)
-    s.add_argument("--r", type=int, required=True)
+    s.add_argument("--m", type=_size, required=True)
+    s.add_argument("--d", type=_size, required=True)
+    s.add_argument("--r", type=_size, required=True)
     s.add_argument("--coeff-range", type=int, default=9)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", help="write the polynomial file here instead of stdout")
     s.set_defaults(func=cmd_sample)
 
     mc = sub.add_parser("mc", help="Monte Carlo genericity experiment")
-    mc.add_argument("--m", type=int, required=True)
-    mc.add_argument("--d", type=int, required=True)
-    mc.add_argument("--r", type=int, required=True)
-    mc.add_argument("--trials", type=int, default=100)
+    mc.add_argument("--m", type=_size, required=True)
+    mc.add_argument("--d", type=_size, required=True)
+    mc.add_argument("--r", type=_size, required=True)
+    mc.add_argument("--trials", type=_size, default=100)
     mc.add_argument("--coeff-range", type=int, default=9)
     mc.add_argument("--seed", type=int, default=0)
     mc.set_defaults(func=cmd_mc)
@@ -248,12 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     lin.set_defaults(func=cmd_linearize)
 
     c = sub.add_parser("codim", help="orbit codimension of the generic structure")
-    c.add_argument("--m", type=int)
-    c.add_argument("--d", type=int)
-    c.add_argument("--r", type=int, required=True)
+    c.add_argument("--m", type=_size)
+    c.add_argument("--d", type=_size)
+    c.add_argument("--r", type=_size, required=True)
     c.add_argument("--pencil", action="store_true")
-    c.add_argument("--n", type=int)
-    c.add_argument("--w", type=int)
+    c.add_argument("--n", type=_size)
+    c.add_argument("--w", type=_size)
     c.add_argument("--via-tangent", action="store_true", help="also run the exact tangent-rank oracle")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_codim)
@@ -261,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     cl = sub.add_parser("closure", help="search for a degeneration path between block lists")
     cl.add_argument("--target", required=True, help="block list JSON file (more generic side)")
     cl.add_argument("--source", required=True, help="block list JSON file (degenerate side)")
-    cl.add_argument("--max-steps", type=int, default=None)
+    cl.add_argument("--max-steps", type=_size, default=None)
     cl.set_defaults(func=cmd_closure)
 
     return parser
@@ -285,7 +300,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (SkewstructError, OSError, KeyError, OverflowError) as exc:
-        # OverflowError: an integer argument past sys.maxsize used as a size
+        # OverflowError: a size that fits sys.maxsize but not the arithmetic
+        # it feeds
         _print_error(exc)
         return EXIT_VALIDATION
 

@@ -10,14 +10,16 @@ banded block-Toeplitz systems (convolution matrices). Rather than eliminating
 the full dense matrices, the generator `_staircase` walks the band one stage
 at a time, carrying only the projection of the prefix space S_k onto its
 trailing coefficient blocks, and yields dim S_k and the dimension of that
-projection's fiber F_k. ker C_k is the fiber of stage k + deg P, so the one
-elimination per stage gives both the prefix and the kernel dimensions. One
-staircase serves every exact caller, and one pair of functions turns
-dimensions into indices for both backends: `indices_from_kernel_dims`
-(second differences give the minimal indices) and
-`multiplicities_from_prefix_dims` (the excess growth of the prefix spaces
-gives the partial multiplicities). The float backend in
-`sampling` feeds the same pair from numpy Toeplitz nullities.
+projection's fiber F_k. ker C_k is the fiber of stage k + deg P, so one pass
+gives both the prefix and the kernel dimensions. The constant coefficient
+P_0 is in every stage's system but is eliminated only once: each stage
+replays P_0's recorded fraction-free steps on its own window columns and
+resumes the elimination from there (`exact._replay_steps`). One staircase
+serves every exact caller, and one pair of functions turns dimensions into
+indices for both backends: `indices_from_kernel_dims` (second differences
+give the minimal indices) and `multiplicities_from_prefix_dims` (the excess
+growth of the prefix spaces gives the partial multiplicities). The float
+backend in `sampling` feeds the same pair from numpy Toeplitz nullities.
 """
 
 from __future__ import annotations
@@ -32,11 +34,13 @@ from .exact import (
     NEG_INF,
     MatrixPolynomial,
     RationalPolynomial,
+    _back_substitute,
+    _bareiss_echelon,
     _point_ranks,
-    _strip_content,
+    _replay_steps,
+    _row_space_basis,
     as_skew,
     normal_rank,
-    nullspace_exact,
     rev,
     skew_smith,
 )
@@ -198,22 +202,6 @@ class ConvolutionProfile:
 # ---------------------------------------------------------------------------
 
 
-def _row_space_basis(vectors) -> list:
-    """Integer echelon basis of the span of the given integer vectors."""
-    basis = []  # list of (pivot_index, row)
-    for vec in vectors:
-        row = list(vec)
-        for piv, brow in basis:
-            if row[piv]:
-                f, b = row[piv], brow[piv]
-                row = [b * r - f * s for r, s in zip(row, brow)]
-        piv = next((i for i, v in enumerate(row) if v), None)
-        if piv is not None:
-            _strip_content([row])
-            basis.append((piv, row))
-    return [tuple(row) for _, row in basis]
-
-
 def _staircase(P: MatrixPolynomial):
     """(dim S_k, dim F_k) for the stages k = 0, 1, ... of P's convolution system.
 
@@ -227,29 +215,44 @@ def _staircase(P: MatrixPolynomial):
     Constant and zero polynomials get an empty window (delta = 0): each
     block row then holds the newest block only. The stages never end: each
     reader takes what it needs, and the index readers stop at `_last_stage`.
+
+    Block row k+1 is the system [P_0 | W] in the new block x_{k+1} and the
+    window's coefficients c, with W = [P_delta ... P_1] times the window.
+    P_0 is eliminated once, and its recorded Bareiss steps are replayed on
+    each stage's W before the elimination resumes on the rows P_0 leaves
+    zero (`exact._replay_steps`): its pivots depend on P_0 alone, so this is
+    the same integer computation as eliminating [P_0 | W]. A solution
+    (x, 0) is a kernel vector of P_0, the same at every stage, so only the
+    free columns of W are back-substituted.
     """
     coeffs = P.numerators[: max(P.degree, 0) + 1]
     delta, n = len(coeffs) - 1, P.cols
-    # row i of [P_delta ... P_1], which applies block row k+1 to the window
-    shares = [[v for mat in coeffs[:0:-1] for v in mat[i]] for i in range(P.rows)]
+    # the nonzero entries (j, v) of row i of [P_delta ... P_1], which applies
+    # block row k+1 to the window
+    shares = [
+        [(j, v) for j, v in enumerate(v for mat in coeffs[:0:-1] for v in mat[i]) if v]
+        for i in range(P.rows)
+    ]
+    head, steps = [list(row) for row in coeffs[0]], []
+    head_pivots = _bareiss_echelon(head, steps=steps)
+    resume = (n, len(head_pivots), steps[-1][1] if steps else 1)
+    # the kernel vectors of P_0, shifted into the next window
+    kernel = [((0,) * (delta * n) + z)[n:] for z in _back_substitute(head, head_pivots, n)]
     # window (x_{k-delta+1}, ..., x_k), earlier blocks zero-padded
     window, fiber_dim = [], 0
     while True:
         nb = len(window)
-        # block row k+1: the window's share, then P_0 on the new block. P
-        # without rows leaves a system without rows, whose nullspace (all of
-        # it) nullspace_exact cannot size; one zero row gives it its width
-        system = [
-            [sum(c * v for c, v in zip(share, tail)) for tail in window] + list(row)
-            for share, row in zip(shares, coeffs[0])
-        ] or [[0] * (nb + n)]
-        solutions = nullspace_exact(system)
-        prefix_dim = fiber_dim + len(solutions)
+        block = [[sum(v * tail[j] for j, v in share) for tail in window] for share in shares]
+        _replay_steps(block, steps)
+        rows = [h + b for h, b in zip(head, block)]
+        pivots = head_pivots + _bareiss_echelon(rows, resume)
+        solutions = _back_substitute(rows, pivots, n + nb, n)
+        prefix_dim = fiber_dim + len(kernel) + len(solutions)
         # shift the window: drop the oldest block, append the new one
-        shifted = []
+        shifted = list(kernel)
         for sol in solutions:
-            combo = [0] * (delta * n) + list(sol[nb:])
-            for c, tail in zip(sol, window):
+            combo = [0] * (delta * n) + list(sol[:n])
+            for c, tail in zip(sol[n:], window):
                 if c:
                     for i, t in enumerate(tail):
                         combo[i] += c * t

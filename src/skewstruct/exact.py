@@ -324,21 +324,30 @@ def _integer_rows(matrix) -> list:
     return rows
 
 
-def _bareiss_echelon(rows) -> list:
+def _bareiss_echelon(rows, resume=(0, 0, 1), steps=None) -> list:
     """Fraction-free echelon reduction in place; returns the pivot columns.
 
     After the call the first len(pivots) rows form an integer echelon basis
     of the row space (zeros left of each pivot), and the remaining rows are
     zero. Exact by the Bareiss two-step minor identity; rows lacking the
     pivot entry are still rescaled, which that identity requires.
+
+    `resume` = (col, rank, prev) continues an elimination that has reduced
+    the columns before col to `rank` pivot rows, the last pivot being prev
+    (1 if there is none); only the pivot columns found from col on are
+    returned. If `steps` is a list, each pivot appends its step to it:
+    (pivot row, pivot, previous pivot, the entries below the pivot). A
+    step's choices depend only on the columns up to its own, so
+    `_replay_steps` can apply it to columns the elimination never saw.
     """
     if not rows or not rows[0]:
         return []
     n_rows, n_cols = len(rows), len(rows[0])
+    first_col, rank, prev = resume
     pivots = []
-    rank = 0
-    prev = 1
-    for col in range(n_cols):
+    for col in range(first_col, n_cols):
+        if rank == n_rows:
+            break
         pivot_row = None
         for i in range(rank, n_rows):
             if rows[i][col]:
@@ -347,23 +356,96 @@ def _bareiss_echelon(rows) -> list:
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        rp = rows[rank]
-        piv = rp[col]
-        for i in range(rank + 1, n_rows):
-            ri = rows[i]
-            factor = ri[col]
-            if factor:
-                for j in range(col, n_cols):
-                    ri[j] = (piv * ri[j] - factor * rp[j]) // prev
-            else:
-                for j in range(col, n_cols):
-                    ri[j] = piv * ri[j] // prev
+        piv, factors = rows[rank][col], [row[col] for row in rows[rank + 1 :]]
+        _eliminate_below(rows, rank, col, piv, prev, factors)
+        if steps is not None:
+            steps.append((pivot_row, piv, prev, factors))
         prev = piv
         pivots.append(col)
         rank += 1
-        if rank == n_rows:
-            break
     return pivots
+
+
+def _eliminate_below(rows, rank, col, piv, prev, factors):
+    """One Bareiss step: rows below `rank` become (piv * row - factor * pivot row) / prev."""
+    rp = rows[rank]
+    cols = range(col, len(rp))
+    for ri, factor in zip(rows[rank + 1 :], factors):
+        if factor:
+            for j in cols:
+                ri[j] = (piv * ri[j] - factor * rp[j]) // prev
+        else:
+            for j in cols:
+                ri[j] = piv * ri[j] // prev
+
+
+def _replay_steps(rows, steps):
+    """Apply the recorded steps of `_bareiss_echelon` to further columns, in place.
+
+    `rows` holds those columns, one list per row of the eliminated matrix.
+    Afterwards they are what eliminating the wider matrix would have left
+    in them after the same steps.
+    """
+    for rank, (pivot_row, *step) in enumerate(steps):
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        _eliminate_below(rows, rank, 0, *step)
+
+
+def _back_substitute(rows, pivots, width, first=0) -> list:
+    """Primitive integer solutions of echelon rows, one per free column from `first` on.
+
+    `rows` and `pivots` are an echelon form of `_bareiss_echelon`, `width`
+    its number of columns; the free columns are the others. The solution
+    for the free column fc has a positive entry there and zeros in the
+    other free columns. The back-substitution is fraction-free: it scales
+    the vector by the least factor that makes its next entry an integer,
+    so it ends as the rational solution with a 1 in fc times the lcm of
+    that solution's denominators, which is primitive.
+    """
+    pivot_set = set(pivots)
+    basis = []
+    for fc in (c for c in range(first, width) if c not in pivot_set):
+        vec = [0] * width
+        vec[fc] = 1
+        for k in range(len(pivots) - 1, -1, -1):
+            pc = pivots[k]
+            row = rows[k]
+            acc = 0
+            for j in range(pc + 1, width):
+                vj = vec[j]
+                if vj:
+                    acc += row[j] * vj
+            if acc:
+                p = row[pc]
+                f = abs(p) // math.gcd(acc, p)
+                if f != 1:
+                    vec = [v * f for v in vec]
+                    acc *= f
+                vec[pc] = -acc // p
+        basis.append(tuple(vec))
+    return basis
+
+
+def _row_space_basis(vectors) -> list:
+    """Integer echelon basis of the span of the given integer vectors.
+
+    Each vector is reduced only against the basis rows whose pivot it
+    meets, then divided by its content. That keeps the entries small: on
+    the staircase's windows this runs faster than `_bareiss_echelon`
+    followed by a content strip.
+    """
+    basis = []  # list of (pivot_index, row)
+    for vec in vectors:
+        row = list(vec)
+        for piv, brow in basis:
+            if row[piv]:
+                f, b = row[piv], brow[piv]
+                row = [b * r - f * s for r, s in zip(row, brow)]
+        piv = next((i for i, v in enumerate(row) if v), None)
+        if piv is not None:
+            _strip_content([row])
+            basis.append((piv, row))
+    return [tuple(row) for _, row in basis]
 
 
 def rank_exact(matrix) -> int:
@@ -381,40 +463,13 @@ def nullspace_exact(matrix) -> list:
     Returns a list of integer vectors (tuples of Python ints) spanning
     ``{x : matrix @ x = 0}``, one per free column: the primitive vector
     with a positive entry in that column and zeros in the other free
-    columns. Elimination and back-substitution are both fraction-free. The
-    back-substitution scales the vector by the least factor that makes its
-    next entry an integer, so it ends as the rational solution with a 1 in
-    the free column times the lcm of that solution's denominators, which is
-    primitive. A matrix without rows does not say how wide its nullspace is
-    and raises ShapeMismatch.
+    columns (`_back_substitute`). A matrix without rows does not say how
+    wide its nullspace is and raises ShapeMismatch.
     """
     rows = _integer_rows(matrix)
     if not rows:
         raise ShapeMismatch("matrix without rows has no width")
-    n_cols = len(rows[0])
-    pivots = _bareiss_echelon(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in (c for c in range(n_cols) if c not in pivot_set):
-        vec = [0] * n_cols
-        vec[fc] = 1
-        for k in range(len(pivots) - 1, -1, -1):
-            pc = pivots[k]
-            row = rows[k]
-            acc = 0
-            for j in range(pc + 1, n_cols):
-                vj = vec[j]
-                if vj:
-                    acc += row[j] * vj
-            if acc:
-                p = row[pc]
-                f = abs(p) // math.gcd(acc, p)
-                if f != 1:
-                    vec = [v * f for v in vec]
-                    acc *= f
-                vec[pc] = -acc // p
-        basis.append(tuple(vec))
-    return basis
+    return _back_substitute(rows, _bareiss_echelon(rows), len(rows[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -771,24 +826,32 @@ def frobenius_distance(P: MatrixPolynomial, Q: MatrixPolynomial) -> FrobeniusDis
 def normal_rank(P: MatrixPolynomial) -> int:
     """Rank of P over the field of rational functions, computed exactly.
 
-    Takes the ranks of P at the distinct integer points 0, 1, -1, 2, ...
-    (`_point_ranks`) and keeps the largest, `best`, stopping once
-    (best + 1) * degree + 1 points are done: a nonzero (best + 1)-minor has
-    degree at most (best + 1) * degree, so it cannot vanish at that many
-    points. The result is exactly the rank over the function field, with no
-    probabilistic caveat. This is the lower half of the two-sided bound in
-    `eigenstructure.analyze`, which also has an upper bound from the
-    minimal-index staircase and so usually needs far fewer points. Values
-    are immutable, so results are cached.
+    The largest of the ranks `_proving_ranks` takes, which is exactly the
+    rank over the function field, with no probabilistic caveat. This is the
+    lower half of the two-sided bound in `eigenstructure.analyze`, which
+    also has an upper bound from the minimal-index staircase and so usually
+    needs far fewer points. Values are immutable, so results are cached.
+    """
+    return max(_proving_ranks(P), default=0)
+
+
+def _proving_ranks(P: MatrixPolynomial) -> list:
+    """The ranks of P at the points of `_points` that prove its normal rank.
+
+    Evaluation stops once the largest rank so far, `best`, reaches
+    min(rows, cols) or (best + 1) * degree + 1 points are done: a nonzero
+    (best + 1)-minor has degree at most (best + 1) * degree, so it cannot
+    vanish at that many points. So `best` is the normal rank, and the first
+    point of the list with that rank is one where P attains it.
     """
     deg = max(P.degree, 0)
     bound = min(P.rows, P.cols)
-    ranks = _point_ranks(P)
-    best = idx = 0
-    while best < bound and idx < (best + 1) * deg + 1:
-        best = max(best, next(ranks))
-        idx += 1
-    return best
+    point_ranks = _point_ranks(P)
+    ranks, best = [], 0
+    while best < bound and len(ranks) < (best + 1) * deg + 1:
+        ranks.append(next(point_ranks))
+        best = max(best, ranks[-1])
+    return ranks
 
 
 def _points():

@@ -43,15 +43,14 @@ from .errors import (
     RankVerificationFailed,
 )
 from .exact import (
-    NEG_INF,
     FrobeniusDistance,
     MatrixPolynomial,
     SkewMatrixPolynomial,
     _point_ranks,
     _points,
+    _proving_ranks,
     as_skew,
     frobenius_distance,
-    normal_rank,
     rank_exact,
 )
 from .generic import PolyGenericParams, generic_poly_structure
@@ -223,18 +222,13 @@ def perturb_rank_increase(
     m = skew.rows
     if not 2 * r <= m - 1:
         raise ParamDomain(f"target rank 2r={2 * r} must stay below m={m}")
-    rank_q = normal_rank(skew)
+    # the normal rank and the first point attaining it, from one pass (m > 0)
+    ranks = _proving_ranks(skew)
+    rank_q = max(ranks)
     r1 = rank_q // 2
     if r <= r1:
         raise ParamDomain(f"target half-rank {r} must exceed current {r1}")
-
-    # the first point where the evaluation attains the normal rank (exact check)
-    deg = skew.degree
-    candidates = max(1, (0 if deg is NEG_INF else int(deg)) * m + 1)
-    ranks = itertools.islice(_point_ranks(skew), candidates)
-    point = next((Fraction(mu) for mu, rank in zip(_points(), ranks) if rank == rank_q), None)
-    if point is None:
-        raise RankVerificationFailed("no evaluation point attains the normal rank")
+    point = Fraction(next(itertools.islice(_points(), ranks.index(rank_q), None)))
 
     a = np.array([[float(v) for v in row] for row in skew.evaluate(point)])
     u, _ = skew_block_diagonalization(a, tol_rel)

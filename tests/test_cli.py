@@ -184,25 +184,35 @@ HUGE = str(10**20)  # past sys.maxsize, so it fails before anything is allocated
 
 
 class TestHugeIntegers:
-    """Integer arguments too large for a size end in exit 1 and one error line."""
+    """Integer arguments too large for a size end in exit 1 and one error line naming the flag."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, flag",
         [
-            ["analyze", "{file}", "--grade", HUGE],
-            ["generic", "--m", HUGE, "--d", "1", "--r", "1"],
-            ["generic", "--pencil", "--n", HUGE, "--w", "1", "--r", "0"],
-            ["codim", "--pencil", "--n", HUGE, "--w", "1", "--r", "0"],
+            (["analyze", "{file}", "--grade", HUGE], "--grade"),
+            (["generic", "--m", HUGE, "--d", "1", "--r", "1"], "--m"),
+            (["generic", "--pencil", "--n", HUGE, "--w", "1", "--r", "0"], "--n"),
+            (["codim", "--pencil", "--n", HUGE, "--w", "1", "--r", "0"], "--n"),
+            (["mc", "--m", "5", "--d", "2", "--r", "1", "--trials", HUGE], "--trials"),
+            (["generic", "--m", "-" + HUGE, "--d", "1", "--r", "1"], "--m"),
         ],
-        ids=["analyze-grade", "generic-m", "generic-pencil-n", "codim-pencil-n"],
+        ids=["analyze-grade", "generic-m", "generic-pencil-n", "codim-pencil-n", "mc-trials", "negative-m"],
     )
-    def test_exit_code(self, poly_file, capsys, argv):
+    def test_exit_code(self, poly_file, capsys, argv, flag):
         assert int(HUGE) > sys.maxsize
         assert main([arg.format(file=poly_file) for arg in argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         [line] = captured.err.splitlines()
-        assert line.startswith("error: ")
+        assert line.startswith(f"error: argument {flag}: ")
+
+    def test_non_integer_keeps_the_int_message(self, capsys):
+        assert main(["generic", "--m", "five", "--d", "1", "--r", "1"]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "error: argument --m: invalid int value: 'five'"
+
+    def test_seed_is_not_a_size(self, capsys):
+        assert main(["sample", "--m", "3", "--d", "1", "--r", "1", "--seed", HUGE]) == 0
 
 
 class TestMalformedInput:

@@ -151,6 +151,26 @@ def shifted_inputs(rng, count):
     return [(m, max(m.degree, 0) + rng.randint(3, 4)) for m in inputs]
 
 
+def left_nullity_inputs(rng, count):
+    """Inputs whose constant coefficient P_0 has left nullity at least 2.
+
+    P_0 is a product A B through rows - 2 columns, so at least two of its
+    rows end without a pivot: the staircase's elimination of each stage's
+    window columns resumes on those rows after replaying P_0's steps.
+    """
+    values = (0, 0, 1, -1, 2)
+    inputs = []
+    for _ in range(count):
+        rows, cols, deg = rng.randint(2, 4), rng.randint(1, 4), rng.randint(1, 3)
+        inner = rows - 2
+        a = [[rng.choice(values) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.choice(values) for _ in range(cols)] for _ in range(inner)]
+        p0 = [[sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)] for i in range(rows)]
+        rest = [[[rng.choice(values) for _ in range(cols)] for _ in range(rows)] for _ in range(deg)]
+        inputs.append(MatrixPolynomial.from_coefficients([p0] + rest, grade=deg))
+    return inputs
+
+
 class TestConvolution:
     def test_profile_matches_dense_ranks(self):
         rng = random.Random(12)
@@ -159,6 +179,10 @@ class TestConvolution:
             profile = convolution_profile(m, 3)
             assert list(profile.kernel_dims) == kernel_dims_by_convolution(m, 3)
         for m, up_to in shifted_inputs(rng, 12):
+            profile = convolution_profile(m, up_to)
+            assert list(profile.kernel_dims) == kernel_dims_by_convolution(m, up_to)
+        for m in left_nullity_inputs(rng, 12):
+            up_to = max(m.degree, 0) + 3
             profile = convolution_profile(m, up_to)
             assert list(profile.kernel_dims) == kernel_dims_by_convolution(m, up_to)
 
@@ -228,6 +252,28 @@ class TestMinimalIndices:
         assert analyze(pencil, 1).rank == 2 + 8 * 4
         assert 1 <= len(points) <= len(stages) + 1
 
+    def test_staircase_eliminates_p0_once(self, monkeypatch):
+        # padded (d, m, r) = (4, 8, 1): a 40x40 pencil whose staircase runs
+        # many stages; P_0's pivots are taken once, at stage 0, and every
+        # later stage resumes after them
+        sample = sample_bounded_rank(SampleSpec(8, 4, 1, seed=0))
+        pencil = build_linearization(pad_grade(sample)).pencil
+        n, expected = pencil.cols, minimal_indices(pencil)
+        calls = []
+        real_echelon = eigenstructure._bareiss_echelon
+
+        def counted_echelon(rows, resume=(0, 0, 1), steps=None):
+            pivots = real_echelon(rows, resume, steps)
+            calls.append((resume[0], pivots))
+            return pivots
+
+        monkeypatch.setattr(eigenstructure, "_bareiss_echelon", counted_echelon)
+        assert minimal_indices(pencil) == expected
+        in_p0 = sum(1 for _, pivots in calls for col in pivots if col < n)
+        assert in_p0 == rank_exact(pencil.coefficient_matrix(0))
+        assert len(calls) > 5
+        assert [first for first, _ in calls[1:]] == [n] * (len(calls) - 1)
+
     def test_left_equals_right_for_skew(self):
         rng = random.Random(15)
         for _ in range(8):
@@ -246,6 +292,9 @@ class TestPrefixDims:
         for m in unstructured_inputs(rng, 20):
             assert prefix_dims(m, 3) == prefix_dims_by_toeplitz(m, 3)
         for m, up_to in shifted_inputs(rng, 12):
+            assert prefix_dims(m, up_to) == prefix_dims_by_toeplitz(m, up_to)
+        for m in left_nullity_inputs(rng, 12):
+            up_to = max(m.degree, 0) + 3
             assert prefix_dims(m, up_to) == prefix_dims_by_toeplitz(m, up_to)
 
     def test_multiplicities_at_zero(self):

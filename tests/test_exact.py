@@ -24,7 +24,9 @@ from skewstruct.exact import (
     MatrixPolynomial,
     RationalPolynomial,
     SkewMatrixPolynomial,
+    _bareiss_echelon,
     _pseudo_divmod,
+    _replay_steps,
     as_skew,
     frobenius_distance,
     normal_rank,
@@ -244,6 +246,46 @@ class TestRankExact:
             seen["full_rank"] += rank == min(rows, cols)
             seen["deficient"] += rank < min(rows, cols)
         assert min(seen.values()) > 50, seen
+
+
+def integer_matrix(rng, rows, cols, rank):
+    """A random integer rows x cols matrix of rank at most `rank`, as a product."""
+    a = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rows)]
+    b = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rank)]
+    return [[sum(a[i][t] * b[t][j] for t in range(rank)) for j in range(cols)] for i in range(rows)]
+
+
+class TestReplay:
+    """Recorded Bareiss steps, replayed on new columns and then resumed, are one elimination."""
+
+    # (rows, cols, rank bound): square singular with left nullity >= 2,
+    # rectangular both ways, zero, nonsingular, and without rows
+    SHAPES = [(5, 5, 3), (4, 4, 2), (3, 5, 3), (5, 3, 3), (3, 4, 0), (4, 4, 4), (0, 3, 0)]
+
+    def test_replay_then_resume_equals_one_elimination(self):
+        rng = random.Random(4111)
+        seen = set()
+        for trial in range(120):
+            shape = rows, cols, bound = self.SHAPES[trial % len(self.SHAPES)]
+            head = integer_matrix(rng, rows, cols, bound)
+            extra = integer_matrix(rng, rows, rng.randint(0, 4), rng.randint(0, rows))
+            whole = [h + e for h, e in zip(head, extra)]
+            expected = _bareiss_echelon(whole)
+
+            steps = []
+            head_pivots = _bareiss_echelon(head, steps=steps)
+            _replay_steps(extra, steps)
+            joined = [h + e for h, e in zip(head, extra)]
+            resume = (cols, len(head_pivots), steps[-1][1] if steps else 1)
+            pivots = head_pivots + _bareiss_echelon(joined, resume)
+
+            assert pivots == expected, (trial, shape)
+            assert joined == whole, (trial, shape)
+            assert len(steps) == len(head_pivots)
+            seen.add((shape, len(head_pivots)))
+        # each shape drawn at its rank bound: left nullity 2 for the singular
+        # squares, and the nonsingular square at full rank
+        assert {(shape, shape[2]) for shape in self.SHAPES} <= seen
 
 
 # ---------------------------------------------------------------------------

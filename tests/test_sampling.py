@@ -7,7 +7,7 @@ import pytest
 
 from skewstruct.blocks import BlockList, SkewBlock, assemble_skew
 from skewstruct.eigenstructure import analyze, same_orbit
-from skewstruct import sampling
+from skewstruct import exact, sampling
 from skewstruct.errors import AttemptsExhausted, ParamDomain, RankVerificationFailed
 from skewstruct.exact import (
     RationalPolynomial,
@@ -187,6 +187,23 @@ class TestPerturbation:
             assert result.point == expected and isinstance(result.point, Fraction)
             assert rank_exact(base.evaluate(result.point)) == normal_rank(base) == 2
             assert normal_rank(result.polynomial) == 4
+
+    def test_point_comes_from_the_normal_rank_pass(self, monkeypatch):
+        # normal_rank ranks 10 points of this input, (2 + 1) * 3 + 1, and the
+        # first one of rank 2 is among them
+        calls = []
+        real_rank = exact.rank_exact
+
+        def counted_rank(matrix):
+            calls.append(1)
+            return real_rank(matrix)
+
+        monkeypatch.setattr(exact, "rank_exact", counted_rank)
+        monkeypatch.setattr(sampling, "rank_exact", counted_rank)
+        factor = x * (x - 1) * (x + 1)
+        base = SkewMatrixPolynomial.from_upper(5, {(0, 1): factor}, grade=3)
+        assert perturb_rank_increase(base, r=2, k=3).point == 2
+        assert len(calls) <= 10
 
     def test_target_must_exceed_current(self):
         base = assemble_skew(BlockList.skew([SkewBlock.m(1), SkewBlock.m(0), SkewBlock.m(0)]))
