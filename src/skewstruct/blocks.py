@@ -308,18 +308,17 @@ def assemble_general(blocklist: BlockList) -> MatrixPolynomial:
     return _assemble(MatrixPolynomial, blocklist.total_rows, blocklist.total_cols, placed)
 
 
+_TOP_RIGHT_KIND = {"H": "E_finite", "K": "E_infinite", "M": "L"}
+
+
 def _skew_block_entries(block: SkewBlock):
-    """Nonzero upper-right entries (i, j, c0, c1) of one skew block; (j, i) holds minus them."""
+    """Nonzero upper-right entries (i, j, c0, c1) of one skew block; (j, i) holds minus them.
+
+    The top right of H_k(mu), K_k and M_k is E_k(mu), E_k(inf) and L_k, k columns to the right.
+    """
     k = block.index
-    if block.kind == "H":
-        # top right block x*I - J_k(mu)
-        mu = _concrete(block.eigenvalue)
-        return [(i, k + i, -mu, 1) for i in range(k)] + [(i, k + i + 1, -1, 0) for i in range(k - 1)]
-    if block.kind == "K":
-        # top right block x*J_k(0) - I_k
-        return [(i, k + i, -1, 0) for i in range(k)] + [(i, k + i + 1, 0, 1) for i in range(k - 1)]
-    # top right block x*G_k - F_k of size k x (k+1)
-    return [(i, k + i, 0, 1) for i in range(k)] + [(i, k + i + 1, -1, 0) for i in range(k)]
+    general = GeneralBlock(_TOP_RIGHT_KIND[block.kind], k, block.eigenvalue)
+    return [(i, k + j, c0, c1) for i, j, c0, c1 in _general_block_entries(general)]
 
 
 def assemble_skew(blocklist: BlockList) -> SkewMatrixPolynomial:

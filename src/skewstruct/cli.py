@@ -304,6 +304,9 @@ def main(argv=None) -> int:
         # it feeds
         _print_error(exc)
         return EXIT_VALIDATION
+    except MemoryError:  # a size that fits sys.maxsize but not in memory; no message of its own
+        _print_error("out of memory: the requested sizes are too large")
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

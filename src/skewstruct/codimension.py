@@ -131,20 +131,23 @@ def tangent_map_matrix(pencil: MatrixPolynomial) -> list:
     return rows
 
 
-def codim_tangent(pencil: MatrixPolynomial, size_limit: int | None = 24) -> int:
+TANGENT_SIZE_LIMIT = 24  # the largest pencil size `codim_tangent` accepts
+
+
+def codim_tangent(pencil: MatrixPolynomial) -> int:
     """Exact congruence-orbit codimension via the tangent-map rank.
 
     The representation matrix has n(n-1) x n^2 rational entries, so this is
-    a desk-scale verification tool; the default size guard keeps accidental
-    large inputs from hanging (pass size_limit=None to override).
+    a desk-scale verification tool; a pencil larger than TANGENT_SIZE_LIMIT
+    raises ParamDomain instead of hanging.
     """
     if not pencil.is_skew_symmetric():
         raise NotSkewSymmetric("tangent codimension is defined for skew pencils")
     if pencil.grade > 1:
         raise ParamDomain("tangent codimension applies to pencils (grade 1)")
     n = pencil.rows
-    if size_limit is not None and n > size_limit:
-        raise ParamDomain(f"pencil size {n} exceeds the tangent-rank guard {size_limit}")
+    if n > TANGENT_SIZE_LIMIT:
+        raise ParamDomain(f"pencil size {n} exceeds the tangent-rank guard {TANGENT_SIZE_LIMIT}")
     ambient = n * (n - 1)
     if n == 0:
         return 0

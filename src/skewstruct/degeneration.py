@@ -367,6 +367,9 @@ def enumerate_applications(blocklist: BlockList, pool=()):
     ]
 
 
+MAX_STATES = 100_000  # explored states before the search gives up, inconclusive
+
+
 @dataclass
 class ClosureResult:
     """Outcome of the reachability search.
@@ -390,7 +393,6 @@ def closure_reachable(
     target: BlockList,
     source: BlockList,
     max_steps: int | None = None,
-    max_states: int = 100_000,
 ) -> ClosureResult:
     """Breadth-first search for a rule sequence turning source into target.
 
@@ -402,10 +404,11 @@ def closure_reachable(
     Rules 1-5 keep the rank and rule 6 raises it by one, so no state of
     rank above the target's leads to the target. The search generates rule
     6 only from states below the target's rank, and a source above it is
-    answered "no" at once; `states_explored` (and `max_states`) count only
+    answered "no" at once; `states_explored` (and `MAX_STATES`) count only
     states of rank at most the target's. Every surviving state is found
     from the same parent, in the same order, as by the search without this
-    bound.
+    bound. The generators yield only legal applications, so a rule error is
+    a bug and propagates instead of dropping a path.
     """
     if (target.total_rows, target.total_cols) != (source.total_rows, source.total_cols):
         raise ShapeMismatch("target and source must have equal total sizes")
@@ -430,10 +433,7 @@ def closure_reachable(
             else:
                 apps = _rank_preserving_applications(state)
             for app in apps:
-                try:
-                    nxt = apply_rule(state, app)
-                except (MissingBlocks, SideConditionViolated):
-                    continue
+                nxt = apply_rule(state, app)
                 key = canonical_key(nxt)
                 if key in visited:
                     continue
@@ -452,7 +452,7 @@ def closure_reachable(
                         states_explored=explored,
                     )
                 next_frontier.append((nxt, key))
-                if explored >= max_states:
+                if explored >= MAX_STATES:
                     return ClosureResult(status="no_within_bound", states_explored=explored)
         frontier = next_frontier
         if not frontier:

@@ -20,6 +20,10 @@ indices for both backends: `indices_from_kernel_dims` (second differences
 give the minimal indices) and `multiplicities_from_prefix_dims` (the excess
 growth of the prefix spaces gives the partial multiplicities). The float
 backend in `sampling` feeds the same pair from numpy Toeplitz nullities.
+
+The same pass proves the normal rank rho with no evaluation point, where
+the prefix growth meets the kernel growth (`_rank_and_right_indices`);
+`exact.normal_rank`, from ranks at points, stays the public rank.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .exact import (
     RationalPolynomial,
     _back_substitute,
     _bareiss_echelon,
-    _point_ranks,
     _replay_steps,
     _row_space_basis,
     as_skew,
@@ -319,50 +322,42 @@ def multiplicities_from_prefix_dims(dims, eta: int, rho: int) -> tuple:
     raise InternalInconsistency("multiplicity search exceeded its bound")
 
 
-def _kernel_dims(P: MatrixPolynomial):
-    """dim ker C_k for k = 0, 1, ...: the fibers of the stages from deg P on."""
-    fibers = (fiber for _, fiber in _staircase(P))
-    return itertools.islice(fibers, max(P.degree, 0), None)
-
-
 def convolution_profile(P: MatrixPolynomial, up_to: int) -> ConvolutionProfile:
-    """Kernel dimensions dim ker C_k for k = 0 .. up_to."""
-    return ConvolutionProfile(tuple(itertools.islice(_kernel_dims(P), up_to + 1)))
+    """dim ker C_k for k = 0 .. up_to: the staircase's fibers from stage deg P on."""
+    fibers = (fiber for _, fiber in _staircase(P))
+    start = max(P.degree, 0)
+    return ConvolutionProfile(tuple(itertools.islice(fibers, start, start + up_to + 1)))
 
 
 def _rank_and_right_indices(P: MatrixPolynomial) -> tuple:
-    """(normal rank rho, right minimal indices) of P, from one staircase.
+    """(normal rank rho, right minimal indices) of P, from one staircase pass.
 
-    rho is pinned between two exact bounds. The rank at any point is a lower
-    bound `lo`, and the rank at (lo + 1) * degree + 1 points proves it, as
-    in `normal_rank`. dim ker C_k is the fiber dimension of staircase stage
-    k + degree, and each such k gives the upper bound
-    cols - (dim ker C_k - dim ker C_{k-1}): that difference counts the right
-    minimal indices at most k, which is at most cols - rho, and reaches it
-    at the largest minimal index. Starting from the rank at 0, while the
-    bounds differ and the point count does not yet prove lo, one more point
-    is evaluated and then one more kernel dimension read (points are the
-    cheaper step). The indices are then read from the dimensions computed
-    so far plus the rest of the same staircase. No input evaluates more points than `normal_rank` does.
+    With eta = cols - rho, the prefix growth dim S_k - dim S_{k-1} is eta
+    plus the number of partial multiplicities at zero above k, so it falls
+    to eta; from stage k = delta = deg P on, the kernel growth
+    dim ker C_{k-delta} - dim ker C_{k-delta-1} counts the right minimal
+    indices at most k - delta, so it rises to eta (Forney 1975). Where they
+    first meet, at stage max(largest multiplicity, largest index + delta,
+    delta), both are eta: that proves rho, and the kernel dimensions read so
+    far give every index. A kernel growth above the prefix growth, or no
+    meeting within the stage bound, raises InternalInconsistency.
     """
-    ranks = _point_ranks(P)
-    stages = itertools.islice(_kernel_dims(P), _last_stage(P) + 1)
-    deg = max(P.degree, 0)
-    lo, points = next(ranks), 1
-    hi = min(P.rows, P.cols)
-    dims = []
-
-    def unproven():
-        return lo < hi and points < (lo + 1) * deg + 1
-
-    while unproven():
-        lo = max(lo, next(ranks))
-        points += 1
-        if unproven():
-            dims.append(next(stages))
-            at_most_k = dims[-1] - (dims[-2] if len(dims) > 1 else 0)
-            hi = min(hi, P.cols - at_most_k)
-    return lo, indices_from_kernel_dims(itertools.chain(dims, stages), P.cols - lo)
+    delta = max(P.degree, 0)
+    stages = itertools.islice(_staircase(P), _last_stage(P) + delta + 1)
+    kernel_dims, prev_prefix = [], 0
+    for k, (prefix_dim, fiber_dim) in enumerate(stages):
+        growth, prev_prefix = prefix_dim - prev_prefix, prefix_dim
+        if k < delta:
+            continue
+        kernel_growth = fiber_dim - (kernel_dims[-1] if kernel_dims else 0)
+        kernel_dims.append(fiber_dim)
+        if kernel_growth > growth:
+            raise InternalInconsistency(
+                f"kernel growth {kernel_growth} exceeds prefix growth {growth} at stage {k}"
+            )
+        if kernel_growth == growth:
+            return P.cols - growth, indices_from_kernel_dims(kernel_dims, growth)
+    raise InternalInconsistency("normal rank search exceeded its bound")
 
 
 def minimal_indices(P: MatrixPolynomial) -> tuple:
@@ -370,9 +365,9 @@ def minimal_indices(P: MatrixPolynomial) -> tuple:
 
     The count of indices equal to k is the second difference of the kernel
     dimensions of the convolution matrices; the total count always equals
-    cols - normal_rank(P). That rank comes from the same staircase, with
-    evaluation points only until the two bounds of `_rank_and_right_indices`
-    meet, not the full point count `normal_rank` needs. Left minimal indices
+    cols - normal_rank(P). Both the indices and that rank come from one
+    staircase pass, which stops where its prefix and kernel growths meet
+    (`_rank_and_right_indices`); no point is evaluated. Left minimal indices
     are the right ones of the negated transpose (for skew-symmetric inputs
     that is P itself, so left and right coincide).
     """
@@ -463,11 +458,11 @@ def _factor_rational(poly: RationalPolynomial) -> list:
 def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstructure:
     """Complete eigenstructure of a skew-symmetric matrix polynomial.
 
-    Computes the exact rank rho and the minimal indices first, together
-    (`_rank_and_right_indices`: the ranks at points bound rho from below and
-    each staircase stage bounds it from above; the rank at 0 usually is rho
-    already, and the stages the indices need anyway prove it), then the
-    structure at infinity for the declared grade. By the index sum theorem the finite
+    Computes the exact rank rho and the minimal indices first, together,
+    from one staircase pass and no evaluation point
+    (`_rank_and_right_indices`: rho is proved where the prefix growth meets
+    the kernel growth), then the structure at infinity for the declared
+    grade from the reversal's staircase. By the index sum theorem the finite
     elementary divisors then have total degree
     rho * grade - sum(infinite) - sum(left) - sum(right). Only when that
     deficit is positive does the Smith reduction run, with its invariant
@@ -495,7 +490,7 @@ def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstruc
         paired = skew_smith(skew)
         if 2 * paired.rank != rho:
             raise InternalInconsistency(
-                f"rank {rho} by evaluation vs {2 * paired.rank} by reduction"
+                f"rank {rho} by the staircase vs {2 * paired.rank} by reduction"
             )
         for g in paired.invariant_polynomials:
             for factor, exponent in _factor_rational(g):

@@ -827,10 +827,8 @@ def normal_rank(P: MatrixPolynomial) -> int:
     """Rank of P over the field of rational functions, computed exactly.
 
     The largest of the ranks `_proving_ranks` takes, which is exactly the
-    rank over the function field, with no probabilistic caveat. This is the
-    lower half of the two-sided bound in `eigenstructure.analyze`, which
-    also has an upper bound from the minimal-index staircase and so usually
-    needs far fewer points. Values are immutable, so results are cached.
+    rank over the function field, with no probabilistic caveat. Values are
+    immutable, so results are cached.
     """
     return max(_proving_ranks(P), default=0)
 

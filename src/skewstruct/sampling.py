@@ -58,6 +58,7 @@ from .points import NumericRoot
 
 DEFAULT_TOL = 1e-8
 DEFAULT_COEFF_RANGE = 9
+CHECK_SEED = 1  # seeds the second, random check point of `perturb_rank_increase`
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,6 @@ def perturb_rank_increase(
     r: int,
     k: int,
     tol_rel: float = DEFAULT_TOL,
-    check_seed: int = 1,
 ) -> Perturbation:
     """Add (1/k) times a constant skew matrix raising the rank to exactly 2r.
 
@@ -245,7 +245,7 @@ def perturb_rank_increase(
     step = MatrixPolynomial.from_coefficients([e_exact], grade=skew.grade).scale(Fraction(1, k))
     perturbed = as_skew(skew + step)
 
-    rng = random.Random(check_seed)
+    rng = random.Random(CHECK_SEED)
     extra = Fraction(rng.randint(10, 99), rng.randint(1, 9))
     for mu in (point, extra):
         got = rank_fp([[float(v) for v in row] for row in perturbed.evaluate(mu)], tol_rel)

@@ -136,6 +136,24 @@ class TestAssembleSkew:
             p = assemble_skew(BlockList.skew(blocks))
             assert normal_rank(p) % 2 == 0
 
+    @pytest.mark.parametrize(
+        "skew, general",
+        [
+            (SkewBlock.h(k, mu), GeneralBlock.finite(k, mu))
+            for k, mu in ((1, -2), (2, Fraction(1, 3)), (3, Fraction(5, 2)))
+        ]
+        + [(SkewBlock.k(k), GeneralBlock.infinite(k)) for k in (1, 2, 3)]
+        + [(SkewBlock.m(k), GeneralBlock.right(k)) for k in (0, 1, 2, 3)],
+        ids=str,
+    )
+    def test_top_right_is_the_general_block(self, skew, general):
+        # H_k(mu), K_k and M_k hold E_k(mu), E_k(inf) and L_k in their top right
+        p = assemble_skew(BlockList.skew([skew]))
+        g = assemble_general(BlockList.general([general]))
+        k = skew.index
+        for c in (0, 1):
+            assert [row[k:] for row in p.coefficient_matrix(c)[:k]] == g.coefficient_matrix(c)
+
 
 class TestConversion:
     def test_examples(self):

@@ -214,6 +214,23 @@ class TestHugeIntegers:
     def test_seed_is_not_a_size(self, capsys):
         assert main(["sample", "--m", "3", "--d", "1", "--r", "1", "--seed", HUGE]) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generic", "--m", str(sys.maxsize), "--d", "1", "--r", "1"],
+            ["generic", "--pencil", "--n", str(sys.maxsize), "--w", "1", "--r", "1"],
+        ],
+        ids=["generic-m", "generic-pencil-n"],
+    )
+    def test_unallocatable_size(self, capsys, argv):
+        # sys.maxsize passes the size bound, and building a list that long
+        # fails at once, before any allocation
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and line != "error: "
+
 
 class TestMalformedInput:
     """Malformed files end in exit 1 and one error line, never a traceback."""

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from oracles import closure_reachable_unpruned, equal_by_renaming
 
+from skewstruct import degeneration
 from skewstruct.blocks import BlockList, GeneralBlock, SkewBlock, skew_to_general
 from skewstruct.degeneration import (
     RuleApplication,
@@ -252,6 +253,19 @@ class TestClosureSearch:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             closure_reachable(gl(L(1)), gl(L(0)))
+
+    def test_invalid_application_raises(self, monkeypatch):
+        # a generator that yields an application the state cannot take is a
+        # bug the search must surface, not a path to skip
+        real = degeneration._rank_preserving_applications
+
+        def with_invalid(blocklist):
+            yield RuleApplication(1, j=7, k=7)
+            yield from real(blocklist)
+
+        monkeypatch.setattr(degeneration, "_rank_preserving_applications", with_invalid)
+        with pytest.raises(MissingBlocks):
+            closure_reachable(gl(L(1), L(1)), gl(L(0), L(2)))
 
     def test_trivial_identity(self):
         bl = gl(L(1), LT(1))

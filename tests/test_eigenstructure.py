@@ -212,45 +212,65 @@ class TestMinimalIndices:
             total = m.cols - normal_rank(m)
             assert list(minimal_indices(m)) == minimal_indices_by_convolution(m, total)
 
-    def test_rank_and_indices_where_first_points_undershoot(self):
+    def test_rank_and_indices_where_first_points_undershoot(self, monkeypatch):
+        # the rank and the indices come from the first stage k >= deg P where
+        # the prefix growth meets the kernel growth: one stage past
+        # max(kappa_max, epsilon_max + deg P, deg P)
         rng = random.Random(16)
-        undershot = 0
-        for m in undershooting_inputs(rng, 150):
-            rho, right = _rank_and_right_indices(m)
-            assert rho == normal_rank_by_minors(m)
-            assert list(right) == minimal_indices_by_convolution(m, m.cols - rho)
-            undershot += rank_exact(m.evaluate(0)) < rho
-        assert undershot >= 30
-
-    def test_linearization_needs_few_points(self, monkeypatch):
-        # padded (d, m, r) = (4, 8, 1): a 40x40 pencil of rank 34, for which
-        # normal_rank would evaluate 36 points
-        sample = sample_bounded_rank(SampleSpec(8, 4, 1, seed=0))
-        pencil = build_linearization(pad_grade(sample)).pencil
-        points = []
-        stages = []
-        real_rank, real_staircase = exact.rank_exact, _staircase
-
-        def counted_rank(matrix):
-            points.append(1)
-            return real_rank(matrix)
+        read = []
+        real_staircase = _staircase
 
         def counted_staircase(P):
             for stage in real_staircase(P):
-                # only the staircase of the pencil, not that of its reversal
-                if P.numerators == pencil.numerators:
-                    stages.append(1)
+                read.append(1)
                 yield stage
 
-        def no_normal_rank(P):
-            raise AssertionError("normal_rank ran")
+        monkeypatch.setattr(eigenstructure, "_staircase", counted_staircase)
+        undershooting = undershooting_inputs(rng, 150)
+        families = (
+            undershooting
+            + left_nullity_inputs(rng, 30)
+            + unstructured_inputs(rng, 30)
+            + [m for m, _ in shifted_inputs(rng, 12)]
+            + [random_skew(rng, rng.randint(2, 4), rng.randint(0, 2)) for _ in range(12)]
+        )
+        undershot = 0
+        for i, m in enumerate(families):
+            read.clear()
+            rho, right = _rank_and_right_indices(m)
+            stages_read = len(read)
+            assert rho == normal_rank_by_minors(m) == normal_rank(m)
+            epsilon = minimal_indices_by_convolution(m, m.cols - rho)
+            assert list(right) == epsilon
+            kappa = multiplicities_at_zero(m, rho)
+            delta = max(m.degree, 0)
+            meeting = max(max(kappa, default=0), max(epsilon, default=0) + delta, delta)
+            assert stages_read == meeting + 1
+            if i < len(undershooting):
+                undershot += rank_exact(m.evaluate(0)) < rho
+        assert undershot >= 30
+
+    def test_linearization_needs_no_points(self, monkeypatch):
+        # padded (d, m, r) = (4, 8, 1): a 40x40 pencil of rank 34, for which
+        # normal_rank would evaluate 36 points; the staircase alone proves it
+        sample = sample_bounded_rank(SampleSpec(8, 4, 1, seed=0))
+        pencil = build_linearization(pad_grade(sample)).pencil
+        ranks = []
+        real_rank = exact.rank_exact
+
+        def counted_rank(matrix):
+            ranks.append(1)
+            return real_rank(matrix)
+
+        def no_points(*args):
+            raise AssertionError("a point-based rank ran")
 
         monkeypatch.setattr(exact, "rank_exact", counted_rank)
-        monkeypatch.setattr(eigenstructure, "_staircase", counted_staircase)
-        monkeypatch.setattr(exact, "normal_rank", no_normal_rank)
-        monkeypatch.setattr(eigenstructure, "normal_rank", no_normal_rank)
+        monkeypatch.setattr(exact, "_point_ranks", no_points)
+        monkeypatch.setattr(exact, "normal_rank", no_points)
+        monkeypatch.setattr(eigenstructure, "normal_rank", no_points)
         assert analyze(pencil, 1).rank == 2 + 8 * 4
-        assert 1 <= len(points) <= len(stages) + 1
+        assert ranks == []
 
     def test_staircase_eliminates_p0_once(self, monkeypatch):
         # padded (d, m, r) = (4, 8, 1): a 40x40 pencil whose staircase runs
