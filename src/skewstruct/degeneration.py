@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import BlockList, GeneralBlock
-from .errors import MissingBlocks, ShapeMismatch, SideConditionViolated
+from .errors import MissingBlocks, ParamDomain, ShapeMismatch, SideConditionViolated
 from .fileio import json_int
 from .points import INFINITY, SymbolicPoint, format_eigenvalue, parse_eigenvalue
 
@@ -399,7 +399,7 @@ def closure_reachable(
     Symbolic eigenvalues match modulo renaming. "yes" comes with the found
     rule sequence; "no" is certified; "no_within_bound" is inconclusive by
     design (the step bound defaults to the pencil size and may simply be too
-    small).
+    small). A negative step bound raises ParamDomain; zero searches no step.
 
     Rules 1-5 keep the rank and rule 6 raises it by one, so no state of
     rank above the target's leads to the target. The search generates rule
@@ -414,6 +414,8 @@ def closure_reachable(
         raise ShapeMismatch("target and source must have equal total sizes")
     if max_steps is None:
         max_steps = max(source.total_rows, source.total_cols)
+    elif max_steps < 0:
+        raise ParamDomain(f"the step bound {max_steps} is negative")
     target_key = canonical_key(target)
     source_key = canonical_key(source)
     pool = [ev for ev in _present_eigenvalues(target) if isinstance(ev, Fraction)]

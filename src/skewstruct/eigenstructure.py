@@ -22,7 +22,11 @@ growth of the prefix spaces gives the partial multiplicities). The float
 backend in `sampling` feeds the same pair from numpy Toeplitz nullities.
 
 The same pass proves the normal rank rho with no evaluation point, where
-the prefix growth meets the kernel growth (`_rank_and_right_indices`);
+the prefix growth meets the kernel growth, and by then it has read every
+minimal index and every partial multiplicity at zero (`_structure_at_zero`).
+`analyze` makes one pass, over rev(P, deg P), which has the rank and the
+minimal indices of P (De Teran-Dopico-Mackey 2014); its multiplicities at
+zero, raised by grade - deg P, are those of P at infinity.
 `exact.normal_rank`, from ranks at points, stays the public rank.
 """
 
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InternalInconsistency, ZeroRank
+from .errors import GradeTooSmall, InternalInconsistency, ZeroRank
 from .exact import (
     NEG_INF,
     MatrixPolynomial,
@@ -43,12 +47,11 @@ from .exact import (
     _replay_steps,
     _row_space_basis,
     as_skew,
-    normal_rank,
     rev,
     skew_smith,
 )
 from .fileio import FileFormatError, json_int, json_rational
-from .points import eigenvalue_sort_key, parse_eigenvalue
+from .points import eigenvalue_sort_key, format_eigenvalue, parse_eigenvalue
 
 
 def _finite_sort_key(factor):
@@ -123,8 +126,6 @@ class CompleteEigenstructure:
         )
 
     def to_json_dict(self) -> dict:
-        from .points import format_eigenvalue
-
         finite = []
         for factor, mults in self.finite:
             if isinstance(factor, RationalPolynomial):
@@ -147,7 +148,9 @@ class CompleteEigenstructure:
         """Read the JSON form; malformed input raises FileFormatError.
 
         Factor coefficients are strict "num/den" strings, as the writer
-        emits them (`points.parse_rational`); counts are JSON integers.
+        emits them (`points.parse_rational`); counts are JSON integers. A
+        factor must be monic of positive degree, and its multiplicities
+        positive.
         """
         try:
             finite = {}
@@ -155,25 +158,21 @@ class CompleteEigenstructure:
                 key = item["factor"]
                 if isinstance(key, list):
                     factor = RationalPolynomial([json_rational(c) for c in key])
+                    if factor.degree < 1 or not factor.is_monic():
+                        raise ValueError(f"factor {key} is not monic of positive degree")
                 else:
                     factor = parse_eigenvalue(key)
-                finite[factor] = _json_ints(item["multiplicities"])
+                mults = _json_ints(item["multiplicities"])
+                if not mults or min(mults) < 1:
+                    raise ValueError(f"multiplicities {list(mults)} are not all positive")
+                finite[factor] = mults
             size, grade, rank = (json_int(data[name]) for name in ("size", "grade", "rank"))
             infinite, left, right = (
                 _json_ints(data[name]) for name in ("infinite", "left_minimal", "right_minimal")
             )
         except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise FileFormatError(f"malformed eigenstructure: {exc}") from exc
-        return cls.build(
-            rows=size,
-            cols=size,
-            grade=grade,
-            rank=rank,
-            finite=finite,
-            infinite=infinite,
-            left_minimal=left,
-            right_minimal=right,
-        )
+        return cls.build(size, size, grade, rank, finite, infinite, left, right)
 
 
 def _json_ints(values) -> tuple:
@@ -217,7 +216,7 @@ def _staircase(P: MatrixPolynomial):
     the trailing window (x_{k-delta+1}, ..., x_k), whose fibers are the F_k.
     Constant and zero polynomials get an empty window (delta = 0): each
     block row then holds the newest block only. The stages never end: each
-    reader takes what it needs, and the index readers stop at `_last_stage`.
+    reader takes what it needs.
 
     Block row k+1 is the system [P_0 | W] in the new block x_{k+1} and the
     window's coefficients c, with W = [P_delta ... P_1] times the window.
@@ -263,11 +262,6 @@ def _staircase(P: MatrixPolynomial):
         window = _row_space_basis(shifted)
         fiber_dim = prefix_dim - len(window)
         yield prefix_dim, fiber_dim
-
-
-def _last_stage(P: MatrixPolynomial) -> int:
-    """A generous bound on the order k of any kernel or prefix dimension needed."""
-    return (P.rows + P.cols) * max(P.grade, 1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -329,24 +323,27 @@ def convolution_profile(P: MatrixPolynomial, up_to: int) -> ConvolutionProfile:
     return ConvolutionProfile(tuple(itertools.islice(fibers, start, start + up_to + 1)))
 
 
-def _rank_and_right_indices(P: MatrixPolynomial) -> tuple:
-    """(normal rank rho, right minimal indices) of P, from one staircase pass.
+def _structure_at_zero(P: MatrixPolynomial) -> tuple:
+    """(normal rank rho, right minimal indices, partial multiplicities at zero) of P.
 
-    With eta = cols - rho, the prefix growth dim S_k - dim S_{k-1} is eta
-    plus the number of partial multiplicities at zero above k, so it falls
-    to eta; from stage k = delta = deg P on, the kernel growth
-    dim ker C_{k-delta} - dim ker C_{k-delta-1} counts the right minimal
-    indices at most k - delta, so it rises to eta (Forney 1975). Where they
-    first meet, at stage max(largest multiplicity, largest index + delta,
-    delta), both are eta: that proves rho, and the kernel dimensions read so
-    far give every index. A kernel growth above the prefix growth, or no
+    One staircase pass. With eta = cols - rho, the prefix growth
+    dim S_k - dim S_{k-1} is eta plus the number of partial multiplicities at
+    zero above k, so it falls to eta; from stage k = delta = deg P on, the
+    kernel growth dim ker C_{k-delta} - dim ker C_{k-delta-1} counts the right
+    minimal indices at most k - delta, so it rises to eta (Forney 1975). Where
+    they first meet, at stage max(largest multiplicity, largest index + delta,
+    delta), both are eta: that proves rho, and the kernel and prefix
+    dimensions read so far give every index and every multiplicity (padded
+    with zeros to rho). A kernel growth above the prefix growth, or no
     meeting within the stage bound, raises InternalInconsistency.
     """
     delta = max(P.degree, 0)
-    stages = itertools.islice(_staircase(P), _last_stage(P) + delta + 1)
-    kernel_dims, prev_prefix = [], 0
+    # a generous bound past the largest multiplicity and the largest index
+    stages = itertools.islice(_staircase(P), (P.rows + P.cols) * max(P.grade, 1) + delta + 2)
+    prefix_dims, kernel_dims = [], []
     for k, (prefix_dim, fiber_dim) in enumerate(stages):
-        growth, prev_prefix = prefix_dim - prev_prefix, prefix_dim
+        growth = prefix_dim - (prefix_dims[-1] if prefix_dims else 0)
+        prefix_dims.append(prefix_dim)
         if k < delta:
             continue
         kernel_growth = fiber_dim - (kernel_dims[-1] if kernel_dims else 0)
@@ -356,7 +353,8 @@ def _rank_and_right_indices(P: MatrixPolynomial) -> tuple:
                 f"kernel growth {kernel_growth} exceeds prefix growth {growth} at stage {k}"
             )
         if kernel_growth == growth:
-            return P.cols - growth, indices_from_kernel_dims(kernel_dims, growth)
+            rho, indices = P.cols - growth, indices_from_kernel_dims(kernel_dims, growth)
+            return rho, indices, multiplicities_from_prefix_dims(prefix_dims, growth, rho)
     raise InternalInconsistency("normal rank search exceeded its bound")
 
 
@@ -364,45 +362,45 @@ def minimal_indices(P: MatrixPolynomial) -> tuple:
     """Right minimal indices of P, sorted ascending.
 
     The count of indices equal to k is the second difference of the kernel
-    dimensions of the convolution matrices; the total count always equals
-    cols - normal_rank(P). Both the indices and that rank come from one
-    staircase pass, which stops where its prefix and kernel growths meet
-    (`_rank_and_right_indices`); no point is evaluated. Left minimal indices
-    are the right ones of the negated transpose (for skew-symmetric inputs
-    that is P itself, so left and right coincide).
+    dimensions of the convolution matrices, and there are cols - rho of them.
+    Both come from one staircase pass with no evaluation point
+    (`_structure_at_zero`). Left minimal indices are the right ones of the
+    negated transpose (for skew-symmetric inputs that is P itself, so left
+    and right coincide).
     """
-    return _rank_and_right_indices(P)[1]
+    return _structure_at_zero(P)[1]
 
 
 def left_minimal_indices(P: MatrixPolynomial) -> tuple:
     return minimal_indices(-P.transpose())
 
 
-def multiplicities_at_zero(P: MatrixPolynomial, rho: int | None = None) -> tuple:
+def multiplicities_at_zero(P: MatrixPolynomial) -> tuple:
     """Partial multiplicities of P at the point zero, padded with zeros to rank.
 
     Computed from the growth of the space of truncated power-series solutions
     of P x = 0 (the prefix spaces of the convolution system): with eta the
     rational kernel dimension, dim S_k grows by eta plus the number of
-    multiplicities exceeding k. rho is normal_rank(P) unless given.
+    multiplicities exceeding k. The same staircase pass proves the rank
+    (`_structure_at_zero`).
     """
-    if rho is None:
-        rho = normal_rank(P)
-    prefix_dims = (dim for dim, _ in itertools.islice(_staircase(P), _last_stage(P) + 1))
-    return multiplicities_from_prefix_dims(prefix_dims, P.cols - rho, rho)
+    return _structure_at_zero(P)[2]
 
 
 def infinite_structure(P: MatrixPolynomial, grade: int | None = None) -> tuple:
     """Partial multiplicities of P at infinity for the declared grade.
 
-    These are the multiplicities at zero of the grade-reversal, with zeros
-    included up to length normal_rank(P); they change when the grade does.
-    The reversal has the normal rank of P, so that rank (cached) is passed
-    on instead of being recomputed for the reversal.
+    These are the multiplicities at zero of rev(P, grade), zeros included up
+    to length normal_rank(P). With d = deg P, rev(P, grade) is
+    x^(grade - d) rev(P, d), so each is one of rev(P, d) raised by
+    grade - d. A grade below the degree raises GradeTooSmall.
     """
     if grade is None:
         grade = P.grade
-    return multiplicities_at_zero(rev(P, grade), normal_rank(P))
+    d = max(P.degree, 0)
+    if grade < d:
+        raise GradeTooSmall(f"grade {grade} < degree {P.degree}")
+    return tuple(k + grade - d for k in multiplicities_at_zero(rev(P, d)))
 
 
 class GradeLawReport(NamedTuple):
@@ -458,13 +456,14 @@ def _factor_rational(poly: RationalPolynomial) -> list:
 def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstructure:
     """Complete eigenstructure of a skew-symmetric matrix polynomial.
 
-    Computes the exact rank rho and the minimal indices first, together,
-    from one staircase pass and no evaluation point
-    (`_rank_and_right_indices`: rho is proved where the prefix growth meets
-    the kernel growth), then the structure at infinity for the declared
-    grade from the reversal's staircase. By the index sum theorem the finite
-    elementary divisors then have total degree
-    rho * grade - sum(infinite) - sum(left) - sum(right). Only when that
+    Computes the exact rank rho, the minimal indices and the structure at
+    infinity from one staircase pass over rev(P, d), d = deg P, and no
+    evaluation point (`_structure_at_zero`). The reversal keeps the rank and
+    the minimal indices, and rev(P, grade) = x^(grade - d) rev(P, d), so the
+    multiplicities at infinity are its multiplicities at zero raised by
+    grade - d. By the index sum theorem the finite elementary divisors then
+    have total degree rho * grade - sum(infinite) - sum(left) - sum(right).
+    Only when that
     deficit is positive does the Smith reduction run, with its invariant
     polynomials factored over the rationals; a zero deficit leaves no finite
     elementary divisors, and a negative one raises InternalInconsistency.
@@ -477,9 +476,9 @@ def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstruc
         skew = skew.with_grade(grade)
     grade = skew.grade
 
-    rho, right = _rank_and_right_indices(skew)
-    # the reversal has the normal rank of skew
-    infinite = multiplicities_at_zero(rev(skew, grade), rho)
+    d = max(skew.degree, 0)
+    rho, right, at_zero = _structure_at_zero(rev(skew, d))
+    infinite = tuple(k + grade - d for k in at_zero)
     left = right  # for skew-symmetric P, -P^T == P
     deficit = rho * grade - sum(infinite) - sum(left) - sum(right)
     if deficit < 0:

@@ -139,8 +139,8 @@ def _congruence_product(block, congruence, d) -> SkewMatrixPolynomial:
 
 def rank_fp(matrix, tol_rel: float = DEFAULT_TOL) -> int:
     """Numerical rank: singular values above tol_rel times the largest."""
-    if tol_rel <= 0:
-        raise ParamDomain("tol_rel must be positive")
+    if not 0 < tol_rel < math.inf:  # NaN fails every comparison
+        raise ParamDomain(f"tol_rel must be positive and finite, got {tol_rel}")
     a = np.asarray(matrix, dtype=complex)
     if a.size == 0:
         return 0

@@ -164,8 +164,13 @@ class TestAnalyzeCommand:
         assert data["tolerance"] == 1e-8
 
     def test_float_backend_failure_exit_code(self, poly_file, capsys):
-        assert main(["analyze", poly_file, "--backend", "float", "--tol", "-1"]) == 3
-        assert "numeric backend failed" in capsys.readouterr().err
+        # a NaN or infinite tolerance printed rank 0 and wrote NaN/Infinity,
+        # which is not JSON
+        for tol in ("-1", "nan", "inf"):
+            assert main(["analyze", poly_file, "--backend", "float", "--tol", tol]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "numeric backend failed" in err
 
     def test_grade_below_degree(self, poly_file, capsys):
         assert main(["analyze", poly_file, "--grade", "1"]) == 1
@@ -608,6 +613,20 @@ class TestClosureCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["status"] == "no_within_bound"
         assert main(["closure", "--target", target, "--source", source]) == 0
+
+    def test_negative_step_bound(self, tmp_path, capsys):
+        # it answered "no_within_bound" with exit 2; zero stays a legal bound
+        blocks = {
+            "flavor": "general",
+            "blocks": [{"kind": "L", "index": 0}, {"kind": "L_T", "index": 0}],
+        }
+        source = self._write(tmp_path / "s.json", blocks)
+        target = self._write(tmp_path / "t.json", blocks)
+        code = main(["closure", "--target", target, "--source", source, "--max-steps", "-3"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: the step bound -3 is negative\n"
+        assert main(["closure", "--target", target, "--source", source, "--max-steps", "0"]) == 0
 
     def test_rank_above_target_exit_code(self, tmp_path, capsys):
         source = self._write(

@@ -20,6 +20,7 @@ from skewstruct.degeneration import (
 )
 from skewstruct.errors import (
     MissingBlocks,
+    ParamDomain,
     ShapeMismatch,
     SideConditionViolated,
 )
@@ -253,6 +254,13 @@ class TestClosureSearch:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             closure_reachable(gl(L(1)), gl(L(0)))
+
+    def test_negative_step_bound(self):
+        target = gl(E(1, SymbolicPoint("z")), E(1, SymbolicPoint("w")))
+        source = gl(L(0), L(0), LT(0), LT(0))
+        with pytest.raises(ParamDomain):
+            closure_reachable(target, source, max_steps=-1)
+        assert closure_reachable(target, source, max_steps=0).status == "no_within_bound"
 
     def test_invalid_application_raises(self, monkeypatch):
         # a generator that yields an application the state cannot take is a

@@ -12,8 +12,8 @@ from skewstruct import eigenstructure, exact
 from skewstruct.blocks import BlockList, SkewBlock, assemble_skew, blocklist_eigenstructure
 from skewstruct.eigenstructure import (
     CompleteEigenstructure,
-    _rank_and_right_indices,
     _staircase,
+    _structure_at_zero,
     analyze,
     convolution_profile,
     indices_from_kernel_dims,
@@ -42,6 +42,7 @@ from skewstruct.exact import (
     rev,
     smith_form,
 )
+from skewstruct.fileio import FileFormatError
 from skewstruct.linearize import build_linearization, pad_grade
 from skewstruct.sampling import SampleSpec, sample_bounded_rank
 
@@ -237,12 +238,13 @@ class TestMinimalIndices:
         undershot = 0
         for i, m in enumerate(families):
             read.clear()
-            rho, right = _rank_and_right_indices(m)
+            rho, right, at_zero = _structure_at_zero(m)
             stages_read = len(read)
             assert rho == normal_rank_by_minors(m) == normal_rank(m)
             epsilon = minimal_indices_by_convolution(m, m.cols - rho)
             assert list(right) == epsilon
-            kappa = multiplicities_at_zero(m, rho)
+            kappa = sorted(g.valuation_at_zero() for g in smith_by_minors(m))
+            assert list(at_zero) == kappa
             delta = max(m.degree, 0)
             meeting = max(max(kappa, default=0), max(epsilon, default=0) + delta, delta)
             assert stages_read == meeting + 1
@@ -268,7 +270,6 @@ class TestMinimalIndices:
         monkeypatch.setattr(exact, "rank_exact", counted_rank)
         monkeypatch.setattr(exact, "_point_ranks", no_points)
         monkeypatch.setattr(exact, "normal_rank", no_points)
-        monkeypatch.setattr(eigenstructure, "normal_rank", no_points)
         assert analyze(pencil, 1).rank == 2 + 8 * 4
         assert ranks == []
 
@@ -391,8 +392,8 @@ class TestInfiniteStructure:
             assert list(got) == expected
 
     def test_reversal_keeps_rank(self):
-        # infinite_structure hands the rank of P to the reversal; computing
-        # the reversal's own rank gives the same multiplicities
+        # rev(P, grade) has the rank of P, and its own multiplicities at zero
+        # are the structure at infinity
         rng = random.Random(24)
         inputs = [random_skew(rng, rng.randint(2, 4), rng.randint(0, 2)) for _ in range(10)]
         for m in inputs + unstructured_inputs(rng, 10):
@@ -400,6 +401,60 @@ class TestInfiniteStructure:
             reversal = rev(m.with_grade(grade), grade)
             assert normal_rank(reversal) == normal_rank(m)
             assert infinite_structure(m, grade) == multiplicities_at_zero(reversal)
+
+    def test_reversal_at_the_degree(self):
+        # rev(P, deg P) has the rank and the minimal indices of P, and
+        # rev(P, grade) = x^(grade - deg P) rev(P, deg P) raises each of its
+        # multiplicities at zero by grade - deg P
+        rng = random.Random(25)
+        families = (
+            undershooting_inputs(rng, 40)
+            + left_nullity_inputs(rng, 15)
+            + unstructured_inputs(rng, 15)
+            + [m for m, _ in shifted_inputs(rng, 8)]
+            + [random_skew(rng, rng.randint(2, 4), rng.randint(0, 2)) for _ in range(10)]
+        )
+        for m in families:
+            d = max(m.degree, 0)
+            rho, right, at_zero = _structure_at_zero(rev(m, d))
+            assert rho == normal_rank_by_minors(m)
+            assert list(right) == minimal_indices_by_convolution(m, m.cols - rho)
+            for grade in range(d, d + 3):
+                reversed_smith = smith_by_minors(rev(m, grade))
+                expected = tuple(sorted(g.valuation_at_zero() for g in reversed_smith))
+                assert tuple(k + grade - d for k in at_zero) == expected
+                assert infinite_structure(m, grade) == expected
+
+    def test_analyze_makes_one_pass(self, monkeypatch):
+        # one staircase over rev(P, deg P), read up to the stage where its
+        # growths meet: max(kappa, eps_max + d', d') + 1 stages, with kappa
+        # the largest multiplicity at zero of the reversal and d' its degree
+        sample = sample_bounded_rank(SampleSpec(8, 4, 1, seed=0))
+        cases = [tuple(param.values[:2]) for param in _gate_fixtures()]
+        cases.append((build_linearization(pad_grade(sample)).pencil, 1))
+        for seed in range(3):
+            draw = sample_bounded_rank(SampleSpec(5, 2, 2, seed=40 + seed))
+            cases += [(draw, 3), (draw, 4)]
+        passes = []
+        real_staircase = _staircase
+
+        def counted_staircase(P):
+            passes.append([P, 0])
+            for stage in real_staircase(P):
+                passes[-1][1] += 1
+                yield stage
+
+        monkeypatch.setattr(eigenstructure, "_staircase", counted_staircase)
+        for poly, grade in cases:
+            passes.clear()
+            structure = analyze(poly, grade)
+            d = max(poly.degree, 0)
+            [(reversal, stages)] = passes
+            assert reversal == rev(as_skew(poly), d)
+            kappa = max(structure.infinite, default=grade - d) - (grade - d)
+            eps = max(structure.right_minimal, default=0)
+            d_rev = max(reversal.degree, 0)
+            assert stages == max(kappa, eps + d_rev, d_rev) + 1
 
 
 def _gate_fixtures():
@@ -457,13 +512,13 @@ class TestIndexSumGate:
             analyze(skew2(x**2), 2)
 
     def test_negative_deficit_raises(self, monkeypatch):
-        real = eigenstructure._rank_and_right_indices
+        real = eigenstructure._structure_at_zero
 
         def inflated(P):
-            rho, indices = real(P)
-            return rho, indices[:-1] + (indices[-1] + 1,)
+            rho, indices, at_zero = real(P)
+            return rho, indices[:-1] + (indices[-1] + 1,), at_zero
 
-        monkeypatch.setattr(eigenstructure, "_rank_and_right_indices", inflated)
+        monkeypatch.setattr(eigenstructure, "_structure_at_zero", inflated)
         with pytest.raises(InternalInconsistency, match="exceed rank"):
             analyze(M1_PENCIL, 1)
 
@@ -647,6 +702,29 @@ class TestEigenstructureJson:
         with pytest.raises(SkewstructError, match="malformed"):
             CompleteEigenstructure.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "factor, mults",
+        [
+            ([], [1, 1]),
+            (["0/1"], [1, 1]),
+            (["5/1"], [1, 1]),
+            (["2/1", "2/1"], [1, 1]),
+            (["0/1", "1/1"], [0, 0]),
+            (["0/1", "1/1"], [-1, -1]),
+            (["0/1", "1/1"], []),
+            ("3/1", [0, 0]),
+        ],
+        ids=[
+            "zero", "zero-constant", "constant", "non-monic",
+            "zero-count", "negative", "no-count", "point-zero-count",
+        ],
+    )
+    def test_not_an_elementary_divisor(self, factor, mults):
+        # index_sums() raised OverflowError on the zero factor
+        data = _VALID_STRUCTURES[0] | {"finite": [{"factor": factor, "multiplicities": mults}]}
+        with pytest.raises(FileFormatError, match="malformed"):
+            CompleteEigenstructure.from_json_dict(data)
+
     @given(st.sampled_from(_VALID_STRUCTURES) | _STRUCTURE | _JSON)
     @settings(max_examples=400, deadline=None)
     def test_round_trips_or_raises_library_error(self, data):
@@ -654,6 +732,7 @@ class TestEigenstructureJson:
             out = CompleteEigenstructure.from_json_dict(data)
         except SkewstructError:
             return
+        out.index_sums()
         again = CompleteEigenstructure.from_json_dict(out.to_json_dict())
         assert again == out
         assert again.to_json_dict() == out.to_json_dict()
