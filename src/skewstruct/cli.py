@@ -12,7 +12,7 @@ import argparse
 import dataclasses
 import sys
 
-from .blocks import BlockList, skew_to_general
+from .blocks import BlockList
 from .codimension import (
     codim_poly_generic,
     pencil_codim_reports,
@@ -168,10 +168,6 @@ def cmd_codim(args) -> int:
 def cmd_closure(args) -> int:
     target = BlockList.from_json_dict(read_json(args.target))
     source = BlockList.from_json_dict(read_json(args.source))
-    if target.flavor == "skew":
-        target = skew_to_general(target)
-    if source.flavor == "skew":
-        source = skew_to_general(source)
     result = closure_reachable(target, source, max_steps=args.max_steps)
     if result.reachable:
         data = {

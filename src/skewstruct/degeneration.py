@@ -17,6 +17,14 @@ Rules 1-5 keep the rank and rule 6 raises it by exactly one, so the search
 applies rule 6 only below the target's rank and never builds a state of
 higher rank: `states_explored` counts only states of rank at most the
 target's.
+
+One core, `_apply_to_counts`, applies a rule to a block -> multiplicity
+dict: it checks the side conditions, the presence of the consumed blocks
+and the total size. `apply_rule` wraps it between `BlockList.counts` and
+`BlockList.general`. The search calls it directly on a copy of each
+frontier state's counts and reads the successor's key off the counts
+(`canonical_key` depends on nothing else), so most successors, which were
+already visited, never become a BlockList.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocks import BlockList, GeneralBlock
+from .blocks import BlockList, GeneralBlock, skew_to_general
 from .errors import MissingBlocks, ParamDomain, ShapeMismatch, SideConditionViolated
 from .fileio import json_int
 from .points import INFINITY, SymbolicPoint, format_eigenvalue, parse_eigenvalue
@@ -96,27 +104,88 @@ class RuleApplication:
         raise SideConditionViolated(f"unknown rule {rule}")
 
 
-def _take(counts: dict, block: GeneralBlock):
-    have = counts.get(block, 0)
-    if have <= 0:
-        raise MissingBlocks(f"block {block} not present")
-    if have == 1:
-        del counts[block]
-    else:
-        counts[block] = have - 1
-
-
-def _put(counts: dict, block: GeneralBlock | None):
-    if block is None:
-        return
-    counts[block] = counts.get(block, 0) + 1
-
-
 def _eigen_or_none(index: int, point):
     """E block of the given index at a finite point or INFINITY; None if empty."""
     if index == 0:
         return None
     return GeneralBlock.eigen(index, point)
+
+
+def _rule_blocks(app: RuleApplication):
+    """(consumed blocks, produced blocks) of one application; checks its side conditions.
+
+    A produced eigenvalue block of size zero is empty and stands as None.
+    """
+    r = app.rule
+    if r in (1, 2):
+        j, k = app.j, app.k
+        if not 1 <= j <= k:
+            raise SideConditionViolated(f"rule {r} needs 1 <= j <= k, got {j}, {k}")
+        mk = GeneralBlock.right if r == 1 else GeneralBlock.left
+        return (mk(j - 1), mk(k + 1)), (mk(j), mk(k))
+    if r in (3, 4):
+        j, k = app.j, app.k
+        if j < 0 or k < 0:
+            raise SideConditionViolated(f"rule {r} needs j, k >= 0")
+        mk = GeneralBlock.right if r == 3 else GeneralBlock.left
+        produced = (mk(j + 1), _eigen_or_none(k, app.eigenvalue))
+        return (mk(j), GeneralBlock.eigen(k + 1, app.eigenvalue)), produced
+    if r == 5:
+        j, k = app.j, app.k
+        if not 1 <= j <= k:
+            raise SideConditionViolated(f"rule 5 needs 1 <= j <= k, got {j}, {k}")
+        ev = app.eigenvalue
+        produced = (_eigen_or_none(j - 1, ev), GeneralBlock.eigen(k + 1, ev))
+        return (GeneralBlock.eigen(j, ev), GeneralBlock.eigen(k, ev)), produced
+    p, q, sizes, evs = app.p, app.q, app.sizes, app.eigenvalues
+    if p < 0 or q < 0:
+        raise SideConditionViolated("rule 6 needs p, q >= 0")
+    if not sizes or len(sizes) != len(evs):
+        raise SideConditionViolated("rule 6 needs matching sizes and eigenvalues")
+    if any(s < 1 for s in sizes):
+        raise SideConditionViolated("rule 6 block sizes must be positive")
+    if sum(sizes) != p + q + 1:
+        raise SideConditionViolated(
+            f"rule 6 needs sizes summing to p+q+1={p + q + 1}, got {sum(sizes)}"
+        )
+    if len(set(evs)) != len(evs):
+        raise SideConditionViolated("rule 6 eigenvalues must be pairwise distinct")
+    produced = tuple(GeneralBlock.eigen(size, ev) for size, ev in zip(sizes, evs))
+    return (GeneralBlock.right(p), GeneralBlock.left(q)), produced
+
+
+def _apply_to_counts(counts: dict, app: RuleApplication):
+    """Apply one rule in place to a block -> multiplicity dict: the core of apply_rule and the search.
+
+    A consumed block must be present (MissingBlocks otherwise), and the
+    consumed and produced blocks must cover the same total rows and columns.
+    """
+    consumed, produced = _rule_blocks(app)
+    rows = cols = 0
+    for block in consumed:
+        have = counts.get(block, 0)
+        if have <= 0:
+            raise MissingBlocks(f"block {block} not present")
+        if have == 1:
+            del counts[block]
+        else:
+            counts[block] = have - 1
+        br, bc = block.shape
+        rows, cols = rows + br, cols + bc
+    for block in produced:
+        if block is not None:
+            counts[block] = counts.get(block, 0) + 1
+            br, bc = block.shape
+            rows, cols = rows - br, cols - bc
+    if rows or cols:
+        raise SideConditionViolated("rule application changed the total size")
+
+
+def _general_from_counts(counts: dict) -> BlockList:
+    out_blocks = []
+    for block, count in counts.items():
+        out_blocks.extend([block] * count)
+    return BlockList.general(out_blocks)
 
 
 def apply_rule(blocklist: BlockList, app: RuleApplication) -> BlockList:
@@ -128,59 +197,9 @@ def apply_rule(blocklist: BlockList, app: RuleApplication) -> BlockList:
     """
     if blocklist.flavor != "general":
         raise ShapeMismatch("rules rewrite general block lists")
-    counts = dict(blocklist.counts())
-    r = app.rule
-    if r in (1, 2):
-        j, k = app.j, app.k
-        if not 1 <= j <= k:
-            raise SideConditionViolated(f"rule {r} needs 1 <= j <= k, got {j}, {k}")
-        mk = GeneralBlock.right if r == 1 else GeneralBlock.left
-        _take(counts, mk(j - 1))
-        _take(counts, mk(k + 1))
-        _put(counts, mk(j))
-        _put(counts, mk(k))
-    elif r in (3, 4):
-        j, k = app.j, app.k
-        if j < 0 or k < 0:
-            raise SideConditionViolated(f"rule {r} needs j, k >= 0")
-        mk = GeneralBlock.right if r == 3 else GeneralBlock.left
-        _take(counts, mk(j))
-        _take(counts, GeneralBlock.eigen(k + 1, app.eigenvalue))
-        _put(counts, mk(j + 1))
-        _put(counts, _eigen_or_none(k, app.eigenvalue))
-    elif r == 5:
-        j, k = app.j, app.k
-        if not 1 <= j <= k:
-            raise SideConditionViolated(f"rule 5 needs 1 <= j <= k, got {j}, {k}")
-        _take(counts, GeneralBlock.eigen(j, app.eigenvalue))
-        _take(counts, GeneralBlock.eigen(k, app.eigenvalue))
-        _put(counts, _eigen_or_none(j - 1, app.eigenvalue))
-        _put(counts, GeneralBlock.eigen(k + 1, app.eigenvalue))
-    else:
-        p, q, sizes, evs = app.p, app.q, app.sizes, app.eigenvalues
-        if p < 0 or q < 0:
-            raise SideConditionViolated("rule 6 needs p, q >= 0")
-        if not sizes or len(sizes) != len(evs):
-            raise SideConditionViolated("rule 6 needs matching sizes and eigenvalues")
-        if any(s < 1 for s in sizes):
-            raise SideConditionViolated("rule 6 block sizes must be positive")
-        if sum(sizes) != p + q + 1:
-            raise SideConditionViolated(
-                f"rule 6 needs sizes summing to p+q+1={p + q + 1}, got {sum(sizes)}"
-            )
-        if len(set(evs)) != len(evs):
-            raise SideConditionViolated("rule 6 eigenvalues must be pairwise distinct")
-        _take(counts, GeneralBlock.right(p))
-        _take(counts, GeneralBlock.left(q))
-        for size, ev in zip(sizes, evs):
-            _put(counts, GeneralBlock.eigen(size, ev))
-    out_blocks = []
-    for block, count in counts.items():
-        out_blocks.extend([block] * count)
-    out = BlockList.general(out_blocks)
-    if (out.total_rows, out.total_cols) != (blocklist.total_rows, blocklist.total_cols):
-        raise SideConditionViolated("rule application changed the total size")
-    return out
+    counts = blocklist.counts()
+    _apply_to_counts(counts, app)
+    return _general_from_counts(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -188,27 +207,34 @@ def apply_rule(blocklist: BlockList, app: RuleApplication) -> BlockList:
 # ---------------------------------------------------------------------------
 
 
+def _key_from_counts(counts: dict):
+    """canonical_key of the list with these block multiplicities."""
+    fixed = []
+    by_symbol: dict = {}
+    for block, count in counts.items():
+        if isinstance(block.eigenvalue, SymbolicPoint):
+            by_symbol.setdefault(block.eigenvalue, []).extend([(block.kind, block.index)] * count)
+        else:
+            fixed.append((block, count))
+    return frozenset(fixed), tuple(sorted(tuple(sorted(pairs)) for pairs in by_symbol.values()))
+
+
 def canonical_key(blocklist: BlockList):
     """Hashable state key: equal exactly when two lists differ by a renaming of symbols.
 
-    The key is the blocks without a symbolic eigenvalue, in the list's
-    canonical order, plus one tuple per symbol, sorted: the (kind, index)
-    pairs of its blocks in list order, which for one eigenvalue is sorted by
-    kind and index. Symbols sit only in eigenvalue blocks at finite points,
-    differ from every rational point and from each other, and are
-    interchangeable. So a renaming fixes the other blocks and only permutes
-    the symbols' block multisets, and two lists with equal keys are related
-    by the renaming that matches symbols with equal multisets. No search over
-    renamings is needed, and there is no limit on the number of symbols.
+    The key is the set of (block, multiplicity) pairs of the blocks without
+    a symbolic eigenvalue, plus one sorted tuple per symbol, sorted: the
+    (kind, index) pairs of its blocks with multiplicity. Symbols sit only in
+    eigenvalue blocks at finite points, differ from every rational point and
+    from each other, and are interchangeable. So a renaming fixes the other
+    blocks and only permutes the symbols' block multisets, and two lists
+    with equal keys are related by the renaming that matches symbols with
+    equal multisets. No search over renamings is needed, and there is no
+    limit on the number of symbols. The key depends only on the block
+    multiplicities, so the search computes it from a successor's counts
+    before building any list.
     """
-    fixed = []
-    by_symbol: dict = {}
-    for b in blocklist.blocks:
-        if isinstance(b.eigenvalue, SymbolicPoint):
-            by_symbol.setdefault(b.eigenvalue.name, []).append((b.kind, b.index))
-        else:
-            fixed.append(b)
-    return tuple(fixed), tuple(sorted(tuple(pairs) for pairs in by_symbol.values()))
+    return _key_from_counts(blocklist.counts())
 
 
 def equal_modulo_symbols(a: BlockList, b: BlockList) -> bool:
@@ -400,6 +426,8 @@ def closure_reachable(
     rule sequence; "no" is certified; "no_within_bound" is inconclusive by
     design (the step bound defaults to the pencil size and may simply be too
     small). A negative step bound raises ParamDomain; zero searches no step.
+    A skew-flavor target or source is searched as its `skew_to_general`
+    unfolding, which is also the list a certificate replays from.
 
     Rules 1-5 keep the rank and rule 6 raises it by one, so no state of
     rank above the target's leads to the target. The search generates rule
@@ -409,7 +437,14 @@ def closure_reachable(
     from the same parent, in the same order, as by the search without this
     bound. The generators yield only legal applications, so a rule error is
     a bug and propagates instead of dropping a path.
+
+    Each successor is keyed from its block counts, and only a state with a
+    new key, the one that joins the next frontier, is built as a BlockList.
     """
+    if target.flavor == "skew":
+        target = skew_to_general(target)
+    if source.flavor == "skew":
+        source = skew_to_general(source)
     if (target.total_rows, target.total_cols) != (source.total_rows, source.total_cols):
         raise ShapeMismatch("target and source must have equal total sizes")
     if max_steps is None:
@@ -434,9 +469,11 @@ def closure_reachable(
                 apps = enumerate_applications(state, pool)
             else:
                 apps = _rank_preserving_applications(state)
+            counts = state.counts()
             for app in apps:
-                nxt = apply_rule(state, app)
-                key = canonical_key(nxt)
+                nxt = dict(counts)
+                _apply_to_counts(nxt, app)
+                key = _key_from_counts(nxt)
                 if key in visited:
                     continue
                 visited[key] = (state_key, app)
@@ -453,7 +490,7 @@ def closure_reachable(
                         certificate=tuple(reversed(cert)),
                         states_explored=explored,
                     )
-                next_frontier.append((nxt, key))
+                next_frontier.append((_general_from_counts(nxt), key))
                 if explored >= MAX_STATES:
                     return ClosureResult(status="no_within_bound", states_explored=explored)
         frontier = next_frontier

@@ -51,7 +51,7 @@ from .exact import (
     skew_smith,
 )
 from .fileio import FileFormatError, json_int, json_rational
-from .points import eigenvalue_sort_key, format_eigenvalue, parse_eigenvalue
+from .points import INFINITY, eigenvalue_sort_key, format_eigenvalue, parse_eigenvalue
 
 
 def _finite_sort_key(factor):
@@ -149,8 +149,9 @@ class CompleteEigenstructure:
 
         Factor coefficients are strict "num/den" strings, as the writer
         emits them (`points.parse_rational`); counts are JSON integers. A
-        factor must be monic of positive degree, and its multiplicities
-        positive.
+        factor must be monic of positive degree or a finite point, appear
+        once, and have positive multiplicities. Sizes, infinite
+        multiplicities and minimal indices must not be negative.
         """
         try:
             finite = {}
@@ -162,6 +163,10 @@ class CompleteEigenstructure:
                         raise ValueError(f"factor {key} is not monic of positive degree")
                 else:
                     factor = parse_eigenvalue(key)
+                    if factor is INFINITY:
+                        raise ValueError("infinity is not a finite factor")
+                if factor in finite:
+                    raise ValueError(f"factor {key} appears twice")
                 mults = _json_ints(item["multiplicities"])
                 if not mults or min(mults) < 1:
                     raise ValueError(f"multiplicities {list(mults)} are not all positive")
@@ -170,6 +175,8 @@ class CompleteEigenstructure:
             infinite, left, right = (
                 _json_ints(data[name]) for name in ("infinite", "left_minimal", "right_minimal")
             )
+            if min((size, grade, rank) + infinite + left + right) < 0:
+                raise ValueError("sizes, multiplicities and indices must not be negative")
         except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise FileFormatError(f"malformed eigenstructure: {exc}") from exc
         return cls.build(size, size, grade, rank, finite, infinite, left, right)

@@ -275,6 +275,60 @@ class TestClosureSearch:
         with pytest.raises(MissingBlocks):
             closure_reachable(gl(L(1), L(1)), gl(L(0), L(2)))
 
+    @pytest.mark.parametrize("skew_target, skew_source", [(True, True), (False, True), (True, False)])
+    @pytest.mark.parametrize(
+        "cell, source, steps",
+        [
+            ((5, 2, 1), [SkewBlock.m(0), SkewBlock.h(1, SymbolicPoint("p0")), SkewBlock.k(1)], None),
+            ((6, 2, 2), [SkewBlock.m(0), SkewBlock.m(0), SkewBlock.k(2)], None),
+            ((5, 2, 1), [SkewBlock.m(0), SkewBlock.m(0), SkewBlock.m(0), SkewBlock.k(1)], 1),
+        ],
+        ids=["yes", "exhaustive", "step-bound"],
+    )
+    def test_skew_inputs_search_their_unfolding(self, cell, source, steps, skew_target, skew_source):
+        # the rule generators read only general kinds, so a skew list used to
+        # yield no application and end "no_within_bound" after one state
+        target = generic_pencil_structure(*cell)
+        source = BlockList.skew(source)
+        general = closure_reachable(skew_to_general(target), skew_to_general(source), max_steps=steps)
+        res = closure_reachable(
+            target if skew_target else skew_to_general(target),
+            source if skew_source else skew_to_general(source),
+            max_steps=steps,
+        )
+        assert (res.status, certificate_json(res), res.states_explored) == (
+            general.status, certificate_json(general), general.states_explored
+        )
+
+    def test_builds_a_blocklist_only_for_new_states(self, monkeypatch):
+        # successors are keyed from their block counts; a list is built only
+        # for a state that joins the next frontier, not per application
+        searches = [
+            (skew_to_general(generic_pencil_structure(5, 2, 1)),
+             skew_to_general(BlockList.skew([SkewBlock.m(0), SkewBlock.h(1, 3), SkewBlock.k(1)])), 10),
+            (skew_to_general(generic_pencil_structure(6, 2, 2)),
+             skew_to_general(BlockList.skew([SkewBlock.m(0), SkewBlock.m(0), SkewBlock.k(2)])), None),
+            (skew_to_general(generic_pencil_structure(6, 2, 1)),
+             skew_to_general(BlockList.skew([SkewBlock.m(0)] * 6)), 8),
+            (gl(E(1, SymbolicPoint("z")), E(1, SymbolicPoint("w"))), gl(L(0), L(0), LT(0), LT(0)), 1),
+        ]
+        built = []
+        real = BlockList.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(BlockList, "__post_init__", counting)
+        statuses = set()
+        for target, source, steps in searches:
+            built.clear()
+            res = closure_reachable(target, source, max_steps=steps)
+            statuses.add(res.status)
+            assert res.states_explored > 1
+            assert len(built) <= res.states_explored, (str(source), len(built), res.states_explored)
+        assert statuses == {"yes", "no_within_bound"}
+
     def test_trivial_identity(self):
         bl = gl(L(1), LT(1))
         res = closure_reachable(bl, bl)

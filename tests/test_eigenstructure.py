@@ -725,6 +725,32 @@ class TestEigenstructureJson:
         with pytest.raises(FileFormatError, match="malformed"):
             CompleteEigenstructure.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"finite": [{"factor": ["0/1", "1/1"], "multiplicities": [1, 1]},
+                        {"factor": ["0/1", "1/1"], "multiplicities": [2, 2]}]},
+            {"finite": [{"factor": "@a", "multiplicities": [1]}, {"factor": "@a", "multiplicities": [1]}]},
+            {"finite": [{"factor": "inf", "multiplicities": [1, 1]}]},
+            {"infinite": [-1, -1]},
+            {"left_minimal": [-1]},
+            {"right_minimal": [-1]},
+            {"size": -3},
+            {"grade": -1},
+            {"rank": -2},
+        ],
+        ids=[
+            "duplicate-factor", "duplicate-point", "inf-factor", "negative-infinite",
+            "negative-left-index", "negative-right-index", "negative-size", "negative-grade",
+            "negative-rank",
+        ],
+    )
+    def test_impossible_structure(self, fields):
+        # a second entry for one factor replaced the first, and the rest read
+        # back as given: "size": -3 gave rows == -3
+        with pytest.raises(FileFormatError, match="malformed"):
+            CompleteEigenstructure.from_json_dict(_VALID_STRUCTURES[0] | fields)
+
     @given(st.sampled_from(_VALID_STRUCTURES) | _STRUCTURE | _JSON)
     @settings(max_examples=400, deadline=None)
     def test_round_trips_or_raises_library_error(self, data):
