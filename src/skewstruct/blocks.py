@@ -79,7 +79,6 @@ class GeneralBlock:
     @classmethod
     def eigen(cls, index: int, point) -> "GeneralBlock":
         """Eigenvalue block for a finite point or INFINITY."""
-        point = as_eigenvalue(point)
         if point is INFINITY:
             return cls.infinite(index)
         return cls.finite(index, point)

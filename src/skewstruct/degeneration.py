@@ -13,6 +13,8 @@ contains A's orbit.
 Fresh eigenvalues are drawn from an opaque symbolic pool and states compare
 modulo renaming of the symbols, which keeps the search space finite; the
 target's rational eigenvalues join the pool, so rule 6 can create them.
+Rule 6 never makes two applications that differ only in fresh symbols or
+in the order of equal-size blocks, so no duplicate needs filtering.
 Rules 1-5 keep the rank and rule 6 raises it by exactly one, so the search
 applies rule 6 only below the target's rank and never builds a state of
 higher rank: `states_explored` counts only states of rank at most the
@@ -278,9 +280,6 @@ def _fresh_symbols(blocklist: BlockList, how_many: int):
 
 def _partitions(total: int):
     """All partitions of total into positive parts, largest first."""
-    if total == 0:
-        yield ()
-        return
 
     def rec(remaining, cap):
         if remaining == 0:
@@ -336,57 +335,58 @@ def _rank_preserving_applications(blocklist: BlockList):
                     yield RuleApplication(5, j=j, k=k, eigenvalue=ev)
 
 
+def _assignments(existing, fresh, runs):
+    """Eigenvalue tuples for runs of (parts, existing ones), in lexicographic order.
+
+    Each run's first parts take a combination of `existing` disjoint from
+    the earlier runs', and its other parts the next fresh symbols.
+    """
+    if not runs:
+        yield ()
+        return
+    (parts, used), later = runs[0], runs[1:]
+    for first in itertools.combinations(existing, used):
+        rest = [ev for ev in existing if ev not in first]
+        for tail in _assignments(rest, fresh[parts - used :], later):
+            yield (*first, *fresh[: parts - used], *tail)
+
+
 def _rank_raising_applications(blocklist: BlockList, pool):
     """Rule 6 from the given state; each raises the rank by exactly one.
 
     It turns L_p + L_q^T, of rank p + q, into eigenvalue blocks of total
-    size p + q + 1. Each part takes either an existing eigenvalue
-    (injectively) or a fresh symbol; fresh symbols are interchangeable, so
-    they are filled in a fixed positional order and equal-size duplicates
-    are deduplicated.
+    size p + q + 1, each at an existing eigenvalue (injectively) or a fresh
+    symbol. Fresh symbols are interchangeable, and so are parts of equal
+    size, which form runs (sizes come largest first). So one application
+    is made per choice of existing eigenvalues for each run: by how many
+    are used, then per-run counts in descending lexicographic order, then
+    the per-run sets in lexicographic order.
     """
-    existing = _present_eigenvalues(blocklist)
-    existing += [ev for ev in pool if ev not in existing]
+    existing = list(dict.fromkeys([*_present_eigenvalues(blocklist), *pool]))
+    rights = _singular_indices(blocklist, "L")
     lefts = _singular_indices(blocklist, "L_T")
-    for p in _singular_indices(blocklist, "L"):
+    fresh = _fresh_symbols(blocklist, max(rights, default=0) + max(lefts, default=0) + 1)
+    for p in rights:
         for q in lefts:
-            total = p + q + 1
-            for sizes in _partitions(total):
-                t = len(sizes)
-                fresh = _fresh_symbols(blocklist, t)
-                seen = set()
-                for used in range(min(t, len(existing)) + 1):
-                    for positions in itertools.combinations(range(t), used):
-                        for tags in itertools.permutations(existing, used):
-                            chosen: list = [None] * t
-                            for pos, tag in zip(positions, tags):
-                                chosen[pos] = tag
-                            fresh_iter = iter(fresh)
-                            for i in range(t):
-                                if chosen[i] is None:
-                                    chosen[i] = next(fresh_iter)
-                            sig = tuple(
-                                sorted(
-                                    (s, "*" if ev in fresh else str(ev))
-                                    for s, ev in zip(sizes, chosen)
-                                )
-                            )
-                            if sig in seen:
-                                continue
-                            seen.add(sig)
-                            yield RuleApplication(
-                                6, p=p, q=q, sizes=sizes, eigenvalues=tuple(chosen)
-                            )
+            for sizes in _partitions(p + q + 1):
+                runs = [len(list(run)) for _, run in itertools.groupby(sizes)]
+                per_run = itertools.product(*(range(m, -1, -1) for m in runs))
+                for counts in sorted((c for c in per_run if sum(c) <= len(existing)), key=sum):
+                    for evs in _assignments(existing, fresh, list(zip(runs, counts))):
+                        yield RuleApplication(6, p=p, q=q, sizes=sizes, eigenvalues=evs)
 
 
 def enumerate_applications(blocklist: BlockList, pool=()):
-    """All legal single-rule applications from the given state, rules 1-5 first.
+    """All legal single-rule applications from a general list, rules 1-5 first.
 
     Rule 6 gives each new block an eigenvalue already in the list, one from
     `pool` (closure_reachable passes the target's rational eigenvalues) or
-    a fresh symbol; assignments that differ only by which fresh symbol is
-    used are generated once.
+    a fresh symbol, and makes no two applications that differ only by the
+    fresh symbols or by swapping blocks of equal size. A skew-flavor list
+    raises ShapeMismatch, as in apply_rule.
     """
+    if blocklist.flavor != "general":
+        raise ShapeMismatch("rules rewrite general block lists")
     return [
         *_rank_preserving_applications(blocklist),
         *_rank_raising_applications(blocklist, pool),
@@ -500,8 +500,8 @@ def closure_reachable(
 
 
 def replay_certificate(source: BlockList, certificate) -> BlockList:
-    """Apply a stored rule sequence; returns the final block list."""
-    state = source
+    """Apply a stored rule sequence to source (a skew one unfolded, as the search does); return the result."""
+    state = skew_to_general(source) if source.flavor == "skew" else source
     for app in certificate:
         state = apply_rule(state, app)
     return state

@@ -10,22 +10,28 @@ Fraction product of polynomial matrices; block lists are compared modulo
 renaming of symbols by trying every renaming; matrix polynomial arithmetic
 is checked against entrywise RationalPolynomial formulas on entry grids;
 the closure search is checked against the same breadth-first search
-without its rank bound, which applies every rule from every state.
+without its rank bound, which applies every rule from every state, with
+rule 6 enumerated by brute force over all assignments and deduplicated by
+signature.
 """
 
 import dataclasses
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 from skewstruct.blocks import BlockList
 from skewstruct.degeneration import (
     ClosureResult,
+    RuleApplication,
+    _fresh_symbols,
+    _partitions,
     _present_eigenvalues,
+    _rank_preserving_applications,
+    _singular_indices,
     apply_rule,
     canonical_key,
-    enumerate_applications,
 )
 from skewstruct.errors import AttemptsExhausted, MissingBlocks, SideConditionViolated
 from skewstruct.exact import (
@@ -302,11 +308,56 @@ def equal_by_renaming(a: BlockList, b: BlockList) -> bool:
     return False
 
 
+def rank_raising_by_signature(blocklist: BlockList, pool):
+    """Rule 6 by brute force: every assignment, duplicates dropped by signature.
+
+    Each part takes an existing eigenvalue (injectively, by positions and a
+    permutation) or the next fresh symbol in positional order; an assignment
+    whose sorted (size, eigenvalue or "*" for a fresh symbol) signature was
+    already seen is skipped. So the first member of each class of
+    assignments that differ only by fresh symbols or by swapping parts of
+    equal size is kept, in the order the loops reach it.
+    """
+    existing = _present_eigenvalues(blocklist)
+    existing += [ev for ev in pool if ev not in existing]
+    lefts = _singular_indices(blocklist, "L_T")
+    for p in _singular_indices(blocklist, "L"):
+        for q in lefts:
+            total = p + q + 1
+            for sizes in _partitions(total):
+                t = len(sizes)
+                fresh = _fresh_symbols(blocklist, t)
+                seen = set()
+                for used in range(min(t, len(existing)) + 1):
+                    for positions in combinations(range(t), used):
+                        for tags in permutations(existing, used):
+                            chosen: list = [None] * t
+                            for pos, tag in zip(positions, tags):
+                                chosen[pos] = tag
+                            fresh_iter = iter(fresh)
+                            for i in range(t):
+                                if chosen[i] is None:
+                                    chosen[i] = next(fresh_iter)
+                            sig = tuple(
+                                sorted(
+                                    (s, "*" if ev in fresh else str(ev))
+                                    for s, ev in zip(sizes, chosen)
+                                )
+                            )
+                            if sig in seen:
+                                continue
+                            seen.add(sig)
+                            yield RuleApplication(
+                                6, p=p, q=q, sizes=sizes, eigenvalues=tuple(chosen)
+                            )
+
+
 def closure_reachable_unpruned(target: BlockList, source: BlockList, max_steps=None, max_states=100_000):
     """closure_reachable's breadth-first search with no rank bound.
 
     Every state expands by every rule, rule 6 included, whatever its rank,
-    so states above the target's rank are built and counted too.
+    so states above the target's rank are built and counted too. Rule 6
+    comes from rank_raising_by_signature, not the library's generator.
     """
     if max_steps is None:
         max_steps = max(source.total_rows, source.total_cols)
@@ -321,7 +372,8 @@ def closure_reachable_unpruned(target: BlockList, source: BlockList, max_steps=N
     for _ in range(max_steps):
         next_frontier = []
         for state, state_key in frontier:
-            for app in enumerate_applications(state, pool):
+            apps = chain(_rank_preserving_applications(state), rank_raising_by_signature(state, pool))
+            for app in apps:
                 try:
                     nxt = apply_rule(state, app)
                 except (MissingBlocks, SideConditionViolated):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import closure_reachable_unpruned, equal_by_renaming
+from oracles import closure_reachable_unpruned, equal_by_renaming, rank_raising_by_signature
 
 from skewstruct import degeneration
 from skewstruct.blocks import BlockList, GeneralBlock, SkewBlock, skew_to_general
@@ -300,6 +300,17 @@ class TestClosureSearch:
             general.status, certificate_json(general), general.states_explored
         )
 
+    def test_replay_from_a_skew_source(self):
+        # the certificate was found from the source's unfolding, which the
+        # replay makes itself
+        source = BlockList.skew([SkewBlock.m(0), SkewBlock.h(1, SymbolicPoint("p0")), SkewBlock.k(1)])
+        target = generic_pencil_structure(5, 2, 1)
+        res = closure_reachable(target, source)
+        assert res.reachable and res.certificate
+        final = replay_certificate(source, res.certificate)
+        assert final.flavor == "general"
+        assert canonical_key(final) == canonical_key(skew_to_general(target))
+
     def test_builds_a_blocklist_only_for_new_states(self, monkeypatch):
         # successors are keyed from their block counts; a list is built only
         # for a state that joins the next frontier, not per application
@@ -533,3 +544,70 @@ class TestEnumeration:
     def test_enumeration_counts_are_modest(self):
         bl = gl(L(1), LT(1), E(1, 5), EINF(1))
         assert len(enumerate_applications(bl)) < 200
+
+    def test_skew_list_raises(self):
+        bl = BlockList.skew([SkewBlock.m(1), SkewBlock.k(1)])
+        assert len(enumerate_applications(skew_to_general(bl))) == 10
+        with pytest.raises(ShapeMismatch, match="rules rewrite general block lists"):
+            enumerate_applications(bl)
+
+
+def random_general_list(rng):
+    """A right and a left singular block plus up to five blocks of any kind.
+
+    Eigenvalues are rational, symbolic (named like fresh symbols or not) or
+    infinite, and often repeat.
+    """
+    blocks = [L(rng.randint(0, 3)), LT(rng.randint(0, 3))]
+    points = [Fraction(-1), Fraction(1, 2), Fraction(2), SymbolicPoint("s0"), SymbolicPoint("s2"),
+              SymbolicPoint("p")]
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            blocks.append(L(rng.randint(0, 3)))
+        elif kind == 1:
+            blocks.append(LT(rng.randint(0, 3)))
+        elif kind == 2:
+            blocks.append(E(rng.randint(1, 2), rng.choice(points)))
+        else:
+            blocks.append(EINF(rng.randint(1, 2)))
+    return BlockList.general(blocks)
+
+
+class TestRankRaisingOrder:
+    """Rule 6 makes exactly the applications the brute-force signature dedup keeps, in its order."""
+
+    def test_random_lists_and_pools(self):
+        rng = random.Random(16)
+        pool_values = [Fraction(-1), Fraction(0), Fraction(2), Fraction(3, 4)]
+        for _ in range(150):
+            bl = random_general_list(rng)
+            pool = rng.sample(pool_values, rng.randint(0, 2))
+            made = list(degeneration._rank_raising_applications(bl, pool))
+            assert made == list(rank_raising_by_signature(bl, pool)), (str(bl), pool)
+
+    def test_fixed_state(self):
+        bl = gl(L(3), L(2), LT(3), LT(2), EINF(1), E(1, SymbolicPoint("s0")), E(2, SymbolicPoint("s1")),
+                E(1, 1))
+        made = list(degeneration._rank_raising_applications(bl, ()))
+        assert len(made) == 1556
+        assert made == list(rank_raising_by_signature(bl, ()))
+
+    @pytest.mark.parametrize("cell", [(5, 2, 0), (6, 2, 0)])
+    def test_states_of_rank_bound_cells(self, cell, monkeypatch):
+        # every state from which the search of a TestRankBound cell
+        # enumerates rule 6
+        real = degeneration._rank_raising_applications
+        calls = []
+
+        def recording(state, pool):
+            calls.append((state, pool))
+            return real(state, pool)
+
+        monkeypatch.setattr(degeneration, "_rank_raising_applications", recording)
+        target = skew_to_general(generic_pencil_structure(*cell))
+        for source in skew_sources(cell[0]):
+            closure_reachable(target, source)
+        assert len(calls) > 100
+        for state, pool in calls:
+            assert list(real(state, pool)) == list(rank_raising_by_signature(state, pool)), str(state)
