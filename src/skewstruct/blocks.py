@@ -22,6 +22,7 @@ from fractions import Fraction
 from .eigenstructure import CompleteEigenstructure
 from .errors import FlavorMismatch, InternalInconsistency, InvalidBlock, PairingBroken, ShapeMismatch
 from .exact import MatrixPolynomial, RationalPolynomial, SkewMatrixPolynomial
+from .fileio import json_int
 from .points import (
     INFINITY,
     as_eigenvalue,
@@ -240,11 +241,8 @@ class BlockList:
         for item in data["blocks"]:
             try:
                 kind = item["kind"]
-                index = item["index"]
+                index = json_int(item["index"])
                 ev = item.get("eigenvalue")
-                # a JSON integer: int() would truncate 1.7 and take true for 1
-                if type(index) is not int:
-                    raise TypeError(f"index {index!r} is not an integer")
                 point = parse_eigenvalue(ev) if ev is not None else None
             except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise InvalidBlock(f"malformed block {item!r}") from exc

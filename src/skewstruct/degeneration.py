@@ -20,13 +20,13 @@ applies rule 6 only below the target's rank and never builds a state of
 higher rank: `states_explored` counts only states of rank at most the
 target's.
 
-One core, `_apply_to_counts`, applies a rule to a block -> multiplicity
-dict: it checks the side conditions, the presence of the consumed blocks
-and the total size. `apply_rule` wraps it between `BlockList.counts` and
-`BlockList.general`. The search calls it directly on a copy of each
-frontier state's counts and reads the successor's key off the counts
-(`canonical_key` depends on nothing else), so most successors, which were
-already visited, never become a BlockList.
+The search runs on block -> multiplicity dicts end to end: the rule
+generators read a state's counts, `_apply_to_counts` applies a rule to a
+copy of them (checking the side conditions, the presence of the consumed
+blocks and the total size), and the successor's key comes off the counts
+too, so no state becomes a BlockList. `enumerate_applications`,
+`apply_rule` and `canonical_key` are the BlockList boundary: each reads
+`BlockList.counts` once.
 """
 
 from __future__ import annotations
@@ -183,13 +183,6 @@ def _apply_to_counts(counts: dict, app: RuleApplication):
         raise SideConditionViolated("rule application changed the total size")
 
 
-def _general_from_counts(counts: dict) -> BlockList:
-    out_blocks = []
-    for block, count in counts.items():
-        out_blocks.extend([block] * count)
-    return BlockList.general(out_blocks)
-
-
 def apply_rule(blocklist: BlockList, app: RuleApplication) -> BlockList:
     """Apply one degeneration rule; consumed blocks must be present.
 
@@ -201,7 +194,7 @@ def apply_rule(blocklist: BlockList, app: RuleApplication) -> BlockList:
         raise ShapeMismatch("rules rewrite general block lists")
     counts = blocklist.counts()
     _apply_to_counts(counts, app)
-    return _general_from_counts(counts)
+    return BlockList.general(block for block, count in counts.items() for _ in range(count))
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +226,7 @@ def canonical_key(blocklist: BlockList):
     with equal keys are related by the renaming that matches symbols with
     equal multisets. No search over renamings is needed, and there is no
     limit on the number of symbols. The key depends only on the block
-    multiplicities, so the search computes it from a successor's counts
-    before building any list.
+    multiplicities, so the search computes it from a state's counts.
     """
     return _key_from_counts(blocklist.counts())
 
@@ -248,26 +240,21 @@ def equal_modulo_symbols(a: BlockList, b: BlockList) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _present_eigenvalues(blocklist: BlockList):
-    """Finite eigenvalues present in the list, plus the point at infinity.
+def _present_eigenvalues(counts: dict):
+    """Finite eigenvalues present in the state, in list order, plus the point at infinity.
 
     Infinity is always a legal choice for newly created eigenvalue blocks,
     present or not; finite values only matter when they can merge with
     existing blocks, and genuinely new finite points come from the symbolic
     pool instead.
     """
-    out = []
-    seen = set()
-    for b in blocklist.blocks:
-        if b.kind == "E_finite" and b.eigenvalue not in seen:
-            seen.add(b.eigenvalue)
-            out.append(b.eigenvalue)
-    out.append(INFINITY)
-    return out
+    blocks = sorted(counts, key=GeneralBlock.sort_key)
+    return [*dict.fromkeys(b.eigenvalue for b in blocks if b.kind == "E_finite"), INFINITY]
 
 
-def _fresh_symbols(blocklist: BlockList, how_many: int):
-    used = {b.eigenvalue.name for b in blocklist.blocks if isinstance(b.eigenvalue, SymbolicPoint)}
+def _fresh_symbols(existing, how_many: int):
+    """The first symbols s0, s1, ... named unlike every symbol in `existing`."""
+    used = {ev.name for ev in existing if isinstance(ev, SymbolicPoint)}
     out = []
     i = 0
     while len(out) < how_many:
@@ -292,25 +279,24 @@ def _partitions(total: int):
     yield from rec(total, total)
 
 
-def _singular_indices(blocklist: BlockList, kind: str):
-    return sorted({b.index for b in blocklist.blocks if b.kind == kind})
+def _singular_indices(counts: dict, kind: str):
+    return sorted(b.index for b in counts if b.kind == kind)
 
 
-def _rank_preserving_applications(blocklist: BlockList):
+def _rank_preserving_applications(counts: dict):
     """Rules 1-5 from the given state; each keeps the rank.
 
     Their consumed and produced blocks have equal index sums, and the rank
     of a block is its index: j-1 + k+1 = j + k for rules 1 and 2, j + k+1
     for rules 3 and 4, j + k for rule 5.
     """
-    rights = _singular_indices(blocklist, "L")
-    lefts = _singular_indices(blocklist, "L_T")
-    eigen_indices: dict = {}
-    for b in blocklist.blocks:
-        if b.kind == "E_finite":
-            eigen_indices.setdefault(b.eigenvalue, []).append(b.index)
-        elif b.kind == "E_infinite":
-            eigen_indices.setdefault(INFINITY, []).append(b.index)
+    rights = _singular_indices(counts, "L")
+    lefts = _singular_indices(counts, "L_T")
+    eigen_indices: dict = {}  # eigenvalue -> {index: multiplicity}, eigenvalues in list order
+    for b in sorted(counts, key=GeneralBlock.sort_key):
+        if b.kind in ("E_finite", "E_infinite"):
+            ev = INFINITY if b.kind == "E_infinite" else b.eigenvalue
+            eigen_indices.setdefault(ev, {})[b.index] = counts[b]
 
     # rules 1/2: trade sizes between same-side singular blocks
     for rule, idxs in ((1, rights), (2, lefts)):
@@ -322,16 +308,14 @@ def _rank_preserving_applications(blocklist: BlockList):
     for rule, idxs in ((3, rights), (4, lefts)):
         for u in idxs:
             for ev, sizes in eigen_indices.items():
-                for size in sorted(set(sizes)):
+                for size in sorted(sizes):
                     yield RuleApplication(rule, j=u, k=size - 1, eigenvalue=ev)
     # rule 5: rebalance two blocks at one eigenvalue
     for ev, sizes in eigen_indices.items():
-        distinct = sorted(set(sizes))
+        distinct = sorted(sizes)
         for j in distinct:
-            if j < 1:
-                continue
             for k in distinct:
-                if j < k or (j == k and sizes.count(j) >= 2):
+                if j < k or (j == k and sizes[j] >= 2):
                     yield RuleApplication(5, j=j, k=k, eigenvalue=ev)
 
 
@@ -351,7 +335,7 @@ def _assignments(existing, fresh, runs):
             yield (*first, *fresh[: parts - used], *tail)
 
 
-def _rank_raising_applications(blocklist: BlockList, pool):
+def _rank_raising_applications(counts: dict, pool):
     """Rule 6 from the given state; each raises the rank by exactly one.
 
     It turns L_p + L_q^T, of rank p + q, into eigenvalue blocks of total
@@ -362,17 +346,17 @@ def _rank_raising_applications(blocklist: BlockList, pool):
     are used, then per-run counts in descending lexicographic order, then
     the per-run sets in lexicographic order.
     """
-    existing = list(dict.fromkeys([*_present_eigenvalues(blocklist), *pool]))
-    rights = _singular_indices(blocklist, "L")
-    lefts = _singular_indices(blocklist, "L_T")
-    fresh = _fresh_symbols(blocklist, max(rights, default=0) + max(lefts, default=0) + 1)
+    existing = list(dict.fromkeys([*_present_eigenvalues(counts), *pool]))
+    rights = _singular_indices(counts, "L")
+    lefts = _singular_indices(counts, "L_T")
+    fresh = _fresh_symbols(existing, max(rights, default=0) + max(lefts, default=0) + 1)
     for p in rights:
         for q in lefts:
             for sizes in _partitions(p + q + 1):
                 runs = [len(list(run)) for _, run in itertools.groupby(sizes)]
                 per_run = itertools.product(*(range(m, -1, -1) for m in runs))
-                for counts in sorted((c for c in per_run if sum(c) <= len(existing)), key=sum):
-                    for evs in _assignments(existing, fresh, list(zip(runs, counts))):
+                for taken in sorted((c for c in per_run if sum(c) <= len(existing)), key=sum):
+                    for evs in _assignments(existing, fresh, list(zip(runs, taken))):
                         yield RuleApplication(6, p=p, q=q, sizes=sizes, eigenvalues=evs)
 
 
@@ -381,16 +365,15 @@ def enumerate_applications(blocklist: BlockList, pool=()):
 
     Rule 6 gives each new block an eigenvalue already in the list, one from
     `pool` (closure_reachable passes the target's rational eigenvalues) or
-    a fresh symbol, and makes no two applications that differ only by the
-    fresh symbols or by swapping blocks of equal size. A skew-flavor list
-    raises ShapeMismatch, as in apply_rule.
+    a fresh symbol, named unlike every symbol in the list and the pool, and
+    makes no two applications that differ only by the fresh symbols or by
+    swapping blocks of equal size. A skew-flavor list raises ShapeMismatch,
+    as in apply_rule.
     """
     if blocklist.flavor != "general":
         raise ShapeMismatch("rules rewrite general block lists")
-    return [
-        *_rank_preserving_applications(blocklist),
-        *_rank_raising_applications(blocklist, pool),
-    ]
+    counts = blocklist.counts()
+    return [*_rank_preserving_applications(counts), *_rank_raising_applications(counts, pool)]
 
 
 MAX_STATES = 100_000  # explored states before the search gives up, inconclusive
@@ -438,8 +421,9 @@ def closure_reachable(
     bound. The generators yield only legal applications, so a rule error is
     a bug and propagates instead of dropping a path.
 
-    Each successor is keyed from its block counts, and only a state with a
-    new key, the one that joins the next frontier, is built as a BlockList.
+    The search runs on block -> multiplicity dicts from start to end: rules
+    are enumerated and applied, and successors keyed, on a state's counts,
+    so it builds no BlockList.
     """
     if target.flavor == "skew":
         target = skew_to_general(target)
@@ -451,25 +435,24 @@ def closure_reachable(
         max_steps = max(source.total_rows, source.total_cols)
     elif max_steps < 0:
         raise ParamDomain(f"the step bound {max_steps} is negative")
-    target_key = canonical_key(target)
-    source_key = canonical_key(source)
-    pool = [ev for ev in _present_eigenvalues(target) if isinstance(ev, Fraction)]
+    target_counts, source_counts = target.counts(), source.counts()
+    target_key = _key_from_counts(target_counts)
+    source_key = _key_from_counts(source_counts)
+    pool = [ev for ev in _present_eigenvalues(target_counts) if isinstance(ev, Fraction)]
     if source_key == target_key:
         return ClosureResult(status="yes", certificate=(), states_explored=1)
     target_rank = target.rank
     if source.rank > target_rank:
         return ClosureResult(status="no", states_explored=1)
     visited = {source_key: (None, None)}
-    frontier = [(source, source_key)]
+    frontier = [(source_counts, source_key)]
     explored = 1
     for _ in range(max_steps):
         next_frontier = []
-        for state, state_key in frontier:
-            if state.rank < target_rank:
-                apps = enumerate_applications(state, pool)
-            else:
-                apps = _rank_preserving_applications(state)
-            counts = state.counts()
+        for counts, state_key in frontier:
+            apps = _rank_preserving_applications(counts)
+            if sum(b.rank * c for b, c in counts.items()) < target_rank:
+                apps = itertools.chain(apps, _rank_raising_applications(counts, pool))
             for app in apps:
                 nxt = dict(counts)
                 _apply_to_counts(nxt, app)
@@ -490,7 +473,7 @@ def closure_reachable(
                         certificate=tuple(reversed(cert)),
                         states_explored=explored,
                     )
-                next_frontier.append((_general_from_counts(nxt), key))
+                next_frontier.append((nxt, key))
                 if explored >= MAX_STATES:
                     return ClosureResult(status="no_within_bound", states_explored=explored)
         frontier = next_frontier

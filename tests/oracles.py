@@ -308,25 +308,27 @@ def equal_by_renaming(a: BlockList, b: BlockList) -> bool:
     return False
 
 
-def rank_raising_by_signature(blocklist: BlockList, pool):
+def rank_raising_by_signature(counts: dict, pool):
     """Rule 6 by brute force: every assignment, duplicates dropped by signature.
 
+    It reads a block -> multiplicity dict, as the library's generators do.
     Each part takes an existing eigenvalue (injectively, by positions and a
-    permutation) or the next fresh symbol in positional order; an assignment
-    whose sorted (size, eigenvalue or "*" for a fresh symbol) signature was
-    already seen is skipped. So the first member of each class of
+    permutation) or the next fresh symbol, named unlike every existing
+    symbol, in positional order; an assignment whose sorted (size,
+    eigenvalue or "*" for a fresh symbol) signature was already seen is
+    skipped. So the first member of each class of
     assignments that differ only by fresh symbols or by swapping parts of
     equal size is kept, in the order the loops reach it.
     """
-    existing = _present_eigenvalues(blocklist)
+    existing = _present_eigenvalues(counts)
     existing += [ev for ev in pool if ev not in existing]
-    lefts = _singular_indices(blocklist, "L_T")
-    for p in _singular_indices(blocklist, "L"):
+    lefts = _singular_indices(counts, "L_T")
+    for p in _singular_indices(counts, "L"):
         for q in lefts:
             total = p + q + 1
             for sizes in _partitions(total):
                 t = len(sizes)
-                fresh = _fresh_symbols(blocklist, t)
+                fresh = _fresh_symbols(existing, t)
                 seen = set()
                 for used in range(min(t, len(existing)) + 1):
                     for positions in combinations(range(t), used):
@@ -363,7 +365,7 @@ def closure_reachable_unpruned(target: BlockList, source: BlockList, max_steps=N
         max_steps = max(source.total_rows, source.total_cols)
     target_key = canonical_key(target)
     source_key = canonical_key(source)
-    pool = [ev for ev in _present_eigenvalues(target) if isinstance(ev, Fraction)]
+    pool = [ev for ev in _present_eigenvalues(target.counts()) if isinstance(ev, Fraction)]
     if source_key == target_key:
         return ClosureResult(status="yes", certificate=(), states_explored=1)
     visited = {source_key: (None, None)}
@@ -372,7 +374,8 @@ def closure_reachable_unpruned(target: BlockList, source: BlockList, max_steps=N
     for _ in range(max_steps):
         next_frontier = []
         for state, state_key in frontier:
-            apps = chain(_rank_preserving_applications(state), rank_raising_by_signature(state, pool))
+            counts = state.counts()
+            apps = chain(_rank_preserving_applications(counts), rank_raising_by_signature(counts, pool))
             for app in apps:
                 try:
                     nxt = apply_rule(state, app)

@@ -311,9 +311,9 @@ class TestClosureSearch:
         assert final.flavor == "general"
         assert canonical_key(final) == canonical_key(skew_to_general(target))
 
-    def test_builds_a_blocklist_only_for_new_states(self, monkeypatch):
-        # successors are keyed from their block counts; a list is built only
-        # for a state that joins the next frontier, not per application
+    def test_builds_no_blocklist(self, monkeypatch):
+        # the search runs on block counts from entry to return: rules are
+        # enumerated and applied, and successors keyed, without any list
         searches = [
             (skew_to_general(generic_pencil_structure(5, 2, 1)),
              skew_to_general(BlockList.skew([SkewBlock.m(0), SkewBlock.h(1, 3), SkewBlock.k(1)])), 10),
@@ -337,7 +337,7 @@ class TestClosureSearch:
             res = closure_reachable(target, source, max_steps=steps)
             statuses.add(res.status)
             assert res.states_explored > 1
-            assert len(built) <= res.states_explored, (str(source), len(built), res.states_explored)
+            assert built == [], (str(source), len(built))
         assert statuses == {"yes", "no_within_bound"}
 
     def test_trivial_identity(self):
@@ -536,10 +536,23 @@ class TestRuleApplicationJson:
 
 class TestEnumeration:
     def test_enumeration_is_legal(self):
-        bl = skew_to_general(BlockList.skew([SkewBlock.m(1), SkewBlock.k(1)]))
-        for app in enumerate_applications(bl):
-            out = apply_rule(bl, app)  # must not raise
-            assert out.total_rows == bl.total_rows
+        s0, s1, s2 = (SymbolicPoint(name) for name in ("s0", "s1", "s2"))
+        cases = [
+            (skew_to_general(BlockList.skew([SkewBlock.m(1), SkewBlock.k(1)])), ()),
+            # pool symbols named like the fresh symbols rule 6 would mint
+            (gl(L(0), LT(1)), [s0]),
+            (gl(L(1), LT(1), E(1, s1)), [s0, Fraction(2)]),
+            (skew_to_general(BlockList.skew([SkewBlock.m(1), SkewBlock.h(1, s0)])), [s2, s1]),
+        ]
+        rng = random.Random(17)
+        for _ in range(25):
+            cases.append((random_general_list(rng), rng.sample([s0, s1, s2, Fraction(-1), Fraction(5)], 2)))
+        for bl, pool in cases:
+            apps = enumerate_applications(bl, pool)
+            assert any(app.rule == 6 for app in apps)
+            for app in apps:
+                out = apply_rule(bl, app)  # must not raise
+                assert out.total_rows == bl.total_rows
 
     def test_enumeration_counts_are_modest(self):
         bl = gl(L(1), LT(1), E(1, 5), EINF(1))
@@ -583,15 +596,15 @@ class TestRankRaisingOrder:
         for _ in range(150):
             bl = random_general_list(rng)
             pool = rng.sample(pool_values, rng.randint(0, 2))
-            made = list(degeneration._rank_raising_applications(bl, pool))
-            assert made == list(rank_raising_by_signature(bl, pool)), (str(bl), pool)
+            made = list(degeneration._rank_raising_applications(bl.counts(), pool))
+            assert made == list(rank_raising_by_signature(bl.counts(), pool)), (str(bl), pool)
 
     def test_fixed_state(self):
         bl = gl(L(3), L(2), LT(3), LT(2), EINF(1), E(1, SymbolicPoint("s0")), E(2, SymbolicPoint("s1")),
                 E(1, 1))
-        made = list(degeneration._rank_raising_applications(bl, ()))
+        made = list(degeneration._rank_raising_applications(bl.counts(), ()))
         assert len(made) == 1556
-        assert made == list(rank_raising_by_signature(bl, ()))
+        assert made == list(rank_raising_by_signature(bl.counts(), ()))
 
     @pytest.mark.parametrize("cell", [(5, 2, 0), (6, 2, 0)])
     def test_states_of_rank_bound_cells(self, cell, monkeypatch):
