@@ -6,6 +6,9 @@ eigenvalue, and right/left singular blocks for the minimal indices. Under
 congruence, skew-symmetric pencils decompose into paired versions of the
 same data: H blocks (a finite eigenvalue, twice), K blocks (the infinite
 eigenvalue, twice), and M blocks (one right plus one left minimal index).
+`UNFOLDING` is the one place that correspondence is written down:
+`SkewBlock.unfolded`, `skew_to_general`, `general_to_skew`, skew assembly
+and `structure_to_skew_blocks` all read it.
 
 Blocks are symbolic objects here; `assemble_general`/`assemble_skew`
 materialize a block list into an exact pencil, and
@@ -16,6 +19,7 @@ assembled pencil meaningful.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,39 +29,62 @@ from .exact import MatrixPolynomial, RationalPolynomial, SkewMatrixPolynomial
 from .fileio import json_int
 from .points import (
     INFINITY,
+    SymbolicPoint,
     as_eigenvalue,
     eigenvalue_sort_key,
     format_eigenvalue,
     parse_eigenvalue,
 )
 
-GENERAL_KINDS = ("E_finite", "E_infinite", "L", "L_T")
-SKEW_KINDS = ("H", "K", "M")
+# kind -> (least index, carries a finite eigenvalue), in canonical order
+_GENERAL = {"E_finite": (1, True), "E_infinite": (1, False), "L": (0, False), "L_T": (0, False)}
+_SKEW = {"H": (1, True), "K": (1, False), "M": (0, False)}
+GENERAL_KINDS = tuple(_GENERAL)
+SKEW_KINDS = tuple(_SKEW)
+_POSITION = {kind: i for kinds in (GENERAL_KINDS, SKEW_KINDS) for i, kind in enumerate(kinds)}
+
+# the one place the skew <-> general correspondence lives: each skew block
+# of index k unfolds to these two general blocks of index k, with its eigenvalue
+UNFOLDING = {"H": ("E_finite", "E_finite"), "K": ("E_infinite", "E_infinite"), "M": ("L", "L_T")}
 
 
 @dataclass(frozen=True)
-class GeneralBlock:
-    """One canonical block of an unstructured pencil."""
+class _Block:
+    """A canonical block; the subclass's kind table decides what is valid."""
 
     kind: str
     index: int
     eigenvalue: object = None
 
     def __post_init__(self):
-        if self.kind not in GENERAL_KINDS:
-            raise InvalidBlock(f"unknown general block kind {self.kind!r}")
-        if self.kind in ("E_finite", "E_infinite") and self.index < 1:
-            raise InvalidBlock(f"{self.kind} blocks need index >= 1")
-        if self.kind in ("L", "L_T") and self.index < 0:
-            raise InvalidBlock(f"{self.kind} blocks need index >= 0")
-        if self.kind == "E_finite":
+        kinds = self._KINDS
+        if not isinstance(self.kind, str) or self.kind not in kinds:
+            raise InvalidBlock(f"unknown {self._FLAVOR} block kind {self.kind!r}")
+        least, finite = kinds[self.kind]
+        if self.index < least:
+            raise InvalidBlock(f"{self.kind} blocks need index >= {least}")
+        if finite:
             if self.eigenvalue is None:
-                raise InvalidBlock("E_finite blocks carry an eigenvalue")
+                raise InvalidBlock(f"{self.kind} blocks carry an eigenvalue")
             object.__setattr__(self, "eigenvalue", as_eigenvalue(self.eigenvalue))
             if self.eigenvalue is INFINITY:
-                raise InvalidBlock("use E_infinite for the infinite eigenvalue")
+                raise InvalidBlock(f"use {self._INFINITE} for the infinite eigenvalue")
         elif self.eigenvalue is not None:
             raise InvalidBlock(f"{self.kind} blocks carry no eigenvalue")
+
+    def sort_key(self):
+        ev = self.eigenvalue
+        return (
+            _POSITION[self.kind],
+            -self.index,
+            eigenvalue_sort_key(ev) if ev is not None else (-1,),
+        )
+
+
+class GeneralBlock(_Block):
+    """One canonical block of an unstructured pencil."""
+
+    _FLAVOR, _KINDS, _INFINITE = "general", _GENERAL, "E_infinite"
 
     @classmethod
     def finite(cls, index: int, eigenvalue) -> "GeneralBlock":
@@ -97,14 +124,6 @@ class GeneralBlock:
     def rank(self) -> int:
         return self.index
 
-    def sort_key(self):
-        ev = self.eigenvalue
-        return (
-            GENERAL_KINDS.index(self.kind),
-            -self.index,
-            eigenvalue_sort_key(ev) if ev is not None else (-1,),
-        )
-
     def __str__(self):
         if self.kind == "E_finite":
             return f"E_{self.index}({format_eigenvalue(self.eigenvalue)})"
@@ -113,29 +132,10 @@ class GeneralBlock:
         return ("L_" if self.kind == "L" else "L^T_") + str(self.index)
 
 
-@dataclass(frozen=True)
-class SkewBlock:
+class SkewBlock(_Block):
     """One canonical block of a skew-symmetric pencil under congruence."""
 
-    kind: str
-    index: int
-    eigenvalue: object = None
-
-    def __post_init__(self):
-        if self.kind not in SKEW_KINDS:
-            raise InvalidBlock(f"unknown skew block kind {self.kind!r}")
-        if self.kind in ("H", "K") and self.index < 1:
-            raise InvalidBlock(f"{self.kind} blocks need index >= 1")
-        if self.kind == "M" and self.index < 0:
-            raise InvalidBlock("M blocks need index >= 0")
-        if self.kind == "H":
-            if self.eigenvalue is None:
-                raise InvalidBlock("H blocks carry an eigenvalue")
-            object.__setattr__(self, "eigenvalue", as_eigenvalue(self.eigenvalue))
-            if self.eigenvalue is INFINITY:
-                raise InvalidBlock("use K blocks for the infinite eigenvalue")
-        elif self.eigenvalue is not None:
-            raise InvalidBlock(f"{self.kind} blocks carry no eigenvalue")
+    _FLAVOR, _KINDS, _INFINITE = "skew", _SKEW, "K blocks"
 
     @classmethod
     def h(cls, index: int, eigenvalue) -> "SkewBlock":
@@ -158,13 +158,9 @@ class SkewBlock:
     def rank(self) -> int:
         return 2 * self.index
 
-    def sort_key(self):
-        ev = self.eigenvalue
-        return (
-            SKEW_KINDS.index(self.kind),
-            -self.index,
-            eigenvalue_sort_key(ev) if ev is not None else (-1,),
-        )
+    def unfolded(self) -> tuple:
+        """The two general blocks this block is strictly equivalent to the sum of (`UNFOLDING`)."""
+        return tuple(GeneralBlock(kind, self.index, self.eigenvalue) for kind in UNFOLDING[self.kind])
 
     def __str__(self):
         if self.kind == "H":
@@ -305,17 +301,13 @@ def assemble_general(blocklist: BlockList) -> MatrixPolynomial:
     return _assemble(MatrixPolynomial, blocklist.total_rows, blocklist.total_cols, placed)
 
 
-_TOP_RIGHT_KIND = {"H": "E_finite", "K": "E_infinite", "M": "L"}
-
-
 def _skew_block_entries(block: SkewBlock):
     """Nonzero upper-right entries (i, j, c0, c1) of one skew block; (j, i) holds minus them.
 
-    The top right of H_k(mu), K_k and M_k is E_k(mu), E_k(inf) and L_k, k columns to the right.
+    The top right of a block is the first general block it unfolds to, k columns to the right.
     """
     k = block.index
-    general = GeneralBlock(_TOP_RIGHT_KIND[block.kind], k, block.eigenvalue)
-    return [(i, k + j, c0, c1) for i, j, c0, c1 in _general_block_entries(general)]
+    return [(i, k + j, c0, c1) for i, j, c0, c1 in _general_block_entries(block.unfolded()[0])]
 
 
 def assemble_skew(blocklist: BlockList) -> SkewMatrixPolynomial:
@@ -338,94 +330,67 @@ def assemble_skew(blocklist: BlockList) -> SkewMatrixPolynomial:
 
 
 def skew_to_general(blocklist: BlockList) -> BlockList:
-    """Unfold a skew block list into the underlying strict-equivalence blocks.
-
-    H blocks duplicate a finite Jordan block, K blocks duplicate an infinite
-    one, M blocks split into one right and one left singular block.
-    """
+    """Unfold a skew block list into the underlying strict-equivalence blocks (`UNFOLDING`)."""
     if blocklist.flavor != "skew":
         raise FlavorMismatch("skew_to_general needs a skew block list")
-    out = []
-    for b in blocklist.blocks:
-        if b.kind == "H":
-            out.extend([GeneralBlock.finite(b.index, b.eigenvalue)] * 2)
-        elif b.kind == "K":
-            out.extend([GeneralBlock.infinite(b.index)] * 2)
-        else:
-            out.append(GeneralBlock.right(b.index))
-            out.append(GeneralBlock.left(b.index))
-    return BlockList.general(out)
+    return BlockList.general(g for b in blocklist.blocks for g in b.unfolded())
 
 
 def general_to_skew(blocklist: BlockList) -> BlockList:
-    """Fold a paired general block list back into skew blocks.
+    """Fold a paired general block list back into skew blocks (`UNFOLDING` read backwards).
 
-    Raises PairingBroken if the list is not the unfolding of a skew one,
-    i.e. if eigenvalue blocks do not come in equal pairs or the right and
-    left singular index multisets differ.
+    Each block that starts an unfolding folds, with as many partners as its
+    count allows; raises PairingBroken unless the folded list unfolds back
+    to the input, i.e. if eigenvalue blocks do not come in equal pairs or
+    the right and left singular index multisets differ.
     """
     if blocklist.flavor != "general":
         raise FlavorMismatch("general_to_skew needs a general block list")
-    eigen: dict = {}
-    rights: dict = {}
-    lefts: dict = {}
-    for b in blocklist.blocks:
-        if b.kind == "E_finite":
-            key = ("fin", b.index, b.eigenvalue)
-            eigen[key] = eigen.get(key, 0) + 1
-        elif b.kind == "E_infinite":
-            key = ("inf", b.index, None)
-            eigen[key] = eigen.get(key, 0) + 1
-        elif b.kind == "L":
-            rights[b.index] = rights.get(b.index, 0) + 1
-        else:
-            lefts[b.index] = lefts.get(b.index, 0) + 1
+    folds = {halves[0]: kind for kind, halves in UNFOLDING.items()}
     out = []
-    for (tag, index, ev), count in eigen.items():
-        if count % 2:
-            raise PairingBroken(f"unpaired eigenvalue block of index {index}")
-        block = SkewBlock.h(index, ev) if tag == "fin" else SkewBlock.k(index)
-        out.extend([block] * (count // 2))
-    if rights != lefts:
-        raise PairingBroken("right and left singular indices do not match up")
-    for index, count in rights.items():
-        out.extend([SkewBlock.m(index)] * count)
-    return BlockList.skew(out)
+    for block, count in blocklist.counts().items():
+        if block.kind in folds:
+            skew = SkewBlock(folds[block.kind], block.index, block.eigenvalue)
+            out += [skew] * (count // skew.unfolded().count(block))
+    folded = BlockList.skew(out)
+    if skew_to_general(folded) != blocklist:
+        raise PairingBroken(f"{blocklist} does not pair up into skew blocks")
+    return folded
 
 
 def structure_to_skew_blocks(structure: CompleteEigenstructure) -> BlockList:
     """Skew block list of a grade-1 complete eigenstructure (inverse reading).
 
-    Works when every finite factor is linear with a rational root (an H block
-    needs a concrete eigenvalue; irreducible factors of higher degree stand
-    for irrational conjugate pairs, which have no exact-rational block form).
-    Multiplicities pair up into H/K blocks, minimal indices become M blocks.
+    The structure is read as general blocks and folded by `general_to_skew`.
+    A linear factor gives its rational root and a symbolic factor stands for
+    itself. An irreducible factor of degree s > 1 gives s fresh symbolic
+    points, each with the factor's partial multiplicities, named unlike
+    every symbolic factor of the structure. That is exact for the closure
+    question: Galois conjugate roots share their partial multiplicities, they
+    differ from every rational and from each other as the symbols do, and
+    the degeneration rules read eigenvalues only through equality, with
+    symbols matched modulo renaming. So the answer holds for every target
+    without symbolic eigenvalues, every generic target among them.
     """
     if structure.grade != 1:
         raise FlavorMismatch("block lists describe pencils (grade 1)")
-    if structure.left_minimal != structure.right_minimal:
-        raise PairingBroken("left and right minimal indices must coincide")
+    taken = {f.name for f, _ in structure.finite if isinstance(f, SymbolicPoint)}
+    fresh = (SymbolicPoint(f"r{i}") for i in itertools.count() if f"r{i}" not in taken)
     blocks = []
     for factor, mults in structure.finite:
-        if not isinstance(factor, RationalPolynomial) or factor.degree != 1:
-            raise PairingBroken(f"factor {factor} has no rational eigenvalue")
-        mu = -factor.coefficient(0) / factor.coefficient(1)
-        if len(mults) % 2:
-            raise PairingBroken("finite multiplicities do not pair up")
-        for a, b in zip(mults[::2], mults[1::2]):
-            if a != b:
-                raise PairingBroken("finite multiplicities do not pair up")
-            blocks.append(SkewBlock.h(a, mu))
-    nonzero = [v for v in structure.infinite if v]
-    if len(nonzero) % 2:
-        raise PairingBroken("infinite multiplicities do not pair up")
-    for a, b in zip(nonzero[::2], nonzero[1::2]):
-        if a != b:
-            raise PairingBroken("infinite multiplicities do not pair up")
-        blocks.append(SkewBlock.k(a))
-    for index in structure.right_minimal:
-        blocks.append(SkewBlock.m(index))
-    out = BlockList.skew(blocks)
+        if isinstance(factor, SymbolicPoint):
+            points = [factor]
+        elif not isinstance(factor, RationalPolynomial):
+            raise PairingBroken(f"factor {factor} has no exact eigenvalue")
+        elif factor.degree == 1:
+            points = [-factor.coefficient(0) / factor.coefficient(1)]
+        else:
+            points = [next(fresh) for _ in range(factor.degree)]
+        blocks += [GeneralBlock.finite(k, mu) for mu in points for k in mults]
+    blocks += [GeneralBlock.infinite(k) for k in structure.infinite if k]
+    blocks += [GeneralBlock.right(k) for k in structure.right_minimal]
+    blocks += [GeneralBlock.left(k) for k in structure.left_minimal]
+    out = general_to_skew(BlockList.general(blocks))
     if out.total_rows != structure.size or out.rank != structure.rank:
         raise InternalInconsistency("block accounting does not reproduce the structure")
     return out

@@ -50,6 +50,42 @@ class TestBlockBasics:
         # M(0) is legitimate: the 1x1 zero pencil
         assert SkewBlock.m(0).rank == 0
 
+    @pytest.mark.parametrize(
+        "cls, kind, index, eigenvalue, message",
+        [
+            (GeneralBlock, "X", 1, None, "unknown general block kind 'X'"),
+            (GeneralBlock, "H", 1, 2, "unknown general block kind 'H'"),
+            (GeneralBlock, ["L"], 0, None, "unknown general block kind ['L']"),
+            (GeneralBlock, {"L": 0}, 0, None, "unknown general block kind {'L': 0}"),
+            (GeneralBlock, None, 0, None, "unknown general block kind None"),
+            (GeneralBlock, "E_finite", 0, 1, "E_finite blocks need index >= 1"),
+            (GeneralBlock, "E_infinite", 0, None, "E_infinite blocks need index >= 1"),
+            (GeneralBlock, "L", -1, None, "L blocks need index >= 0"),
+            (GeneralBlock, "L_T", -1, None, "L_T blocks need index >= 0"),
+            (GeneralBlock, "E_finite", 1, None, "E_finite blocks carry an eigenvalue"),
+            (GeneralBlock, "E_finite", 1, INFINITY, "use E_infinite for the infinite eigenvalue"),
+            (GeneralBlock, "E_infinite", 1, 3, "E_infinite blocks carry no eigenvalue"),
+            (GeneralBlock, "L", 1, 3, "L blocks carry no eigenvalue"),
+            (GeneralBlock, "L_T", 0, SymbolicPoint("a"), "L_T blocks carry no eigenvalue"),
+            (SkewBlock, "X", 1, None, "unknown skew block kind 'X'"),
+            (SkewBlock, "E_finite", 1, 1, "unknown skew block kind 'E_finite'"),
+            (SkewBlock, ["M"], 0, None, "unknown skew block kind ['M']"),
+            (SkewBlock, {"M": 0}, 0, None, "unknown skew block kind {'M': 0}"),
+            (SkewBlock, 3, 0, None, "unknown skew block kind 3"),
+            (SkewBlock, "H", 0, 1, "H blocks need index >= 1"),
+            (SkewBlock, "K", 0, None, "K blocks need index >= 1"),
+            (SkewBlock, "M", -1, None, "M blocks need index >= 0"),
+            (SkewBlock, "H", 1, None, "H blocks carry an eigenvalue"),
+            (SkewBlock, "H", 1, INFINITY, "use K blocks for the infinite eigenvalue"),
+            (SkewBlock, "K", 1, 2, "K blocks carry no eigenvalue"),
+            (SkewBlock, "M", 0, SymbolicPoint("a"), "M blocks carry no eigenvalue"),
+        ],
+    )
+    def test_invalid_block_messages(self, cls, kind, index, eigenvalue, message):
+        with pytest.raises(InvalidBlock) as info:
+            cls(kind, index, eigenvalue)
+        assert str(info.value) == message
+
     def test_eigen_dispatch(self):
         assert GeneralBlock.eigen(2, INFINITY).kind == "E_infinite"
         assert GeneralBlock.eigen(2, 5).kind == "E_finite"
@@ -185,6 +221,48 @@ class TestConversion:
         with pytest.raises(PairingBroken):
             general_to_skew(BlockList.general([GeneralBlock.right(1), GeneralBlock.left(2)]))
 
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [GeneralBlock.finite(1, 2)] * 3,
+            [GeneralBlock.finite(2, SymbolicPoint("a")), GeneralBlock.finite(2, SymbolicPoint("b"))],
+            [GeneralBlock.infinite(2)] * 2 + [GeneralBlock.infinite(1)],
+            [GeneralBlock.right(1)],
+            [GeneralBlock.right(1)] * 2 + [GeneralBlock.left(1)],
+            [GeneralBlock.left(0)],
+            [GeneralBlock.left(2), GeneralBlock.left(2)],
+            [GeneralBlock.right(0), GeneralBlock.left(1)],
+            [GeneralBlock.right(3), GeneralBlock.left(2), GeneralBlock.infinite(1), GeneralBlock.infinite(1)],
+        ],
+        ids=str,
+    )
+    def test_unpaired_general_lists(self, blocks):
+        # an odd E count, L_k without L_k^T, L^T alone, L_k + L_j^T with j != k
+        with pytest.raises(PairingBroken):
+            general_to_skew(BlockList.general(blocks))
+
+    def test_roundtrip_with_symbolic_eigenvalues(self):
+        from skewstruct.blocks import structure_to_skew_blocks
+
+        pool = [
+            SkewBlock.h(1, Fraction(1, 2)),
+            SkewBlock.h(2, Fraction(1, 2)),
+            SkewBlock.h(1, SymbolicPoint("a")),
+            SkewBlock.h(2, SymbolicPoint("b")),
+            SkewBlock.k(1),
+            SkewBlock.k(2),
+            SkewBlock.m(0),
+            SkewBlock.m(1),
+        ]
+        checked = 0
+        for size in (1, 2, 3):
+            for combo in itertools.combinations_with_replacement(pool, size):
+                bl = BlockList.skew(combo)
+                assert general_to_skew(skew_to_general(bl)) == bl
+                assert structure_to_skew_blocks(blocklist_eigenstructure(bl)) == bl
+                checked += 1
+        assert checked == 164
+
 
 class TestBlocklistEigenstructure:
     def test_m1_equivalent(self):
@@ -251,19 +329,52 @@ class TestStructureToBlocks:
             bl = BlockList.skew(blocks)
             assert structure_to_skew_blocks(blocklist_eigenstructure(bl)) == bl
 
-    def test_rejects_irrational_pairs(self):
+    def test_irrational_roots_read_as_symbols(self):
         from skewstruct.blocks import structure_to_skew_blocks
-        from skewstruct.eigenstructure import analyze
+        from skewstruct.degeneration import equal_modulo_symbols
+        from skewstruct.eigenstructure import CompleteEigenstructure, analyze
         from skewstruct.exact import SkewMatrixPolynomial
 
         # a 4x4 skew pencil whose finite structure is the irreducible
-        # quadratic x^2 + 1: the conjugate eigenvalue pair has no
-        # exact-rational block representation
+        # quadratic x^2 + 1: each conjugate root is a fresh symbol with the
+        # factor's multiplicities
         q = SkewMatrixPolynomial.from_upper(
             4, {(0, 2): x, (1, 3): x, (0, 3): P.one(), (1, 2): -P.one()}, grade=1
         )
         e = analyze(q, 1)
         assert e.finite == ((x**2 + 1, (1, 1)),)
+        out = structure_to_skew_blocks(e)
+        a, b = SymbolicPoint("a"), SymbolicPoint("b")
+        expected = BlockList.skew([SkewBlock.h(1, a), SkewBlock.h(1, b)])
+        assert equal_modulo_symbols(skew_to_general(out), skew_to_general(expected))
+        # unpaired multiplicities still do not fold
+        lone = CompleteEigenstructure.build(
+            rows=2, cols=2, grade=1, rank=2, finite={x**2 + 1: [1]},
+            infinite=[0, 0], left_minimal=[], right_minimal=[],
+        )
+        with pytest.raises(PairingBroken):
+            structure_to_skew_blocks(lone)
+
+    def test_fresh_roots_avoid_symbolic_factors(self):
+        from skewstruct.blocks import structure_to_skew_blocks
+        from skewstruct.eigenstructure import CompleteEigenstructure
+
+        r0 = SymbolicPoint("r0")
+        e = CompleteEigenstructure.build(
+            rows=6, cols=6, grade=1, rank=6, finite={x**2 + 1: [1, 1], r0: [1, 1]},
+            infinite=[0] * 6, left_minimal=[], right_minimal=[],
+        )
+        assert str(structure_to_skew_blocks(e)) == "H_1(@r0) + H_1(@r1) + H_1(@r2)"
+
+    def test_numeric_roots_do_not_fold(self):
+        from skewstruct.blocks import structure_to_skew_blocks
+        from skewstruct.eigenstructure import CompleteEigenstructure
+        from skewstruct.points import NumericRoot
+
+        e = CompleteEigenstructure.build(
+            rows=2, cols=2, grade=1, rank=2, finite={NumericRoot(0.5): [1, 1]},
+            infinite=[0, 0], left_minimal=[], right_minimal=[],
+        )
         with pytest.raises(PairingBroken):
             structure_to_skew_blocks(e)
 
@@ -328,6 +439,10 @@ class TestBlockListJson:
             {"flavor": "skew", "blocks": [{"index": 1}]},
             {"flavor": "skew", "blocks": [{"kind": "M"}]},
             {"flavor": "skew", "blocks": [["M", 1]]},
+            {"flavor": "general", "blocks": [{"kind": ["L"], "index": 0}]},
+            {"flavor": "skew", "blocks": [{"kind": {"M": 1}, "index": 0}]},
+            {"flavor": "general", "blocks": [{"kind": 3, "index": 0}]},
+            {"flavor": "skew", "blocks": [{"kind": None, "index": 0}]},
         ],
     )
     def test_malformed_raises_invalid_block(self, data):

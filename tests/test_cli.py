@@ -304,6 +304,9 @@ class TestMalformedInput:
             {"kind": "M", "index": 1.7},
             {"kind": "M", "index": True},
             {"kind": "H", "index": 1, "eigenvalue": 5},
+            {"kind": ["M"], "index": 1},
+            {"kind": {"M": 1}, "index": 1},
+            {"kind": 3, "index": 1},
         ],
         ids=[
             "unknown-kind",
@@ -312,6 +315,9 @@ class TestMalformedInput:
             "fractional-index",
             "boolean-index",
             "non-string-eigenvalue",
+            "list-kind",
+            "object-kind",
+            "number-kind",
         ],
     )
     def test_malformed_block(self, tmp_path, block):

@@ -370,6 +370,42 @@ class TestDegenerateDrawReachesGeneric:
         assert equal_modulo_symbols(final, target)
 
 
+class TestBoundedRankSetIsOneOrbitClosure:
+    @pytest.mark.parametrize("m, d, r, distinct", [(3, 2, 1, 15), (4, 2, 1, 8)])
+    def test_every_realized_structure_reaches_the_generic_pencil(self, m, d, r, distinct):
+        # the paper's theorem, through linearization: P -> L(pad(P)) is
+        # linear and the generic pencil structure is one congruence orbit,
+        # so every P of rank at most 2r lies in that orbit's closure. A "no"
+        # here would refute the theorem. Low-range draws hit eigenvalues,
+        # irrational factors among them; the zero polynomial is the extreme
+        from skewstruct.blocks import structure_to_skew_blocks
+        from skewstruct.eigenstructure import analyze
+        from skewstruct.exact import SkewMatrixPolynomial
+        from skewstruct.linearize import build_linearization, pad_grade
+        from skewstruct.sampling import SampleSpec, sample_bounded_rank
+
+        draws = [sample_bounded_rank(SampleSpec(m=m, d=d, r=r, coeff_range=1, seed=s)) for s in range(300)]
+        draws.append(SkewMatrixPolynomial.zeros(m, m, grade=d))
+        sources = {}
+        for draw in draws:
+            pencil = build_linearization(pad_grade(draw)).pencil
+            source = skew_to_general(structure_to_skew_blocks(analyze(pencil, 1)))
+            sources.setdefault(canonical_key(source), source)
+        assert len(sources) == distinct
+        target = skew_to_general(generic_pencil_structure(m * (d + 1), (m * d + 2 * r) // 2, r))
+        explored = {}
+        for source in sources.values():
+            res = closure_reachable(target, source)
+            assert res.status == "yes", str(source)
+            assert equal_modulo_symbols(replay_certificate(source, res.certificate), target), str(source)
+            explored[str(source)] = res.states_explored
+        zero = " + ".join(["L_1"] * m + ["L^T_1"] * m)
+        assert explored[zero] == {3: 394, 4: 544}[m]
+        if m == 3:
+            roots = "E_1(@r0) + E_1(@r0) + E_1(@r1) + E_1(@r1) + E_1(inf) + E_1(inf) + L_1 + L^T_1"
+            assert explored[roots] == 72
+
+
 class TestForwardFuzz:
     STARTS = [
         gl(L(0), L(0), LT(0), LT(0), E(1, 2), E(1, 2)),

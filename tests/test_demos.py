@@ -1,4 +1,4 @@
-"""Every demo script runs to completion, as a user would start it."""
+"""Every demo script and the README's quick tour run to completion, as a user would start them."""
 
 import os
 import subprocess
@@ -11,21 +11,34 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def run_python(argv, cwd):
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+        timeout=300,
+    )
+
+
 def test_all_demos_found():
     assert DEMOS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, str(demo)],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tmp_path,
-        timeout=300,
-    )
+    result = run_python([str(demo)], tmp_path)
     assert "Traceback" not in result.stderr
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_quick_tour(tmp_path):
+    # the first python block after the "Quick tour" heading, run as written
+    tour = (ROOT / "README.md").read_text().split("## Quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    result = run_python(["-c", code], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "4 (4,)\n"
