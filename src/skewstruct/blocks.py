@@ -26,7 +26,6 @@ from fractions import Fraction
 from .eigenstructure import CompleteEigenstructure
 from .errors import FlavorMismatch, InternalInconsistency, InvalidBlock, PairingBroken, ShapeMismatch
 from .exact import MatrixPolynomial, RationalPolynomial, SkewMatrixPolynomial
-from .fileio import json_int
 from .points import (
     INFINITY,
     SymbolicPoint,
@@ -61,12 +60,17 @@ class _Block:
         if not isinstance(self.kind, str) or self.kind not in kinds:
             raise InvalidBlock(f"unknown {self._FLAVOR} block kind {self.kind!r}")
         least, finite = kinds[self.kind]
+        if type(self.index) is not int:  # not isinstance: True is an int
+            raise InvalidBlock(f"{self.kind} blocks need an integer index, not {self.index!r}")
         if self.index < least:
             raise InvalidBlock(f"{self.kind} blocks need index >= {least}")
         if finite:
             if self.eigenvalue is None:
                 raise InvalidBlock(f"{self.kind} blocks carry an eigenvalue")
-            object.__setattr__(self, "eigenvalue", as_eigenvalue(self.eigenvalue))
+            try:
+                object.__setattr__(self, "eigenvalue", as_eigenvalue(self.eigenvalue))
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                raise InvalidBlock(f"{self.kind} blocks carry an exact eigenvalue, not {self.eigenvalue!r}") from exc
             if self.eigenvalue is INFINITY:
                 raise InvalidBlock(f"use {self._INFINITE} for the infinite eigenvalue")
         elif self.eigenvalue is not None:
@@ -232,12 +236,14 @@ class BlockList:
         if not isinstance(data, dict) or "flavor" not in data or not isinstance(data.get("blocks"), list):
             raise InvalidBlock("a block list is an object with a flavor and a list of blocks")
         flavor = data["flavor"]
+        if flavor not in ("general", "skew"):
+            raise FlavorMismatch(f"unknown flavor {flavor!r}")
         block_cls = GeneralBlock if flavor == "general" else SkewBlock
         blocks = []
         for item in data["blocks"]:
             try:
                 kind = item["kind"]
-                index = json_int(item["index"])
+                index = item["index"]
                 ev = item.get("eigenvalue")
                 point = parse_eigenvalue(ev) if ev is not None else None
             except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

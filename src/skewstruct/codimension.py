@@ -3,9 +3,9 @@
 The congruence orbit of an n x n skew pencil is a manifold inside the
 n(n-1)-dimensional space of skew pencils; its codimension can be computed
 
-* from the block structure (direct sums of M blocks and size-1 K blocks
-  only, the fragment the generic structures live in),
-* from closed forms in the defining parameters, and
+* from the block structure, for every skew block list (the
+  Dmytryshyn-Kågström-Sergeichuk count),
+* from closed forms in the defining parameters of the generic structures, and
 * from the exact rank of the tangent map X -> (X^T A + A X, X^T B + B X),
 
 and the three must agree. For polynomials of even grade the orbit
@@ -18,16 +18,11 @@ polynomial-space codimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 from .blocks import BlockList, assemble_skew
-from .errors import (
-    FlavorMismatch,
-    InternalInconsistency,
-    NotSkewSymmetric,
-    ParamDomain,
-    UnsupportedBlocks,
-)
+from .errors import FlavorMismatch, InternalInconsistency, NotSkewSymmetric, ParamDomain
 from .exact import MatrixPolynomial, rank_exact
 from .generic import PencilGenericParams, PolyGenericParams, generic_pencil_structure
 
@@ -42,33 +37,28 @@ class CodimReport:
 
 
 def codim_blocksum(blocklist: BlockList) -> int:
-    """Codimension of a congruence orbit from its blocks (M and K_1 only).
+    """Codimension of a congruence orbit, read off its skew blocks.
 
-    Sum of three parts: the K_1 blocks contribute r(2r-1), their interaction
-    with the M blocks contributes 2r per M block, and each pair of M blocks
-    of sizes a, b contributes 2*max(a, b) plus 2 if a == b else 1. Anything
-    beyond this fragment (H blocks, larger K blocks) is unsupported by
-    design rather than silently extrapolated.
+    The Dmytryshyn-Kågström-Sergeichuk count (LAA 438, 2013) has three
+    parts. Each eigenvalue (a rational, a symbol, or infinity for the K
+    blocks) whose blocks have indices q_1 >= q_2 >= ... adds
+    q_1 + 5 q_2 + 9 q_3 + ...; each M block adds the total size of the H
+    and K blocks; each pair of M blocks with indices a >= b adds 2a + 1, or
+    2a + 2 when a == b.
     """
     if blocklist.flavor != "skew":
         raise FlavorMismatch("codim_blocksum needs a skew block list")
-    r = 0
+    at_point: dict = {}  # the K blocks' eigenvalue, None, stands for infinity
     m_sizes = []
-    for b in blocklist.blocks:
-        if b.kind == "K":
-            if b.index != 1:
-                raise UnsupportedBlocks(f"K_{b.index} outside the implemented fragment")
-            r += 1
-        elif b.kind == "M":
+    for b in blocklist.blocks:  # canonical order: indices descend within a kind
+        if b.kind == "M":
             m_sizes.append(b.index)
         else:
-            raise UnsupportedBlocks(f"{b} outside the implemented fragment")
-    total = r * (2 * r - 1) + 2 * r * len(m_sizes)
-    for i in range(len(m_sizes)):
-        for j in range(i + 1, len(m_sizes)):
-            a, b = m_sizes[i], m_sizes[j]
-            total += 2 * max(a, b) + (2 if a == b else 1)
-    return total
+            at_point.setdefault(b.eigenvalue, []).append(b.index)
+    jordan = sum((4 * i + 1) * q for qs in at_point.values() for i, q in enumerate(qs))
+    regular_size = blocklist.total_rows - sum(2 * a + 1 for a in m_sizes)
+    singular = sum(2 * a + (2 if a == b else 1) for a, b in combinations(m_sizes, 2))
+    return jordan + regular_size * len(m_sizes) + singular
 
 
 def codim_pencil_closed(n: int, w: int, r: int) -> int:

@@ -49,10 +49,6 @@ class PairingBroken(SkewstructError):
     """A block list or structure does not pair up into a skew form."""
 
 
-class UnsupportedBlocks(SkewstructError):
-    """Block combination outside the implemented codimension fragment."""
-
-
 class AttemptsExhausted(SkewstructError):
     """A resampling loop hit its attempt cap."""
 

@@ -22,7 +22,7 @@ from skewstruct.blocks import (
 from skewstruct.eigenstructure import analyze, same_orbit
 from skewstruct.errors import FlavorMismatch, InvalidBlock, PairingBroken, SkewstructError
 from skewstruct.exact import RationalPolynomial, normal_rank
-from skewstruct.points import INFINITY, SymbolicPoint
+from skewstruct.points import INFINITY, NumericRoot, SymbolicPoint
 
 P = RationalPolynomial
 x = P.variable()
@@ -79,6 +79,20 @@ class TestBlockBasics:
             (SkewBlock, "H", 1, INFINITY, "use K blocks for the infinite eigenvalue"),
             (SkewBlock, "K", 1, 2, "K blocks carry no eigenvalue"),
             (SkewBlock, "M", 0, SymbolicPoint("a"), "M blocks carry no eigenvalue"),
+            (GeneralBlock, "L", 1.5, None, "L blocks need an integer index, not 1.5"),
+            (GeneralBlock, "L", None, None, "L blocks need an integer index, not None"),
+            (SkewBlock, "M", True, None, "M blocks need an integer index, not True"),
+            (SkewBlock, "K", "2", None, "K blocks need an integer index, not '2'"),
+            (GeneralBlock, "E_finite", 1, "x", "E_finite blocks carry an exact eigenvalue, not 'x'"),
+            (GeneralBlock, "E_finite", 1, "1/0", "E_finite blocks carry an exact eigenvalue, not '1/0'"),
+            (
+                SkewBlock,
+                "H",
+                1,
+                NumericRoot(0.5),
+                "H blocks carry an exact eigenvalue, not NumericRoot(real=0.5, imag=0.0)",
+            ),
+            (SkewBlock, "H", 1, float("nan"), "H blocks carry an exact eigenvalue, not nan"),
         ],
     )
     def test_invalid_block_messages(self, cls, kind, index, eigenvalue, message):
@@ -448,6 +462,11 @@ class TestBlockListJson:
     def test_malformed_raises_invalid_block(self, data):
         with pytest.raises(InvalidBlock):
             BlockList.from_json_dict(data)
+
+    def test_unknown_flavor_is_named_before_any_block(self):
+        # the blocks would not parse under either flavor's kinds
+        with pytest.raises(FlavorMismatch, match=r"^unknown flavor 'foo'$"):
+            BlockList.from_json_dict({"flavor": "foo", "blocks": [{"kind": "L", "index": 1}]})
 
 
 _JSON = st.recursive(

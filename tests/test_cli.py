@@ -339,6 +339,12 @@ class TestMalformedInput:
     def test_malformed_block_list(self, tmp_path, data):
         self.assert_validation_error(self.closure_with_target_file(tmp_path, data))
 
+    def test_unknown_flavor(self, tmp_path):
+        data = {"flavor": "foo", "blocks": [{"kind": "L", "index": 1}]}
+        result = self.closure_with_target_file(tmp_path, data)
+        self.assert_validation_error(result)
+        assert result.stderr == "error: unknown flavor 'foo'\n"
+
 
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
 JSON_VALUES = st.recursive(

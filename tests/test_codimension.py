@@ -11,9 +11,10 @@ from skewstruct.codimension import (
     gsyl0_tangent_claim,
     pencil_codim_reports,
 )
-from skewstruct.errors import NotSkewSymmetric, ParamDomain, UnsupportedBlocks
+from skewstruct.errors import FlavorMismatch, NotSkewSymmetric, ParamDomain
 from skewstruct.exact import MatrixPolynomial, RationalPolynomial
 from skewstruct.generic import generic_pencil_structure
+from skewstruct.points import SymbolicPoint
 
 P = RationalPolynomial
 x = P.variable()
@@ -25,11 +26,58 @@ class TestBlocksum:
         assert codim_blocksum(BlockList.skew([SkewBlock.m(1), SkewBlock.m(1)])) == 4
         assert codim_blocksum(BlockList.skew([SkewBlock.k(1)])) == 1
 
-    def test_unsupported(self):
-        with pytest.raises(UnsupportedBlocks):
-            codim_blocksum(BlockList.skew([SkewBlock.h(1, 2)]))
-        with pytest.raises(UnsupportedBlocks):
-            codim_blocksum(BlockList.skew([SkewBlock.k(2)]))
+    @pytest.mark.parametrize(
+        "blocks, expected",
+        [
+            ([SkewBlock.k(2)], 2),
+            ([SkewBlock.h(1, 2)], 1),
+            ([SkewBlock.h(2, 0), SkewBlock.h(1, 0)], 7),
+            ([SkewBlock.h(1, 0), SkewBlock.h(1, 1)], 2),
+            ([SkewBlock.k(2), SkewBlock.m(0)], 6),
+        ],
+    )
+    def test_eigenvalue_blocks(self, blocks, expected):
+        # blocks at one point add q_1 + 5 q_2 + ...; each M block adds the
+        # size of the H and K blocks
+        assert codim_blocksum(BlockList.skew(blocks)) == expected
+
+    def test_needs_a_skew_list(self):
+        with pytest.raises(FlavorMismatch):
+            codim_blocksum(BlockList.general([]))
+
+    def test_symbol_renaming_invariance(self):
+        a, b = SymbolicPoint("a"), SymbolicPoint("b")
+        first = [SkewBlock.h(2, a), SkewBlock.h(1, a), SkewBlock.h(1, b), SkewBlock.m(1)]
+        renamed = [SkewBlock.h(2, b), SkewBlock.h(1, b), SkewBlock.h(1, a), SkewBlock.m(1)]
+        value = codim_blocksum(BlockList.skew(first))
+        assert value == codim_blocksum(BlockList.skew(renamed)) == 7 + 1 + 8
+        # a rational point in place of a symbol gives the same count
+        rational = [SkewBlock.h(2, 0), SkewBlock.h(1, 0), SkewBlock.h(1, b), SkewBlock.m(1)]
+        assert codim_blocksum(BlockList.skew(rational)) == value
+
+    def test_equals_tangent_rank_on_every_small_list(self):
+        # every skew list with n <= 8 from M_0-3, K_1-3 and H_1-3 at 0 and 1
+        # (coinciding points included) against the dense tangent rank
+        candidates = (
+            [SkewBlock.m(k) for k in range(4)]
+            + [SkewBlock.k(k) for k in range(1, 4)]
+            + [SkewBlock.h(k, p) for p in (0, 1) for k in range(1, 4)]
+        )
+
+        def lists(room, start=0):
+            yield []
+            for i in range(start, len(candidates)):
+                size = candidates[i].shape[0]
+                if size <= room:
+                    yield from ([candidates[i], *rest] for rest in lists(room - size, i))
+
+        checked = 0
+        for blocks in lists(8):
+            if blocks:
+                structure = BlockList.skew(blocks)
+                assert codim_blocksum(structure) == codim_tangent(assemble_skew(structure)), str(structure)
+                checked += 1
+        assert checked == 243
 
 
 class TestClosedForms:

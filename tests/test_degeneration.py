@@ -371,6 +371,11 @@ class TestDegenerateDrawReachesGeneric:
 
 
 class TestBoundedRankSetIsOneOrbitClosure:
+    CODIMENSIONS = {
+        (3, 2, 1): [3] + [6] * 4 + [9] * 9 + [12],
+        (4, 2, 1): [11, 12] + [15] * 4 + [19, 24],
+    }
+
     @pytest.mark.parametrize("m, d, r, distinct", [(3, 2, 1, 15), (4, 2, 1, 8)])
     def test_every_realized_structure_reaches_the_generic_pencil(self, m, d, r, distinct):
         # the paper's theorem, through linearization: P -> L(pad(P)) is
@@ -379,6 +384,7 @@ class TestBoundedRankSetIsOneOrbitClosure:
         # here would refute the theorem. Low-range draws hit eigenvalues,
         # irrational factors among them; the zero polynomial is the extreme
         from skewstruct.blocks import structure_to_skew_blocks
+        from skewstruct.codimension import codim_blocksum, codim_poly_generic, codim_tangent
         from skewstruct.eigenstructure import analyze
         from skewstruct.exact import SkewMatrixPolynomial
         from skewstruct.linearize import build_linearization, pad_grade
@@ -389,16 +395,27 @@ class TestBoundedRankSetIsOneOrbitClosure:
         sources = {}
         for draw in draws:
             pencil = build_linearization(pad_grade(draw)).pencil
-            source = skew_to_general(structure_to_skew_blocks(analyze(pencil, 1)))
-            sources.setdefault(canonical_key(source), source)
+            skew = structure_to_skew_blocks(analyze(pencil, 1))
+            sources.setdefault(canonical_key(skew_to_general(skew)), (skew, pencil))
         assert len(sources) == distinct
-        target = skew_to_general(generic_pencil_structure(m * (d + 1), (m * d + 2 * r) // 2, r))
+        generic = generic_pencil_structure(m * (d + 1), (m * d + 2 * r) // 2, r)
+        target = skew_to_general(generic)
         explored = {}
-        for source in sources.values():
+        codims = []
+        gsyl = codim_poly_generic(m, d, r).gsyl
+        for skew, pencil in sources.values():
+            source = skew_to_general(skew)
             res = closure_reachable(target, source)
             assert res.status == "yes", str(source)
             assert equal_modulo_symbols(replay_certificate(source, res.certificate), target), str(source)
             explored[str(source)] = res.states_explored
+            # every orbit in the generic orbit's closure but the generic one
+            # has a strictly larger codimension
+            codim = codim_blocksum(skew)
+            assert codim == codim_tangent(pencil), str(skew)
+            assert codim > gsyl or (codim == gsyl and skew == generic), str(skew)
+            codims.append(codim)
+        assert sorted(codims) == self.CODIMENSIONS[m, d, r]
         zero = " + ".join(["L_1"] * m + ["L^T_1"] * m)
         assert explored[zero] == {3: 394, 4: 544}[m]
         if m == 3:
