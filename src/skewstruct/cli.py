@@ -32,6 +32,7 @@ from .fileio import (
 from .generic import generic_pencil_structure, generic_poly_structure
 from .linearize import build_linearization, pad_grade
 from .sampling import (
+    DEFAULT_COEFF_RANGE,
     DEFAULT_TOL,
     SampleSpec,
     analyze_float,
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--m", type=_size, required=True)
     s.add_argument("--d", type=_size, required=True)
     s.add_argument("--r", type=_size, required=True)
-    s.add_argument("--coeff-range", type=int, default=9)
+    s.add_argument("--coeff-range", type=int, default=DEFAULT_COEFF_RANGE)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", help="write the polynomial file here instead of stdout")
     s.set_defaults(func=cmd_sample)
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--d", type=_size, required=True)
     mc.add_argument("--r", type=_size, required=True)
     mc.add_argument("--trials", type=_size, default=100)
-    mc.add_argument("--coeff-range", type=int, default=9)
+    mc.add_argument("--coeff-range", type=int, default=DEFAULT_COEFF_RANGE)
     mc.add_argument("--seed", type=int, default=0)
     mc.set_defaults(func=cmd_mc)
 

@@ -54,7 +54,11 @@ class AttemptsExhausted(SkewstructError):
 
 
 class RankVerificationFailed(SkewstructError):
-    """Floating-point rank check could not confirm the expected rank."""
+    """The float analysis backend read an impossible numeric rank profile.
+
+    Only `sampling.analyze_float` raises it; every exact path is decided in
+    rationals and never does.
+    """
 
 
 class InternalInconsistency(SkewstructError):

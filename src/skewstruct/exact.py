@@ -209,6 +209,8 @@ class RationalPolynomial:
         return divmod(self, other)[1]
 
     def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"exponent must be a nonnegative int, got {n!r}")
         result = RationalPolynomial.one()
         base = self
         while n:

@@ -62,10 +62,15 @@ class NumericRoot:
 
 
 def as_eigenvalue(value):
-    """Normalize a user-supplied eigenvalue to Fraction/SymbolicPoint/INFINITY."""
-    if value is INFINITY or isinstance(value, SymbolicPoint):
+    """An exact eigenvalue: INFINITY, a SymbolicPoint or Fraction as given, an int as a Fraction.
+
+    Anything else, such as a float, a bool or a string, raises TypeError.
+    """
+    if value is INFINITY or isinstance(value, (SymbolicPoint, Fraction)):
         return value
-    return Fraction(value)
+    if type(value) is int:  # not isinstance: True is an int
+        return Fraction(value)
+    raise TypeError(f"not an exact eigenvalue: {value!r}")
 
 
 def eigenvalue_sort_key(value):

@@ -1,4 +1,4 @@
-"""Random bounded-rank samples, rank-raising perturbations, numeric backend.
+"""Random bounded-rank samples, rank-raising perturbations, float backend.
 
 Sampling parametrizes rank-2r skew polynomials as Q^T [[0, B], [-B^T, 0]] Q
 with a random polynomial block B and a random constant nonsingular Q: the
@@ -11,11 +11,10 @@ time, from the random integers in the order they are drawn (B's entries,
 then Q), so a seed gives the same polynomial as the direct product.
 
 The perturbation routine adds (1/k) times a constant skew matrix built from
-a unitary block-diagonalization of the polynomial evaluated away from its
-eigenvalues, raising the rank to an exact target while converging to the
-unperturbed polynomial at rate 1/k. It works in floating point (the limit
-statement is inherently numeric) and, since the library's inputs are always
-rational, only the real orthogonal reduction is implemented.
+an exact kernel basis of the polynomial at a point attaining its normal rank,
+raising the rank to an exact target while converging to the unperturbed
+polynomial at rate 1/k. It works in exact rationals; floating point is
+confined to `rank_fp` and the best-effort `analyze_float` backend.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from .exact import (
     _proving_ranks,
     as_skew,
     frobenius_distance,
+    nullspace_exact,
     rank_exact,
 )
 from .generic import PolyGenericParams, generic_poly_structure
@@ -58,7 +58,6 @@ from .points import NumericRoot
 
 DEFAULT_TOL = 1e-8
 DEFAULT_COEFF_RANGE = 9
-CHECK_SEED = 1  # seeds the second, random check point of `perturb_rank_increase`
 
 
 @dataclass(frozen=True)
@@ -150,46 +149,6 @@ def rank_fp(matrix, tol_rel: float = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(svals > tol_rel * svals[0]))
 
 
-def skew_block_diagonalization(a: np.ndarray, tol_rel: float = DEFAULT_TOL):
-    """Orthogonal congruence of a real skew matrix into 2x2 blocks plus zeros.
-
-    Returns (U, values) with U real orthogonal and values the positive block
-    entries s_1 >= ... >= s_rho, such that U^T a U is the direct sum of
-    blocks [[0, s_i], [-s_i, 0]] followed by a zero block. Real input only:
-    every caller in this library evaluates rational data at rational points.
-    """
-    from scipy.linalg import schur
-
-    a = np.asarray(a)
-    if np.iscomplexobj(a) and np.abs(a.imag).max() > 0:
-        raise ParamDomain("only real skew matrices are supported")
-    a = a.real.astype(float)
-    n = a.shape[0]
-    if np.abs(a + a.T).max() > tol_rel * max(1.0, np.abs(a).max()):
-        raise ParamDomain("input is not skew-symmetric")
-    if not np.any(a):
-        return np.eye(n), []
-    t, z = schur(a, output="real")
-    scale = np.abs(a).max()
-    pairs = []  # (value, col0, col1) with positive value at t[col0, col1]
-    zeros = []
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(t[i, i + 1]) > tol_rel * scale:
-            if t[i, i + 1] > 0:
-                pairs.append((t[i, i + 1], i, i + 1))
-            else:
-                pairs.append((-t[i, i + 1], i + 1, i))
-            i += 2
-        else:
-            zeros.append(i)
-            i += 1
-    pairs.sort(key=lambda item: -item[0])
-    order = [c for _, c0, c1 in pairs for c in (c0, c1)] + zeros
-    u = z[:, order]
-    return u, [value for value, _, _ in pairs]
-
-
 @dataclass(frozen=True)
 class Perturbation:
     """A rank-raising perturbation P = Q + (1/k) E and its bookkeeping."""
@@ -203,25 +162,30 @@ class Perturbation:
     point: Fraction
 
 
-def perturb_rank_increase(
-    Q: SkewMatrixPolynomial,
-    r: int,
-    k: int,
-    tol_rel: float = DEFAULT_TOL,
-) -> Perturbation:
-    """Add (1/k) times a constant skew matrix raising the rank to exactly 2r.
+def perturb_rank_increase(Q: SkewMatrixPolynomial, r: int, k: int) -> Perturbation:
+    """Add (1/k) times a constant skew matrix E raising the rank to exactly 2r.
 
-    The constant comes from an orthogonal block-diagonalization of Q at a
-    non-eigenvalue point: unit blocks are inserted where the decomposition
-    has zeros, so the perturbed polynomial has rank 2r while staying within
-    Frobenius distance (1/k) * sqrt(2 (r - rank(Q)/2)) of Q. The resulting
-    coefficients are exact dyadic rationals read back from the floats, so
-    distances downstream stay exact.
+    Let mu be the first point where Q attains its normal rank 2 r1. E is
+    built in exact rationals from the kernel of Q(mu): the first 2(r - r1)
+    vectors of its integer basis are made orthogonal by Gram-Schmidt, and
+    each pair (n_a, n_b) of them adds
+    (n_a n_b^T - n_b n_a^T) * 2 / (|n_a|^2 + |n_b|^2), so rank E = 2(r - r1).
+    Q(mu) is skew, so its range is orthogonal to its kernel, which holds the
+    range of E: Q(mu) + E/k acts on the two parts separately and has rank
+    2 r1 + rank E = 2r. No point can exceed rank Q + rank E = 2r, so the
+    normal rank of Q + E/k is exactly 2r. Each pair adds
+    8 |n_a|^2 |n_b|^2 / (|n_a|^2 + |n_b|^2)^2 <= 2 to ||E||_F^2, so the
+    perturbed polynomial stays within Frobenius distance
+    (1/k) * sqrt(2 (r - r1)) of Q. On the zero polynomial the kernel basis
+    is the unit vectors and E is the sum of the unit blocks
+    e_1 e_2^T - e_2 e_1^T, e_3 e_4^T - e_4 e_3^T, ...
     """
     skew = as_skew(Q)
     m = skew.rows
     if not 2 * r <= m - 1:
         raise ParamDomain(f"target rank 2r={2 * r} must stay below m={m}")
+    if k < 1:
+        raise ParamDomain(f"k must be at least 1, got {k}")
     # the normal rank and the first point attaining it, from one pass (m > 0)
     ranks = _proving_ranks(skew)
     rank_q = max(ranks)
@@ -230,38 +194,30 @@ def perturb_rank_increase(
         raise ParamDomain(f"target half-rank {r} must exceed current {r1}")
     point = Fraction(next(itertools.islice(_points(), ranks.index(rank_q), None)))
 
-    a = np.array([[float(v) for v in row] for row in skew.evaluate(point)])
-    u, _ = skew_block_diagonalization(a, tol_rel)
-    d = np.zeros((m, m))
-    for i in range(r - r1):
-        lo = 2 * r1 + 2 * i
-        d[lo, lo + 1] = 1.0
-        d[lo + 1, lo] = -1.0
-    e_float = u @ d @ u.T
-    e_float = (e_float - e_float.T) / 2.0  # exact skew symmetry in floats
-    e_exact = tuple(
-        tuple(Fraction(e_float[i, j]) for j in range(m)) for i in range(m)
-    )
+    at_point = skew.evaluate(point)
+    basis = []
+    for v in nullspace_exact(at_point)[: 2 * (r - r1)]:
+        n = [Fraction(c) for c in v]
+        for b in basis:
+            f = _dot(n, b) / _dot(b, b)
+            n = [c - f * d for c, d in zip(n, b)]
+        if any(_dot(row, n) for row in at_point):
+            raise InternalInconsistency(f"kernel vector {n} of Q({point}) is not in its kernel")
+        basis.append(n)
+    e = [[Fraction(0)] * m for _ in range(m)]
+    for a, b in zip(basis[::2], basis[1::2]):
+        w = 2 / (_dot(a, a) + _dot(b, b))
+        for i in range(m):
+            for j in range(m):
+                e[i][j] += (a[i] * b[j] - b[i] * a[j]) * w
+    e_exact = tuple(map(tuple, e))
     step = MatrixPolynomial.from_coefficients([e_exact], grade=skew.grade).scale(Fraction(1, k))
     perturbed = as_skew(skew + step)
-
-    rng = random.Random(CHECK_SEED)
-    extra = Fraction(rng.randint(10, 99), rng.randint(1, 9))
-    for mu in (point, extra):
-        got = rank_fp([[float(v) for v in row] for row in perturbed.evaluate(mu)], tol_rel)
-        if got != 2 * r:
-            svals = np.linalg.svd(
-                np.array([[float(v) for v in row] for row in perturbed.evaluate(mu)]),
-                compute_uv=False,
-            )
-            raise RankVerificationFailed(
-                f"rank {got} != {2 * r} at {mu}; singular values {svals}"
-            )
 
     distance = frobenius_distance(perturbed, skew)
     expected = frobenius_distance(step, MatrixPolynomial.zeros(m, m, skew.grade))
     if distance.squared != expected.squared:
-        raise RankVerificationFailed("perturbation distance bookkeeping failed")
+        raise InternalInconsistency("perturbation distance bookkeeping failed")
     return Perturbation(
         polynomial=perturbed,
         perturbation=e_exact,
@@ -271,6 +227,10 @@ def perturb_rank_increase(
         target_rank=2 * r,
         point=point,
     )
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,7 @@ def test_criterion_7_rank_raising_perturbation():
     tol = 1e-8
     margin = 1e-10
     for k in (1, 10, 100):
-        result = perturb_rank_increase(base, r=2, k=k, tol_rel=tol)
+        result = perturb_rank_increase(base, r=2, k=k)
         # exact distance: (1/k) * ||E||_F with ||E||_F = 2
         assert result.distance.squared == Fraction(4, k * k)
         e_norm_sq = sum(v * v for row in result.perturbation for v in row)

@@ -93,6 +93,9 @@ class TestBlockBasics:
                 "H blocks carry an exact eigenvalue, not NumericRoot(real=0.5, imag=0.0)",
             ),
             (SkewBlock, "H", 1, float("nan"), "H blocks carry an exact eigenvalue, not nan"),
+            (SkewBlock, "H", 1, 0.1, "H blocks carry an exact eigenvalue, not 0.1"),
+            (SkewBlock, "H", 1, True, "H blocks carry an exact eigenvalue, not True"),
+            (SkewBlock, "H", 1, "1/2", "H blocks carry an exact eigenvalue, not '1/2'"),
         ],
     )
     def test_invalid_block_messages(self, cls, kind, index, eigenvalue, message):

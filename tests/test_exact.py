@@ -82,6 +82,13 @@ class TestRationalPolynomial:
         q, r = divmod(x**3 + 2, x**2)
         assert q == x and r == poly(2)
 
+    def test_power_needs_a_nonnegative_int(self):
+        # on the constant one, so that a regression loops instead of growing
+        assert P.one() ** 0 == P.one()
+        for n in (-1, -2, 0.5, Fraction(1)):
+            with pytest.raises(ValueError):
+                P.one() ** n
+
     def test_evaluate(self):
         p = 3 * x**2 + Fraction(1, 2)
         assert p(2) == Fraction(25, 2)

@@ -24,10 +24,9 @@ from skewstruct.sampling import (
     perturb_rank_increase,
     rank_fp,
     sample_bounded_rank,
-    skew_block_diagonalization,
 )
 
-from oracles import sample_by_fractions
+from oracles import normal_rank_by_minors, sample_by_fractions
 
 P = RationalPolynomial
 x = P.variable()
@@ -128,34 +127,6 @@ class TestRankFp:
             rank_fp(np.eye(2), 0.0)
 
 
-class TestSkewDiagonalization:
-    def test_zero_matrix(self):
-        u, values = skew_block_diagonalization(np.zeros((3, 3)))
-        assert values == []
-        assert np.allclose(u, np.eye(3))
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(6, 6))
-        a = a - a.T
-        u, values = skew_block_diagonalization(a)
-        assert np.allclose(u @ u.T, np.eye(6), atol=1e-10)
-        d = np.zeros((6, 6))
-        for i, s in enumerate(values):
-            d[2 * i, 2 * i + 1] = s
-            d[2 * i + 1, 2 * i] = -s
-        assert np.allclose(u @ d @ u.T, a, atol=1e-9)
-        assert all(s > 0 for s in values)
-        assert values == sorted(values, reverse=True)
-
-    def test_odd_size_has_zero_column(self):
-        rng = np.random.default_rng(8)
-        a = rng.normal(size=(5, 5))
-        a = a - a.T
-        u, values = skew_block_diagonalization(a)
-        assert len(values) == 2  # rank 4, one zero direction
-
-
 class TestPerturbation:
     def test_zero_base(self):
         q = SkewMatrixPolynomial.zeros(3, 3, grade=1)
@@ -214,6 +185,31 @@ class TestPerturbation:
         q = SkewMatrixPolynomial.zeros(4, 4, grade=1)
         with pytest.raises(ParamDomain):
             perturb_rank_increase(q, r=2, k=2)  # 2r = 4 > m-1
+
+    def test_k_must_be_positive(self):
+        q = SkewMatrixPolynomial.zeros(3, 3, grade=1)
+        for k in (0, -2):
+            with pytest.raises(ParamDomain):
+                perturb_rank_increase(q, r=1, k=k)
+
+    @pytest.mark.parametrize("m,d,r1,r", [(5, 2, 1, 2), (7, 2, 1, 3), (7, 3, 2, 3), (6, 2, 1, 2)])
+    def test_sampled_bases(self, m, d, r1, r):
+        k = 7
+        for seed in range(6):
+            base = sample_bounded_rank(SampleSpec(m=m, d=d, r=r1, seed=seed))
+            result = perturb_rank_increase(base, r=r, k=k)
+            assert result.base_rank == 2 * r1
+            assert normal_rank(result.polynomial) == 2 * r
+            if m <= 5:
+                assert normal_rank_by_minors(result.polynomial) == 2 * r
+            assert result.distance.squared <= Fraction(2 * (r - r1), k * k)
+            at_point = base.evaluate(result.point)
+            e = result.perturbation
+            assert all(
+                sum(at_point[i][t] * e[t][j] for t in range(m)) == 0
+                for i in range(m)
+                for j in range(m)
+            )
 
 
 class TestMonteCarlo:
