@@ -61,6 +61,7 @@ from .exact import (
     skew_smith,
     smith_form,
 )
+from .floating import analyze_float, rank_fp
 from .generic import (
     PencilGenericParams,
     PolyGenericParams,
@@ -80,10 +81,8 @@ from .points import INFINITY, SymbolicPoint
 from .sampling import (
     ExperimentReport,
     SampleSpec,
-    analyze_float,
     monte_carlo_genericity,
     perturb_rank_increase,
-    rank_fp,
     sample_bounded_rank,
 )
 

@@ -2,7 +2,8 @@
 
 Subcommands: generic, analyze, sample, mc, linearize, codim, closure.
 Exit codes: 0 success, 1 validation failure, 2 inconclusive closure search,
-3 numeric backend failure, 4 closure search answered "no" (the source is
+3 numeric backend failure or, from `codim --pencil`, exact codimensions that
+disagree ("agree": false), 4 closure search answered "no" (the source is
 not in the target's orbit closure). All randomness flows from --seed flags.
 """
 
@@ -29,13 +30,12 @@ from .fileio import (
     read_polynomial,
     write_polynomial,
 )
+from .floating import DEFAULT_TOL, analyze_float
 from .generic import generic_pencil_structure, generic_poly_structure
 from .linearize import build_linearization, pad_grade
 from .sampling import (
     DEFAULT_COEFF_RANGE,
-    DEFAULT_TOL,
     SampleSpec,
-    analyze_float,
     monte_carlo_genericity,
     sample_bounded_rank,
 )

@@ -79,20 +79,17 @@ def codim_poly_generic(m: int, d: int, r: int) -> PolyCodim:
 
     The value (m - 2r - 1)(md + m - 2r)/2 is grade-parity independent. The
     intermediate is the codimension of the linearized orbit in its pencil
-    template space: for even d (linearize the padding) it exceeds the value
-    by m(m-1)/2; for odd d (linearize directly) it equals the value. Both
-    are cross-checked against the pencil closed form.
+    template space, at the linearization grade d1 = d | 1: an even d is
+    padded to d + 1, which adds m(m-1)/2 to the codimension and r blocks at
+    infinity to the pencil; an odd d is linearized directly (the generic
+    polynomial has degree exactly d, so no blocks at infinity). Both are
+    cross-checked against the pencil closed form.
     """
     PolyGenericParams.validate(m, d, r)
     value = (m - 2 * r - 1) * (m * d + m - 2 * r) // 2
-    if d % 2 == 0:
-        gsyl = value + m * (m - 1) // 2
-        pencil = codim_pencil_closed(m * (d + 1), (m * d + 2 * r) // 2, r)
-    else:
-        # odd grades linearize directly; the generic polynomial has degree
-        # exactly d, so its linearization carries no blocks at infinity
-        gsyl = value
-        pencil = codim_pencil_closed(m * d, r + m * (d - 1) // 2, 0)
+    d1 = d | 1
+    gsyl = value + (d1 - d) * m * (m - 1) // 2
+    pencil = codim_pencil_closed(m * d1, r + m * (d1 - 1) // 2, r * (d1 - d))
     if gsyl != pencil:
         raise InternalInconsistency(
             f"template codimension {gsyl} disagrees with pencil closed form {pencil}"
@@ -161,10 +158,9 @@ def pencil_codim_reports(n: int, w: int, r: int, via_tangent: bool = False) -> l
 def poly_codim_reports(m: int, d: int, r: int) -> list:
     """Polynomial-space and template-space closed-form reports."""
     pc = codim_poly_generic(m, d, r)
-    gsyl_grade = d + 1 if d % 2 == 0 else d
     return [
         CodimReport(space=f"POL({m},{d})", value=pc.value, method="closed_form"),
-        CodimReport(space=f"GSYL({m},{gsyl_grade})", value=pc.gsyl, method="closed_form"),
+        CodimReport(space=f"GSYL({m},{d | 1})", value=pc.gsyl, method="closed_form"),
     ]
 
 

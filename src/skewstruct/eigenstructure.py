@@ -19,7 +19,7 @@ serves every exact caller, and one pair of functions turns dimensions into
 indices for both backends: `indices_from_kernel_dims` (second differences
 give the minimal indices) and `multiplicities_from_prefix_dims` (the excess
 growth of the prefix spaces gives the partial multiplicities). The float
-backend in `sampling` feeds the same pair from numpy Toeplitz nullities.
+backend in `floating` feeds the same pair from numpy Toeplitz nullities.
 
 The same pass proves the normal rank rho with no evaluation point, where
 the prefix growth meets the kernel growth, and by then it has read every

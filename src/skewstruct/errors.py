@@ -56,7 +56,7 @@ class AttemptsExhausted(SkewstructError):
 class RankVerificationFailed(SkewstructError):
     """The float analysis backend read an impossible numeric rank profile.
 
-    Only `sampling.analyze_float` raises it; every exact path is decided in
+    Only `floating.analyze_float` raises it; every exact path is decided in
     rationals and never does.
     """
 

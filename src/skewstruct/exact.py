@@ -258,7 +258,9 @@ class RationalPolynomial:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its value (the zero polynomial equals 0), so it hashes like it
+        c = self.coeffs
+        return hash(c if len(c) > 1 else c[0] if c else 0)
 
     def sort_key(self):
         return (len(self.coeffs),) + tuple(

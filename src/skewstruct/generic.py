@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .blocks import BlockList, GeneralBlock, SkewBlock, skew_to_general
 from .eigenstructure import CompleteEigenstructure
-from .errors import ParamDomain
+from .errors import InternalInconsistency, ParamDomain
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,8 @@ def generic_pencil_structure(n: int, w: int, r: int) -> BlockList:
     blocks += [SkewBlock.m(p.alpha)] * (n - 2 * w - p.s)
     blocks += [SkewBlock.k(1)] * r
     out = BlockList.skew(blocks)
-    assert out.total_rows == n and out.rank == 2 * w
+    if out.total_rows != n or out.rank != 2 * w:
+        raise InternalInconsistency(f"generic pencil list for {(n, w, r)} has the wrong size or rank")
     return out
 
 
@@ -92,7 +93,8 @@ def generic_poly_structure(m: int, d: int, r: int) -> CompleteEigenstructure:
     """
     p = PolyGenericParams.validate(m, d, r)
     minimal = [p.beta + 1] * p.t + [p.beta] * (m - 2 * r - p.t)
-    assert sum(minimal) == r * d
+    if sum(minimal) != r * d:
+        raise InternalInconsistency(f"generic minimal indices for {(m, d, r)} do not sum to r*d")
     return CompleteEigenstructure.build(
         rows=m,
         cols=m,

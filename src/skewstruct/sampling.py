@@ -1,4 +1,4 @@
-"""Random bounded-rank samples, rank-raising perturbations, float backend.
+"""Random bounded-rank samples, rank-raising perturbations, Monte Carlo runs.
 
 Sampling parametrizes rank-2r skew polynomials as Q^T [[0, B], [-B^T, 0]] Q
 with a random polynomial block B and a random constant nonsingular Q: the
@@ -13,34 +13,19 @@ then Q), so a seed gives the same polynomial as the direct product.
 The perturbation routine adds (1/k) times a constant skew matrix built from
 an exact kernel basis of the polynomial at a point attaining its normal rank,
 raising the rank to an exact target while converging to the unperturbed
-polynomial at rate 1/k. It works in exact rationals; floating point is
-confined to `rank_fp` and the best-effort `analyze_float` backend.
+polynomial at rate 1/k. It works in exact rationals.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from .eigenstructure import (
-    CompleteEigenstructure,
-    analyze,
-    indices_from_kernel_dims,
-    multiplicities_from_prefix_dims,
-    same_orbit,
-)
-from .errors import (
-    AttemptsExhausted,
-    InternalInconsistency,
-    ParamDomain,
-    RankVerificationFailed,
-)
+from .eigenstructure import CompleteEigenstructure, analyze, same_orbit
+from .errors import AttemptsExhausted, InternalInconsistency, ParamDomain
 from .exact import (
     FrobeniusDistance,
     MatrixPolynomial,
@@ -54,9 +39,7 @@ from .exact import (
     rank_exact,
 )
 from .generic import PolyGenericParams, generic_poly_structure
-from .points import NumericRoot
 
-DEFAULT_TOL = 1e-8
 DEFAULT_COEFF_RANGE = 9
 
 
@@ -129,24 +112,6 @@ def _congruence_product(block, congruence, d) -> SkewMatrixPolynomial:
             for mat in mats:
                 mat[j][i] = -mat[i][j]
     return SkewMatrixPolynomial._make(m, m, d, mats)
-
-
-# ---------------------------------------------------------------------------
-# floating-point backend
-# ---------------------------------------------------------------------------
-
-
-def rank_fp(matrix, tol_rel: float = DEFAULT_TOL) -> int:
-    """Numerical rank: singular values above tol_rel times the largest."""
-    if not 0 < tol_rel < math.inf:  # NaN fails every comparison
-        raise ParamDomain(f"tol_rel must be positive and finite, got {tol_rel}")
-    a = np.asarray(matrix, dtype=complex)
-    if a.size == 0:
-        return 0
-    svals = np.linalg.svd(a, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(svals > tol_rel * svals[0]))
 
 
 @dataclass(frozen=True)
@@ -298,128 +263,3 @@ def monte_carlo_genericity(spec: SampleSpec, trials: int) -> ExperimentReport:
         expected=expected,
         elapsed=time.perf_counter() - started,
     )
-
-
-# ---------------------------------------------------------------------------
-# best-effort floating analysis
-# ---------------------------------------------------------------------------
-
-
-def _coeff_arrays(P: MatrixPolynomial):
-    return [
-        np.array([[float(v) for v in row] for row in P.coefficient_matrix(i)])
-        for i in range(P.grade + 1)
-    ]
-
-
-def _rank_fp_normal(coeffs, rows, cols, tol_rel) -> int:
-    deg = len(coeffs) - 1
-    n_points = min(rows, cols) * max(deg, 1) + 1
-    best = 0
-    for idx in range(n_points):
-        z = 1.1 * np.exp(2j * np.pi * (idx + 0.37) / n_points)
-        value = sum(c * z**i for i, c in enumerate(coeffs))
-        best = max(best, rank_fp(value, tol_rel))
-    return best
-
-
-def _nullities(coeffs, extra: int, last: int, tol_rel):
-    """Numeric nullities of block-Toeplitz truncations of orders 0 .. last, lazily.
-
-    Order k has k+1 block columns and k+1+extra block rows of the lower
-    block-triangular Toeplitz matrix of the coefficients: extra = 0 gives the
-    prefix spaces, extra = len(coeffs) - 1 the full convolution matrix.
-    """
-    rows, cols = coeffs[0].shape
-    for k in range(last + 1):
-        t = np.zeros(((k + 1 + extra) * rows, (k + 1) * cols), dtype=coeffs[0].dtype)
-        for b in range(k + 1):
-            for d, c in enumerate(coeffs[: k + 1 + extra - b]):
-                t[(b + d) * rows : (b + d + 1) * rows, b * cols : (b + 1) * cols] = c
-        yield (k + 1) * cols - rank_fp(t, tol_rel)
-
-
-def _shifted_coeffs(coeffs, z):
-    """Taylor coefficient matrices of P at the point z (binomial shift)."""
-    deg = len(coeffs) - 1
-    out = [np.zeros_like(coeffs[0], dtype=complex) for _ in range(deg + 1)]
-    for i, c in enumerate(coeffs):
-        for j in range(i + 1):
-            out[j] = out[j] + math.comb(i, j) * (z ** (i - j)) * c
-    return out
-
-
-def analyze_float(
-    P: MatrixPolynomial, grade: int | None = None, tol_rel: float = DEFAULT_TOL
-) -> CompleteEigenstructure:
-    """Best-effort floating-point eigenstructure of a skew polynomial.
-
-    Rank comes from SVD ranks of evaluations; minimal indices and the
-    multiplicities at infinity (and at detected eigenvalues) from numeric
-    Toeplitz nullity profiles, read by the same functions as the exact
-    path. Eigenvalue candidates are linearization eigenvalues filtered by an
-    evaluation rank drop, reported as NumericRoot annotations. Clustered or
-    ill-conditioned spectra can defeat it; the exact path is the reference.
-    """
-    skew = as_skew(P)
-    if grade is not None:
-        skew = skew.with_grade(grade)
-    grade, m = skew.grade, skew.rows
-    coeffs = _coeff_arrays(skew)
-    rho = _rank_fp_normal(coeffs, m, m, tol_rel)
-    eta = m - rho
-    last = rho * max(grade, 1) + 1
-
-    def multiplicities(taylor):
-        return multiplicities_from_prefix_dims(_nullities(taylor, 0, last, tol_rel), eta, rho)
-
-    try:
-        minimal = indices_from_kernel_dims(_nullities(coeffs, grade, last, tol_rel), eta)
-        # infinity: the reversal at zero
-        infinite = multiplicities(coeffs[::-1])
-        # finite eigenvalues: companion eigenvalues filtered by rank drop
-        finite: dict = {}
-        for z in _eigenvalue_candidates(coeffs, tol_rel):
-            value = sum(c * z**i for i, c in enumerate(coeffs))
-            if rank_fp(value, tol_rel) >= rho:
-                continue
-            positive = tuple(v for v in multiplicities(_shifted_coeffs(coeffs, z)) if v)
-            if positive:
-                finite[NumericRoot(round(z.real, 9), round(z.imag, 9))] = positive
-    except InternalInconsistency as exc:
-        # an impossible profile here is numeric noise, not a library bug
-        raise RankVerificationFailed(f"inconsistent numeric kernel profile: {exc}") from exc
-    return CompleteEigenstructure.build(
-        rows=m,
-        cols=m,
-        grade=grade,
-        rank=rho,
-        finite=finite,
-        infinite=infinite,
-        left_minimal=minimal,
-        right_minimal=minimal,
-    )
-
-
-def _eigenvalue_candidates(coeffs, tol_rel):
-    """Deduplicated finite eigenvalues of a companion-style linearization."""
-    from scipy.linalg import eig
-
-    deg = len(coeffs) - 1
-    m = coeffs[0].shape[0]
-    if deg == 0:
-        return []
-    n = m * deg
-    a = np.zeros((n, n), dtype=complex)
-    b = np.eye(n, dtype=complex)
-    a[:m, : m * deg] = np.hstack([-c for c in reversed(coeffs[:-1])])
-    for i in range(deg - 1):
-        a[m * (i + 1) : m * (i + 2), m * i : m * (i + 1)] = np.eye(m)
-    b[:m, :m] = coeffs[-1]
-    values = eig(a, b, right=False)
-    finite = [z for z in values if np.isfinite(z) and abs(z) < 1e8]
-    out = []
-    for z in finite:
-        if not any(abs(z - w) <= 1e-6 * max(1.0, abs(w)) for w in out):
-            out.append(z)
-    return out

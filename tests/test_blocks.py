@@ -19,7 +19,7 @@ from skewstruct.blocks import (
     general_to_skew,
     skew_to_general,
 )
-from skewstruct.eigenstructure import analyze, same_orbit
+from skewstruct.eigenstructure import analyze, left_minimal_indices, minimal_indices, same_orbit
 from skewstruct.errors import FlavorMismatch, InvalidBlock, PairingBroken, SkewstructError
 from skewstruct.exact import RationalPolynomial, normal_rank
 from skewstruct.points import INFINITY, NumericRoot, SymbolicPoint
@@ -145,6 +145,24 @@ class TestAssembleGeneral:
         p = assemble_general(BlockList.general([GeneralBlock.right(1)]))
         assert (p.rows, p.cols) == (1, 2)
         assert p.entry(0, 0) == x and p.entry(0, 1) == -P.one()
+
+    def test_left_block_is_the_transposed_right_block(self):
+        for k in range(4):
+            left = assemble_general(BlockList.general([GeneralBlock.left(k)]))
+            right = assemble_general(BlockList.general([GeneralBlock.right(k)]))
+            assert (left.rows, left.cols) == (k + 1, k)
+            assert left == right.transpose()
+
+    def test_mixed_list_minimal_indices(self):
+        G = GeneralBlock
+        bl = BlockList.general(
+            [G.right(1), G.left(2), G.finite(2, 3), G.infinite(1), G.left(0), G.right(0), G.left(1)]
+        )
+        p = assemble_general(bl)
+        expected = blocklist_eigenstructure(bl)
+        assert expected.left_minimal == (0, 1, 2)
+        assert left_minimal_indices(p) == expected.left_minimal
+        assert minimal_indices(p) == expected.right_minimal
 
     def test_symbolic_assembly_rejected(self):
         bl = BlockList.general([GeneralBlock.finite(1, SymbolicPoint("mu"))])

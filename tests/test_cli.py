@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewstruct import codimension
 from skewstruct.blocks import BlockList, GeneralBlock, SkewBlock
 from skewstruct.cli import main
 from skewstruct.errors import SkewstructError
@@ -574,6 +575,13 @@ class TestCodimCommand:
 
     def test_invalid_params(self, capsys):
         assert main(["codim", "--m", "4", "--d", "2", "--r", "2"]) == 1
+
+    def test_pencil_disagreement_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(codimension, "codim_pencil_closed", lambda n, w, r: -1)
+        argv = ["codim", "--pencil", "--n", "5", "--w", "2", "--r", "1"]
+        assert main(argv + ["--json"]) == 3
+        assert json.loads(capsys.readouterr().out)["agree"] is False
+        assert main(argv) == 3
 
 
 class TestClosureCommand:

@@ -1,4 +1,4 @@
-"""The exception types of `skewstruct.errors` are all in use."""
+"""The exception types of `skewstruct.errors` are all in use, and no check is an `assert`."""
 
 import ast
 import inspect
@@ -36,3 +36,14 @@ def test_every_error_type_is_raised_or_caught():
     }
     assert "InvalidBlock" in declared
     assert declared - _raised_or_caught() == set()
+
+
+def test_no_assert_statements():
+    # `python -O` strips asserts, so every check raises a SkewstructError
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

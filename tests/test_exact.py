@@ -89,6 +89,13 @@ class TestRationalPolynomial:
             with pytest.raises(ValueError):
                 P.one() ** n
 
+    def test_constants_hash_like_their_values(self):
+        for value in (0, 5, -3, Fraction(7, 2)):
+            assert P.constant(value) == value
+            assert hash(P.constant(value)) == hash(value)
+            assert len({P.constant(value), value}) == 1
+        assert hash(P.zero()) == hash(0) and {P.zero(): 1}[Fraction(0)] == 1
+
     def test_evaluate(self):
         p = 3 * x**2 + Fraction(1, 2)
         assert p(2) == Fraction(25, 2)

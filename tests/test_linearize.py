@@ -7,7 +7,7 @@ import pytest
 from skewstruct.blocks import skew_to_general
 from skewstruct.eigenstructure import analyze
 from skewstruct.errors import EvenGrade, ShapeMismatch
-from skewstruct.exact import RationalPolynomial, SkewMatrixPolynomial, normal_rank
+from skewstruct.exact import MatrixPolynomial, RationalPolynomial, SkewMatrixPolynomial, normal_rank
 from skewstruct.generic import generic_pencil_structure, linearized_generic_blocklist
 from skewstruct.linearize import (
     build_linearization,
@@ -68,6 +68,16 @@ class TestBuildLinearization:
         lin = build_linearization(p)
         assert lin.pencil == p
         assert lin.d == 1 and lin.m == 2
+
+    def test_grade_override(self):
+        rng = random.Random(24)
+        p = random_skew(rng, 2, 1)
+        lin = build_linearization(p, grade=3)
+        assert (lin.d, lin.pencil.rows) == (3, 6)
+        assert lin.source.grade == 3 and lin.source == p.with_grade(3)
+        assert lin.pencil == build_linearization(p.with_grade(3)).pencil
+        with pytest.raises(EvenGrade):
+            build_linearization(p, grade=2)
 
     def test_even_grade_rejected(self):
         with pytest.raises(EvenGrade):
@@ -182,3 +192,18 @@ class TestGsylMembership:
 
     def test_grade_one_membership(self):
         assert gsyl_membership(skew2(x + 1, grade=1), 2, 1)
+
+    def test_grade_two_input_is_not_member(self):
+        rng = random.Random(28)
+        assert not gsyl_membership(random_skew(rng, 6, 2), 2, 3)
+
+    def test_non_skew_pencil_is_not_member(self):
+        # the template with a symmetric part in its first diagonal block:
+        # the read-off coefficients reassemble it, but it is not skew
+        rng = random.Random(29)
+        entries = [list(row) for row in build_linearization(random_skew(rng, 2, 3)).pencil.entries]
+        entries[0][1] += x + 1
+        entries[1][0] += x + 1
+        q = MatrixPolynomial(entries, grade=1)
+        assert not q.is_skew_symmetric()
+        assert not gsyl_membership(q, 2, 3)

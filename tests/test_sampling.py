@@ -7,22 +7,23 @@ import pytest
 
 from skewstruct.blocks import BlockList, SkewBlock, assemble_skew
 from skewstruct.eigenstructure import analyze, same_orbit
-from skewstruct import exact, sampling
+from skewstruct import exact, floating, sampling
 from skewstruct.errors import AttemptsExhausted, ParamDomain, RankVerificationFailed
 from skewstruct.exact import (
+    MatrixPolynomial,
     RationalPolynomial,
     SkewMatrixPolynomial,
+    as_skew,
     normal_rank,
     rank_exact,
 )
+from skewstruct.floating import analyze_float, rank_fp
 from skewstruct.generic import generic_poly_structure
 from skewstruct.sampling import (
     DEFAULT_COEFF_RANGE,
     SampleSpec,
-    analyze_float,
     monte_carlo_genericity,
     perturb_rank_increase,
-    rank_fp,
     sample_bounded_rank,
 )
 
@@ -192,6 +193,18 @@ class TestPerturbation:
             with pytest.raises(ParamDomain):
                 perturb_rank_increase(q, r=1, k=k)
 
+    def test_near_parallel_kernel_basis(self):
+        # the kernel basis of u v^T - v u^T comes in near-parallel pairs
+        # (10 e0 + e2, 10 e0 + e4), so the distance bound needs Gram-Schmidt
+        m = 7
+        u = [1, 0, -10, 0, -10, 0, 0]
+        v = [0, 1, 0, -10, 0, -10, 0]
+        q = [[u[i] * v[j] - v[i] * u[j] for j in range(m)] for i in range(m)]
+        base = as_skew(MatrixPolynomial.from_coefficients([q], grade=0))
+        result = perturb_rank_increase(base, r=3, k=1)
+        assert result.base_rank == 2 and normal_rank(result.polynomial) == 6
+        assert result.distance.squared <= 4
+
     @pytest.mark.parametrize("m,d,r1,r", [(5, 2, 1, 2), (7, 2, 1, 3), (7, 3, 2, 3), (6, 2, 1, 2)])
     def test_sampled_bases(self, m, d, r1, r):
         k = 7
@@ -270,7 +283,7 @@ class TestAnalyzeFloat:
 
     def test_impossible_profile_is_a_numeric_failure(self, monkeypatch):
         pencil = assemble_skew(BlockList.skew([SkewBlock.k(1), SkewBlock.m(1)]))
-        monkeypatch.setattr(sampling, "_nullities", lambda coeffs, extra, last, tol_rel: iter([]))
+        monkeypatch.setattr(floating, "_nullities", lambda coeffs, extra, last, tol_rel: iter([]))
         with pytest.raises(RankVerificationFailed):
             analyze_float(pencil, 1)
 
