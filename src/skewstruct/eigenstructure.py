@@ -11,15 +11,16 @@ the full dense matrices, the generator `_staircase` walks the band one stage
 at a time, carrying only the projection of the prefix space S_k onto its
 trailing coefficient blocks, and yields dim S_k and the dimension of that
 projection's fiber F_k. ker C_k is the fiber of stage k + deg P, so one pass
-gives both the prefix and the kernel dimensions. The constant coefficient
-P_0 is in every stage's system but is eliminated only once: each stage
-replays P_0's recorded fraction-free steps on its own window columns and
-resumes the elimination from there (`exact._replay_steps`). One staircase
-serves every exact caller, and one pair of functions turns dimensions into
-indices for both backends: `indices_from_kernel_dims` (second differences
-give the minimal indices) and `multiplicities_from_prefix_dims` (the excess
-growth of the prefix spaces gives the partial multiplicities). The float
-backend in `floating` feeds the same pair from numpy Toeplitz nullities.
+gives both the prefix and the kernel dimensions. Each stage is one
+row-space computation (`exact._extend_basis`) that reads both the rank of
+its system and the next window, and the rows that carry the constant
+coefficient P_0, the same at every stage, are reduced only once. One
+staircase serves every exact caller, and one pair of functions turns
+dimensions into indices for both backends: `indices_from_kernel_dims`
+(second differences give the minimal indices) and
+`multiplicities_from_prefix_dims` (the excess growth of the prefix spaces
+gives the partial multiplicities). The float backend in `floating` feeds
+the same pair from numpy Toeplitz nullities.
 
 The same pass proves the normal rank rho with no evaluation point, where
 the prefix growth meets the kernel growth, and by then it has read every
@@ -42,10 +43,7 @@ from .exact import (
     NEG_INF,
     MatrixPolynomial,
     RationalPolynomial,
-    _back_substitute,
-    _bareiss_echelon,
-    _replay_steps,
-    _row_space_basis,
+    _extend_basis,
     as_skew,
     rev,
     skew_smith,
@@ -225,48 +223,42 @@ def _staircase(P: MatrixPolynomial):
     block row then holds the newest block only. The stages never end: each
     reader takes what it needs.
 
-    Block row k+1 is the system [P_0 | W] in the new block x_{k+1} and the
-    window's coefficients c, with W = [P_delta ... P_1] times the window.
-    P_0 is eliminated once, and its recorded Bareiss steps are replayed on
-    each stage's W before the elimination resumes on the rows P_0 leaves
-    zero (`exact._replay_steps`): its pivots depend on P_0 alone, so this is
-    the same integer computation as eliminating [P_0 | W]. A solution
-    (x, 0) is a kernel vector of P_0, the same at every stage, so only the
-    free columns of W are back-substituted.
+    Block row k+1 is the system A = [P_0 | W] in the new block x = x_{k+1}
+    and the window's coefficients c, with W = [P_delta ... P_1] times the
+    window. Its solutions make S_{k+1} over the fiber F_k, and the next
+    window is their image under M(x, c) = (c . window without its oldest
+    block, x). Each unknown gets the row (its column of A | its image under
+    M), and one echelon basis of these rows (`exact._extend_basis`) reads
+    both: the rows pivoting inside A number rank A, and the others, zero
+    on A, are an echelon basis of M(ker A), the next window. The rows of x
+    are the same at every stage, so their basis is reduced once, and each
+    stage adds only its window's rows.
     """
     coeffs = P.numerators[: max(P.degree, 0) + 1]
-    delta, n = len(coeffs) - 1, P.cols
+    delta, n, m = len(coeffs) - 1, P.cols, P.rows
     # the nonzero entries (j, v) of row i of [P_delta ... P_1], which applies
     # block row k+1 to the window
     shares = [
         [(j, v) for j, v in enumerate(v for mat in coeffs[:0:-1] for v in mat[i]) if v]
-        for i in range(P.rows)
+        for i in range(m)
     ]
-    head, steps = [list(row) for row in coeffs[0]], []
-    head_pivots = _bareiss_echelon(head, steps=steps)
-    resume = (n, len(head_pivots), steps[-1][1] if steps else 1)
-    # the kernel vectors of P_0, shifted into the next window
-    kernel = [((0,) * (delta * n) + z)[n:] for z in _back_substitute(head, head_pivots, n)]
+    head = []
+    for i in range(n):
+        # x_i: column i of P_0, then a 1 at x_i in the next window (none if delta = 0)
+        image = [0] * (delta * n + n)
+        image[delta * n + i] = 1
+        _extend_basis(head, [row[i] for row in coeffs[0]] + image[n:])
     # window (x_{k-delta+1}, ..., x_k), earlier blocks zero-padded
-    window, fiber_dim = [], 0
+    window, fiber_dim, pad = [], 0, [0] * n
     while True:
-        nb = len(window)
-        block = [[sum(v * tail[j] for j, v in share) for tail in window] for share in shares]
-        _replay_steps(block, steps)
-        rows = [h + b for h, b in zip(head, block)]
-        pivots = head_pivots + _bareiss_echelon(rows, resume)
-        solutions = _back_substitute(rows, pivots, n + nb, n)
-        prefix_dim = fiber_dim + len(kernel) + len(solutions)
-        # shift the window: drop the oldest block, append the new one
-        shifted = list(kernel)
-        for sol in solutions:
-            combo = [0] * (delta * n) + list(sol[:n])
-            for c, tail in zip(sol[n:], window):
-                if c:
-                    for i, t in enumerate(tail):
-                        combo[i] += c * t
-            shifted.append(tuple(combo[n:]))
-        window = _row_space_basis(shifted)
+        basis = list(head)
+        for tail in window:
+            # its coefficient: the window vector's column of W, then the vector shifted
+            column = [sum(v * tail[j] for j, v in share) for share in shares]
+            _extend_basis(basis, column + tail[n:] + pad)
+        rank = sum(1 for piv, _ in basis if piv < m)
+        prefix_dim = fiber_dim + n + len(window) - rank
+        window = [row[m:] for piv, row in basis if piv >= m]
         fiber_dim = prefix_dim - len(window)
         yield prefix_dim, fiber_dim
 

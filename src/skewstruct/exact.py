@@ -122,7 +122,7 @@ class RationalPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coefficients: Iterable = ()):
-        coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coefficients]
+        coeffs = [_rational(c) for c in coefficients]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -142,7 +142,7 @@ class RationalPolynomial:
 
     @classmethod
     def constant(cls, value) -> "RationalPolynomial":
-        return cls((Fraction(value),))
+        return cls((value,))
 
     @classmethod
     def variable(cls) -> "RationalPolynomial":
@@ -254,7 +254,7 @@ class RationalPolynomial:
         if isinstance(other, RationalPolynomial):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == RationalPolynomial.constant(other)
+            return self.coeffs == ((Fraction(other),) if other else ())
         return NotImplemented
 
     def __hash__(self):
@@ -290,12 +290,19 @@ class RationalPolynomial:
         return " ".join(terms)
 
 
+def _rational(value) -> Fraction:
+    """An int or a Fraction as a Fraction; a bool, a float or anything else raises TypeError."""
+    if isinstance(value, Fraction):
+        return value
+    if type(value) is int:  # not isinstance: True is an int
+        return Fraction(value)
+    raise TypeError(f"not an exact rational: {value!r}")
+
+
 def _coerce(value) -> RationalPolynomial:
     if isinstance(value, RationalPolynomial):
         return value
-    if isinstance(value, (int, Fraction)):
-        return RationalPolynomial.constant(value)
-    raise TypeError(f"cannot coerce {value!r} to RationalPolynomial")
+    return RationalPolynomial.constant(value)
 
 
 def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
@@ -328,28 +335,20 @@ def _integer_rows(matrix) -> list:
     return rows
 
 
-def _bareiss_echelon(rows, resume=(0, 0, 1), steps=None) -> list:
+def _bareiss_echelon(rows) -> list:
     """Fraction-free echelon reduction in place; returns the pivot columns.
 
     After the call the first len(pivots) rows form an integer echelon basis
     of the row space (zeros left of each pivot), and the remaining rows are
     zero. Exact by the Bareiss two-step minor identity; rows lacking the
     pivot entry are still rescaled, which that identity requires.
-
-    `resume` = (col, rank, prev) continues an elimination that has reduced
-    the columns before col to `rank` pivot rows, the last pivot being prev
-    (1 if there is none); only the pivot columns found from col on are
-    returned. If `steps` is a list, each pivot appends its step to it:
-    (pivot row, pivot, previous pivot, the entries below the pivot). A
-    step's choices depend only on the columns up to its own, so
-    `_replay_steps` can apply it to columns the elimination never saw.
     """
     if not rows or not rows[0]:
         return []
     n_rows, n_cols = len(rows), len(rows[0])
-    first_col, rank, prev = resume
+    rank, prev = 0, 1
     pivots = []
-    for col in range(first_col, n_cols):
+    for col in range(n_cols):
         if rank == n_rows:
             break
         pivot_row = None
@@ -360,43 +359,24 @@ def _bareiss_echelon(rows, resume=(0, 0, 1), steps=None) -> list:
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        piv, factors = rows[rank][col], [row[col] for row in rows[rank + 1 :]]
-        _eliminate_below(rows, rank, col, piv, prev, factors)
-        if steps is not None:
-            steps.append((pivot_row, piv, prev, factors))
+        rp = rows[rank]
+        piv, cols = rp[col], range(col, n_cols)
+        for ri in rows[rank + 1 :]:
+            factor = ri[col]
+            if factor:
+                for j in cols:
+                    ri[j] = (piv * ri[j] - factor * rp[j]) // prev
+            else:
+                for j in cols:
+                    ri[j] = piv * ri[j] // prev
         prev = piv
         pivots.append(col)
         rank += 1
     return pivots
 
 
-def _eliminate_below(rows, rank, col, piv, prev, factors):
-    """One Bareiss step: rows below `rank` become (piv * row - factor * pivot row) / prev."""
-    rp = rows[rank]
-    cols = range(col, len(rp))
-    for ri, factor in zip(rows[rank + 1 :], factors):
-        if factor:
-            for j in cols:
-                ri[j] = (piv * ri[j] - factor * rp[j]) // prev
-        else:
-            for j in cols:
-                ri[j] = piv * ri[j] // prev
-
-
-def _replay_steps(rows, steps):
-    """Apply the recorded steps of `_bareiss_echelon` to further columns, in place.
-
-    `rows` holds those columns, one list per row of the eliminated matrix.
-    Afterwards they are what eliminating the wider matrix would have left
-    in them after the same steps.
-    """
-    for rank, (pivot_row, *step) in enumerate(steps):
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        _eliminate_below(rows, rank, 0, *step)
-
-
-def _back_substitute(rows, pivots, width, first=0) -> list:
-    """Primitive integer solutions of echelon rows, one per free column from `first` on.
+def _back_substitute(rows, pivots, width) -> list:
+    """Primitive integer solutions of echelon rows, one per free column.
 
     `rows` and `pivots` are an echelon form of `_bareiss_echelon`, `width`
     its number of columns; the free columns are the others. The solution
@@ -408,7 +388,7 @@ def _back_substitute(rows, pivots, width, first=0) -> list:
     """
     pivot_set = set(pivots)
     basis = []
-    for fc in (c for c in range(first, width) if c not in pivot_set):
+    for fc in (c for c in range(width) if c not in pivot_set):
         vec = [0] * width
         vec[fc] = 1
         for k in range(len(pivots) - 1, -1, -1):
@@ -430,26 +410,27 @@ def _back_substitute(rows, pivots, width, first=0) -> list:
     return basis
 
 
-def _row_space_basis(vectors) -> list:
-    """Integer echelon basis of the span of the given integer vectors.
+def _extend_basis(basis, vec):
+    """Reduce an integer vector against an echelon basis and append what is left.
 
-    Each vector is reduced only against the basis rows whose pivot it
-    meets, then divided by its content. That keeps the entries small: on
-    the staircase's windows this runs faster than `_bareiss_echelon`
-    followed by a content strip.
+    `basis` is a list of (pivot, row), each row zero at the pivots of the
+    rows before it and `pivot` its first nonzero entry. The vector is
+    reduced only against the rows whose pivot it meets, which leaves it
+    zero at every pivot; if it is not zero, it is divided by its content
+    and appended with its own first nonzero entry as pivot. The rows stay
+    linearly independent, since their pivots differ, and span the vectors
+    given so far. Rows already in `basis` are not modified.
     """
-    basis = []  # list of (pivot_index, row)
-    for vec in vectors:
-        row = list(vec)
-        for piv, brow in basis:
-            if row[piv]:
-                f, b = row[piv], brow[piv]
-                row = [b * r - f * s for r, s in zip(row, brow)]
-        piv = next((i for i, v in enumerate(row) if v), None)
-        if piv is not None:
-            _strip_content([row])
-            basis.append((piv, row))
-    return [tuple(row) for _, row in basis]
+    row = list(vec)
+    for piv, brow in basis:
+        f = row[piv]
+        if f:
+            b = brow[piv]
+            row = [b * r - f * s for r, s in zip(row, brow)]
+    piv = next((i for i, v in enumerate(row) if v), None)
+    if piv is not None:
+        _strip_content([row])
+        basis.append((piv, row))
 
 
 def rank_exact(matrix) -> int:
@@ -584,7 +565,7 @@ class MatrixPolynomial:
     def from_coefficients(cls, coefficient_matrices, grade: int | None = None):
         """Build from a list of constant matrices, lowest degree first."""
         mats = [
-            [[v if type(v) in (int, Fraction) else Fraction(v) for v in row] for row in mat]
+            [[v if type(v) in (int, Fraction) else _rational(v) for v in row] for row in mat]
             for mat in coefficient_matrices
         ]
         if not mats:

@@ -132,7 +132,7 @@ def analyze_float(
 
 
 def _eigenvalue_candidates(coeffs):
-    """Deduplicated finite eigenvalues of a companion-style linearization."""
+    """Finite eigenvalues of a companion-style linearization, one per cluster."""
     from scipy.linalg import eig
 
     deg = len(coeffs) - 1
@@ -148,8 +148,14 @@ def _eigenvalue_candidates(coeffs):
     b[:m, :m] = coeffs[-1]
     values = eig(a, b, right=False)
     finite = [z for z in values if np.isfinite(z) and abs(z) < 1e8]
-    out = []
+    # a size-k Jordan block's computed eigenvalues spread by about eps^(1/k)
+    # around it, and their mean is much closer to it than any one of them
+    clusters = []
     for z in finite:
-        if not any(abs(z - w) <= 1e-6 * max(1.0, abs(w)) for w in out):
-            out.append(z)
-    return out
+        for cluster in clusters:
+            if abs(z - cluster[0]) <= 1e-4 * max(1.0, abs(cluster[0])):
+                cluster.append(z)
+                break
+        else:
+            clusters.append([z])
+    return [sum(cluster) / len(cluster) for cluster in clusters]

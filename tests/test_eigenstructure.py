@@ -155,9 +155,10 @@ def shifted_inputs(rng, count):
 def left_nullity_inputs(rng, count):
     """Inputs whose constant coefficient P_0 has left nullity at least 2.
 
-    P_0 is a product A B through rows - 2 columns, so at least two of its
-    rows end without a pivot: the staircase's elimination of each stage's
-    window columns resumes on those rows after replaying P_0's steps.
+    P_0 is a product A B through rows - 2 columns, so the staircase's rows
+    of x_{k+1}, which carry the columns of P_0, pivot at most rows - 2
+    times in the system's part: each stage's window rows can pivot in the
+    two or more directions that they leave free.
     """
     values = (0, 0, 1, -1, 2)
     inputs = []
@@ -275,26 +276,29 @@ class TestMinimalIndices:
 
     def test_staircase_eliminates_p0_once(self, monkeypatch):
         # padded (d, m, r) = (4, 8, 1): a 40x40 pencil whose staircase runs
-        # many stages; P_0's pivots are taken once, at stage 0, and every
-        # later stage resumes after them
+        # many stages; the n rows of x_{k+1}, which carry P_0, are reduced
+        # once, at stage 0, and each later stage adds one row per vector of
+        # the previous stage's window
         sample = sample_bounded_rank(SampleSpec(8, 4, 1, seed=0))
         pencil = build_linearization(pad_grade(sample)).pencil
         n, expected = pencil.cols, minimal_indices(pencil)
         calls = []
-        real_echelon = eigenstructure._bareiss_echelon
+        real_extend = eigenstructure._extend_basis
 
-        def counted_echelon(rows, resume=(0, 0, 1), steps=None):
-            pivots = real_echelon(rows, resume, steps)
-            calls.append((resume[0], pivots))
-            return pivots
+        def counted_extend(basis, vec):
+            calls.append(1)
+            return real_extend(basis, vec)
 
-        monkeypatch.setattr(eigenstructure, "_bareiss_echelon", counted_echelon)
+        monkeypatch.setattr(eigenstructure, "_extend_basis", counted_extend)
         assert minimal_indices(pencil) == expected
-        in_p0 = sum(1 for _, pivots in calls for col in pivots if col < n)
-        assert in_p0 == rank_exact(pencil.coefficient_matrix(0))
-        assert len(calls) > 5
-        assert [first for first, _ in calls[1:]] == [n] * (len(calls) - 1)
-
+        stages, per_stage, windows = _staircase(pencil), [], [0]
+        for _ in range(12):
+            calls.clear()
+            prefix_dim, fiber_dim = next(stages)
+            per_stage.append(len(calls))
+            windows.append(prefix_dim - fiber_dim)
+        assert per_stage == [n] + windows[1:-1]
+        assert min(windows[1:]) > 0
     def test_left_equals_right_for_skew(self):
         rng = random.Random(15)
         for _ in range(8):

@@ -24,9 +24,8 @@ from skewstruct.exact import (
     MatrixPolynomial,
     RationalPolynomial,
     SkewMatrixPolynomial,
-    _bareiss_echelon,
+    _extend_basis,
     _pseudo_divmod,
-    _replay_steps,
     as_skew,
     frobenius_distance,
     normal_rank,
@@ -95,6 +94,19 @@ class TestRationalPolynomial:
             assert hash(P.constant(value)) == hash(value)
             assert len({P.constant(value), value}) == 1
         assert hash(P.zero()) == hash(0) and {P.zero(): 1}[Fraction(0)] == 1
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True, False, "1/2", None])
+    def test_only_ints_and_fractions_are_coefficients(self, bad):
+        # a float would be read as its binary expansion and a bool as 0 or 1
+        for build in (
+            lambda: P([1, bad]),
+            lambda: P.constant(bad),
+            lambda: x + bad,
+            lambda: MatrixPolynomial([[bad]]),
+            lambda: MatrixPolynomial.from_coefficients([[[bad]]]),
+        ):
+            with pytest.raises(TypeError):
+                build()
 
     def test_evaluate(self):
         p = 3 * x**2 + Fraction(1, 2)
@@ -262,44 +274,37 @@ class TestRankExact:
         assert min(seen.values()) > 50, seen
 
 
-def integer_matrix(rng, rows, cols, rank):
-    """A random integer rows x cols matrix of rank at most `rank`, as a product."""
-    a = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rows)]
-    b = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rank)]
-    return [[sum(a[i][t] * b[t][j] for t in range(rank)) for j in range(cols)] for i in range(rows)]
+class TestExtendBasis:
+    """Rows (column of A | image under M), one per unknown, give rank A and M(ker A)."""
 
-
-class TestReplay:
-    """Recorded Bareiss steps, replayed on new columns and then resumed, are one elimination."""
-
-    # (rows, cols, rank bound): square singular with left nullity >= 2,
-    # rectangular both ways, zero, nonsingular, and without rows
-    SHAPES = [(5, 5, 3), (4, 4, 2), (3, 5, 3), (5, 3, 3), (3, 4, 0), (4, 4, 4), (0, 3, 0)]
-
-    def test_replay_then_resume_equals_one_elimination(self):
+    def test_rank_and_image_of_the_kernel(self):
         rng = random.Random(4111)
-        seen = set()
-        for trial in range(120):
-            shape = rows, cols, bound = self.SHAPES[trial % len(self.SHAPES)]
-            head = integer_matrix(rng, rows, cols, bound)
-            extra = integer_matrix(rng, rows, rng.randint(0, 4), rng.randint(0, rows))
-            whole = [h + e for h, e in zip(head, extra)]
-            expected = _bareiss_echelon(whole)
+        out_of_order = 0
+        for trial in range(150):
+            a_rows, m_rows, unknowns = rng.randint(1, 5), rng.randint(0, 5), rng.randint(1, 7)
+            # sparse columns, so that a later row can pivot left of an earlier one
+            a, m = (
+                [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(unknowns)] for _ in range(rows)]
+                for rows in (a_rows, m_rows)
+            )
+            basis = []
+            for j in rng.sample(range(unknowns), unknowns):
+                _extend_basis(basis, [row[j] for row in a + m])
+            pivots = [piv for piv, _ in basis]
+            out_of_order += pivots != sorted(pivots)
+            for k, (piv, row) in enumerate(basis):
+                assert not any(row[:piv]) and row[piv]
+                assert all(row[p] == 0 for p in pivots[:k]), trial
 
-            steps = []
-            head_pivots = _bareiss_echelon(head, steps=steps)
-            _replay_steps(extra, steps)
-            joined = [h + e for h, e in zip(head, extra)]
-            resume = (cols, len(head_pivots), steps[-1][1] if steps else 1)
-            pivots = head_pivots + _bareiss_echelon(joined, resume)
-
-            assert pivots == expected, (trial, shape)
-            assert joined == whole, (trial, shape)
-            assert len(steps) == len(head_pivots)
-            seen.add((shape, len(head_pivots)))
-        # each shape drawn at its rank bound: left nullity 2 for the singular
-        # squares, and the nonsingular square at full rank
-        assert {(shape, shape[2]) for shape in self.SHAPES} <= seen
+            in_a = [row for piv, row in basis if piv < a_rows]
+            image = [row[a_rows:] for piv, row in basis if piv >= a_rows]
+            assert len(in_a) == rank_exact(a), trial
+            kernel_image = [
+                [sum(v * z for v, z in zip(row, vec)) for row in m] for vec in nullspace_exact(a)
+            ]
+            spans = [rank_exact(vectors) for vectors in (image, kernel_image, image + kernel_image)]
+            assert spans == [len(image)] * 3, trial
+        assert out_of_order > 30
 
 
 # ---------------------------------------------------------------------------

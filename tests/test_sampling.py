@@ -281,6 +281,24 @@ class TestAnalyzeFloat:
         assert (root.real, root.imag) == pytest.approx((1.0, 0.0), abs=1e-6)
         assert mults == exact.finite[0][1] == (2, 2)
 
+    @pytest.mark.parametrize("grade", [1, 2])
+    def test_jordan_block_of_size_three(self, grade):
+        # the QZ eigenvalues of H_3(3) spread by about eps^(1/3); one candidate
+        # per cluster, at its mean, reads the Toeplitz ranks at 3 correctly
+        q = MatrixPolynomial([[int(j >= i) for j in range(8)] for i in range(8)], grade=0)
+        pencil = assemble_skew(BlockList.skew([SkewBlock.h(3, 3), SkewBlock.h(1, 3)]))
+        scrambled = as_skew((q.transpose() @ pencil @ q).with_grade(grade))
+        exact = analyze(scrambled, grade)
+        numeric = analyze_float(scrambled, grade)
+        assert (numeric.rank, numeric.infinite, numeric.left_minimal) == (
+            exact.rank,
+            exact.infinite,
+            exact.left_minimal,
+        )
+        [(root, mults)] = numeric.finite
+        assert (root.real, root.imag) == pytest.approx((3.0, 0.0), abs=1e-6)
+        assert mults == exact.finite[0][1] == (1, 1, 3, 3)
+
     def test_impossible_profile_is_a_numeric_failure(self, monkeypatch):
         pencil = assemble_skew(BlockList.skew([SkewBlock.k(1), SkewBlock.m(1)]))
         monkeypatch.setattr(floating, "_nullities", lambda coeffs, extra, last, tol_rel: iter([]))
