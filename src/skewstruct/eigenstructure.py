@@ -14,7 +14,9 @@ projection's fiber F_k. ker C_k is the fiber of stage k + deg P, so one pass
 gives both the prefix and the kernel dimensions. Each stage is one
 row-space computation (`exact._extend_basis`) that reads both the rank of
 its system and the next window, and the rows that carry the constant
-coefficient P_0, the same at every stage, are reduced only once. One
+coefficient P_0, the same at every stage, are reduced only once. The rows
+are sparse integer vectors, reduced with gcd-reduced multipliers over
+their nonzero entries only, and each is divided by its content. One
 staircase serves every exact caller, and one pair of functions turns
 dimensions into indices for both backends: `indices_from_kernel_dims`
 (second differences give the minimal indices) and
@@ -233,32 +235,46 @@ def _staircase(P: MatrixPolynomial):
     on A, are an echelon basis of M(ker A), the next window. The rows of x
     are the same at every stage, so their basis is reduced once, and each
     stage adds only its window's rows.
+
+    Rows and window vectors are sparse, {position: nonzero int} dicts: a
+    row's positions below m = rows(P) are A's rows, and m + j is entry j of
+    the next window. [P_delta ... P_1] is held by columns, so a window
+    vector's column of W sums over its nonzero entries only, and dropping
+    the oldest block is an offset of the positions.
     """
     coeffs = P.numerators[: max(P.degree, 0) + 1]
     delta, n, m = len(coeffs) - 1, P.cols, P.rows
-    # the nonzero entries (j, v) of row i of [P_delta ... P_1], which applies
-    # block row k+1 to the window
+    # column j of [P_delta ... P_1], which applies block row k+1 to the
+    # window, as its nonzero entries (i, v)
     shares = [
-        [(j, v) for j, v in enumerate(v for mat in coeffs[:0:-1] for v in mat[i]) if v]
-        for i in range(m)
+        [(i, v) for i, v in enumerate(row[j] for row in mat) if v]
+        for mat in coeffs[:0:-1]
+        for j in range(n)
     ]
     head = []
     for i in range(n):
         # x_i: column i of P_0, then a 1 at x_i in the next window (none if delta = 0)
-        image = [0] * (delta * n + n)
-        image[delta * n + i] = 1
-        _extend_basis(head, [row[i] for row in coeffs[0]] + image[n:])
-    # window (x_{k-delta+1}, ..., x_k), earlier blocks zero-padded
-    window, fiber_dim, pad = [], 0, [0] * n
+        vec = {r: v for r, row in enumerate(coeffs[0]) if (v := row[i])}
+        if delta:
+            vec[m + (delta - 1) * n + i] = 1
+        _extend_basis(head, vec)
+    # window vectors over (x_{k-delta+1}, ..., x_k)
+    window, fiber_dim = [], 0
     while True:
         basis = list(head)
         for tail in window:
-            # its coefficient: the window vector's column of W, then the vector shifted
-            column = [sum(v * tail[j] for j, v in share) for share in shares]
-            _extend_basis(basis, column + tail[n:] + pad)
+            # its coefficient: the window vector's column of W, then the
+            # vector shifted by one block, its oldest block dropped
+            column = [0] * m
+            for j, t in tail.items():
+                for i, v in shares[j]:
+                    column[i] += v * t
+            vec = {i: v for i, v in enumerate(column) if v}
+            vec.update((m + j - n, t) for j, t in tail.items() if j >= n)
+            _extend_basis(basis, vec)
         rank = sum(1 for piv, _ in basis if piv < m)
         prefix_dim = fiber_dim + n + len(window) - rank
-        window = [row[m:] for piv, row in basis if piv >= m]
+        window = [{k - m: v for k, v in row.items()} for piv, row in basis if piv >= m]
         fiber_dim = prefix_dim - len(window)
         yield prefix_dim, fiber_dim
 

@@ -411,26 +411,42 @@ def _back_substitute(rows, pivots, width) -> list:
 
 
 def _extend_basis(basis, vec):
-    """Reduce an integer vector against an echelon basis and append what is left.
+    """Reduce a sparse integer vector against an echelon basis and append what is left.
 
-    `basis` is a list of (pivot, row), each row zero at the pivots of the
-    rows before it and `pivot` its first nonzero entry. The vector is
-    reduced only against the rows whose pivot it meets, which leaves it
-    zero at every pivot; if it is not zero, it is divided by its content
-    and appended with its own first nonzero entry as pivot. The rows stay
-    linearly independent, since their pivots differ, and span the vectors
-    given so far. Rows already in `basis` are not modified.
+    Vectors and rows are dicts {column: nonzero int}; `basis` is a list of
+    (pivot, row), each row zero at the pivots of the rows before it and
+    `pivot` its least column. The vector is reduced only against the rows
+    whose pivot it meets, to (b/g) vec - (f/g) row with b the row's and f
+    the vector's entry there and g = gcd(b, f), over the nonzeros of the
+    two. What is left is zero at every pivot; if it is not zero, it is
+    divided by its content and appended with its least column as pivot.
+    Since g > 0, that is the primitive row that the undivided multipliers
+    b and f give. The rows stay linearly independent, since their pivots
+    differ, and span the vectors given so far. Rows already in `basis` are
+    not modified.
     """
-    row = list(vec)
+    row = dict(vec)
     for piv, brow in basis:
-        f = row[piv]
-        if f:
-            b = brow[piv]
-            row = [b * r - f * s for r, s in zip(row, brow)]
-    piv = next((i for i, v in enumerate(row) if v), None)
-    if piv is not None:
-        _strip_content([row])
-        basis.append((piv, row))
+        if piv in row:
+            f, b = row[piv], brow[piv]
+            g = math.gcd(b, f)
+            if g != 1:
+                b //= g
+                f //= g
+            if b != 1:
+                for k in row:
+                    row[k] *= b
+            for k, s in brow.items():
+                v = row.get(k, 0) - f * s
+                if v:
+                    row[k] = v
+                else:
+                    del row[k]
+    if row:
+        g = math.gcd(*row.values())
+        if g != 1:
+            row = {k: v // g for k, v in row.items()}
+        basis.append((min(row), row))
 
 
 def rank_exact(matrix) -> int:
@@ -551,11 +567,16 @@ class MatrixPolynomial:
         return obj
 
     @classmethod
-    def _from_rationals(cls, rows, cols, grade, mats):
-        """Validated constructor from int/Fraction coefficient matrices, lowest degree first."""
-        obj = cls._make(rows, cols, grade, *_integer_matrices(_fit_grade(mats, grade, rows, cols)))
+    def _from_integers(cls, rows, cols, grade, mats, denominator):
+        """Validated constructor from grade+1 integer matrices over a positive denominator."""
+        obj = cls._make(rows, cols, grade, mats, denominator)
         obj._validate()
         return obj
+
+    @classmethod
+    def _from_rationals(cls, rows, cols, grade, mats):
+        """Validated constructor from int/Fraction coefficient matrices, lowest degree first."""
+        return cls._from_integers(rows, cols, grade, *_integer_matrices(_fit_grade(mats, grade, rows, cols)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int, grade: int = 0):

@@ -4,7 +4,7 @@ A polynomial file holds an m x m skew-symmetric matrix polynomial as
 grade+1 coefficient matrices, lowest degree first, with every entry an
 exact rational written "num/den" (strictly: ASCII digits with an optional
 leading minus, optionally "/" and a nonzero digit string; see
-`points.parse_rational`). Skew-symmetry is validated on load and malformed
+`points.rational_parts`). Skew-symmetry is validated on load and malformed
 rationals are rejected. Writing is canonical (sorted keys, fixed
 indentation), so read-then-write is byte-identical.
 """
@@ -12,11 +12,12 @@ indentation), so read-then-write is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .errors import SkewstructError
 from .exact import SkewMatrixPolynomial
-from .points import parse_rational
+from .points import rational_parts
 
 
 class FileFormatError(SkewstructError, ValueError):
@@ -33,14 +34,19 @@ def json_int(value) -> int:
     return value
 
 
-def json_rational(text) -> Fraction:
-    """A strict "num/den" string (`points.parse_rational`); FileFormatError otherwise."""
+def json_rational_parts(text) -> tuple:
+    """(num, den) of a strict "num/den" string (`points.rational_parts`); FileFormatError otherwise."""
     if not isinstance(text, str):
         raise FileFormatError(f"rational entries must be strings, got {text!r}")
     try:
-        return parse_rational(text)
+        return rational_parts(text)
     except ValueError as exc:
         raise FileFormatError(f"malformed rational {text!r}") from exc
+
+
+def json_rational(text) -> Fraction:
+    """A strict "num/den" string (`json_rational_parts`) as a Fraction."""
+    return Fraction(*json_rational_parts(text))
 
 
 def _format_rational(value: Fraction) -> str:
@@ -79,8 +85,12 @@ def polynomial_from_dict(data: dict) -> SkewMatrixPolynomial:
             and all(isinstance(row, list) and len(row) == m for row in mat)
         ):
             raise FileFormatError(f"coefficient matrices must be {m} x {m} lists")
-        mats.append([[json_rational(v) for v in row] for row in mat])
-    return SkewMatrixPolynomial.from_coefficients(mats, grade)
+        mats.append([[json_rational_parts(v) for v in row] for row in mat])
+    # integers over the entries' common denominator, which the constructor
+    # reduces to lowest terms: no Fraction per entry
+    den = math.lcm(*(d for mat in mats for row in mat for _, d in row))
+    numerators = [[[n * (den // d) for n, d in row] for row in mat] for mat in mats]
+    return SkewMatrixPolynomial._from_integers(m, m, grade, numerators, den)
 
 
 def dump_json(data: dict) -> str:

@@ -85,18 +85,25 @@ def format_eigenvalue(value) -> str:
     return str(value)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Read "num" or "num/den": ASCII digits, an optional leading minus, den nonzero.
+def rational_parts(text: str) -> tuple:
+    """(num, den) of "num" or "num/den" as written, not reduced, with den 1 if absent.
 
-    Anything else, such as spaces, "+", "_" digit separators, a sign on the
-    denominator or an empty part, raises ValueError.
+    Both are ASCII digits, num with an optional leading minus, and den is
+    nonzero. Anything else, such as spaces, "+", "_" digit separators, a
+    sign on the denominator or an empty part, raises ValueError.
     """
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"malformed rational {text!r}")
     num, _, den = text.partition("/")
-    if den and not int(den):
+    den = int(den) if den else 1
+    if not den:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(int(num), int(den or 1))
+    return int(num), den
+
+
+def parse_rational(text: str) -> Fraction:
+    """Read "num" or "num/den" (`rational_parts`) as a Fraction."""
+    return Fraction(*rational_parts(text))
 
 
 def parse_eigenvalue(text: str):

@@ -6,13 +6,14 @@ and prefix-space dimensions from explicit convolution matrices, so the fast
 paths are checked against slow, obviously-correct computations; nullspace
 vectors come from back-substitution in Fraction arithmetic and ranks from
 Gaussian elimination in Fractions; bounded-rank draws come from the direct
-Fraction product of polynomial matrices; block lists are compared modulo
-renaming of symbols by trying every renaming; matrix polynomial arithmetic
-is checked against entrywise RationalPolynomial formulas on entry grids;
-the closure search is checked against the same breadth-first search
-without its rank bound, which applies every rule from every state, with
-rule 6 enumerated by brute force over all assignments and deduplicated by
-signature.
+Fraction product of polynomial matrices; the staircase's echelon basis is
+rebuilt from dense integer rows with undivided multipliers; block lists are
+compared modulo renaming of symbols by trying every renaming; matrix
+polynomial arithmetic is checked against entrywise RationalPolynomial
+formulas on entry grids; the closure search is checked against the same
+breadth-first search without its rank bound, which applies every rule from
+every state, with rule 6 enumerated by brute force over all assignments and
+deduplicated by signature.
 """
 
 import dataclasses
@@ -40,6 +41,7 @@ from skewstruct.exact import (
     SkewMatrixPolynomial,
     _bareiss_echelon,
     _integer_rows,
+    _strip_content,
     as_skew,
     normal_rank,
     poly_gcd,
@@ -118,6 +120,29 @@ def nullspace_by_fractions(matrix):
         scale = math.lcm(*(v.denominator for v in vec))
         basis.append(tuple(int(v * scale) for v in vec))
     return basis
+
+
+def extend_basis_dense(basis, vec):
+    """Reduce an integer vector against an echelon basis and append what is left.
+
+    `basis` is a list of (pivot, row), each row zero at the pivots of the
+    rows before it and `pivot` its first nonzero entry. The vector is
+    reduced only against the rows whose pivot it meets, which leaves it
+    zero at every pivot; if it is not zero, it is divided by its content
+    and appended with its own first nonzero entry as pivot. The rows stay
+    linearly independent, since their pivots differ, and span the vectors
+    given so far. Rows already in `basis` are not modified.
+    """
+    row = list(vec)
+    for piv, brow in basis:
+        f = row[piv]
+        if f:
+            b = brow[piv]
+            row = [b * r - f * s for r, s in zip(row, brow)]
+    piv = next((i for i, v in enumerate(row) if v), None)
+    if piv is not None:
+        _strip_content([row])
+        basis.append((piv, row))
 
 
 def rank_by_fractions(matrix) -> int:

@@ -322,6 +322,48 @@ class TestPrefixDims:
             up_to = max(m.degree, 0) + 3
             assert prefix_dims(m, up_to) == prefix_dims_by_toeplitz(m, up_to)
 
+    def test_sparse_rows_match_the_dense_oracles(self, monkeypatch):
+        # the staircase's rows are sparse dicts: padded linearizations up to
+        # 18 x 18, whose rows are mostly zero; constant and zero polynomials,
+        # with no window and no [P_delta ... P_1]; and inputs whose windows
+        # carry coefficients of over 64 bits
+        rng = random.Random(20)
+        inputs = [
+            build_linearization(pad_grade(sample_bounded_rank(SampleSpec(m, d, r, seed=seed)))).pencil
+            for m, d, r, seed in ((3, 2, 1, 0), (4, 2, 1, 1), (5, 2, 2, 0), (6, 2, 2, 1), (3, 4, 1, 0))
+        ]
+        assert max(pencil.rows for pencil in inputs) == 18
+        inputs += [
+            # windows of deg P = 2 and 4 blocks, which shift by one block a stage
+            sample_bounded_rank(SampleSpec(4, 2, 1, seed=0)),
+            sample_bounded_rank(SampleSpec(3, 4, 1, seed=0)),
+            random_skew(rng, 4, 0),
+            skew2(P.one()),
+            SkewMatrixPolynomial.zeros(3, 3, grade=0),
+            SkewMatrixPolynomial.zeros(3, 3, grade=2),
+        ]
+        wide = [random_skew(rng, 5, 1, bound=2**40) for _ in range(2)]
+        wide += [random_matrix(rng, 3, 5, deg, values=range(-(2**40), 2**40)) for deg in (1, 2)]
+        for m in inputs + wide:
+            up_to = max(m.degree, 0) + 4
+            assert prefix_dims(m, up_to) == prefix_dims_by_toeplitz(m, up_to)
+            assert list(convolution_profile(m, up_to).kernel_dims) == kernel_dims_by_convolution(m, up_to)
+        window_bits = []
+        real_extend = eigenstructure._extend_basis
+
+        def measured_extend(basis, vec):
+            size = len(basis)
+            real_extend(basis, vec)
+            # a new row pivoting past the system's rows is a vector of the next window
+            if len(basis) > size and basis[-1][0] >= rows:
+                window_bits.extend(abs(v).bit_length() for v in basis[-1][1].values())
+
+        monkeypatch.setattr(eigenstructure, "_extend_basis", measured_extend)
+        for m in wide:
+            rows = m.rows
+            convolution_profile(m, 4)
+        assert max(window_bits) > 64
+
     def test_multiplicities_at_zero(self):
         rng = random.Random(19)
         for m in unstructured_inputs(rng, 20):

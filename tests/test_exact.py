@@ -38,6 +38,7 @@ from skewstruct.exact import (
 )
 
 from oracles import (
+    extend_basis_dense,
     grid_add,
     grid_evaluate,
     grid_frobenius_squared,
@@ -289,15 +290,16 @@ class TestExtendBasis:
             )
             basis = []
             for j in rng.sample(range(unknowns), unknowns):
-                _extend_basis(basis, [row[j] for row in a + m])
+                _extend_basis(basis, {i: row[j] for i, row in enumerate(a + m) if row[j]})
             pivots = [piv for piv, _ in basis]
             out_of_order += pivots != sorted(pivots)
             for k, (piv, row) in enumerate(basis):
-                assert not any(row[:piv]) and row[piv]
-                assert all(row[p] == 0 for p in pivots[:k]), trial
-
-            in_a = [row for piv, row in basis if piv < a_rows]
-            image = [row[a_rows:] for piv, row in basis if piv >= a_rows]
+                # no stored zeros, none left of the pivot, none at the earlier pivots
+                assert all(row.values()) and min(row) == piv
+                assert all(p not in row for p in pivots[:k]), trial
+            dense = [[row.get(i, 0) for i in range(a_rows + m_rows)] for _, row in basis]
+            in_a = [row for piv, row in zip(pivots, dense) if piv < a_rows]
+            image = [row[a_rows:] for piv, row in zip(pivots, dense) if piv >= a_rows]
             assert len(in_a) == rank_exact(a), trial
             kernel_image = [
                 [sum(v * z for v, z in zip(row, vec)) for row in m] for vec in nullspace_exact(a)
@@ -305,6 +307,30 @@ class TestExtendBasis:
             spans = [rank_exact(vectors) for vectors in (image, kernel_image, image + kernel_image)]
             assert spans == [len(image)] * 3, trial
         assert out_of_order > 30
+
+    def test_rows_equal_the_dense_oracle(self):
+        # gcd-reduced multipliers give positive multiples of the dense rows,
+        # so after the content division the rows, not only their span, agree
+        rng = random.Random(4112)
+        reduced_to_zero = 0
+        for trial in range(300):
+            rows, unknowns = rng.randint(1, 8), rng.randint(1, 9)
+            scale = 2**64 if trial % 2 else 1
+            a = [
+                [rng.choice((0, 0, 0, 1, -1, 2, -3)) * rng.randint(1, scale) for _ in range(unknowns)]
+                for _ in range(rows)
+            ]
+            sparse, dense = [], []
+            for j in rng.sample(range(unknowns), unknowns):
+                column = [row[j] for row in a]
+                _extend_basis(sparse, {i: v for i, v in enumerate(column) if v})
+                extend_basis_dense(dense, column)
+            assert [piv for piv, _ in sparse] == [piv for piv, _ in dense], trial
+            assert [row for _, row in sparse] == [
+                {i: v for i, v in enumerate(row) if v} for _, row in dense
+            ], trial
+            reduced_to_zero += len(dense) < unknowns
+        assert reduced_to_zero > 100
 
 
 # ---------------------------------------------------------------------------
