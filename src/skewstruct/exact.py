@@ -6,12 +6,15 @@ common positive denominator, in lowest terms, so the normal rank, the
 staircase and the Smith reduction read plain integers and run
 fraction-free, with no gcd per operation; `Fraction`s appear only at the
 edges (`coefficient_matrix`, `evaluate`, the lazily built entry grid).
-Rank and nullspace take integer or `Fraction` matrices and scale rational
-rows to integers first. Scalar polynomials (`RationalPolynomial`) store
-`Fraction` coefficients lowest degree first and are kept trimmed, so the
-zero polynomial is the empty coefficient tuple. Its degree is the sentinel
-``NEG_INF`` (never the integer -1), which behaves correctly under ``max``
-and comparisons.
+One integer elimination, `_extend_basis`, serves every exact rank: it
+reduces sparse `{column: nonzero int}` rows to an echelon basis, for the
+staircase in `eigenstructure` and for `rank_exact` and `nullspace_exact`,
+which scale integer or `Fraction` rows to integers first. Evaluation
+points and scale factors, like coefficients, must be ints or `Fraction`s.
+Scalar polynomials (`RationalPolynomial`) store `Fraction` coefficients
+lowest degree first and are kept trimmed, so the zero polynomial is the
+empty coefficient tuple. Its degree is the sentinel ``NEG_INF`` (never the
+integer -1), which behaves correctly under ``max`` and comparisons.
 """
 
 from __future__ import annotations
@@ -224,7 +227,7 @@ class RationalPolynomial:
         return RationalPolynomial._raw(_rmonic(self.coeffs))
 
     def __call__(self, x) -> Fraction:
-        x = Fraction(x)
+        x = _rational(x)
         acc = _ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -316,98 +319,25 @@ def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial
 
 
 def _integer_rows(matrix) -> list:
-    """Copy a rational matrix into integer rows (each row scaled by its lcm).
+    """A rational matrix as sparse integer rows {column: nonzero int}, each scaled by its lcm.
 
-    A row of plain ints is copied as it is: the exact ``type`` test is much
+    A row of plain ints is taken as it is: the exact ``type`` test is much
     cheaper than ``isinstance(v, Fraction)``, which goes through the
     numbers ABC machinery for every int.
     """
     rows = []
     for row in matrix:
         if all(type(v) is int for v in row):
-            rows.append(list(row))
+            rows.append({j: v for j, v in enumerate(row) if v})
             continue
         scale = 1
         for v in row:
             if isinstance(v, Fraction):
                 scale = scale * v.denominator // math.gcd(scale, v.denominator)
-        rows.append([int(v * scale) if isinstance(v, Fraction) else int(v) * scale for v in row])
+        rows.append(
+            {j: int(v * scale) if isinstance(v, Fraction) else int(v) * scale for j, v in enumerate(row) if v}
+        )
     return rows
-
-
-def _bareiss_echelon(rows) -> list:
-    """Fraction-free echelon reduction in place; returns the pivot columns.
-
-    After the call the first len(pivots) rows form an integer echelon basis
-    of the row space (zeros left of each pivot), and the remaining rows are
-    zero. Exact by the Bareiss two-step minor identity; rows lacking the
-    pivot entry are still rescaled, which that identity requires.
-    """
-    if not rows or not rows[0]:
-        return []
-    n_rows, n_cols = len(rows), len(rows[0])
-    rank, prev = 0, 1
-    pivots = []
-    for col in range(n_cols):
-        if rank == n_rows:
-            break
-        pivot_row = None
-        for i in range(rank, n_rows):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        rp = rows[rank]
-        piv, cols = rp[col], range(col, n_cols)
-        for ri in rows[rank + 1 :]:
-            factor = ri[col]
-            if factor:
-                for j in cols:
-                    ri[j] = (piv * ri[j] - factor * rp[j]) // prev
-            else:
-                for j in cols:
-                    ri[j] = piv * ri[j] // prev
-        prev = piv
-        pivots.append(col)
-        rank += 1
-    return pivots
-
-
-def _back_substitute(rows, pivots, width) -> list:
-    """Primitive integer solutions of echelon rows, one per free column.
-
-    `rows` and `pivots` are an echelon form of `_bareiss_echelon`, `width`
-    its number of columns; the free columns are the others. The solution
-    for the free column fc has a positive entry there and zeros in the
-    other free columns. The back-substitution is fraction-free: it scales
-    the vector by the least factor that makes its next entry an integer,
-    so it ends as the rational solution with a 1 in fc times the lcm of
-    that solution's denominators, which is primitive.
-    """
-    pivot_set = set(pivots)
-    basis = []
-    for fc in (c for c in range(width) if c not in pivot_set):
-        vec = [0] * width
-        vec[fc] = 1
-        for k in range(len(pivots) - 1, -1, -1):
-            pc = pivots[k]
-            row = rows[k]
-            acc = 0
-            for j in range(pc + 1, width):
-                vj = vec[j]
-                if vj:
-                    acc += row[j] * vj
-            if acc:
-                p = row[pc]
-                f = abs(p) // math.gcd(acc, p)
-                if f != 1:
-                    vec = [v * f for v in vec]
-                    acc *= f
-                vec[pc] = -acc // p
-        basis.append(tuple(vec))
-    return basis
 
 
 def _extend_basis(basis, vec):
@@ -449,28 +379,62 @@ def _extend_basis(basis, vec):
         basis.append((min(row), row))
 
 
+def _row_basis(rows) -> list:
+    """An echelon basis of the row space of sparse integer rows, by `_extend_basis`."""
+    basis = []
+    for row in rows:
+        _extend_basis(basis, row)
+    return basis
+
+
 def rank_exact(matrix) -> int:
     """Exact rank of a matrix of integers or Fractions.
 
-    Uses fraction-free (Bareiss) elimination on integer-scaled rows, so the
-    result is exact for any input size.
+    The number of rows that `_extend_basis` keeps from the matrix's rows,
+    scaled to sparse integer rows, so the result is exact for any input
+    size and costs in proportion to the nonzero entries the reduction meets.
     """
-    return len(_bareiss_echelon(_integer_rows(matrix)))
+    return len(_row_basis(_integer_rows(matrix)))
 
 
 def nullspace_exact(matrix) -> list:
     """Integer basis of the right nullspace of an integer/Fraction matrix.
 
     Returns a list of integer vectors (tuples of Python ints) spanning
-    ``{x : matrix @ x = 0}``, one per free column: the primitive vector
-    with a positive entry in that column and zeros in the other free
-    columns (`_back_substitute`). A matrix without rows does not say how
-    wide its nullspace is and raises ShapeMismatch.
+    ``{x : matrix @ x = 0}``, one per free column, in column order: the
+    primitive vector with a positive entry in that column and zeros in the
+    other free columns. Every echelon basis of the row space has the same
+    pivot columns, so these vectors depend on the row space alone, not on
+    the order of the rows. A matrix without rows does not say how wide its
+    nullspace is and raises ShapeMismatch.
+
+    The rows of the `_extend_basis` basis are solved in reverse insertion
+    order, since each is zero at the pivots of the rows before it. The
+    back-substitution is fraction-free: it scales the vector by the least
+    factor that makes its next entry an integer, so it ends as the rational
+    solution with a 1 in the free column times the lcm of that solution's
+    denominators, which is primitive.
     """
     rows = _integer_rows(matrix)
     if not rows:
         raise ShapeMismatch("matrix without rows has no width")
-    return _back_substitute(rows, _bareiss_echelon(rows), len(rows[0]))
+    width = len(matrix[0])
+    basis = _row_basis(rows)[::-1]
+    pivots = {piv for piv, _ in basis}
+    nullspace = []
+    for fc in (c for c in range(width) if c not in pivots):
+        vec = {fc: 1}
+        for pc, row in basis:
+            acc = sum(v * vec[j] for j, v in row.items() if j in vec)
+            if acc:
+                p = row[pc]
+                f = abs(p) // math.gcd(acc, p)
+                if f != 1:
+                    vec = {j: v * f for j, v in vec.items()}
+                    acc *= f
+                vec[pc] = -acc // p
+        nullspace.append(tuple(vec.get(j, 0) for j in range(width)))
+    return nullspace
 
 
 # ---------------------------------------------------------------------------
@@ -643,17 +607,23 @@ class MatrixPolynomial:
         zero = ((0,) * self.cols,) * self.rows
         return self.numerators[: grade + 1] + (zero,) * (grade - self.grade)
 
-    def evaluate(self, x) -> list:
-        x = Fraction(x)
-        p, q = x.numerator, x.denominator
-        # Horner's rule on q**grade * P(p/q): coefficient k carries q**(grade-k)
+    def _scaled_value(self, p: int, q: int):
+        """The integer matrix q**grade * denominator * P(p/q), by Horner's rule.
+
+        Coefficient k carries q**(grade-k); at q = 1 it is the stored
+        integer coefficients evaluated at p.
+        """
         value = self.numerators[-1]
         scale = 1
         for mat in reversed(self.numerators[:-1]):
             scale *= q
             value = [[v * p + c * scale for v, c in zip(vrow, crow)] for vrow, crow in zip(value, mat)]
-        den = scale * self.denominator
-        return [[Fraction(v, den) for v in row] for row in value]
+        return value
+
+    def evaluate(self, x) -> list:
+        x = _rational(x)
+        den = x.denominator**self.grade * self.denominator
+        return [[Fraction(v, den) for v in row] for row in self._scaled_value(x.numerator, x.denominator)]
 
     def is_zero(self) -> bool:
         return self.degree is NEG_INF
@@ -720,7 +690,7 @@ class MatrixPolynomial:
         return MatrixPolynomial._make(self.rows, other.cols, grade, mats, den)
 
     def scale(self, s):
-        s = Fraction(s)
+        s = _rational(s)
         mats = [[[v * s.numerator for v in row] for row in mat] for mat in self.numerators]
         return type(self)._make(self.rows, self.cols, self.grade, mats, self.denominator * s.denominator)
 
@@ -870,14 +840,10 @@ def _point_ranks(P: MatrixPolynomial):
     """Exact ranks of P at the points of `_points`, in that order, without end.
 
     Each value is the stored integer coefficients (P times its denominator,
-    which keeps the rank) evaluated by Horner's rule.
+    which keeps the rank) evaluated at the point, `P._scaled_value(x, 1)`.
     """
-    coeffs = P.numerators[: max(P.degree, 0) + 1]
     for x in _points():
-        value = coeffs[-1]
-        for mat in reversed(coeffs[:-1]):
-            value = [[v * x + c for v, c in zip(vrow, crow)] for vrow, crow in zip(value, mat)]
-        yield rank_exact(value)
+        yield rank_exact(P._scaled_value(x, 1))
 
 
 class SmithForm(NamedTuple):

@@ -3,17 +3,19 @@
 These deliberately avoid the library's own reduction algorithms: Smith data
 comes from gcds of all k x k minors (Laplace determinants), minimal indices
 and prefix-space dimensions from explicit convolution matrices, so the fast
-paths are checked against slow, obviously-correct computations; nullspace
-vectors come from back-substitution in Fraction arithmetic and ranks from
-Gaussian elimination in Fractions; bounded-rank draws come from the direct
-Fraction product of polynomial matrices; the staircase's echelon basis is
-rebuilt from dense integer rows with undivided multipliers; block lists are
-compared modulo renaming of symbols by trying every renaming; matrix
-polynomial arithmetic is checked against entrywise RationalPolynomial
-formulas on entry grids; the closure search is checked against the same
-breadth-first search without its rank bound, which applies every rule from
-every state, with rule 6 enumerated by brute force over all assignments and
-deduplicated by signature.
+paths are checked against slow, obviously-correct computations; the ranks
+of those matrices and of the draws' congruences come from a dense Bareiss
+elimination, not the library's sparse row reduction, nullspace vectors
+from back-substitution over its rows in Fraction arithmetic, and ranks
+also from Gaussian elimination in Fractions; bounded-rank draws come from
+the direct Fraction product of polynomial matrices; the staircase's echelon
+basis is rebuilt from dense integer rows with undivided multipliers; block
+lists are compared modulo renaming of symbols by trying every renaming;
+matrix polynomial arithmetic is checked against entrywise
+RationalPolynomial formulas on entry grids; the closure search is checked
+against the same breadth-first search without its rank bound, which applies
+every rule from every state, with rule 6 enumerated by brute force over all
+assignments and deduplicated by signature.
 """
 
 import dataclasses
@@ -39,13 +41,10 @@ from skewstruct.exact import (
     MatrixPolynomial,
     RationalPolynomial,
     SkewMatrixPolynomial,
-    _bareiss_echelon,
-    _integer_rows,
     _strip_content,
     as_skew,
     normal_rank,
     poly_gcd,
-    rank_exact,
 )
 from skewstruct.points import SymbolicPoint
 
@@ -98,6 +97,61 @@ def normal_rank_by_minors(P: MatrixPolynomial) -> int:
     return len(minor_gcds(P))
 
 
+def integer_rows(matrix) -> list:
+    """Dense integer rows: each row of ints or Fractions times the lcm of its denominators."""
+    rows = []
+    for row in matrix:
+        row = [Fraction(v) for v in row]
+        scale = math.lcm(*(v.denominator for v in row))
+        rows.append([int(v * scale) for v in row])
+    return rows
+
+
+def bareiss_echelon(rows) -> list:
+    """Fraction-free echelon reduction in place; returns the pivot columns.
+
+    After the call the first len(pivots) rows form an integer echelon basis
+    of the row space (zeros left of each pivot), and the remaining rows are
+    zero. Exact by the Bareiss two-step minor identity; rows lacking the
+    pivot entry are still rescaled, which that identity requires.
+    """
+    if not rows or not rows[0]:
+        return []
+    n_rows, n_cols = len(rows), len(rows[0])
+    rank, prev = 0, 1
+    pivots = []
+    for col in range(n_cols):
+        if rank == n_rows:
+            break
+        pivot_row = None
+        for i in range(rank, n_rows):
+            if rows[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        rp = rows[rank]
+        piv, cols = rp[col], range(col, n_cols)
+        for ri in rows[rank + 1 :]:
+            factor = ri[col]
+            if factor:
+                for j in cols:
+                    ri[j] = (piv * ri[j] - factor * rp[j]) // prev
+            else:
+                for j in cols:
+                    ri[j] = piv * ri[j] // prev
+        prev = piv
+        pivots.append(col)
+        rank += 1
+    return pivots
+
+
+def rank_by_bareiss(matrix) -> int:
+    """Exact rank by dense fraction-free (Bareiss) elimination of integer rows."""
+    return len(bareiss_echelon(integer_rows(matrix)))
+
+
 def nullspace_by_fractions(matrix):
     """Right nullspace basis by Fraction back-substitution over Bareiss rows.
 
@@ -106,9 +160,9 @@ def nullspace_by_fractions(matrix):
     scale by the lcm of the denominators, which gives the primitive integer
     vector with a positive entry in the free column.
     """
-    rows = _integer_rows(matrix)
+    rows = integer_rows(matrix)
     n_cols = len(rows[0])
-    pivots = _bareiss_echelon(rows)
+    pivots = bareiss_echelon(rows)
     basis = []
     for fc in (c for c in range(n_cols) if c not in pivots):
         vec = [Fraction(0)] * n_cols
@@ -185,7 +239,7 @@ def sample_by_fractions(spec, max_attempts: int = 100) -> SkewMatrixPolynomial:
                 inner[r + j][i] = -block[i][j]
         inner_poly = SkewMatrixPolynomial(inner, grade=d)
         congruence = [[Fraction(rng.randint(-c, c)) for _ in range(m)] for _ in range(m)]
-        if rank_exact(congruence) < m:
+        if rank_by_bareiss(congruence) < m:
             continue
         cm = MatrixPolynomial(congruence, grade=0)
         sample = as_skew((cm.transpose() @ inner_poly @ cm).with_grade(d))
@@ -270,7 +324,7 @@ def kernel_dims_by_convolution(P: MatrixPolynomial, up_to: int):
     for k in range(up_to + 1):
         C = convolution_matrix(P, k)
         cols = (k + 1) * P.cols
-        dims.append(cols - rank_exact(C))
+        dims.append(cols - rank_by_bareiss(C))
     return dims
 
 
@@ -284,7 +338,7 @@ def prefix_dims_by_toeplitz(P: MatrixPolynomial, up_to: int):
     dims = []
     for k in range(up_to + 1):
         T = convolution_matrix(P, k)[: (k + 1) * P.rows]
-        dims.append((k + 1) * P.cols - rank_exact(T))
+        dims.append((k + 1) * P.cols - rank_by_bareiss(T))
     return dims
 
 
@@ -298,7 +352,7 @@ def minimal_indices_by_convolution(P: MatrixPolynomial, total: int):
     k = 0
     while len(indices) < total:
         C = convolution_matrix(P, k)
-        dim = (k + 1) * P.cols - rank_exact(C)
+        dim = (k + 1) * P.cols - rank_by_bareiss(C)
         count = dim - prev_dim
         indices.extend([k] * (count - prev_count))
         prev_dim, prev_count = dim, count

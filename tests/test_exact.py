@@ -36,6 +36,7 @@ from skewstruct.exact import (
     skew_smith,
     smith_form,
 )
+from skewstruct.generic import generic_pencil_structure
 
 from oracles import (
     extend_basis_dense,
@@ -108,6 +109,15 @@ class TestRationalPolynomial:
         ):
             with pytest.raises(TypeError):
                 build()
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True, False, "1/2", None])
+    def test_only_ints_and_fractions_are_values(self, bad):
+        # evaluation points and scale factors are exact too: 0.1 would be
+        # read as its binary expansion, "1/2" parsed and True taken as 1
+        m = MatrixPolynomial([[x + 1, x], [P.one(), 2 * x]])
+        for use in (lambda: (x + 1)(bad), lambda: m.evaluate(bad), lambda: m.scale(bad)):
+            with pytest.raises(TypeError):
+                use()
 
     def test_evaluate(self):
         p = 3 * x**2 + Fraction(1, 2)
@@ -213,7 +223,10 @@ class TestRankExact:
         assert rank_exact([[True, False], [False, True]]) == 2
 
     def test_tangent_map_entries(self):
-        # the tangent map mixes int zeros with Fraction entries in one row
+        # the tangent map mixes int zeros with Fraction entries in one row;
+        # those of generic pencils, canonical and after a random congruence,
+        # are wide and sparse: n(n-1) rows over n^2 columns, with at most
+        # 2n nonzeros in a row
         pencil = SkewMatrixPolynomial.from_upper(
             3,
             {(0, 1): P((Fraction(1, 2), 1)), (0, 2): P((2, -1)), (1, 2): P((0, Fraction(3, 4)))},
@@ -222,8 +235,41 @@ class TestRankExact:
         m = tangent_map_matrix(pencil)
         assert any(type(v) is int for row in m for v in row)
         assert any(type(v) is Fraction for row in m for v in row)
-        assert rank_exact(m) == rank_by_fractions(m)
-        assert nullspace_exact(m) == nullspace_by_fractions(m)
+        pencils = [pencil]
+        rng = random.Random(4133)
+        for n in range(3, 8):
+            for w in range(1, (n - 1) // 2 + 1):
+                for r in range(w + 1):
+                    generic = assemble_skew(generic_pencil_structure(n, w, r))
+                    q = MatrixPolynomial([[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)])
+                    pencils += [generic, as_skew(q.transpose() @ generic @ q)]
+        for p in pencils:
+            m = tangent_map_matrix(p)
+            assert rank_exact(m) == rank_by_fractions(m), p
+            assert nullspace_exact(m) == nullspace_by_fractions(m), p
+
+    def test_row_order_does_not_change_the_answers(self):
+        # the basis rows pivot in the order the rows come, but the rank and
+        # the canonical nullspace vectors depend on the row space alone
+        rng = random.Random(4139)
+        out_of_order = 0
+        for trial in range(200):
+            rows, cols = rng.randint(2, 8), rng.randint(1, 8)
+            inner = rng.randint(0, min(rows, cols))
+            scale = 2**64 if trial % 3 == 2 else 1
+            a = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(inner)] for _ in range(rows)]
+            b = [[rng.choice((0, 0, 1, -3)) * rng.randint(1, scale) for _ in range(cols)] for _ in range(inner)]
+            m = [[sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)] for i in range(rows)]
+            if trial % 2:
+                m = [[Fraction(v, 1 + i) for v in row] for i, row in enumerate(m)]
+            rank, basis = rank_by_fractions(m), nullspace_by_fractions(m)
+            for _ in range(4):
+                shuffled = rng.sample(m, rows)
+                assert rank_exact(shuffled) == rank, trial
+                assert nullspace_exact(shuffled) == basis, trial
+                pivots = [piv for piv, _ in exact._row_basis(exact._integer_rows(shuffled))]
+                out_of_order += pivots != sorted(pivots)
+        assert out_of_order > 50
 
     def test_nullspace_without_rows(self):
         # the whole space would be the answer, but no row says how wide it is
