@@ -178,7 +178,10 @@ def cmd_closure(args) -> int:
         }
         print(dump_json(data), end="")
         return EXIT_OK
-    print(dump_json({"status": result.status, "states_explored": result.states_explored}), end="")
+    data = {"status": result.status, "states_explored": result.states_explored}
+    if result.witness is not None:
+        data["witness"] = result.witness.to_json_dict()
+    print(dump_json(data), end="")
     return EXIT_UNREACHABLE if result.status == "no" else EXIT_INCONCLUSIVE
 
 
@@ -273,7 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     cl = sub.add_parser("closure", help="search for a degeneration path between block lists")
     cl.add_argument("--target", required=True, help="block list JSON file (more generic side)")
     cl.add_argument("--source", required=True, help="block list JSON file (degenerate side)")
-    cl.add_argument("--max-steps", type=_size, default=None)
+    cl.add_argument(
+        "--max-steps",
+        type=_size,
+        default=None,
+        help="step bound (default: the orbit codimension gap, which bounds every path)",
+    )
     cl.set_defaults(func=cmd_closure)
 
     return parser

@@ -1,4 +1,4 @@
-"""Orbit codimensions of skew-symmetric pencils, three independent ways.
+"""Orbit codimensions of pencils: skew ones three independent ways, general ones by Hom dimensions.
 
 The congruence orbit of an n x n skew pencil is a manifold inside the
 n(n-1)-dimensional space of skew pencils; its codimension can be computed
@@ -13,6 +13,11 @@ codimension is defined through the linearization of the one-grade padding,
 which fixes the leading coefficient to zero; dropping that coefficient
 block accounts for the m(m-1)/2 offset between the template-space and
 polynomial-space codimensions.
+
+A general pencil's strict-equivalence orbit codimension is dim End(P) -
+(rows - cols)^2, and End(P) splits over pairs of blocks: `dim_hom` is the
+table of Hom dimensions between two canonical blocks, and `codim_general`
+sums it over a block count.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .blocks import BlockList, assemble_skew
+from .blocks import BlockList, GeneralBlock, assemble_skew
 from .errors import FlavorMismatch, InternalInconsistency, NotSkewSymmetric, ParamDomain
 from .exact import MatrixPolynomial, rank_exact
 from .generic import PencilGenericParams, PolyGenericParams, generic_pencil_structure
@@ -59,6 +64,43 @@ def codim_blocksum(blocklist: BlockList) -> int:
     regular_size = blocklist.total_rows - sum(2 * a + 1 for a in m_sizes)
     singular = sum(2 * a + (2 if a == b else 1) for a, b in combinations(m_sizes, 2))
     return jordan + regular_size * len(m_sizes) + singular
+
+
+def dim_hom(a: GeneralBlock, b: GeneralBlock) -> int:
+    """dim Hom(A, B) = dim {(X, Y): X A_k = B_k Y, k = 0, 1} for two general canonical blocks.
+
+    Each entry is zero unless listed: L_i -> L_j gives max(i - j + 1, 0),
+    L^T_i -> L_j gives i + j, L^T_i -> L^T_j gives max(j - i + 1, 0),
+    L^T_i -> E_j gives j, E_i -> L_j gives i, and E_i -> E_j gives min(i, j)
+    when both sit at the same point, infinity counted as one. So no entry
+    reads the value of an eigenvalue, only whether two are equal, and a
+    symbol differs from every other point.
+    """
+    i, j = a.index, b.index
+    if a.kind == "L":
+        return max(i - j + 1, 0) if b.kind == "L" else 0
+    if a.kind == "L_T":
+        if b.kind == "L":
+            return i + j
+        return max(j - i + 1, 0) if b.kind == "L_T" else j
+    if b.kind == "L":
+        return i
+    if b.kind == "L_T" or a.kind != b.kind or a.eigenvalue != b.eigenvalue:
+        return 0
+    return min(i, j)
+
+
+def codim_general(counts: dict) -> int:
+    """Strict-equivalence orbit codimension of the general pencil with these block multiplicities.
+
+    The orbit of an m x n pencil P has codimension dim End(P) - (m - n)^2 in
+    the 2mn-dimensional space of pencils (Demmel-Edelman, LAA 1995), and
+    End(P) is the sum of Hom(a, b) over the ordered pairs of its blocks.
+    """
+    rows = sum(b.shape[0] * c for b, c in counts.items())
+    cols = sum(b.shape[1] * c for b, c in counts.items())
+    end = sum(ca * cb * dim_hom(a, b) for a, ca in counts.items() for b, cb in counts.items())
+    return end - (rows - cols) ** 2
 
 
 def codim_pencil_closed(n: int, w: int, r: int) -> int:

@@ -9,10 +9,13 @@ pairwise distinct eigenvalues). Applying rules can only move toward more
 generic structures; a sequence from A to B certifies that B's orbit closure
 contains A's orbit.
 
-`closure_reachable` runs a breadth-first search over rule applications.
-Fresh eigenvalues are drawn from an opaque symbolic pool and states compare
-modulo renaming of the symbols, which keeps the search space finite; the
-target's rational eigenvalues join the pool, so rule 6 can create them.
+`closure_reachable` answers "no" without a search when a Hom dimension
+refutes the containment (`HomWitness`), and otherwise runs a breadth-first
+search over rule applications, at most as many steps deep as the orbit
+codimensions of source and target differ. Fresh eigenvalues are drawn
+from an opaque symbolic pool and states compare modulo renaming of the
+symbols, which keeps the search space finite; the target's rational
+eigenvalues join the pool, so rule 6 can create them.
 Rule 6 never makes two applications that differ only in fresh symbols or
 in the order of equal-size blocks, so no duplicate needs filtering.
 Rules 1-5 keep the rank and rule 6 raises it by exactly one, so the search
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import BlockList, GeneralBlock, skew_to_general
+from .codimension import codim_general, dim_hom
 from .errors import MissingBlocks, ParamDomain, ShapeMismatch, SideConditionViolated
 from .fileio import json_int
 from .points import INFINITY, SymbolicPoint, format_eigenvalue, parse_eigenvalue
@@ -379,23 +383,83 @@ def enumerate_applications(blocklist: BlockList, pool=()):
 MAX_STATES = 100_000  # explored states before the search gives up, inconclusive
 
 
+@dataclass(frozen=True)
+class HomWitness:
+    """A block X whose Hom dimension with the source falls below the one with the target.
+
+    `direction` is "Hom(X, -)" when dim Hom(X, source) < dim Hom(X, target),
+    "Hom(-, X)" when dim Hom(source, X) < dim Hom(target, X).
+    """
+
+    block: GeneralBlock
+    direction: str
+    source_dim: int
+    target_dim: int
+
+    def to_json_dict(self) -> dict:
+        return {
+            "block": str(self.block),
+            "direction": self.direction,
+            "source_dim": self.source_dim,
+            "target_dim": self.target_dim,
+        }
+
+
 @dataclass
 class ClosureResult:
-    """Outcome of the reachability search.
+    """Outcome of `closure_reachable`.
 
     status "yes" certifies closure containment via the certificate; "no"
-    certifies that the source is not in the target's orbit closure (given
-    only for a source of rank above the target's); "no_within_bound" is
-    inconclusive and only means nothing was found within the bounds.
+    certifies that the source is not in the target's orbit closure, either
+    because its rank is above the target's (no witness) or by `witness`;
+    "no_within_bound" is inconclusive and only means nothing was found
+    within the bounds.
     """
 
     status: str
     certificate: tuple | None = None
     states_explored: int = 0
+    witness: HomWitness | None = None
 
     @property
     def reachable(self) -> bool:
         return self.status == "yes"
+
+
+def _hom_sum(counts, x: GeneralBlock, direction: str) -> int:
+    """dim Hom(X, P) or dim Hom(P, X), by direction, for P given as (block, count) pairs."""
+    if direction == "Hom(X, -)":
+        return sum(count * dim_hom(x, block) for block, count in counts)
+    return sum(count * dim_hom(block, x) for block, count in counts)
+
+
+def _hom_witness(target_counts: dict, source_counts: dict, size: int):
+    """The first HomWitness among L_k, L^T_k and E_k(inf) for k <= size, or None.
+
+    dim Hom(X, P) and dim Hom(P, X) are upper semicontinuous in P and
+    constant on orbits, so a source in the target's orbit closure has both
+    at least the target's, for every pencil X (Demmel-Edelman, LAA 1995).
+    Both are additive over blocks, so the pass sums `dim_hom` over the
+    difference of the two block counts. None of these X has a finite
+    eigenvalue, so no value of a symbol enters the sums, and a witness
+    holds under every valuation of the symbols. The congruence orbit
+    closure of a skew pencil is its strict-equivalence orbit closure within
+    the skew pencils (Dmytryshyn-Kågström, SIMAX 2014), so a witness read
+    off the unfoldings refutes skew inputs too.
+    """
+    diff = dict(source_counts)
+    for block, count in target_counts.items():
+        diff[block] = diff.get(block, 0) - count
+    diff = [(block, count) for block, count in diff.items() if count]
+    for k in range(size + 1):
+        candidates = [GeneralBlock.right(k), GeneralBlock.left(k)] + ([GeneralBlock.infinite(k)] if k else [])
+        for x in candidates:
+            for direction in ("Hom(X, -)", "Hom(-, X)"):
+                if _hom_sum(diff, x, direction) < 0:
+                    source_dim = _hom_sum(source_counts.items(), x, direction)
+                    target_dim = _hom_sum(target_counts.items(), x, direction)
+                    return HomWitness(x, direction, source_dim, target_dim)
+    return None
 
 
 def closure_reachable(
@@ -403,27 +467,24 @@ def closure_reachable(
     source: BlockList,
     max_steps: int | None = None,
 ) -> ClosureResult:
-    """Breadth-first search for a rule sequence turning source into target.
+    """Decide whether target's orbit closure contains source's, by Hom witnesses and a search.
 
-    Symbolic eigenvalues match modulo renaming. "yes" comes with the found
-    rule sequence; "no" is certified; "no_within_bound" is inconclusive by
-    design (the step bound defaults to the pencil size and may simply be too
-    small). A negative step bound raises ParamDomain; zero searches no step.
-    A skew-flavor target or source is searched as its `skew_to_general`
-    unfolding, which is also the list a certificate replays from.
+    "yes" comes with a rule sequence found by breadth-first search, and
+    symbolic eigenvalues match modulo renaming. "no" is certified: the
+    source's rank is above the target's, or a `HomWitness` refutes it.
+    "no_within_bound" is inconclusive: nothing was found within the step
+    bound or `MAX_STATES`. A negative step bound raises ParamDomain; zero
+    searches no step. A skew-flavor target or source is searched as its
+    `skew_to_general` unfolding, which is also the list a certificate
+    replays from.
 
     Rules 1-5 keep the rank and rule 6 raises it by one, so no state of
-    rank above the target's leads to the target. The search generates rule
-    6 only from states below the target's rank, and a source above it is
-    answered "no" at once; `states_explored` (and `MAX_STATES`) count only
-    states of rank at most the target's. Every surviving state is found
-    from the same parent, in the same order, as by the search without this
-    bound. The generators yield only legal applications, so a rule error is
-    a bug and propagates instead of dropping a path.
-
-    The search runs on block -> multiplicity dicts from start to end: rules
-    are enumerated and applied, and successors keyed, on a state's counts,
-    so it builds no BlockList.
+    rank above the target's leads to the target, and a source above it is
+    answered "no" at once. Then the witness pass runs, and only a source
+    that it leaves open is searched. Every rule application strictly
+    lowers the orbit codimension, so no path is longer than
+    `codim_general(source) - codim_general(target)`, the default step
+    bound; with it, only `MAX_STATES` can leave a search inconclusive.
     """
     if target.flavor == "skew":
         target = skew_to_general(target)
@@ -431,19 +492,37 @@ def closure_reachable(
         source = skew_to_general(source)
     if (target.total_rows, target.total_cols) != (source.total_rows, source.total_cols):
         raise ShapeMismatch("target and source must have equal total sizes")
-    if max_steps is None:
-        max_steps = max(source.total_rows, source.total_cols)
-    elif max_steps < 0:
+    if max_steps is not None and max_steps < 0:
         raise ParamDomain(f"the step bound {max_steps} is negative")
     target_counts, source_counts = target.counts(), source.counts()
+    if _key_from_counts(source_counts) == _key_from_counts(target_counts):
+        return ClosureResult(status="yes", certificate=(), states_explored=1)
+    if source.rank > target.rank:
+        return ClosureResult(status="no", states_explored=1)
+    witness = _hom_witness(target_counts, source_counts, max(source.total_rows, source.total_cols))
+    if witness is not None:
+        return ClosureResult(status="no", states_explored=1, witness=witness)
+    if max_steps is None:
+        max_steps = max(codim_general(source_counts) - codim_general(target_counts), 0)
+    return _breadth_first(target_counts, source_counts, max_steps)
+
+
+def _breadth_first(target_counts: dict, source_counts: dict, max_steps: int) -> ClosureResult:
+    """Breadth-first search for a rule sequence from the source's counts to the target's.
+
+    The search generates rule 6 only from states below the target's rank,
+    so `states_explored` (and `MAX_STATES`) count only states of rank at
+    most the target's. Every surviving state is found from the same parent,
+    in the same order, as by the search without this bound. The generators
+    yield only legal applications, so a rule error is a bug and propagates
+    instead of dropping a path. Rules are enumerated and applied, and
+    successors keyed, on a state's counts, so the search builds no
+    BlockList.
+    """
     target_key = _key_from_counts(target_counts)
     source_key = _key_from_counts(source_counts)
     pool = [ev for ev in _present_eigenvalues(target_counts) if isinstance(ev, Fraction)]
-    if source_key == target_key:
-        return ClosureResult(status="yes", certificate=(), states_explored=1)
-    target_rank = target.rank
-    if source.rank > target_rank:
-        return ClosureResult(status="no", states_explored=1)
+    target_rank = sum(b.rank * c for b, c in target_counts.items())
     visited = {source_key: (None, None)}
     frontier = [(source_counts, source_key)]
     explored = 1

@@ -15,7 +15,9 @@ matrix polynomial arithmetic is checked against entrywise
 RationalPolynomial formulas on entry grids; the closure search is checked
 against the same breadth-first search without its rank bound, which applies
 every rule from every state, with rule 6 enumerated by brute force over all
-assignments and deduplicated by signature.
+assignments and deduplicated by signature; Hom dimensions between blocks,
+and general orbit codimensions, come from the kernel and the rank of the
+linear maps on the assembled pencils.
 """
 
 import dataclasses
@@ -24,7 +26,7 @@ import random
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 
-from skewstruct.blocks import BlockList
+from skewstruct.blocks import BlockList, GeneralBlock, assemble_general
 from skewstruct.degeneration import (
     ClosureResult,
     RuleApplication,
@@ -197,6 +199,33 @@ def extend_basis_dense(basis, vec):
     if piv is not None:
         _strip_content([row])
         basis.append((piv, row))
+
+
+def rank_by_sparse_fractions(matrix) -> int:
+    """Rank by echelon insertion of sparse {column: Fraction} rows, for large sparse maps.
+
+    Each row is reduced against the kept row whose pivot is its least
+    column, until that column is no kept row's pivot; then it is kept with
+    that pivot, or dropped if nothing is left. Kept rows have distinct
+    pivots, so they are independent and span the rows given.
+    """
+    pivots = {}
+    for dense in matrix:
+        row = {j: Fraction(v) for j, v in enumerate(dense) if v}
+        while row:
+            col = min(row)
+            kept = pivots.get(col)
+            if kept is None:
+                pivots[col] = row
+                break
+            f = row[col] / kept[col]
+            for j, v in kept.items():
+                w = row.get(j, 0) - f * v
+                if w:
+                    row[j] = w
+                else:
+                    row.pop(j, None)
+    return len(pivots)
 
 
 def rank_by_fractions(matrix) -> int:
@@ -484,3 +513,44 @@ def closure_reachable_unpruned(target: BlockList, source: BlockList, max_steps=N
         if not frontier:
             break
     return ClosureResult(status="no_within_bound", states_explored=explored)
+
+
+def _pencil_map(A: BlockList, B: BlockList, sign: int):
+    """(unknowns, rank) of (X, Y) -> (X A_k + sign B_k Y) for k = 0, 1 on the assembled pencils.
+
+    X is rows(B) x rows(A) and Y is cols(B) x cols(A); each equation is one
+    entry of the image, ranked by sparse Fraction elimination.
+    """
+    PA, PB = assemble_general(A), assemble_general(B)
+    ma, na, mb, nb = PA.rows, PA.cols, PB.rows, PB.cols
+    nx, ny = mb * ma, nb * na
+    rows = []
+    for k in (0, 1):
+        Ak, Bk = PA.coefficient_matrix(k), PB.coefficient_matrix(k)
+        for i in range(mb):
+            for j in range(na):
+                row = [0] * (nx + ny)
+                for p in range(ma):
+                    row[i * ma + p] += Ak[p][j]
+                for q in range(nb):
+                    row[nx + q * na + j] += sign * Bk[i][q]
+                rows.append(row)
+    return nx + ny, rank_by_sparse_fractions(rows)
+
+
+def dim_hom_dense(a: GeneralBlock, b: GeneralBlock) -> int:
+    """dim {(X, Y): X A_k = B_k Y, k = 0, 1}: the kernel of the map on the assembled blocks."""
+    unknowns, rank = _pencil_map(BlockList.general([a]), BlockList.general([b]), -1)
+    return unknowns - rank
+
+
+def codim_general_by_tangent(blocklist: BlockList) -> int:
+    """Strict-equivalence orbit codimension as 2mn minus the rank of the tangent map.
+
+    The tangent map at the m x n pencil P = C_0 + x C_1 is
+    (X, Y) -> (X C_k + C_k Y) for k = 0, 1, with X m x m and Y n x n; its
+    image is the tangent space of the orbit in the 2mn-dimensional space
+    of m x n pencils.
+    """
+    _, rank = _pencil_map(blocklist, blocklist, 1)
+    return 2 * blocklist.total_rows * blocklist.total_cols - rank

@@ -47,8 +47,9 @@ def test_traced_functions_resolve(bench_modules):
 
 
 # (steps, source label) -> (status, states_explored, sha256 of the certificate
-# JSON or None) of every closure_bfs search, recorded before the search ran on
-# block counts alone; any change to the rules, their order or the BFS shows here
+# JSON or None) of the breadth-first search of every closure_bfs op, recorded
+# before the search ran on block counts alone; any change to the rules, their
+# order or the BFS shows here
 CLOSURE_BFS_GOLDEN = {
     (6, "K2 + M0 + M0"): ("no_within_bound", 39, None),
     (6, "H2(a) + M0 + M0"): ("no_within_bound", 39, None),
@@ -82,12 +83,61 @@ CLOSURE_BFS_GOLDEN = {
 }
 
 
+# (steps, source label) -> the Hom witness (block, direction, source and target
+# dimensions) that closure_reachable answers "no" with, before any search; it
+# runs the search of every other op, whose pin above it keeps
+CLOSURE_BFS_WITNESSES = {
+    (6, "K2 + M0 + M0"): ("E_1(inf)", "Hom(X, -)", 4, 6),
+    (6, "H2(a) + M0 + M0"): ("E_1(inf)", "Hom(X, -)", 2, 6),
+    (6, "H1(a) + K1 + M0 + M0"): ("E_1(inf)", "Hom(X, -)", 4, 6),
+    (6, "H1(a) + H1(a) + M0 + M0"): ("E_1(inf)", "Hom(X, -)", 2, 6),
+    (6, "H1(a) + H1(b) + M0 + M0"): ("E_1(inf)", "Hom(X, -)", 2, 6),
+    (6, "K1 + M0 + M1"): ("L_0", "Hom(X, -)", 1, 2),
+    (6, "H1(a) + M0 + M1"): ("L_0", "Hom(X, -)", 1, 2),
+    (6, "M0 + M2"): ("L_0", "Hom(X, -)", 1, 2),
+    (6, "M1 + M1"): ("L_0", "Hom(X, -)", 0, 2),
+    (7, "H3(a) + M0"): ("E_1(inf)", "Hom(X, -)", 1, 3),
+    (7, "H1(a) + H2(a) + M0"): ("E_1(inf)", "Hom(X, -)", 1, 3),
+    (7, "H1(a) + H2(b) + M0"): ("E_1(inf)", "Hom(X, -)", 1, 3),
+    (7, "H1(a) + H1(a) + H1(a) + M0"): ("E_1(inf)", "Hom(X, -)", 1, 3),
+    (7, "H1(a) + H1(a) + H1(b) + M0"): ("E_1(inf)", "Hom(X, -)", 1, 3),
+    (7, "H2(a) + M1"): ("E_1(inf)", "Hom(X, -)", 1, 3),
+    (7, "H1(a) + H1(a) + M1"): ("E_1(inf)", "Hom(X, -)", 1, 3),
+    (7, "H1(a) + H1(b) + M1"): ("E_1(inf)", "Hom(X, -)", 1, 3),
+    (7, "H1(a) + M2"): ("E_1(inf)", "Hom(X, -)", 1, 3),
+}
+
+
+def pinned(res):
+    """(status, states_explored, sha256 of the certificate JSON or None) of a ClosureResult."""
+    cert = None if res.certificate is None else [app.to_json_dict() for app in res.certificate]
+    digest = None if cert is None else hashlib.sha256(json.dumps(cert).encode()).hexdigest()
+    return res.status, res.states_explored, digest
+
+
 def test_closure_bfs_searches_are_pinned(bench_modules):
+    from skewstruct import degeneration
+
     workloads, _ = bench_modules
     got = {}
     for op in workloads.ClosureBfs(seed=1, workdir=None).population:
-        res = op.run()
-        cert = None if res.certificate is None else [app.to_json_dict() for app in res.certificate]
-        digest = None if cert is None else hashlib.sha256(json.dumps(cert).encode()).hexdigest()
-        got[op.steps, op.label] = (res.status, res.states_explored, digest)
+        res = degeneration._breadth_first(op.target.counts(), op.source.counts(), op.steps)
+        got[op.steps, op.label] = pinned(res)
     assert got == CLOSURE_BFS_GOLDEN
+
+
+def test_closure_bfs_ops_are_pinned(bench_modules):
+    workloads, _ = bench_modules
+    got, witnesses = {}, {}
+    for op in workloads.ClosureBfs(seed=1, workdir=None).population:
+        res = op.run()
+        got[op.steps, op.label] = pinned(res)
+        if res.witness is not None:
+            w = res.witness
+            witnesses[op.steps, op.label] = (str(w.block), w.direction, w.source_dim, w.target_dim)
+    assert witnesses == CLOSURE_BFS_WITNESSES
+    assert got == {
+        key: ("no", 1, None) if key in CLOSURE_BFS_WITNESSES else pinned_result
+        for key, pinned_result in CLOSURE_BFS_GOLDEN.items()
+    }
+    assert sum(explored for _, explored, _ in got.values()) == 489

@@ -674,6 +674,26 @@ class TestClosureCommand:
         assert code == 4
         assert json.loads(capsys.readouterr().out) == {"status": "no", "states_explored": 1}
 
+    def test_hom_witness_exit_code(self, tmp_path, capsys):
+        # two blocks at infinity do not lie in the closure of four: the
+        # witness is printed beside the status, only when there is one
+        source = self._write(
+            tmp_path / "s.json",
+            {"flavor": "general", "blocks": [{"kind": "E_infinite", "index": 2}] * 2},
+        )
+        target = self._write(
+            tmp_path / "t.json",
+            {"flavor": "general", "blocks": [{"kind": "E_infinite", "index": 1}] * 4},
+        )
+        assert main(["closure", "--target", source, "--source", target]) == 0
+        capsys.readouterr()
+        assert main(["closure", "--target", target, "--source", source]) == 4
+        assert json.loads(capsys.readouterr().out) == {
+            "status": "no",
+            "states_explored": 1,
+            "witness": {"block": "E_1(inf)", "direction": "Hom(X, -)", "source_dim": 2, "target_dim": 4},
+        }
+
     def test_skew_inputs_accepted(self, tmp_path, capsys):
         source = self._write(
             tmp_path / "s.json",

@@ -1,20 +1,27 @@
 """Tests for the three codimension computation paths."""
 
-import pytest
+import random
+from fractions import Fraction
 
-from skewstruct.blocks import BlockList, SkewBlock, assemble_skew
+import pytest
+from oracles import codim_general_by_tangent, dim_hom_dense
+from test_degeneration import skew_sources
+
+from skewstruct.blocks import BlockList, GeneralBlock, SkewBlock, assemble_skew, general_to_skew
 from skewstruct.codimension import (
     codim_blocksum,
+    codim_general,
     codim_pencil_closed,
     codim_poly_generic,
     codim_tangent,
+    dim_hom,
     gsyl0_tangent_claim,
     pencil_codim_reports,
 )
 from skewstruct.errors import FlavorMismatch, NotSkewSymmetric, ParamDomain
 from skewstruct.exact import MatrixPolynomial, RationalPolynomial
 from skewstruct.generic import generic_pencil_structure
-from skewstruct.points import SymbolicPoint
+from skewstruct.points import INFINITY, SymbolicPoint
 
 P = RationalPolynomial
 x = P.variable()
@@ -78,6 +85,75 @@ class TestBlocksum:
                 assert codim_blocksum(structure) == codim_tangent(assemble_skew(structure)), str(structure)
                 checked += 1
         assert checked == 243
+
+
+def eigen_blocks(points, up_to):
+    return [GeneralBlock.eigen(i, point) for point in points for i in range(1, up_to + 1)]
+
+
+class TestHomTable:
+    SINGULAR = [GeneralBlock.right(i) for i in range(9)] + [GeneralBlock.left(i) for i in range(9)]
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            SINGULAR + eigen_blocks([INFINITY], 8),
+            SINGULAR + eigen_blocks([Fraction(1, 2)], 8),
+        ],
+        ids=["infinite", "rational"],
+    )
+    def test_every_entry_up_to_index_8(self, blocks):
+        # every ordered pair, eigenvalue blocks at one point: equal points
+        for a in blocks:
+            for b in blocks:
+                assert dim_hom(a, b) == dim_hom_dense(a, b), (str(a), str(b))
+
+    def test_distinct_points(self):
+        # eigenvalue blocks at distinct points, rational or infinite, have no Hom
+        for p, q in [(Fraction(1, 2), Fraction(-3)), (Fraction(1, 2), INFINITY), (0, 1)]:
+            for a in eigen_blocks([p], 8):
+                for b in eigen_blocks([q], 8):
+                    assert dim_hom(a, b) == dim_hom(b, a) == 0, (str(a), str(b))
+                    assert dim_hom_dense(a, b) == dim_hom_dense(b, a) == 0, (str(a), str(b))
+
+    def test_symbols_are_distinct_points(self):
+        a, b = (GeneralBlock.finite(2, SymbolicPoint(name)) for name in "ab")
+        assert (dim_hom(a, a), dim_hom(a, b), dim_hom(a, GeneralBlock.finite(2, 0))) == (2, 0, 0)
+
+
+class TestCodimGeneral:
+    def test_matches_the_tangent_rank(self):
+        # seeded random general lists with rational and infinite eigenvalues,
+        # shared or not, and rows != cols
+        rng = random.Random(25)
+        points = [Fraction(0), Fraction(1, 2), Fraction(-3), INFINITY]
+        checked = 0
+        for _ in range(60):
+            blocks = []
+            for _ in range(rng.randint(1, 4)):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    blocks.append(GeneralBlock.right(rng.randint(0, 3)))
+                elif kind == 1:
+                    blocks.append(GeneralBlock.left(rng.randint(0, 3)))
+                else:
+                    blocks.append(GeneralBlock.eigen(rng.randint(1, 3), rng.choice(points)))
+            structure = BlockList.general(blocks)
+            assert codim_general(structure.counts()) == codim_general_by_tangent(structure), str(structure)
+            checked += structure.total_rows != structure.total_cols
+        assert checked > 20
+
+    def test_folds_to_the_blocksum(self):
+        # a skew orbit's congruence codimension from the strict-equivalence
+        # one of its unfolding, on every skew list with n <= 8
+        checked = 0
+        for n in range(1, 9):
+            for general in skew_sources(n):
+                skew = general_to_skew(general)
+                m_blocks = sum(b.kind == "M" for b in skew.blocks)
+                assert (codim_general(general.counts()) - n - m_blocks) / 2 == codim_blocksum(skew), str(skew)
+                checked += 1
+        assert checked == 163
 
 
 class TestClosedForms:

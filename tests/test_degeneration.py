@@ -9,6 +9,7 @@ from oracles import closure_reachable_unpruned, equal_by_renaming, rank_raising_
 
 from skewstruct import degeneration
 from skewstruct.blocks import BlockList, GeneralBlock, SkewBlock, skew_to_general
+from skewstruct.codimension import codim_general
 from skewstruct.degeneration import (
     RuleApplication,
     apply_rule,
@@ -248,8 +249,56 @@ class TestClosureSearch:
         source = gl(E(1, 5), E(1, 7))
         for steps in (None, 3, 0):
             res = closure_reachable(target, source, max_steps=steps)
-            assert (res.status, res.states_explored, res.certificate) == ("no", 1, None)
+            assert (res.status, res.states_explored, res.certificate, res.witness) == ("no", 1, None, None)
             assert not res.reachable
+
+    def test_hom_witness_is_no(self):
+        # four infinite blocks of size 1 are in the closure of two of size 2,
+        # not the other way: dim Hom(E_1(inf), -) counts the blocks at infinity
+        two, four = gl(EINF(2), EINF(2)), gl(*[EINF(1)] * 4)
+        res = closure_reachable(four, two)
+        assert (res.status, res.states_explored, res.certificate) == ("no", 1, None)
+        assert res.witness == degeneration.HomWitness(EINF(1), "Hom(X, -)", 2, 4)
+        assert res.witness.to_json_dict() == {
+            "block": "E_1(inf)", "direction": "Hom(X, -)", "source_dim": 2, "target_dim": 4
+        }
+        assert closure_reachable(two, four).status == "yes"
+        # the other direction: dim Hom(-, L^T_0) counts the L^T_0 blocks
+        res = closure_reachable(gl(LT(0), LT(2)), gl(LT(1), LT(1)))
+        assert res.witness == degeneration.HomWitness(LT(0), "Hom(-, X)", 0, 1)
+
+    def test_witnesses_hold_for_every_valuation(self):
+        # a witness reads no eigenvalue, so it refutes the source with its
+        # symbols set to any rationals, equal or not, and the search from
+        # that source finds nothing either
+        symbols = [SymbolicPoint(name) for name in "ab"]
+        checked = 0
+        for n, w, r in [(5, 2, 1), (6, 2, 1), (6, 2, 2)]:
+            target = skew_to_general(generic_pencil_structure(n, w, r))
+            for source in skew_sources(n):
+                res = closure_reachable(target, source)
+                if res.witness is None or not set(symbols) & {b.eigenvalue for b in source.blocks}:
+                    continue
+                checked += 1
+                for values in ((0, 0), (0, 1)):
+                    value = dict(zip(symbols, values))
+                    valued = gl(*[E(b.index, value[b.eigenvalue]) if b.eigenvalue in value else b
+                                  for b in source.blocks])
+                    assert closure_reachable(target, valued).witness == res.witness, str(valued)
+                    steps = codim_general(valued.counts()) - codim_general(target.counts())
+                    bfs = degeneration._breadth_first(target.counts(), valued.counts(), steps)
+                    assert bfs.status == "no_within_bound", str(valued)
+        assert checked == 14
+
+    def test_default_step_bound_is_the_codimension_gap(self):
+        # every rule lowers the orbit codimension, so the gap bounds every
+        # path; the old default, the pencil size, cut this search short
+        source, target = gl(*[L(0)] * 3, *[LT(0)] * 3), gl(L(1), LT(1))
+        assert codim_general(source.counts()) - codim_general(target.counts()) == 14
+        assert closure_reachable(target, source, max_steps=3).status == "no_within_bound"
+        res = closure_reachable(target, source)
+        assert (res.status, res.states_explored) == ("yes", 17)
+        assert replay_certificate(source, res.certificate) == target
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -296,8 +345,8 @@ class TestClosureSearch:
             source if skew_source else skew_to_general(source),
             max_steps=steps,
         )
-        assert (res.status, certificate_json(res), res.states_explored) == (
-            general.status, certificate_json(general), general.states_explored
+        assert (res.status, certificate_json(res), res.states_explored, res.witness) == (
+            general.status, certificate_json(general), general.states_explored, general.witness
         )
 
     def test_replay_from_a_skew_source(self):
@@ -313,15 +362,20 @@ class TestClosureSearch:
 
     def test_builds_no_blocklist(self, monkeypatch):
         # the search runs on block counts from entry to return: rules are
-        # enumerated and applied, and successors keyed, without any list
+        # enumerated and applied, and successors keyed, without any list. A
+        # Hom witness refutes the exhaustive case before any search, so the
+        # search helper runs it
+        exhaustive = (skew_to_general(generic_pencil_structure(6, 2, 2)),
+                      skew_to_general(BlockList.skew([SkewBlock.m(0), SkewBlock.m(0), SkewBlock.k(2)])), 6)
         searches = [
-            (skew_to_general(generic_pencil_structure(5, 2, 1)),
+            (closure_reachable, skew_to_general(generic_pencil_structure(5, 2, 1)),
              skew_to_general(BlockList.skew([SkewBlock.m(0), SkewBlock.h(1, 3), SkewBlock.k(1)])), 10),
-            (skew_to_general(generic_pencil_structure(6, 2, 2)),
-             skew_to_general(BlockList.skew([SkewBlock.m(0), SkewBlock.m(0), SkewBlock.k(2)])), None),
-            (skew_to_general(generic_pencil_structure(6, 2, 1)),
+            (closure_reachable, *exhaustive),
+            (lambda t, s, steps: degeneration._breadth_first(t.counts(), s.counts(), steps), *exhaustive),
+            (closure_reachable, skew_to_general(generic_pencil_structure(6, 2, 1)),
              skew_to_general(BlockList.skew([SkewBlock.m(0)] * 6)), 8),
-            (gl(E(1, SymbolicPoint("z")), E(1, SymbolicPoint("w"))), gl(L(0), L(0), LT(0), LT(0)), 1),
+            (closure_reachable, gl(E(1, SymbolicPoint("z")), E(1, SymbolicPoint("w"))),
+             gl(L(0), L(0), LT(0), LT(0)), 1),
         ]
         built = []
         real = BlockList.__post_init__
@@ -331,14 +385,14 @@ class TestClosureSearch:
             real(self)
 
         monkeypatch.setattr(BlockList, "__post_init__", counting)
-        statuses = set()
-        for target, source, steps in searches:
+        statuses = []
+        for search, target, source, steps in searches:
             built.clear()
-            res = closure_reachable(target, source, max_steps=steps)
-            statuses.add(res.status)
-            assert res.states_explored > 1
+            res = search(target, source, steps)
+            statuses.append(res.status)
+            assert res.states_explored > 1 or res.witness is not None
             assert built == [], (str(source), len(built))
-        assert statuses == {"yes", "no_within_bound"}
+        assert statuses == ["yes", "no", "no_within_bound", "yes", "no_within_bound"]
 
     def test_trivial_identity(self):
         bl = gl(L(1), LT(1))
@@ -504,29 +558,39 @@ class TestRankBound:
 
     def test_matches_the_unbounded_search(self):
         # every skew source against the generic structure of each cell, of
-        # every rank: below the target's (rule 6 still runs, the zero pencil
+        # every rank, both searches with closure_reachable's default step
+        # bound: below the target's (rule 6 still runs, the zero pencil
         # among them), equal to it and above it (answered "no" at once; the
-        # unbounded search cannot certify that and stays inconclusive)
+        # unbounded search cannot certify that and stays inconclusive). A
+        # Hom witness answers "no" only where the unbounded search finds
+        # nothing, and no source that search reaches has a witness
         relations = {-1: 0, 0: 0, 1: 0}
-        fewer = 0
+        fewer = witnessed = 0
         for n, w, r in self.CELLS:
             target = skew_to_general(generic_pencil_structure(n, w, r))
             for source in skew_sources(n):
-                bounded = closure_reachable(target, source)
-                full = closure_reachable_unpruned(target, source)
+                steps = max(codim_general(source.counts()) - codim_general(target.counts()), 0)
+                bounded = closure_reachable(target, source, max_steps=steps)
+                full = closure_reachable_unpruned(target, source, max_steps=steps)
                 label = (n, w, r, str(source))
                 relation = (source.rank > target.rank) - (source.rank < target.rank)
                 relations[relation] += 1
+                if full.status == "yes":
+                    assert degeneration._hom_witness(target.counts(), source.counts(), n) is None, label
                 if relation == 1:
-                    assert (bounded.status, bounded.states_explored) == ("no", 1), label
+                    assert (bounded.status, bounded.states_explored, bounded.witness) == ("no", 1, None), label
                     assert full.status == "no_within_bound", label
+                elif bounded.status == "no":
+                    assert bounded.witness is not None and bounded.states_explored == 1, label
+                    assert full.status == "no_within_bound", label
+                    witnessed += 1
                 else:
                     assert bounded.status == full.status, label
                 assert certificate_json(bounded) == certificate_json(full), label
                 assert bounded.states_explored <= full.states_explored, label
                 fewer += bounded.states_explored < full.states_explored
         assert min(relations.values()) >= 20, relations
-        assert fewer > 50
+        assert witnessed == 21 and fewer > 50, (witnessed, fewer)
 
 
 class TestRuleApplicationJson:

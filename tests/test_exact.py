@@ -52,6 +52,7 @@ from oracles import (
     normal_rank_by_minors,
     nullspace_by_fractions,
     rank_by_fractions,
+    rank_by_sparse_fractions,
     smith_by_minors,
 )
 
@@ -215,6 +216,7 @@ class TestRankExact:
             ]
             rank = rank_by_fractions(ints)
             basis = nullspace_by_fractions(ints)
+            assert rank_by_sparse_fractions(forms[3]) == rank, trial
             for form in forms:
                 assert rank_exact(form) == rank, (trial, form)
                 assert nullspace_exact(form) == basis, (trial, form)
