@@ -21,7 +21,13 @@ in the order of equal-size blocks, so no duplicate needs filtering.
 Rules 1-5 keep the rank and rule 6 raises it by exactly one, so the search
 applies rule 6 only below the target's rank and never builds a state of
 higher rank: `states_explored` counts only states of rank at most the
-target's.
+target's. The witness pass and the search share one kernel, packed Hom
+vectors (`_hom_layout`): one int per list, one field per candidate block
+and direction, and one subtraction that compares every field. The search
+keys and counts every successor but expands only those whose vector is at
+least the target's in every field; by transitivity the others lie on no
+path to the target, so the certificate is the one a search without the
+test finds.
 
 The search runs on block -> multiplicity dicts end to end: the rule
 generators read a state's counts, `_apply_to_counts` applies a rule to a
@@ -34,6 +40,7 @@ too, so no state becomes a BlockList. `enumerate_applications`,
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -426,40 +433,84 @@ class ClosureResult:
         return self.status == "yes"
 
 
-def _hom_sum(counts, x: GeneralBlock, direction: str) -> int:
-    """dim Hom(X, P) or dim Hom(P, X), by direction, for P given as (block, count) pairs."""
-    if direction == "Hom(X, -)":
-        return sum(count * dim_hom(x, block) for block, count in counts)
-    return sum(count * dim_hom(block, x) for block, count in counts)
+def _shape(counts: dict) -> tuple:
+    """(total rows, total columns) of the list with these block multiplicities."""
+    return (sum(b.shape[0] * c for b, c in counts.items()), sum(b.shape[1] * c for b, c in counts.items()))
 
 
-def _hom_witness(target_counts: dict, source_counts: dict, size: int):
-    """The first HomWitness among L_k, L^T_k and E_k(inf) for k <= size, or None.
+@functools.lru_cache(maxsize=None)
+def _hom_layout(rows: int, cols: int) -> tuple:
+    """(candidates, field width, HIGH) of the packed Hom vectors of rows x cols pencils.
+
+    The candidates are the (X, direction) pairs of the witness pass, in its
+    order: L_k, L^T_k and E_k(inf) for k <= max(rows, cols), each in both
+    directions. Field i of a packed vector holds the Hom dimension of
+    candidate i, at bit i * width. dim Hom(X, P) and dim Hom(P, X) are at
+    most rows(X) rows(P) + cols(X) cols(P), and no candidate has more than
+    max(rows, cols) + 1 rows or columns, so every field stays below the
+    bound's next power of two and its top bit, the bit HIGH sets, is clear.
+    """
+    size = max(rows, cols)
+    candidates = []
+    for k in range(size + 1):
+        for x in [GeneralBlock.right(k), GeneralBlock.left(k)] + ([GeneralBlock.infinite(k)] if k else []):
+            candidates += [(x, "Hom(X, -)"), (x, "Hom(-, X)")]
+    width = ((size + 1) * (rows + cols)).bit_length() + 1
+    high = sum(1 << (i * width + width - 1) for i in range(len(candidates)))
+    return tuple(candidates), width, high
+
+
+@functools.lru_cache(maxsize=None)
+def _block_hom(kind: str, index: int, rows: int, cols: int) -> int:
+    """The packed Hom dimensions of one block of this kind and index against the candidates.
+
+    No candidate has a finite eigenvalue, so the value of a block's finite
+    eigenvalue never enters, and one int serves every such block. The cache
+    holds one int per kind, index and pencil shape searched.
+    """
+    block = GeneralBlock(kind, index, Fraction(0) if kind == "E_finite" else None)
+    candidates, width, _ = _hom_layout(rows, cols)
+    packed = 0
+    for i, (x, direction) in enumerate(candidates):
+        packed |= (dim_hom(x, block) if direction == "Hom(X, -)" else dim_hom(block, x)) << (i * width)
+    return packed
+
+
+def _hom_vector(counts: dict, rows: int, cols: int) -> int:
+    """The packed Hom vector of a block -> multiplicity dict: the sum of count times each block's int."""
+    return sum(count * _block_hom(b.kind, b.index, rows, cols) for b, count in counts.items())
+
+
+def _hom_witness(target_counts: dict, source_counts: dict):
+    """The first HomWitness among L_k, L^T_k and E_k(inf) for k <= the pencil size, or None.
 
     dim Hom(X, P) and dim Hom(P, X) are upper semicontinuous in P and
     constant on orbits, so a source in the target's orbit closure has both
     at least the target's, for every pencil X (Demmel-Edelman, LAA 1995).
-    Both are additive over blocks, so the pass sums `dim_hom` over the
-    difference of the two block counts. None of these X has a finite
-    eigenvalue, so no value of a symbol enters the sums, and a witness
-    holds under every valuation of the symbols. The congruence orbit
-    closure of a skew pencil is its strict-equivalence orbit closure within
-    the skew pencils (Dmytryshyn-Kågström, SIMAX 2014), so a witness read
-    off the unfoldings refutes skew inputs too.
+    None of these X has a finite eigenvalue, so no value of a symbol enters,
+    and a witness holds under every valuation of the symbols. The
+    congruence orbit closure of a skew pencil is its strict-equivalence
+    orbit closure within the skew pencils (Dmytryshyn-Kågström, SIMAX 2014),
+    so a witness read off the unfoldings refutes skew inputs too.
+
+    Both dimensions are additive over blocks, so each list has one packed
+    vector (`_hom_layout`), and one subtraction compares every field:
+    `(source | HIGH) - target` keeps field i's top bit exactly when the
+    source's field is at least the target's. No field borrows from the
+    next, since each is below its top bit. Only when a top bit is cleared
+    is the lowest such field, the first candidate in order, decoded.
     """
-    diff = dict(source_counts)
-    for block, count in target_counts.items():
-        diff[block] = diff.get(block, 0) - count
-    diff = [(block, count) for block, count in diff.items() if count]
-    for k in range(size + 1):
-        candidates = [GeneralBlock.right(k), GeneralBlock.left(k)] + ([GeneralBlock.infinite(k)] if k else [])
-        for x in candidates:
-            for direction in ("Hom(X, -)", "Hom(-, X)"):
-                if _hom_sum(diff, x, direction) < 0:
-                    source_dim = _hom_sum(source_counts.items(), x, direction)
-                    target_dim = _hom_sum(target_counts.items(), x, direction)
-                    return HomWitness(x, direction, source_dim, target_dim)
-    return None
+    rows, cols = _shape(source_counts)
+    candidates, width, high = _hom_layout(rows, cols)
+    source = _hom_vector(source_counts, rows, cols)
+    target = _hom_vector(target_counts, rows, cols)
+    failed = high & ~((source | high) - target)
+    if not failed:
+        return None
+    i = (failed & -failed).bit_length() // width - 1
+    x, direction = candidates[i]
+    mask = (1 << width) - 1
+    return HomWitness(x, direction, (source >> i * width) & mask, (target >> i * width) & mask)
 
 
 def closure_reachable(
@@ -499,7 +550,7 @@ def closure_reachable(
         return ClosureResult(status="yes", certificate=(), states_explored=1)
     if source.rank > target.rank:
         return ClosureResult(status="no", states_explored=1)
-    witness = _hom_witness(target_counts, source_counts, max(source.total_rows, source.total_cols))
+    witness = _hom_witness(target_counts, source_counts)
     if witness is not None:
         return ClosureResult(status="no", states_explored=1, witness=witness)
     if max_steps is None:
@@ -511,18 +562,29 @@ def _breadth_first(target_counts: dict, source_counts: dict, max_steps: int) -> 
     """Breadth-first search for a rule sequence from the source's counts to the target's.
 
     The search generates rule 6 only from states below the target's rank,
-    so `states_explored` (and `MAX_STATES`) count only states of rank at
-    most the target's. Every surviving state is found from the same parent,
-    in the same order, as by the search without this bound. The generators
-    yield only legal applications, so a rule error is a bug and propagates
-    instead of dropping a path. Rules are enumerated and applied, and
-    successors keyed, on a state's counts, so the search builds no
-    BlockList.
+    and it expands only states whose packed Hom vector (`_hom_witness`) has
+    every field at least the target's. A successor that fails this test is
+    keyed and counted but never expanded. Every rule moves toward more
+    generic structures, so a state lies in the orbit closure of every state
+    reached from it. If one of those were in the target's orbit closure,
+    the failing state would be too, and would pass. So every state on a
+    path to the target passes, and so does the parent that first finds it:
+    the search finds each such state from the same parent, in the same
+    order, as a search that prunes nothing, and returns the same
+    certificate. `states_explored` (and `MAX_STATES`) count every distinct
+    state keyed, pruned ones included, and none of rank above the
+    target's. The generators yield only legal applications, so a rule error
+    is a bug and propagates instead of dropping a path. Rules are
+    enumerated and applied, and successors keyed and tested, on a state's
+    counts, so the search builds no BlockList.
     """
     target_key = _key_from_counts(target_counts)
     source_key = _key_from_counts(source_counts)
     pool = [ev for ev in _present_eigenvalues(target_counts) if isinstance(ev, Fraction)]
     target_rank = sum(b.rank * c for b, c in target_counts.items())
+    rows, cols = _shape(source_counts)
+    _, _, high = _hom_layout(rows, cols)
+    target_hom = _hom_vector(target_counts, rows, cols)
     visited = {source_key: (None, None)}
     frontier = [(source_counts, source_key)]
     explored = 1
@@ -552,7 +614,8 @@ def _breadth_first(target_counts: dict, source_counts: dict, max_steps: int) -> 
                         certificate=tuple(reversed(cert)),
                         states_explored=explored,
                     )
-                next_frontier.append((nxt, key))
+                if ((_hom_vector(nxt, rows, cols) | high) - target_hom) & high == high:
+                    next_frontier.append((nxt, key))
                 if explored >= MAX_STATES:
                     return ClosureResult(status="no_within_bound", states_explored=explored)
         frontier = next_frontier

@@ -386,10 +386,6 @@ def minimal_indices(P: MatrixPolynomial) -> tuple:
     return _structure_at_zero(P)[1]
 
 
-def left_minimal_indices(P: MatrixPolynomial) -> tuple:
-    return minimal_indices(-P.transpose())
-
-
 def multiplicities_at_zero(P: MatrixPolynomial) -> tuple:
     """Partial multiplicities of P at the point zero, padded with zeros to rank.
 

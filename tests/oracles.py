@@ -15,9 +15,10 @@ matrix polynomial arithmetic is checked against entrywise
 RationalPolynomial formulas on entry grids; the closure search is checked
 against the same breadth-first search without its rank bound, which applies
 every rule from every state, with rule 6 enumerated by brute force over all
-assignments and deduplicated by signature; Hom dimensions between blocks,
-and general orbit codimensions, come from the kernel and the rank of the
-linear maps on the assembled pencils.
+assignments and deduplicated by signature; the Hom witness pass is checked
+against its sums over one candidate block at a time; Hom dimensions
+between blocks, and general orbit codimensions, come from the kernel and
+the rank of the linear maps on the assembled pencils.
 """
 
 import dataclasses
@@ -27,8 +28,10 @@ from fractions import Fraction
 from itertools import chain, combinations, permutations
 
 from skewstruct.blocks import BlockList, GeneralBlock, assemble_general
+from skewstruct.codimension import dim_hom
 from skewstruct.degeneration import (
     ClosureResult,
+    HomWitness,
     RuleApplication,
     _fresh_symbols,
     _partitions,
@@ -38,6 +41,7 @@ from skewstruct.degeneration import (
     apply_rule,
     canonical_key,
 )
+from skewstruct.eigenstructure import minimal_indices
 from skewstruct.errors import AttemptsExhausted, MissingBlocks, SideConditionViolated
 from skewstruct.exact import (
     MatrixPolynomial,
@@ -389,6 +393,11 @@ def minimal_indices_by_convolution(P: MatrixPolynomial, total: int):
     return sorted(indices)
 
 
+def left_minimal_indices(P: MatrixPolynomial) -> tuple:
+    """Left minimal indices of P: the right minimal indices of its negated transpose."""
+    return minimal_indices(-P.transpose())
+
+
 def _symbol_names(blocklist: BlockList):
     return sorted({b.eigenvalue.name for b in blocklist.blocks if isinstance(b.eigenvalue, SymbolicPoint)})
 
@@ -463,10 +472,11 @@ def rank_raising_by_signature(counts: dict, pool):
 
 
 def closure_reachable_unpruned(target: BlockList, source: BlockList, max_steps=None, max_states=100_000):
-    """closure_reachable's breadth-first search with no rank bound.
+    """closure_reachable's breadth-first search with no rank bound and no Hom test.
 
-    Every state expands by every rule, rule 6 included, whatever its rank,
-    so states above the target's rank are built and counted too. Rule 6
+    Every state expands by every rule, rule 6 included, whatever its rank
+    or Hom vector, so states above the target's rank, and states the
+    library's search prunes, are built, counted and expanded too. Rule 6
     comes from rank_raising_by_signature, not the library's generator.
     """
     if max_steps is None:
@@ -513,6 +523,35 @@ def closure_reachable_unpruned(target: BlockList, source: BlockList, max_steps=N
         if not frontier:
             break
     return ClosureResult(status="no_within_bound", states_explored=explored)
+
+
+def _hom_sum(counts, x: GeneralBlock, direction: str) -> int:
+    """dim Hom(X, P) or dim Hom(P, X), by direction, for P given as (block, count) pairs."""
+    if direction == "Hom(X, -)":
+        return sum(count * dim_hom(x, block) for block, count in counts)
+    return sum(count * dim_hom(block, x) for block, count in counts)
+
+
+def hom_witness_by_sums(target_counts: dict, source_counts: dict, size: int):
+    """The first HomWitness among L_k, L^T_k and E_k(inf) for k <= size, or None.
+
+    One candidate and one direction at a time, each a sum of `dim_hom` over
+    the difference of the block counts, with Python's unbounded ints: no
+    packed fields, so no field width to get wrong.
+    """
+    diff = dict(source_counts)
+    for block, count in target_counts.items():
+        diff[block] = diff.get(block, 0) - count
+    diff = [(block, count) for block, count in diff.items() if count]
+    for k in range(size + 1):
+        candidates = [GeneralBlock.right(k), GeneralBlock.left(k)] + ([GeneralBlock.infinite(k)] if k else [])
+        for x in candidates:
+            for direction in ("Hom(X, -)", "Hom(-, X)"):
+                if _hom_sum(diff, x, direction) < 0:
+                    source_dim = _hom_sum(source_counts.items(), x, direction)
+                    target_dim = _hom_sum(target_counts.items(), x, direction)
+                    return HomWitness(x, direction, source_dim, target_dim)
+    return None
 
 
 def _pencil_map(A: BlockList, B: BlockList, sign: int):

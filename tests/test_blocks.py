@@ -19,10 +19,12 @@ from skewstruct.blocks import (
     general_to_skew,
     skew_to_general,
 )
-from skewstruct.eigenstructure import analyze, left_minimal_indices, minimal_indices, same_orbit
+from skewstruct.eigenstructure import analyze, minimal_indices, same_orbit
 from skewstruct.errors import FlavorMismatch, InvalidBlock, PairingBroken, SkewstructError
 from skewstruct.exact import RationalPolynomial, normal_rank
 from skewstruct.points import INFINITY, NumericRoot, SymbolicPoint
+
+from oracles import left_minimal_indices
 
 P = RationalPolynomial
 x = P.variable()

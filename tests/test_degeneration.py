@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import closure_reachable_unpruned, equal_by_renaming, rank_raising_by_signature
+from oracles import closure_reachable_unpruned, equal_by_renaming, hom_witness_by_sums, rank_raising_by_signature
 
 from skewstruct import degeneration
 from skewstruct.blocks import BlockList, GeneralBlock, SkewBlock, skew_to_general
@@ -362,16 +362,20 @@ class TestClosureSearch:
 
     def test_builds_no_blocklist(self, monkeypatch):
         # the search runs on block counts from entry to return: rules are
-        # enumerated and applied, and successors keyed, without any list. A
-        # Hom witness refutes the exhaustive case before any search, so the
-        # search helper runs it
+        # enumerated and applied, and successors keyed and tested, without
+        # any list. A Hom witness refutes the exhaustive case before any
+        # search, and the search's own Hom test would stop it after one
+        # step, so the search helper runs a source that passes the test and
+        # needs four steps, with three
         exhaustive = (skew_to_general(generic_pencil_structure(6, 2, 2)),
                       skew_to_general(BlockList.skew([SkewBlock.m(0), SkewBlock.m(0), SkewBlock.k(2)])), 6)
+        cut = (skew_to_general(generic_pencil_structure(6, 2, 1)),
+               skew_to_general(BlockList.skew([SkewBlock.k(1)] + [SkewBlock.m(0)] * 4)), 3)
         searches = [
             (closure_reachable, skew_to_general(generic_pencil_structure(5, 2, 1)),
              skew_to_general(BlockList.skew([SkewBlock.m(0), SkewBlock.h(1, 3), SkewBlock.k(1)])), 10),
             (closure_reachable, *exhaustive),
-            (lambda t, s, steps: degeneration._breadth_first(t.counts(), s.counts(), steps), *exhaustive),
+            (lambda t, s, steps: degeneration._breadth_first(t.counts(), s.counts(), steps), *cut),
             (closure_reachable, skew_to_general(generic_pencil_structure(6, 2, 1)),
              skew_to_general(BlockList.skew([SkewBlock.m(0)] * 6)), 8),
             (closure_reachable, gl(E(1, SymbolicPoint("z")), E(1, SymbolicPoint("w"))),
@@ -393,6 +397,8 @@ class TestClosureSearch:
             assert res.states_explored > 1 or res.witness is not None
             assert built == [], (str(source), len(built))
         assert statuses == ["yes", "no", "no_within_bound", "yes", "no_within_bound"]
+        assert degeneration._hom_witness(cut[0].counts(), cut[1].counts()) is None
+        assert len(closure_reachable(cut[0], cut[1]).certificate) == 4
 
     def test_trivial_identity(self):
         bl = gl(L(1), LT(1))
@@ -471,10 +477,10 @@ class TestBoundedRankSetIsOneOrbitClosure:
             codims.append(codim)
         assert sorted(codims) == self.CODIMENSIONS[m, d, r]
         zero = " + ".join(["L_1"] * m + ["L^T_1"] * m)
-        assert explored[zero] == {3: 394, 4: 544}[m]
+        assert explored[zero] == {3: 246, 4: 308}[m]
         if m == 3:
             roots = "E_1(@r0) + E_1(@r0) + E_1(@r1) + E_1(@r1) + E_1(inf) + E_1(inf) + L_1 + L^T_1"
-            assert explored[roots] == 72
+            assert explored[roots] == 56
 
 
 class TestForwardFuzz:
@@ -576,7 +582,7 @@ class TestRankBound:
                 relation = (source.rank > target.rank) - (source.rank < target.rank)
                 relations[relation] += 1
                 if full.status == "yes":
-                    assert degeneration._hom_witness(target.counts(), source.counts(), n) is None, label
+                    assert degeneration._hom_witness(target.counts(), source.counts()) is None, label
                 if relation == 1:
                     assert (bounded.status, bounded.states_explored, bounded.witness) == ("no", 1, None), label
                     assert full.status == "no_within_bound", label
@@ -591,6 +597,98 @@ class TestRankBound:
                 fewer += bounded.states_explored < full.states_explored
         assert min(relations.values()) >= 20, relations
         assert witnessed == 21 and fewer > 50, (witnessed, fewer)
+
+
+def random_list_of_shape(rng, rows, cols):
+    """A random general block list of total size rows x cols.
+
+    With a right and b left singular blocks, cols - rows = a - b and the
+    indices sum to rows - b. A large b leaves most of the size in L_0 and
+    L^T_0 blocks, whose Hom sums with the largest candidates come near the
+    bound the field width is derived from when rows and cols differ a lot.
+    """
+    b = rng.randint(max(0, rows - cols), rows)
+    indices = [["L", 0] for _ in range(b + cols - rows)] + [["L_T", 0] for _ in range(b)]
+    points = [INFINITY, Fraction(0), Fraction(1, 2), SymbolicPoint("a")]
+    eigen = []
+    for _ in range(rows - b):
+        roll = rng.random()
+        if indices and roll < 0.5:
+            rng.choice(indices)[1] += 1
+        elif eigen and roll < 0.75:
+            rng.choice(eigen)[0] += 1
+        else:
+            eigen.append([1, rng.choice(points)])
+    blocks = [GeneralBlock(kind, index) for kind, index in indices]
+    return gl(*blocks, *(GeneralBlock.eigen(index, point) for index, point in eigen))
+
+
+class TestPackedHomKernel:
+    def test_matches_the_sums_on_the_rank_bound_cells(self):
+        # the packed pass returns the witness of the per-candidate sums, or
+        # None with them, on every cell pair of TestRankBound, both ways
+        witnessed = 0
+        for n, w, r in TestRankBound.CELLS:
+            target = skew_to_general(generic_pencil_structure(n, w, r))
+            for source in skew_sources(n):
+                for a, b in ((target, source), (source, target)):
+                    packed = degeneration._hom_witness(a.counts(), b.counts())
+                    assert packed == hom_witness_by_sums(a.counts(), b.counts(), n), (n, w, r, str(b))
+                    witnessed += packed is not None
+        assert witnessed == 120
+
+    def test_matches_the_sums_on_random_lists(self):
+        # lists up to size 24 against themselves (no witness), and against
+        # other lists of their size (most differences negative somewhere).
+        # Some lists fill a field's upper half, so a field one bit narrower
+        # than the derived width would overflow there
+        rng = random.Random(2026)
+        witnessed = upper_half = 0
+        for _ in range(200):
+            rows, cols = sorted((rng.randint(0, 24), rng.randint(1, 24)), reverse=rng.random() < 0.5)
+            source = random_list_of_shape(rng, rows, cols)
+            targets = [source, random_list_of_shape(rng, rows, cols), random_list_of_shape(rng, rows, cols)]
+            for target in targets:
+                packed = degeneration._hom_witness(target.counts(), source.counts())
+                expected = hom_witness_by_sums(target.counts(), source.counts(), max(rows, cols))
+                assert packed == expected, (str(target), str(source))
+                witnessed += packed is not None
+            _, width, _ = degeneration._hom_layout(rows, cols)
+            vector = degeneration._hom_vector(source.counts(), rows, cols)
+            mask = (1 << width) - 1
+            fields = [(vector >> shift) & mask for shift in range(0, vector.bit_length(), width)]
+            upper_half += max(fields) >= 1 << (width - 2)
+        assert (witnessed, upper_half) == (172, 43)
+
+    def test_certificate_states_pass_against_their_target(self):
+        # the theorem the search's pruning rests on: every state on a path
+        # to the target lies in its orbit closure, so it has every Hom
+        # dimension at least the target's. Each certificate of the n <= 7
+        # sweep (every valid cell, every skew source of the target's rank)
+        # is replayed rule by rule, and each state it passes through is
+        # tested by the packed kernel and by the per-candidate sums
+        searches = certified = states = 0
+        for n in range(3, 8):
+            sources = skew_sources(n)
+            for w in range(1, (n - 1) // 2 + 1):
+                for r in range(w + 1):
+                    target = skew_to_general(generic_pencil_structure(n, w, r))
+                    for source in sources:
+                        if source.rank != target.rank:
+                            continue
+                        searches += 1
+                        res = closure_reachable(target, source)
+                        if res.status != "yes":
+                            continue
+                        certified += 1
+                        state = source
+                        for app in res.certificate:
+                            state = apply_rule(state, app)
+                            assert degeneration._hom_witness(target.counts(), state.counts()) is None
+                            assert hom_witness_by_sums(target.counts(), state.counts(), n) is None
+                            states += 1
+                        assert canonical_key(state) == canonical_key(target)
+        assert (searches, certified, states) == (205, 103, 276)
 
 
 class TestRuleApplicationJson:

@@ -18,7 +18,6 @@ from skewstruct.eigenstructure import (
     convolution_profile,
     indices_from_kernel_dims,
     infinite_structure,
-    left_minimal_indices,
     minimal_indices,
     multiplicities_at_zero,
     multiplicities_from_prefix_dims,
@@ -48,6 +47,7 @@ from skewstruct.sampling import SampleSpec, sample_bounded_rank
 
 from oracles import (
     kernel_dims_by_convolution,
+    left_minimal_indices,
     minimal_indices_by_convolution,
     normal_rank_by_minors,
     prefix_dims_by_toeplitz,
