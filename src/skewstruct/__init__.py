@@ -7,6 +7,12 @@ pencils and polynomials, odd-grade strong linearizations with grade padding,
 orbit-closure degeneration rules with a reachability search and
 Hom-dimension refutations, orbit codimensions by block sums, Hom dimensions,
 closed forms, and tangent ranks, and randomized genericity experiments.
+
+The public names are the ones the library, the CLI, the demos, the
+benchmark, the reference oracles or the acceptance suite call. The slow
+reference oracles live in `tests/oracles.py`, and a check that only a test
+runs lives in that test; `tests/test_unused_names.py` fails on a public
+function or class that nothing else calls.
 """
 
 from .blocks import (
@@ -17,7 +23,6 @@ from .blocks import (
     assemble_skew,
     blocklist_eigenstructure,
     general_to_skew,
-    pencil_parts,
     skew_to_general,
     structure_to_skew_blocks,
 )
@@ -29,7 +34,6 @@ from .codimension import (
     codim_poly_generic,
     codim_tangent,
     dim_hom,
-    gsyl0_tangent_claim,
 )
 from .degeneration import (
     ClosureResult,
@@ -42,9 +46,7 @@ from .degeneration import (
 )
 from .eigenstructure import (
     CompleteEigenstructure,
-    ConvolutionProfile,
     analyze,
-    convolution_profile,
     infinite_structure,
     minimal_indices,
     same_orbit,
@@ -69,7 +71,6 @@ from .generic import (
     PolyGenericParams,
     generic_pencil_structure,
     generic_poly_structure,
-    padded_infinite_structure,
     structure_consistency,
 )
 from .linearize import (
@@ -93,7 +94,6 @@ __all__ = [
     "ClosureResult",
     "CodimReport",
     "CompleteEigenstructure",
-    "ConvolutionProfile",
     "ExperimentReport",
     "GeneralBlock",
     "GsylPencil",
@@ -122,22 +122,18 @@ __all__ = [
     "codim_pencil_closed",
     "codim_poly_generic",
     "codim_tangent",
-    "convolution_profile",
     "dim_hom",
     "equal_modulo_symbols",
     "frobenius_distance",
     "general_to_skew",
     "generic_pencil_structure",
     "generic_poly_structure",
-    "gsyl0_tangent_claim",
     "gsyl_membership",
     "infinite_structure",
     "minimal_indices",
     "monte_carlo_genericity",
     "normal_rank",
     "pad_grade",
-    "pencil_parts",
-    "padded_infinite_structure",
     "perturb_rank_increase",
     "poly_gcd",
     "rank_exact",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .eigenstructure import CompleteEigenstructure
-from .errors import FlavorMismatch, InternalInconsistency, InvalidBlock, PairingBroken, ShapeMismatch
+from .errors import FlavorMismatch, InternalInconsistency, InvalidBlock, PairingBroken
 from .exact import MatrixPolynomial, RationalPolynomial, SkewMatrixPolynomial
 from .points import (
     INFINITY,
@@ -273,15 +273,6 @@ def _general_block_entries(block: GeneralBlock):
     if block.kind == "L":
         return [(i, i, 0, 1) for i in range(k)] + [(i, i + 1, -1, 0) for i in range(k)]
     return [(j, j, 0, 1) for j in range(k)] + [(j + 1, j, -1, 0) for j in range(k)]
-
-
-def pencil_parts(P: MatrixPolynomial):
-    """Split a grade-1 polynomial into the (A, B) pair with P = x*A - B."""
-    if P.grade != 1:
-        raise ShapeMismatch(f"expected a pencil (grade 1), got grade {P.grade}")
-    A = P.coefficient_matrix(1)
-    B = [[-v for v in row] for row in P.coefficient_matrix(0)]
-    return A, B
 
 
 def _assemble(cls, rows: int, cols: int, placed):

@@ -90,6 +90,11 @@ def dim_hom(a: GeneralBlock, b: GeneralBlock) -> int:
     return min(i, j)
 
 
+def _shape(counts: dict) -> tuple:
+    """(total rows, total columns) of the list with these block multiplicities."""
+    return (sum(b.shape[0] * c for b, c in counts.items()), sum(b.shape[1] * c for b, c in counts.items()))
+
+
 def codim_general(counts: dict) -> int:
     """Strict-equivalence orbit codimension of the general pencil with these block multiplicities.
 
@@ -97,8 +102,7 @@ def codim_general(counts: dict) -> int:
     the 2mn-dimensional space of pencils (Demmel-Edelman, LAA 1995), and
     End(P) is the sum of Hom(a, b) over the ordered pairs of its blocks.
     """
-    rows = sum(b.shape[0] * c for b, c in counts.items())
-    cols = sum(b.shape[1] * c for b, c in counts.items())
+    rows, cols = _shape(counts)
     end = sum(ca * cb * dim_hom(a, b) for a, ca in counts.items() for b, cb in counts.items())
     return end - (rows - cols) ** 2
 
@@ -204,48 +208,3 @@ def poly_codim_reports(m: int, d: int, r: int) -> list:
         CodimReport(space=f"POL({m},{d})", value=pc.value, method="closed_form"),
         CodimReport(space=f"GSYL({m},{d | 1})", value=pc.gsyl, method="closed_form"),
     ]
-
-
-@dataclass(frozen=True)
-class TangentBlockReport:
-    """Outcome of the leading-block inspection of the linearized tangent space."""
-
-    m: int
-    d: int
-    r: int
-    basis_checked: int
-    all_leading_blocks_zero: bool
-
-
-def gsyl0_tangent_claim(m: int, d: int, r: int, seed: int = 20240817) -> TangentBlockReport:
-    """Verify the structural fact behind the even-grade codimension count.
-
-    Linearize the one-grade padding of a sampled generic polynomial and check
-    that every tangent-space generator X^T F + F X has an identically zero
-    m x m block in the (1,1) position of its leading coefficient: the block
-    there is built from the padded (zero) leading coefficient, so the
-    tangent space never leaves the zero-leading-block slice.
-    """
-    if d % 2:
-        raise ParamDomain("the padded-linearization claim targets even grades")
-    PolyGenericParams.validate(m, d, r)
-    from .linearize import build_linearization, pad_grade
-    from .sampling import SampleSpec, sample_bounded_rank
-
-    sample = sample_bounded_rank(SampleSpec(m=m, d=d, r=r, seed=seed))
-    pencil = build_linearization(pad_grade(sample)).pencil
-    n = pencil.rows
-    A = pencil.coefficient_matrix(1)
-    checked = 0
-    for p in range(n):
-        for q in range(n):
-            # leading block of X^T A + A X for X = E_pq has entries
-            # (i, j < m): [i==q] A[p][j] + [j==q] A[i][p]; the (q, q) entry
-            # cancels by skewness, every other one is a single term
-            if q < m:
-                if any(A[p][j] for j in range(m) if j != q) or any(
-                    A[i][p] for i in range(m) if i != q
-                ):
-                    return TangentBlockReport(m, d, r, checked, False)
-            checked += 1
-    return TangentBlockReport(m, d, r, checked, True)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import BlockList, GeneralBlock, skew_to_general
-from .codimension import codim_general, dim_hom
+from .codimension import _shape, codim_general, dim_hom
 from .errors import MissingBlocks, ParamDomain, ShapeMismatch, SideConditionViolated
 from .fileio import json_int
 from .points import INFINITY, SymbolicPoint, format_eigenvalue, parse_eigenvalue
@@ -431,11 +431,6 @@ class ClosureResult:
     @property
     def reachable(self) -> bool:
         return self.status == "yes"
-
-
-def _shape(counts: dict) -> tuple:
-    """(total rows, total columns) of the list with these block multiplicities."""
-    return (sum(b.shape[0] * c for b, c in counts.items()), sum(b.shape[1] * c for b, c in counts.items()))
 
 
 @functools.lru_cache(maxsize=None)

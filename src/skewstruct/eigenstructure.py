@@ -106,12 +106,6 @@ class CompleteEigenstructure:
             raise ValueError("size is defined for square polynomials only")
         return self.rows
 
-    def finite_map(self) -> dict:
-        return dict(self.finite)
-
-    def has_elementary_divisors(self) -> bool:
-        return bool(self.finite) or any(self.infinite)
-
     def index_sums(self) -> tuple:
         """(finite degree sum, infinite sum, left sum, right sum)."""
         finite_total = 0
@@ -191,19 +185,6 @@ def _json_ints(values) -> tuple:
 def same_orbit(first: CompleteEigenstructure, second: CompleteEigenstructure) -> bool:
     """Structural equality of complete eigenstructures (grade-aware)."""
     return first == second
-
-
-@dataclass(frozen=True)
-class ConvolutionProfile:
-    """Kernel dimensions of the order-k convolution matrices, k = 0, 1, ..."""
-
-    kernel_dims: tuple
-
-    def __post_init__(self):
-        dims = self.kernel_dims
-        diffs = [b - a for a, b in zip((0,) + dims, dims)]
-        if any(d2 < d1 for d1, d2 in zip(diffs, diffs[1:])):
-            raise InternalInconsistency("convolution kernel profile is not convex")
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +310,6 @@ def multiplicities_from_prefix_dims(dims, eta: int, rho: int) -> tuple:
             return tuple(mults)
         prev_dim, prev_above = dim, above
     raise InternalInconsistency("multiplicity search exceeded its bound")
-
-
-def convolution_profile(P: MatrixPolynomial, up_to: int) -> ConvolutionProfile:
-    """dim ker C_k for k = 0 .. up_to: the staircase's fibers from stage deg P on."""
-    fibers = (fiber for _, fiber in _staircase(P))
-    start = max(P.degree, 0)
-    return ConvolutionProfile(tuple(itertools.islice(fibers, start, start + up_to + 1)))
 
 
 def _structure_at_zero(P: MatrixPolynomial) -> tuple:

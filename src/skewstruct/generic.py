@@ -107,18 +107,6 @@ def generic_poly_structure(m: int, d: int, r: int) -> CompleteEigenstructure:
     )
 
 
-def padded_infinite_structure(m: int, d: int, r: int) -> tuple:
-    """Infinite multiplicities of the generic polynomial after one grade pad.
-
-    Padding turns the 2r zero multiplicities into 2r ones (the padded leading
-    coefficient is zero, so every multiplicity shifts up by one).
-    """
-    if d % 2:
-        raise ParamDomain("padding verification targets even grades")
-    PolyGenericParams.validate(m, d, r)
-    return (1,) * (2 * r)
-
-
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Arithmetic identities linking polynomial and pencil generic structures."""

@@ -110,14 +110,6 @@ def gsyl_membership(Q: MatrixPolynomial, m: int, d: int) -> bool:
     return _template_source(Q, m, d) is not None
 
 
-def coefficients_from_gsyl(Q: MatrixPolynomial, m: int, d: int) -> SkewMatrixPolynomial:
-    """Recover the source polynomial from a template pencil."""
-    source = _template_source(Q, m, d)
-    if source is None:
-        raise ShapeMismatch("pencil does not match the linearization template")
-    return source
-
-
 @dataclass(frozen=True)
 class ShiftReport:
     """Eigenstructure comparison between a polynomial and its linearization."""

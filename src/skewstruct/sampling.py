@@ -72,6 +72,13 @@ def sample_bounded_rank(spec: SampleSpec, max_attempts: int = 100) -> SkewMatrix
     and a nonzero 2r-minor has degree at most 2r*d, so the draw is accepted
     at the first of 2r*d + 1 points where its rank is 2r, which decides
     exactly what `normal_rank(draw) == 2r` would.
+
+    The draws cover a proper subvariety of the bounded-rank set. The exact
+    rank of the Jacobian of (B, C) -> C^T [[0, B], [-B^T, 0]] C falls short
+    of dim POL(m, d) - codim_poly_generic(m, d, r).value, with dim POL(m, d)
+    = m(m-1)/2 * (d+1), by r(r+1)/2 * (d-1). That is measured, not proved:
+    at seed 0 the shortfall was 1, 3, 3 and 1 at (m, d, r) = (3,2,1),
+    (5,2,2), (5,4,1) and (4,2,1).
     """
     rng = random.Random(spec.seed)
     m, d, r, c = spec.m, spec.d, spec.r, spec.coeff_range

@@ -416,23 +416,6 @@ class TestStructureToBlocks:
             structure_to_skew_blocks(e)
 
 
-class TestPencilParts:
-    def test_jordan_pair(self):
-        from skewstruct.blocks import pencil_parts
-
-        p = assemble_general(BlockList.general([GeneralBlock.finite(1, 5)]))
-        a, b = pencil_parts(p)
-        assert a == [[1]] and b == [[5]]
-
-    def test_needs_grade_one(self):
-        from skewstruct.blocks import pencil_parts
-        from skewstruct.errors import ShapeMismatch
-        from skewstruct.exact import MatrixPolynomial
-
-        with pytest.raises(ShapeMismatch):
-            pencil_parts(MatrixPolynomial.zeros(2, 2, grade=2))
-
-
 class TestBlockListJson:
     def test_documented_form(self):
         bl = BlockList.skew([SkewBlock.m(1), SkewBlock.k(1)])

@@ -15,13 +15,14 @@ from skewstruct.codimension import (
     codim_poly_generic,
     codim_tangent,
     dim_hom,
-    gsyl0_tangent_claim,
     pencil_codim_reports,
 )
 from skewstruct.errors import FlavorMismatch, NotSkewSymmetric, ParamDomain
 from skewstruct.exact import MatrixPolynomial, RationalPolynomial
 from skewstruct.generic import generic_pencil_structure
+from skewstruct.linearize import build_linearization, pad_grade
 from skewstruct.points import INFINITY, SymbolicPoint
+from skewstruct.sampling import SampleSpec, sample_bounded_rank
 
 P = RationalPolynomial
 x = P.variable()
@@ -238,18 +239,34 @@ class TestReports:
 
 
 class TestGsyl0Claim:
+    """The structural fact behind the even-grade codimension count.
+
+    Linearize the one-grade padding of a sampled generic polynomial: every
+    tangent-space generator X^T F + F X has an identically zero m x m block
+    in the (1,1) position of its leading coefficient. The block there is
+    built from the padded (zero) leading coefficient, so the tangent space
+    never leaves the zero-leading-block slice.
+    """
+
+    @staticmethod
+    def zero_block_generators(m, d, r):
+        """How many generators X = E_pq give that block identically zero."""
+        sample = sample_bounded_rank(SampleSpec(m=m, d=d, r=r, seed=20240817))
+        A = build_linearization(pad_grade(sample)).pencil.coefficient_matrix(1)
+        n = len(A)
+        # leading block of X^T A + A X for X = E_pq has entries (i, j < m):
+        # [i==q] A[p][j] + [j==q] A[i][p]; the (q, q) entry cancels by
+        # skewness, every other one is a single term
+        return sum(
+            1
+            for p in range(n)
+            for q in range(n)
+            if q >= m
+            or not (any(A[p][j] for j in range(m) if j != q) or any(A[i][p] for i in range(m) if i != q))
+        )
+
     def test_small_case(self):
-        report = gsyl0_tangent_claim(3, 2, 1)
-        assert report.all_leading_blocks_zero
-        assert report.basis_checked == (3 * 3) ** 2
+        assert self.zero_block_generators(3, 2, 1) == (3 * 3) ** 2
 
     def test_larger_case(self):
-        report = gsyl0_tangent_claim(5, 2, 2)
-        assert report.all_leading_blocks_zero
-        assert report.basis_checked == (5 * 3) ** 2
-
-    def test_param_guard(self):
-        with pytest.raises(ParamDomain):
-            gsyl0_tangent_claim(2, 2, 1)  # 2r <= m-1 fails
-        with pytest.raises(ParamDomain):
-            gsyl0_tangent_claim(5, 3, 2)  # odd grade
+        assert self.zero_block_generators(5, 2, 2) == (5 * 3) ** 2

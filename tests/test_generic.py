@@ -7,7 +7,6 @@ from skewstruct.errors import ParamDomain
 from skewstruct.generic import (
     generic_pencil_structure,
     generic_poly_structure,
-    padded_infinite_structure,
     structure_consistency,
 )
 
@@ -62,7 +61,7 @@ class TestGenericPolynomial:
         e = generic_poly_structure(m, 2, r)
         assert sorted(e.left_minimal, reverse=True) == expected
         assert e.right_minimal == e.left_minimal
-        assert not e.has_elementary_divisors()
+        assert e.finite == () and not any(e.infinite)
         assert e.rank == 2 * r
 
     def test_minimal_index_shape(self):
@@ -90,23 +89,6 @@ class TestGenericPolynomial:
             generic_poly_structure(5, 0, 1)
         with pytest.raises(ParamDomain):
             generic_poly_structure(1, 2, 0)
-
-
-class TestPaddedInfinite:
-    @pytest.mark.parametrize(
-        "m,d,r,expected",
-        [
-            (5, 2, 2, (1, 1, 1, 1)),
-            (3, 2, 1, (1, 1)),
-            (7, 2, 3, (1, 1, 1, 1, 1, 1)),
-        ],
-    )
-    def test_examples(self, m, d, r, expected):
-        assert padded_infinite_structure(m, d, r) == expected
-
-    def test_odd_grade_rejected(self):
-        with pytest.raises(ParamDomain):
-            padded_infinite_structure(5, 3, 2)
 
 
 class TestStructureConsistency:

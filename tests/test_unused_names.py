@@ -1,4 +1,5 @@
-"""No dead names in `src/`: every import is used, and every private function is called."""
+"""No dead names in `src/`: every import is used, every private function is called, and
+every public function and class has a caller outside the tests' own checks."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ import skewstruct
 
 SRC = Path(skewstruct.__file__).resolve().parent
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _referenced(tree) -> set:
@@ -18,6 +20,13 @@ def _referenced(tree) -> set:
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+def _read_or_imported(tree) -> set:
+    """Names read anywhere in a module, plus the names it imports."""
+    return _referenced(tree) | {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
 
 
 def test_every_import_is_used():
@@ -41,15 +50,7 @@ def test_every_import_is_used():
 
 def test_every_private_function_is_referenced():
     # a reference is a read anywhere in src/ or an import by name
-    referenced = set()
-    for tree in TREES.values():
-        referenced |= _referenced(tree)
-        referenced |= {
-            alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-            for alias in node.names
-        }
+    referenced = set().union(*map(_read_or_imported, TREES.values()))
     dead = [
         f"{module}: {node.name}"
         for module, tree in TREES.items()
@@ -60,3 +61,31 @@ def test_every_private_function_is_referenced():
         and node.name not in referenced
     ]
     assert dead == []
+
+
+def test_every_public_name_has_a_caller():
+    # A caller is src/ (a re-export in `__init__` is none), a demo, the
+    # benchmark, the oracles or the acceptance suite. A check that only a
+    # test calls belongs in that test, so the other test modules are no
+    # callers either. The benchmark's span table names the functions it
+    # wraps as strings and looks them up by attribute, so its strings count.
+    readers = [tree for module, tree in TREES.items() if module != "__init__"]
+    paths = [*sorted((REPO / "demos").glob("*.py")), REPO / "tests" / "oracles.py"]
+    readers += [ast.parse(path.read_text()) for path in paths + [REPO / "tests" / "test_acceptance.py"]]
+    bench = [ast.parse(path.read_text()) for path in sorted((REPO / "bench").glob("*.py"))]
+    strings = {
+        node.value
+        for tree in bench
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    called = strings.union(*map(_read_or_imported, readers + bench))
+    uncalled = [
+        f"{module}: {node.name}"
+        for module, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in called
+    ]
+    assert uncalled == []
