@@ -43,8 +43,10 @@ _ZERO = Fraction(0)
 #
 # A "raw" polynomial is a trimmed list of Fractions, lowest degree first;
 # [] is the zero polynomial. The RationalPolynomial class wraps these. The
-# Smith reduction uses trimmed lists of ints in the same layout, with its
-# own integer helpers next to it.
+# two Smith reductions, `smith_form` by equivalence and `skew_smith` by
+# congruence, use trimmed lists of ints in the same layout and share their
+# integer helpers (pseudo-division, combination, content, the gcd/lcm
+# pass), which sit next to them.
 # ---------------------------------------------------------------------------
 
 
@@ -1054,21 +1056,107 @@ def _divisibility_chain(diagonal):
 def skew_smith(P: MatrixPolynomial) -> SmithForm:
     """Paired invariant polynomials of a skew-symmetric matrix polynomial.
 
-    The plain Smith form of a skew-symmetric polynomial lists every invariant
-    polynomial twice; this returns each of the r = rank/2 distinct monic
-    polynomials once. The pairing is validated and a failure raises
-    InternalInconsistency (it would mean the Smith reduction is broken).
+    Over a principal ideal domain a skew-symmetric matrix is congruent to
+    its skew normal form (Newman, *Integral Matrices*, 1972, Thm IV.1):
+    ``U^T P U = diag(d_1 J, ..., d_r J, 0)`` with U unimodular and
+    ``J = [[0, 1], [-1, 0]]``. Congruence is an equivalence, so P has the
+    Smith form of that block diagonal, in which each d_i appears twice.
+    This returns the r = rank/2 monic invariant polynomials g_1 | ... | g_r
+    once each; P's full Smith form lists every one of them twice.
+
+    The reduction is the constructive proof, run fraction-free on P's
+    stored integer coefficients and kept skew-symmetric throughout. Each
+    step takes a least-degree off-diagonal entry ``p`` as a 2x2 pivot
+    (ties as in `_min_degree_pivot`) and moves it to (0, 1) by a symmetric
+    permutation. `_clear_pair` then clears entries (0, k), and once those
+    are zero entries (1, k), for every k >= 2, each by one congruence step
+    on index k, ``index_k <- s*index_k - q*index_a`` with ``a = 1`` for
+    row 0 and ``a = 0`` for row 1, where ``s*entry = q*pivot + remainder``
+    is a pseudo-division by the pivot entry of that row. Scaling an index by a
+    nonzero constant and adding a polynomial multiple of one index to
+    another are congruences by matrices that are unimodular over Q[x], so
+    the invariant polynomials never change. A nonzero remainder has lower
+    degree than ``p``, so the next pivot's degree strictly falls; a sweep
+    without one leaves ``diag(p J, W)``, and ``p`` joins the diagonal while
+    indices 0 and 1 drop out. Degrees cannot fall forever and each clean
+    sweep removes two indices, so the reduction terminates.
+    `_divisibility_chain` then makes d_1, ..., d_r a chain: diag(a, b) and
+    diag(gcd, lcm) are equivalent, and a chain of doubled entries is the
+    doubled chain. Only the final division by each leading coefficient
+    makes rationals.
     """
     skew = as_skew(P)
-    full = smith_form(skew)
-    if full.rank % 2:
-        raise InternalInconsistency("skew-symmetric polynomial with odd rank")
-    paired = []
-    gs = full.invariant_polynomials
-    for k in range(0, full.rank, 2):
-        if gs[k] != gs[k + 1]:
-            raise InternalInconsistency(
-                f"invariant polynomials {gs[k]} and {gs[k + 1]} are not paired"
-            )
-        paired.append(gs[k])
-    return SmithForm(rank=full.rank // 2, invariant_polynomials=tuple(paired))
+    mats = skew.numerators
+    n = skew.rows
+    work = [[_trim([m[i][j] for m in mats]) for j in range(n)] for i in range(n)]
+    diagonal = []
+    # work is the trailing block; its pivot pair is indices 0 and 1. The
+    # pivot (i, j) has i < j, since (j, i) has the same key and comes later
+    # in row-major order, so swapping i to 0 leaves j in place
+    while (piv := _min_degree_pivot(work)) is not None:
+        while True:
+            piv_len = len(work[piv[0]][piv[1]])
+            for target, index in zip((0, 1), piv):
+                _swap_index(work, target, index)
+            if not _clear_pair(work):
+                break
+            # a dirty sweep leaves a remainder of lower degree in row 0 or
+            # row 1, so the pivot degree strictly falls; anything else is a
+            # reduction bug that would otherwise loop forever
+            piv = _min_degree_pivot(work)
+            if len(work[piv[0]][piv[1]]) >= piv_len:
+                raise InternalInconsistency(
+                    f"Smith pivot degree did not fall at step {len(diagonal)}"
+                )
+        diagonal.append(work[0][1])
+        work = [row[2:] for row in work[2:]]
+    _divisibility_chain(diagonal)
+    polys = tuple(RationalPolynomial._raw([Fraction(c, d[-1]) for c in d]) for d in diagonal)
+    return SmithForm(rank=len(polys), invariant_polynomials=polys)
+
+
+def _swap_index(work, i, j):
+    """Symmetric permutation: swap rows i and j, then columns i and j."""
+    if i != j:
+        work[i], work[j] = work[j], work[i]
+        for row in work:
+            row[i], row[j] = row[j], row[i]
+
+
+def _clear_pair(work) -> bool:
+    """Clear rows 0 and 1 of a skew work matrix past the pivot (0, 1).
+
+    Each nonzero (b, k), k >= 2, is pseudo-divided by the pivot entry
+    (b, a), a = 1 - b, and reduced by ``index_k <- s*index_k - q*index_a``:
+    row k is computed once, column k is written as its negation, and index
+    k is divided by its integer content. Row 1 goes only once row 0 is zero
+    past the pivot. Index 0 is then zero but for the pivot, so the step
+    only scales index k by s, apart from turning (1, k) into the remainder;
+    when that is zero, the step followed by dividing index k by s just
+    clears (1, k) and (k, 1), which is all the code does. Returns whether a
+    nonzero remainder is left.
+    """
+    n = len(work)
+    for b, a in ((0, 1), (1, 0)):
+        row_b, row_a = work[b], work[a]
+        dirty = False
+        for k in range(2, n):
+            if not row_b[k]:
+                continue
+            s, q, r = _pseudo_divmod(row_b[k], row_b[a])
+            if r:
+                dirty = True
+            elif a == 0:
+                row_b[k] = []
+                work[k][b] = []
+                continue
+            if q:
+                row_k = work[k]
+                row_k[:] = [_combine(s, e, q, f) for e, f in zip(row_k, row_a)]
+                row_k[k] = []
+                _strip_content(row_k)
+                for row, e in zip(work, row_k):
+                    row[k] = [-v for v in e]
+        if dirty:
+            return True
+    return False

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewstruct import exact
-from skewstruct.blocks import BlockList, SkewBlock, assemble_skew
+from skewstruct.blocks import BlockList, SkewBlock, assemble_skew, blocklist_eigenstructure
 from skewstruct.codimension import tangent_map_matrix
 from skewstruct.errors import (
     GradeTooSmall,
@@ -918,11 +918,13 @@ class TestSkewSmith:
 
     def test_divisibility_pass_on_scrambled_blocks(self, reworked):
         # H_1(1) + H_1(2) + H_2(1), as a direct sum and under two congruences
-        # Q^T P Q, each of which leaves the pass non-dividing pairs to rework
+        # Q^T P Q; the direct sum takes x - 1 and x - 2 as pivots, a pair
+        # that does not divide, so the pass must rework it
         blocks = BlockList.skew([SkewBlock.h(1, 1), SkewBlock.h(1, 2), SkewBlock.h(2, 1)])
         pencil = assemble_skew(blocks)
         expected = (P.one(), P.one(), x - 1, (x - 1) ** 2 * (x - 2))
         assert skew_smith(pencil).invariant_polynomials == expected
+        assert reworked == [True]
         for seed in (0, 10):
             rng = random.Random(seed)
             while True:
@@ -932,23 +934,136 @@ class TestSkewSmith:
             cm = mat(q, grade=0)
             scrambled = as_skew((cm.transpose() @ pencil @ cm).with_grade(1))
             assert skew_smith(scrambled).invariant_polynomials == expected
-        assert reworked == [True, True, True]
+
+    @pytest.mark.parametrize(
+        "m, expected",
+        [
+            pytest.param(
+                assemble_skew(BlockList.skew([SkewBlock.h(1, 0), SkewBlock.h(1, 1)])),
+                (P.one(), x * (x - 1)),
+                id="H1(0)+H1(1)",
+            ),
+            pytest.param(
+                SkewMatrixPolynomial.from_upper(4, {(0, 1): 2 * x, (2, 3): 3 * x + 3}, grade=1),
+                (P.one(), x * (x + 1)),
+                id="2x-then-3x+3",
+            ),
+            pytest.param(
+                SkewMatrixPolynomial.from_upper(
+                    6, {(0, 1): x**2, (2, 3): x * (x - 1), (4, 5): -x - 1}, grade=2
+                ),
+                (P.one(), x, x**2 * (x - 1) * (x + 1)),
+                id="x^2,x(x-1),-x-1",
+            ),
+        ],
+    )
+    def test_divisibility_pass_on_named_pairs(self, reworked, m, expected):
+        # skew inputs whose pivot pairs come out in an order that does not
+        # divide (x before x - 1, 2x before 3x + 3, x + 1 before x^2), so
+        # the gcd/lcm pass runs on the paired diagonal
+        assert skew_smith(m).invariant_polynomials == expected
+        assert reworked == [True]
+        assert smith_by_minors(m) == [g for g in expected for _ in range(2)]
+
+    def test_non_reducing_division_raises(self, monkeypatch):
+        # as for smith_form: a remainder that never lowers the pivot degree
+        # must raise instead of sweeping forever
+        monkeypatch.setattr(exact, "_pseudo_divmod", lambda a, b: (1, [], list(a)))
+
+        def hang(signum, frame):
+            raise TimeoutError("skew_smith did not terminate")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            with pytest.raises(InternalInconsistency, match="pivot degree"):
+                skew_smith(SkewMatrixPolynomial.from_upper(3, {(0, 1): x, (0, 2): x + 1, (1, 2): P.one()}))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_pairing_against_full_smith(self):
+        # seeded skew inputs, n = 0..9 and grade 0..3: dense, sparse, with a
+        # zero row and column, rank-deficient products A^T J A, and the zero
+        # matrix; integer or Fraction coefficients. skew_smith must give
+        # smith_form's list with every entry once, and the minor-gcd oracle
+        # agrees where it is cheap
         rng = random.Random(7)
-        for _ in range(25):
-            n = rng.randint(2, 4)
-            deg = rng.randint(0, 2)
-            upper = {
-                (i, j): P([rng.randint(-3, 3) for _ in range(deg + 1)])
-                for i in range(n)
-                for j in range(i + 1, n)
-            }
-            m = SkewMatrixPolynomial.from_upper(n, upper, grade=deg)
+        kinds = ("dense", "sparse", "zero_line", "product", "zero")
+        seen = set()
+        for trial in range(150):
+            kind = kinds[trial % len(kinds)]
+            n = rng.randint(0, 9) if trial >= 10 else trial % 2
+            deg = rng.randint(0, 3)
+            fractions = trial % 3 == 0
+
+            def coeff():
+                v = rng.randint(-3, 3)
+                return Fraction(v, rng.choice((1, 2, 3, 4))) if fractions else v
+
+            if kind == "product" and n >= 2:
+                inner = 2 * rng.randint(1, n // 2)
+                a = mat(
+                    [[P([coeff() for _ in range(rng.randint(1, 2))]) for _ in range(n)] for _ in range(inner)],
+                    grade=1,
+                )
+                j = SkewMatrixPolynomial.from_upper(
+                    inner, {(2 * i, 2 * i + 1): P([coeff(), coeff()]) for i in range(inner // 2)}, grade=1
+                )
+                m = as_skew(a.transpose() @ j @ a)
+            else:
+                density = {"dense": 0.9, "sparse": 0.35, "zero_line": 0.9, "product": 0.9, "zero": 0}[kind]
+                upper = {
+                    (i, j): P([coeff() for _ in range(deg + 1)])
+                    for i in range(n)
+                    for j in range(i + 1, n)
+                    if rng.random() < density
+                }
+                if kind == "zero_line" and n:
+                    dead = rng.randrange(n)
+                    upper = {key: p for key, p in upper.items() if dead not in key}
+                m = SkewMatrixPolynomial.from_upper(n, upper, grade=deg)
             full = smith_form(m)
             halved = skew_smith(m)
             assert full.rank == 2 * halved.rank
-            doubled = []
-            for g in halved.invariant_polynomials:
-                doubled.extend([g, g])
-            assert list(full.invariant_polynomials) == doubled
+            doubled = [g for g in halved.invariant_polynomials for _ in range(2)]
+            assert list(full.invariant_polynomials) == doubled, (kind, m.to_string())
+            if n <= 5 and m.degree <= 2:
+                assert smith_by_minors(m) == doubled, (kind, m.to_string())
+            seen.add((n, n % 2, halved.rank == 0, fractions, any(g.degree > 0 for g in doubled)))
+        assert {0, 1, 9} <= {key[0] for key in seen}
+        assert any(key[1] and not key[2] for key in seen)  # odd n, positive rank
+        assert any(key[2] and key[0] > 1 for key in seen)  # rank 0 beyond the 1x1 case
+        assert any(key[3] and key[4] for key in seen)  # Fractions, nontrivial invariants
+
+    def test_scrambled_block_pencils(self):
+        # Q^T P Q of seeded H, K and M block sums at n = 10 and 12, with one
+        # or two eigenvalues shared between H blocks, against the invariant
+        # polynomials read off the block list
+        rng = random.Random(28)
+        for n in (10,) * 6 + (12,) * 6:
+            values = [Fraction(v) for v in rng.sample(range(-3, 4), rng.choice((1, 2)))]
+            parts, left = [], n
+            while left:
+                options = [SkewBlock.h(k, v) for k in (1, 2, 3) for v in values if 2 * k <= left] * 2
+                options += [SkewBlock.k(k) for k in (1, 2) if 2 * k <= left]
+                options += [SkewBlock.m(k) for k in (0, 1) if 2 * k + 1 <= left]
+                block = rng.choice(options)
+                parts.append(block)
+                left -= block.shape[0]
+            block_list = BlockList.skew(parts)
+            structure = blocklist_eigenstructure(block_list)
+            r = structure.rank // 2
+            expected = [P.one()] * r
+            for factor, mults in structure.finite:
+                halves = mults[::2]  # sorted, each multiplicity twice
+                for i, e in enumerate(halves):
+                    expected[r - len(halves) + i] *= factor**e
+            while True:
+                q = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]
+                if rank_exact(q) == n:
+                    break
+            cm = mat(q, grade=0)
+            scrambled = as_skew((cm.transpose() @ assemble_skew(block_list) @ cm).with_grade(1))
+            s = skew_smith(scrambled)
+            assert s.rank == r and list(s.invariant_polynomials) == expected, str(block_list)
