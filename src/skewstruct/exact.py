@@ -43,10 +43,10 @@ _ZERO = Fraction(0)
 #
 # A "raw" polynomial is a trimmed list of Fractions, lowest degree first;
 # [] is the zero polynomial. The RationalPolynomial class wraps these. The
-# two Smith reductions, `smith_form` by equivalence and `skew_smith` by
-# congruence, use trimmed lists of ints in the same layout and share their
-# integer helpers (pseudo-division, combination, content, the gcd/lcm
-# pass), which sit next to them.
+# one Smith reduction, `skew_smith` by congruence (`smith_form` embeds its
+# input in a skew matrix and calls it), uses trimmed lists of ints in the
+# same layout; its integer helpers (pseudo-division, combination, content,
+# the gcd/lcm pass) sit next to it.
 # ---------------------------------------------------------------------------
 
 
@@ -858,69 +858,42 @@ class SmithForm(NamedTuple):
 def smith_form(P: MatrixPolynomial) -> SmithForm:
     """Smith normal form of a matrix polynomial under unimodular equivalence.
 
-    First diagonalize: step t brings a nonzero entry of minimal degree to
-    (t, t), ties going to the smallest coefficients (see _min_degree_pivot),
-    which keeps coefficient growth down and makes the reduction
-    deterministic. One routine, `_clear_column`, sweeps column t and, on the
-    transpose, row t, until both are zero off the pivot; a remainder left
-    behind becomes the next, lower-degree pivot. Rows and columns before t
-    are finished, so the loop works on the trailing block from row and
-    column t on, and drops the pivot's row and column once they are clear.
-    Then normalize: diag(a, b) is equivalent to diag(gcd(a, b), lcm(a, b)),
-    and `_divisibility_chain` uses this to make the diagonal a divisibility
-    chain. Invariant polynomials are returned monic, g_1 | g_2 | ... | g_rank.
-
-    The reduction is fraction-free: it starts from P's stored integer
-    coefficients (P times its common denominator), and each entry is
-    reduced by pseudo-division, that is, by the operation
-    ``s*row_i - q*row_t`` with a positive integer ``s``, after which the
-    changed row (or column) is divided by its integer content. Scaling a
-    row or column by a nonzero constant is unimodular over Q[x], so the
-    result is still unimodularly equivalent to P over Q[x], and the monic
-    invariant polynomials, which are unique, are those of P. Only the final
-    division by each leading coefficient makes rationals.
+    P is embedded in the skew-symmetric ``S = [[0, P], [-P^T, 0]]`` of size
+    rows + cols, and `skew_smith` reduces S. Swapping the two block rows of
+    S and negating the first makes S unimodularly equivalent to
+    ``diag(P^T, P)``. P^T has P's invariant polynomials g_1 | ... | g_r, so
+    the Smith form of S lists each of them twice, g_1, g_1, ..., g_r, g_r,
+    which is already a divisibility chain. The halved list that
+    `skew_smith` returns is therefore exactly g_1, ..., g_r, monic, and its
+    rank is P's rank r. S is built from P's stored integer coefficients
+    over P's denominator, so the reduction runs fraction-free.
     """
-    mats = P.numerators
-    work = [[_trim([m[i][j] for m in mats]) for j in range(P.cols)] for i in range(P.rows)]
-    diagonal = []
-    # work is the trailing block: its (0, 0) entry is position (t, t) of P
-    while (piv := _min_degree_pivot(work)) is not None:
-        _bring_to_corner(work, piv)
-        while True:
-            piv_len = len(work[0][0])
-            dirty = _clear_column(work)
-            work = [list(col) for col in zip(*work)]
-            dirty = _clear_column(work) or dirty
-            work = [list(col) for col in zip(*work)]
-            if not dirty:
-                break
-            # a dirty sweep leaves a remainder of lower degree in row or
-            # column t, so the pivot degree strictly falls; anything else
-            # is a reduction bug that would otherwise loop forever
-            p = _min_degree_pivot(work)
-            if len(work[p[0]][p[1]]) >= piv_len:
-                raise InternalInconsistency(
-                    f"Smith pivot degree did not fall at step {len(diagonal)}"
-                )
-            _bring_to_corner(work, p)
-        diagonal.append(work[0][0])
-        work = [row[1:] for row in work[1:]]
-    _divisibility_chain(diagonal)
-    polys = tuple(RationalPolynomial._raw([Fraction(c, d[-1]) for c in d]) for d in diagonal)
-    return SmithForm(rank=len(polys), invariant_polynomials=polys)
+    rows, n = P.rows, P.rows + P.cols
+    mats = []
+    for mat in P.numerators:
+        s = [[0] * n for _ in range(n)]
+        for i, row in enumerate(mat):
+            s[i][rows:] = row
+            for j, v in enumerate(row, rows):
+                s[j][i] = -v
+        mats.append(s)
+    return skew_smith(SkewMatrixPolynomial._make(n, n, P.grade, mats, P.denominator))
 
 
 def _min_degree_pivot(work):
-    """A nonzero entry of least degree; ties go to the smallest coefficients.
+    """A nonzero entry of least degree above the diagonal of a skew work matrix.
 
-    Among entries of that degree, the one whose largest coefficient has the
-    fewest bits wins, then the first in row-major order. Small pivots keep
-    the pseudo-division multipliers, and with them coefficient growth, small.
+    Ties go to the smallest coefficients: among entries of that degree, the
+    one whose largest coefficient has the fewest bits wins, then the first
+    in row-major order. Small pivots keep the pseudo-division multipliers,
+    and with them coefficient growth, small. The diagonal is zero and (j, i)
+    has the key of (i, j), so this is also the first such entry of the
+    whole matrix.
     """
     best = None
     best_key = None
     for i, row in enumerate(work):
-        for j, c in enumerate(row):
+        for j, c in enumerate(row[i + 1 :], i + 1):
             if c and (best_key is None or len(c) <= best_key[0]):
                 key = (len(c), max(map(abs, c)).bit_length())
                 if best_key is None or key < best_key:
@@ -928,15 +901,6 @@ def _min_degree_pivot(work):
                     if key == (1, 1):
                         return best
     return best
-
-
-def _bring_to_corner(work, piv):
-    i, j = piv
-    if i:
-        work[0], work[i] = work[i], work[0]
-    if j:
-        for row in work:
-            row[0], row[j] = row[j], row[0]
 
 
 def _pseudo_divmod(a, b):
@@ -998,30 +962,6 @@ def _strip_content(polys):
         for p in polys:
             for k, v in enumerate(p):
                 p[k] = v // g
-
-
-def _clear_column(work) -> bool:
-    """Reduce column 0 below the pivot work[0][0] by rows s*row_i - q*row_0.
-
-    Returns whether a nonzero remainder is left in column 0. On the
-    transpose, the same steps reduce row 0 by column operations.
-    """
-    row_0 = work[0]
-    piv = row_0[0]
-    dirty = False
-    for row_i in work[1:]:
-        head = row_i[0]
-        if not head:
-            continue
-        s, q, r = _pseudo_divmod(head, piv)
-        if q:
-            row_i[0] = r
-            for j in range(1, len(row_0)):
-                row_i[j] = _combine(s, row_i[j], q, row_0[j])
-            _strip_content(row_i)
-        if r:
-            dirty = True
-    return dirty
 
 
 def _divisibility_chain(diagonal):
@@ -1091,8 +1031,8 @@ def skew_smith(P: MatrixPolynomial) -> SmithForm:
     work = [[_trim([m[i][j] for m in mats]) for j in range(n)] for i in range(n)]
     diagonal = []
     # work is the trailing block; its pivot pair is indices 0 and 1. The
-    # pivot (i, j) has i < j, since (j, i) has the same key and comes later
-    # in row-major order, so swapping i to 0 leaves j in place
+    # pivot (i, j) has i < j, since `_min_degree_pivot` reads only the
+    # strict upper triangle, so swapping i to 0 leaves j in place
     while (piv := _min_degree_pivot(work)) is not None:
         while True:
             piv_len = len(work[piv[0]][piv[1]])

@@ -1,11 +1,14 @@
 """Independent brute-force oracles used across the test suite.
 
 These deliberately avoid the library's own reduction algorithms: Smith data
-comes from gcds of all k x k minors (Laplace determinants), minimal indices
-and prefix-space dimensions from explicit convolution matrices, so the fast
-paths are checked against slow, obviously-correct computations; the ranks
-of those matrices and of the draws' congruences come from a dense Bareiss
-elimination, not the library's sparse row reduction, nullspace vectors
+comes from gcds of all k x k minors (Laplace determinants) and from the
+general reduction by row and column operations, which shares only the
+integer pseudo-division and gcd/lcm helpers with the library's skew
+congruence reduction; minimal indices and prefix-space dimensions from
+explicit convolution matrices, so the fast paths are checked against
+slow, obviously-correct computations; the ranks of those matrices and of
+the draws' congruences come from a dense Bareiss elimination, not the
+library's sparse row reduction, nullspace vectors
 from back-substitution over its rows in Fraction arithmetic, and ranks
 also from Gaussian elimination in Fractions; bounded-rank draws come from
 the direct Fraction product of polynomial matrices; the staircase's echelon
@@ -42,12 +45,22 @@ from skewstruct.degeneration import (
     canonical_key,
 )
 from skewstruct.eigenstructure import minimal_indices
-from skewstruct.errors import AttemptsExhausted, MissingBlocks, SideConditionViolated
+from skewstruct.errors import (
+    AttemptsExhausted,
+    InternalInconsistency,
+    MissingBlocks,
+    SideConditionViolated,
+)
 from skewstruct.exact import (
     MatrixPolynomial,
     RationalPolynomial,
     SkewMatrixPolynomial,
+    SmithForm,
+    _combine,
+    _divisibility_chain,
+    _pseudo_divmod,
     _strip_content,
+    _trim,
     as_skew,
     normal_rank,
     poly_gcd,
@@ -101,6 +114,105 @@ def smith_by_minors(P: MatrixPolynomial):
 
 def normal_rank_by_minors(P: MatrixPolynomial) -> int:
     return len(minor_gcds(P))
+
+
+def smith_by_equivalence(P: MatrixPolynomial) -> SmithForm:
+    """Smith normal form of a matrix polynomial under unimodular equivalence.
+
+    The general reduction, independent of the skew congruence one: it
+    works on rows and columns separately and never embeds P in a skew
+    matrix. First diagonalize: step t brings a nonzero entry of minimal
+    degree to (t, t), ties going to the smallest coefficients (see
+    `_full_min_degree_pivot`). One routine, `_clear_column`, sweeps column
+    t and, on the transpose, row t, until both are zero off the pivot; a
+    remainder left behind becomes the next, lower-degree pivot. Then the
+    library's gcd/lcm pass makes the diagonal a divisibility chain.
+
+    The reduction is fraction-free: each entry is reduced by
+    ``s*row_i - q*row_t`` with a positive integer ``s``, after which the
+    changed row (or column) is divided by its integer content; scaling by a
+    nonzero constant is unimodular over Q[x].
+    """
+    mats = P.numerators
+    work = [[_trim([m[i][j] for m in mats]) for j in range(P.cols)] for i in range(P.rows)]
+    diagonal = []
+    # work is the trailing block: its (0, 0) entry is position (t, t) of P
+    while (piv := _full_min_degree_pivot(work)) is not None:
+        _bring_to_corner(work, piv)
+        while True:
+            piv_len = len(work[0][0])
+            dirty = _clear_column(work)
+            work = [list(col) for col in zip(*work)]
+            dirty = _clear_column(work) or dirty
+            work = [list(col) for col in zip(*work)]
+            if not dirty:
+                break
+            # a dirty sweep leaves a remainder of lower degree in row or
+            # column t, so the pivot degree strictly falls; anything else
+            # is a reduction bug that would otherwise loop forever
+            p = _full_min_degree_pivot(work)
+            if len(work[p[0]][p[1]]) >= piv_len:
+                raise InternalInconsistency(
+                    f"Smith pivot degree did not fall at step {len(diagonal)}"
+                )
+            _bring_to_corner(work, p)
+        diagonal.append(work[0][0])
+        work = [row[1:] for row in work[1:]]
+    _divisibility_chain(diagonal)
+    polys = tuple(RationalPolynomial._raw([Fraction(c, d[-1]) for c in d]) for d in diagonal)
+    return SmithForm(rank=len(polys), invariant_polynomials=polys)
+
+
+def _full_min_degree_pivot(work):
+    """A nonzero entry of least degree anywhere in work; ties go to the smallest coefficients.
+
+    Among entries of that degree, the one whose largest coefficient has the
+    fewest bits wins, then the first in row-major order.
+    """
+    best = None
+    best_key = None
+    for i, row in enumerate(work):
+        for j, c in enumerate(row):
+            if c and (best_key is None or len(c) <= best_key[0]):
+                key = (len(c), max(map(abs, c)).bit_length())
+                if best_key is None or key < best_key:
+                    best, best_key = (i, j), key
+                    if key == (1, 1):
+                        return best
+    return best
+
+
+def _bring_to_corner(work, piv):
+    i, j = piv
+    if i:
+        work[0], work[i] = work[i], work[0]
+    if j:
+        for row in work:
+            row[0], row[j] = row[j], row[0]
+
+
+def _clear_column(work) -> bool:
+    """Reduce column 0 below the pivot work[0][0] by rows s*row_i - q*row_0.
+
+    Returns whether a nonzero remainder is left in column 0. On the
+    transpose, the same steps reduce row 0 by column operations.
+    """
+    row_0 = work[0]
+    piv = row_0[0]
+    dirty = False
+    for row_i in work[1:]:
+        head = row_i[0]
+        if not head:
+            continue
+        s, q, r = _pseudo_divmod(head, piv)
+        if q:
+            row_i[0] = r
+            for j in range(1, len(row_0)):
+                row_i[j] = _combine(s, row_i[j], q, row_0[j])
+            _strip_content(row_i)
+        if r:
+            dirty = True
+    return dirty
 
 
 def integer_rows(matrix) -> list:

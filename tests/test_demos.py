@@ -1,4 +1,10 @@
-"""Every demo script and the README's quick tour run to completion, as a user would start them."""
+"""Every demo script and the README's quick tour run to completion, as a user would start them.
+
+Each demo's standard output must match its checked-in text in `demo_output/`,
+named by the demo's number; timings go to standard error, so the output is
+the same on every run. After a deliberate change to a demo's output,
+regenerate its text by running the demo with its stdout sent to that file.
+"""
 
 import os
 import subprocess
@@ -9,6 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).with_name("demo_output")
 
 
 def run_python(argv, cwd):
@@ -33,6 +40,8 @@ def test_demo_runs(demo, tmp_path):
     result = run_python([str(demo)], tmp_path)
     assert "Traceback" not in result.stderr
     assert result.returncode == 0, result.stderr
+    golden = GOLDEN / f"{demo.stem.split('_', 1)[0]}.txt"
+    assert result.stdout == golden.read_text()
 
 
 def test_readme_quick_tour(tmp_path):

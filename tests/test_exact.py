@@ -24,6 +24,7 @@ from skewstruct.exact import (
     MatrixPolynomial,
     RationalPolynomial,
     SkewMatrixPolynomial,
+    SmithForm,
     _extend_basis,
     _pseudo_divmod,
     as_skew,
@@ -53,6 +54,7 @@ from oracles import (
     nullspace_by_fractions,
     rank_by_fractions,
     rank_by_sparse_fractions,
+    smith_by_equivalence,
     smith_by_minors,
 )
 
@@ -821,6 +823,7 @@ class TestSmithForm:
             leads.update(e.leading_coefficient for row in m.entries for e in row if not e.is_zero())
             s = smith_form(m)
             assert list(s.invariant_polynomials) == smith_by_minors(m), (kind, m.to_string())
+            assert s == smith_by_equivalence(m), (kind, m.to_string())
         assert any(c < 0 for c in leads) and any(c.denominator > 1 for c in leads)
         assert any(c.numerator not in (-1, 1) for c in leads)
 
@@ -866,6 +869,9 @@ class TestSmithForm:
         s = smith_form(m)
         assert s.rank == 1 and s.invariant_polynomials == (P.one(),)
         assert normal_rank(m) == 1
+        # empty shapes embed in skew matrices of size 3, 3 and 0
+        for rows, cols in ((0, 3), (3, 0), (0, 0)):
+            assert smith_form(MatrixPolynomial.zeros(rows, cols)) == SmithForm(0, ())
 
     def test_against_sympy_oracle(self):
         # second independent oracle, on sizes where the minor-gcd one is slow
@@ -986,8 +992,9 @@ class TestSkewSmith:
         # seeded skew inputs, n = 0..9 and grade 0..3: dense, sparse, with a
         # zero row and column, rank-deficient products A^T J A, and the zero
         # matrix; integer or Fraction coefficients. skew_smith must give
-        # smith_form's list with every entry once, and the minor-gcd oracle
-        # agrees where it is cheap
+        # smith_form's list with every entry once, smith_form must agree
+        # with the general reduction by equivalence, and the minor-gcd
+        # oracle agrees where it is cheap
         rng = random.Random(7)
         kinds = ("dense", "sparse", "zero_line", "product", "zero")
         seen = set()
@@ -1024,6 +1031,7 @@ class TestSkewSmith:
                     upper = {key: p for key, p in upper.items() if dead not in key}
                 m = SkewMatrixPolynomial.from_upper(n, upper, grade=deg)
             full = smith_form(m)
+            assert full == smith_by_equivalence(m), (kind, m.to_string())
             halved = skew_smith(m)
             assert full.rank == 2 * halved.rank
             doubled = [g for g in halved.invariant_polynomials for _ in range(2)]

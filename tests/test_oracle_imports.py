@@ -1,8 +1,10 @@
 """Each oracle stays independent of the library code it checks.
 
 The oracles in `oracles.py` rank with their own elimination, never with the
-library kernel. `smith_form`'s doubled list is the oracle for `skew_smith`,
-so `skew_smith` never reaches the general reduction.
+library kernel. `src/` has one Smith reduction, `skew_smith`, and
+`smith_form` runs it on a skew embedding; the general reduction by row and
+column operations lives in `oracles.smith_by_equivalence` as the reference
+for both, so it never reaches the congruence reduction.
 """
 
 import ast
@@ -12,7 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
 ORACLES = ast.parse(Path(__file__).with_name("oracles.py").read_text())
 KERNEL = {"rank_exact", "nullspace_exact", "_extend_basis", "_integer_rows"}
 EXACT = ast.parse((ROOT / "src" / "skewstruct" / "exact.py").read_text())
-GENERAL_SMITH = {"smith_form", "_clear_column", "_bring_to_corner"}
+GENERAL_SMITH = {"_clear_column", "_bring_to_corner"}
+CONGRUENCE_SMITH = {"skew_smith", "smith_form", "_clear_pair", "_swap_index", "_min_degree_pivot"}
 
 
 def _names_read(node) -> set:
@@ -22,6 +25,11 @@ def _names_read(node) -> set:
         for n in ast.walk(node)
         if isinstance(n, (ast.Name, ast.Attribute))
     }
+
+
+def _functions(tree) -> dict:
+    """A module's top-level functions by name."""
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
 def test_oracles_use_no_library_row_reduction():
@@ -36,11 +44,19 @@ def test_oracles_use_no_library_row_reduction():
     assert (imported | read) & KERNEL == set()
 
 
-def test_skew_smith_reaches_no_general_smith_reduction():
-    # the names read by skew_smith and, transitively, by every function of
-    # exact.py that it reads
-    functions = {node.name: node for node in EXACT.body if isinstance(node, ast.FunctionDef)}
-    reached, todo = set(), ["skew_smith"]
+def test_src_has_one_smith_reduction():
+    functions = _functions(EXACT)
+    assert set(functions) & GENERAL_SMITH == set()
+    assert "skew_smith" in _names_read(functions["smith_form"])
+
+
+def test_equivalence_oracle_reaches_no_congruence_reduction():
+    # the names read by smith_by_equivalence and, transitively, by every
+    # function of oracles.py or exact.py that it reads
+    oracle_functions, exact_functions = _functions(ORACLES), _functions(EXACT)
+    assert set(oracle_functions) & set(exact_functions) == set()
+    functions = {**exact_functions, **oracle_functions}
+    reached, todo = set(), ["smith_by_equivalence"]
     while todo:
         name = todo.pop()
         if name in reached:
@@ -48,5 +64,5 @@ def test_skew_smith_reaches_no_general_smith_reduction():
         reached.add(name)
         todo.extend(n for n in _names_read(functions[name]) if n in functions)
     read = set().union(*(_names_read(functions[name]) for name in reached))
-    assert {"_clear_pair", "_divisibility_chain"} <= reached
-    assert read & GENERAL_SMITH == set()
+    assert GENERAL_SMITH | {"_divisibility_chain"} <= reached
+    assert read & CONGRUENCE_SMITH == set()
