@@ -19,6 +19,7 @@ assembled pencil meaningful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +50,13 @@ UNFOLDING = {"H": ("E_finite", "E_finite"), "K": ("E_infinite", "E_infinite"), "
 
 @dataclass(frozen=True)
 class _Block:
-    """A canonical block; the subclass's kind table decides what is valid."""
+    """A canonical block; the subclass's kind table decides what is valid.
+
+    A block is a value built once and hashed once: the library builds its
+    blocks through `_interned`, and each block stores the hash of its field
+    tuple, the hash the dataclass would compute, so set and dict orders are
+    those of plain field-tuple hashing.
+    """
 
     kind: str
     index: int
@@ -75,6 +82,14 @@ class _Block:
                 raise InvalidBlock(f"use {self._INFINITE} for the infinite eigenvalue")
         elif self.eigenvalue is not None:
             raise InvalidBlock(f"{self.kind} blocks carry no eigenvalue")
+        object.__setattr__(self, "_hash", hash((self.kind, self.index, self.eigenvalue)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through the constructor: validated again, hashed by the loading process
+        return type(self), (self.kind, self.index, self.eigenvalue)
 
     def sort_key(self):
         ev = self.eigenvalue
@@ -92,21 +107,21 @@ class GeneralBlock(_Block):
 
     @classmethod
     def finite(cls, index: int, eigenvalue) -> "GeneralBlock":
-        return cls("E_finite", index, eigenvalue)
+        return _interned(cls, "E_finite", index, eigenvalue)
 
     @classmethod
     def infinite(cls, index: int) -> "GeneralBlock":
-        return cls("E_infinite", index)
+        return _interned(cls, "E_infinite", index, None)
 
     @classmethod
     def right(cls, index: int) -> "GeneralBlock":
         """Right-singular block: index k occupies k x (k+1)."""
-        return cls("L", index)
+        return _interned(cls, "L", index, None)
 
     @classmethod
     def left(cls, index: int) -> "GeneralBlock":
         """Left-singular block: index k occupies (k+1) x k."""
-        return cls("L_T", index)
+        return _interned(cls, "L_T", index, None)
 
     @classmethod
     def eigen(cls, index: int, point) -> "GeneralBlock":
@@ -143,15 +158,15 @@ class SkewBlock(_Block):
 
     @classmethod
     def h(cls, index: int, eigenvalue) -> "SkewBlock":
-        return cls("H", index, eigenvalue)
+        return _interned(cls, "H", index, eigenvalue)
 
     @classmethod
     def k(cls, index: int) -> "SkewBlock":
-        return cls("K", index)
+        return _interned(cls, "K", index, None)
 
     @classmethod
     def m(cls, index: int) -> "SkewBlock":
-        return cls("M", index)
+        return _interned(cls, "M", index, None)
 
     @property
     def shape(self) -> tuple:
@@ -164,12 +179,33 @@ class SkewBlock(_Block):
 
     def unfolded(self) -> tuple:
         """The two general blocks this block is strictly equivalent to the sum of (`UNFOLDING`)."""
-        return tuple(GeneralBlock(kind, self.index, self.eigenvalue) for kind in UNFOLDING[self.kind])
+        return tuple(_interned(GeneralBlock, kind, self.index, self.eigenvalue) for kind in UNFOLDING[self.kind])
 
     def __str__(self):
         if self.kind == "H":
             return f"H_{self.index}({format_eigenvalue(self.eigenvalue)})"
         return f"{self.kind}_{self.index}"
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _cached_block(cls, kind, index, eigenvalue):
+    return cls(kind, index, eigenvalue)
+
+
+def _interned(cls, kind, index, eigenvalue):
+    """The one validated block of this class, kind, index and eigenvalue.
+
+    Every library construction site calls this with all four arguments, so
+    one block has one cache entry. The cache is typed, so True, which equals
+    1, never finds the block of index 1 and still raises InvalidBlock; a
+    raise is not cached, so invalid arguments raise on every call. An
+    unhashable argument cannot be a cache key; the constructor then names
+    the fault as it does for any other invalid argument.
+    """
+    try:
+        return _cached_block(cls, kind, index, eigenvalue)
+    except TypeError:
+        return cls(kind, index, eigenvalue)
 
 
 @dataclass(frozen=True)
@@ -248,6 +284,8 @@ class BlockList:
                 point = parse_eigenvalue(ev) if ev is not None else None
             except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise InvalidBlock(f"malformed block {item!r}") from exc
+            # built directly, not interned: a block read from outside is built
+            # once, and interning it would only let input grow the cache
             blocks.append(block_cls(kind, index, point))
         return cls(flavor, tuple(blocks))
 
@@ -347,7 +385,7 @@ def general_to_skew(blocklist: BlockList) -> BlockList:
     out = []
     for block, count in blocklist.counts().items():
         if block.kind in folds:
-            skew = SkewBlock(folds[block.kind], block.index, block.eigenvalue)
+            skew = _interned(SkewBlock, folds[block.kind], block.index, block.eigenvalue)
             out += [skew] * (count // skew.unfolded().count(block))
     folded = BlockList.skew(out)
     if skew_to_general(folded) != blocklist:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -123,6 +124,118 @@ class TestBlockBasics:
             assemble_skew(BlockList.general([GeneralBlock.right(1)]))
         with pytest.raises(FlavorMismatch):
             assemble_general(BlockList.skew([SkewBlock.m(1)]))
+
+
+class TestBlockValues:
+    """Blocks are interned values: built once per argument tuple, hashed once, pickled by value."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GeneralBlock.finite(2, Fraction(1, 3)),
+            lambda: GeneralBlock.finite(1, SymbolicPoint("a")),
+            lambda: GeneralBlock.infinite(3),
+            lambda: GeneralBlock.right(2),
+            lambda: GeneralBlock.left(0),
+            lambda: GeneralBlock.eigen(2, INFINITY),
+            lambda: GeneralBlock.eigen(2, Fraction(5)),
+            lambda: SkewBlock.h(1, Fraction(-2, 3)),
+            lambda: SkewBlock.k(2),
+            lambda: SkewBlock.m(1),
+            lambda: SkewBlock.h(2, SymbolicPoint("b")).unfolded(),
+            lambda: SkewBlock.m(3).unfolded(),
+            lambda: general_to_skew(BlockList.general([GeneralBlock.right(1), GeneralBlock.left(1)])).blocks,
+        ],
+    )
+    def test_equal_arguments_give_the_same_object(self, build):
+        first, again = build(), build()
+        if not isinstance(first, tuple):
+            first, again = (first,), (again,)
+        assert first == again
+        assert all(a is b for a, b in zip(first, again))
+
+    def test_conversions_share_the_named_constructors_blocks(self):
+        right, left = SkewBlock.m(2).unfolded()
+        assert right is GeneralBlock.right(2) and left is GeneralBlock.left(2)
+        assert SkewBlock.k(1).unfolded()[0] is GeneralBlock.infinite(1)
+        assert general_to_skew(BlockList.general([GeneralBlock.infinite(2)] * 2)).blocks[0] is SkewBlock.k(2)
+
+    def test_direct_construction_equals_the_interned_block(self):
+        direct = GeneralBlock("L", 2)
+        assert direct == GeneralBlock.right(2)
+        assert hash(direct) == hash(GeneralBlock.right(2))
+        assert direct is not GeneralBlock.right(2)
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            GeneralBlock.finite(2, Fraction(7, 3)),
+            GeneralBlock.finite(1, SymbolicPoint("a")),
+            GeneralBlock.infinite(1),
+            GeneralBlock.right(0),
+            GeneralBlock.left(4),
+            SkewBlock.h(3, Fraction(-1, 2)),
+            SkewBlock.h(1, SymbolicPoint("z")),
+            SkewBlock.k(2),
+            SkewBlock.m(0),
+        ],
+        ids=str,
+    )
+    def test_hash_is_the_field_tuple_hash(self, block):
+        # the hash the dataclass would generate, so set and dict orders are unchanged
+        assert hash(block) == hash((block.kind, block.index, block.eigenvalue))
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            GeneralBlock.finite(2, Fraction(7, 3)),
+            GeneralBlock.finite(1, SymbolicPoint("a")),
+            GeneralBlock.left(4),
+            SkewBlock.h(1, SymbolicPoint("z")),
+            SkewBlock.m(0),
+        ],
+        ids=str,
+    )
+    def test_pickle_round_trip(self, block):
+        again = pickle.loads(pickle.dumps(block))
+        assert again == block
+        assert type(again) is type(block)
+        assert hash(again) == hash(block)
+
+    def test_an_int_eigenvalue_equals_its_fraction(self):
+        assert GeneralBlock.finite(1, 2) == GeneralBlock.finite(1, Fraction(2))
+        assert hash(GeneralBlock.finite(1, 2)) == hash(GeneralBlock.finite(1, Fraction(2)))
+        assert GeneralBlock.finite(1, 2).eigenvalue.__class__ is Fraction
+
+    @pytest.mark.parametrize(
+        "valid, build, message",
+        [
+            (lambda: GeneralBlock.right(1), lambda: GeneralBlock.right(True), "L blocks need an integer index, not True"),
+            (lambda: SkewBlock.m(0), lambda: SkewBlock.m(False), "M blocks need an integer index, not False"),
+            (
+                lambda: GeneralBlock.finite(1, 1),
+                lambda: GeneralBlock.finite(1, True),
+                "E_finite blocks carry an exact eigenvalue, not True",
+            ),
+            (
+                lambda: GeneralBlock.finite(1, Fraction(1, 2)),
+                lambda: GeneralBlock.finite(1, 0.5),
+                "E_finite blocks carry an exact eigenvalue, not 0.5",
+            ),
+            (lambda: GeneralBlock.finite(1, 2), lambda: GeneralBlock.finite(1.0, 2), "E_finite blocks need an integer index, not 1.0"),
+            (lambda: GeneralBlock.finite(1, 1), lambda: GeneralBlock.finite(1, [1]), "E_finite blocks carry an exact eigenvalue, not [1]"),
+            (lambda: SkewBlock.k(2), lambda: SkewBlock.k([2]), "K blocks need an integer index, not [2]"),
+        ],
+    )
+    def test_invalid_arguments_raise_on_every_call(self, valid, build, message):
+        # the valid block the arguments equal is cached first; the cache is
+        # typed, so True == 1 does not find it, and it caches no raise. An
+        # unhashable argument fails in the constructor, not in the cache.
+        valid()
+        for _ in range(2):
+            with pytest.raises(InvalidBlock) as info:
+                build()
+            assert str(info.value) == message
 
 
 class TestAssembleGeneral:
