@@ -29,13 +29,17 @@ least the target's in every field; by transitivity the others lie on no
 path to the target, so the certificate is the one a search without the
 test finds.
 
-The search runs on block -> multiplicity dicts end to end: the rule
-generators read a state's counts, `_apply_to_counts` applies a rule to a
-copy of them (checking the side conditions, the presence of the consumed
-blocks and the total size), and the successor's key comes off the counts
-too, so no state becomes a BlockList. `enumerate_applications`,
-`apply_rule` and `canonical_key` are the BlockList boundary: each reads
-`BlockList.counts` once.
+The search runs on packed states (`_PackedStates`): one int per state,
+with one count field per block. A rule application is a cached delta
+whose consumed fields are checked with the same top-bit subtraction, a
+successor's key is its int (plus the per-symbol multisets when it holds
+symbols), and its Hom vector is its parent's plus a cached Hom delta. A
+state's counts dict is decoded only when the state is expanded, for the
+rule generators, so no state becomes a BlockList and no successor a dict.
+`enumerate_applications`, `apply_rule` and `canonical_key` are the
+BlockList boundary: each reads `BlockList.counts` once and works on the
+dict (`_apply_to_counts`, `_key_from_counts`), which stay the reference
+that the packed path is tested against.
 """
 
 from __future__ import annotations
@@ -124,10 +128,12 @@ def _eigen_or_none(index: int, point):
     return GeneralBlock.eigen(index, point)
 
 
-def _rule_blocks(app: RuleApplication):
+def _rule_blocks(app: RuleApplication) -> tuple:
     """(consumed blocks, produced blocks) of one application; checks its side conditions.
 
-    A produced eigenvalue block of size zero is empty and stands as None.
+    A produced eigenvalue block of size zero is empty and left out. The
+    consumed and produced blocks must cover the same total rows and columns
+    (SideConditionViolated otherwise).
     """
     r = app.rule
     if r in (1, 2):
@@ -135,46 +141,58 @@ def _rule_blocks(app: RuleApplication):
         if not 1 <= j <= k:
             raise SideConditionViolated(f"rule {r} needs 1 <= j <= k, got {j}, {k}")
         mk = GeneralBlock.right if r == 1 else GeneralBlock.left
-        return (mk(j - 1), mk(k + 1)), (mk(j), mk(k))
-    if r in (3, 4):
+        consumed, produced = (mk(j - 1), mk(k + 1)), (mk(j), mk(k))
+    elif r in (3, 4):
         j, k = app.j, app.k
         if j < 0 or k < 0:
             raise SideConditionViolated(f"rule {r} needs j, k >= 0")
         mk = GeneralBlock.right if r == 3 else GeneralBlock.left
+        consumed = (mk(j), GeneralBlock.eigen(k + 1, app.eigenvalue))
         produced = (mk(j + 1), _eigen_or_none(k, app.eigenvalue))
-        return (mk(j), GeneralBlock.eigen(k + 1, app.eigenvalue)), produced
-    if r == 5:
+    elif r == 5:
         j, k = app.j, app.k
         if not 1 <= j <= k:
             raise SideConditionViolated(f"rule 5 needs 1 <= j <= k, got {j}, {k}")
         ev = app.eigenvalue
+        consumed = (GeneralBlock.eigen(j, ev), GeneralBlock.eigen(k, ev))
         produced = (_eigen_or_none(j - 1, ev), GeneralBlock.eigen(k + 1, ev))
-        return (GeneralBlock.eigen(j, ev), GeneralBlock.eigen(k, ev)), produced
-    p, q, sizes, evs = app.p, app.q, app.sizes, app.eigenvalues
-    if p < 0 or q < 0:
-        raise SideConditionViolated("rule 6 needs p, q >= 0")
-    if not sizes or len(sizes) != len(evs):
-        raise SideConditionViolated("rule 6 needs matching sizes and eigenvalues")
-    if any(s < 1 for s in sizes):
-        raise SideConditionViolated("rule 6 block sizes must be positive")
-    if sum(sizes) != p + q + 1:
-        raise SideConditionViolated(
-            f"rule 6 needs sizes summing to p+q+1={p + q + 1}, got {sum(sizes)}"
-        )
-    if len(set(evs)) != len(evs):
-        raise SideConditionViolated("rule 6 eigenvalues must be pairwise distinct")
-    produced = tuple(GeneralBlock.eigen(size, ev) for size, ev in zip(sizes, evs))
-    return (GeneralBlock.right(p), GeneralBlock.left(q)), produced
+    else:
+        p, q, sizes, evs = app.p, app.q, app.sizes, app.eigenvalues
+        if p < 0 or q < 0:
+            raise SideConditionViolated("rule 6 needs p, q >= 0")
+        if not sizes or len(sizes) != len(evs):
+            raise SideConditionViolated("rule 6 needs matching sizes and eigenvalues")
+        if any(s < 1 for s in sizes):
+            raise SideConditionViolated("rule 6 block sizes must be positive")
+        if sum(sizes) != p + q + 1:
+            raise SideConditionViolated(
+                f"rule 6 needs sizes summing to p+q+1={p + q + 1}, got {sum(sizes)}"
+            )
+        if len(set(evs)) != len(evs):
+            raise SideConditionViolated("rule 6 eigenvalues must be pairwise distinct")
+        consumed = (GeneralBlock.right(p), GeneralBlock.left(q))
+        produced = tuple(GeneralBlock.eigen(size, ev) for size, ev in zip(sizes, evs))
+    produced = tuple(block for block in produced if block is not None)
+    if any(sum(b.shape[i] for b in consumed) != sum(b.shape[i] for b in produced) for i in (0, 1)):
+        raise SideConditionViolated("rule application changed the total size")
+    return consumed, produced
+
+
+# `_rule_blocks` for the search, shared across searches. The search's
+# applications come from the generators, whose fields are ints and canonical
+# eigenvalues, so an equal application never stands for a different one
+# (`RuleApplication(1, j=True, k=1)` equals the j = 1 one, but its blocks
+# raise InvalidBlock); `apply_rule` keeps the uncached function. An error is
+# not cached.
+_search_rule_blocks = functools.lru_cache(maxsize=4096)(_rule_blocks)
 
 
 def _apply_to_counts(counts: dict, app: RuleApplication):
-    """Apply one rule in place to a block -> multiplicity dict: the core of apply_rule and the search.
+    """Apply one rule in place to a block -> multiplicity dict: the core of apply_rule.
 
-    A consumed block must be present (MissingBlocks otherwise), and the
-    consumed and produced blocks must cover the same total rows and columns.
+    A consumed block must be present (MissingBlocks otherwise).
     """
     consumed, produced = _rule_blocks(app)
-    rows = cols = 0
     for block in consumed:
         have = counts.get(block, 0)
         if have <= 0:
@@ -183,15 +201,8 @@ def _apply_to_counts(counts: dict, app: RuleApplication):
             del counts[block]
         else:
             counts[block] = have - 1
-        br, bc = block.shape
-        rows, cols = rows + br, cols + bc
     for block in produced:
-        if block is not None:
-            counts[block] = counts.get(block, 0) + 1
-            br, bc = block.shape
-            rows, cols = rows - br, cols - bc
-    if rows or cols:
-        raise SideConditionViolated("rule application changed the total size")
+        counts[block] = counts.get(block, 0) + 1
 
 
 def apply_rule(blocklist: BlockList, app: RuleApplication) -> BlockList:
@@ -237,7 +248,8 @@ def canonical_key(blocklist: BlockList):
     with equal keys are related by the renaming that matches symbols with
     equal multisets. No search over renamings is needed, and there is no
     limit on the number of symbols. The key depends only on the block
-    multiplicities, so the search computes it from a state's counts.
+    multiplicities; the search keys its packed states the same way
+    (`_PackedStates.key`).
     """
     return _key_from_counts(blocklist.counts())
 
@@ -553,6 +565,108 @@ def closure_reachable(
     return _breadth_first(target_counts, source_counts, max_steps)
 
 
+class _PackedStates:
+    """One search's states as ints, one count field per block, and each rule as a cached delta.
+
+    A block gets the next free field the first time the search meets it,
+    and keeps its offset for the rest of the search. A field is
+    (rows + cols).bit_length() + 1 bits wide: every block has rows + cols at
+    least 1, so no count exceeds rows + cols and the top bit of every field
+    stays clear. A state is the sum of count << offset over its blocks, so
+    two states of one search are equal ints exactly when their counts are
+    equal. `symbols` holds every bit of the fields of blocks at a symbol.
+    """
+
+    def __init__(self, rows: int, cols: int):
+        self.rows, self.cols = rows, cols
+        self.width = (rows + cols).bit_length() + 1
+        self.fields: dict = {}  # block -> (offset, packed Hom int)
+        self.blocks: list = []  # field number -> block
+        self.symbols = 0
+        self.steps: dict = {}  # RuleApplication -> its `step`
+        self.symbol_keys: dict = {}  # symbol fields of a state -> their per-symbol multisets
+
+    def _field(self, block) -> tuple:
+        field = self.fields.get(block)
+        if field is None:
+            offset = len(self.blocks) * self.width
+            field = self.fields[block] = offset, _block_hom(block.kind, block.index, self.rows, self.cols)
+            self.blocks.append(block)
+            if isinstance(block.eigenvalue, SymbolicPoint):
+                self.symbols |= ((1 << self.width) - 1) << offset
+        return field
+
+    def pack(self, counts: dict) -> int:
+        return sum(count << self._field(block)[0] for block, count in counts.items())
+
+    def counts(self, packed: int) -> dict:
+        """The block -> multiplicity dict of a packed state, read off its nonzero fields."""
+        counts = {}
+        while packed:
+            field = (packed.bit_length() - 1) // self.width
+            offset = field * self.width
+            counts[self.blocks[field]] = packed >> offset
+            packed &= (1 << offset) - 1
+        return counts
+
+    def key(self, packed: int):
+        """The state's key, equal for two states exactly when their `_key_from_counts` keys are.
+
+        A state without symbols is keyed by its int: equal ints are equal
+        counts. A state with symbols is keyed by the int of its other blocks
+        and the sorted per-symbol multisets of (kind, index), the two parts
+        of `_key_from_counts`. An int never equals a pair, and no list
+        without symbols has the key of a list with them.
+        """
+        symbolic = packed & self.symbols
+        if not symbolic:
+            return packed
+        multisets = self.symbol_keys.get(symbolic)
+        if multisets is None:
+            by_symbol: dict = {}
+            for block, count in self.counts(symbolic).items():
+                by_symbol.setdefault(block.eigenvalue, []).extend([(block.kind, block.index)] * count)
+            multisets = tuple(sorted(tuple(sorted(pairs)) for pairs in by_symbol.values()))
+            self.symbol_keys[symbolic] = multisets
+        return packed ^ symbolic, multisets
+
+    def step(self, app: RuleApplication) -> tuple:
+        """(need, high, delta, Hom delta, rank delta) of one rule application, for every state.
+
+        `need` has a 1 in a consumed block's field per copy consumed, `high`
+        the top bit of each such field, and `delta` is the produced minus the
+        consumed fields, so a state that holds the consumed blocks goes to
+        state + delta. The Hom delta and rank delta are the produced minus
+        the consumed blocks' `_block_hom` ints and ranks. Both are additive
+        over blocks, so a successor's Hom vector and rank are its parent's
+        plus these.
+        """
+        consumed, produced = _search_rule_blocks(app)
+        need = high = hom = rank = 0
+        for block in consumed:
+            offset, block_hom = self._field(block)
+            need += 1 << offset
+            high |= 1 << (offset + self.width - 1)
+            hom -= block_hom
+            rank -= block.rank
+        delta = -need
+        for block in produced:
+            offset, block_hom = self._field(block)
+            delta += 1 << offset
+            hom += block_hom
+            rank += block.rank
+        step = self.steps[app] = (need, high, delta, hom, rank)
+        return step
+
+    def missing(self, packed: int, app: RuleApplication):
+        """Raise MissingBlocks for the first consumed block the state lacks, as `_apply_to_counts` does."""
+        counts = self.counts(packed)
+        for block in _search_rule_blocks(app)[0]:
+            if counts.get(block, 0) <= 0:
+                raise MissingBlocks(f"block {block} not present")
+            counts[block] -= 1
+
+
 def _breadth_first(target_counts: dict, source_counts: dict, max_steps: int) -> ClosureResult:
     """Breadth-first search for a rule sequence from the source's counts to the target's.
 
@@ -569,30 +683,45 @@ def _breadth_first(target_counts: dict, source_counts: dict, max_steps: int) -> 
     certificate. `states_explored` (and `MAX_STATES`) count every distinct
     state keyed, pruned ones included, and none of rank above the
     target's. The generators yield only legal applications, so a rule error
-    is a bug and propagates instead of dropping a path. Rules are
-    enumerated and applied, and successors keyed and tested, on a state's
-    counts, so the search builds no BlockList.
+    is a bug and propagates instead of dropping a path.
+
+    States are packed ints (`_PackedStates`). A successor is its parent
+    plus the application's cached delta, once the top-bit subtraction of
+    `_hom_witness` finds the consumed blocks present: `(packed | high) -
+    need` keeps a consumed field's top bit exactly when the state holds
+    enough copies, and never borrows, since a rule consumes at most two
+    copies of a block and a field's top bit is worth at least 2. The key,
+    Hom vector and rank come off the int and the cached deltas, and a
+    state's counts are decoded only when it is expanded, for the rule
+    generators, which sort what they read.
     """
-    target_key = _key_from_counts(target_counts)
-    source_key = _key_from_counts(source_counts)
+    rows, cols = _shape(source_counts)
+    states = _PackedStates(rows, cols)
+    source = states.pack(source_counts)
+    target_key = states.key(states.pack(target_counts))
+    source_key = states.key(source)
     pool = [ev for ev in _present_eigenvalues(target_counts) if isinstance(ev, Fraction)]
     target_rank = sum(b.rank * c for b, c in target_counts.items())
-    rows, cols = _shape(source_counts)
     _, _, high = _hom_layout(rows, cols)
     target_hom = _hom_vector(target_counts, rows, cols)
+    source_rank = sum(b.rank * c for b, c in source_counts.items())
     visited = {source_key: (None, None)}
-    frontier = [(source_counts, source_key)]
+    frontier = [(source, source_key, _hom_vector(source_counts, rows, cols), source_rank)]
+    steps = states.steps
     explored = 1
     for _ in range(max_steps):
         next_frontier = []
-        for counts, state_key in frontier:
+        for packed, state_key, hom, rank in frontier:
+            counts = states.counts(packed)
             apps = _rank_preserving_applications(counts)
-            if sum(b.rank * c for b, c in counts.items()) < target_rank:
+            if rank < target_rank:
                 apps = itertools.chain(apps, _rank_raising_applications(counts, pool))
             for app in apps:
-                nxt = dict(counts)
-                _apply_to_counts(nxt, app)
-                key = _key_from_counts(nxt)
+                need, need_high, delta, hom_delta, rank_delta = steps.get(app) or states.step(app)
+                if ((packed | need_high) - need) & need_high != need_high:
+                    states.missing(packed, app)
+                nxt = packed + delta
+                key = nxt if not nxt & states.symbols else states.key(nxt)
                 if key in visited:
                     continue
                 visited[key] = (state_key, app)
@@ -609,8 +738,9 @@ def _breadth_first(target_counts: dict, source_counts: dict, max_steps: int) -> 
                         certificate=tuple(reversed(cert)),
                         states_explored=explored,
                     )
-                if ((_hom_vector(nxt, rows, cols) | high) - target_hom) & high == high:
-                    next_frontier.append((nxt, key))
+                nxt_hom = hom + hom_delta
+                if ((nxt_hom | high) - target_hom) & high == high:
+                    next_frontier.append((nxt, key, nxt_hom, rank + rank_delta))
                 if explored >= MAX_STATES:
                     return ClosureResult(status="no_within_bound", states_explored=explored)
         frontier = next_frontier

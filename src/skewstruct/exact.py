@@ -169,10 +169,6 @@ class RationalPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else _ZERO
-
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else _ZERO
 
@@ -243,15 +239,6 @@ class RationalPolynomial:
         for i, c in enumerate(self.coeffs):
             out[grade - i] = c
         return RationalPolynomial(out)
-
-    def valuation_at_zero(self) -> int:
-        """Number of trailing zero roots, i.e. the exponent of x dividing self."""
-        if not self.coeffs:
-            raise ZeroDivisionError("zero polynomial has no valuation")
-        k = 0
-        while not self.coeffs[k]:
-            k += 1
-        return k
 
     # -- comparisons / misc --------------------------------------------------
 
@@ -589,9 +576,6 @@ class MatrixPolynomial:
             )
             object.__setattr__(self, "_entries", grid)
         return self._entries
-
-    def entry(self, i: int, j: int) -> RationalPolynomial:
-        return self.entries[i][j]
 
     def coefficient_matrix(self, k: int) -> list:
         """The k-th coefficient as a list-of-lists of Fractions."""

@@ -119,15 +119,6 @@ class ConsistencyReport:
     remainders_match: bool  # m - 2r - t == n - 2w - s
     blocklists_match: bool
 
-    @property
-    def all_match(self) -> bool:
-        return (
-            self.sizes_match
-            and self.counts_match
-            and self.remainders_match
-            and self.blocklists_match
-        )
-
 
 def linearized_generic_blocklist(m: int, d: int, r: int) -> BlockList:
     """KCF expected for the linearized padding of the generic polynomial.

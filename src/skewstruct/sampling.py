@@ -226,10 +226,6 @@ class ExperimentReport:
     expected: CompleteEigenstructure
     elapsed: float = field(compare=False, default=0.0)
 
-    @property
-    def mismatches(self) -> int:
-        return self.trials - self.matches
-
     def to_json_dict(self) -> dict:
         return {
             "trials": self.trials,

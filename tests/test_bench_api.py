@@ -142,3 +142,38 @@ def test_closure_bfs_ops_are_pinned(bench_modules):
         for key, pinned_result in CLOSURE_BFS_GOLDEN.items()
     }
     assert sum(explored for _, explored, _ in got.values()) == 430
+
+
+def test_closure_bfs_ops_stay_on_packed_states(bench_modules, monkeypatch):
+    # The search keys, applies and Hom-tests its successors on packed ints.
+    # The dict-based reference functions run a fixed number of times per
+    # op, never once per successor: `_key_from_counts` for the source's and
+    # the target's keys in closure_reachable, `_hom_vector` for both lists
+    # in the witness pass and again in the search, `_apply_to_counts` not at
+    # all. The searched ops key up to 64 states each, so a per-successor
+    # call shows at once
+    from skewstruct import degeneration
+
+    workloads, _ = bench_modules
+    bounds = {"_key_from_counts": 2, "_apply_to_counts": 0, "_hom_vector": 4}
+    calls = dict.fromkeys(bounds, 0)
+
+    def counting(name):
+        real = getattr(degeneration, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in bounds:
+        monkeypatch.setattr(degeneration, name, counting(name))
+    most = dict.fromkeys(bounds, 0)
+    explored = []
+    for op in workloads.ClosureBfs(seed=1, workdir=None).population:
+        calls.update(dict.fromkeys(bounds, 0))
+        explored.append(op.run().states_explored)
+        most = {name: max(most[name], calls[name]) for name in bounds}
+    assert most == bounds
+    assert (len(explored), max(explored)) == (29, 64)

@@ -242,7 +242,7 @@ class TestAssembleGeneral:
     def test_jordan_1x1(self):
         p = assemble_general(BlockList.general([GeneralBlock.finite(1, 5)]))
         assert p.rows == p.cols == 1
-        assert p.entry(0, 0) == x - 5
+        assert p.entries[0][0] == x - 5
 
     def test_empty_right_block(self):
         p = assemble_general(BlockList.general([GeneralBlock.right(0)]))
@@ -259,7 +259,7 @@ class TestAssembleGeneral:
     def test_singular_block_contents(self):
         p = assemble_general(BlockList.general([GeneralBlock.right(1)]))
         assert (p.rows, p.cols) == (1, 2)
-        assert p.entry(0, 0) == x and p.entry(0, 1) == -P.one()
+        assert p.entries[0][0] == x and p.entries[0][1] == -P.one()
 
     def test_left_block_is_the_transposed_right_block(self):
         for k in range(4):
@@ -299,8 +299,8 @@ class TestAssembleSkew:
     def test_m1_strip(self):
         p = assemble_skew(BlockList.skew([SkewBlock.m(1)]))
         assert (p.rows, p.cols) == (3, 3)
-        assert p.entry(0, 1) == x and p.entry(0, 2) == -P.one()
-        assert p.entry(1, 0) == -x and p.entry(2, 0) == P.one()
+        assert p.entries[0][1] == x and p.entries[0][2] == -P.one()
+        assert p.entries[1][0] == -x and p.entries[2][0] == P.one()
 
     def test_always_skew(self):
         rng = random.Random(3)

@@ -20,6 +20,7 @@ from skewstruct.degeneration import (
     replay_certificate,
 )
 from skewstruct.errors import (
+    InvalidBlock,
     MissingBlocks,
     ParamDomain,
     ShapeMismatch,
@@ -94,6 +95,14 @@ class TestApplyRule:
     def test_missing_blocks(self):
         with pytest.raises(MissingBlocks):
             apply_rule(gl(L(0)), RuleApplication(1, j=1, k=1))
+
+    def test_bool_index_raises_after_a_search(self):
+        # the search caches each application's blocks across searches, and
+        # RuleApplication(1, j=True, k=1) equals the j = 1 one the search
+        # below applies; apply_rule does not read that cache
+        assert closure_reachable(gl(L(1), L(1)), gl(L(0), L(2))).certificate == (RuleApplication(1, j=1, k=1),)
+        with pytest.raises(InvalidBlock):
+            apply_rule(gl(L(0), L(2)), RuleApplication(1, j=True, k=1))
 
     def test_size_preserved(self):
         before = gl(L(0), L(2), E(1, 3))
@@ -689,6 +698,135 @@ class TestPackedHomKernel:
                             states += 1
                         assert canonical_key(state) == canonical_key(target)
         assert (searches, certified, states) == (205, 103, 276)
+
+
+def recorded_search(monkeypatch, target, source):
+    """closure_reachable(target, source) with the search's state packing and every application it applied.
+
+    Returns (result, the search's _PackedStates or None, [(decoded counts
+    of the expanded state, application)]). The generators are wrapped, and
+    the search applies every application they yield.
+    """
+    made, applied = [], []
+
+    class Recording(degeneration._PackedStates):
+        def __init__(self, rows, cols):
+            super().__init__(rows, cols)
+            made.append(self)
+
+    def recording(generator):
+        def wrapper(counts, *args):
+            for app in generator(counts, *args):
+                applied.append((counts, app))
+                yield app
+
+        return wrapper
+
+    monkeypatch.setattr(degeneration, "_PackedStates", Recording)
+    for name in ("_rank_preserving_applications", "_rank_raising_applications"):
+        monkeypatch.setattr(degeneration, name, recording(getattr(degeneration, name)))
+    result = closure_reachable(target, source)
+    monkeypatch.undo()
+    assert len(made) <= 1
+    return result, (made or [None])[0], applied
+
+
+class TestPackedStates:
+    """The search's packed states against the dict reference: `_apply_to_counts` and `_key_from_counts`."""
+
+    def check_search(self, monkeypatch, target, source):
+        # Every state the search keys: the source, and the successor of
+        # every application it applied, made from its parent's int plus the
+        # cached delta. Each decodes to the counts `_apply_to_counts` makes
+        # from the parent's, its Hom vector and rank deltas add up, and the
+        # packed keys and `_key_from_counts` keys pair one to one, as many
+        # as the states the search counted. Returns (result, the packed
+        # keys, the largest count in a field, the field width).
+        result, states, applied = recorded_search(monkeypatch, target, source)
+        if states is None:
+            assert applied == [] and result.states_explored == 1
+            return result, set(), 0, 0
+        rows, cols = states.rows, states.cols
+        source_counts = source.counts()
+        pairs = {(states.key(states.pack(source_counts)), degeneration._key_from_counts(source_counts))}
+        largest = max(source_counts.values())
+        for counts, app in applied:
+            parent = states.pack(counts)
+            assert states.counts(parent) == counts
+            _, _, delta, hom_delta, rank_delta = states.steps[app]
+            successor = parent + delta
+            reference = dict(counts)
+            degeneration._apply_to_counts(reference, app)
+            assert states.counts(successor) == reference, (counts, app)
+            assert degeneration._hom_vector(counts, rows, cols) + hom_delta == degeneration._hom_vector(
+                reference, rows, cols
+            )
+            assert sum(b.rank * c for b, c in counts.items()) + rank_delta == sum(
+                b.rank * c for b, c in reference.items()
+            )
+            pairs.add((states.key(successor), degeneration._key_from_counts(reference)))
+            largest = max(largest, *reference.values())
+        packed_keys = {packed for packed, _ in pairs}
+        reference_keys = {reference for _, reference in pairs}
+        assert len(packed_keys) == len(reference_keys) == len(pairs) == result.states_explored
+        assert largest <= rows + cols < 1 << (states.width - 1)
+        return result, packed_keys, largest, states.width
+
+    def test_keys_and_counts_on_the_sweep(self, monkeypatch):
+        # every skew source of the target's rank against each valid cell
+        # with n <= 7, a superset of the benchmark's closure_sources sweep
+        searches = searched = keyed = with_symbols = 0
+        for n in range(3, 8):
+            sources = skew_sources(n)
+            for w in range(1, (n - 1) // 2 + 1):
+                for r in range(w + 1):
+                    target = skew_to_general(generic_pencil_structure(n, w, r))
+                    for source in sources:
+                        if source.rank != target.rank:
+                            continue
+                        _, keys, _, _ = self.check_search(monkeypatch, target, source)
+                        searches += 1
+                        searched += bool(keys)
+                        keyed += len(keys)
+                        with_symbols += sum(isinstance(key, tuple) for key in keys)
+        assert (searches, searched, keyed, with_symbols) == (205, 80, 2500, 1573)
+
+    @pytest.mark.parametrize("w, r", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
+    def test_zero_pencil_against_the_unpruned_search(self, monkeypatch, w, r):
+        # 6 L_0 + 6 L^T_0, the 6 x 6 zero pencil: six copies of each block,
+        # the most any 6 x 6 state holds, in fields 5 bits wide
+        source = gl(*[L(0)] * 6, *[LT(0)] * 6)
+        target = skew_to_general(generic_pencil_structure(6, w, r))
+        result, _, largest, width = self.check_search(monkeypatch, target, source)
+        steps = codim_general(source.counts()) - codim_general(target.counts())
+        full = closure_reachable_unpruned(target, source, max_steps=steps)
+        assert (result.status, certificate_json(result)) == (full.status, certificate_json(full))
+        assert result.status == "yes" and (largest, width) == (6, 5)
+
+    def test_target_with_symbols(self, monkeypatch):
+        # a target with symbolic eigenvalues keys as a pair, and the search
+        # reaches it under a renaming of the symbols
+        target = gl(E(1, SymbolicPoint("z")), E(1, SymbolicPoint("w")))
+        result, keys, _, _ = self.check_search(monkeypatch, target, gl(L(0), L(0), LT(0), LT(0)))
+        assert result.status == "yes" and len(result.certificate) == 2
+        assert sum(isinstance(key, tuple) for key in keys) > 0
+
+    def test_missing_block_raises_as_the_dict_path(self):
+        # the HIGH-bit test finds a missing block, and a block held once
+        # that rule 5 consumes twice
+        states = degeneration._PackedStates(4, 4)
+        for counts, app in [
+            ({L(0): 1, LT(0): 1, E(1, 2): 1}, RuleApplication(1, j=1, k=1)),
+            ({E(1, 2): 1, E(2, 2): 1}, RuleApplication(5, j=1, k=1, eigenvalue=Fraction(2))),
+        ]:
+            packed = states.pack(counts)
+            need, high, _, _, _ = states.step(app)
+            assert ((packed | high) - need) & high != high
+            with pytest.raises(MissingBlocks) as packed_error:
+                states.missing(packed, app)
+            with pytest.raises(MissingBlocks) as dict_error:
+                degeneration._apply_to_counts(dict(counts), app)
+            assert str(packed_error.value) == str(dict_error.value)
 
 
 class TestRuleApplicationJson:

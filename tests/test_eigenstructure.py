@@ -57,6 +57,11 @@ P = RationalPolynomial
 x = P.variable()
 
 
+def valuation_at_zero(g) -> int:
+    """The exponent of x dividing the nonzero polynomial g."""
+    return next(k for k, c in enumerate(g.coeffs) if c)
+
+
 def skew2(p, grade=None):
     return SkewMatrixPolynomial([[P.zero(), p], [-p, P.zero()]], grade)
 
@@ -240,7 +245,7 @@ class TestMinimalIndices:
             assert rho == normal_rank_by_minors(m) == normal_rank(m)
             epsilon = minimal_indices_by_convolution(m, m.cols - rho)
             assert list(right) == epsilon
-            kappa = sorted(g.valuation_at_zero() for g in smith_by_minors(m))
+            kappa = sorted(valuation_at_zero(g) for g in smith_by_minors(m))
             assert list(at_zero) == kappa
             delta = max(m.degree, 0)
             meeting = max(max(kappa, default=0), max(epsilon, default=0) + delta, delta)
@@ -385,7 +390,7 @@ class TestPrefixDims:
                 above = dims[k + 1] - dims[k] - (m.cols - rho)
                 assert above == sum(v > k for v in mults)
             # and they are the valuations at zero of the invariant polynomials
-            assert list(mults) == sorted(g.valuation_at_zero() for g in smith_by_minors(m))
+            assert list(mults) == sorted(valuation_at_zero(g) for g in smith_by_minors(m))
 
 
 class TestDimsToIndices:
@@ -442,7 +447,7 @@ class TestInfiniteStructure:
             got = infinite_structure(m.with_grade(grade), grade)
             reversed_smith = smith_form(rev(m.with_grade(grade), grade))
             expected = sorted(
-                g.valuation_at_zero() for g in reversed_smith.invariant_polynomials
+                valuation_at_zero(g) for g in reversed_smith.invariant_polynomials
             )
             assert list(got) == expected
 
@@ -476,7 +481,7 @@ class TestInfiniteStructure:
             assert list(right) == minimal_indices_by_convolution(m, m.cols - rho)
             for grade in range(d, d + 3):
                 reversed_smith = smith_by_minors(rev(m, grade))
-                expected = tuple(sorted(g.valuation_at_zero() for g in reversed_smith))
+                expected = tuple(sorted(valuation_at_zero(g) for g in reversed_smith))
                 assert tuple(k + grade - d for k in at_zero) == expected
                 assert infinite_structure(m, grade) == expected
 

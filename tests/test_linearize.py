@@ -107,12 +107,12 @@ class TestBuildLinearization:
         lin = build_linearization(p)
         q = lin.pencil
         # block (0,0) = x*A_3 + A_2; A_2 = 0 here
-        assert q.entry(0, 1) == 2 * x
+        assert q.entries[0][1] == 2 * x
         # coupling blocks
-        assert q.entry(0, 2) == -P.one() and q.entry(2, 0) == P.one()
-        assert q.entry(2, 4) == -x and q.entry(4, 2) == x
+        assert q.entries[0][2] == -P.one() and q.entries[2][0] == P.one()
+        assert q.entries[2][4] == -x and q.entries[4][2] == x
         # block (2,2) = x*A_1 + A_0
-        assert q.entry(4, 5) == 5 * x + 7
+        assert q.entries[4][5] == 5 * x + 7
 
 
 class TestVerifyShift:

@@ -1,5 +1,5 @@
 """No dead names in `src/`: every import is used, every private function is called, and
-every public function and class has a caller outside the tests' own checks."""
+every public function, class and method has a caller outside the tests' own checks."""
 
 import ast
 from pathlib import Path
@@ -63,12 +63,14 @@ def test_every_private_function_is_referenced():
     assert dead == []
 
 
-def test_every_public_name_has_a_caller():
-    # A caller is src/ (a re-export in `__init__` is none), a demo, the
-    # benchmark, the oracles or the acceptance suite. A check that only a
-    # test calls belongs in that test, so the other test modules are no
-    # callers either. The benchmark's span table names the functions it
-    # wraps as strings and looks them up by attribute, so its strings count.
+def _caller_trees() -> tuple:
+    """(caller syntax trees, the benchmark's string constants).
+
+    A caller is src/ (a re-export in `__init__` is none), a demo, the
+    benchmark, the oracles or the acceptance suite. A check that only a
+    test calls belongs in that test, so the other test modules are no
+    callers either.
+    """
     readers = [tree for module, tree in TREES.items() if module != "__init__"]
     paths = [*sorted((REPO / "demos").glob("*.py")), REPO / "tests" / "oracles.py"]
     readers += [ast.parse(path.read_text()) for path in paths + [REPO / "tests" / "test_acceptance.py"]]
@@ -79,7 +81,14 @@ def test_every_public_name_has_a_caller():
         for node in ast.walk(tree)
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
-    called = strings.union(*map(_read_or_imported, readers + bench))
+    return readers + bench, strings
+
+
+def test_every_public_name_has_a_caller():
+    # The benchmark's span table names the functions it wraps as strings and
+    # looks them up by attribute, so its strings count
+    trees, strings = _caller_trees()
+    called = strings.union(*map(_read_or_imported, trees))
     uncalled = [
         f"{module}: {node.name}"
         for module, tree in TREES.items()
@@ -89,3 +98,28 @@ def test_every_public_name_has_a_caller():
         and node.name not in called
     ]
     assert uncalled == []
+
+
+# Public methods that a library outside src/ calls by name, so no reader
+# here names them: argparse.ArgumentParser calls `error` on a usage error.
+PROTOCOL_OVERRIDES = {"cli: _Parser.error"}
+
+
+def test_every_public_method_has_a_caller():
+    # Methods, properties and classmethods of the top-level classes. A
+    # caller reads the name as an attribute: a bare name of the same
+    # spelling (`for error in ...`) calls no method
+    trees, _ = _caller_trees()
+    called = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    uncalled = {
+        f"{module}: {cls.name}.{node.name}"
+        for module, tree in TREES.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in called
+    }
+    # an allowlisted override that gains a caller, or goes, leaves the list
+    assert uncalled == PROTOCOL_OVERRIDES
