@@ -35,7 +35,8 @@ whose consumed fields are checked with the same top-bit subtraction, a
 successor's key is its int (plus the per-symbol multisets when it holds
 symbols), and its Hom vector is its parent's plus a cached Hom delta. A
 state's counts dict is decoded only when the state is expanded, for the
-rule generators, so no state becomes a BlockList and no successor a dict.
+rule generator (`_applications`), so no state becomes a BlockList and no
+successor a dict.
 `enumerate_applications`, `apply_rule` and `canonical_key` are the
 BlockList boundary: each reads `BlockList.counts` once and works on the
 dict (`_apply_to_counts`, `_key_from_counts`), which stay the reference
@@ -51,9 +52,15 @@ from fractions import Fraction
 
 from .blocks import BlockList, GeneralBlock, skew_to_general
 from .codimension import _shape, codim_general, dim_hom
-from .errors import MissingBlocks, ParamDomain, ShapeMismatch, SideConditionViolated
+from .errors import InvalidBlock, MissingBlocks, ParamDomain, ShapeMismatch, SideConditionViolated
 from .fileio import json_int
 from .points import INFINITY, SymbolicPoint, format_eigenvalue, parse_eigenvalue
+
+
+# the exact types of a RuleApplication's fields; None leaves a field unused
+_INT_TYPES = frozenset({int, type(None)})
+_POINT_TYPES = frozenset({int, Fraction, SymbolicPoint, type(INFINITY), type(None)})
+_TUPLE_TYPES = frozenset({tuple, type(None)})
 
 
 @dataclass(frozen=True)
@@ -61,7 +68,10 @@ class RuleApplication:
     """One parametrized application of a degeneration rule.
 
     Rules 1/2 use (j, k); rules 3/4 use (j, k, eigenvalue); rule 5 uses
-    (j, k, eigenvalue); rule 6 uses (p, q, sizes, eigenvalues).
+    (j, k, eigenvalue); rule 6 uses (p, q, sizes, eigenvalues), two
+    tuples. The rule, indices and sizes are ints and the eigenvalues exact
+    points (a Fraction, an int, a SymbolicPoint or INFINITY); any other
+    type raises InvalidBlock.
     """
 
     rule: int
@@ -74,6 +84,20 @@ class RuleApplication:
     eigenvalues: tuple = None
 
     def __post_init__(self):
+        # Exact types, so that equal applications are the same application
+        # and share their cached blocks (`_rule_blocks`): True == 1 and
+        # 2.0 == Fraction(2), but neither makes a block. The search builds
+        # every application it tries, so the check compares sets of types
+        ints = {type(self.rule), type(self.j), type(self.k), type(self.p), type(self.q)}
+        points = {type(self.eigenvalue)}
+        if self.rule == 6:
+            ints.update(map(type, self.sizes or ()))
+            points.update(map(type, self.eigenvalues or ()))
+            # a list would leave the application unhashable, with no cache key
+            if not {type(self.sizes), type(self.eigenvalues)} <= _TUPLE_TYPES:
+                raise InvalidBlock(f"rule 6 takes tuples of sizes and eigenvalues, not {self}")
+        if not (ints <= _INT_TYPES and points <= _POINT_TYPES):
+            raise InvalidBlock(f"rule applications take ints and exact eigenvalues, not {self}")
         if self.rule not in (1, 2, 3, 4, 5, 6):
             raise SideConditionViolated(f"unknown rule {self.rule}")
 
@@ -128,12 +152,15 @@ def _eigen_or_none(index: int, point):
     return GeneralBlock.eigen(index, point)
 
 
+@functools.lru_cache(maxsize=4096)
 def _rule_blocks(app: RuleApplication) -> tuple:
     """(consumed blocks, produced blocks) of one application; checks its side conditions.
 
     A produced eigenvalue block of size zero is empty and left out. The
     consumed and produced blocks must cover the same total rows and columns
-    (SideConditionViolated otherwise).
+    (SideConditionViolated otherwise). The result is cached across calls
+    and searches: a RuleApplication's fields have exact types, so equal
+    applications have equal blocks. An error is not cached.
     """
     r = app.rule
     if r in (1, 2):
@@ -178,15 +205,6 @@ def _rule_blocks(app: RuleApplication) -> tuple:
     return consumed, produced
 
 
-# `_rule_blocks` for the search, shared across searches. The search's
-# applications come from the generators, whose fields are ints and canonical
-# eigenvalues, so an equal application never stands for a different one
-# (`RuleApplication(1, j=True, k=1)` equals the j = 1 one, but its blocks
-# raise InvalidBlock); `apply_rule` keeps the uncached function. An error is
-# not cached.
-_search_rule_blocks = functools.lru_cache(maxsize=4096)(_rule_blocks)
-
-
 def _apply_to_counts(counts: dict, app: RuleApplication):
     """Apply one rule in place to a block -> multiplicity dict: the core of apply_rule.
 
@@ -224,16 +242,19 @@ def apply_rule(blocklist: BlockList, app: RuleApplication) -> BlockList:
 # ---------------------------------------------------------------------------
 
 
-def _key_from_counts(counts: dict):
-    """canonical_key of the list with these block multiplicities."""
-    fixed = []
+def _symbol_multisets(counts: dict) -> tuple:
+    """The sorted per-symbol multisets of (kind, index) of the blocks at a symbol in these counts."""
     by_symbol: dict = {}
     for block, count in counts.items():
         if isinstance(block.eigenvalue, SymbolicPoint):
             by_symbol.setdefault(block.eigenvalue, []).extend([(block.kind, block.index)] * count)
-        else:
-            fixed.append((block, count))
-    return frozenset(fixed), tuple(sorted(tuple(sorted(pairs)) for pairs in by_symbol.values()))
+    return tuple(sorted(tuple(sorted(pairs)) for pairs in by_symbol.values()))
+
+
+def _key_from_counts(counts: dict):
+    """canonical_key of the list with these block multiplicities."""
+    fixed = frozenset(item for item in counts.items() if not isinstance(item[0].eigenvalue, SymbolicPoint))
+    return fixed, _symbol_multisets(counts)
 
 
 def canonical_key(blocklist: BlockList):
@@ -263,18 +284,6 @@ def equal_modulo_symbols(a: BlockList, b: BlockList) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _present_eigenvalues(counts: dict):
-    """Finite eigenvalues present in the state, in list order, plus the point at infinity.
-
-    Infinity is always a legal choice for newly created eigenvalue blocks,
-    present or not; finite values only matter when they can merge with
-    existing blocks, and genuinely new finite points come from the symbolic
-    pool instead.
-    """
-    blocks = sorted(counts, key=GeneralBlock.sort_key)
-    return [*dict.fromkeys(b.eigenvalue for b in blocks if b.kind == "E_finite"), INFINITY]
-
-
 def _fresh_symbols(existing, how_many: int):
     """The first symbols s0, s1, ... named unlike every symbol in `existing`."""
     used = {ev.name for ev in existing if isinstance(ev, SymbolicPoint)}
@@ -302,46 +311,6 @@ def _partitions(total: int):
     yield from rec(total, total)
 
 
-def _singular_indices(counts: dict, kind: str):
-    return sorted(b.index for b in counts if b.kind == kind)
-
-
-def _rank_preserving_applications(counts: dict):
-    """Rules 1-5 from the given state; each keeps the rank.
-
-    Their consumed and produced blocks have equal index sums, and the rank
-    of a block is its index: j-1 + k+1 = j + k for rules 1 and 2, j + k+1
-    for rules 3 and 4, j + k for rule 5.
-    """
-    rights = _singular_indices(counts, "L")
-    lefts = _singular_indices(counts, "L_T")
-    eigen_indices: dict = {}  # eigenvalue -> {index: multiplicity}, eigenvalues in list order
-    for b in sorted(counts, key=GeneralBlock.sort_key):
-        if b.kind in ("E_finite", "E_infinite"):
-            ev = INFINITY if b.kind == "E_infinite" else b.eigenvalue
-            eigen_indices.setdefault(ev, {})[b.index] = counts[b]
-
-    # rules 1/2: trade sizes between same-side singular blocks
-    for rule, idxs in ((1, rights), (2, lefts)):
-        for u in idxs:
-            for v in idxs:
-                if u + 2 <= v:
-                    yield RuleApplication(rule, j=u + 1, k=v - 1)
-    # rules 3/4: a singular block absorbs one unit of an eigenvalue block
-    for rule, idxs in ((3, rights), (4, lefts)):
-        for u in idxs:
-            for ev, sizes in eigen_indices.items():
-                for size in sorted(sizes):
-                    yield RuleApplication(rule, j=u, k=size - 1, eigenvalue=ev)
-    # rule 5: rebalance two blocks at one eigenvalue
-    for ev, sizes in eigen_indices.items():
-        distinct = sorted(sizes)
-        for j in distinct:
-            for k in distinct:
-                if j < k or (j == k and sizes[j] >= 2):
-                    yield RuleApplication(5, j=j, k=k, eigenvalue=ev)
-
-
 def _assignments(existing, fresh, runs):
     """Eigenvalue tuples for runs of (parts, existing ones), in lexicographic order.
 
@@ -358,20 +327,68 @@ def _assignments(existing, fresh, runs):
             yield (*first, *fresh[: parts - used], *tail)
 
 
-def _rank_raising_applications(counts: dict, pool):
-    """Rule 6 from the given state; each raises the rank by exactly one.
+def _applications(counts: dict, pool, raise_rank: bool):
+    """The legal rule applications from the state with these block multiplicities, in search order.
 
-    It turns L_p + L_q^T, of rank p + q, into eigenvalue blocks of total
-    size p + q + 1, each at an existing eigenvalue (injectively) or a fresh
-    symbol. Fresh symbols are interchangeable, and so are parts of equal
-    size, which form runs (sizes come largest first). So one application
-    is made per choice of existing eigenvalues for each run: by how many
-    are used, then per-run counts in descending lexicographic order, then
-    the per-run sets in lexicographic order.
+    One pass over the blocks in list order reads the right and left
+    singular indices and, per eigenvalue, its blocks' sizes with their
+    multiplicities. Rules 1-5 come first; each keeps the rank, since its
+    consumed and produced blocks have equal index sums and the rank of a
+    block is its index: j-1 + k+1 = j + k for rules 1 and 2, j + k+1 for
+    rules 3 and 4, j + k for rule 5.
+
+    When `raise_rank`, rule 6 follows; each raises the rank by exactly
+    one. It turns L_p + L_q^T, of rank p + q, into eigenvalue blocks of
+    total size p + q + 1, each at an existing eigenvalue (injectively) or a
+    fresh symbol. The existing eigenvalues are the state's finite ones in
+    list order, then INFINITY, present or not, then `pool` (closure_reachable
+    passes the target's rational eigenvalues): a new finite point only
+    matters when it can merge with a block, and the others come from the
+    fresh symbols, named unlike every symbol in the state and the pool.
+    Fresh symbols are interchangeable, and so are parts of equal size,
+    which form runs (sizes come largest first). So one application is made
+    per choice of existing eigenvalues for each run: by how many are used,
+    then per-run counts in descending lexicographic order, then the per-run
+    sets in lexicographic order, and no two applications differ only by
+    the fresh symbols or by swapping blocks of equal size.
     """
-    existing = list(dict.fromkeys([*_present_eigenvalues(counts), *pool]))
-    rights = _singular_indices(counts, "L")
-    lefts = _singular_indices(counts, "L_T")
+    rights, lefts = [], []
+    eigen_indices: dict = {}  # eigenvalue -> {index: multiplicity}, eigenvalues in list order
+    for b in sorted(counts, key=GeneralBlock.sort_key):
+        if b.kind == "L":
+            rights.append(b.index)
+        elif b.kind == "L_T":
+            lefts.append(b.index)
+        else:
+            ev = INFINITY if b.kind == "E_infinite" else b.eigenvalue
+            eigen_indices.setdefault(ev, {})[b.index] = counts[b]
+    # list order puts larger indices first within a kind, so each kind's,
+    # and each eigenvalue's, indices ascend when read backwards
+    rights.reverse()
+    lefts.reverse()
+
+    # rules 1/2: trade sizes between same-side singular blocks
+    for rule, idxs in ((1, rights), (2, lefts)):
+        for u in idxs:
+            for v in idxs:
+                if u + 2 <= v:
+                    yield RuleApplication(rule, j=u + 1, k=v - 1)
+    # rules 3/4: a singular block absorbs one unit of an eigenvalue block
+    for rule, idxs in ((3, rights), (4, lefts)):
+        for u in idxs:
+            for ev, sizes in eigen_indices.items():
+                for size in reversed(sizes):
+                    yield RuleApplication(rule, j=u, k=size - 1, eigenvalue=ev)
+    # rule 5: rebalance two blocks at one eigenvalue
+    for ev, sizes in eigen_indices.items():
+        for j in reversed(sizes):
+            for k in reversed(sizes):
+                if j < k or (j == k and sizes[j] >= 2):
+                    yield RuleApplication(5, j=j, k=k, eigenvalue=ev)
+    if not raise_rank:
+        return
+    # rule 6: a right and a left singular block become eigenvalue blocks
+    existing = list(dict.fromkeys([*eigen_indices, INFINITY, *pool]))
     fresh = _fresh_symbols(existing, max(rights, default=0) + max(lefts, default=0) + 1)
     for p in rights:
         for q in lefts:
@@ -383,20 +400,15 @@ def _rank_raising_applications(counts: dict, pool):
                         yield RuleApplication(6, p=p, q=q, sizes=sizes, eigenvalues=evs)
 
 
-def enumerate_applications(blocklist: BlockList, pool=()):
-    """All legal single-rule applications from a general list, rules 1-5 first.
+def enumerate_applications(blocklist: BlockList):
+    """All legal single-rule applications from a general list, in search order (`_applications`).
 
-    Rule 6 gives each new block an eigenvalue already in the list, one from
-    `pool` (closure_reachable passes the target's rational eigenvalues) or
-    a fresh symbol, named unlike every symbol in the list and the pool, and
-    makes no two applications that differ only by the fresh symbols or by
-    swapping blocks of equal size. A skew-flavor list raises ShapeMismatch,
-    as in apply_rule.
+    Rule 6 draws on the list's own eigenvalues, INFINITY and fresh
+    symbols. A skew-flavor list raises ShapeMismatch, as in apply_rule.
     """
     if blocklist.flavor != "general":
         raise ShapeMismatch("rules rewrite general block lists")
-    counts = blocklist.counts()
-    return [*_rank_preserving_applications(counts), *_rank_raising_applications(counts, pool)]
+    return list(_applications(blocklist.counts(), (), True))
 
 
 MAX_STATES = 100_000  # explored states before the search gives up, inconclusive
@@ -623,11 +635,7 @@ class _PackedStates:
             return packed
         multisets = self.symbol_keys.get(symbolic)
         if multisets is None:
-            by_symbol: dict = {}
-            for block, count in self.counts(symbolic).items():
-                by_symbol.setdefault(block.eigenvalue, []).extend([(block.kind, block.index)] * count)
-            multisets = tuple(sorted(tuple(sorted(pairs)) for pairs in by_symbol.values()))
-            self.symbol_keys[symbolic] = multisets
+            multisets = self.symbol_keys[symbolic] = _symbol_multisets(self.counts(symbolic))
         return packed ^ symbolic, multisets
 
     def step(self, app: RuleApplication) -> tuple:
@@ -641,7 +649,7 @@ class _PackedStates:
         over blocks, so a successor's Hom vector and rank are its parent's
         plus these.
         """
-        consumed, produced = _search_rule_blocks(app)
+        consumed, produced = _rule_blocks(app)
         need = high = hom = rank = 0
         for block in consumed:
             offset, block_hom = self._field(block)
@@ -657,14 +665,6 @@ class _PackedStates:
             rank += block.rank
         step = self.steps[app] = (need, high, delta, hom, rank)
         return step
-
-    def missing(self, packed: int, app: RuleApplication):
-        """Raise MissingBlocks for the first consumed block the state lacks, as `_apply_to_counts` does."""
-        counts = self.counts(packed)
-        for block in _search_rule_blocks(app)[0]:
-            if counts.get(block, 0) <= 0:
-                raise MissingBlocks(f"block {block} not present")
-            counts[block] -= 1
 
 
 def _breadth_first(target_counts: dict, source_counts: dict, max_steps: int) -> ClosureResult:
@@ -682,7 +682,7 @@ def _breadth_first(target_counts: dict, source_counts: dict, max_steps: int) -> 
     order, as a search that prunes nothing, and returns the same
     certificate. `states_explored` (and `MAX_STATES`) count every distinct
     state keyed, pruned ones included, and none of rank above the
-    target's. The generators yield only legal applications, so a rule error
+    target's. The generator yields only legal applications, so a rule error
     is a bug and propagates instead of dropping a path.
 
     States are packed ints (`_PackedStates`). A successor is its parent
@@ -690,17 +690,20 @@ def _breadth_first(target_counts: dict, source_counts: dict, max_steps: int) -> 
     `_hom_witness` finds the consumed blocks present: `(packed | high) -
     need` keeps a consumed field's top bit exactly when the state holds
     enough copies, and never borrows, since a rule consumes at most two
-    copies of a block and a field's top bit is worth at least 2. The key,
-    Hom vector and rank come off the int and the cached deltas, and a
-    state's counts are decoded only when it is expanded, for the rule
-    generators, which sort what they read.
+    copies of a block and a field's top bit is worth at least 2. When a
+    block is missing, `_apply_to_counts` on the state's counts raises the
+    MissingBlocks that `apply_rule` would. The key, Hom vector and rank
+    come off the int and the cached deltas, and a state's counts are
+    decoded only when it is expanded, for `_applications`, which reads
+    them in one sorted pass.
     """
     rows, cols = _shape(source_counts)
     states = _PackedStates(rows, cols)
     source = states.pack(source_counts)
     target_key = states.key(states.pack(target_counts))
     source_key = states.key(source)
-    pool = [ev for ev in _present_eigenvalues(target_counts) if isinstance(ev, Fraction)]
+    target_blocks = sorted(target_counts, key=GeneralBlock.sort_key)
+    pool = [*dict.fromkeys(b.eigenvalue for b in target_blocks if isinstance(b.eigenvalue, Fraction))]
     target_rank = sum(b.rank * c for b, c in target_counts.items())
     _, _, high = _hom_layout(rows, cols)
     target_hom = _hom_vector(target_counts, rows, cols)
@@ -712,14 +715,10 @@ def _breadth_first(target_counts: dict, source_counts: dict, max_steps: int) -> 
     for _ in range(max_steps):
         next_frontier = []
         for packed, state_key, hom, rank in frontier:
-            counts = states.counts(packed)
-            apps = _rank_preserving_applications(counts)
-            if rank < target_rank:
-                apps = itertools.chain(apps, _rank_raising_applications(counts, pool))
-            for app in apps:
+            for app in _applications(states.counts(packed), pool, rank < target_rank):
                 need, need_high, delta, hom_delta, rank_delta = steps.get(app) or states.step(app)
                 if ((packed | need_high) - need) & need_high != need_high:
-                    states.missing(packed, app)
+                    _apply_to_counts(states.counts(packed), app)
                 nxt = packed + delta
                 key = nxt if not nxt & states.symbols else states.key(nxt)
                 if key in visited:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import GradeTooSmall, InternalInconsistency, ZeroRank
+from .errors import InternalInconsistency, ZeroRank
 from .exact import (
     NEG_INF,
     MatrixPolynomial,
@@ -372,20 +372,17 @@ def multiplicities_at_zero(P: MatrixPolynomial) -> tuple:
     return _structure_at_zero(P)[2]
 
 
-def infinite_structure(P: MatrixPolynomial, grade: int | None = None) -> tuple:
-    """Partial multiplicities of P at infinity for the declared grade.
+def infinite_structure(P: MatrixPolynomial) -> tuple:
+    """Partial multiplicities of P at infinity for its declared grade.
 
     These are the multiplicities at zero of rev(P, grade), zeros included up
     to length normal_rank(P). With d = deg P, rev(P, grade) is
     x^(grade - d) rev(P, d), so each is one of rev(P, d) raised by
-    grade - d. A grade below the degree raises GradeTooSmall.
+    grade - d. For another grade, pass `P.with_grade(grade)`, which raises
+    GradeTooSmall below the degree.
     """
-    if grade is None:
-        grade = P.grade
     d = max(P.degree, 0)
-    if grade < d:
-        raise GradeTooSmall(f"grade {grade} < degree {P.degree}")
-    return tuple(k + grade - d for k in multiplicities_at_zero(rev(P, d)))
+    return tuple(k + P.grade - d for k in multiplicities_at_zero(rev(P, d)))
 
 
 class GradeLawReport(NamedTuple):
@@ -396,21 +393,18 @@ class GradeLawReport(NamedTuple):
     leading_is_zero: bool
 
 
-def smallest_infinite_multiplicity_law(
-    P: MatrixPolynomial, grade: int | None = None
-) -> GradeLawReport:
+def smallest_infinite_multiplicity_law(P: MatrixPolynomial) -> GradeLawReport:
     """Check gamma_1 == grade - degree and its leading-coefficient corollary.
 
-    gamma_1 is the smallest partial multiplicity at infinity; it vanishes
-    exactly when the leading (grade-indexed) coefficient is nonzero.
+    gamma_1 is the smallest partial multiplicity at infinity for P's
+    declared grade; it vanishes exactly when the leading (grade-indexed)
+    coefficient is nonzero.
     """
-    if grade is None:
-        grade = P.grade
-    infinite = infinite_structure(P, grade)
+    infinite = infinite_structure(P)
     if not infinite:
         raise ZeroRank("law undefined for rank-zero polynomials")
     gamma1 = min(infinite)
-    gap = grade - int(P.degree)
+    gap = P.grade - int(P.degree)
     leading_is_zero = gap > 0
     if gamma1 != gap or leading_is_zero != (gamma1 >= 1):
         raise InternalInconsistency(

@@ -466,17 +466,12 @@ class MatrixPolynomial:
 
     __slots__ = ("rows", "cols", "grade", "numerators", "denominator", "_entries")
 
-    def __init__(self, entries, grade: int | None = None, *, shape=None):
+    def __init__(self, entries, grade: int | None = None):
         grid = [[_coerce(e).coeffs for e in row] for row in entries]
         rows = len(grid)
         cols = len(grid[0]) if rows else 0
         if any(len(row) != cols for row in grid):
             raise ShapeMismatch("ragged entry grid")
-        if shape is not None:
-            # explicit shape keeps zero-row/zero-column grids well defined
-            if rows and shape != (rows, cols):
-                raise ShapeMismatch(f"shape {shape} disagrees with entries {rows}x{cols}")
-            rows, cols = shape
         length = max((len(c) for row in grid for c in row), default=0) or 1
         mats = [[[0] * cols for _ in range(rows)] for _ in range(length)]
         for i, row in enumerate(grid):
@@ -610,9 +605,6 @@ class MatrixPolynomial:
         x = _rational(x)
         den = x.denominator**self.grade * self.denominator
         return [[Fraction(v, den) for v in row] for row in self._scaled_value(x.numerator, x.denominator)]
-
-    def is_zero(self) -> bool:
-        return self.degree is NEG_INF
 
     def _skew_violation(self):
         """Why the polynomial is not skew-symmetric, or None if it is."""

@@ -35,21 +35,16 @@ class GsylPencil:
     pencil: SkewMatrixPolynomial
     source: SkewMatrixPolynomial
 
-    @property
-    def size(self) -> int:
-        return self.m * self.d
 
-
-def build_linearization(P: SkewMatrixPolynomial, grade: int | None = None) -> GsylPencil:
-    """Assemble the (md) x (md) skew strong linearization of an odd-grade P.
+def build_linearization(P: SkewMatrixPolynomial) -> GsylPencil:
+    """Assemble the (md) x (md) skew strong linearization of P, of odd grade d.
 
     For d == 1 the polynomial is its own linearization. Even grades are a
     hard error: pad first (the grade choice is part of the problem statement,
-    so silent padding would silently change the structure at infinity).
+    so silent padding would silently change the structure at infinity). For
+    another grade, linearize `P.with_grade(grade)`.
     """
     skew = as_skew(P)
-    if grade is not None and grade != skew.grade:
-        skew = skew.with_grade(grade)
     d = skew.grade
     if d < 1 or d % 2 == 0:
         raise EvenGrade(f"linearization template needs odd grade, got {d}")
@@ -127,7 +122,7 @@ class ShiftReport:
         return self.minimal_ok and self.finite_ok and self.infinite_ok and self.rank_ok
 
 
-def verify_shift(P: SkewMatrixPolynomial, grade: int | None = None) -> ShiftReport:
+def verify_shift(P: SkewMatrixPolynomial) -> ShiftReport:
     """Check the strong-linearization contracts on an odd-grade polynomial.
 
     The linearized pencil must keep the finite elementary divisors and the
@@ -135,9 +130,9 @@ def verify_shift(P: SkewMatrixPolynomial, grade: int | None = None) -> ShiftRepo
     and satisfy rank(pencil) = rank(P) + m(d-1).
     """
     skew = as_skew(P)
-    if (grade if grade is not None else skew.grade) < 3:
+    if skew.grade < 3:
         raise ParamDomain("shift verification needs odd grade >= 3")
-    lin = build_linearization(skew, grade)
+    lin = build_linearization(skew)
     d, m = lin.d, lin.m
     base = analyze(lin.source)
     linearized = analyze(lin.pencil, 1)

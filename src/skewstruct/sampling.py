@@ -62,7 +62,10 @@ class SampleSpec:
         return SampleSpec(self.m, self.d, self.r, self.coeff_range, seed)
 
 
-def sample_bounded_rank(spec: SampleSpec, max_attempts: int = 100) -> SkewMatrixPolynomial:
+MAX_ATTEMPTS = 100  # draws before sample_bounded_rank gives up with AttemptsExhausted
+
+
+def sample_bounded_rank(spec: SampleSpec) -> SkewMatrixPolynomial:
     """Draw a random skew polynomial of size m, grade d, rank exactly 2r.
 
     Each attempt draws the r x (m-r) block B, d+1 coefficients per entry,
@@ -82,7 +85,7 @@ def sample_bounded_rank(spec: SampleSpec, max_attempts: int = 100) -> SkewMatrix
     """
     rng = random.Random(spec.seed)
     m, d, r, c = spec.m, spec.d, spec.r, spec.coeff_range
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         block = [
             [[rng.randint(-c, c) for _ in range(d + 1)] for _ in range(m - r)]
             for _ in range(r)
@@ -93,7 +96,7 @@ def sample_bounded_rank(spec: SampleSpec, max_attempts: int = 100) -> SkewMatrix
         sample = _congruence_product(block, congruence, d)
         if 2 * r in itertools.islice(_point_ranks(sample), 2 * r * d + 1):
             return sample
-    raise AttemptsExhausted(f"no rank-{2 * r} draw in {max_attempts} attempts")
+    raise AttemptsExhausted(f"no rank-{2 * r} draw in {MAX_ATTEMPTS} attempts")
 
 
 def _congruence_product(block, congruence, d) -> SkewMatrixPolynomial:

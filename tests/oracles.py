@@ -36,11 +36,9 @@ from skewstruct.degeneration import (
     ClosureResult,
     HomWitness,
     RuleApplication,
+    _applications,
     _fresh_symbols,
     _partitions,
-    _present_eigenvalues,
-    _rank_preserving_applications,
-    _singular_indices,
     apply_rule,
     canonical_key,
 )
@@ -65,7 +63,7 @@ from skewstruct.exact import (
     normal_rank,
     poly_gcd,
 )
-from skewstruct.points import SymbolicPoint
+from skewstruct.points import INFINITY, SymbolicPoint
 
 
 def determinant_poly(rows):
@@ -537,6 +535,17 @@ def equal_by_renaming(a: BlockList, b: BlockList) -> bool:
     return False
 
 
+def _present_eigenvalues(counts: dict) -> list:
+    """The finite eigenvalues of these blocks in list order, then INFINITY, present or not."""
+    blocks = BlockList.general(counts).blocks
+    return [*dict.fromkeys(b.eigenvalue for b in blocks if b.kind == "E_finite"), INFINITY]
+
+
+def _singular_indices(counts: dict, kind: str) -> list:
+    """The indices of the blocks of this singular kind, ascending."""
+    return sorted(b.index for b in counts if b.kind == kind)
+
+
 def rank_raising_by_signature(counts: dict, pool):
     """Rule 6 by brute force: every assignment, duplicates dropped by signature.
 
@@ -605,7 +614,7 @@ def closure_reachable_unpruned(target: BlockList, source: BlockList, max_steps=N
         next_frontier = []
         for state, state_key in frontier:
             counts = state.counts()
-            apps = chain(_rank_preserving_applications(counts), rank_raising_by_signature(counts, pool))
+            apps = chain(_applications(counts, (), False), rank_raising_by_signature(counts, pool))
             for app in apps:
                 try:
                     nxt = apply_rule(state, app)

@@ -97,12 +97,44 @@ class TestApplyRule:
             apply_rule(gl(L(0)), RuleApplication(1, j=1, k=1))
 
     def test_bool_index_raises_after_a_search(self):
-        # the search caches each application's blocks across searches, and
-        # RuleApplication(1, j=True, k=1) equals the j = 1 one the search
-        # below applies; apply_rule does not read that cache
+        # the search and apply_rule share one cache of each application's
+        # blocks, and RuleApplication(1, j=True, k=1) would equal the j = 1
+        # one the search below applies; it raises when built
         assert closure_reachable(gl(L(1), L(1)), gl(L(0), L(2))).certificate == (RuleApplication(1, j=1, k=1),)
         with pytest.raises(InvalidBlock):
             apply_rule(gl(L(0), L(2)), RuleApplication(1, j=True, k=1))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(rule=True, j=1, k=1),
+            dict(rule=1, j=True, k=1),
+            dict(rule=3, j=0, k=1, eigenvalue=2.0),
+            dict(rule=6, p=0, q=0, sizes=(True,), eigenvalues=(Fraction(2),)),
+            dict(rule=6, p=0, q=0, sizes=(1,), eigenvalues=(2.0,)),
+        ],
+    )
+    def test_inexact_fields_raise_after_a_search(self, fields):
+        # each equals, and hashes like, an application whose blocks the
+        # searches below cache, so it must raise when built
+        certificates = [
+            closure_reachable(gl(L(1), L(1)), gl(L(0), L(2))).certificate,
+            closure_reachable(gl(L(1), E(1, 2)), gl(L(0), E(2, 2))).certificate,
+            closure_reachable(gl(E(1, 2)), gl(L(0), LT(0))).certificate,
+        ]
+        assert certificates == [
+            (RuleApplication(1, j=1, k=1),),
+            (RuleApplication(3, j=0, k=1, eigenvalue=Fraction(2)),),
+            (RuleApplication(6, p=0, q=0, sizes=(1,), eigenvalues=(Fraction(2),)),),
+        ]
+        with pytest.raises(InvalidBlock):
+            RuleApplication(**fields)
+
+    def test_rule6_lists_raise(self):
+        # a list field would leave the application unhashable, and the
+        # blocks cache, which apply_rule reads, keys on it
+        with pytest.raises(InvalidBlock, match="tuples"):
+            RuleApplication(6, p=0, q=1, sizes=[1, 1], eigenvalues=(SymbolicPoint("a"), SymbolicPoint("b")))
 
     def test_size_preserved(self):
         before = gl(L(0), L(2), E(1, 3))
@@ -323,13 +355,13 @@ class TestClosureSearch:
     def test_invalid_application_raises(self, monkeypatch):
         # a generator that yields an application the state cannot take is a
         # bug the search must surface, not a path to skip
-        real = degeneration._rank_preserving_applications
+        real = degeneration._applications
 
-        def with_invalid(blocklist):
+        def with_invalid(counts, pool, raise_rank):
             yield RuleApplication(1, j=7, k=7)
-            yield from real(blocklist)
+            yield from real(counts, pool, raise_rank)
 
-        monkeypatch.setattr(degeneration, "_rank_preserving_applications", with_invalid)
+        monkeypatch.setattr(degeneration, "_applications", with_invalid)
         with pytest.raises(MissingBlocks):
             closure_reachable(gl(L(1), L(1)), gl(L(0), L(2)))
 
@@ -704,8 +736,8 @@ def recorded_search(monkeypatch, target, source):
     """closure_reachable(target, source) with the search's state packing and every application it applied.
 
     Returns (result, the search's _PackedStates or None, [(decoded counts
-    of the expanded state, application)]). The generators are wrapped, and
-    the search applies every application they yield.
+    of the expanded state, application)]). The generator is wrapped, and
+    the search applies every application it yields.
     """
     made, applied = [], []
 
@@ -714,17 +746,15 @@ def recorded_search(monkeypatch, target, source):
             super().__init__(rows, cols)
             made.append(self)
 
-    def recording(generator):
-        def wrapper(counts, *args):
-            for app in generator(counts, *args):
-                applied.append((counts, app))
-                yield app
+    real = degeneration._applications
 
-        return wrapper
+    def recording(counts, pool, raise_rank):
+        for app in real(counts, pool, raise_rank):
+            applied.append((counts, app))
+            yield app
 
     monkeypatch.setattr(degeneration, "_PackedStates", Recording)
-    for name in ("_rank_preserving_applications", "_rank_raising_applications"):
-        monkeypatch.setattr(degeneration, name, recording(getattr(degeneration, name)))
+    monkeypatch.setattr(degeneration, "_applications", recording)
     result = closure_reachable(target, source)
     monkeypatch.undo()
     assert len(made) <= 1
@@ -811,9 +841,10 @@ class TestPackedStates:
         assert result.status == "yes" and len(result.certificate) == 2
         assert sum(isinstance(key, tuple) for key in keys) > 0
 
-    def test_missing_block_raises_as_the_dict_path(self):
+    def test_missing_block_raises_as_the_dict_path(self, monkeypatch):
         # the HIGH-bit test finds a missing block, and a block held once
-        # that rule 5 consumes twice
+        # that rule 5 consumes twice; the search, given only that
+        # application, raises what the dict path raises
         states = degeneration._PackedStates(4, 4)
         for counts, app in [
             ({L(0): 1, LT(0): 1, E(1, 2): 1}, RuleApplication(1, j=1, k=1)),
@@ -822,11 +853,12 @@ class TestPackedStates:
             packed = states.pack(counts)
             need, high, _, _, _ = states.step(app)
             assert ((packed | high) - need) & high != high
-            with pytest.raises(MissingBlocks) as packed_error:
-                states.missing(packed, app)
+            monkeypatch.setattr(degeneration, "_applications", lambda *args, app=app: iter([app]))
+            with pytest.raises(MissingBlocks) as search_error:
+                degeneration._breadth_first(counts, counts, 1)
             with pytest.raises(MissingBlocks) as dict_error:
                 degeneration._apply_to_counts(dict(counts), app)
-            assert str(packed_error.value) == str(dict_error.value)
+            assert str(search_error.value) == str(dict_error.value)
 
 
 class TestRuleApplicationJson:
@@ -901,7 +933,7 @@ class TestEnumeration:
         for _ in range(25):
             cases.append((random_general_list(rng), rng.sample([s0, s1, s2, Fraction(-1), Fraction(5)], 2)))
         for bl, pool in cases:
-            apps = enumerate_applications(bl, pool)
+            apps = list(degeneration._applications(bl.counts(), pool, True))
             assert any(app.rule == 6 for app in apps)
             for app in apps:
                 out = apply_rule(bl, app)  # must not raise
@@ -940,6 +972,11 @@ def random_general_list(rng):
     return BlockList.general(blocks)
 
 
+def rule6(counts, pool):
+    """The rule-6 applications `_applications` makes from these counts, in its order."""
+    return [app for app in degeneration._applications(counts, pool, True) if app.rule == 6]
+
+
 class TestRankRaisingOrder:
     """Rule 6 makes exactly the applications the brute-force signature dedup keeps, in its order."""
 
@@ -949,13 +986,13 @@ class TestRankRaisingOrder:
         for _ in range(150):
             bl = random_general_list(rng)
             pool = rng.sample(pool_values, rng.randint(0, 2))
-            made = list(degeneration._rank_raising_applications(bl.counts(), pool))
+            made = rule6(bl.counts(), pool)
             assert made == list(rank_raising_by_signature(bl.counts(), pool)), (str(bl), pool)
 
     def test_fixed_state(self):
         bl = gl(L(3), L(2), LT(3), LT(2), EINF(1), E(1, SymbolicPoint("s0")), E(2, SymbolicPoint("s1")),
                 E(1, 1))
-        made = list(degeneration._rank_raising_applications(bl.counts(), ()))
+        made = rule6(bl.counts(), ())
         assert len(made) == 1556
         assert made == list(rank_raising_by_signature(bl.counts(), ()))
 
@@ -963,17 +1000,19 @@ class TestRankRaisingOrder:
     def test_states_of_rank_bound_cells(self, cell, monkeypatch):
         # every state from which the search of a TestRankBound cell
         # enumerates rule 6
-        real = degeneration._rank_raising_applications
+        real = degeneration._applications
         calls = []
 
-        def recording(state, pool):
-            calls.append((state, pool))
-            return real(state, pool)
+        def recording(state, pool, raise_rank):
+            if raise_rank:
+                calls.append((state, pool))
+            return real(state, pool, raise_rank)
 
-        monkeypatch.setattr(degeneration, "_rank_raising_applications", recording)
+        monkeypatch.setattr(degeneration, "_applications", recording)
         target = skew_to_general(generic_pencil_structure(*cell))
         for source in skew_sources(cell[0]):
             closure_reachable(target, source)
+        monkeypatch.undo()
         assert len(calls) > 100
         for state, pool in calls:
-            assert list(real(state, pool)) == list(rank_raising_by_signature(state, pool)), str(state)
+            assert rule6(state, pool) == list(rank_raising_by_signature(state, pool)), str(state)

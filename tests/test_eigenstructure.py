@@ -427,16 +427,16 @@ class TestDimsToIndices:
 
 class TestInfiniteStructure:
     def test_k1_pencil(self):
-        assert infinite_structure(K1_PENCIL, 1) == (1, 1)
+        assert infinite_structure(K1_PENCIL) == (1, 1)
 
     def test_grade_dependence(self):
         m = skew2(x**2, grade=2)
-        assert infinite_structure(m, 2) == (0, 0)
-        assert infinite_structure(m.with_grade(3), 3) == (1, 1)
+        assert infinite_structure(m) == (0, 0)
+        assert infinite_structure(m.with_grade(3)) == (1, 1)
 
     def test_grade_too_small(self):
         with pytest.raises(GradeTooSmall):
-            infinite_structure(skew2(x**2, grade=2), 1)
+            infinite_structure(skew2(x**2, grade=2).with_grade(1))
 
     def test_against_smith_of_reversal(self):
         rng = random.Random(16)
@@ -444,7 +444,7 @@ class TestInfiniteStructure:
             deg = rng.randint(1, 2)
             m = random_skew(rng, rng.randint(2, 4), deg)
             grade = deg + rng.randint(0, 1)
-            got = infinite_structure(m.with_grade(grade), grade)
+            got = infinite_structure(m.with_grade(grade))
             reversed_smith = smith_form(rev(m.with_grade(grade), grade))
             expected = sorted(
                 valuation_at_zero(g) for g in reversed_smith.invariant_polynomials
@@ -460,7 +460,7 @@ class TestInfiniteStructure:
             grade = m.grade + rng.randint(0, 1)
             reversal = rev(m.with_grade(grade), grade)
             assert normal_rank(reversal) == normal_rank(m)
-            assert infinite_structure(m, grade) == multiplicities_at_zero(reversal)
+            assert infinite_structure(m.with_grade(grade)) == multiplicities_at_zero(reversal)
 
     def test_reversal_at_the_degree(self):
         # rev(P, deg P) has the rank and the minimal indices of P, and
@@ -483,7 +483,7 @@ class TestInfiniteStructure:
                 reversed_smith = smith_by_minors(rev(m, grade))
                 expected = tuple(sorted(valuation_at_zero(g) for g in reversed_smith))
                 assert tuple(k + grade - d for k in at_zero) == expected
-                assert infinite_structure(m, grade) == expected
+                assert infinite_structure(m.with_grade(grade)) == expected
 
     def test_analyze_makes_one_pass(self, monkeypatch):
         # one staircase over rev(P, deg P), read up to the stage where its
@@ -690,14 +690,14 @@ class TestScrambledBlockPencils:
 
 class TestGradeLaw:
     def test_examples(self):
-        full = smallest_infinite_multiplicity_law(skew2(x), 1)
+        full = smallest_infinite_multiplicity_law(skew2(x))
         assert full == (0, 0, False)
-        padded = smallest_infinite_multiplicity_law(skew2(x).with_grade(3), 3)
+        padded = smallest_infinite_multiplicity_law(skew2(x).with_grade(3))
         assert padded == (2, 2, True)
 
     def test_zero_rank(self):
         with pytest.raises(ZeroRank):
-            smallest_infinite_multiplicity_law(SkewMatrixPolynomial.zeros(2, 2, 1), 1)
+            smallest_infinite_multiplicity_law(SkewMatrixPolynomial.zeros(2, 2, 1))
 
 
 class TestSameOrbit:

@@ -484,6 +484,11 @@ def random_grid(rng, rows, cols):
     )
 
 
+def from_grid(grid, grade, cols):
+    """MatrixPolynomial(grid, grade); a grid with no rows keeps its width through `zeros`."""
+    return MatrixPolynomial(grid, grade) if grid else MatrixPolynomial.zeros(0, cols, grade)
+
+
 def grid_degree(grid):
     return max((len(e.coeffs) - 1 for row in grid for e in row), default=-1)
 
@@ -498,12 +503,12 @@ class TestRepresentationReference:
         grid = random_grid(rng, rows, cols)
         # the declared grade often exceeds the degree
         grade = max(grid_degree(grid), 0) + rng.choice((0, 0, 1, 2))
-        return grid, MatrixPolynomial(grid, grade, shape=(rows, cols))
+        return grid, from_grid(grid, grade, cols)
 
     def check(self, result, grid, rows, cols, grade):
         assert (result.rows, result.cols, result.grade) == (rows, cols, grade)
         assert result.entries == grid
-        expected = MatrixPolynomial(grid, grade, shape=(rows, cols))
+        expected = from_grid(grid, grade, cols)
         assert result == expected and hash(result) == hash(expected)
         # lowest terms: no integer above 1 divides the denominator and every numerator
         assert math.gcd(result.denominator, *(v for m in result.numerators for row in m for v in row)) == 1

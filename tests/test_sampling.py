@@ -95,14 +95,15 @@ class TestSampling:
                     assert got.grade == want.grade == d
         assert singular > 0
 
-    def test_attempts_exhausted_alike(self):
+    def test_attempts_exhausted_alike(self, monkeypatch):
+        monkeypatch.setattr(sampling, "MAX_ATTEMPTS", 1)
         outcomes = []
         for seed in range(30):
             spec = SampleSpec(m=5, d=2, r=2, coeff_range=1, seed=seed)
             results = []
-            for draw in (sample_bounded_rank, sample_by_fractions):
+            for draw in (sample_bounded_rank, lambda spec: sample_by_fractions(spec, max_attempts=1)):
                 try:
-                    results.append(draw(spec, max_attempts=1))
+                    results.append(draw(spec))
                 except AttemptsExhausted as exc:
                     results.append(str(exc))
             assert results[0] == results[1], spec

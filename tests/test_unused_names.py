@@ -1,5 +1,9 @@
 """No dead names in `src/`: every import is used, every private function is called, and
-every public function, class and method has a caller outside the tests' own checks."""
+every public function, class and method has a caller outside the tests' own checks, which
+also passes every parameter that has a default.
+
+The guards match names, not receivers: a call `x.size()` counts for every method named
+`size`, so a dead member can hide behind a live one of the same name."""
 
 import ast
 from pathlib import Path
@@ -123,3 +127,75 @@ def test_every_public_method_has_a_caller():
     }
     # an allowlisted override that gains a caller, or goes, leaves the list
     assert uncalled == PROTOCOL_OVERRIDES
+
+
+def _passed(trees) -> dict:
+    """Called name -> (the most positional arguments of a call, the keywords its calls pass).
+
+    A call is counted under the name it calls, bare or as an attribute. A
+    `*args` call passes every position, and a `**kwargs` call every keyword
+    (None stands for both).
+    """
+    passed: dict = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            entry = passed.setdefault(name, [0, set()])
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            entry[0] = None if entry[0] is None or starred else max(entry[0], len(node.args))
+            entry[1].update(keyword.arg for keyword in node.keywords)
+    return passed
+
+
+def _defaulted(function, method: bool):
+    """(position among the call's positional arguments, name) of each parameter with a default."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    skip = method and not any(getattr(d, "id", None) == "staticmethod" for d in function.decorator_list)
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield i - skip, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def test_every_defaulted_parameter_is_passed():
+    # A default that no caller overrides is a constant in disguise. A
+    # constructor's parameters are passed by calls to its class, or to a
+    # subclass that does not define its own
+    trees, _ = _caller_trees()
+    passed = _passed(trees)
+    classes = {node.name: node for tree in TREES.values() for node in tree.body if isinstance(node, ast.ClassDef)}
+    unpassed = []
+    for module, tree in TREES.items():
+        functions = [(node, None) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        functions += [
+            (node, cls)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+        ]
+        for function, cls in functions:
+            names = [function.name]
+            if function.name == "__init__":
+                names = [cls.name] + [
+                    sub.name
+                    for sub in classes.values()
+                    if cls.name in {getattr(base, "id", None) for base in sub.bases}
+                    and not any(isinstance(n, ast.FunctionDef) and n.name == "__init__" for n in sub.body)
+                ]
+            calls = [passed[name] for name in names if name in passed]
+            for position, parameter in _defaulted(function, cls is not None):
+                if not any(
+                    parameter in keywords or None in keywords or most is None
+                    or (position is not None and position < most)
+                    for most, keywords in calls
+                ):
+                    owner = f"{cls.name}." if cls is not None else ""
+                    unpassed.append(f"{module}: {owner}{function.name}({parameter})")
+    assert unpassed == []
