@@ -13,10 +13,13 @@ trailing coefficient blocks, and yields dim S_k and the dimension of that
 projection's fiber F_k. ker C_k is the fiber of stage k + deg P, so one pass
 gives both the prefix and the kernel dimensions. Each stage is one
 row-space computation (`exact._extend_basis`) that reads both the rank of
-its system and the next window, and the rows that carry the constant
-coefficient P_0, the same at every stage, are reduced only once. The rows
-are sparse integer vectors, reduced with gcd-reduced multipliers over
-their nonzero entries only, and each is divided by its content. One
+its system and the next window. By shift invariance each window lies
+inside the next (the nesting of Wong sequences; Wong 1974, Van Dooren
+1979), so one echelon basis serves every stage: the rows that carry the
+constant coefficient P_0 are reduced once, and each window vector's row
+once, at the stage after the vector first appears. The rows are sparse
+integer vectors, reduced with gcd-reduced multipliers over their nonzero
+entries only, and each is divided by its content. One
 staircase serves every exact caller, and one pair of functions turns
 dimensions into indices for both backends: `indices_from_kernel_dims`
 (second differences give the minimal indices) and
@@ -213,15 +216,28 @@ def _staircase(P: MatrixPolynomial):
     block, x). Each unknown gets the row (its column of A | its image under
     M), and one echelon basis of these rows (`exact._extend_basis`) reads
     both: the rows pivoting inside A number rank A, and the others, zero
-    on A, are an echelon basis of M(ker A), the next window. The rows of x
-    are the same at every stage, so their basis is reduced once, and each
-    stage adds only its window's rows.
+    on A, are an echelon basis of M(ker A), the next window.
+
+    The windows nest, so that basis carries over from stage to stage. The
+    convolution system is shift invariant: (x_0, ..., x_k) in S_k gives
+    (0, x_0, ..., x_k) in S_{k+1}, with the same trailing window, so each
+    window lies inside the next (the nesting of Wong sequences). A window
+    vector's row is linear in the vector, so the rows of stage k span a
+    subspace of those of stage k+1, and stage k's echelon basis extends to
+    one of stage k+1 by the rows of only the window vectors new at stage k:
+    the rows appended since stage k that pivot at or beyond m = rows(P).
+    In any echelon basis, those rows span exactly the part of the row space
+    that is zero on A: a combination whose least pivot p is below m is
+    nonzero at p, where every other row it uses is zero. So rank A and the
+    window, read from the whole basis, are those of the stage's own rows;
+    the rows of x, which carry P_0, and each window vector's row are
+    reduced once.
 
     Rows and window vectors are sparse, {position: nonzero int} dicts: a
-    row's positions below m = rows(P) are A's rows, and m + j is entry j of
-    the next window. [P_delta ... P_1] is held by columns, so a window
-    vector's column of W sums over its nonzero entries only, and dropping
-    the oldest block is an offset of the positions.
+    row's positions below m are A's rows, and m + j is entry j of the next
+    window. [P_delta ... P_1] is held by columns, so a window vector's
+    column of W sums over its nonzero entries only, and dropping the oldest
+    block is an offset of the positions.
     """
     coeffs = P.numerators[: max(P.degree, 0) + 1]
     delta, n, m = len(coeffs) - 1, P.cols, P.rows
@@ -232,18 +248,20 @@ def _staircase(P: MatrixPolynomial):
         for mat in coeffs[:0:-1]
         for j in range(n)
     ]
-    head = []
+    # one echelon basis for every stage: the rows of x, then each window
+    # vector's row from the stage after the vector first appears
+    basis = []
     for i in range(n):
         # x_i: column i of P_0, then a 1 at x_i in the next window (none if delta = 0)
         vec = {r: v for r, row in enumerate(coeffs[0]) if (v := row[i])}
         if delta:
             vec[m + (delta - 1) * n + i] = 1
-        _extend_basis(head, vec)
-    # window vectors over (x_{k-delta+1}, ..., x_k)
-    window, fiber_dim = [], 0
+        _extend_basis(basis, vec)
+    # the window vectors over (x_{k-delta+1}, ..., x_k) new at stage k, the
+    # window's size, and the basis rows that stage k had read
+    new, width, read, fiber_dim = [], 0, 0, 0
     while True:
-        basis = list(head)
-        for tail in window:
+        for tail in new:
             # its coefficient: the window vector's column of W, then the
             # vector shifted by one block, its oldest block dropped
             column = [0] * m
@@ -254,9 +272,10 @@ def _staircase(P: MatrixPolynomial):
             vec.update((m + j - n, t) for j, t in tail.items() if j >= n)
             _extend_basis(basis, vec)
         rank = sum(1 for piv, _ in basis if piv < m)
-        prefix_dim = fiber_dim + n + len(window) - rank
-        window = [{k - m: v for k, v in row.items()} for piv, row in basis if piv >= m]
-        fiber_dim = prefix_dim - len(window)
+        prefix_dim = fiber_dim + n + width - rank
+        new = [{k - m: v for k, v in row.items()} for piv, row in basis[read:] if piv >= m]
+        read, width = len(basis), width + len(new)
+        fiber_dim = prefix_dim - width
         yield prefix_dim, fiber_dim
 
 

@@ -177,3 +177,31 @@ def test_closure_bfs_ops_stay_on_packed_states(bench_modules, monkeypatch):
         most = {name: max(most[name], calls[name]) for name in bounds}
     assert most == bounds
     assert (len(explored), max(explored)) == (29, 64)
+
+
+def test_lin_generic_staircase_reduces_each_row_once(bench_modules, monkeypatch):
+    # The staircase keeps one echelon basis for all its stages: it reduces
+    # the n rows of x, which carry P_0, once and each window vector once, at
+    # the stage after the vector first appears. A pencil's window lies in an
+    # n-dimensional space, so an op on an n x n pencil reduces at most 2n
+    # rows. A staircase that re-reduces every window vector at every stage
+    # makes 27 to 135 reductions per op here, more than 2n on every op
+    from skewstruct import eigenstructure, linearize
+
+    workloads, _ = bench_modules
+    real_extend = eigenstructure._extend_basis
+    calls = []
+
+    def counted_extend(basis, vec):
+        calls.append(1)
+        return real_extend(basis, vec)
+
+    monkeypatch.setattr(eigenstructure, "_extend_basis", counted_extend)
+    sizes, counts = [], []
+    for op in workloads.LinGeneric(seed=1, workdir=None).round(0):
+        sizes.append(linearize.build_linearization(linearize.pad_grade(op.sample)).pencil.rows)
+        calls.clear()
+        assert op.check(op.run(), False)
+        counts.append(len(calls))
+    assert sizes == [9, 18, 25, 25, 30, 40]
+    assert all(n < count <= 2 * n for n, count in zip(sizes, counts)), counts

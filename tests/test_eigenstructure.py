@@ -278,8 +278,9 @@ class TestMinimalIndices:
     def test_staircase_eliminates_p0_once(self, monkeypatch):
         # padded (d, m, r) = (4, 8, 1): a 40x40 pencil whose staircase runs
         # many stages; the n rows of x_{k+1}, which carry P_0, are reduced
-        # once, at stage 0, and each later stage adds one row per vector of
-        # the previous stage's window
+        # once, at stage 0, and the windows nest, so each later stage adds
+        # one row per vector new to the previous stage's window: the
+        # window's growth, [40, 6, 6, 6, 4, 0, ...] here
         sample = sample_bounded_rank(SampleSpec(8, 4, 1, seed=0))
         pencil = build_linearization(pad_grade(sample)).pencil
         n, expected = pencil.cols, minimal_indices(pencil)
@@ -298,7 +299,8 @@ class TestMinimalIndices:
             prefix_dim, fiber_dim = next(stages)
             per_stage.append(len(calls))
             windows.append(prefix_dim - fiber_dim)
-        assert per_stage == [n] + windows[1:-1]
+        assert per_stage == [n] + [b - a for a, b in zip(windows[:-2], windows[1:-1])]
+        assert per_stage[:6] == [40, 6, 6, 6, 4, 0]
         assert min(windows[1:]) > 0
     def test_left_equals_right_for_skew(self):
         rng = random.Random(15)
@@ -377,6 +379,24 @@ class TestPrefixDims:
             rows = m.rows
             kernel_dims(m, 4)
         assert max(window_bits) > 64
+
+    @pytest.mark.parametrize("d, m, r", [(2, 3, 1), (2, 4, 1), (2, 5, 2), (4, 3, 1)])
+    def test_long_staircases_match_the_dense_oracles(self, d, m, r):
+        # the linearized pencils of criterion-3 cells of size 9 to 15, and
+        # their reversals, which analyze reads: 4 to 8 stages, each feeding
+        # its new window vectors into the one basis, checked through the
+        # meeting stage; each window lies inside the next, so its size
+        # never falls
+        sample = sample_bounded_rank(SampleSpec(m=m, d=d, r=r, coeff_range=9, seed=7))
+        pencil = build_linearization(pad_grade(sample)).pencil
+        for R in (pencil, rev(pencil, 1)):
+            kappa, epsilon = multiplicities_at_zero(R), minimal_indices(R)
+            meeting = max(max(kappa, default=0), max(epsilon, default=0) + 1, 1)
+            assert meeting >= 3
+            assert prefix_dims(R, meeting) == prefix_dims_by_toeplitz(R, meeting)
+            assert kernel_dims(R, meeting - 1) == kernel_dims_by_convolution(R, meeting - 1)
+            windows = [dim - fiber for dim, fiber in itertools.islice(_staircase(R), meeting + 1)]
+            assert windows == sorted(windows)
 
     def test_multiplicities_at_zero(self):
         rng = random.Random(19)
