@@ -39,9 +39,7 @@ from .points import (
 # kind -> (least index, carries a finite eigenvalue), in canonical order
 _GENERAL = {"E_finite": (1, True), "E_infinite": (1, False), "L": (0, False), "L_T": (0, False)}
 _SKEW = {"H": (1, True), "K": (1, False), "M": (0, False)}
-GENERAL_KINDS = tuple(_GENERAL)
-SKEW_KINDS = tuple(_SKEW)
-_POSITION = {kind: i for kinds in (GENERAL_KINDS, SKEW_KINDS) for i, kind in enumerate(kinds)}
+_POSITION = {kind: i for kinds in (_GENERAL, _SKEW) for i, kind in enumerate(kinds)}
 
 # the one place the skew <-> general correspondence lives: each skew block
 # of index k unfolds to these two general blocks of index k, with its eigenvalue

@@ -3,8 +3,9 @@
 The congruence orbit of an n x n skew pencil is a manifold inside the
 n(n-1)-dimensional space of skew pencils; its codimension can be computed
 
-* from the block structure, for every skew block list (the
-  Dmytryshyn-Kågström-Sergeichuk count),
+* from the Hom count of the unfolded block list, for every skew block list
+  (`codim_blocksum`, which halves `codim_general` by the congruence
+  involution),
 * from closed forms in the defining parameters of the generic structures, and
 * from the exact rank of the tangent map X -> (X^T A + A X, X^T B + B X),
 
@@ -23,10 +24,9 @@ sums it over a block count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
-from .blocks import BlockList, GeneralBlock, assemble_skew
+from .blocks import BlockList, GeneralBlock, assemble_skew, skew_to_general
 from .errors import FlavorMismatch, InternalInconsistency, NotSkewSymmetric, ParamDomain
 from .exact import MatrixPolynomial, rank_exact
 from .generic import PencilGenericParams, PolyGenericParams, generic_pencil_structure
@@ -42,28 +42,23 @@ class CodimReport:
 
 
 def codim_blocksum(blocklist: BlockList) -> int:
-    """Codimension of a congruence orbit, read off its skew blocks.
+    """Codimension of a congruence orbit, read off its skew blocks through the Hom count.
 
-    The Dmytryshyn-Kågström-Sergeichuk count (LAA 438, 2013) has three
-    parts. Each eigenvalue (a rational, a symbol, or infinity for the K
-    blocks) whose blocks have indices q_1 >= q_2 >= ... adds
-    q_1 + 5 q_2 + 9 q_3 + ...; each M block adds the total size of the H
-    and K blocks; each pair of M blocks with indices a >= b adds 2a + 1, or
-    2a + 2 when a == b.
+    For an n x n skew pencil P, Z -> (-Z^T, Z) maps the congruence
+    stabilizer {Z: Z^T A + A Z = 0 for both coefficients A} onto the fixed
+    space of the involution tau(X, Y) = (-Y^T, -X^T) on End(P) = {(X, Y):
+    X A = A Y}. So the codimension, dim stabilizer - n, is
+    (dim End(P) + tr tau) / 2 - n, and dim End(P) is `codim_general` of the
+    unfolded list. tau sends the Hom component from block b to block c to
+    the one from c to b, so only each block's own End adds to the trace.
+    One block's codimension, in the Dmytryshyn-Kågström-Sergeichuk count
+    (LAA 438, 2013), is k for H_k and K_k, whose End has dimension 4k, and
+    0 for M_k, whose End has dimension 2k + 2. So tau has trace 2k, the
+    block's rank, on every block, and tr tau = rank P.
     """
     if blocklist.flavor != "skew":
         raise FlavorMismatch("codim_blocksum needs a skew block list")
-    at_point: dict = {}  # the K blocks' eigenvalue, None, stands for infinity
-    m_sizes = []
-    for b in blocklist.blocks:  # canonical order: indices descend within a kind
-        if b.kind == "M":
-            m_sizes.append(b.index)
-        else:
-            at_point.setdefault(b.eigenvalue, []).append(b.index)
-    jordan = sum((4 * i + 1) * q for qs in at_point.values() for i, q in enumerate(qs))
-    regular_size = blocklist.total_rows - sum(2 * a + 1 for a in m_sizes)
-    singular = sum(2 * a + (2 if a == b else 1) for a, b in combinations(m_sizes, 2))
-    return jordan + regular_size * len(m_sizes) + singular
+    return (codim_general(skew_to_general(blocklist).counts()) + blocklist.rank - 2 * blocklist.total_rows) // 2
 
 
 def dim_hom(a: GeneralBlock, b: GeneralBlock) -> int:

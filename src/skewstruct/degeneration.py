@@ -53,8 +53,7 @@ from fractions import Fraction
 from .blocks import BlockList, GeneralBlock, skew_to_general
 from .codimension import _shape, codim_general, dim_hom
 from .errors import InvalidBlock, MissingBlocks, ParamDomain, ShapeMismatch, SideConditionViolated
-from .fileio import json_int
-from .points import INFINITY, SymbolicPoint, format_eigenvalue, parse_eigenvalue
+from .points import INFINITY, SymbolicPoint, format_eigenvalue
 
 
 # the exact types of a RuleApplication's fields; None leaves a field unused
@@ -114,35 +113,6 @@ class RuleApplication:
             out["sizes"] = list(self.sizes)
             out["eigenvalues"] = [format_eigenvalue(e) for e in self.eigenvalues]
         return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RuleApplication":
-        """Read the JSON form; malformed input raises SideConditionViolated."""
-        try:
-            rule = json_int(data["rule"])
-            if rule in (1, 2):
-                return cls(rule, j=json_int(data["j"]), k=json_int(data["k"]))
-            if rule in (3, 4, 5):
-                return cls(
-                    rule,
-                    j=json_int(data["j"]),
-                    k=json_int(data["k"]),
-                    eigenvalue=parse_eigenvalue(data["eigenvalue"]),
-                )
-            if rule == 6:
-                sizes, eigenvalues = data["sizes"], data["eigenvalues"]
-                if not (isinstance(sizes, list) and isinstance(eigenvalues, list)):
-                    raise TypeError("sizes and eigenvalues must be lists")
-                return cls(
-                    6,
-                    p=json_int(data["p"]),
-                    q=json_int(data["q"]),
-                    sizes=tuple(json_int(s) for s in sizes),
-                    eigenvalues=tuple(parse_eigenvalue(e) for e in eigenvalues),
-                )
-        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise SideConditionViolated(f"malformed rule application {data!r}") from exc
-        raise SideConditionViolated(f"unknown rule {rule}")
 
 
 def _eigen_or_none(index: int, point):

@@ -53,8 +53,7 @@ from .exact import (
     rev,
     skew_smith,
 )
-from .fileio import FileFormatError, json_int, json_rational
-from .points import INFINITY, eigenvalue_sort_key, format_eigenvalue, parse_eigenvalue
+from .points import eigenvalue_sort_key, format_eigenvalue
 
 
 def _finite_sort_key(factor):
@@ -139,50 +138,6 @@ class CompleteEigenstructure:
             "left_minimal": list(self.left_minimal),
             "right_minimal": list(self.right_minimal),
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CompleteEigenstructure":
-        """Read the JSON form; malformed input raises FileFormatError.
-
-        Factor coefficients are strict "num/den" strings, as the writer
-        emits them (`points.parse_rational`); counts are JSON integers. A
-        factor must be monic of positive degree or a finite point, appear
-        once, and have positive multiplicities. Sizes, infinite
-        multiplicities and minimal indices must not be negative.
-        """
-        try:
-            finite = {}
-            for item in data["finite"]:
-                key = item["factor"]
-                if isinstance(key, list):
-                    factor = RationalPolynomial([json_rational(c) for c in key])
-                    if factor.degree < 1 or not factor.is_monic():
-                        raise ValueError(f"factor {key} is not monic of positive degree")
-                else:
-                    factor = parse_eigenvalue(key)
-                    if factor is INFINITY:
-                        raise ValueError("infinity is not a finite factor")
-                if factor in finite:
-                    raise ValueError(f"factor {key} appears twice")
-                mults = _json_ints(item["multiplicities"])
-                if not mults or min(mults) < 1:
-                    raise ValueError(f"multiplicities {list(mults)} are not all positive")
-                finite[factor] = mults
-            size, grade, rank = (json_int(data[name]) for name in ("size", "grade", "rank"))
-            infinite, left, right = (
-                _json_ints(data[name]) for name in ("infinite", "left_minimal", "right_minimal")
-            )
-            if min((size, grade, rank) + infinite + left + right) < 0:
-                raise ValueError("sizes, multiplicities and indices must not be negative")
-        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise FileFormatError(f"malformed eigenstructure: {exc}") from exc
-        return cls.build(size, size, grade, rank, finite, infinite, left, right)
-
-
-def _json_ints(values) -> tuple:
-    if not isinstance(values, list):
-        raise TypeError(f"{values!r} is not a list")
-    return tuple(json_int(v) for v in values)
 
 
 def same_orbit(first: CompleteEigenstructure, second: CompleteEigenstructure) -> bool:

@@ -172,9 +172,6 @@ class RationalPolynomial:
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else _ZERO
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):

@@ -24,16 +24,6 @@ class FileFormatError(SkewstructError, ValueError):
     """Raised when an input file does not match its documented schema."""
 
 
-def json_int(value) -> int:
-    """A JSON integer; raises TypeError for anything else, bools included.
-
-    int() would truncate 1.7 and take true for 1.
-    """
-    if type(value) is not int:
-        raise TypeError(f"{value!r} is not an integer")
-    return value
-
-
 def json_rational_parts(text) -> tuple:
     """(num, den) of a strict "num/den" string (`points.rational_parts`); FileFormatError otherwise."""
     if not isinstance(text, str):
@@ -42,11 +32,6 @@ def json_rational_parts(text) -> tuple:
         return rational_parts(text)
     except ValueError as exc:
         raise FileFormatError(f"malformed rational {text!r}") from exc
-
-
-def json_rational(text) -> Fraction:
-    """A strict "num/den" string (`json_rational_parts`) as a Fraction."""
-    return Fraction(*json_rational_parts(text))
 
 
 def _format_rational(value: Fraction) -> str:

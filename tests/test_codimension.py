@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 from oracles import codim_general_by_tangent, dim_hom_dense
-from test_degeneration import skew_sources
 
-from skewstruct.blocks import BlockList, GeneralBlock, SkewBlock, assemble_skew, general_to_skew
+from skewstruct.blocks import BlockList, GeneralBlock, SkewBlock, assemble_skew
 from skewstruct.codimension import (
     codim_blocksum,
     codim_general,
@@ -45,9 +44,20 @@ class TestBlocksum:
         ],
     )
     def test_eigenvalue_blocks(self, blocks, expected):
-        # blocks at one point add q_1 + 5 q_2 + ...; each M block adds the
-        # size of the H and K blocks
+        # the Dmytryshyn-Kågström-Sergeichuk count: blocks at one point add
+        # q_1 + 5 q_2 + ...; each M block adds the size of the H and K blocks
         assert codim_blocksum(BlockList.skew(blocks)) == expected
+
+    def test_one_block_codimensions(self):
+        # the lemma behind the Hom count: alone, H_k and K_k have
+        # codimension k and M_k has 0, so the involution's trace on each
+        # block's own End is its rank
+        blocks = [(SkewBlock.m(0), 0)]
+        for k in range(1, 7):
+            blocks += [(SkewBlock.h(k, 0), k), (SkewBlock.k(k), k), (SkewBlock.m(k), 0)]
+        for block, expected in blocks:
+            structure = BlockList.skew([block])
+            assert codim_tangent(assemble_skew(structure)) == codim_blocksum(structure) == expected, str(block)
 
     def test_needs_a_skew_list(self):
         with pytest.raises(FlavorMismatch):
@@ -143,18 +153,6 @@ class TestCodimGeneral:
             assert codim_general(structure.counts()) == codim_general_by_tangent(structure), str(structure)
             checked += structure.total_rows != structure.total_cols
         assert checked > 20
-
-    def test_folds_to_the_blocksum(self):
-        # a skew orbit's congruence codimension from the strict-equivalence
-        # one of its unfolding, on every skew list with n <= 8
-        checked = 0
-        for n in range(1, 9):
-            for general in skew_sources(n):
-                skew = general_to_skew(general)
-                m_blocks = sum(b.kind == "M" for b in skew.blocks)
-                assert (codim_general(general.counts()) - n - m_blocks) / 2 == codim_blocksum(skew), str(skew)
-                checked += 1
-        assert checked == 163
 
 
 class TestClosedForms:

@@ -861,64 +861,6 @@ class TestPackedStates:
             assert str(search_error.value) == str(dict_error.value)
 
 
-class TestRuleApplicationJson:
-    def test_roundtrip(self):
-        apps = [
-            RuleApplication(1, j=1, k=2),
-            RuleApplication(3, j=0, k=1, eigenvalue=Fraction(5, 2)),
-            RuleApplication(4, j=1, k=1, eigenvalue=INFINITY),
-            RuleApplication(
-                6, p=0, q=1, sizes=(1, 1), eigenvalues=(SymbolicPoint("s0"), Fraction(3))
-            ),
-        ]
-        for app in apps:
-            data = json.loads(json.dumps(app.to_json_dict()))
-            assert RuleApplication.from_json_dict(data) == app
-
-    @pytest.mark.parametrize(
-        "data",
-        [
-            # non-integers that int() would truncate or coerce
-            {"rule": 1.7, "j": 1.9, "k": True},
-            {"rule": 1.0, "j": 1, "k": 2},
-            {"rule": 1, "j": 1, "k": "2"},
-            {"rule": True, "j": 1, "k": 2},
-            {"rule": 3, "j": 0.5, "k": 1, "eigenvalue": "2"},
-            {"rule": 6, "p": 0, "q": 1.0, "sizes": [1, 1], "eigenvalues": ["1", "2"]},
-            {"rule": 6, "p": 0, "q": 1, "sizes": [1, 1.5], "eigenvalues": ["1", "2"]},
-            {"rule": 6, "p": 0, "q": 1, "sizes": [1, False], "eigenvalues": ["1", "2"]},
-            # missing keys
-            {},
-            {"rule": 1, "j": 1},
-            {"rule": 4, "j": 1, "k": 1},
-            {"rule": 6, "p": 0, "q": 1, "sizes": [1]},
-            # wrong containers and values
-            {"rule": 6, "p": 0, "q": 1, "sizes": 2, "eigenvalues": ["1", "2"]},
-            {"rule": 6, "p": 0, "q": 1, "sizes": "11", "eigenvalues": ["1", "2"]},
-            {"rule": 6, "p": 0, "q": 1, "sizes": [1], "eigenvalues": "1"},
-            {"rule": 3, "j": 0, "k": 1, "eigenvalue": 2},
-            {"rule": 3, "j": 0, "k": 1, "eigenvalue": "1/0"},
-            [],
-            None,
-            "rule",
-        ],
-    )
-    def test_malformed_raises(self, data):
-        with pytest.raises(SideConditionViolated, match="malformed"):
-            RuleApplication.from_json_dict(data)
-
-    @pytest.mark.parametrize("text", [" 1_0 ", "-1_0", "+3", "1/-2", "1/"])
-    def test_non_canonical_eigenvalue(self, text):
-        # int() reads the first four, and "1/" was read as 1
-        with pytest.raises(SideConditionViolated, match="malformed"):
-            RuleApplication.from_json_dict({"rule": 3, "j": 0, "k": 1, "eigenvalue": text})
-
-    @pytest.mark.parametrize("rule", [0, 7, 9, -1])
-    def test_unknown_rule(self, rule):
-        with pytest.raises(SideConditionViolated, match=f"unknown rule {rule}"):
-            RuleApplication.from_json_dict({"rule": rule})
-
-
 class TestEnumeration:
     def test_enumeration_is_legal(self):
         s0, s1, s2 = (SymbolicPoint(name) for name in ("s0", "s1", "s2"))

@@ -5,13 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from skewstruct import eigenstructure, exact
 from skewstruct.blocks import BlockList, SkewBlock, assemble_skew, blocklist_eigenstructure
 from skewstruct.eigenstructure import (
-    CompleteEigenstructure,
     _staircase,
     _structure_at_zero,
     analyze,
@@ -27,7 +24,6 @@ from skewstruct.errors import (
     GradeTooSmall,
     InternalInconsistency,
     NotSkewSymmetric,
-    SkewstructError,
     ZeroRank,
 )
 from skewstruct.exact import (
@@ -40,7 +36,6 @@ from skewstruct.exact import (
     rev,
     smith_form,
 )
-from skewstruct.fileio import FileFormatError
 from skewstruct.linearize import build_linearization, pad_grade
 from skewstruct.sampling import SampleSpec, sample_bounded_rank
 
@@ -730,115 +725,4 @@ class TestSameOrbit:
         b = analyze(skew2(x**2), 3)
         assert not same_orbit(a, b)
 
-    def test_json_roundtrip(self):
-        e = analyze(skew2((x**2 + 1) * x), 3)
-        again = CompleteEigenstructure.from_json_dict(e.to_json_dict())
-        assert same_orbit(e, again)
 
-
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
-    max_leaves=8,
-)
-_COUNTS = st.lists(st.integers(-1, 3), max_size=3) | _JSON
-_COEFF = st.sampled_from(["1", "-1/2", "0/1", "2/4", " -1_0 ", "+3", "1.5", "1e3", "1/0", ""]) | _JSON
-# near-miss structures reach the per-field checks far more often than random JSON
-_STRUCTURE = st.fixed_dictionaries(
-    {
-        "size": st.integers(0, 4) | _JSON,
-        "grade": st.integers(0, 3) | _JSON,
-        "rank": st.integers(0, 4) | _JSON,
-        "finite": st.lists(
-            st.fixed_dictionaries(
-                {
-                    "factor": st.lists(_COEFF, max_size=3)
-                    | st.sampled_from(["inf", "@a", "3", "1/2", "x", "@"])
-                    | _JSON,
-                    "multiplicities": _COUNTS,
-                }
-            )
-            | _JSON,
-            max_size=3,
-        )
-        | _JSON,
-        "infinite": _COUNTS,
-        "left_minimal": _COUNTS,
-        "right_minimal": _COUNTS,
-    }
-)
-_VALID_STRUCTURES = [
-    analyze(skew2((x**2 + 1) * x), 3).to_json_dict(),
-    analyze(M1_PENCIL, 1).to_json_dict(),
-    blocklist_eigenstructure(BlockList.skew([SkewBlock.h(2, Fraction(-1, 2)), SkewBlock.k(1)])).to_json_dict(),
-]
-
-
-class TestEigenstructureJson:
-    @pytest.mark.parametrize("coeff", [" -1_0 ", "+3", "1.5", "1e3", "1/-2", "1/0", 3, None, ["1"]])
-    def test_non_canonical_coefficient(self, coeff):
-        # Fraction() read the first four, as -10, 3, 3/2 and 1000
-        data = _VALID_STRUCTURES[0] | {"finite": [{"factor": [coeff, "1"], "multiplicities": [1]}]}
-        with pytest.raises(SkewstructError, match="malformed"):
-            CompleteEigenstructure.from_json_dict(data)
-
-    @pytest.mark.parametrize(
-        "factor, mults",
-        [
-            ([], [1, 1]),
-            (["0/1"], [1, 1]),
-            (["5/1"], [1, 1]),
-            (["2/1", "2/1"], [1, 1]),
-            (["0/1", "1/1"], [0, 0]),
-            (["0/1", "1/1"], [-1, -1]),
-            (["0/1", "1/1"], []),
-            ("3/1", [0, 0]),
-        ],
-        ids=[
-            "zero", "zero-constant", "constant", "non-monic",
-            "zero-count", "negative", "no-count", "point-zero-count",
-        ],
-    )
-    def test_not_an_elementary_divisor(self, factor, mults):
-        # index_sums() raised OverflowError on the zero factor
-        data = _VALID_STRUCTURES[0] | {"finite": [{"factor": factor, "multiplicities": mults}]}
-        with pytest.raises(FileFormatError, match="malformed"):
-            CompleteEigenstructure.from_json_dict(data)
-
-    @pytest.mark.parametrize(
-        "fields",
-        [
-            {"finite": [{"factor": ["0/1", "1/1"], "multiplicities": [1, 1]},
-                        {"factor": ["0/1", "1/1"], "multiplicities": [2, 2]}]},
-            {"finite": [{"factor": "@a", "multiplicities": [1]}, {"factor": "@a", "multiplicities": [1]}]},
-            {"finite": [{"factor": "inf", "multiplicities": [1, 1]}]},
-            {"infinite": [-1, -1]},
-            {"left_minimal": [-1]},
-            {"right_minimal": [-1]},
-            {"size": -3},
-            {"grade": -1},
-            {"rank": -2},
-        ],
-        ids=[
-            "duplicate-factor", "duplicate-point", "inf-factor", "negative-infinite",
-            "negative-left-index", "negative-right-index", "negative-size", "negative-grade",
-            "negative-rank",
-        ],
-    )
-    def test_impossible_structure(self, fields):
-        # a second entry for one factor replaced the first, and the rest read
-        # back as given: "size": -3 gave rows == -3
-        with pytest.raises(FileFormatError, match="malformed"):
-            CompleteEigenstructure.from_json_dict(_VALID_STRUCTURES[0] | fields)
-
-    @given(st.sampled_from(_VALID_STRUCTURES) | _STRUCTURE | _JSON)
-    @settings(max_examples=400, deadline=None)
-    def test_round_trips_or_raises_library_error(self, data):
-        try:
-            out = CompleteEigenstructure.from_json_dict(data)
-        except SkewstructError:
-            return
-        out.index_sums()
-        again = CompleteEigenstructure.from_json_dict(out.to_json_dict())
-        assert again == out
-        assert again.to_json_dict() == out.to_json_dict()

@@ -4,7 +4,10 @@ The oracles in `oracles.py` rank with their own elimination, never with the
 library kernel. `src/` has one Smith reduction, `skew_smith`, and
 `smith_form` runs it on a skew embedding; the general reduction by row and
 column operations lives in `oracles.smith_by_equivalence` as the reference
-for both, so it never reaches the congruence reduction.
+for both, so it never reaches the congruence reduction. `codimension` has one
+block count, the Hom table `dim_hom`: the congruence codimension is read off
+the strict-equivalence one, so a second count per block kind would be a
+second formula to keep in step.
 """
 
 import ast
@@ -14,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ORACLES = ast.parse(Path(__file__).with_name("oracles.py").read_text())
 KERNEL = {"rank_exact", "nullspace_exact", "_extend_basis", "_integer_rows"}
 EXACT = ast.parse((ROOT / "src" / "skewstruct" / "exact.py").read_text())
+CODIMENSION = ast.parse((ROOT / "src" / "skewstruct" / "codimension.py").read_text())
 GENERAL_SMITH = {"_clear_column", "_bring_to_corner"}
 CONGRUENCE_SMITH = {"skew_smith", "smith_form", "_clear_pair", "_swap_index", "_min_degree_pivot"}
 
@@ -48,6 +52,13 @@ def test_src_has_one_smith_reduction():
     functions = _functions(EXACT)
     assert set(functions) & GENERAL_SMITH == set()
     assert "skew_smith" in _names_read(functions["smith_form"])
+
+
+def test_codimension_has_one_block_count():
+    # codim_blocksum halves the Hom count, and only the Hom table reads a block's kind
+    functions = _functions(CODIMENSION)
+    assert "codim_general" in _names_read(functions["codim_blocksum"])
+    assert {name for name, node in functions.items() if "kind" in _names_read(node)} == {"dim_hom"}
 
 
 def test_equivalence_oracle_reaches_no_congruence_reduction():
