@@ -102,6 +102,28 @@ class CompleteEigenstructure:
             right_minimal=tuple(sorted(right_minimal)),
         )
 
+    @classmethod
+    def skew(cls, size, grade, rank, finite, infinite, minimal):
+        """Build a skew-symmetric structure, whose left and right minimal indices are `minimal`.
+
+        Skew symmetry forces an even rank and every multiplicity list, at
+        infinity and at each finite factor, in equal pairs, and the index
+        sum theorem makes all degrees sum to rank * grade. A violation
+        raises InternalInconsistency.
+        """
+        structure = cls.build(size, size, grade, rank, finite, infinite, minimal, minimal)
+        if rank % 2:
+            raise InternalInconsistency(f"odd rank {rank} for a skew-symmetric polynomial")
+        for label, values in (("infinite", structure.infinite), *structure.finite):
+            if values[::2] != values[1::2]:
+                raise InternalInconsistency(f"{label} multiplicities {values} are not in pairs")
+        sums = structure.index_sums()
+        if sum(sums) != rank * grade:
+            raise InternalInconsistency(
+                "index sums {}+{}+{}+{} != rank*grade {}*{}".format(*sums, rank, grade)
+            )
+        return structure
+
     @property
     def size(self) -> int:
         if self.rows != self.cols:
@@ -414,15 +436,15 @@ def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstruc
     evaluation point (`_structure_at_zero`). The reversal keeps the rank and
     the minimal indices, and rev(P, grade) = x^(grade - d) rev(P, d), so the
     multiplicities at infinity are its multiplicities at zero raised by
-    grade - d. By the index sum theorem the finite elementary divisors then
-    have total degree rho * grade - sum(infinite) - sum(left) - sum(right).
-    Only when that
-    deficit is positive does the Smith reduction run, with its invariant
-    polynomials factored over the rationals; a zero deficit leaves no finite
-    elementary divisors, and a negative one raises InternalInconsistency.
-    The pairing of all multiplicity lists, the equality of left and right
-    minimal indices, and the index-sum identity are validated before
-    returning; a violation raises InternalInconsistency.
+    grade - d. For skew P, -P^T = P, so the left minimal indices are the
+    right ones. By the index sum theorem the finite elementary divisors then
+    have total degree rho * grade - sum(infinite) - 2 * sum(minimal). Only
+    when that deficit is positive does the Smith reduction run, with its
+    invariant polynomials factored over the rationals; a zero deficit leaves
+    no finite elementary divisors, and a negative one raises
+    InternalInconsistency. The result is built by
+    `CompleteEigenstructure.skew`, which checks the pairing of every
+    multiplicity list, the even rank and the index-sum identity.
     """
     skew = as_skew(P)
     if grade is not None and grade != skew.grade:
@@ -430,10 +452,9 @@ def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstruc
     grade = skew.grade
 
     d = max(skew.degree, 0)
-    rho, right, at_zero = _structure_at_zero(rev(skew, d))
+    rho, minimal, at_zero = _structure_at_zero(rev(skew, d))
     infinite = tuple(k + grade - d for k in at_zero)
-    left = right  # for skew-symmetric P, -P^T == P
-    deficit = rho * grade - sum(infinite) - sum(left) - sum(right)
+    deficit = rho * grade - sum(infinite) - 2 * sum(minimal)
     if deficit < 0:
         raise InternalInconsistency(f"index sums exceed rank*grade by {-deficit}")
 
@@ -448,37 +469,5 @@ def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstruc
             for factor, exponent in _factor_rational(g):
                 finite.setdefault(factor, []).extend([exponent, exponent])
 
-    structure = CompleteEigenstructure.build(
-        rows=skew.rows,
-        cols=skew.cols,
-        grade=grade,
-        rank=rho,
-        finite=finite,
-        infinite=infinite,
-        left_minimal=left,
-        right_minimal=right,
-    )
-    # the index-sum check here also holds the finite part to the deficit
-    _validate_skew_structure(structure)
-    return structure
-
-
-def _validate_skew_structure(structure: CompleteEigenstructure):
-    if structure.rank % 2:
-        raise InternalInconsistency("odd rank for a skew-symmetric polynomial")
-    if structure.left_minimal != structure.right_minimal:
-        raise InternalInconsistency("left and right minimal indices differ")
-    for label, values in (("infinite", structure.infinite),) + tuple(
-        (str(factor), mults) for factor, mults in structure.finite
-    ):
-        if len(values) % 2:
-            raise InternalInconsistency(f"unpaired {label} multiplicity list")
-        for a, b in zip(values[::2], values[1::2]):
-            if a != b:
-                raise InternalInconsistency(f"{label} multiplicities not in pairs")
-    fin, inf, left, right = structure.index_sums()
-    if fin + inf + left + right != structure.rank * structure.grade:
-        raise InternalInconsistency(
-            f"index sums {fin}+{inf}+{left}+{right} != rank*grade "
-            f"{structure.rank}*{structure.grade}"
-        )
+    # the index-sum check also holds the finite part to the deficit
+    return CompleteEigenstructure.skew(skew.rows, grade, rho, finite, infinite, minimal)

@@ -54,7 +54,7 @@ class AttemptsExhausted(SkewstructError):
 
 
 class RankVerificationFailed(SkewstructError):
-    """The float analysis backend read an impossible numeric rank profile.
+    """The float analysis backend read an impossible numeric rank profile or structure.
 
     Only `floating.analyze_float` raises it; every exact path is decided in
     rationals and never does.

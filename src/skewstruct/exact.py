@@ -39,14 +39,14 @@ _ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
-# raw coefficient-list helpers
+# scalar polynomials
 #
-# A "raw" polynomial is a trimmed list of Fractions, lowest degree first;
-# [] is the zero polynomial. The RationalPolynomial class wraps these. The
+# A RationalPolynomial holds a trimmed tuple of Fractions, lowest degree
+# first, and does its own arithmetic on it; () is the zero polynomial. The
 # one Smith reduction, `skew_smith` by congruence (`smith_form` embeds its
 # input in a skew matrix and calls it), uses trimmed lists of ints in the
 # same layout; its integer helpers (pseudo-division, combination, content,
-# the gcd/lcm pass) sit next to it.
+# the gcd/lcm pass) sit next to it, and `_trim` serves both.
 # ---------------------------------------------------------------------------
 
 
@@ -54,67 +54,6 @@ def _trim(c: list) -> list:
     while c and not c[-1]:
         c.pop()
     return c
-
-
-def _radd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] += v
-    return _trim(out)
-
-
-def _rneg(a):
-    return [-v for v in a]
-
-
-def _rmul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _rdivmod(a, b):
-    """Polynomial division with remainder; b must be nonzero."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    if len(rem) < len(b):
-        return [], rem
-    quot = [_ZERO] * (len(rem) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for k in range(len(rem) - len(b), -1, -1):
-        coeff = rem[k + len(b) - 1] * inv_lead
-        if coeff:
-            quot[k] = coeff
-            for i, bi in enumerate(b):
-                rem[k + i] -= coeff * bi
-    return _trim(quot), _trim(rem)
-
-
-def _rmonic(a):
-    if not a:
-        return []
-    lead = a[-1]
-    if lead == 1:
-        return list(a)
-    return [v / lead for v in a]
-
-
-def _rgcd(a, b):
-    """Monic gcd of two raw polynomials; gcd(0, 0) == 0."""
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _rdivmod(a, b)[1]
-    return _rmonic(a)
 
 
 class RationalPolynomial:
@@ -127,10 +66,7 @@ class RationalPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coefficients: Iterable = ()):
-        coeffs = [_rational(c) for c in coefficients]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", tuple(_trim([_rational(c) for c in coefficients])))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalPolynomial is immutable")
@@ -175,8 +111,13 @@ class RationalPolynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        return RationalPolynomial._raw(_radd(self.coeffs, other.coeffs))
+        a, b = self.coeffs, _coerce(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, v in enumerate(b):
+            out[i] += v
+        return RationalPolynomial._raw(_trim(out))
 
     __radd__ = __add__
 
@@ -187,18 +128,39 @@ class RationalPolynomial:
         return _coerce(other) - self
 
     def __neg__(self):
-        return RationalPolynomial._raw(_rneg(self.coeffs))
+        return RationalPolynomial._raw([-v for v in self.coeffs])
 
     def __mul__(self, other):
-        other = _coerce(other)
-        return RationalPolynomial._raw(_rmul(self.coeffs, other.coeffs))
+        a, b = self.coeffs, _coerce(other).coeffs
+        if not a or not b:
+            return RationalPolynomial()
+        # the leading coefficients' product is nonzero, so out stays trimmed
+        out = [_ZERO] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        out[i + j] += ai * bj
+        return RationalPolynomial._raw(out)
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
-        other = _coerce(other)
-        q, r = _rdivmod(self.coeffs, other.coeffs)
-        return RationalPolynomial._raw(q), RationalPolynomial._raw(r)
+        """Division with remainder; dividing by zero raises ZeroDivisionError."""
+        b = _coerce(other).coeffs
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        quot = [_ZERO] * max(len(rem) - len(b) + 1, 0)
+        inv_lead = 1 / b[-1]
+        for k in range(len(quot) - 1, -1, -1):
+            coeff = rem[k + len(b) - 1] * inv_lead
+            if coeff:
+                quot[k] = coeff
+                for i, bi in enumerate(b):
+                    rem[k + i] -= coeff * bi
+        # the top quotient coefficient is nonzero, so quot stays trimmed
+        return RationalPolynomial._raw(quot), RationalPolynomial._raw(_trim(rem))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -219,7 +181,8 @@ class RationalPolynomial:
         return result
 
     def monic(self) -> "RationalPolynomial":
-        return RationalPolynomial._raw(_rmonic(self.coeffs))
+        lead = self.coeffs[-1] if self.coeffs else 1
+        return self if lead == 1 else RationalPolynomial._raw([v / lead for v in self.coeffs])
 
     def __call__(self, x) -> Fraction:
         x = _rational(x)
@@ -295,8 +258,10 @@ def _coerce(value) -> RationalPolynomial:
 
 
 def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
-    """Monic gcd; gcd(0, 0) is the zero polynomial."""
-    return RationalPolynomial._raw(_rgcd(a.coeffs, b.coeffs))
+    """Monic gcd, by Euclid's algorithm; gcd(0, 0) is the zero polynomial."""
+    while b.coeffs:  # no __bool__: a RationalPolynomial is always true
+        a, b = b, a % b
+    return a.monic()
 
 
 # ---------------------------------------------------------------------------
@@ -777,30 +742,30 @@ def frobenius_distance(P: MatrixPolynomial, Q: MatrixPolynomial) -> FrobeniusDis
 def normal_rank(P: MatrixPolynomial) -> int:
     """Rank of P over the field of rational functions, computed exactly.
 
-    The largest of the ranks `_proving_ranks` takes, which is exactly the
+    The largest of the ranks `_proving_ranks` reads, which is exactly the
     rank over the function field, with no probabilistic caveat. Values are
     immutable, so results are cached.
     """
-    return max(_proving_ranks(P), default=0)
+    return max((rank for _, rank in _proving_ranks(P)), default=0)
 
 
 def _proving_ranks(P: MatrixPolynomial) -> list:
-    """The ranks of P at the points of `_points` that prove its normal rank.
+    """The (point, rank) pairs of `_point_ranks` that prove P's normal rank.
 
     Evaluation stops once the largest rank so far, `best`, reaches
     min(rows, cols) or (best + 1) * degree + 1 points are done: a nonzero
     (best + 1)-minor has degree at most (best + 1) * degree, so it cannot
     vanish at that many points. So `best` is the normal rank, and the first
-    point of the list with that rank is one where P attains it.
+    pair of the list with that rank has a point where P attains it.
     """
     deg = max(P.degree, 0)
     bound = min(P.rows, P.cols)
     point_ranks = _point_ranks(P)
-    ranks, best = [], 0
-    while best < bound and len(ranks) < (best + 1) * deg + 1:
-        ranks.append(next(point_ranks))
-        best = max(best, ranks[-1])
-    return ranks
+    pairs, best = [], 0
+    while best < bound and len(pairs) < (best + 1) * deg + 1:
+        pairs.append(next(point_ranks))
+        best = max(best, pairs[-1][1])
+    return pairs
 
 
 def _points():
@@ -812,13 +777,13 @@ def _points():
 
 
 def _point_ranks(P: MatrixPolynomial):
-    """Exact ranks of P at the points of `_points`, in that order, without end.
+    """(x, exact rank of P at x) for the points x of `_points`, in that order, without end.
 
     Each value is the stored integer coefficients (P times its denominator,
     which keeps the rank) evaluated at the point, `P._scaled_value(x, 1)`.
     """
     for x in _points():
-        yield rank_exact(P._scaled_value(x, 1))
+        yield x, rank_exact(P._scaled_value(x, 1))
 
 
 class SmithForm(NamedTuple):

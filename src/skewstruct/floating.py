@@ -1,6 +1,9 @@
 """Best-effort floating-point backend (`analyze --backend float`).
 
 The only module that imports numpy or scipy; every other answer is exact.
+An answer is built by `CompleteEigenstructure.skew`, so it passes the same
+skew checks as an exact one (even rank, multiplicities in pairs, the index
+sum theorem) or raises RankVerificationFailed.
 """
 
 from __future__ import annotations
@@ -88,8 +91,10 @@ def analyze_float(
     multiplicities at infinity (and at detected eigenvalues) from numeric
     Toeplitz nullity profiles, read by the same functions as the exact
     path. Eigenvalue candidates are linearization eigenvalues filtered by an
-    evaluation rank drop, reported as NumericRoot annotations. Clustered or
-    ill-conditioned spectra can defeat it; the exact path is the reference.
+    evaluation rank drop and by a possible local profile, reported as
+    NumericRoot annotations. Clustered or ill-conditioned spectra can defeat
+    it, and then an impossible profile or a structure failing the skew
+    checks raises RankVerificationFailed; the exact path is the reference.
     """
     skew = as_skew(P)
     if grade is not None:
@@ -113,22 +118,16 @@ def analyze_float(
             value = sum(c * z**i for i, c in enumerate(coeffs))
             if rank_fp(value, tol_rel) >= rho:
                 continue
-            positive = tuple(v for v in multiplicities(_shifted_coeffs(coeffs, z)) if v)
+            try:
+                positive = tuple(v for v in multiplicities(_shifted_coeffs(coeffs, z)) if v)
+            except InternalInconsistency:
+                continue  # no eigenvalue has an impossible local profile
             if positive:
                 finite[NumericRoot(round(z.real, 9), round(z.imag, 9))] = positive
+        return CompleteEigenstructure.skew(m, grade, rho, finite, infinite, minimal)
     except InternalInconsistency as exc:
-        # an impossible profile here is numeric noise, not a library bug
-        raise RankVerificationFailed(f"inconsistent numeric kernel profile: {exc}") from exc
-    return CompleteEigenstructure.build(
-        rows=m,
-        cols=m,
-        grade=grade,
-        rank=rho,
-        finite=finite,
-        infinite=infinite,
-        left_minimal=minimal,
-        right_minimal=minimal,
-    )
+        # an impossible profile or structure here is numeric noise, not a library bug
+        raise RankVerificationFailed(f"inconsistent numeric eigenstructure: {exc}") from exc
 
 
 def _eigenvalue_candidates(coeffs):
@@ -147,7 +146,7 @@ def _eigenvalue_candidates(coeffs):
         a[m * (i + 1) : m * (i + 2), m * i : m * (i + 1)] = np.eye(m)
     b[:m, :m] = coeffs[-1]
     values = eig(a, b, right=False)
-    finite = [z for z in values if np.isfinite(z) and abs(z) < 1e8]
+    finite = [z for z in values if np.isfinite(z)]
     # a size-k Jordan block's computed eigenvalues spread by about eps^(1/k)
     # around it, and their mean is much closer to it than any one of them
     clusters = []

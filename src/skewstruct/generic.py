@@ -93,18 +93,7 @@ def generic_poly_structure(m: int, d: int, r: int) -> CompleteEigenstructure:
     """
     p = PolyGenericParams.validate(m, d, r)
     minimal = [p.beta + 1] * p.t + [p.beta] * (m - 2 * r - p.t)
-    if sum(minimal) != r * d:
-        raise InternalInconsistency(f"generic minimal indices for {(m, d, r)} do not sum to r*d")
-    return CompleteEigenstructure.build(
-        rows=m,
-        cols=m,
-        grade=d,
-        rank=2 * r,
-        finite={},
-        infinite=[0] * (2 * r),
-        left_minimal=minimal,
-        right_minimal=minimal,
-    )
+    return CompleteEigenstructure.skew(m, d, 2 * r, {}, [0] * (2 * r), minimal)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .exact import (
     MatrixPolynomial,
     SkewMatrixPolynomial,
     _point_ranks,
-    _points,
     _proving_ranks,
     as_skew,
     frobenius_distance,
@@ -94,7 +93,7 @@ def sample_bounded_rank(spec: SampleSpec) -> SkewMatrixPolynomial:
         if rank_exact(congruence) < m:
             continue
         sample = _congruence_product(block, congruence, d)
-        if 2 * r in itertools.islice(_point_ranks(sample), 2 * r * d + 1):
+        if any(rank == 2 * r for _, rank in itertools.islice(_point_ranks(sample), 2 * r * d + 1)):
             return sample
     raise AttemptsExhausted(f"no rank-{2 * r} draw in {MAX_ATTEMPTS} attempts")
 
@@ -162,12 +161,10 @@ def perturb_rank_increase(Q: SkewMatrixPolynomial, r: int, k: int) -> Perturbati
     if k < 1:
         raise ParamDomain(f"k must be at least 1, got {k}")
     # the normal rank and the first point attaining it, from one pass (m > 0)
-    ranks = _proving_ranks(skew)
-    rank_q = max(ranks)
-    r1 = rank_q // 2
+    point, rank_q = max(_proving_ranks(skew), key=lambda pair: pair[1])
+    point, r1 = Fraction(point), rank_q // 2
     if r <= r1:
         raise ParamDomain(f"target half-rank {r} must exceed current {r1}")
-    point = Fraction(next(itertools.islice(_points(), ranks.index(rank_q), None)))
 
     at_point = skew.evaluate(point)
     basis = []

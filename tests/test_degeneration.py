@@ -92,6 +92,35 @@ class TestApplyRule:
                 RuleApplication(6, p=0, q=1, sizes=(1, 1), eigenvalues=(Fraction(0), Fraction(0))),
             )  # repeated eigenvalue
 
+    @pytest.mark.parametrize(
+        "app, message",
+        [
+            (RuleApplication(1, j=0, k=1), "rule 1 needs 1 <= j <= k"),
+            (RuleApplication(2, j=2, k=1), "rule 2 needs 1 <= j <= k"),
+            (RuleApplication(3, j=-1, k=0, eigenvalue=Fraction(1)), "rule 3 needs j, k >= 0"),
+            (RuleApplication(4, j=0, k=-1, eigenvalue=INFINITY), "rule 4 needs j, k >= 0"),
+            (RuleApplication(5, j=0, k=1, eigenvalue=Fraction(2)), "rule 5 needs 1 <= j <= k"),
+            (RuleApplication(5, j=2, k=1, eigenvalue=Fraction(2)), "rule 5 needs 1 <= j <= k"),
+            (RuleApplication(6, p=-1, q=1, sizes=(1,), eigenvalues=(Fraction(0),)), "p, q >= 0"),
+            (RuleApplication(6, p=0, q=-1, sizes=(1,), eigenvalues=(Fraction(0),)), "p, q >= 0"),
+            (RuleApplication(6, p=0, q=0, sizes=(), eigenvalues=()), "matching sizes"),
+            (RuleApplication(6, p=0, q=1, sizes=(1, 1), eigenvalues=(Fraction(0),)), "matching sizes"),
+            (RuleApplication(6, p=0, q=1, sizes=(2, 0), eigenvalues=(Fraction(0), Fraction(1))), "positive"),
+        ],
+    )
+    def test_each_side_condition(self, app, message):
+        # the side conditions are checked before any block is looked up
+        with pytest.raises(SideConditionViolated, match=message):
+            apply_rule(gl(L(0), LT(0)), app)
+
+    def test_size_change_raises(self, monkeypatch):
+        # no rule changes the total size; a rule-3 product one row too large
+        # (an uncached _rule_blocks, so that no cached result hides it) does
+        monkeypatch.setattr(degeneration, "_rule_blocks", degeneration._rule_blocks.__wrapped__)
+        monkeypatch.setattr(degeneration, "_eigen_or_none", lambda index, point: E(index + 1, point))
+        with pytest.raises(SideConditionViolated, match="changed the total size"):
+            apply_rule(gl(L(0), E(2, 5)), RuleApplication(3, j=0, k=1, eigenvalue=Fraction(5)))
+
     def test_missing_blocks(self):
         with pytest.raises(MissingBlocks):
             apply_rule(gl(L(0)), RuleApplication(1, j=1, k=1))
@@ -340,6 +369,13 @@ class TestClosureSearch:
         res = closure_reachable(target, source)
         assert (res.status, res.states_explored) == ("yes", 17)
         assert replay_certificate(source, res.certificate) == target
+
+    def test_state_bound_leaves_the_search_inconclusive(self, monkeypatch):
+        # the search above keys 17 states; a bound of 5 stops it at the fifth
+        source, target = gl(*[L(0)] * 3, *[LT(0)] * 3), gl(L(1), LT(1))
+        monkeypatch.setattr(degeneration, "MAX_STATES", 5)
+        res = closure_reachable(target, source)
+        assert (res.status, res.states_explored, res.certificate) == ("no_within_bound", 5, None)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):

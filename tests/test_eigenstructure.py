@@ -9,6 +9,7 @@ import pytest
 from skewstruct import eigenstructure, exact
 from skewstruct.blocks import BlockList, SkewBlock, assemble_skew, blocklist_eigenstructure
 from skewstruct.eigenstructure import (
+    CompleteEigenstructure,
     _staircase,
     _structure_at_zero,
     analyze,
@@ -596,6 +597,31 @@ class TestIndexSumGate:
         monkeypatch.setattr(eigenstructure, "_structure_at_zero", inflated)
         with pytest.raises(InternalInconsistency, match="exceed rank"):
             analyze(M1_PENCIL, 1)
+
+
+class TestSkewConstructor:
+    """`CompleteEigenstructure.skew` checks what skew symmetry forces."""
+
+    def test_one_list_feeds_both_sides(self):
+        # size 5, grade 2, rank 4: x^2 with (1, 1), and one minimal index 2
+        structure = CompleteEigenstructure.skew(5, 2, 4, {x * x: [1, 1]}, [0, 0, 0, 0], [2])
+        assert structure == CompleteEigenstructure.build(5, 5, 2, 4, {x * x: [1, 1]}, [0] * 4, [2], [2])
+        assert structure.left_minimal == structure.right_minimal == (2,)
+
+    @pytest.mark.parametrize(
+        "rank, finite, infinite, minimal, message",
+        [
+            # an odd rank leaves some list unpaired too; the rank is checked first
+            (3, {}, [0, 0, 1], [4], "odd rank"),
+            (4, {x: [1, 1, 2]}, [0, 0, 0, 0], [2], "not in pairs"),  # an odd-length list
+            (4, {x: [1, 3]}, [0, 0, 0, 0], [2], "not in pairs"),  # an unequal finite pair
+            (4, {}, [0, 1, 1, 2], [2], "not in pairs"),  # an unequal infinite pair
+            (4, {}, [0, 0, 0, 0], [5], "index sums"),  # the generic index 4, off by one
+        ],
+    )
+    def test_each_violation_raises(self, rank, finite, infinite, minimal, message):
+        with pytest.raises(InternalInconsistency, match=message):
+            CompleteEigenstructure.skew(5, 2, rank, finite, infinite, minimal)
 
 
 class TestAnalyze:

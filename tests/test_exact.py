@@ -159,6 +159,25 @@ class TestRationalPolynomial:
             assert (a % g).is_zero()
             assert (b % g).is_zero()
 
+    @given(
+        st.lists(st.fractions(max_denominator=4, min_value=-9, max_value=9), max_size=5),
+        st.lists(st.fractions(max_denominator=4, min_value=-9, max_value=9), max_size=5),
+    )
+    def test_arithmetic_laws(self, ca, cb):
+        # every result is trimmed, and division leaves a remainder of lower degree
+        a, b = P(ca), P(cb)
+        results = [a + b, a - b, -a, a * b, b * a]
+        assert (a + b) - b == a and a * b == b * a
+        if b.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                divmod(a, b)
+        else:
+            q, r = divmod(a, b)
+            assert q * b + r == a and r.degree < b.degree
+            results += [q, r, b.monic()]
+        assert all(not c.coeffs or c.coeffs[-1] for c in results)
+        assert all(type(v) is Fraction for c in results for v in c.coeffs)
+
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
     def test_reversal_involution(self, coeffs):
         p = P(coeffs)

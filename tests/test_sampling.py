@@ -1,6 +1,10 @@
 """Tests for sampling, perturbation, and the floating backend."""
 
+import importlib
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,3 +334,52 @@ class TestAnalyzeFloat:
             assert numeric.infinite == exact.infinite
             assert numeric.left_minimal == exact.left_minimal
             assert len(numeric.finite) == len(exact.finite)
+
+    def test_scrambled_sweep_agrees_or_raises(self):
+        # the bench's scrambled structured_blocks pencils at Random(2024),
+        # twelve at each size. Each answer must be the exact one or
+        # RankVerificationFailed, and none of these 36 raises: four have a
+        # spurious eigenvalue candidate whose impossible local profile must
+        # rule the candidate out, not end the analysis
+        bench = str(Path(__file__).resolve().parents[1] / "bench")
+        sys.path.insert(0, bench)
+        try:
+            workloads = importlib.import_module("workloads")
+        finally:
+            sys.path.remove(bench)
+        rng = random.Random(2024)
+        raised = []
+        for n in (6, 8, 10):
+            for _ in range(12):
+                block_list = workloads.structured_blocks(rng, n)
+                pencil = workloads.scramble(rng, assemble_skew(block_list))
+                exact = analyze(pencil, 1)
+                try:
+                    numeric = analyze_float(pencil, 1)
+                except RankVerificationFailed:
+                    raised.append(str(block_list))
+                    continue
+                assert (numeric.rank, numeric.infinite, numeric.left_minimal, numeric.right_minimal) == (
+                    exact.rank,
+                    exact.infinite,
+                    exact.left_minimal,
+                    exact.right_minimal,
+                ), str(block_list)
+                assert sorted(m for _, m in numeric.finite) == sorted(m for _, m in exact.finite), str(block_list)
+        assert raised == []
+
+    def test_missed_eigenvalue_raises(self):
+        # (x + 1) C for a constant skew C of rank 4: H_1(-1) + H_1(-1) + M_0 + M_0
+        # scrambled. The float backend finds no finite eigenvalue here, and
+        # the index sum (0 against rank 4 * grade 1) turns that wrong answer
+        # into RankVerificationFailed; analyze finds x + 1 with (1, 1, 1, 1)
+        upper = {
+            (0, 1): -1, (0, 2): -2, (0, 3): -1, (0, 5): -1,
+            (1, 2): -2, (1, 3): -1, (1, 4): 1, (1, 5): -1,
+            (2, 5): -1,
+            (3, 4): -1, (3, 5): -1,
+        }
+        pencil = SkewMatrixPolynomial.from_upper(6, {ij: c * (x + 1) for ij, c in upper.items()}, grade=1)
+        assert analyze(pencil).finite == ((x + 1, (1, 1, 1, 1)),)
+        with pytest.raises(RankVerificationFailed, match="index sums"):
+            analyze_float(pencil, 1)
