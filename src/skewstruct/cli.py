@@ -65,18 +65,24 @@ def _format_skew_blocks(structure) -> str:
     return " ⊕ ".join(str(b) for b in blocks)
 
 
-def cmd_generic(args) -> int:
+def _check_variant(args) -> None:
+    """The --pencil variant needs --n and --w, the polynomial one --m and --d."""
     if args.pencil:
         if args.n is None or args.w is None:
             raise SkewstructError("--pencil needs --n and --w")
+    elif args.m is None or args.d is None:
+        raise SkewstructError("needs --m and --d (or --pencil with --n/--w)")
+
+
+def cmd_generic(args) -> int:
+    _check_variant(args)
+    if args.pencil:
         structure = generic_pencil_structure(args.n, args.w, args.r)
         if args.json:
             print(dump_json(structure.to_json_dict()), end="")
         else:
             print(_format_skew_blocks(structure))
         return EXIT_OK
-    if args.m is None or args.d is None:
-        raise SkewstructError("needs --m and --d (or --pencil with --n/--w)")
     structure = generic_poly_structure(args.m, args.d, args.r)
     if args.json:
         print(dump_json(structure.to_json_dict()), end="")
@@ -140,9 +146,8 @@ def cmd_linearize(args) -> int:
 
 
 def cmd_codim(args) -> int:
+    _check_variant(args)
     if args.pencil:
-        if args.n is None or args.w is None:
-            raise SkewstructError("--pencil needs --n and --w")
         reports = pencil_codim_reports(args.n, args.w, args.r, via_tangent=args.via_tangent)
         agree = len({rep.value for rep in reports}) == 1
         if args.json:
@@ -154,8 +159,6 @@ def cmd_codim(args) -> int:
         else:
             print(reports[0].value)
         return EXIT_OK if agree else EXIT_NUMERIC
-    if args.m is None or args.d is None:
-        raise SkewstructError("needs --m and --d (or --pencil with --n/--w)")
     if args.via_tangent:
         raise SkewstructError("--via-tangent applies to the --pencil variant")
     reports = poly_codim_reports(args.m, args.d, args.r)

@@ -24,16 +24,16 @@ staircase serves every exact caller, and one pair of functions turns
 dimensions into indices for both backends: `indices_from_kernel_dims`
 (second differences give the minimal indices) and
 `multiplicities_from_prefix_dims` (the excess growth of the prefix spaces
-gives the partial multiplicities). The float backend in `floating` feeds
-the same pair from numpy Toeplitz nullities.
+gives the partial multiplicities).
 
 The same pass proves the normal rank rho with no evaluation point, where
 the prefix growth meets the kernel growth, and by then it has read every
-minimal index and every partial multiplicity at zero (`_structure_at_zero`).
+minimal index and every partial multiplicity at zero (`_read_profile`).
 `analyze` makes one pass, over rev(P, deg P), which has the rank and the
 minimal indices of P (De Teran-Dopico-Mackey 2014); its multiplicities at
-zero, raised by grade - deg P, are those of P at infinity.
-`exact.normal_rank`, from ranks at points, stays the public rank.
+zero, raised by grade - deg P, are those of P at infinity (`_at_infinity`).
+`exact.normal_rank` reads the pass over P itself, and `floating` feeds
+`_at_infinity` numeric stages from numpy Toeplitz nullities.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .exact import (
     rev,
     skew_smith,
 )
-from .points import eigenvalue_sort_key, format_eigenvalue
+from .points import eigenvalue_sort_key, format_eigenvalue, format_rational
 
 
 def _finite_sort_key(factor):
@@ -147,7 +147,7 @@ class CompleteEigenstructure:
         finite = []
         for factor, mults in self.finite:
             if isinstance(factor, RationalPolynomial):
-                key = [f"{c.numerator}/{c.denominator}" for c in factor.coeffs]
+                key = [format_rational(c) for c in factor.coeffs]
             else:
                 key = format_eigenvalue(factor)
             finite.append({"factor": key, "multiplicities": list(mults)})
@@ -308,10 +308,11 @@ def multiplicities_from_prefix_dims(dims, eta: int, rho: int) -> tuple:
     raise InternalInconsistency("multiplicity search exceeded its bound")
 
 
-def _structure_at_zero(P: MatrixPolynomial) -> tuple:
+def _read_profile(P: MatrixPolynomial, stages) -> tuple:
     """(normal rank rho, right minimal indices, partial multiplicities at zero) of P.
 
-    One staircase pass. With eta = cols - rho, the prefix growth
+    Reads P's stages (dim S_k, dim F_k) as `_staircase` yields them, exact or
+    numeric. With eta = cols - rho, the prefix growth
     dim S_k - dim S_{k-1} is eta plus the number of partial multiplicities at
     zero above k, so it falls to eta; from stage k = delta = deg P on, the
     kernel growth dim ker C_{k-delta} - dim ker C_{k-delta-1} counts the right
@@ -324,7 +325,7 @@ def _structure_at_zero(P: MatrixPolynomial) -> tuple:
     """
     delta = max(P.degree, 0)
     # a generous bound past the largest multiplicity and the largest index
-    stages = itertools.islice(_staircase(P), (P.rows + P.cols) * max(P.grade, 1) + delta + 2)
+    stages = itertools.islice(stages, (P.rows + P.cols) * max(P.grade, 1) + delta + 2)
     prefix_dims, kernel_dims = [], []
     for k, (prefix_dim, fiber_dim) in enumerate(stages):
         growth = prefix_dim - (prefix_dims[-1] if prefix_dims else 0)
@@ -343,6 +344,25 @@ def _structure_at_zero(P: MatrixPolynomial) -> tuple:
     raise InternalInconsistency("normal rank search exceeded its bound")
 
 
+def _structure_at_zero(P: MatrixPolynomial) -> tuple:
+    """(rho, right minimal indices, multiplicities at zero) of P from one staircase pass."""
+    return _read_profile(P, _staircase(P))
+
+
+def _at_infinity(P: MatrixPolynomial, stages_of) -> tuple:
+    """(rho, right minimal indices, multiplicities at infinity) of P at its grade.
+
+    One pass over rev(P, d), d = deg P, whose stages `stages_of` gives. The
+    reversal keeps the rank and the minimal indices (De Teran-Dopico-Mackey
+    2014), and rev(P, grade) = x^(grade - d) rev(P, d), so the multiplicities
+    at infinity are its multiplicities at zero raised by grade - d.
+    """
+    d = max(P.degree, 0)
+    R = rev(P, d)
+    rho, minimal, at_zero = _read_profile(R, stages_of(R))
+    return rho, minimal, tuple(k + P.grade - d for k in at_zero)
+
+
 def minimal_indices(P: MatrixPolynomial) -> tuple:
     """Right minimal indices of P, sorted ascending.
 
@@ -356,29 +376,15 @@ def minimal_indices(P: MatrixPolynomial) -> tuple:
     return _structure_at_zero(P)[1]
 
 
-def multiplicities_at_zero(P: MatrixPolynomial) -> tuple:
-    """Partial multiplicities of P at the point zero, padded with zeros to rank.
-
-    Computed from the growth of the space of truncated power-series solutions
-    of P x = 0 (the prefix spaces of the convolution system): with eta the
-    rational kernel dimension, dim S_k grows by eta plus the number of
-    multiplicities exceeding k. The same staircase pass proves the rank
-    (`_structure_at_zero`).
-    """
-    return _structure_at_zero(P)[2]
-
-
 def infinite_structure(P: MatrixPolynomial) -> tuple:
     """Partial multiplicities of P at infinity for its declared grade.
 
     These are the multiplicities at zero of rev(P, grade), zeros included up
-    to length normal_rank(P). With d = deg P, rev(P, grade) is
-    x^(grade - d) rev(P, d), so each is one of rev(P, d) raised by
-    grade - d. For another grade, pass `P.with_grade(grade)`, which raises
-    GradeTooSmall below the degree.
+    to length normal_rank(P), read from one staircase pass over rev(P, deg P)
+    (`_at_infinity`). For another grade, pass `P.with_grade(grade)`, which
+    raises GradeTooSmall below the degree.
     """
-    d = max(P.degree, 0)
-    return tuple(k + P.grade - d for k in multiplicities_at_zero(rev(P, d)))
+    return _at_infinity(P, _staircase)[2]
 
 
 class GradeLawReport(NamedTuple):
@@ -432,12 +438,9 @@ def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstruc
     """Complete eigenstructure of a skew-symmetric matrix polynomial.
 
     Computes the exact rank rho, the minimal indices and the structure at
-    infinity from one staircase pass over rev(P, d), d = deg P, and no
-    evaluation point (`_structure_at_zero`). The reversal keeps the rank and
-    the minimal indices, and rev(P, grade) = x^(grade - d) rev(P, d), so the
-    multiplicities at infinity are its multiplicities at zero raised by
-    grade - d. For skew P, -P^T = P, so the left minimal indices are the
-    right ones. By the index sum theorem the finite elementary divisors then
+    infinity from one staircase pass over rev(P, deg P) and no evaluation
+    point (`_at_infinity`). For skew P, -P^T = P, so the left minimal
+    indices are the right ones. By the index sum theorem the finite elementary divisors then
     have total degree rho * grade - sum(infinite) - 2 * sum(minimal). Only
     when that deficit is positive does the Smith reduction run, with its
     invariant polynomials factored over the rationals; a zero deficit leaves
@@ -451,9 +454,7 @@ def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstruc
         skew = skew.with_grade(grade)
     grade = skew.grade
 
-    d = max(skew.degree, 0)
-    rho, minimal, at_zero = _structure_at_zero(rev(skew, d))
-    infinite = tuple(k + grade - d for k in at_zero)
+    rho, minimal, infinite = _at_infinity(skew, _staircase)
     deficit = rho * grade - sum(infinite) - 2 * sum(minimal)
     if deficit < 0:
         raise InternalInconsistency(f"index sums exceed rank*grade by {-deficit}")

@@ -742,30 +742,14 @@ def frobenius_distance(P: MatrixPolynomial, Q: MatrixPolynomial) -> FrobeniusDis
 def normal_rank(P: MatrixPolynomial) -> int:
     """Rank of P over the field of rational functions, computed exactly.
 
-    The largest of the ranks `_proving_ranks` reads, which is exactly the
-    rank over the function field, with no probabilistic caveat. Values are
-    immutable, so results are cached.
+    Read from one staircase pass over P's convolution system, with no
+    evaluation point (`eigenstructure._structure_at_zero`), so with no
+    probabilistic caveat. Values are immutable, so results are cached.
     """
-    return max((rank for _, rank in _proving_ranks(P)), default=0)
+    # imported here because eigenstructure imports this module
+    from .eigenstructure import _structure_at_zero
 
-
-def _proving_ranks(P: MatrixPolynomial) -> list:
-    """The (point, rank) pairs of `_point_ranks` that prove P's normal rank.
-
-    Evaluation stops once the largest rank so far, `best`, reaches
-    min(rows, cols) or (best + 1) * degree + 1 points are done: a nonzero
-    (best + 1)-minor has degree at most (best + 1) * degree, so it cannot
-    vanish at that many points. So `best` is the normal rank, and the first
-    pair of the list with that rank has a point where P attains it.
-    """
-    deg = max(P.degree, 0)
-    bound = min(P.rows, P.cols)
-    point_ranks = _point_ranks(P)
-    pairs, best = [], 0
-    while best < bound and len(pairs) < (best + 1) * deg + 1:
-        pairs.append(next(point_ranks))
-        best = max(best, pairs[-1][1])
-    return pairs
+    return _structure_at_zero(P)[0]
 
 
 def _points():

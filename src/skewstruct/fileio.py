@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 
 from .errors import SkewstructError
 from .exact import SkewMatrixPolynomial
-from .points import rational_parts
+from .points import format_rational, rational_parts
 
 
 class FileFormatError(SkewstructError, ValueError):
@@ -34,16 +33,12 @@ def json_rational_parts(text) -> tuple:
         raise FileFormatError(f"malformed rational {text!r}") from exc
 
 
-def _format_rational(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
 def polynomial_to_dict(P: SkewMatrixPolynomial) -> dict:
     return {
         "m": P.rows,
         "grade": P.grade,
         "coefficients": [
-            [[_format_rational(v) for v in row] for row in P.coefficient_matrix(k)]
+            [[format_rational(v) for v in row] for row in P.coefficient_matrix(k)]
             for k in range(P.grade + 1)
         ],
     }

@@ -1,6 +1,9 @@
 """Best-effort floating-point backend (`analyze --backend float`).
 
 The only module that imports numpy or scipy; every other answer is exact.
+Numeric block-Toeplitz nullities stand in for the exact staircase's stages
+and feed its reader, so the rank, the minimal indices and the structure at
+infinity come from one pass over rev(P, deg P), with no evaluation point.
 An answer is built by `CompleteEigenstructure.skew`, so it passes the same
 skew checks as an exact one (even rank, multiplicities in pairs, the index
 sum theorem) or raises RankVerificationFailed.
@@ -8,15 +11,12 @@ sum theorem) or raises RankVerificationFailed.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .eigenstructure import (
-    CompleteEigenstructure,
-    indices_from_kernel_dims,
-    multiplicities_from_prefix_dims,
-)
+from .eigenstructure import CompleteEigenstructure, _at_infinity, multiplicities_from_prefix_dims
 from .errors import InternalInconsistency, ParamDomain, RankVerificationFailed
 from .exact import MatrixPolynomial, as_skew
 from .points import NumericRoot
@@ -45,17 +45,6 @@ def _coeff_arrays(P: MatrixPolynomial):
     ]
 
 
-def _rank_fp_normal(coeffs, rows, cols, tol_rel) -> int:
-    deg = len(coeffs) - 1
-    n_points = min(rows, cols) * max(deg, 1) + 1
-    best = 0
-    for idx in range(n_points):
-        z = 1.1 * np.exp(2j * np.pi * (idx + 0.37) / n_points)
-        value = sum(c * z**i for i, c in enumerate(coeffs))
-        best = max(best, rank_fp(value, tol_rel))
-    return best
-
-
 def _nullities(coeffs, extra: int, last: int, tol_rel):
     """Numeric nullities of block-Toeplitz truncations of orders 0 .. last, lazily.
 
@@ -70,6 +59,21 @@ def _nullities(coeffs, extra: int, last: int, tol_rel):
             for d, c in enumerate(coeffs[: k + 1 + extra - b]):
                 t[(b + d) * rows : (b + d + 1) * rows, b * cols : (b + 1) * cols] = c
         yield (k + 1) * cols - rank_fp(t, tol_rel)
+
+
+def _stages(P: MatrixPolynomial, tol_rel):
+    """Numeric (dim S_k, dim F_k) stages of P, as `eigenstructure._staircase` yields them.
+
+    dim S_k is the prefix nullity of order k, and from k = delta = deg P on
+    dim F_k is the kernel nullity of C_{k-delta} (before, it is never read).
+    No meeting stage passes cols * grade + delta: the largest multiplicity
+    at zero and the largest minimal index are at most rank * grade.
+    """
+    delta = max(P.degree, 0)
+    coeffs = _coeff_arrays(P)[: delta + 1]
+    last = P.cols * max(P.grade, 1) + delta
+    kernels = itertools.chain([None] * delta, _nullities(coeffs, delta, last, tol_rel))
+    return zip(_nullities(coeffs, 0, last, tol_rel), kernels)
 
 
 def _shifted_coeffs(coeffs, z):
@@ -87,31 +91,24 @@ def analyze_float(
 ) -> CompleteEigenstructure:
     """Best-effort floating-point eigenstructure of a skew polynomial.
 
-    Rank comes from SVD ranks of evaluations; minimal indices and the
-    multiplicities at infinity (and at detected eigenvalues) from numeric
-    Toeplitz nullity profiles, read by the same functions as the exact
-    path. Eigenvalue candidates are linearization eigenvalues filtered by an
-    evaluation rank drop and by a possible local profile, reported as
-    NumericRoot annotations. Clustered or ill-conditioned spectra can defeat
-    it, and then an impossible profile or a structure failing the skew
-    checks raises RankVerificationFailed; the exact path is the reference.
+    Rank, minimal indices and multiplicities at infinity come from one pass
+    of numeric Toeplitz nullities (`_stages`) over rev(P, deg P), read by
+    `eigenstructure._at_infinity` as the exact ones are. Eigenvalue
+    candidates are linearization eigenvalues filtered by an evaluation rank
+    drop and by a possible local profile (of prefix nullities), reported as
+    NumericRoot annotations. Clustered or ill-conditioned spectra can
+    defeat it, and then an impossible profile or a structure failing the
+    skew checks raises RankVerificationFailed; the exact path is the
+    reference.
     """
     skew = as_skew(P)
     if grade is not None:
         skew = skew.with_grade(grade)
     grade, m = skew.grade, skew.rows
     coeffs = _coeff_arrays(skew)
-    rho = _rank_fp_normal(coeffs, m, m, tol_rel)
-    eta = m - rho
-    last = rho * max(grade, 1) + 1
-
-    def multiplicities(taylor):
-        return multiplicities_from_prefix_dims(_nullities(taylor, 0, last, tol_rel), eta, rho)
-
     try:
-        minimal = indices_from_kernel_dims(_nullities(coeffs, grade, last, tol_rel), eta)
-        # infinity: the reversal at zero
-        infinite = multiplicities(coeffs[::-1])
+        rho, minimal, infinite = _at_infinity(skew, lambda R: _stages(R, tol_rel))
+        last = rho * max(grade, 1) + 1
         # finite eigenvalues: companion eigenvalues filtered by rank drop
         finite: dict = {}
         for z in _eigenvalue_candidates(coeffs):
@@ -119,7 +116,8 @@ def analyze_float(
             if rank_fp(value, tol_rel) >= rho:
                 continue
             try:
-                positive = tuple(v for v in multiplicities(_shifted_coeffs(coeffs, z)) if v)
+                local = _nullities(_shifted_coeffs(coeffs, z), 0, last, tol_rel)
+                positive = tuple(v for v in multiplicities_from_prefix_dims(local, m - rho, rho) if v)
             except InternalInconsistency:
                 continue  # no eigenvalue has an impossible local profile
             if positive:

@@ -80,9 +80,12 @@ def eigenvalue_sort_key(value):
 
 
 def format_eigenvalue(value) -> str:
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
+    return format_rational(value) if isinstance(value, Fraction) else str(value)
+
+
+def format_rational(value: Fraction) -> str:
+    """"num/den" in lowest terms, the text `rational_parts` reads."""
+    return f"{value.numerator}/{value.denominator}"
 
 
 def rational_parts(text: str) -> tuple:

@@ -31,9 +31,9 @@ from .exact import (
     MatrixPolynomial,
     SkewMatrixPolynomial,
     _point_ranks,
-    _proving_ranks,
     as_skew,
     frobenius_distance,
+    normal_rank,
     nullspace_exact,
     rank_exact,
 )
@@ -160,11 +160,11 @@ def perturb_rank_increase(Q: SkewMatrixPolynomial, r: int, k: int) -> Perturbati
         raise ParamDomain(f"target rank 2r={2 * r} must stay below m={m}")
     if k < 1:
         raise ParamDomain(f"k must be at least 1, got {k}")
-    # the normal rank and the first point attaining it, from one pass (m > 0)
-    point, rank_q = max(_proving_ranks(skew), key=lambda pair: pair[1])
-    point, r1 = Fraction(point), rank_q // 2
+    rank_q = normal_rank(skew)
+    r1 = rank_q // 2
     if r <= r1:
         raise ParamDomain(f"target half-rank {r} must exceed current {r1}")
+    point = Fraction(next(x for x, rank in _point_ranks(skew) if rank == rank_q))
 
     at_point = skew.evaluate(point)
     basis = []

@@ -16,7 +16,6 @@ from skewstruct.eigenstructure import (
     indices_from_kernel_dims,
     infinite_structure,
     minimal_indices,
-    multiplicities_at_zero,
     multiplicities_from_prefix_dims,
     same_orbit,
     smallest_infinite_multiplicity_law,
@@ -201,14 +200,14 @@ class TestMinimalIndices:
         for _ in range(20):
             m = random_skew(rng, rng.randint(2, 4), rng.randint(1, 2))
             mins = minimal_indices(m)
-            assert len(mins) == m.cols - normal_rank(m)
+            assert len(mins) == m.cols - normal_rank_by_minors(m)
 
     def test_against_dense_oracle(self):
         rng = random.Random(14)
         for _ in range(15):
             rows, cols = rng.randint(1, 3), rng.randint(2, 4)
             m = random_matrix(rng, rows, cols, rng.randint(0, 2))
-            total = m.cols - normal_rank(m)
+            total = m.cols - normal_rank_by_minors(m)
             assert list(minimal_indices(m)) == minimal_indices_by_convolution(m, total)
 
     def test_rank_and_indices_where_first_points_undershoot(self, monkeypatch):
@@ -252,7 +251,8 @@ class TestMinimalIndices:
 
     def test_linearization_needs_no_points(self, monkeypatch):
         # padded (d, m, r) = (4, 8, 1): a 40x40 pencil of rank 34, for which
-        # normal_rank would evaluate 36 points; the staircase alone proves it
+        # a rank from points would evaluate 36 of them; the staircase alone
+        # proves it
         sample = sample_bounded_rank(SampleSpec(8, 4, 1, seed=0))
         pencil = build_linearization(pad_grade(sample)).pencil
         ranks = []
@@ -386,7 +386,7 @@ class TestPrefixDims:
         sample = sample_bounded_rank(SampleSpec(m=m, d=d, r=r, coeff_range=9, seed=7))
         pencil = build_linearization(pad_grade(sample)).pencil
         for R in (pencil, rev(pencil, 1)):
-            kappa, epsilon = multiplicities_at_zero(R), minimal_indices(R)
+            kappa, epsilon = _structure_at_zero(R)[2], minimal_indices(R)
             meeting = max(max(kappa, default=0), max(epsilon, default=0) + 1, 1)
             assert meeting >= 3
             assert prefix_dims(R, meeting) == prefix_dims_by_toeplitz(R, meeting)
@@ -397,8 +397,8 @@ class TestPrefixDims:
     def test_multiplicities_at_zero(self):
         rng = random.Random(19)
         for m in unstructured_inputs(rng, 20):
-            mults = multiplicities_at_zero(m)
-            rho = normal_rank(m)
+            mults = _structure_at_zero(m)[2]
+            rho = normal_rank_by_minors(m)
             assert len(mults) == rho
             # dim S_k - dim S_{k-1} - eta counts the multiplicities above k
             dims = [0] + prefix_dims_by_toeplitz(m, max(mults, default=0) + 1)
@@ -476,7 +476,7 @@ class TestInfiniteStructure:
             grade = m.grade + rng.randint(0, 1)
             reversal = rev(m.with_grade(grade), grade)
             assert normal_rank(reversal) == normal_rank(m)
-            assert infinite_structure(m.with_grade(grade)) == multiplicities_at_zero(reversal)
+            assert infinite_structure(m.with_grade(grade)) == _structure_at_zero(reversal)[2]
 
     def test_reversal_at_the_degree(self):
         # rev(P, deg P) has the rank and the minimal indices of P, and
@@ -588,13 +588,13 @@ class TestIndexSumGate:
             analyze(skew2(x**2), 2)
 
     def test_negative_deficit_raises(self, monkeypatch):
-        real = eigenstructure._structure_at_zero
+        real = eigenstructure._read_profile
 
-        def inflated(P):
-            rho, indices, at_zero = real(P)
+        def inflated(P, stages):
+            rho, indices, at_zero = real(P, stages)
             return rho, indices[:-1] + (indices[-1] + 1,), at_zero
 
-        monkeypatch.setattr(eigenstructure, "_structure_at_zero", inflated)
+        monkeypatch.setattr(eigenstructure, "_read_profile", inflated)
         with pytest.raises(InternalInconsistency, match="exceed rank"):
             analyze(M1_PENCIL, 1)
 

@@ -626,8 +626,8 @@ class TestNormalRank:
 
     def test_low_rank_against_minors(self):
         # products through a thin middle factor have rank well below
-        # min(rows, cols), where the degree-bound point count stops early;
-        # coefficients with denominators go through the integer scaling
+        # min(rows, cols), so many minimal indices; coefficients with
+        # denominators go through the integer scaling
         rng = random.Random(21)
 
         def random_factor(rows, cols, deg):
@@ -656,11 +656,33 @@ class TestNormalRank:
             assert normal_rank(m) == normal_rank_by_minors(m) <= 2
 
     def test_rank_seen_only_at_the_last_point(self):
-        # p vanishes at the first three points 0, 1, -1; only the fourth,
-        # the last one the degree bound asks for at rank 0, shows rank 1
+        # p vanishes at the evaluation points 0, 1 and -1, where this input
+        # has rank 0; the staircase reads its rank 1 at no point
         p = x * (x - 1) * (x + 1)
         z = P.zero()
         assert normal_rank(mat([[p, z, z], [z, z, z]])) == 1
+
+    def test_evaluates_no_point(self, monkeypatch):
+        # each input has less than its normal rank at the first evaluation
+        # points 0, 1, -1, so a rank read from points would evaluate past
+        # them; the staircase pass reads it with no point and no rank_exact
+        p = x * (x - 1) * (x + 1)
+        z = P.zero()
+        inputs = [
+            mat([[p, z, z], [z, z, z]]),
+            skew2(p * (x - 2)),
+            mat([[x, z, z], [z, x - 1, z], [z, z, x + 1]]),
+            as_skew(mat([[z, p, x], [-p, z, z], [-x, z, z]])),
+        ]
+        expected = [normal_rank_by_minors(m) for m in inputs]
+
+        def no_points(*args):
+            raise AssertionError("a rank was read at a point")
+
+        monkeypatch.setattr(exact, "_point_ranks", no_points)
+        monkeypatch.setattr(exact, "rank_exact", no_points)
+        # past the cache, which earlier tests may have filled
+        assert [normal_rank.__wrapped__(m) for m in inputs] == expected == [1, 2, 3, 2]
 
     def test_matches_rank_at_generic_point(self):
         # rank at any point never exceeds the normal rank, and a random

@@ -1,0 +1,106 @@
+"""No rank in the library is read at chosen evaluation points, except by sampling.
+
+The normal rank, the minimal indices and the structure at infinity all come
+from one reader of kernel-profile stages (`eigenstructure._read_profile`), in
+both backends. `exact._point_ranks`, the ranks at 0, 1, -1, 2, ..., is read
+only by `sampling.sample_bounded_rank`, which accepts a draw at a point of
+full rank, and `sampling.perturb_rank_increase`, which needs a point where
+the polynomial attains its normal rank. In `floating`, `rank_fp` reads the
+ranks of Toeplitz truncations in `_nullities` and, in `analyze_float`, the
+ranks at the eigenvalue candidates of `_eigenvalue_candidates`; no other
+function of the float backend calls it.
+"""
+
+import ast
+from pathlib import Path
+
+import skewstruct
+
+SRC = Path(skewstruct.__file__).resolve().parent
+ALLOWED = {"sampling.sample_bounded_rank", "sampling.perturb_rank_increase"}
+
+
+def _names(node) -> set:
+    """Bare and attribute names read in a node."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def _calls_rank_fp_at_chosen_points(function) -> bool:
+    """Whether a float function calls `rank_fp` outside a loop over `_eigenvalue_candidates`."""
+    candidate_loops = [
+        loop
+        for loop in ast.walk(function)
+        if isinstance(loop, ast.For)
+        and "_eigenvalue_candidates" in _names(loop.iter)
+        or isinstance(loop, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp))
+        and any("_eigenvalue_candidates" in _names(gen.iter) for gen in loop.generators)
+    ]
+    allowed = {id(n) for loop in candidate_loops for n in ast.walk(loop)}
+    return any(
+        isinstance(n, ast.Call) and "rank_fp" in _names(n.func) and id(n) not in allowed
+        for n in ast.walk(function)
+    )
+
+
+def _point_rank_readers(module: str, tree) -> set:
+    """Qualified names of the functions of a module that read ranks at chosen points.
+
+    A function reads them if it reads `_point_ranks` (other than by being
+    it), or, in `floating`, if it calls `rank_fp` outside `_nullities` and
+    outside a loop over `_eigenvalue_candidates`.
+    """
+    readers = set()
+
+    def visit(node, prefix: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name != "_point_ranks" and "_point_ranks" in _names(child):
+                    readers.add(prefix + child.name)
+                elif module == "floating" and child.name != "_nullities" and _calls_rank_fp_at_chosen_points(child):
+                    readers.add(prefix + child.name)
+
+    visit(tree, f"{module}.")
+    return readers
+
+
+def test_only_sampling_reads_ranks_at_points():
+    readers = set().union(
+        *(_point_rank_readers(path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py")))
+    )
+    assert readers == ALLOWED
+
+
+def test_the_guard_sees_each_kind_of_point_rank():
+    source = '''
+def by_name(P):
+    return max(rank for _, rank in _point_ranks(P))
+
+def by_module(P):
+    return next(exact._point_ranks(P))
+
+def _point_ranks(P):
+    for x in _points():
+        yield x, rank_exact(P._scaled_value(x, 1))
+
+def on_a_circle(coeffs, tol_rel):
+    return max(rank_fp(sum(c * z**i for i, c in enumerate(coeffs)), tol_rel) for z in circle())
+
+def at_candidates(coeffs, tol_rel):
+    for z in _eigenvalue_candidates(coeffs):
+        if rank_fp(value(coeffs, z), tol_rel):
+            return [rank_fp(value(coeffs, w), tol_rel) for w in _eigenvalue_candidates(coeffs)]
+
+def _nullities(coeffs, extra, last, tol_rel):
+    yield rank_fp(toeplitz(coeffs), tol_rel)
+'''
+    tree = ast.parse(source)
+    assert _point_rank_readers("exact", tree) == {"exact.by_name", "exact.by_module"}
+    assert _point_rank_readers("floating", tree) == {
+        "floating.by_name",
+        "floating.by_module",
+        "floating.on_a_circle",
+    }
