@@ -1,9 +1,10 @@
 """Best-effort floating-point backend (`analyze --backend float`).
 
 The only module that imports numpy or scipy; every other answer is exact.
-Numeric block-Toeplitz nullities stand in for the exact staircase's stages
-and feed its reader, so the rank, the minimal indices and the structure at
-infinity come from one pass over rev(P, deg P), with no evaluation point.
+The only numeric rank read is `_nullities`: block-Toeplitz nullities stand
+in for the exact staircase's stages and feed its reader (one pass over
+rev(P, deg P) gives the rank, minimal indices and infinity), and the same
+nullities of P's Taylor coefficients give each eigenvalue's local profile.
 An answer is built by `CompleteEigenstructure.skew`, so it passes the same
 skew checks as an exact one (even rank, multiplicities in pairs, the index
 sum theorem) or raises RankVerificationFailed.
@@ -32,7 +33,7 @@ def rank_fp(matrix, tol_rel: float = DEFAULT_TOL) -> int:
     if a.size == 0:
         return 0
     svals = np.linalg.svd(a, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
+    if svals[0] == 0.0:
         return 0
     return int(np.count_nonzero(svals > tol_rel * svals[0]))
 
@@ -40,7 +41,7 @@ def rank_fp(matrix, tol_rel: float = DEFAULT_TOL) -> int:
 def _coeff_arrays(P: MatrixPolynomial):
     # float(Fraction) rounds once; numerators read as floats would round past 2^53
     return [
-        np.array([[float(v) for v in row] for row in P.coefficient_matrix(i)])
+        np.array([[float(v) for v in row] for row in P.coefficient_matrix(i)]).reshape(P.rows, P.cols)
         for i in range(P.grade + 1)
     ]
 
@@ -94,12 +95,12 @@ def analyze_float(
     Rank, minimal indices and multiplicities at infinity come from one pass
     of numeric Toeplitz nullities (`_stages`) over rev(P, deg P), read by
     `eigenstructure._at_infinity` as the exact ones are. Eigenvalue
-    candidates are linearization eigenvalues filtered by an evaluation rank
-    drop and by a possible local profile (of prefix nullities), reported as
-    NumericRoot annotations. Clustered or ill-conditioned spectra can
-    defeat it, and then an impossible profile or a structure failing the
-    skew checks raises RankVerificationFailed; the exact path is the
-    reference.
+    candidates are linearization eigenvalues kept where their local profile
+    (the prefix nullities of P's Taylor coefficients there) is possible and
+    has a positive multiplicity, reported as NumericRoot annotations.
+    Clustered or ill-conditioned spectra can defeat it, and then an
+    impossible profile or a structure failing the skew checks raises
+    RankVerificationFailed; the exact path is the reference.
     """
     skew = as_skew(P)
     if grade is not None:
@@ -109,12 +110,9 @@ def analyze_float(
     try:
         rho, minimal, infinite = _at_infinity(skew, lambda R: _stages(R, tol_rel))
         last = rho * max(grade, 1) + 1
-        # finite eigenvalues: companion eigenvalues filtered by rank drop
+        # companion eigenvalues with a positive local profile; its order 0 is rank P(z)
         finite: dict = {}
         for z in _eigenvalue_candidates(coeffs):
-            value = sum(c * z**i for i, c in enumerate(coeffs))
-            if rank_fp(value, tol_rel) >= rho:
-                continue
             try:
                 local = _nullities(_shifted_coeffs(coeffs, z), 0, last, tol_rel)
                 positive = tuple(v for v in multiplicities_from_prefix_dims(local, m - rho, rho) if v)

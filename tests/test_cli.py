@@ -164,6 +164,16 @@ class TestAnalyzeCommand:
         assert data["rank"] == 2
         assert data["tolerance"] == 1e-8
 
+    @pytest.mark.parametrize("grade", ["0", "1", "2", "3"])
+    def test_float_backend_on_an_empty_matrix(self, tmp_path, capsys, grade):
+        # numpy read the 0 x 0 coefficients as shape (0,) and the float backend exited 3
+        path = tmp_path / "e.json"
+        path.write_text('{"m": 0, "grade": 1, "coefficients": [[], []]}')
+        assert main(["analyze", str(path), "--grade", grade]) == 0
+        exact = json.loads(capsys.readouterr().out)
+        assert main(["analyze", str(path), "--grade", grade, "--backend", "float"]) == 0
+        assert json.loads(capsys.readouterr().out) == {**exact, "tolerance": 1e-8}
+
     def test_float_backend_failure_exit_code(self, poly_file, capsys):
         # a NaN or infinite tolerance printed rank 0 and wrote NaN/Infinity,
         # which is not JSON

@@ -237,7 +237,7 @@ class TestMinimalIndices:
             read.clear()
             rho, right, at_zero = _structure_at_zero(m)
             stages_read = len(read)
-            assert rho == normal_rank_by_minors(m) == normal_rank(m)
+            assert rho == normal_rank_by_minors(m)
             epsilon = minimal_indices_by_convolution(m, m.cols - rho)
             assert list(right) == epsilon
             kappa = sorted(valuation_at_zero(g) for g in smith_by_minors(m))

@@ -5,10 +5,10 @@ from one reader of kernel-profile stages (`eigenstructure._read_profile`), in
 both backends. `exact._point_ranks`, the ranks at 0, 1, -1, 2, ..., is read
 only by `sampling.sample_bounded_rank`, which accepts a draw at a point of
 full rank, and `sampling.perturb_rank_increase`, which needs a point where
-the polynomial attains its normal rank. In `floating`, `rank_fp` reads the
-ranks of Toeplitz truncations in `_nullities` and, in `analyze_float`, the
-ranks at the eigenvalue candidates of `_eigenvalue_candidates`; no other
-function of the float backend calls it.
+the polynomial attains its normal rank. In `floating`, `rank_fp` is called
+only by `_nullities`, which reads the ranks of block-Toeplitz truncations:
+the local profile at an eigenvalue candidate starts with the rank of P(z),
+so no function of the float backend evaluates P and ranks it on its own.
 """
 
 import ast
@@ -27,29 +27,11 @@ def _names(node) -> set:
     }
 
 
-def _calls_rank_fp_at_chosen_points(function) -> bool:
-    """Whether a float function calls `rank_fp` outside a loop over `_eigenvalue_candidates`."""
-    candidate_loops = [
-        loop
-        for loop in ast.walk(function)
-        if isinstance(loop, ast.For)
-        and "_eigenvalue_candidates" in _names(loop.iter)
-        or isinstance(loop, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp))
-        and any("_eigenvalue_candidates" in _names(gen.iter) for gen in loop.generators)
-    ]
-    allowed = {id(n) for loop in candidate_loops for n in ast.walk(loop)}
-    return any(
-        isinstance(n, ast.Call) and "rank_fp" in _names(n.func) and id(n) not in allowed
-        for n in ast.walk(function)
-    )
-
-
 def _point_rank_readers(module: str, tree) -> set:
     """Qualified names of the functions of a module that read ranks at chosen points.
 
     A function reads them if it reads `_point_ranks` (other than by being
-    it), or, in `floating`, if it calls `rank_fp` outside `_nullities` and
-    outside a loop over `_eigenvalue_candidates`.
+    it), or, in `floating`, if it reads `rank_fp` and is not `_nullities`.
     """
     readers = set()
 
@@ -60,7 +42,7 @@ def _point_rank_readers(module: str, tree) -> set:
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if child.name != "_point_ranks" and "_point_ranks" in _names(child):
                     readers.add(prefix + child.name)
-                elif module == "floating" and child.name != "_nullities" and _calls_rank_fp_at_chosen_points(child):
+                elif module == "floating" and child.name != "_nullities" and "rank_fp" in _names(child):
                     readers.add(prefix + child.name)
 
     visit(tree, f"{module}.")
@@ -103,4 +85,5 @@ def _nullities(coeffs, extra, last, tol_rel):
         "floating.by_name",
         "floating.by_module",
         "floating.on_a_circle",
+        "floating.at_candidates",
     }

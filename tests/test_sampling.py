@@ -336,9 +336,9 @@ class TestAnalyzeFloat:
             assert len(numeric.finite) == len(exact.finite)
 
     @staticmethod
-    def _scrambled_sweep(grade):
-        """The pencils of the bench's scrambled structured_blocks at Random(2024),
-        twelve at each size, at `grade`: each float answer must be the exact
+    def _scrambled_sweep(grade, seed=2024, sizes=(6, 8, 10), count=12):
+        """The pencils of the bench's scrambled structured_blocks at Random(seed),
+        `count` at each size, at `grade`: each float answer must be the exact
         one; returns the block lists of those that raise RankVerificationFailed."""
         bench = str(Path(__file__).resolve().parents[1] / "bench")
         sys.path.insert(0, bench)
@@ -346,10 +346,10 @@ class TestAnalyzeFloat:
             workloads = importlib.import_module("workloads")
         finally:
             sys.path.remove(bench)
-        rng = random.Random(2024)
+        rng = random.Random(seed)
         raised = []
-        for n in (6, 8, 10):
-            for _ in range(12):
+        for n in sizes:
+            for _ in range(count):
                 block_list = workloads.structured_blocks(rng, n)
                 pencil = workloads.scramble(rng, assemble_skew(block_list))
                 exact = analyze(pencil, grade)
@@ -378,6 +378,20 @@ class TestAnalyzeFloat:
         # the same pencils read at a grade above their degree 1: the
         # multiplicities at infinity of rev(P, 1), raised by grade - 1
         assert self._scrambled_sweep(grade) == []
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_scrambled_sweep_at_more_seeds(self, seed):
+        # 100 pencils at n = 6-12; only the four that raise today may raise:
+        # the float backend misses the eigenvalue v of H_1(v) + H_1(v) + M_0 + M_0
+        # (see test_missed_eigenvalue_raises) and over-counts that of H_3(-2),
+        # and the index sum fails
+        raised = self._scrambled_sweep(1, seed, (6, 8, 10, 12), 25)
+        assert set(raised) <= {
+            "H_1(-1/1) + H_1(-1/1) + M_0 + M_0",
+            "H_1(-2/1) + H_1(-2/1) + M_0 + M_0",
+            "H_3(-2/1) + K_1 + M_0 + M_0",
+            "H_1(1/1) + H_1(1/1) + M_0 + M_0",
+        }
 
     def test_missed_eigenvalue_raises(self):
         # (x + 1) C for a constant skew C of rank 4: H_1(-1) + H_1(-1) + M_0 + M_0
