@@ -307,7 +307,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     try:
         return args.func(args)
-    except (SkewstructError, OSError, KeyError, OverflowError) as exc:
+    except (SkewstructError, OSError, OverflowError) as exc:
         # OverflowError: a size that fits sys.maxsize but not the arithmetic
         # it feeds
         _print_error(exc)

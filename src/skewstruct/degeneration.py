@@ -445,7 +445,7 @@ def _hom_layout(rows: int, cols: int) -> tuple:
         for x in [GeneralBlock.right(k), GeneralBlock.left(k)] + ([GeneralBlock.infinite(k)] if k else []):
             candidates += [(x, "Hom(X, -)"), (x, "Hom(-, X)")]
     width = ((size + 1) * (rows + cols)).bit_length() + 1
-    high = sum(1 << (i * width + width - 1) for i in range(len(candidates)))
+    high = ((1 << len(candidates) * width) - 1) // ((1 << width) - 1) << (width - 1)  # a repunit, built whole
     return tuple(candidates), width, high
 
 
@@ -459,9 +459,14 @@ def _block_hom(kind: str, index: int, rows: int, cols: int) -> int:
     """
     block = GeneralBlock(kind, index, Fraction(0) if kind == "E_finite" else None)
     candidates, width, _ = _hom_layout(rows, cols)
+    fields = [dim_hom(x, block) if direction == "Hom(X, -)" else dim_hom(block, x) for x, direction in candidates]
+    # merge neighbours level by level, each level linear, down to 64 fields; a field at a time is quadratic
+    while len(fields) > 64:
+        fields = [lo | hi << width for lo, hi in zip(fields[::2], fields[1::2] + [0])]
+        width *= 2
     packed = 0
-    for i, (x, direction) in enumerate(candidates):
-        packed |= (dim_hom(x, block) if direction == "Hom(X, -)" else dim_hom(block, x)) << (i * width)
+    for value in reversed(fields):
+        packed = packed << width | value
     return packed
 
 

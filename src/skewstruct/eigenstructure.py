@@ -382,7 +382,7 @@ def infinite_structure(P: MatrixPolynomial) -> tuple:
     These are the multiplicities at zero of rev(P, grade), zeros included up
     to length normal_rank(P), read from one staircase pass over rev(P, deg P)
     (`_at_infinity`). For another grade, pass `P.with_grade(grade)`, which
-    raises GradeTooSmall below the degree.
+    raises GradeTooSmall below max(deg P, 0).
     """
     return _at_infinity(P, _staircase)[2]
 

@@ -9,8 +9,8 @@ class ShapeMismatch(SkewstructError):
     """Operands have incompatible dimensions or grades."""
 
 
-class GradeTooSmall(SkewstructError):
-    """A declared grade is smaller than the actual degree."""
+class GradeTooSmall(SkewstructError, ValueError):
+    """A declared grade is below max(degree, 0): smaller than the degree, or negative."""
 
 
 class NotSkewSymmetric(SkewstructError):

@@ -38,6 +38,13 @@ NEG_INF = float("-inf")
 _ZERO = Fraction(0)
 
 
+def _check_grade(grade, degree):
+    """Raise GradeTooSmall unless grade >= max(degree, 0): a grade bounds the degree and is never negative."""
+    least = max(degree, 0)
+    if grade < least:
+        raise GradeTooSmall(f"grade {grade} is below {least}, the least grade allowed")
+
+
 # ---------------------------------------------------------------------------
 # scalar polynomials
 #
@@ -192,13 +199,9 @@ class RationalPolynomial:
         return acc
 
     def reversed_at(self, grade: int) -> "RationalPolynomial":
-        """Coefficient reversal with respect to the given grade."""
-        if grade < (self.degree if self.coeffs else 0):
-            raise GradeTooSmall(f"grade {grade} < degree {self.degree}")
-        out = [_ZERO] * (grade + 1)
-        for i, c in enumerate(self.coeffs):
-            out[grade - i] = c
-        return RationalPolynomial(out)
+        """Coefficient reversal with respect to the given grade (`_check_grade`)."""
+        _check_grade(grade, self.degree)
+        return RationalPolynomial([_ZERO] * (grade + 1 - len(self.coeffs)) + [*reversed(self.coeffs)])
 
     # -- comparisons / misc --------------------------------------------------
 
@@ -400,12 +403,8 @@ def _integer_matrices(mats):
 
 
 def _fit_grade(mats, grade, rows, cols):
-    """Coefficient matrices of degrees 0 .. grade, checking that none beyond is nonzero."""
-    deg = max((k for k, mat in enumerate(mats) if any(map(any, mat))), default=-1)
-    if deg > grade:
-        raise GradeTooSmall(f"entry degree {deg} exceeds grade {grade}")
-    if grade < 0:
-        raise ValueError("grade must be nonnegative")
+    """Coefficient matrices of degrees 0 .. grade, checking the grade (`_check_grade`)."""
+    _check_grade(grade, max((k for k, mat in enumerate(mats) if any(map(any, mat))), default=0))
     zero = [[0] * cols for _ in range(rows)]
     return mats[: grade + 1] + [zero] * (grade + 1 - len(mats))
 
@@ -635,12 +634,8 @@ class MatrixPolynomial:
         return type(self)._make(self.rows, self.cols, self.grade, mats, self.denominator * s.denominator)
 
     def with_grade(self, grade: int):
-        """Same entries, re-declared grade (must cover the actual degree)."""
-        deg = self.degree
-        if deg is not NEG_INF and grade < deg:
-            raise GradeTooSmall(f"grade {grade} < degree {deg}")
-        if grade < 0:
-            raise ValueError("grade must be nonnegative")
+        """Same entries, re-declared grade (`_check_grade`: at least max(degree, 0))."""
+        _check_grade(grade, self.degree)
         return type(self)._make(self.rows, self.cols, grade, self._numerators_to(grade), self.denominator)
 
     # -- comparisons ----------------------------------------------------------
@@ -705,11 +700,9 @@ def rev(P: MatrixPolynomial, grade: int) -> MatrixPolynomial:
     """Reverse the coefficient order of P with respect to the given grade.
 
     The result substitutes 1/x and multiplies by x**grade, so structure at
-    zero of the result mirrors structure at infinity of P.
+    zero of the result mirrors structure at infinity of P (`_check_grade`).
     """
-    deg = P.degree
-    if grade < max(deg, 0):
-        raise GradeTooSmall(f"grade {grade} < degree {deg}")
+    _check_grade(grade, P.degree)
     return type(P)._make(P.rows, P.cols, grade, P._numerators_to(grade)[::-1], P.denominator)
 
 

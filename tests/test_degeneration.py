@@ -2,6 +2,7 @@
 
 import json
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -766,6 +767,26 @@ class TestPackedHomKernel:
                             states += 1
                         assert canonical_key(state) == canonical_key(target)
         assert (searches, certified, states) == (205, 103, 276)
+
+    def test_large_pencils_are_packed_in_linear_time(self):
+        # L_9000 + L^T_9000 against L_8999 + L^T_9001: 18,001 x 18,001
+        # pencils, 108,010 candidates in 31-bit fields. Building the layout's
+        # HIGH and each block's int one field at a time is quadratic in that
+        # size (about 12 s on a 2-CPU x86 machine); built in linear or
+        # linear-log time, the search answers in about 0.4 s there
+        def hang(signum, frame):
+            raise TimeoutError("the Hom layout took more than 3 s")
+
+        k = 9000
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(3)
+        try:
+            res = closure_reachable(gl(L(k), LT(k)), gl(L(k - 1), LT(k + 1)))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (res.status, res.states_explored) == ("no", 1)
+        assert res.witness == degeneration.HomWitness(LT(k), "Hom(-, X)", 0, 1)
 
 
 def recorded_search(monkeypatch, target, source):

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from skewstruct import exact
 from skewstruct.blocks import BlockList, SkewBlock, assemble_skew, blocklist_eigenstructure
 from skewstruct.codimension import tangent_map_matrix
+from skewstruct.eigenstructure import analyze
 from skewstruct.errors import (
     GradeTooSmall,
     InternalInconsistency,
     NotSkewSymmetric,
     ShapeMismatch,
+    SkewstructError,
 )
 from skewstruct.exact import (
     NEG_INF,
@@ -37,6 +39,7 @@ from skewstruct.exact import (
     skew_smith,
     smith_form,
 )
+from skewstruct.floating import analyze_float
 from skewstruct.generic import generic_pencil_structure
 
 from oracles import (
@@ -427,6 +430,30 @@ def skew2(p, grade=None):
     return SkewMatrixPolynomial([[P.zero(), p], [-p, P.zero()]], grade)
 
 
+# every public way to declare or use a grade
+GRADE_ENTRY_POINTS = {
+    "zeros": lambda p, g: MatrixPolynomial.zeros(2, 2, g),
+    "from_coefficients": lambda p, g: MatrixPolynomial.from_coefficients(skew2(p).coefficient_matrices(), g),
+    "entry_grid": lambda p, g: mat([[P.zero(), p], [-p, P.zero()]], g),
+    "from_upper": lambda p, g: SkewMatrixPolynomial.from_upper(2, {(0, 1): p}, g),
+    "with_grade": lambda p, g: skew2(p).with_grade(g),
+    "rev": lambda p, g: rev(skew2(p), g),
+    "reversed_at": lambda p, g: p.reversed_at(g),
+    "analyze": lambda p, g: analyze(skew2(p), g),
+    "analyze_float": lambda p, g: analyze_float(skew2(p), g),
+}
+
+# (polynomial, grade, least grade allowed): negative grades on the zero
+# polynomial, a constant and x^2, and a grade below x^2's degree;
+# `zeros` builds only the zero polynomial
+GRADE_CASES = {
+    "zero": (P.zero(), -1, 0),
+    "constant": (P.one(), -1, 0),
+    "negative": (x**2, -1, 2),
+    "below-degree": (x**2, 1, 2),
+}
+
+
 class TestMatrixPolynomial:
     def test_grade_validation(self):
         with pytest.raises(GradeTooSmall):
@@ -472,6 +499,20 @@ class TestMatrixPolynomial:
     def test_rev_grade_too_small(self):
         with pytest.raises(GradeTooSmall):
             rev(skew2(x**2), 1)
+
+    @pytest.mark.parametrize(
+        "entry, case",
+        [(e, c) for e in GRADE_ENTRY_POINTS for c in GRADE_CASES if e != "zeros" or c == "zero"],
+    )
+    def test_one_grade_rule(self, entry, case):
+        # every entry point refuses a grade below max(degree, 0) with the
+        # same error and message, the zero polynomial's included
+        p, grade, least = GRADE_CASES[case]
+        with pytest.raises(GradeTooSmall) as info:
+            GRADE_ENTRY_POINTS[entry](p, grade)
+        assert isinstance(info.value, SkewstructError) and isinstance(info.value, ValueError)
+        assert str(info.value) == f"grade {grade} is below {least}, the least grade allowed"
+        assert "inf" not in str(info.value)
 
     def test_frobenius_distance(self):
         z = MatrixPolynomial.zeros(2, 2, grade=1)
