@@ -20,15 +20,15 @@ constant coefficient P_0 are reduced once, and each window vector's row
 once, at the stage after the vector first appears. The rows are sparse
 integer vectors, reduced with gcd-reduced multipliers over their nonzero
 entries only, and each is divided by its content. One
-staircase serves every exact caller, and one pair of functions turns
-dimensions into indices for both backends: `indices_from_kernel_dims`
-(second differences give the minimal indices) and
-`multiplicities_from_prefix_dims` (the excess growth of the prefix spaces
-gives the partial multiplicities).
+staircase serves every exact caller, and one reader, `_read_profile`,
+turns stages into indices for both backends: each rise of the kernel
+growth (a second difference) is read as minimal indices as it comes, and
+`multiplicities_from_prefix_dims` reads the partial multiplicities off the
+excess growth of the prefix spaces.
 
 The same pass proves the normal rank rho with no evaluation point, where
-the prefix growth meets the kernel growth, and by then it has read every
-minimal index and every partial multiplicity at zero (`_read_profile`).
+the prefix growth meets the kernel growth, and by then the reader has
+every minimal index and every partial multiplicity at zero.
 `analyze` makes one pass, over rev(P, deg P), which has the rank and the
 minimal indices of P (De Teran-Dopico-Mackey 2014); its multiplicities at
 zero, raised by grade - deg P, are those of P at infinity (`_at_infinity`).
@@ -257,32 +257,8 @@ def _staircase(P: MatrixPolynomial):
 
 
 # ---------------------------------------------------------------------------
-# kernel dimensions -> indices (shared with the float backend)
+# stage dimensions -> rank, indices and multiplicities (shared with the float backend)
 # ---------------------------------------------------------------------------
-
-
-def indices_from_kernel_dims(dims, total: int) -> tuple:
-    """Minimal indices, sorted, from the kernel dimensions of C_0, C_1, ...
-
-    The number of indices equal to k is the second difference of the
-    dimensions at k, and their first difference reaches `total` (the number
-    of indices) exactly at the largest index, where reading stops. A
-    negative count, an overshoot, or a sequence that ends first cannot come
-    from a kernel profile and raises InternalInconsistency.
-    """
-    if total == 0:
-        return ()
-    indices = []
-    prev_dim = prev_diff = 0
-    for k, dim in enumerate(dims):
-        diff = dim - prev_dim
-        if not prev_diff <= diff <= total:
-            raise InternalInconsistency(f"impossible kernel dimension {dim} at order {k}")
-        indices.extend([k] * (diff - prev_diff))
-        if diff == total:
-            return tuple(indices)
-        prev_dim, prev_diff = dim, diff
-    raise InternalInconsistency("minimal index search exceeded its bound")
 
 
 def multiplicities_from_prefix_dims(dims, eta: int, rho: int) -> tuple:
@@ -316,31 +292,36 @@ def _read_profile(P: MatrixPolynomial, stages) -> tuple:
     dim S_k - dim S_{k-1} is eta plus the number of partial multiplicities at
     zero above k, so it falls to eta; from stage k = delta = deg P on, the
     kernel growth dim ker C_{k-delta} - dim ker C_{k-delta-1} counts the right
-    minimal indices at most k - delta, so it rises to eta (Forney 1975). Where
-    they first meet, at stage max(largest multiplicity, largest index + delta,
-    delta), both are eta: that proves rho, and the kernel and prefix
-    dimensions read so far give every index and every multiplicity (padded
-    with zeros to rho). A kernel growth above the prefix growth, or no
-    meeting within the stage bound, raises InternalInconsistency.
+    minimal indices at most k - delta, so it rises to eta (Forney 1975), and
+    each unit it rises by at stage k is one index k - delta. Where they
+    first meet, at stage max(largest multiplicity, largest index + delta,
+    delta), both are eta: that proves rho, every index has been read, and
+    the prefix dimensions read so far give every multiplicity (padded with
+    zeros to rho). A kernel growth that falls or exceeds the prefix growth,
+    or no meeting within the stage bound, raises InternalInconsistency.
     """
     delta = max(P.degree, 0)
     # a generous bound past the largest multiplicity and the largest index
     stages = itertools.islice(stages, (P.rows + P.cols) * max(P.grade, 1) + delta + 2)
-    prefix_dims, kernel_dims = [], []
+    prefix_dims, indices = [], []
+    kernel_dim = kernel_growth = 0
     for k, (prefix_dim, fiber_dim) in enumerate(stages):
         growth = prefix_dim - (prefix_dims[-1] if prefix_dims else 0)
         prefix_dims.append(prefix_dim)
         if k < delta:
             continue
-        kernel_growth = fiber_dim - (kernel_dims[-1] if kernel_dims else 0)
-        kernel_dims.append(fiber_dim)
+        rise = fiber_dim - kernel_dim - kernel_growth
+        kernel_dim, kernel_growth = fiber_dim, fiber_dim - kernel_dim
         if kernel_growth > growth:
             raise InternalInconsistency(
                 f"kernel growth {kernel_growth} exceeds prefix growth {growth} at stage {k}"
             )
+        if rise < 0:
+            raise InternalInconsistency(f"impossible kernel dimension {fiber_dim} at order {k - delta}")
+        indices.extend([k - delta] * rise)
         if kernel_growth == growth:
-            rho, indices = P.cols - growth, indices_from_kernel_dims(kernel_dims, growth)
-            return rho, indices, multiplicities_from_prefix_dims(prefix_dims, growth, rho)
+            rho = P.cols - growth
+            return rho, tuple(indices), multiplicities_from_prefix_dims(prefix_dims, growth, rho)
     raise InternalInconsistency("normal rank search exceeded its bound")
 
 

@@ -39,7 +39,10 @@ _ZERO = Fraction(0)
 
 
 def _check_grade(grade, degree):
-    """Raise GradeTooSmall unless grade >= max(degree, 0): a grade bounds the degree and is never negative."""
+    """Raise GradeTooSmall unless grade >= max(degree, 0): a grade bounds the degree and is never
+    negative. A grade that is not exactly an int raises TypeError, as `_rational` does for a scalar."""
+    if type(grade) is not int:  # not isinstance: True is an int
+        raise TypeError(f"grade must be an int, got {grade!r}")
     least = max(degree, 0)
     if grade < least:
         raise GradeTooSmall(f"grade {grade} is below {least}, the least grade allowed")
@@ -51,9 +54,9 @@ def _check_grade(grade, degree):
 # A RationalPolynomial holds a trimmed tuple of Fractions, lowest degree
 # first, and does its own arithmetic on it; () is the zero polynomial. The
 # one Smith reduction, `skew_smith` by congruence (`smith_form` embeds its
-# input in a skew matrix and calls it), uses trimmed lists of ints in the
-# same layout; its integer helpers (pseudo-division, combination, content,
-# the gcd/lcm pass) sit next to it, and `_trim` serves both.
+# input in a skew matrix and calls it), runs fraction-free on trimmed lists
+# of ints in the same layout; its integer helpers sit next to it, `_trim`
+# serves both, and its gcd/lcm pass runs on monic RationalPolynomials.
 # ---------------------------------------------------------------------------
 
 
@@ -880,32 +883,18 @@ def _strip_content(polys):
 
 
 def _divisibility_chain(diagonal):
-    """Make a diagonal of integer polynomials a divisibility chain, in place.
+    """Make a diagonal of monic RationalPolynomials a divisibility chain, in place.
 
-    Each pair d_i, d_j (i < j) with d_i not dividing d_j becomes (gcd, lcm),
-    up to constant factors. Then d_i divides every later entry, and keeps
-    dividing them, since it divides the gcd and the lcm of its multiples.
+    Each d_i that is not 1 and does not divide a later d_j turns the pair
+    into their monic gcd and lcm. Then d_i divides every later entry, and
+    keeps dividing them: it divides the gcd and the lcm of its multiples.
     """
     for i in range(len(diagonal)):
         for j in range(i + 1, len(diagonal)):
             a, b = diagonal[i], diagonal[j]
-            if len(a) == 1 or not _pseudo_divmod(b, a)[2]:
-                continue
-            g, h = a, b
-            while h:  # primitive remainder sequence
-                r = _pseudo_divmod(g, h)[2]
-                if len(r) >= len(h):
-                    raise InternalInconsistency("Smith gcd remainder degree did not fall")
-                _strip_content([r])
-                g, h = h, r
-            q = _pseudo_divmod(a, g)[1]  # a/g times a constant
-            lcm = [0] * (len(q) + len(b) - 1)
-            for k, qk in enumerate(q):
-                for m, bm in enumerate(b):
-                    lcm[k + m] += qk * bm
-            _strip_content([lcm])
-            diagonal[i] = g
-            diagonal[j] = lcm
+            if a != 1 and not (b % a).is_zero():
+                g = poly_gcd(a, b)
+                diagonal[i], diagonal[j] = g, a // g * b
 
 
 def skew_smith(P: MatrixPolynomial) -> SmithForm:
@@ -935,10 +924,10 @@ def skew_smith(P: MatrixPolynomial) -> SmithForm:
     without one leaves ``diag(p J, W)``, and ``p`` joins the diagonal while
     indices 0 and 1 drop out. Degrees cannot fall forever and each clean
     sweep removes two indices, so the reduction terminates.
-    `_divisibility_chain` then makes d_1, ..., d_r a chain: diag(a, b) and
-    diag(gcd, lcm) are equivalent, and a chain of doubled entries is the
-    doubled chain. Only the final division by each leading coefficient
-    makes rationals.
+    Each d_i is then divided by its leading coefficient, where rationals
+    first appear, and `_divisibility_chain` makes d_1, ..., d_r a chain:
+    diag(a, b) and diag(gcd, lcm) are equivalent, and a chain of doubled
+    entries is the doubled chain.
     """
     skew = as_skew(P)
     mats = skew.numerators
@@ -965,9 +954,9 @@ def skew_smith(P: MatrixPolynomial) -> SmithForm:
                 )
         diagonal.append(work[0][1])
         work = [row[2:] for row in work[2:]]
+    diagonal = [RationalPolynomial._raw([Fraction(c, d[-1]) for c in d]) for d in diagonal]
     _divisibility_chain(diagonal)
-    polys = tuple(RationalPolynomial._raw([Fraction(c, d[-1]) for c in d]) for d in diagonal)
-    return SmithForm(rank=len(polys), invariant_polynomials=polys)
+    return SmithForm(rank=len(diagonal), invariant_polynomials=tuple(diagonal))
 
 
 def _swap_index(work, i, j):

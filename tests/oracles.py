@@ -3,8 +3,8 @@
 These deliberately avoid the library's own reduction algorithms: Smith data
 comes from gcds of all k x k minors (Laplace determinants) and from the
 general reduction by row and column operations, which shares only the
-integer pseudo-division and gcd/lcm helpers with the library's skew
-congruence reduction; minimal indices and prefix-space dimensions from
+integer pseudo-division helpers and the gcd/lcm pass with the library's
+skew congruence reduction; minimal indices and prefix-space dimensions from
 explicit convolution matrices, so the fast paths are checked against
 slow, obviously-correct computations; the ranks of those matrices and of
 the draws' congruences come from a dense Bareiss elimination, not the
@@ -123,8 +123,9 @@ def smith_by_equivalence(P: MatrixPolynomial) -> SmithForm:
     degree to (t, t), ties going to the smallest coefficients (see
     `_full_min_degree_pivot`). One routine, `_clear_column`, sweeps column
     t and, on the transpose, row t, until both are zero off the pivot; a
-    remainder left behind becomes the next, lower-degree pivot. Then the
-    library's gcd/lcm pass makes the diagonal a divisibility chain.
+    remainder left behind becomes the next, lower-degree pivot. Then each
+    diagonal entry is made monic, and the library's gcd/lcm pass makes the
+    diagonal a divisibility chain.
 
     The reduction is fraction-free: each entry is reduced by
     ``s*row_i - q*row_t`` with a positive integer ``s``, after which the
@@ -156,9 +157,9 @@ def smith_by_equivalence(P: MatrixPolynomial) -> SmithForm:
             _bring_to_corner(work, p)
         diagonal.append(work[0][0])
         work = [row[1:] for row in work[1:]]
+    diagonal = [RationalPolynomial._raw([Fraction(c, d[-1]) for c in d]) for d in diagonal]
     _divisibility_chain(diagonal)
-    polys = tuple(RationalPolynomial._raw([Fraction(c, d[-1]) for c in d]) for d in diagonal)
-    return SmithForm(rank=len(polys), invariant_polynomials=polys)
+    return SmithForm(rank=len(diagonal), invariant_polynomials=tuple(diagonal))
 
 
 def _full_min_degree_pivot(work):

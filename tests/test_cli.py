@@ -65,6 +65,17 @@ class TestPolynomialFile:
         write_polynomial(p, str(path))
         assert read_polynomial(str(path)) == p
 
+    def test_roundtrip_at_int_grades(self, tmp_path):
+        # the grade is written as a JSON int, which read_polynomial accepts;
+        # a bool grade, which it refuses, is refused at construction
+        # (tests/test_exact.py::test_grade_must_be_an_int)
+        path = tmp_path / "z.json"
+        for grade in range(4):
+            p = SkewMatrixPolynomial.zeros(2, 2, grade)
+            write_polynomial(p, str(path))
+            assert type(json.loads(path.read_text())["grade"]) is int
+            assert read_polynomial(str(path)) == p
+
     def test_write_read_write_byte_identical(self, tmp_path):
         p = skew2(x**2 * 3 + 1, grade=3)
         path = tmp_path / "r.json"

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -10,10 +11,10 @@ from skewstruct import eigenstructure, exact
 from skewstruct.blocks import BlockList, SkewBlock, assemble_skew, blocklist_eigenstructure
 from skewstruct.eigenstructure import (
     CompleteEigenstructure,
+    _read_profile,
     _staircase,
     _structure_at_zero,
     analyze,
-    indices_from_kernel_dims,
     infinite_structure,
     minimal_indices,
     multiplicities_from_prefix_dims,
@@ -409,27 +410,46 @@ class TestPrefixDims:
             assert list(mults) == sorted(valuation_at_zero(g) for g in smith_by_minors(m))
 
 
+class StubPoly(NamedTuple):
+    """What `_read_profile` reads of P, beside its stages."""
+
+    degree: int
+    rows: int
+    cols: int
+    grade: int
+
+
 class TestDimsToIndices:
+    """`_read_profile` on synthetic (dim S_k, dim F_k) stages of a 4 x 4 stub."""
+
     def test_reads_only_as_far_as_needed(self):
-        dims = iter([0, 1, 3, 99])
-        assert indices_from_kernel_dims(dims, 2) == (1, 2)
-        assert next(dims) == 99
+        # deg P = 1, so F_0 is never read; from stage 1 on the kernel growth
+        # is 0, 1, 2 and meets the prefix growth 2 at stage 3: indices 1, 2
+        stages = iter([(2, None), (4, 0), (6, 1), (8, 3), (99, 99)])
+        assert _read_profile(StubPoly(1, 4, 4, 1), stages) == (2, (1, 2), (0, 0))
+        assert next(stages) == (99, 99)
         dims = iter([3, 5, 6, 99])
         assert multiplicities_from_prefix_dims(dims, eta=1, rho=3) == (0, 1, 2)
         assert next(dims) == 99
 
     def test_nothing_to_read(self):
-        assert indices_from_kernel_dims(iter([]), 0) == ()
+        # full rank: both growths are 0 at stage 0, and there is no index
+        assert _read_profile(StubPoly(0, 4, 4, 1), iter([(0, 0)])) == (4, (), (0, 0, 0, 0))
         assert multiplicities_from_prefix_dims(iter([]), eta=2, rho=0) == ()
 
     @pytest.mark.parametrize(
-        "dims, total",
-        [([1, 1, 3], 2), ([3, 5], 2), ([0, 1], 2)],
-        ids=["negative-count", "overshoot", "ends-first"],
+        "stages, message",
+        [
+            ([(2, 1), (4, 1), (6, 3)], "impossible kernel dimension 1 at order 1"),
+            ([(2, 3)], "kernel growth 3 exceeds prefix growth 2 at stage 0"),
+            ([(2, 0), (4, 1)], "normal rank search exceeded its bound"),
+            (((2 * k + 2, k + 1) for k in itertools.count()), "normal rank search exceeded its bound"),
+        ],
+        ids=["negative-count", "overshoot", "ends-first", "never-meets"],
     )
-    def test_impossible_kernel_dims(self, dims, total):
-        with pytest.raises(InternalInconsistency):
-            indices_from_kernel_dims(dims, total)
+    def test_impossible_kernel_dims(self, stages, message):
+        with pytest.raises(InternalInconsistency, match=message):
+            _read_profile(StubPoly(0, 4, 4, 1), stages)
 
     @pytest.mark.parametrize(
         "dims",

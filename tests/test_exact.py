@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import signal
 from fractions import Fraction
 
@@ -514,6 +515,14 @@ class TestMatrixPolynomial:
         assert str(info.value) == f"grade {grade} is below {least}, the least grade allowed"
         assert "inf" not in str(info.value)
 
+    @pytest.mark.parametrize("entry", ["zeros", "with_grade", "rev", "reversed_at"])
+    @pytest.mark.parametrize("grade", [True, 1.5, "2"], ids=["bool", "float", "str"])
+    def test_grade_must_be_an_int(self, entry, grade):
+        # True and 1.5 would pass the comparison with the degree 1 of x, so
+        # the type is checked first, as `_rational` checks a scalar's
+        with pytest.raises(TypeError, match=re.escape(f"grade must be an int, got {grade!r}")):
+            GRADE_ENTRY_POINTS[entry](x, grade)
+
     def test_frobenius_distance(self):
         z = MatrixPolynomial.zeros(2, 2, grade=1)
         u = SkewMatrixPolynomial([[P.zero(), P.one()], [-P.one(), P.zero()]], grade=1)
@@ -749,7 +758,7 @@ def reworked(monkeypatch):
     chain = exact._divisibility_chain
 
     def counting(diagonal):
-        before = [list(d) for d in diagonal]
+        before = list(diagonal)
         chain(diagonal)
         flags.append(diagonal != before)
 
@@ -836,12 +845,14 @@ class TestSmithForm:
             assert list(smith_form(m).invariant_polynomials) == smith_by_minors(m) == expected
 
     def test_divisibility_chain_alone(self):
-        # the pass on an integer diagonal in no particular order, with a
-        # constant after non-constants: 2x+2, 3x^2, -5, 1-x, -x
-        diagonal = [[2, 2], [0, 0, 3], [-5], [1, -1], [0, -1]]
+        # the pass on a monic diagonal in no particular order: a constant
+        # after non-constants, and x^2(x-1) before x(x-1)^2, which share
+        # factors but divide neither way
+        diagonal = [x + 1, x**2 * (x - 1), P.one(), x * (x - 1) ** 2, x]
+        expected = smith_by_minors(diagonal_matrix(diagonal))
         exact._divisibility_chain(diagonal)
-        assert [P(d).monic() for d in diagonal] == [
-            P.one(), P.one(), P.one(), x, x**2 * (x - 1) * (x + 1)
+        assert diagonal == expected == [
+            P.one(), P.one(), x, x * (x - 1), x**2 * (x - 1) ** 2 * (x + 1)
         ]
 
     def test_divisibility_pass_on_seeded_family(self, reworked):
