@@ -3,8 +3,9 @@
 Subcommands: generic, analyze, sample, mc, linearize, codim, closure.
 Exit codes: 0 success, 1 validation failure, 2 inconclusive closure search,
 3 numeric backend failure or, from `codim --pencil`, exact codimensions that
-disagree ("agree": false), 4 closure search answered "no" (the source is
-not in the target's orbit closure). All randomness flows from --seed flags.
+disagree ("agree": false), 4 closure answered "no" (the source is not in the
+target's orbit closure, by rank, a Hom witness or, without --max-steps, a
+codimension gap <= 0). All randomness flows from --seed flags.
 """
 
 from __future__ import annotations

@@ -176,10 +176,7 @@ def codim_tangent(pencil: MatrixPolynomial) -> int:
     n = pencil.rows
     if n > TANGENT_SIZE_LIMIT:
         raise ParamDomain(f"pencil size {n} exceeds the tangent-rank guard {TANGENT_SIZE_LIMIT}")
-    ambient = n * (n - 1)
-    if n == 0:
-        return 0
-    return ambient - rank_exact(tangent_map_matrix(pencil))
+    return n * (n - 1) - rank_exact(tangent_map_matrix(pencil))
 
 
 def pencil_codim_reports(n: int, w: int, r: int, via_tangent: bool = False) -> list:

@@ -411,10 +411,9 @@ class ClosureResult:
     """Outcome of `closure_reachable`.
 
     status "yes" certifies closure containment via the certificate; "no"
-    certifies that the source is not in the target's orbit closure, either
-    because its rank is above the target's (no witness) or by `witness`;
-    "no_within_bound" is inconclusive and only means nothing was found
-    within the bounds.
+    certifies that the source is not in the target's orbit closure: by
+    `witness`, a rank above the target's or a codimension gap of 0 or less;
+    "no_within_bound" is inconclusive: nothing was found within the bounds.
     """
 
     status: str
@@ -515,13 +514,13 @@ def closure_reachable(
     """Decide whether target's orbit closure contains source's, by Hom witnesses and a search.
 
     "yes" comes with a rule sequence found by breadth-first search, and
-    symbolic eigenvalues match modulo renaming. "no" is certified: the
-    source's rank is above the target's, or a `HomWitness` refutes it.
-    "no_within_bound" is inconclusive: nothing was found within the step
-    bound or `MAX_STATES`. A negative step bound raises ParamDomain; zero
-    searches no step. A skew-flavor target or source is searched as its
-    `skew_to_general` unfolding, which is also the list a certificate
-    replays from.
+    symbolic eigenvalues match modulo renaming. "no" is certified: by the
+    rank, a `HomWitness` or, under the default step bound, the codimension
+    gap (below). "no_within_bound" is inconclusive: nothing was found within
+    the step bound or `MAX_STATES`. A negative step bound raises
+    ParamDomain; zero searches no step. A skew-flavor target or source is
+    searched as its `skew_to_general` unfolding, which is also the list a
+    certificate replays from.
 
     Rules 1-5 keep the rank and rule 6 raises it by one, so no state of
     rank above the target's leads to the target, and a source above it is
@@ -529,7 +528,8 @@ def closure_reachable(
     that it leaves open is searched. Every rule application strictly
     lowers the orbit codimension, so no path is longer than
     `codim_general(source) - codim_general(target)`, the default step
-    bound; with it, only `MAX_STATES` can leave a search inconclusive.
+    bound: a gap of 0 or less is answered "no" after one state, and any
+    other search can be left inconclusive only by `MAX_STATES`.
     """
     if target.flavor == "skew":
         target = skew_to_general(target)
@@ -548,7 +548,9 @@ def closure_reachable(
     if witness is not None:
         return ClosureResult(status="no", states_explored=1, witness=witness)
     if max_steps is None:
-        max_steps = max(codim_general(source_counts) - codim_general(target_counts), 0)
+        max_steps = codim_general(source_counts) - codim_general(target_counts)
+        if max_steps <= 0:  # the keys differ, and every rule lowers the codimension
+            return ClosureResult(status="no", states_explored=1)
     return _breadth_first(target_counts, source_counts, max_steps)
 
 

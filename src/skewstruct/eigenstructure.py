@@ -301,8 +301,8 @@ def _read_profile(P: MatrixPolynomial, stages) -> tuple:
     or no meeting within the stage bound, raises InternalInconsistency.
     """
     delta = max(P.degree, 0)
-    # a generous bound past the largest multiplicity and the largest index
-    stages = itertools.islice(stages, (P.rows + P.cols) * max(P.grade, 1) + delta + 2)
+    # the stage bound (index sum theorem): no multiplicity at zero or minimal index exceeds rank * grade
+    stages = itertools.islice(stages, P.cols * max(P.grade, 1) + delta + 1)
     prefix_dims, indices = [], []
     kernel_dim = kernel_growth = 0
     for k, (prefix_dim, fiber_dim) in enumerate(stages):

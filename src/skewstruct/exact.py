@@ -179,8 +179,10 @@ class RationalPolynomial:
         return divmod(self, other)[1]
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"exponent must be a nonnegative int, got {n!r}")
+        if type(n) is not int:  # not isinstance: True is an int
+            raise TypeError(f"exponent must be an int, got {n!r}")
+        if n < 0:
+            raise ValueError(f"exponent must be nonnegative, got {n}")
         result = RationalPolynomial.one()
         base = self
         while n:

@@ -1,10 +1,10 @@
 """Best-effort floating-point backend (`analyze --backend float`).
 
 The only module that imports numpy or scipy; every other answer is exact.
-The only numeric rank read is `_nullities`: block-Toeplitz nullities stand
-in for the exact staircase's stages and feed its reader (one pass over
-rev(P, deg P) gives the rank, minimal indices and infinity), and the same
-nullities of P's Taylor coefficients give each eigenvalue's local profile.
+Every numeric rank is read by `_nullity` on a block-Toeplitz matrix T_k of
+one builder, `_toeplitz`: these nullities feed the exact staircase's reader
+(one pass over rev(P, deg P) gives the rank, minimal indices and infinity),
+and on the Taylor coefficients at z they give a candidate's local profile.
 An answer is built by `CompleteEigenstructure.skew`, so it passes the same
 skew checks as an exact one (even rank, multiplicities in pairs, the index
 sum theorem) or raises RankVerificationFailed.
@@ -33,8 +33,6 @@ def rank_fp(matrix, tol_rel: float = DEFAULT_TOL) -> int:
     if a.size == 0:
         return 0
     svals = np.linalg.svd(a, compute_uv=False)
-    if svals[0] == 0.0:
-        return 0
     return int(np.count_nonzero(svals > tol_rel * svals[0]))
 
 
@@ -46,35 +44,28 @@ def _coeff_arrays(P: MatrixPolynomial):
     ]
 
 
-def _nullities(coeffs, extra: int, last: int, tol_rel):
-    """Numeric nullities of block-Toeplitz truncations of orders 0 .. last, lazily.
+def _toeplitz(coeffs, k):
+    """T_k: block rows and columns 0 .. k of the lower block-triangular Toeplitz matrix of coeffs."""
+    return sum(np.kron(np.eye(k + 1, k=-d), c) for d, c in enumerate(coeffs[: k + 1]))
 
-    Order k has k+1 block columns and k+1+extra block rows of the lower
-    block-triangular Toeplitz matrix of the coefficients: extra = 0 gives the
-    prefix spaces, extra = len(coeffs) - 1 the full convolution matrix.
-    """
-    rows, cols = coeffs[0].shape
-    for k in range(last + 1):
-        t = np.zeros(((k + 1 + extra) * rows, (k + 1) * cols), dtype=coeffs[0].dtype)
-        for b in range(k + 1):
-            for d, c in enumerate(coeffs[: k + 1 + extra - b]):
-                t[(b + d) * rows : (b + d + 1) * rows, b * cols : (b + 1) * cols] = c
-        yield (k + 1) * cols - rank_fp(t, tol_rel)
+
+def _nullity(t, width: int, tol_rel) -> int:
+    """Numeric nullity of the first `width` columns of t."""
+    return width - rank_fp(t[:, :width], tol_rel)
 
 
 def _stages(P: MatrixPolynomial, tol_rel):
-    """Numeric (dim S_k, dim F_k) stages of P, as `eigenstructure._staircase` yields them.
+    """Numeric (dim S_k, dim F_k) of P for k = 0, 1, ..., as `eigenstructure._staircase` yields them.
 
-    dim S_k is the prefix nullity of order k, and from k = delta = deg P on
-    dim F_k is the kernel nullity of C_{k-delta} (before, it is never read).
-    No meeting stage passes cols * grade + delta: the largest multiplicity
-    at zero and the largest minimal index are at most rank * grade.
+    dim S_k is the nullity of T_k, and dim F_k that of its first k-delta+1
+    block columns, delta = deg P: from stage delta on they are C_{k-delta},
+    and before it none (F_k = 0). `_read_profile` bounds the stages.
     """
-    delta = max(P.degree, 0)
+    delta, n = max(P.degree, 0), P.cols
     coeffs = _coeff_arrays(P)[: delta + 1]
-    last = P.cols * max(P.grade, 1) + delta
-    kernels = itertools.chain([None] * delta, _nullities(coeffs, delta, last, tol_rel))
-    return zip(_nullities(coeffs, 0, last, tol_rel), kernels)
+    for k in itertools.count():
+        t = _toeplitz(coeffs, k)
+        yield _nullity(t, (k + 1) * n, tol_rel), _nullity(t, max(k - delta + 1, 0) * n, tol_rel)
 
 
 def _shifted_coeffs(coeffs, z):
@@ -113,8 +104,9 @@ def analyze_float(
         # companion eigenvalues with a positive local profile; its order 0 is rank P(z)
         finite: dict = {}
         for z in _eigenvalue_candidates(coeffs):
+            shifted = _shifted_coeffs(coeffs, z)
+            local = (_nullity(_toeplitz(shifted, k), (k + 1) * m, tol_rel) for k in range(last + 1))
             try:
-                local = _nullities(_shifted_coeffs(coeffs, z), 0, last, tol_rel)
                 positive = tuple(v for v in multiplicities_from_prefix_dims(local, m - rho, rho) if v)
             except InternalInconsistency:
                 continue  # no eigenvalue has an impossible local profile

@@ -695,6 +695,28 @@ class TestClosureCommand:
         assert code == 4
         assert json.loads(capsys.readouterr().out) == {"status": "no", "states_explored": 1}
 
+    def test_zero_codimension_gap_exit_code(self, tmp_path, capsys):
+        # E_2(@a) and E_1(@a) + E_1(@b) both have codimension 2: with the
+        # default step bound that is a certified "no", with none inconclusive
+        source = self._write(
+            tmp_path / "s.json",
+            {"flavor": "general", "blocks": [{"kind": "E_finite", "index": 2, "eigenvalue": "@a"}]},
+        )
+        target = self._write(
+            tmp_path / "t.json",
+            {
+                "flavor": "general",
+                "blocks": [
+                    {"kind": "E_finite", "index": 1, "eigenvalue": "@a"},
+                    {"kind": "E_finite", "index": 1, "eigenvalue": "@b"},
+                ],
+            },
+        )
+        assert main(["closure", "--target", target, "--source", source]) == 4
+        assert json.loads(capsys.readouterr().out) == {"status": "no", "states_explored": 1}
+        assert main(["closure", "--target", target, "--source", source, "--max-steps", "0"]) == 2
+        assert json.loads(capsys.readouterr().out) == {"status": "no_within_bound", "states_explored": 1}
+
     def test_hom_witness_exit_code(self, tmp_path, capsys):
         # two blocks at infinity do not lie in the closure of four: the
         # witness is printed beside the status, only when there is one

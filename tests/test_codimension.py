@@ -204,6 +204,8 @@ class TestTangent:
     def test_m1(self):
         pencil = assemble_skew(BlockList.skew([SkewBlock.m(1)]))
         assert codim_tangent(pencil) == 0
+        # the 0 x 0 pencil: a tangent map with no rows, of rank 0
+        assert codim_tangent(MatrixPolynomial.zeros(0, 0, 1)) == 0
 
     def test_generic_5_2_1(self):
         pencil = assemble_skew(generic_pencil_structure(5, 2, 1))

@@ -1,5 +1,6 @@
 """Tests for the degeneration rewriting system and closure search."""
 
+import itertools
 import json
 import random
 import signal
@@ -370,6 +371,35 @@ class TestClosureSearch:
         res = closure_reachable(target, source)
         assert (res.status, res.states_explored) == ("yes", 17)
         assert replay_certificate(source, res.certificate) == target
+
+    def test_zero_codimension_gap_is_a_certified_no(self):
+        # both orbits have codimension 2, and every rule lowers it, so no
+        # path joins them: under the default step bound that is a "no"
+        a, b = SymbolicPoint("a"), SymbolicPoint("b")
+        target, source = gl(E(1, a), E(1, b)), gl(E(2, a))
+        assert codim_general(source.counts()) == codim_general(target.counts()) == 2
+        res = closure_reachable(target, source)
+        assert (res.status, res.states_explored, res.witness) == ("no", 1, None)
+        assert closure_reachable(target, source, max_steps=0).status == "no_within_bound"
+
+    def test_zero_codimension_gaps_match_the_unpruned_search(self):
+        # every ordered pair of distinct skew sources of sizes 3-5 whose gap
+        # is 0 or less: those that neither the rank nor a witness refutes
+        # are answered "no" after one state, and the unpruned search reaches
+        # none of them
+        pairs = answered = 0
+        for n in (3, 4, 5):
+            for target, source in itertools.permutations(skew_sources(n), 2):
+                pairs += 1
+                if codim_general(source.counts()) > codim_general(target.counts()):
+                    continue
+                res = closure_reachable(target, source)
+                assert (res.status, res.states_explored) == ("no", 1), (str(target), str(source))
+                if source.rank <= target.rank and res.witness is None:
+                    answered += 1
+                    full = closure_reachable_unpruned(target, source, max_steps=6)
+                    assert full.status == "no_within_bound", (str(target), str(source))
+        assert (pairs, answered) == (258, 30)
 
     def test_state_bound_leaves_the_search_inconclusive(self, monkeypatch):
         # the search above keys 17 states; a bound of 5 stops it at the fifth

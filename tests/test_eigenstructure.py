@@ -437,6 +437,18 @@ class TestDimsToIndices:
         assert _read_profile(StubPoly(0, 4, 4, 1), iter([(0, 0)])) == (4, (), (0, 0, 0, 0))
         assert multiplicities_from_prefix_dims(iter([]), eta=2, rho=0) == ()
 
+    def test_stage_bound(self):
+        # the only stage bound: a meeting by stage cols * grade + deg P, here
+        # 5, since no multiplicity at zero and no minimal index exceeds
+        # rank * grade; full rank and one multiplicity at zero, as large as
+        # the meeting stage, is read there, and a stage later is not
+        def meeting_at(last):
+            return iter([(min(k + 1, last), 0) for k in range(last + 1)])
+
+        assert _read_profile(StubPoly(1, 4, 4, 1), meeting_at(5)) == (4, (), (0, 0, 0, 5))
+        with pytest.raises(InternalInconsistency, match="normal rank search exceeded its bound"):
+            _read_profile(StubPoly(1, 4, 4, 1), meeting_at(6))
+
     @pytest.mark.parametrize(
         "stages, message",
         [

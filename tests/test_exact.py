@@ -93,8 +93,12 @@ class TestRationalPolynomial:
     def test_power_needs_a_nonnegative_int(self):
         # on the constant one, so that a regression loops instead of growing
         assert P.one() ** 0 == P.one()
-        for n in (-1, -2, 0.5, Fraction(1)):
-            with pytest.raises(ValueError):
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match="nonnegative"):
+                P.one() ** n
+        # a type that is not exactly int, as for a grade (True is an int)
+        for n in (0.5, 1.0, Fraction(1), True):
+            with pytest.raises(TypeError, match="must be an int"):
                 P.one() ** n
 
     def test_constants_hash_like_their_values(self):

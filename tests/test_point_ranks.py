@@ -6,7 +6,7 @@ both backends. `exact._point_ranks`, the ranks at 0, 1, -1, 2, ..., is read
 only by `sampling.sample_bounded_rank`, which accepts a draw at a point of
 full rank, and `sampling.perturb_rank_increase`, which needs a point where
 the polynomial attains its normal rank. In `floating`, `rank_fp` is called
-only by `_nullities`, which reads the ranks of block-Toeplitz truncations:
+only by `_nullity`, which reads the ranks of block-Toeplitz truncations:
 the local profile at an eigenvalue candidate starts with the rank of P(z),
 so no function of the float backend evaluates P and ranks it on its own.
 """
@@ -31,7 +31,7 @@ def _point_rank_readers(module: str, tree) -> set:
     """Qualified names of the functions of a module that read ranks at chosen points.
 
     A function reads them if it reads `_point_ranks` (other than by being
-    it), or, in `floating`, if it reads `rank_fp` and is not `_nullities`.
+    it), or, in `floating`, if it reads `rank_fp` and is not `_nullity`.
     """
     readers = set()
 
@@ -42,7 +42,7 @@ def _point_rank_readers(module: str, tree) -> set:
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if child.name != "_point_ranks" and "_point_ranks" in _names(child):
                     readers.add(prefix + child.name)
-                elif module == "floating" and child.name != "_nullities" and "rank_fp" in _names(child):
+                elif module == "floating" and child.name != "_nullity" and "rank_fp" in _names(child):
                     readers.add(prefix + child.name)
 
     visit(tree, f"{module}.")
@@ -76,8 +76,8 @@ def at_candidates(coeffs, tol_rel):
         if rank_fp(value(coeffs, z), tol_rel):
             return [rank_fp(value(coeffs, w), tol_rel) for w in _eigenvalue_candidates(coeffs)]
 
-def _nullities(coeffs, extra, last, tol_rel):
-    yield rank_fp(toeplitz(coeffs), tol_rel)
+def _nullity(t, width, tol_rel):
+    return width - rank_fp(t[:, :width], tol_rel)
 '''
     tree = ast.parse(source)
     assert _point_rank_readers("exact", tree) == {"exact.by_name", "exact.by_module"}

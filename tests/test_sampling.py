@@ -1,6 +1,7 @@
 """Tests for sampling, perturbation, and the floating backend."""
 
 import importlib
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -21,7 +22,7 @@ from skewstruct.exact import (
     normal_rank,
     rank_exact,
 )
-from skewstruct.floating import analyze_float, rank_fp
+from skewstruct.floating import DEFAULT_TOL, analyze_float, rank_fp
 from skewstruct.generic import generic_poly_structure
 from skewstruct.sampling import (
     DEFAULT_COEFF_RANGE,
@@ -31,7 +32,12 @@ from skewstruct.sampling import (
     sample_bounded_rank,
 )
 
-from oracles import normal_rank_by_minors, sample_by_fractions
+from oracles import (
+    kernel_dims_by_convolution,
+    normal_rank_by_minors,
+    prefix_dims_by_toeplitz,
+    sample_by_fractions,
+)
 
 P = RationalPolynomial
 x = P.variable()
@@ -304,9 +310,32 @@ class TestAnalyzeFloat:
         assert (root.real, root.imag) == pytest.approx((3.0, 0.0), abs=1e-6)
         assert mults == exact.finite[0][1] == (1, 1, 3, 3)
 
+    def test_stages_are_the_exact_toeplitz_nullities(self):
+        # dim S_k is the nullity of T_k, and from k = delta = deg P on dim F_k
+        # is that of C_{k-delta}, T_k's first k-delta+1 block columns (F_k = 0
+        # before): singular, non-square, constant (delta = 0), zero, and read
+        # at a grade above the degree
+        singular = assemble_skew(BlockList.skew([SkewBlock.m(1), SkewBlock.h(1, 2), SkewBlock.k(1)]))
+        constant = MatrixPolynomial([[1, 2, 0], [2, 4, 0]], grade=0)
+        polys = [
+            singular,
+            singular.with_grade(2),
+            MatrixPolynomial([[x, 1, 0], [0, x, 1]]),
+            MatrixPolynomial([[x**2, x, 0], [x, 1, x - 1], [0, 0, x**2]]),
+            constant,
+            constant.with_grade(2),
+            SkewMatrixPolynomial.zeros(2, 2, 1),
+        ]
+        last = 7
+        for poly in polys:
+            delta = max(poly.degree, 0)
+            stages = list(itertools.islice(floating._stages(poly, DEFAULT_TOL), last + 1))
+            assert [s for s, _ in stages] == prefix_dims_by_toeplitz(poly, last), str(poly)
+            assert [f for _, f in stages] == [0] * delta + kernel_dims_by_convolution(poly, last - delta), str(poly)
+
     def test_impossible_profile_is_a_numeric_failure(self, monkeypatch):
         pencil = assemble_skew(BlockList.skew([SkewBlock.k(1), SkewBlock.m(1)]))
-        monkeypatch.setattr(floating, "_nullities", lambda coeffs, extra, last, tol_rel: iter([]))
+        monkeypatch.setattr(floating, "_stages", lambda P, tol_rel: iter([]))
         with pytest.raises(RankVerificationFailed):
             analyze_float(pencil, 1)
 
