@@ -65,7 +65,6 @@ from .exact import (
     skew_smith,
     smith_form,
 )
-from .floating import analyze_float, rank_fp
 from .generic import (
     PencilGenericParams,
     PolyGenericParams,
@@ -88,6 +87,16 @@ from .sampling import (
     perturb_rank_increase,
     sample_bounded_rank,
 )
+
+
+def __getattr__(name):
+    """The float backend's names, imported on first use (PEP 562), so that numpy loads only then."""
+    if name in ("analyze_float", "rank_fp"):
+        from . import floating
+
+        return getattr(floating, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BlockList",

@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 validation failure, 2 inconclusive closure search,
 3 numeric backend failure or, from `codim --pencil`, exact codimensions that
 disagree ("agree": false), 4 closure answered "no" (the source is not in the
 target's orbit closure, by rank, a Hom witness or, without --max-steps, a
-codimension gap <= 0). All randomness flows from --seed flags.
+codimension gap <= 0 or a search exhausted below the state cap). All
+randomness flows from --seed flags.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .fileio import (
     read_polynomial,
     write_polynomial,
 )
-from .floating import DEFAULT_TOL, analyze_float
 from .generic import generic_pencil_structure, generic_poly_structure
 from .linearize import build_linearization, pad_grade
 from .sampling import (
@@ -104,13 +104,17 @@ def cmd_analyze(args) -> int:
     if deg is not NEG_INF and grade < deg:
         raise SkewstructError(f"--grade {grade} is below the degree {deg}")
     if args.backend == "float":
+        # numpy loads only here: no other command imports the float backend
+        from .floating import DEFAULT_TOL, analyze_float
+
+        tol = DEFAULT_TOL if args.tol is None else args.tol
         try:
-            structure = analyze_float(P, grade, args.tol)
+            structure = analyze_float(P, grade, tol)
         except Exception as exc:  # numeric path is best-effort by contract
             _print_error(f"numeric backend failed: {exc}")
             return EXIT_NUMERIC
         data = structure.to_json_dict()
-        data["tolerance"] = args.tol
+        data["tolerance"] = tol
     else:
         data = analyze(P, grade).to_json_dict()
     print(dump_json(data), end="")
@@ -239,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("file")
     a.add_argument("--grade", type=_size, help="override the declared grade")
     a.add_argument("--backend", choices=("exact", "float"), default="exact")
-    a.add_argument("--tol", type=float, default=DEFAULT_TOL, help="relative rank tolerance (float backend)")
+    a.add_argument("--tol", type=float, help="relative rank tolerance (float backend)")
     a.set_defaults(func=cmd_analyze)
 
     s = sub.add_parser("sample", help="draw a random bounded-rank polynomial")

@@ -39,8 +39,8 @@ zero, raised by grade - deg P, are those of P at infinity (`_at_infinity`).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InternalInconsistency, ZeroRank
@@ -397,22 +397,34 @@ def smallest_infinite_multiplicity_law(P: MatrixPolynomial) -> GradeLawReport:
 
 
 def _factor_rational(poly: RationalPolynomial) -> list:
-    """Irreducible monic factors of a monic rational polynomial with exponents."""
-    import sympy
+    """Irreducible monic factors of a rational polynomial with exponents.
+
+    The coefficients are cleared to a primitive integer list, highest
+    degree first, which sympy factors over the integers; by Gauss's lemma
+    its irreducible factors are those over Q, up to constants.
+    """
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
 
     if poly.degree is NEG_INF or poly.degree == 0:
         return []
-    lam = sympy.Symbol("_lam")
-    expr = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(poly.coeffs)],
-        lam,
-        domain="QQ",
-    )
-    out = []
-    for factor, exponent in expr.factor_list()[1]:
-        coeffs = [Fraction(c.p, c.q) for c in reversed(factor.all_coeffs())]
-        out.append((RationalPolynomial(coeffs).monic(), int(exponent)))
-    return out
+    den = math.lcm(*(c.denominator for c in poly.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in reversed(poly.coeffs)]
+    content = math.gcd(*ints)
+    return [
+        (RationalPolynomial([int(c) for c in reversed(factor)]).monic(), exponent)
+        for factor, exponent in dup_factor_list([v // content for v in ints], ZZ)[1]
+    ]
+
+
+def _exponent(g: RationalPolynomial, factor: RationalPolynomial) -> int:
+    """The exponent of `factor` in g, by repeated exact division."""
+    exponent = 0
+    while True:
+        quotient, remainder = divmod(g, factor)
+        if remainder.coeffs:
+            return exponent
+        g, exponent = quotient, exponent + 1
 
 
 def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstructure:
@@ -423,10 +435,14 @@ def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstruc
     point (`_at_infinity`). For skew P, -P^T = P, so the left minimal
     indices are the right ones. By the index sum theorem the finite elementary divisors then
     have total degree rho * grade - sum(infinite) - 2 * sum(minimal). Only
-    when that deficit is positive does the Smith reduction run, with its
-    invariant polynomials factored over the rationals; a zero deficit leaves
-    no finite elementary divisors, and a negative one raises
-    InternalInconsistency. The result is built by
+    when that deficit is positive does the Smith reduction run; a zero
+    deficit leaves no finite elementary divisors, and a negative one raises
+    InternalInconsistency. The invariant polynomials g_1 | ... | g_k form a
+    divisibility chain, so every irreducible factor of any g_i divides g_k:
+    g_k is the one polynomial factored over the rationals
+    (`_factor_rational`), and each factor's exponent in g_{k-1}, g_{k-2},
+    ... is read by exact division (`_exponent`) down to the first g_i that
+    it does not divide, below which none is divisible. The result is built by
     `CompleteEigenstructure.skew`, which checks the pairing of every
     multiplicity list, the even rank and the index-sum identity.
     """
@@ -447,9 +463,15 @@ def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstruc
             raise InternalInconsistency(
                 f"rank {rho} by the staircase vs {2 * paired.rank} by reduction"
             )
-        for g in paired.invariant_polynomials:
-            for factor, exponent in _factor_rational(g):
-                finite.setdefault(factor, []).extend([exponent, exponent])
+        # factor g_k alone, then divide down the chain (a constant g_i stops it)
+        *rest, last = paired.invariant_polynomials
+        for factor, exponent in _factor_rational(last):
+            mults = finite[factor] = [exponent, exponent]
+            for g in reversed(rest):
+                exponent = _exponent(g, factor)
+                if not exponent:
+                    break
+                mults += [exponent, exponent]
 
     # the index-sum check also holds the finite part to the deficit
     return CompleteEigenstructure.skew(skew.rows, grade, rho, finite, infinite, minimal)

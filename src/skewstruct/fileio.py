@@ -5,8 +5,10 @@ grade+1 coefficient matrices, lowest degree first, with every entry an
 exact rational written "num/den" (strictly: ASCII digits with an optional
 leading minus, optionally "/" and a nonzero digit string; see
 `points.rational_parts`). Skew-symmetry is validated on load and malformed
-rationals are rejected. Writing is canonical (sorted keys, fixed
-indentation), so read-then-write is byte-identical.
+rationals are rejected: the reader checks and parses each distinct entry
+text once, in file order, so the first malformed entry names the error
+whatever repeats. Writing is canonical (sorted keys, fixed indentation), so
+read-then-write is byte-identical.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def polynomial_from_dict(data: dict) -> SkewMatrixPolynomial:
         raise FileFormatError(f"grade must be nonnegative, got {grade}")
     if not isinstance(raw, list) or len(raw) != grade + 1:
         raise FileFormatError(f"expected a list of {grade + 1} coefficient matrices")
-    mats = []
+    parsed: dict = {}  # entry text -> (num, den): each distinct text is checked and parsed once
     for mat in raw:
         if not (
             isinstance(mat, list)
@@ -65,11 +67,17 @@ def polynomial_from_dict(data: dict) -> SkewMatrixPolynomial:
             and all(isinstance(row, list) and len(row) == m for row in mat)
         ):
             raise FileFormatError(f"coefficient matrices must be {m} x {m} lists")
-        mats.append([[json_rational_parts(v) for v in row] for row in mat])
+        for row in mat:
+            for text in row:
+                # only a str is looked up: a list entry is unhashable, and any
+                # entry that is not a str raises in json_rational_parts
+                if not isinstance(text, str) or text not in parsed:
+                    parsed[text] = json_rational_parts(text)
     # integers over the entries' common denominator, which the constructor
     # reduces to lowest terms: no Fraction per entry
-    den = math.lcm(*(d for mat in mats for row in mat for _, d in row))
-    numerators = [[[n * (den // d) for n, d in row] for row in mat] for mat in mats]
+    den = math.lcm(*(d for _, d in parsed.values()))
+    scaled = {text: n * (den // d) for text, (n, d) in parsed.items()}
+    numerators = [[[scaled[text] for text in row] for row in mat] for mat in raw]
     return SkewMatrixPolynomial._from_integers(m, m, grade, numerators, den)
 
 

@@ -1,6 +1,9 @@
 """Best-effort floating-point backend (`analyze --backend float`).
 
 The only module that imports numpy or scipy; every other answer is exact.
+It is imported only by `cli.cmd_analyze` under `--backend float` and on a
+first read of the package's `analyze_float` or `rank_fp`, so numpy loads
+only then.
 Every numeric rank is read by `_nullity` on a block-Toeplitz matrix T_k of
 one builder, `_toeplitz`: these nullities feed the exact staircase's reader
 (one pass over rev(P, deg P) gives the rank, minimal indices and infinity),

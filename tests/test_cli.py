@@ -2,7 +2,10 @@
 
 import contextlib
 import io
+import itertools
 import json
+import math
+import random
 from fractions import Fraction
 import os
 import subprocess
@@ -24,6 +27,7 @@ from skewstruct.sampling import SampleSpec, sample_bounded_rank
 from skewstruct.fileio import (
     FileFormatError,
     dump_json,
+    json_rational_parts,
     polynomial_from_dict,
     polynomial_to_dict,
     read_polynomial,
@@ -115,6 +119,98 @@ class TestPolynomialFile:
             polynomial_from_dict(data)
 
 
+def _entry_by_entry(data):
+    """The reader's result or first error message, from one `json_rational_parts` call per entry."""
+    m, grade = data["m"], data["grade"]
+    mats = []
+    try:
+        for mat in data["coefficients"]:
+            if not (isinstance(mat, list) and len(mat) == m and all(isinstance(r, list) and len(r) == m for r in mat)):
+                raise FileFormatError(f"coefficient matrices must be {m} x {m} lists")
+            mats.append([[json_rational_parts(v) for v in row] for row in mat])
+    except FileFormatError as exc:
+        return str(exc)
+    den = math.lcm(*(d for mat in mats for row in mat for _, d in row))
+    numerators = [[[n * (den // d) for n, d in row] for row in mat] for mat in mats]
+    return SkewMatrixPolynomial._from_integers(m, m, grade, numerators, den)
+
+
+class TestParseOnce:
+    """The reader parses each distinct entry text once, with the errors of a parse of every entry."""
+
+    @staticmethod
+    def file_with(entries, m=4, grade=1):
+        """A grade-`grade` m x m file whose entries, in file order, cycle through `entries`."""
+        cycle = itertools.cycle(entries)
+        return {
+            "m": m,
+            "grade": grade,
+            "coefficients": [[[next(cycle) for _ in range(m)] for _ in range(m)] for _ in range(grade + 1)],
+        }
+
+    def assert_error(self, tmp_path, capsys, data, message):
+        assert _entry_by_entry(data) == message
+        with pytest.raises(FileFormatError) as raised:
+            polynomial_from_dict(data)
+        assert str(raised.value) == message
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text", ["1/0", "+1", " 1", "1_0", "oops", "1/"])
+    def test_a_malformed_entry_repeated(self, tmp_path, capsys, text):
+        # repeated all through a 12 x 12 file, after valid entries that repeat too
+        data = self.file_with(["0", "1/2", "0", text], m=12)
+        self.assert_error(tmp_path, capsys, data, f"malformed rational {text!r}")
+
+    def test_the_first_of_two_malformed_entries_is_named(self, tmp_path, capsys):
+        data = self.file_with(["0", "+1", "1_0", "+1"])
+        self.assert_error(tmp_path, capsys, data, "malformed rational '+1'")
+
+    @pytest.mark.parametrize("entry", [[1], ["1"], {"1": 1}, 1, 0, True, False, None, 1.0])
+    def test_an_entry_that_is_not_a_string(self, tmp_path, capsys, entry):
+        # a list or dict entry is unhashable: it must not be looked up
+        data = self.file_with(["0", "1/2", "0", entry])
+        self.assert_error(tmp_path, capsys, data, f"rational entries must be strings, got {entry!r}")
+
+    def test_not_a_string_after_a_repeated_malformed_one(self, tmp_path, capsys):
+        data = self.file_with(["0", "1/0", "1/0", [1]])
+        self.assert_error(tmp_path, capsys, data, "malformed rational '1/0'")
+
+    def test_shape_errors_keep_their_place(self, tmp_path, capsys):
+        # a malformed entry in the first matrix comes before a bad second one
+        good = [["0", "1/2"], ["-1/2", "0"]]
+        bad = [["0", "x"], ["x", "0"]]
+        self.assert_error(tmp_path, capsys, {"m": 2, "grade": 1, "coefficients": [bad, [["0"]]]},
+                          "malformed rational 'x'")
+        self.assert_error(tmp_path, capsys, {"m": 2, "grade": 1, "coefficients": [good, [["x"]]]},
+                          "coefficient matrices must be 2 x 2 lists")
+
+    def test_repeated_entries_read_as_parsed_one_by_one(self):
+        # every distinct text is parsed once, but equal values written
+        # differently ("1/2", "2/4") and the common denominator come out as
+        # the entry-by-entry parse's
+        values = ["1/2", "2/4", "-3", "5/6", "007", "-0", "1/3"]
+        rng = random.Random(41)
+        m, grade = 5, 2
+        mats = []
+        for _ in range(grade + 1):
+            mat = [["0"] * m for _ in range(m)]
+            for i in range(m):
+                for j in range(i + 1, m):
+                    text = rng.choice(values)
+                    mat[i][j] = text
+                    mat[j][i] = text[1:] if text.startswith("-") else "-" + text
+            mats.append(mat)
+        data = {"m": m, "grade": grade, "coefficients": mats}
+        expected = _entry_by_entry(data)
+        read = polynomial_from_dict(data)
+        assert (read.numerators, read.denominator) == (expected.numerators, expected.denominator)
+        assert read == expected
+
+
 class TestGenericCommand:
     def test_poly_output(self, capsys):
         assert main(["generic", "--m", "5", "--d", "2", "--r", "2"]) == 0
@@ -193,6 +289,31 @@ class TestAnalyzeCommand:
             out, err = capsys.readouterr()
             assert out == ""
             assert "numeric backend failed" in err
+
+    def test_only_the_float_backend_loads_numpy(self, tmp_path):
+        # exact analyze with rational eigenvalues, and generic, in a fresh
+        # interpreter: neither imports numpy or scipy; --backend float does
+        path = tmp_path / "r.json"
+        write_polynomial(skew2((x - Fraction(1, 2)) * (x + 3)), str(path))
+        script = (
+            "import sys\n"
+            "from skewstruct.cli import main\n"
+            "main(sys.argv[1:])\n"
+            "print(sorted({'numpy', 'scipy'} & sys.modules.keys()), 'sympy' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def loaded(*argv):
+            result = subprocess.run(
+                [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
+            )
+            return result.stdout.splitlines()[-1]
+
+        # the positive deficit loads sympy, which factors the eigenvalues
+        assert loaded("analyze", str(path)) == "[] True"
+        assert loaded("generic", "--m", "7", "--d", "2", "--r", "2") == "[] False"
+        assert loaded("analyze", str(path), "--backend", "float").startswith("['numpy'")
 
     def test_grade_below_degree(self, poly_file, capsys):
         assert main(["analyze", poly_file, "--grade", "1"]) == 1

@@ -1,5 +1,6 @@
 """Tests for the degeneration rewriting system and closure search."""
 
+import collections
 import itertools
 import json
 import random
@@ -400,6 +401,26 @@ class TestClosureSearch:
                     full = closure_reachable_unpruned(target, source, max_steps=6)
                     assert full.status == "no_within_bound", (str(target), str(source))
         assert (pairs, answered) == (258, 30)
+
+    def test_exhausted_searches_are_certified_no(self):
+        # under the default step bound, a search that ends below MAX_STATES
+        # has met every path the gap allows: no pair of distinct skew
+        # sources of sizes 3-5 is left inconclusive, and the unpruned
+        # search, four steps past the gap, reaches none of those it refutes
+        statuses, exhausted = collections.Counter(), 0
+        for n in (3, 4, 5):
+            for target, source in itertools.permutations(skew_sources(n), 2):
+                res = closure_reachable(target, source)
+                statuses[res.status] += 1
+                if res.status == "no" and res.witness is None and res.states_explored > 1:
+                    exhausted += 1
+                    gap = codim_general(source.counts()) - codim_general(target.counts())
+                    assert res.states_explored < degeneration.MAX_STATES
+                    assert closure_reachable(target, source, max_steps=gap).status == "no_within_bound"
+                    full = closure_reachable_unpruned(target, source, max_steps=gap + 4)
+                    assert full.status == "no_within_bound", (str(target), str(source))
+        assert statuses == {"yes": 86, "no": 172}
+        assert exhausted == 12
 
     def test_state_bound_leaves_the_search_inconclusive(self, monkeypatch):
         # the search above keys 17 states; a bound of 5 stops it at the fifth

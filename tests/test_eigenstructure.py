@@ -588,7 +588,56 @@ def _gate_fixtures():
         pytest.param(assemble_skew(blocks), 1, True, id="H-M-and-K-blocks"),
         pytest.param(draw, 2, True, id="pinned-draw"),
         pytest.param(build_linearization(pad_grade(draw)).pencil, 1, True, id="pinned-draw-H1(0)"),
+        *(
+            pytest.param(_chain(chain, name), max(g.degree for g in chain), True, id=name)
+            for name, (chain, _) in CHAIN_FIXTURES.items()
+        ),
     ]
+
+
+QUADRATIC = x**2 + x + 1  # irreducible over Q: its discriminant is -3
+CUBIC = x**3 - 2  # irreducible over Q: no rational cube root of 2
+
+
+def _chain(invariants, seed):
+    """Q^T diag(g_1 J, ..., g_k J) Q for a random nonsingular constant Q with entries in {-1, 0, 1}.
+
+    J = [[0, 1], [-1, 0]]. For a chain g_1 | ... | g_k these are the
+    paired invariant polynomials, which the congruence hides from the
+    reduction.
+    """
+    n = 2 * len(invariants)
+    entries = [[P.zero()] * n for _ in range(n)]
+    for i, g in enumerate(invariants):
+        entries[2 * i][2 * i + 1], entries[2 * i + 1][2 * i] = g, -g
+    grade = max(g.degree for g in invariants)
+    rng = random.Random(seed)
+    while True:
+        q = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]
+        if rank_exact(q) == n:
+            break
+    cm = MatrixPolynomial(q, grade=0)
+    return as_skew((cm.transpose() @ SkewMatrixPolynomial(entries, grade) @ cm).with_grade(grade))
+
+
+# (invariant chain g_1 | g_2 | g_3, the finite part analyze must read off it)
+CHAIN_FIXTURES = {
+    # both divide several invariants, each with exponents of its own
+    "quadratic-and-cubic": (
+        [QUADRATIC, QUADRATIC * CUBIC, QUADRATIC**2 * CUBIC**2],
+        {QUADRATIC: (1, 1, 1, 1, 2, 2), CUBIC: (1, 1, 2, 2)},
+    ),
+    # x + 3 divides g_3 only, and g_1 is constant
+    "factor-of-the-last-only": (
+        [P.one(), x**2 - 3, (x**2 - 3) ** 2 * (x + 3)],
+        {x**2 - 3: (1, 1, 2, 2), x + 3: (1, 1)},
+    ),
+    # a rational root with a multiplicity above 1 in every invariant
+    "rational-root-everywhere": (
+        [(x - Fraction(1, 2)) ** 2, (x - Fraction(1, 2)) ** 2 * (x + 1), (x - Fraction(1, 2)) ** 3 * (x + 1)],
+        {x - Fraction(1, 2): (2, 2, 2, 2, 3, 3), x + 1: (1, 1, 1, 1)},
+    ),
+}
 
 
 def _finite_by_smith(poly):
@@ -608,6 +657,33 @@ class TestIndexSumGate:
         structure = analyze(poly, grade)
         assert (structure.index_sums()[0] > 0) == positive
         assert dict(structure.finite) == _finite_by_smith(poly)
+
+    @pytest.mark.parametrize("name", CHAIN_FIXTURES)
+    def test_factor_once_matches_factoring_each_invariant(self, name):
+        # analyze factors g_3 alone and reads the other exponents by
+        # division; both oracles factor every invariant they find
+        chain, expected = CHAIN_FIXTURES[name]
+        poly = _chain(chain, name)
+        finite = dict(analyze(poly).finite)
+        assert finite == expected == _finite_by_smith(poly)
+        by_minors = {}
+        for g in smith_by_minors(poly):
+            for factor, exponent in eigenstructure._factor_rational(g):
+                by_minors.setdefault(factor, []).append(exponent)
+        assert finite == {factor: tuple(sorted(mults)) for factor, mults in by_minors.items()}
+
+    def test_one_factorization_per_analysis(self, monkeypatch):
+        real = eigenstructure._factor_rational
+        factored = []
+
+        def counted(g):
+            factored.append(g)
+            return real(g)
+
+        monkeypatch.setattr(eigenstructure, "_factor_rational", counted)
+        chain, _ = CHAIN_FIXTURES["quadratic-and-cubic"]
+        analyze(_chain(chain, "quadratic-and-cubic"))
+        assert factored == [chain[-1]]
 
     def test_zero_deficit_skips_smith(self, monkeypatch):
         def no_smith(P):
