@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 validation failure, 2 inconclusive closure search,
 3 numeric backend failure or, from `codim --pencil`, exact codimensions that
 disagree ("agree": false), 4 closure answered "no" (the source is not in the
 target's orbit closure, by rank, a Hom witness or, without --max-steps, a
-codimension gap <= 0 or a search exhausted below the state cap). All
-randomness flows from --seed flags.
+search exhausted below the state cap; at a codimension gap <= 0 that search
+takes no step). All randomness flows from --seed flags.
 """
 
 from __future__ import annotations
@@ -96,6 +96,8 @@ def cmd_generic(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.tol is not None and args.backend != "float":
+        raise SkewstructError("--tol applies to --backend float")
     P = read_polynomial(args.file)
     grade = args.grade if args.grade is not None else P.grade
     deg = P.degree

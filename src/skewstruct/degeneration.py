@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .blocks import BlockList, GeneralBlock, skew_to_general
@@ -406,16 +406,16 @@ class HomWitness:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClosureResult:
     """Outcome of `closure_reachable`.
 
     status "yes" certifies closure containment via the certificate; "no"
     certifies that the source is not in the target's orbit closure: by
-    `witness`, a rank above the target's, a codimension gap of 0 or less,
-    or a search under the default step bound that was exhausted below
-    `MAX_STATES`; "no_within_bound" is inconclusive: nothing was found
-    within the bounds.
+    `witness`, a rank above the target's, or a search under the default
+    step bound that was exhausted below `MAX_STATES` (at a codimension gap
+    of 0 or less, a search of no step); "no_within_bound" is inconclusive:
+    nothing was found within the bounds.
     """
 
     status: str
@@ -517,8 +517,8 @@ def closure_reachable(
 
     "yes" comes with a rule sequence found by breadth-first search, and
     symbolic eigenvalues match modulo renaming. "no" is certified: by the
-    rank, a `HomWitness` or, under the default step bound, the codimension
-    gap or an exhausted search (below). "no_within_bound" is inconclusive:
+    rank, a `HomWitness` or, under the default step bound, an exhausted
+    search (below). "no_within_bound" is inconclusive:
     nothing was found within an explicit step bound or `MAX_STATES`. A
     negative step bound raises ParamDomain; zero searches no step. A
     skew-flavor target or source is searched as its `skew_to_general`
@@ -530,11 +530,11 @@ def closure_reachable(
     that it leaves open is searched. Every rule application strictly
     lowers the orbit codimension, so no path is longer than
     `codim_general(source) - codim_general(target)`, the default step
-    bound: a gap of 0 or less is answered "no" after one state. A search
-    under that bound that ends below `MAX_STATES`, out of steps or out of
-    frontier, has met every state on every path, since the pruned states
-    cannot reach the target (`_breadth_first`), so it too is a "no". Only
-    `MAX_STATES` leaves it inconclusive.
+    bound. A search under that bound that ends below `MAX_STATES`, out of
+    steps or out of frontier, has met every state on every path, since the
+    pruned states cannot reach the target (`_breadth_first`), so it is a
+    "no". At a gap of 0 or less that search takes no step and ends after
+    one state. Only `MAX_STATES` leaves it inconclusive.
     """
     if target.flavor == "skew":
         target = skew_to_general(target)
@@ -555,13 +555,11 @@ def closure_reachable(
     if max_steps is not None:
         return _breadth_first(target_counts, source_counts, max_steps)
     gap = codim_general(source_counts) - codim_general(target_counts)
-    if gap <= 0:  # the keys differ, and every rule lowers the codimension
-        return ClosureResult(status="no", states_explored=1)
     result = _breadth_first(target_counts, source_counts, gap)
     if result.status == "no_within_bound" and result.states_explored < MAX_STATES:
         # no path is longer than the gap and no pruned state leads to the
         # target, so a search that ended below MAX_STATES has seen them all
-        result.status = "no"
+        return replace(result, status="no")
     return result
 
 

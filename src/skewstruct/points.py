@@ -34,9 +34,6 @@ class _Infinity:
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    def sort_key(self):
-        return (1,)
-
     def __repr__(self):
         return "INFINITY"
 

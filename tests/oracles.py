@@ -57,7 +57,6 @@ from skewstruct.exact import (
     _combine,
     _divisibility_chain,
     _pseudo_divmod,
-    _strip_content,
     _trim,
     as_skew,
     normal_rank,
@@ -162,6 +161,14 @@ def smith_by_equivalence(P: MatrixPolynomial) -> SmithForm:
     return SmithForm(rank=len(diagonal), invariant_polynomials=tuple(diagonal))
 
 
+def _divide_by_content(polys):
+    """Divide a list of integer polynomials, in place, by their common content."""
+    g = math.gcd(*(v for p in polys for v in p))
+    if g > 1:
+        for p in polys:
+            p[:] = [v // g for v in p]
+
+
 def _full_min_degree_pivot(work):
     """A nonzero entry of least degree anywhere in work; ties go to the smallest coefficients.
 
@@ -208,7 +215,7 @@ def _clear_column(work) -> bool:
             row_i[0] = r
             for j in range(1, len(row_0)):
                 row_i[j] = _combine(s, row_i[j], q, row_0[j])
-            _strip_content(row_i)
+            _divide_by_content(row_i)
         if r:
             dirty = True
     return dirty
@@ -312,7 +319,7 @@ def extend_basis_dense(basis, vec):
             row = [b * r - f * s for r, s in zip(row, brow)]
     piv = next((i for i, v in enumerate(row) if v), None)
     if piv is not None:
-        _strip_content([row])
+        _divide_by_content([row])
         basis.append((piv, row))
 
 

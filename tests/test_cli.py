@@ -281,6 +281,16 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(path), "--grade", grade, "--backend", "float"]) == 0
         assert json.loads(capsys.readouterr().out) == {**exact, "tolerance": 1e-8}
 
+    @pytest.mark.parametrize("tol", ["1e-8", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("backend", [[], ["--backend", "exact"]], ids=["default", "exact"])
+    def test_tol_needs_the_float_backend(self, poly_file, capsys, backend, tol):
+        # the exact backend reads no tolerance: it was ignored, and a NaN or
+        # negative one still exited 0 with the exact answer
+        assert main(["analyze", poly_file, *backend, "--tol", tol]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --tol applies to --backend float\n"
+
     def test_float_backend_failure_exit_code(self, poly_file, capsys):
         # a NaN or infinite tolerance printed rank 0 and wrote NaN/Infinity,
         # which is not JSON

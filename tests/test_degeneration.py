@@ -1,6 +1,7 @@
 """Tests for the degeneration rewriting system and closure search."""
 
 import collections
+import dataclasses
 import itertools
 import json
 import random
@@ -382,6 +383,16 @@ class TestClosureSearch:
         res = closure_reachable(target, source)
         assert (res.status, res.states_explored, res.witness) == ("no", 1, None)
         assert closure_reachable(target, source, max_steps=0).status == "no_within_bound"
+
+    def test_results_are_frozen(self):
+        # the certified "no" of an exhausted search is a new result, not an
+        # edit of the search's own
+        a, b = SymbolicPoint("a"), SymbolicPoint("b")
+        res = closure_reachable(gl(E(1, a), E(1, b)), gl(E(2, a)))
+        for field, value in (("status", "yes"), ("certificate", ()), ("states_explored", 0), ("witness", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(res, field, value)
+        assert (res.status, res.states_explored) == ("no", 1)
 
     def test_zero_codimension_gaps_match_the_unpruned_search(self):
         # every ordered pair of distinct skew sources of sizes 3-5 whose gap

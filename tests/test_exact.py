@@ -1152,28 +1152,63 @@ class TestSkewSmith:
         # polynomials read off the block list
         rng = random.Random(28)
         for n in (10,) * 6 + (12,) * 6:
-            values = [Fraction(v) for v in rng.sample(range(-3, 4), rng.choice((1, 2)))]
-            parts, left = [], n
-            while left:
-                options = [SkewBlock.h(k, v) for k in (1, 2, 3) for v in values if 2 * k <= left] * 2
-                options += [SkewBlock.k(k) for k in (1, 2) if 2 * k <= left]
-                options += [SkewBlock.m(k) for k in (0, 1) if 2 * k + 1 <= left]
-                block = rng.choice(options)
-                parts.append(block)
-                left -= block.shape[0]
-            block_list = BlockList.skew(parts)
-            structure = blocklist_eigenstructure(block_list)
-            r = structure.rank // 2
-            expected = [P.one()] * r
-            for factor, mults in structure.finite:
-                halves = mults[::2]  # sorted, each multiplicity twice
-                for i, e in enumerate(halves):
-                    expected[r - len(halves) + i] *= factor**e
-            while True:
-                q = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]
-                if rank_exact(q) == n:
-                    break
-            cm = mat(q, grade=0)
+            block_list = _random_block_sum(rng, n)
+            expected = _block_invariants(block_list)
+            cm = mat(_nonsingular(rng, n, (-1, 0, 1)), grade=0)
             scrambled = as_skew((cm.transpose() @ assemble_skew(block_list) @ cm).with_grade(1))
             s = skew_smith(scrambled)
-            assert s.rank == r and list(s.invariant_polynomials) == expected, str(block_list)
+            assert s.rank == len(expected) and list(s.invariant_polynomials) == expected, str(block_list)
+
+    def test_indices_with_content(self):
+        # block sums times 6 under Q^T P Q with Q entries in {-2, 0, 2}: every
+        # stored coefficient is a multiple of 24, and the reduction divides no
+        # content out of the indices it updates. The invariant polynomials
+        # must match the block list and the general reduction at n = 10-12,
+        # and the minor-gcd oracle too where it is cheap (n = 5 and 6)
+        rng = random.Random(6)
+        for n in (5, 6, 10, 11, 12) * 2:
+            block_list = _random_block_sum(rng, n)
+            cm = mat(_nonsingular(rng, n, (-2, 0, 2)), grade=0)
+            m = as_skew((cm.transpose() @ assemble_skew(block_list).scale(6) @ cm).with_grade(1))
+            assert m.denominator == 1
+            assert math.gcd(*(v for c in m.numerators for row in c for v in row)) % 24 == 0
+            s = skew_smith(m)
+            assert list(s.invariant_polynomials) == _block_invariants(block_list), str(block_list)
+            doubled = [g for g in s.invariant_polynomials for _ in range(2)]
+            assert list(smith_by_equivalence(m).invariant_polynomials) == doubled, str(block_list)
+            if n <= 6:
+                assert smith_by_minors(m) == doubled, str(block_list)
+
+
+def _random_block_sum(rng, n):
+    """A seeded skew block list of size n: H_1..H_3 at one or two shared eigenvalues, K_1, K_2, M_0, M_1."""
+    values = [Fraction(v) for v in rng.sample(range(-3, 4), rng.choice((1, 2)))]
+    parts, left = [], n
+    while left:
+        options = [SkewBlock.h(k, v) for k in (1, 2, 3) for v in values if 2 * k <= left] * 2
+        options += [SkewBlock.k(k) for k in (1, 2) if 2 * k <= left]
+        options += [SkewBlock.m(k) for k in (0, 1) if 2 * k + 1 <= left]
+        block = rng.choice(options)
+        parts.append(block)
+        left -= block.shape[0]
+    return BlockList.skew(parts)
+
+
+def _block_invariants(block_list):
+    """The invariant polynomials g_1 | ... | g_r that `skew_smith` returns, read off a skew block list."""
+    structure = blocklist_eigenstructure(block_list)
+    r = structure.rank // 2
+    expected = [P.one()] * r
+    for factor, mults in structure.finite:
+        halves = mults[::2]  # sorted, each multiplicity twice
+        for i, e in enumerate(halves):
+            expected[r - len(halves) + i] *= factor**e
+    return expected
+
+
+def _nonsingular(rng, n, entries):
+    """A seeded nonsingular n x n integer matrix with entries drawn from `entries`."""
+    while True:
+        q = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        if rank_exact(q) == n:
+            return q
