@@ -5,10 +5,13 @@ with a random polynomial block B and a random constant nonsingular Q: the
 inner form has rank 2*rank(B) and constant congruence preserves the complete
 eigenstructure. This realizes the generic structure for generic B; no claim
 is made that every bounded-rank polynomial arises this way (the Monte Carlo
-experiment validates the generic-structure statement, not coverage). The
-draw is assembled in integers, one coefficient of each upper entry at a
-time, from the random integers in the order they are drawn (B's entries,
-then Q), so a seed gives the same polynomial as the direct product.
+experiment validates the generic-structure statement, not coverage). Q is
+nonsingular, so the draw has rank 2 * rank B(x) at every point x, and a
+draw is accepted on the rank of the r x (m-r) block B at its first r*d + 1
+points, never on an m x m rank. Only an accepted draw is assembled, in
+integers, one coefficient matrix at a time through Y_k = B_k Q[r:], from
+the random integers in the order they are drawn (B's entries, then Q), so
+a seed gives the same polynomial as the direct product.
 
 The perturbation routine adds (1/k) times a constant skew matrix built from
 an exact kernel basis of the polynomial at a point attaining its normal rank,
@@ -23,6 +26,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .eigenstructure import CompleteEigenstructure, analyze, same_orbit
 from .errors import AttemptsExhausted, InternalInconsistency, ParamDomain
@@ -68,12 +72,14 @@ def sample_bounded_rank(spec: SampleSpec) -> SkewMatrixPolynomial:
     """Draw a random skew polynomial of size m, grade d, rank exactly 2r.
 
     Each attempt draws the r x (m-r) block B, d+1 coefficients per entry,
-    then the m x m constant C, and resamples until C is nonsingular and the
-    draw has normal rank 2r (rank deficiency of the random block is the only
-    other failure mode, so retries are rare). The draw has rank at most 2r,
-    and a nonzero 2r-minor has degree at most 2r*d, so the draw is accepted
-    at the first of 2r*d + 1 points where its rank is 2r, which decides
-    exactly what `normal_rank(draw) == 2r` would.
+    then the m x m constant C, and resamples until C is nonsingular and B
+    has normal rank r (rank deficiency of the random block is the only
+    other failure mode, so retries are rare). C is nonsingular, so the draw
+    C^T [[0, B], [-B^T, 0]] C has rank 2 * rank B(x) at every point x, and
+    its normal rank is 2r exactly when B's is r. An r x r minor of B has
+    degree at most r*d, so B is accepted at the first of r*d + 1 points
+    where its rank is r, which decides exactly what
+    `normal_rank(draw) == 2r` would. The draw is built only once accepted.
 
     The draws cover a proper subvariety of the bounded-rank set. The exact
     rank of the Jacobian of (B, C) -> C^T [[0, B], [-B^T, 0]] C falls short
@@ -85,42 +91,44 @@ def sample_bounded_rank(spec: SampleSpec) -> SkewMatrixPolynomial:
     rng = random.Random(spec.seed)
     m, d, r, c = spec.m, spec.d, spec.r, spec.coeff_range
     for _ in range(MAX_ATTEMPTS):
-        block = [
-            [[rng.randint(-c, c) for _ in range(d + 1)] for _ in range(m - r)]
-            for _ in range(r)
-        ]
+        entries = [[[rng.randint(-c, c) for _ in range(d + 1)] for _ in range(m - r)] for _ in range(r)]
         congruence = [[rng.randint(-c, c) for _ in range(m)] for _ in range(m)]
         if rank_exact(congruence) < m:
             continue
-        sample = _congruence_product(block, congruence, d)
-        if any(rank == 2 * r for _, rank in itertools.islice(_point_ranks(sample), 2 * r * d + 1)):
-            return sample
+        # entries[a][b][k], regrouped as B's coefficient matrices B_k[a][b]
+        block = MatrixPolynomial._make(r, m - r, d, list(zip(*(zip(*row) for row in entries))))
+        if any(rank == r for _, rank in itertools.islice(_point_ranks(block), r * d + 1)):
+            return _congruence_product(block, congruence)
     raise AttemptsExhausted(f"no rank-{2 * r} draw in {MAX_ATTEMPTS} attempts")
 
 
-def _congruence_product(block, congruence, d) -> SkewMatrixPolynomial:
-    """C^T [[0, B], [-B^T, 0]] C for integer B (coefficient lists) and C.
+def _congruence_product(block: MatrixPolynomial, congruence) -> SkewMatrixPolynomial:
+    """C^T [[0, B], [-B^T, 0]] C for an integer r x (m-r) polynomial B and integer C.
 
-    Entry (i, j) has the degree-k coefficient
-    sum over a < r, b < m-r of B_ab[k] * (C_ai C_(r+b)j - C_(r+b)i C_aj),
-    a combination of 2x2 minors of columns i and j of C. The diagonal is
-    therefore zero and the lower triangle is the negated upper one, so the
-    result is skew by construction.
+    With Y_k = B_k C[r:], the r x m product of B's degree-k coefficient and
+    the last m-r rows of C, entry (i, j) has the degree-k coefficient
+    sum over a < r of C_ai Y_k[a][j] - Y_k[a][i] C_aj: one dot product of
+    column i of C[:r] and Y_k, stacked, with column j of Y_k and -C[:r],
+    stacked. The upper triangle is formed this way and the lower one is its
+    negation, so the result is skew by construction.
     """
-    m, r = len(congruence), len(block)
-    top, bottom = congruence[:r], congruence[r:]
-    mats = [[[0] * m for _ in range(m)] for _ in range(d + 1)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            for ca, brow in zip(top, block):
-                for cb, entry in zip(bottom, brow):
-                    w = ca[i] * cb[j] - cb[i] * ca[j]
-                    if w:
-                        for mat, v in zip(mats, entry):
-                            mat[i][j] += v * w
-            for mat in mats:
-                mat[j][i] = -mat[i][j]
-    return SkewMatrixPolynomial._make(m, m, d, mats)
+    m, r = len(congruence), block.rows
+    top = list(zip(*congruence[:r]))  # top[i]: column i of C[:r]
+    bottom = list(zip(*congruence[r:]))  # bottom[j]: column j of C[r:]
+    negated = [tuple(-v for v in col) for col in top]
+    mats = []
+    for coeff in block.numerators:
+        y = list(zip(*([sum(map(mul, row, col)) for col in bottom] for row in coeff)))  # y[j]: column j of Y_k
+        left = [c + w for c, w in zip(top, y)]
+        right = [w + c for w, c in zip(y, negated)]
+        mat = [[0] * m for _ in range(m)]
+        for i in range(m):
+            li, row = left[i], mat[i]
+            for j in range(i + 1, m):
+                row[j] = v = sum(map(mul, li, right[j]))
+                mat[j][i] = -v
+        mats.append(mat)
+    return SkewMatrixPolynomial._make(m, m, block.grade, mats)
 
 
 @dataclass(frozen=True)
@@ -217,20 +225,27 @@ def trial_seed(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Aggregated Monte Carlo outcome; mismatches keep their replay seeds."""
+    """Aggregated Monte Carlo outcome; each mismatch keeps its replay seed and structure."""
 
     spec: SampleSpec
     trials: int
     matches: int
-    mismatch_seeds: tuple
+    mismatches: tuple  # (trial seed, CompleteEigenstructure) per mismatch, in trial order
     expected: CompleteEigenstructure
     elapsed: float = field(compare=False, default=0.0)
+
+    @property
+    def mismatch_seeds(self) -> tuple:
+        return tuple(seed for seed, _ in self.mismatches)
 
     def to_json_dict(self) -> dict:
         return {
             "trials": self.trials,
             "matches": self.matches,
             "mismatch_seeds": list(self.mismatch_seeds),
+            "mismatches": [
+                {"seed": seed, "structure": structure.to_json_dict()} for seed, structure in self.mismatches
+            ],
             "expected": self.expected.to_json_dict(),
             "elapsed": self.elapsed,
         }
@@ -240,8 +255,8 @@ def monte_carlo_genericity(spec: SampleSpec, trials: int) -> ExperimentReport:
     """Draw, analyze exactly, and compare against the generic structure.
 
     Deterministic given the spec seed: trial i uses trial_seed(seed, i), and
-    every mismatch records that derived seed so the draw can be replayed.
-    In exact arithmetic a mismatch means the draw hit a proper algebraic
+    every mismatch records that derived seed, which replays the draw, and
+    the structure the draw was analyzed to. In exact arithmetic a mismatch means the draw hit a proper algebraic
     subset, so the match rate should be overwhelming.
     """
     if trials < 1:
@@ -249,7 +264,7 @@ def monte_carlo_genericity(spec: SampleSpec, trials: int) -> ExperimentReport:
     expected = generic_poly_structure(spec.m, spec.d, spec.r)
     started = time.perf_counter()
     matches = 0
-    mismatch_seeds = []
+    mismatches = []
     for i in range(trials):
         derived = trial_seed(spec.seed, i)
         draw = sample_bounded_rank(spec.with_seed(derived))
@@ -257,12 +272,12 @@ def monte_carlo_genericity(spec: SampleSpec, trials: int) -> ExperimentReport:
         if same_orbit(structure, expected):
             matches += 1
         else:
-            mismatch_seeds.append(derived)
+            mismatches.append((derived, structure))
     return ExperimentReport(
         spec=spec,
         trials=trials,
         matches=matches,
-        mismatch_seeds=tuple(mismatch_seeds),
+        mismatches=tuple(mismatches),
         expected=expected,
         elapsed=time.perf_counter() - started,
     )

@@ -694,6 +694,19 @@ class TestSampleAndMc:
         assert data["matches"] + len(data["mismatch_seeds"]) == 5
         assert data["expected"]["rank"] == 2
 
+    def test_mc_reports_mismatch_structures(self, tmp_path, capsys):
+        shape = ["--m", "4", "--d", "2", "--r", "1", "--coeff-range", "1"]
+        assert main(["mc", *shape, "--trials", "40", "--seed", "0"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [m["seed"] for m in data["mismatches"]] == data["mismatch_seeds"]
+        assert len(data["mismatches"]) == 40 - data["matches"] == 17
+        for mismatch in data["mismatches"]:
+            # the listed structure is the replayed draw's, and not the generic one
+            out = tmp_path / f"{mismatch['seed']}.json"
+            assert main(["sample", *shape, "--seed", str(mismatch["seed"]), "--out", str(out)]) == 0
+            assert main(["analyze", str(out), "--grade", "2"]) == 0
+            assert json.loads(capsys.readouterr().out) == mismatch["structure"] != data["expected"]
+
     def test_mc_rejects_negative_trials(self, capsys):
         assert main(["mc", "--m", "3", "--d", "2", "--r", "1", "--trials", "-3"]) == 1
         assert capsys.readouterr().err.startswith("error: trials must be at least 1")

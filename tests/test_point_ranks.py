@@ -3,18 +3,23 @@
 The normal rank, the minimal indices and the structure at infinity all come
 from one reader of kernel-profile stages (`eigenstructure._read_profile`), in
 both backends. `exact._point_ranks`, the ranks at 0, 1, -1, 2, ..., is read
-only by `sampling.sample_bounded_rank`, which accepts a draw at a point of
-full rank, and `sampling.perturb_rank_increase`, which needs a point where
-the polynomial attains its normal rank. In `floating`, `rank_fp` is called
-only by `_nullity`, which reads the ranks of block-Toeplitz truncations:
-the local profile at an eigenvalue candidate starts with the rank of P(z),
-so no function of the float backend evaluates P and ranks it on its own.
+only by `sampling.sample_bounded_rank`, which accepts a draw when its
+r x (m-r) block B has rank r at one of the first r*d + 1 points (the draw
+C^T [[0, B], [-B^T, 0]] C has rank 2 * rank B(x) at every point x, since C
+is nonsingular), and `sampling.perturb_rank_increase`, which needs a point
+where the polynomial attains its normal rank. The sampler ranks no m x m
+matrix at a point. In `floating`, `rank_fp` is called only by `_nullity`,
+which reads the ranks of block-Toeplitz truncations: the local profile at
+an eigenvalue candidate starts with the rank of P(z), so no function of
+the float backend evaluates P and ranks it on its own.
 """
 
 import ast
 from pathlib import Path
 
 import skewstruct
+from skewstruct import exact
+from skewstruct.sampling import SampleSpec, sample_bounded_rank
 
 SRC = Path(skewstruct.__file__).resolve().parent
 ALLOWED = {"sampling.sample_bounded_rank", "sampling.perturb_rank_increase"}
@@ -54,6 +59,23 @@ def test_only_sampling_reads_ranks_at_points():
         *(_point_rank_readers(path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py")))
     )
     assert readers == ALLOWED
+
+
+def test_the_sampler_ranks_only_its_block_at_points(monkeypatch):
+    real_rank = exact.rank_exact
+    shapes = []
+
+    def recording_rank(matrix):
+        shapes.append((len(matrix), len(matrix[0])))
+        return real_rank(matrix)
+
+    monkeypatch.setattr(exact, "rank_exact", recording_rank)
+    for m, d, r in [(3, 1, 1), (4, 2, 1), (5, 2, 2), (6, 4, 2), (7, 2, 3), (9, 2, 4)]:
+        for coeff_range in (1, 9):
+            for seed in range(4):
+                shapes.clear()
+                sample_bounded_rank(SampleSpec(m, d, r, coeff_range, seed))
+                assert shapes and set(shapes) == {(r, m - r)}, (m, d, r, coeff_range, seed)
 
 
 def test_the_guard_sees_each_kind_of_point_rank():

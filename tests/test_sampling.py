@@ -1,5 +1,6 @@
 """Tests for sampling, perturbation, and the floating backend."""
 
+import collections
 import importlib
 import itertools
 import random
@@ -104,6 +105,44 @@ class TestSampling:
                     assert type(got) is type(want) is SkewMatrixPolynomial
                     assert got.grade == want.grade == d
         assert singular > 0
+
+    def test_every_branch_matches_fraction_product(self, monkeypatch):
+        # each way an attempt can end is reached, and the draw is still the
+        # Fraction product's: a singular C, a block B of rank r at x = 0, a B
+        # of rank r first at a later point, and a B whose normal rank falls
+        # short of r, rejected after all r*d + 1 of its points
+        real_rank, real_point_ranks = sampling.rank_exact, sampling._point_ranks
+        singular = 0
+        blocks = []
+
+        def counting_rank(matrix):
+            nonlocal singular
+            rank = real_rank(matrix)
+            singular += rank < len(matrix)
+            return rank
+
+        def recording_point_ranks(block):
+            read = []
+            blocks.append((block, read))
+            for x, rank in real_point_ranks(block):
+                read.append((x, rank))
+                yield x, rank
+
+        monkeypatch.setattr(sampling, "rank_exact", counting_rank)
+        monkeypatch.setattr(sampling, "_point_ranks", recording_point_ranks)
+        specs = [SampleSpec(5, 2, 2, 1, seed) for seed in range(3)] + [SampleSpec(3, 1, 1, 1, 90)]
+        for spec in specs:
+            assert sample_bounded_rank(spec) == sample_by_fractions(spec), spec
+        branches = collections.Counter()
+        for block, read in blocks:
+            x, rank = read[-1]
+            if rank == block.rows:
+                branches["at 0" if x == 0 else "past 0"] += 1
+            else:
+                assert len(read) == block.rows * block.grade + 1
+                branches["short"] += 1
+        assert singular > 0
+        assert branches == {"past 0": 3, "short": 1, "at 0": 1}
 
     def test_attempts_exhausted_alike(self, monkeypatch):
         monkeypatch.setattr(sampling, "MAX_ATTEMPTS", 1)
@@ -265,7 +304,7 @@ class TestMonteCarlo:
     def test_json_fields(self):
         report = monte_carlo_genericity(SampleSpec(m=3, d=2, r=1, seed=1), trials=3)
         data = report.to_json_dict()
-        assert set(data) == {"trials", "matches", "mismatch_seeds", "expected", "elapsed"}
+        assert set(data) == {"trials", "matches", "mismatch_seeds", "mismatches", "expected", "elapsed"}
 
 
 class TestAnalyzeFloat:
