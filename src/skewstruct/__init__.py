@@ -13,6 +13,11 @@ benchmark, the reference oracles or the acceptance suite call. The slow
 reference oracles live in `tests/oracles.py`, and a check that only a test
 runs lives in that test; `tests/test_unused_names.py` fails on a public
 function or class that nothing else calls.
+
+The float backend, a best-effort numeric cross-check of `analyze`, is not
+exported here: its one way in is `skewstruct.floating` (`analyze_float`),
+so `import skewstruct` loads neither numpy nor scipy, and numpy loads
+exactly when `skewstruct.floating` is imported.
 """
 
 from .blocks import (
@@ -89,15 +94,6 @@ from .sampling import (
 )
 
 
-def __getattr__(name):
-    """The float backend's names, imported on first use (PEP 562), so that numpy loads only then."""
-    if name in ("analyze_float", "rank_fp"):
-        from . import floating
-
-        return getattr(floating, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "BlockList",
     "ClosureResult",
@@ -119,7 +115,6 @@ __all__ = [
     "SmithForm",
     "SymbolicPoint",
     "analyze",
-    "analyze_float",
     "apply_rule",
     "assemble_general",
     "assemble_skew",
@@ -146,7 +141,6 @@ __all__ = [
     "perturb_rank_increase",
     "poly_gcd",
     "rank_exact",
-    "rank_fp",
     "replay_certificate",
     "rev",
     "same_orbit",

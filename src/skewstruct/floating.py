@@ -1,11 +1,12 @@
 """Best-effort floating-point backend (`analyze --backend float`).
 
 The only module that imports numpy or scipy; every other answer is exact.
-It is imported only by `cli.cmd_analyze` under `--backend float` and on a
-first read of the package's `analyze_float` or `rank_fp`, so numpy loads
-only then.
-Every numeric rank is read by `_nullity` on a block-Toeplitz matrix T_k of
-one builder, `_toeplitz`: these nullities feed the exact staircase's reader
+It is the one way into the float backend: the package does not import it,
+so numpy loads exactly when it is imported (by `cli.cmd_analyze` only
+under `--backend float`).
+Every numeric rank is read by one function, `_nullity`, on a block-Toeplitz
+matrix T_k of one builder, `_toeplitz`, and `analyze_float` checks the
+tolerance once per call: these nullities feed the exact staircase's reader
 (one pass over rev(P, deg P) gives the rank, minimal indices and infinity),
 and on the Taylor coefficients at z they give a candidate's local profile.
 An answer is built by `CompleteEigenstructure.skew`, so it passes the same
@@ -28,17 +29,6 @@ from .points import NumericRoot
 DEFAULT_TOL = 1e-8
 
 
-def rank_fp(matrix, tol_rel: float = DEFAULT_TOL) -> int:
-    """Numerical rank: singular values above tol_rel times the largest."""
-    if not 0 < tol_rel < math.inf:  # NaN fails every comparison
-        raise ParamDomain(f"tol_rel must be positive and finite, got {tol_rel}")
-    a = np.asarray(matrix, dtype=complex)
-    if a.size == 0:
-        return 0
-    svals = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(svals > tol_rel * svals[0]))
-
-
 def _coeff_arrays(P: MatrixPolynomial):
     # float(Fraction) rounds once; numerators read as floats would round past 2^53
     return [
@@ -53,8 +43,15 @@ def _toeplitz(coeffs, k):
 
 
 def _nullity(t, width: int, tol_rel) -> int:
-    """Numeric nullity of the first `width` columns of t."""
-    return width - rank_fp(t[:, :width], tol_rel)
+    """Numeric nullity of the first `width` columns of t: the float backend's one rank read.
+
+    The rank counts the singular values above tol_rel times the largest.
+    """
+    a = np.asarray(t[:, :width], dtype=complex)
+    if a.size == 0:
+        return width
+    svals = np.linalg.svd(a, compute_uv=False)
+    return width - int(np.count_nonzero(svals > tol_rel * svals[0]))
 
 
 def _stages(P: MatrixPolynomial, tol_rel):
@@ -94,11 +91,15 @@ def analyze_float(
     has a positive multiplicity, reported as NumericRoot annotations.
     Clustered or ill-conditioned spectra can defeat it, and then an
     impossible profile or a structure failing the skew checks raises
-    RankVerificationFailed; the exact path is the reference.
+    RankVerificationFailed; the exact path is the reference. A tol_rel that
+    is not positive and finite raises ParamDomain, checked once, after the
+    grade.
     """
     skew = as_skew(P)
     if grade is not None:
         skew = skew.with_grade(grade)
+    if not 0 < tol_rel < math.inf:  # NaN fails every comparison
+        raise ParamDomain(f"tol_rel must be positive and finite, got {tol_rel}")
     grade, m = skew.grade, skew.rows
     coeffs = _coeff_arrays(skew)
     try:

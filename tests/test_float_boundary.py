@@ -1,6 +1,8 @@
-"""numpy and scipy stay inside `skewstruct.floating`, the float backend."""
+"""numpy and scipy stay inside `skewstruct.floating`, the float backend, and load with it."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import skewstruct
@@ -24,3 +26,17 @@ def _names_float(tree) -> bool:
 def test_numpy_and_scipy_only_in_the_float_backend():
     modules = {path.stem for path in SRC.glob("*.py") if _names_float(ast.parse(path.read_text()))}
     assert modules == {"floating"}
+
+
+def _loaded_after(statement) -> str:
+    """numpy and scipy in `sys.modules` after `statement`, run in a fresh interpreter."""
+    probe = f"import sys\n{statement}\nprint(sorted({{'numpy', 'scipy'}} & sys.modules.keys()))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+def test_only_importing_the_float_backend_loads_numpy():
+    # the package exports no float name and imports no float module, so
+    # numpy loads exactly when `skewstruct.floating` is imported
+    assert _loaded_after("import skewstruct") == "[]"
+    assert _loaded_after("import skewstruct.floating").startswith("['numpy'")

@@ -8,10 +8,10 @@ r x (m-r) block B has rank r at one of the first r*d + 1 points (the draw
 C^T [[0, B], [-B^T, 0]] C has rank 2 * rank B(x) at every point x, since C
 is nonsingular), and `sampling.perturb_rank_increase`, which needs a point
 where the polynomial attains its normal rank. The sampler ranks no m x m
-matrix at a point. In `floating`, `rank_fp` is called only by `_nullity`,
-which reads the ranks of block-Toeplitz truncations: the local profile at
-an eigenvalue candidate starts with the rank of P(z), so no function of
-the float backend evaluates P and ranks it on its own.
+matrix at a point. In `floating`, the one rank read is an `svd` in
+`_nullity`, which reads the ranks of block-Toeplitz truncations: the local
+profile at an eigenvalue candidate starts with the rank of P(z), so no
+function of the float backend evaluates P and ranks it on its own.
 """
 
 import ast
@@ -36,7 +36,7 @@ def _point_rank_readers(module: str, tree) -> set:
     """Qualified names of the functions of a module that read ranks at chosen points.
 
     A function reads them if it reads `_point_ranks` (other than by being
-    it), or, in `floating`, if it reads `rank_fp` and is not `_nullity`.
+    it), or, in `floating`, if it reads `svd` and is not `_nullity`.
     """
     readers = set()
 
@@ -47,7 +47,7 @@ def _point_rank_readers(module: str, tree) -> set:
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if child.name != "_point_ranks" and "_point_ranks" in _names(child):
                     readers.add(prefix + child.name)
-                elif module == "floating" and child.name != "_nullity" and "rank_fp" in _names(child):
+                elif module == "floating" and child.name != "_nullity" and "svd" in _names(child):
                     readers.add(prefix + child.name)
 
     visit(tree, f"{module}.")
@@ -91,15 +91,16 @@ def _point_ranks(P):
         yield x, rank_exact(P._scaled_value(x, 1))
 
 def on_a_circle(coeffs, tol_rel):
-    return max(rank_fp(sum(c * z**i for i, c in enumerate(coeffs)), tol_rel) for z in circle())
+    return max(np.linalg.svd(sum(c * z**i for i, c in enumerate(coeffs)), compute_uv=False)[0] for z in circle())
 
 def at_candidates(coeffs, tol_rel):
     for z in _eigenvalue_candidates(coeffs):
-        if rank_fp(value(coeffs, z), tol_rel):
-            return [rank_fp(value(coeffs, w), tol_rel) for w in _eigenvalue_candidates(coeffs)]
+        if svd(value(coeffs, z), compute_uv=False)[-1] > tol_rel:
+            return [len(svd(value(coeffs, w))[1]) for w in _eigenvalue_candidates(coeffs)]
 
 def _nullity(t, width, tol_rel):
-    return width - rank_fp(t[:, :width], tol_rel)
+    svals = np.linalg.svd(t[:, :width], compute_uv=False)
+    return width - int(np.count_nonzero(svals > tol_rel * svals[0]))
 '''
     tree = ast.parse(source)
     assert _point_rank_readers("exact", tree) == {"exact.by_name", "exact.by_module"}

@@ -14,7 +14,7 @@ import pytest
 from skewstruct.blocks import BlockList, SkewBlock, assemble_skew
 from skewstruct.eigenstructure import analyze, same_orbit
 from skewstruct import exact, floating, sampling
-from skewstruct.errors import AttemptsExhausted, ParamDomain, RankVerificationFailed
+from skewstruct.errors import AttemptsExhausted, GradeTooSmall, ParamDomain, RankVerificationFailed
 from skewstruct.exact import (
     MatrixPolynomial,
     RationalPolynomial,
@@ -23,7 +23,7 @@ from skewstruct.exact import (
     normal_rank,
     rank_exact,
 )
-from skewstruct.floating import DEFAULT_TOL, analyze_float, rank_fp
+from skewstruct.floating import DEFAULT_TOL, analyze_float
 from skewstruct.generic import generic_poly_structure
 from skewstruct.sampling import (
     DEFAULT_COEFF_RANGE,
@@ -166,16 +166,25 @@ class TestSampling:
             SampleSpec(m=4, d=2, r=1, coeff_range=0, seed=0)
 
 
-class TestRankFp:
+class TestNullity:
     def test_examples(self):
-        assert rank_fp(np.diag([1.0, 1e-15]), 1e-8) == 1
+        assert floating._nullity(np.diag([1.0, 1e-15]), 2, 1e-8) == 1
         q = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0]
-        assert rank_fp(q, 1e-8) == 4
-        assert rank_fp(np.zeros((3, 2)), 1e-8) == 0
+        assert floating._nullity(q, 4, 1e-8) == 0
+        assert floating._nullity(q, 2, 1e-8) == 0
+        assert floating._nullity(np.zeros((3, 2)), 2, 1e-8) == 2
+        assert floating._nullity(np.zeros((3, 2)), 0, 1e-8) == 0
 
-    def test_tol_guard(self):
-        with pytest.raises(ParamDomain):
-            rank_fp(np.eye(2), 0.0)
+    @pytest.mark.parametrize("tol_rel", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tol_guard(self, tol_rel):
+        pencil = assemble_skew(BlockList.skew([SkewBlock.h(1, 2), SkewBlock.m(0)]))
+        with pytest.raises(ParamDomain, match="tol_rel must be positive and finite"):
+            analyze_float(pencil, 1, tol_rel)
+
+    def test_the_grade_is_checked_before_the_tolerance(self):
+        pencil = assemble_skew(BlockList.skew([SkewBlock.h(1, 2), SkewBlock.m(0)]))
+        with pytest.raises(GradeTooSmall):
+            analyze_float(pencil, 0, 0.0)
 
 
 class TestPerturbation:
