@@ -42,16 +42,24 @@ def _toeplitz(coeffs, k):
     return sum(np.kron(np.eye(k + 1, k=-d), c) for d, c in enumerate(coeffs[: k + 1]))
 
 
-def _nullity(t, width: int, tol_rel) -> int:
+def _floor(coeffs, tol_rel) -> float:
+    """tol_rel times the largest spectral norm of a coefficient list, once per read of it."""
+    return tol_rel * max((np.linalg.norm(c, 2) for c in coeffs if c.size), default=0.0)
+
+
+def _nullity(t, width: int, floor: float) -> int:
     """Numeric nullity of the first `width` columns of t: the float backend's one rank read.
 
-    The rank counts the singular values above tol_rel times the largest.
+    The rank counts the singular values above `floor`, the `_floor` of the
+    coefficients that t is built from, as GUPTRI scales its rank decisions
+    (Demmel and Kagstrom, ACM TOMS 1993). Scaled by t itself, a local
+    profile's order 0, P(z) at a true eigenvalue z, is rounding noise
+    against its coefficients yet reads full rank, and z is missed.
     """
     a = np.asarray(t[:, :width], dtype=complex)
     if a.size == 0:
         return width
-    svals = np.linalg.svd(a, compute_uv=False)
-    return width - int(np.count_nonzero(svals > tol_rel * svals[0]))
+    return width - int(np.count_nonzero(np.linalg.svd(a, compute_uv=False) > floor))
 
 
 def _stages(P: MatrixPolynomial, tol_rel):
@@ -63,9 +71,10 @@ def _stages(P: MatrixPolynomial, tol_rel):
     """
     delta, n = max(P.degree, 0), P.cols
     coeffs = _coeff_arrays(P)[: delta + 1]
+    floor = _floor(coeffs, tol_rel)
     for k in itertools.count():
         t = _toeplitz(coeffs, k)
-        yield _nullity(t, (k + 1) * n, tol_rel), _nullity(t, max(k - delta + 1, 0) * n, tol_rel)
+        yield _nullity(t, (k + 1) * n, floor), _nullity(t, max(k - delta + 1, 0) * n, floor)
 
 
 def _shifted_coeffs(coeffs, z):
@@ -109,7 +118,8 @@ def analyze_float(
         finite: dict = {}
         for z in _eigenvalue_candidates(coeffs):
             shifted = _shifted_coeffs(coeffs, z)
-            local = (_nullity(_toeplitz(shifted, k), (k + 1) * m, tol_rel) for k in range(last + 1))
+            floor = _floor(shifted, tol_rel)
+            local = (_nullity(_toeplitz(shifted, k), (k + 1) * m, floor) for k in range(last + 1))
             try:
                 positive = tuple(v for v in multiplicities_from_prefix_dims(local, m - rho, rho) if v)
             except InternalInconsistency:
