@@ -48,6 +48,7 @@ from .exact import (
     NEG_INF,
     MatrixPolynomial,
     RationalPolynomial,
+    _check_grade,
     _extend_basis,
     as_skew,
     rev,
@@ -445,13 +446,20 @@ def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstruc
     it does not divide, below which none is divisible. The result is built by
     `CompleteEigenstructure.skew`, which checks the pairing of every
     multiplicity list, the even rank and the index-sum identity.
+
+    Any grade is read without padding: neither the pass over rev(P, deg P)
+    nor the Smith reduction depends on the grade, so both run on P as
+    declared, and another grade (`_check_grade`) raises every multiplicity
+    at infinity by grade - P.grade.
     """
     skew = as_skew(P)
-    if grade is not None and grade != skew.grade:
-        skew = skew.with_grade(grade)
-    grade = skew.grade
+    if grade is None or grade == skew.grade:
+        grade = skew.grade
+    else:
+        _check_grade(grade, skew.degree)
 
     rho, minimal, infinite = _at_infinity(skew, _staircase)
+    infinite = tuple(k + grade - skew.grade for k in infinite)
     deficit = rho * grade - sum(infinite) - 2 * sum(minimal)
     if deficit < 0:
         raise InternalInconsistency(f"index sums exceed rank*grade by {-deficit}")

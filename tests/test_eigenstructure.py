@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import signal
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -767,6 +768,40 @@ class TestAnalyze:
     def test_rejects_non_skew(self):
         with pytest.raises(NotSkewSymmetric):
             analyze(MatrixPolynomial([[x]]), 1)
+
+    def test_any_grade_is_read_without_padding(self):
+        # neither the pass over rev(P, deg P) nor skew_smith depends on the
+        # grade: analyze at grade g is the analysis of P.with_grade(g), read
+        # on P as declared with infinity raised by g - P.grade, so grade 10^6
+        # builds no 10^6 + 1 coefficient matrices (the timer turns the
+        # seconds that padding took into a failure)
+        q = SkewMatrixPolynomial.from_upper(4, {(0, 1): (x - 1) * (x + 2), (2, 3): x - 1})
+        padded = q.with_grade(6)
+        for g in range(2, 7):
+            assert analyze(q, g) == analyze(padded, g) == analyze(q.with_grade(g))
+        assert analyze(q, 2) == analyze(q)
+
+        def hang(signum, frame):
+            raise TimeoutError("analyze padded the grade")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        try:
+            e = analyze(q, 10**6)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (e.grade, e.rank, e.infinite) == (10**6, 4, (10**6 - 2, 10**6 - 2, 10**6 - 1, 10**6 - 1))
+        assert e.finite == ((x - 1, (1, 1, 1, 1)), (x + 2, (1, 1)))
+
+    def test_grade_errors_without_padding(self):
+        q = SkewMatrixPolynomial.from_upper(4, {(0, 1): (x - 1) * (x + 2), (2, 3): x - 1})
+        for bad in (1, 0, -3):
+            with pytest.raises(GradeTooSmall, match=f"grade {bad} is below 2"):
+                analyze(q, bad)
+        for bad in (3.0, True, "3"):
+            with pytest.raises(TypeError):
+                analyze(q, bad)
 
     def test_mixed_blocks_pencil(self):
         pencil = assemble_skew(BlockList.skew([SkewBlock.m(1), SkewBlock.k(1)]))
