@@ -13,11 +13,8 @@ benchmark, the reference oracles or the acceptance suite call. The slow
 reference oracles live in `tests/oracles.py`, and a check that only a test
 runs lives in that test; `tests/test_unused_names.py` fails on a public
 function or class that nothing else calls.
-
-The float backend, a best-effort numeric cross-check of `analyze`, is not
-exported here: its one way in is `skewstruct.floating` (`analyze_float`),
-so `import skewstruct` loads neither numpy nor scipy, and numpy loads
-exactly when `skewstruct.floating` is imported.
+The float backend's one way in is `skewstruct.floating`: `import skewstruct`
+loads neither numpy nor scipy.
 """
 
 from .blocks import (

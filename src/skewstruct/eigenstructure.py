@@ -445,18 +445,13 @@ def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstruc
     ... is read by exact division (`_exponent`) down to the first g_i that
     it does not divide, below which none is divisible. The result is built by
     `CompleteEigenstructure.skew`, which checks the pairing of every
-    multiplicity list, the even rank and the index-sum identity.
-
-    Any grade is read without padding: neither the pass over rev(P, deg P)
-    nor the Smith reduction depends on the grade, so both run on P as
-    declared, and another grade (`_check_grade`) raises every multiplicity
-    at infinity by grade - P.grade.
+    multiplicity list, the even rank and the index-sum identity. Neither
+    pass depends on the grade, so both read P as declared, and another
+    grade raises each multiplicity at infinity by grade - P.grade.
     """
     skew = as_skew(P)
-    if grade is None or grade == skew.grade:
-        grade = skew.grade
-    else:
-        _check_grade(grade, skew.degree)
+    grade = skew.grade if grade is None or grade == skew.grade else grade
+    _check_grade(grade, skew.degree)
 
     rho, minimal, infinite = _at_infinity(skew, _staircase)
     infinite = tuple(k + grade - skew.grade for k in infinite)

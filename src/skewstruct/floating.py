@@ -1,12 +1,10 @@
 """Best-effort floating-point backend (`analyze --backend float`).
 
-The only module that imports numpy or scipy; every other answer is exact.
-It is the one way into the float backend: the package does not import it,
-so numpy loads exactly when it is imported (by `cli.cmd_analyze` only
-under `--backend float`).
-Every numeric rank is read by one function, `_nullity`, on a block-Toeplitz
-matrix T_k of one builder, `_toeplitz`, and `analyze_float` checks the
-tolerance once per call: these nullities feed the exact staircase's reader
+The only module that imports numpy or scipy, and the one way into the
+float backend: the package does not import it, so numpy loads exactly
+when `cli.cmd_analyze` imports it, under `--backend float`.
+Every numeric rank is read by `_nullity` on a block-Toeplitz matrix T_k of
+one builder, `_toeplitz`: these nullities feed the exact staircase's reader
 (one pass over rev(P, deg P) gives the rank, minimal indices and infinity),
 and on the Taylor coefficients at z they give a candidate's local profile.
 An answer is built by `CompleteEigenstructure.skew`, so it passes the same
@@ -43,18 +41,15 @@ def _toeplitz(coeffs, k):
 
 
 def _floor(coeffs, tol_rel) -> float:
-    """tol_rel times the largest spectral norm of a coefficient list, once per read of it."""
+    """tol_rel times the largest spectral norm of the coefficients read, as GUPTRI scales ranks."""
     return tol_rel * max((np.linalg.norm(c, 2) for c in coeffs if c.size), default=0.0)
 
 
 def _nullity(t, width: int, floor: float) -> int:
-    """Numeric nullity of the first `width` columns of t: the float backend's one rank read.
+    """Numeric nullity of the first `width` columns of t, whose rank counts singular values above `floor`.
 
-    The rank counts the singular values above `floor`, the `_floor` of the
-    coefficients that t is built from, as GUPTRI scales its rank decisions
-    (Demmel and Kagstrom, ACM TOMS 1993). Scaled by t itself, a local
-    profile's order 0, P(z) at a true eigenvalue z, is rounding noise
-    against its coefficients yet reads full rank, and z is missed.
+    Scaled by t itself, P(z) at a true eigenvalue z, rounding noise against
+    its coefficients, would read full rank, and z would be missed.
     """
     a = np.asarray(t[:, :width], dtype=complex)
     if a.size == 0:
@@ -79,12 +74,8 @@ def _stages(P: MatrixPolynomial, tol_rel):
 
 def _shifted_coeffs(coeffs, z):
     """Taylor coefficient matrices of P at the point z (binomial shift)."""
-    deg = len(coeffs) - 1
-    out = [np.zeros_like(coeffs[0], dtype=complex) for _ in range(deg + 1)]
-    for i, c in enumerate(coeffs):
-        for j in range(i + 1):
-            out[j] = out[j] + math.comb(i, j) * (z ** (i - j)) * c
-    return out
+    n = len(coeffs)
+    return [sum(math.comb(i, j) * z ** (i - j) * coeffs[i] for i in range(j, n)) for j in range(n)]
 
 
 def analyze_float(
@@ -100,9 +91,8 @@ def analyze_float(
     has a positive multiplicity, reported as NumericRoot annotations.
     Clustered or ill-conditioned spectra can defeat it, and then an
     impossible profile or a structure failing the skew checks raises
-    RankVerificationFailed; the exact path is the reference. A tol_rel that
-    is not positive and finite raises ParamDomain, checked once, after the
-    grade.
+    RankVerificationFailed; the exact path is the reference. tol_rel is
+    checked once, after the grade.
     """
     skew = as_skew(P)
     if grade is not None:
