@@ -450,7 +450,7 @@ def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstruc
     grade raises each multiplicity at infinity by grade - P.grade.
     """
     skew = as_skew(P)
-    grade = skew.grade if grade is None or grade == skew.grade else grade
+    grade = skew.grade if grade is None else grade
     _check_grade(grade, skew.degree)
 
     rho, minimal, infinite = _at_infinity(skew, _staircase)

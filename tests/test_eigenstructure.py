@@ -779,7 +779,6 @@ class TestAnalyze:
         padded = q.with_grade(6)
         for g in range(2, 7):
             assert analyze(q, g) == analyze(padded, g) == analyze(q.with_grade(g))
-        assert analyze(q, 2) == analyze(q)
 
         def hang(signum, frame):
             raise TimeoutError("analyze padded the grade")
@@ -793,15 +792,6 @@ class TestAnalyze:
             signal.signal(signal.SIGALRM, previous)
         assert (e.grade, e.rank, e.infinite) == (10**6, 4, (10**6 - 2, 10**6 - 2, 10**6 - 1, 10**6 - 1))
         assert e.finite == ((x - 1, (1, 1, 1, 1)), (x + 2, (1, 1)))
-
-    def test_grade_errors_without_padding(self):
-        q = SkewMatrixPolynomial.from_upper(4, {(0, 1): (x - 1) * (x + 2), (2, 3): x - 1})
-        for bad in (1, 0, -3):
-            with pytest.raises(GradeTooSmall, match=f"grade {bad} is below 2"):
-                analyze(q, bad)
-        for bad in (3.0, True, "3"):
-            with pytest.raises(TypeError):
-                analyze(q, bad)
 
     def test_mixed_blocks_pencil(self):
         pencil = assemble_skew(BlockList.skew([SkewBlock.m(1), SkewBlock.k(1)]))

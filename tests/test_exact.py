@@ -519,11 +519,12 @@ class TestMatrixPolynomial:
         assert str(info.value) == f"grade {grade} is below {least}, the least grade allowed"
         assert "inf" not in str(info.value)
 
-    @pytest.mark.parametrize("entry", ["zeros", "with_grade", "rev", "reversed_at"])
+    @pytest.mark.parametrize("entry", ["zeros", "with_grade", "rev", "reversed_at", "analyze", "analyze_float"])
     @pytest.mark.parametrize("grade", [True, 1.5, "2"], ids=["bool", "float", "str"])
     def test_grade_must_be_an_int(self, entry, grade):
         # True and 1.5 would pass the comparison with the degree 1 of x, so
-        # the type is checked first, as `_rational` checks a scalar's
+        # the type is checked first, as `_rational` checks a scalar's; True
+        # equals x's own grade 1, which analyze does not take for an int
         with pytest.raises(TypeError, match=re.escape(f"grade must be an int, got {grade!r}")):
             GRADE_ENTRY_POINTS[entry](x, grade)
 

@@ -469,9 +469,10 @@ class TestAnalyzeFloat:
         # (x + 1) C for a constant skew C of rank 4: H_1(-1) + H_1(-1) + M_0 + M_0
         # scrambled. At the QZ eigenvalue z, P(z) is rounding noise against
         # the coefficients but not against its own largest singular value:
-        # scaled by P(z) itself the local profile read full rank, z was
-        # missed, and the index sum raised. Scaled by the Taylor coefficients
-        # at z it reads x + 1 with (1, 1, 1, 1), as analyze does
+        # scaled by P(z) itself, order 0 of the local profile would read full
+        # rank, z would be missed, and the index sum would raise. Scaled by
+        # the Taylor coefficients at z, it reads x + 1 with (1, 1, 1, 1), as
+        # analyze does
         upper = {
             (0, 1): -1, (0, 2): -2, (0, 3): -1, (0, 5): -1,
             (1, 2): -2, (1, 3): -1, (1, 4): 1, (1, 5): -1,
