@@ -9,7 +9,7 @@ searched against the generic pencil structure. The orbit codimension of
 each (the Dmytryshyn-Kågström-Sergeichuk count) exceeds the generic one,
 the template-space value of `codim_poly_generic`, unless it is the generic
 structure itself. The zero polynomial is left out: at (5, 2, 2) its search
-explores 9,495 states, about 1 s on a 2-CPU machine. The search time goes
+explores 9,495 states, about 0.8 s on a 2-CPU machine. The search time goes
 to standard error, so standard output is the same on every run.
 """
 

@@ -86,7 +86,7 @@ class RuleApplication:
         # Exact types, so that equal applications are the same application
         # and share their cached blocks (`_rule_blocks`): True == 1 and
         # 2.0 == Fraction(2), but neither makes a block. The search builds
-        # every application it tries, so the check compares sets of types
+        # each distinct application once (`_application`)
         ints = {type(self.rule), type(self.j), type(self.k), type(self.p), type(self.q)}
         points = {type(self.eigenvalue)}
         if self.rule == 6:
@@ -113,6 +113,21 @@ class RuleApplication:
             out["sizes"] = list(self.sizes)
             out["eigenvalues"] = [format_eigenvalue(e) for e in self.eigenvalues]
         return out
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _application(rule, j, k, p, q, eigenvalue, sizes, eigenvalues) -> RuleApplication:
+    """The one validated RuleApplication with these fields, for the rule generator (`_applications`).
+
+    The generator passes all eight fields positionally, so one application
+    has one cache entry, and the search's step cache and `_rule_blocks` find
+    it by identity. As in `blocks._interned`, the cache is typed, so True
+    never finds the entry of 1, and a raise is not cached. Typing stops at
+    rule 6's tuples, whose sizes and eigenvalues the generator takes from
+    partitions and validated blocks. The cache is bounded, as `_rule_blocks`
+    is, so that input eigenvalues cannot grow it without limit.
+    """
+    return RuleApplication(rule, j, k, p, q, eigenvalue, sizes, eigenvalues)
 
 
 def _eigen_or_none(index: int, point):
@@ -342,19 +357,19 @@ def _applications(counts: dict, pool, raise_rank: bool):
         for u in idxs:
             for v in idxs:
                 if u + 2 <= v:
-                    yield RuleApplication(rule, j=u + 1, k=v - 1)
+                    yield _application(rule, u + 1, v - 1, None, None, None, None, None)
     # rules 3/4: a singular block absorbs one unit of an eigenvalue block
     for rule, idxs in ((3, rights), (4, lefts)):
         for u in idxs:
             for ev, sizes in eigen_indices.items():
                 for size in reversed(sizes):
-                    yield RuleApplication(rule, j=u, k=size - 1, eigenvalue=ev)
+                    yield _application(rule, u, size - 1, None, None, ev, None, None)
     # rule 5: rebalance two blocks at one eigenvalue
     for ev, sizes in eigen_indices.items():
         for j in reversed(sizes):
             for k in reversed(sizes):
                 if j < k or (j == k and sizes[j] >= 2):
-                    yield RuleApplication(5, j=j, k=k, eigenvalue=ev)
+                    yield _application(5, j, k, None, None, ev, None, None)
     if not raise_rank:
         return
     # rule 6: a right and a left singular block become eigenvalue blocks
@@ -367,7 +382,7 @@ def _applications(counts: dict, pool, raise_rank: bool):
                 per_run = itertools.product(*(range(m, -1, -1) for m in runs))
                 for taken in sorted((c for c in per_run if sum(c) <= len(existing)), key=sum):
                     for evs in _assignments(existing, fresh, list(zip(runs, taken))):
-                        yield RuleApplication(6, p=p, q=q, sizes=sizes, eigenvalues=evs)
+                        yield _application(6, None, None, p, q, None, sizes, evs)
 
 
 def enumerate_applications(blocklist: BlockList):
