@@ -20,11 +20,12 @@ constant coefficient P_0 are reduced once, and each window vector's row
 once, at the stage after the vector first appears. The rows are sparse
 integer vectors, reduced with gcd-reduced multipliers over their nonzero
 entries only, and each is divided by its content. One
-staircase serves every exact caller, and one reader, `_read_profile`,
-turns stages into indices for both backends: each rise of the kernel
-growth (a second difference) is read as minimal indices as it comes, and
-`multiplicities_from_prefix_dims` reads the partial multiplicities off the
-excess growth of the prefix spaces.
+staircase serves every caller, and one reader, `_read_profile`, turns
+its stages into indices: each rise of the kernel growth (a second
+difference) is read as minimal indices as it comes, and
+`multiplicities_from_prefix_dims`, which also reads the float backend's
+local profiles, reads the partial multiplicities off the excess growth of
+the prefix spaces.
 
 The same pass proves the normal rank rho with no evaluation point, where
 the prefix growth meets the kernel growth, and by then the reader has
@@ -32,8 +33,8 @@ every minimal index and every partial multiplicity at zero.
 `analyze` makes one pass, over rev(P, deg P), which has the rank and the
 minimal indices of P (De Teran-Dopico-Mackey 2014); its multiplicities at
 zero, raised by grade - deg P, are those of P at infinity (`_at_infinity`).
-`exact.normal_rank` reads the pass over P itself, and `floating` feeds
-`_at_infinity` numeric stages from numpy Toeplitz nullities.
+`exact.normal_rank` reads the pass over P itself. One driver, `_analyze`,
+serves both backends; each reads only the finite part.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ def _staircase(P: MatrixPolynomial):
 
 
 # ---------------------------------------------------------------------------
-# stage dimensions -> rank, indices and multiplicities (shared with the float backend)
+# stage dimensions -> rank, indices and multiplicities
 # ---------------------------------------------------------------------------
 
 
@@ -288,8 +289,8 @@ def multiplicities_from_prefix_dims(dims, eta: int, rho: int) -> tuple:
 def _read_profile(P: MatrixPolynomial, stages) -> tuple:
     """(normal rank rho, right minimal indices, partial multiplicities at zero) of P.
 
-    Reads P's stages (dim S_k, dim F_k) as `_staircase` yields them, exact or
-    numeric. With eta = cols - rho, the prefix growth
+    Reads P's stages (dim S_k, dim F_k) as `_staircase` yields them. With
+    eta = cols - rho, the prefix growth
     dim S_k - dim S_{k-1} is eta plus the number of partial multiplicities at
     zero above k, so it falls to eta; from stage k = delta = deg P on, the
     kernel growth dim ker C_{k-delta} - dim ker C_{k-delta-1} counts the right
@@ -331,17 +332,16 @@ def _structure_at_zero(P: MatrixPolynomial) -> tuple:
     return _read_profile(P, _staircase(P))
 
 
-def _at_infinity(P: MatrixPolynomial, stages_of) -> tuple:
+def _at_infinity(P: MatrixPolynomial) -> tuple:
     """(rho, right minimal indices, multiplicities at infinity) of P at its grade.
 
-    One pass over rev(P, d), d = deg P, whose stages `stages_of` gives. The
-    reversal keeps the rank and the minimal indices (De Teran-Dopico-Mackey
-    2014), and rev(P, grade) = x^(grade - d) rev(P, d), so the multiplicities
-    at infinity are its multiplicities at zero raised by grade - d.
+    One staircase pass over rev(P, d), d = deg P. The reversal keeps the
+    rank and the minimal indices (De Teran-Dopico-Mackey 2014), and
+    rev(P, grade) = x^(grade - d) rev(P, d), so the multiplicities at
+    infinity are its multiplicities at zero raised by grade - d.
     """
     d = max(P.degree, 0)
-    R = rev(P, d)
-    rho, minimal, at_zero = _read_profile(R, stages_of(R))
+    rho, minimal, at_zero = _structure_at_zero(rev(P, d))
     return rho, minimal, tuple(k + P.grade - d for k in at_zero)
 
 
@@ -366,7 +366,7 @@ def infinite_structure(P: MatrixPolynomial) -> tuple:
     (`_at_infinity`). For another grade, pass `P.with_grade(grade)`, which
     raises GradeTooSmall below max(deg P, 0).
     """
-    return _at_infinity(P, _staircase)[2]
+    return _at_infinity(P)[2]
 
 
 class GradeLawReport(NamedTuple):
@@ -428,53 +428,57 @@ def _exponent(g: RationalPolynomial, factor: RationalPolynomial) -> int:
         g, exponent = quotient, exponent + 1
 
 
-def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstructure:
-    """Complete eigenstructure of a skew-symmetric matrix polynomial.
+def _analyze(P: MatrixPolynomial, grade, finite_part) -> CompleteEigenstructure:
+    """The analysis of both backends, all but the finite part read exactly.
 
-    Computes the exact rank rho, the minimal indices and the structure at
-    infinity from one staircase pass over rev(P, deg P) and no evaluation
-    point (`_at_infinity`). For skew P, -P^T = P, so the left minimal
-    indices are the right ones. By the index sum theorem the finite elementary divisors then
-    have total degree rho * grade - sum(infinite) - 2 * sum(minimal). Only
-    when that deficit is positive does the Smith reduction run; a zero
-    deficit leaves no finite elementary divisors, and a negative one raises
-    InternalInconsistency. The invariant polynomials g_1 | ... | g_k form a
-    divisibility chain, so every irreducible factor of any g_i divides g_k:
-    g_k is the one polynomial factored over the rationals
-    (`_factor_rational`), and each factor's exponent in g_{k-1}, g_{k-2},
-    ... is read by exact division (`_exponent`) down to the first g_i that
-    it does not divide, below which none is divisible. The result is built by
-    `CompleteEigenstructure.skew`, which checks the pairing of every
-    multiplicity list, the even rank and the index-sum identity. Neither
-    pass depends on the grade, so both read P as declared, and another
-    grade raises each multiplicity at infinity by grade - P.grade.
+    One staircase pass over rev(P, deg P) gives the rank rho, the minimal
+    indices (left equal right, as -P^T = P) and infinity (`_at_infinity`).
+    It reads P as declared, and another grade raises each multiplicity at
+    infinity by grade - P.grade. By the index sum theorem the finite
+    elementary divisors then have total degree
+    deficit = rho * grade - sum(infinite) - 2 * sum(minimal), whatever the
+    grade. `finite_part(skew, rho, deficit)` reads them, none at a zero
+    deficit; `CompleteEigenstructure.skew` holds them to the deficit.
     """
     skew = as_skew(P)
     grade = skew.grade if grade is None else grade
     _check_grade(grade, skew.degree)
 
-    rho, minimal, infinite = _at_infinity(skew, _staircase)
+    rho, minimal, infinite = _at_infinity(skew)
     infinite = tuple(k + grade - skew.grade for k in infinite)
     deficit = rho * grade - sum(infinite) - 2 * sum(minimal)
     if deficit < 0:
         raise InternalInconsistency(f"index sums exceed rank*grade by {-deficit}")
-
-    finite: dict = {}
-    if deficit:
-        paired = skew_smith(skew)
-        if 2 * paired.rank != rho:
-            raise InternalInconsistency(
-                f"rank {rho} by the staircase vs {2 * paired.rank} by reduction"
-            )
-        # factor g_k alone, then divide down the chain (a constant g_i stops it)
-        *rest, last = paired.invariant_polynomials
-        for factor, exponent in _factor_rational(last):
-            mults = finite[factor] = [exponent, exponent]
-            for g in reversed(rest):
-                exponent = _exponent(g, factor)
-                if not exponent:
-                    break
-                mults += [exponent, exponent]
-
-    # the index-sum check also holds the finite part to the deficit
+    finite = finite_part(skew, rho, deficit)
     return CompleteEigenstructure.skew(skew.rows, grade, rho, finite, infinite, minimal)
+
+
+def _smith_finite_part(skew: MatrixPolynomial, rho: int, deficit: int) -> dict:
+    """The exact finite part: Smith (`skew_smith`) and one factorization, only at a positive deficit.
+
+    The invariant polynomials g_1 | ... | g_k form a divisibility chain, so
+    g_k is the one polynomial factored (`_factor_rational`), and each
+    factor's exponent in g_{k-1}, g_{k-2}, ... is read by exact division
+    (`_exponent`) down to the first g_i that it does not divide.
+    """
+    finite: dict = {}
+    if not deficit:
+        return finite
+    paired = skew_smith(skew)
+    if 2 * paired.rank != rho:
+        raise InternalInconsistency(f"rank {rho} by the staircase vs {2 * paired.rank} by reduction")
+    # factor g_k alone, then divide down the chain (a constant g_i stops it)
+    *rest, last = paired.invariant_polynomials
+    for factor, exponent in _factor_rational(last):
+        mults = finite[factor] = [exponent, exponent]
+        for g in reversed(rest):
+            exponent = _exponent(g, factor)
+            if not exponent:
+                break
+            mults += [exponent, exponent]
+    return finite
+
+
+def analyze(P: MatrixPolynomial, grade: int | None = None) -> CompleteEigenstructure:
+    """Complete eigenstructure of a skew-symmetric matrix polynomial, exactly (`_analyze`)."""
+    return _analyze(P, grade, _smith_finite_part)

@@ -54,10 +54,11 @@ class AttemptsExhausted(SkewstructError):
 
 
 class RankVerificationFailed(SkewstructError):
-    """The float analysis backend read an impossible numeric rank profile or structure.
+    """The float analysis backend's numeric finite part gave an impossible structure.
 
-    Only `floating.analyze_float` raises it; every exact path is decided in
-    rationals and never does.
+    Only `floating.analyze_float` raises it, when the eigenvalues it kept
+    fail the skew checks, such as the index sum against the exact deficit;
+    every exact path is decided in rationals and never does.
     """
 
 

@@ -3,25 +3,23 @@
 The only module that imports numpy or scipy, and the one way into the
 float backend: the package does not import it, so numpy loads exactly
 when `cli.cmd_analyze` imports it, under `--backend float`.
-Every numeric rank is read by `_nullity` on a block-Toeplitz matrix T_k of
-one builder, `_toeplitz`: these nullities feed the exact staircase's reader
-(one pass over rev(P, deg P) gives the rank, minimal indices and infinity),
-and on the Taylor coefficients at z they give a candidate's local profile.
-An answer is built by `CompleteEigenstructure.skew`, so it passes the same
-skew checks as an exact one (even rank, multiplicities in pairs, the index
-sum theorem) or raises RankVerificationFailed.
+`analyze_float` runs the exact driver, `eigenstructure._analyze`, so the
+rank, minimal indices, infinity and deficit are exact, and reads only the
+finite part numerically: every rank is read by `_nullity` on a
+block-Toeplitz matrix of one builder, `_toeplitz`, of the Taylor
+coefficients at a QZ eigenvalue candidate. The answer passes the skew
+checks of `CompleteEigenstructure.skew` or raises RankVerificationFailed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
-from .eigenstructure import CompleteEigenstructure, _at_infinity, multiplicities_from_prefix_dims
+from .eigenstructure import CompleteEigenstructure, _analyze, multiplicities_from_prefix_dims
 from .errors import InternalInconsistency, ParamDomain, RankVerificationFailed
-from .exact import MatrixPolynomial, as_skew
+from .exact import MatrixPolynomial
 from .points import NumericRoot
 
 DEFAULT_TOL = 1e-8
@@ -57,21 +55,6 @@ def _nullity(t, width: int, floor: float) -> int:
     return width - int(np.count_nonzero(np.linalg.svd(a, compute_uv=False) > floor))
 
 
-def _stages(P: MatrixPolynomial, tol_rel):
-    """Numeric (dim S_k, dim F_k) of P for k = 0, 1, ..., as `eigenstructure._staircase` yields them.
-
-    dim S_k is the nullity of T_k, and dim F_k that of its first k-delta+1
-    block columns, delta = deg P: from stage delta on they are C_{k-delta},
-    and before it none (F_k = 0). `_read_profile` bounds the stages.
-    """
-    delta, n = max(P.degree, 0), P.cols
-    coeffs = _coeff_arrays(P)[: delta + 1]
-    floor = _floor(coeffs, tol_rel)
-    for k in itertools.count():
-        t = _toeplitz(coeffs, k)
-        yield _nullity(t, (k + 1) * n, floor), _nullity(t, max(k - delta + 1, 0) * n, floor)
-
-
 def _shifted_coeffs(coeffs, z):
     """Taylor coefficient matrices of P at the point z (binomial shift)."""
     n = len(coeffs)
@@ -81,45 +64,49 @@ def _shifted_coeffs(coeffs, z):
 def analyze_float(
     P: MatrixPolynomial, grade: int | None = None, tol_rel: float = DEFAULT_TOL
 ) -> CompleteEigenstructure:
-    """Best-effort floating-point eigenstructure of a skew polynomial.
+    """Best-effort eigenstructure of a skew polynomial, its finite part read numerically.
 
-    Rank, minimal indices and multiplicities at infinity come from one pass
-    of numeric Toeplitz nullities (`_stages`) over rev(P, deg P), read by
-    `eigenstructure._at_infinity` as the exact ones are. Eigenvalue
-    candidates are linearization eigenvalues kept where their local profile
-    (the prefix nullities of P's Taylor coefficients there) is possible and
-    has a positive multiplicity, reported as NumericRoot annotations.
-    Clustered or ill-conditioned spectra can defeat it, and then an
-    impossible profile or a structure failing the skew checks raises
-    RankVerificationFailed; the exact path is the reference. tol_rel is
-    checked once, after the grade.
+    Eigenvalue candidates are QZ eigenvalues of P as declared, kept where
+    their local profile (the prefix nullities of P's Taylor coefficients
+    there) is possible and has a positive multiplicity, as NumericRoot
+    annotations. Clustered or ill-conditioned spectra can defeat it, and a
+    structure failing the skew checks raises RankVerificationFailed.
+    tol_rel is checked on every call, after the grade.
     """
-    skew = as_skew(P)
-    if grade is not None:
-        skew = skew.with_grade(grade)
+    try:
+        return _analyze(P, grade, lambda skew, rho, deficit: _finite_part(skew, rho, deficit, tol_rel))
+    except InternalInconsistency as exc:
+        # an impossible structure here is numeric noise, not a library bug
+        raise RankVerificationFailed(f"inconsistent numeric eigenstructure: {exc}") from exc
+
+
+def _finite_part(skew: MatrixPolynomial, rho: int, deficit: int, tol_rel: float) -> dict:
+    """Candidates with a possible, positive local profile; no QZ at a zero deficit.
+
+    Profiles are read to order rho * grade + 1, not bounded by the deficit:
+    a true eigenvalue whose profile over-reads must fail the index sum, not
+    be cut short while a spurious candidate fills the deficit.
+    """
     if not 0 < tol_rel < math.inf:  # NaN fails every comparison
         raise ParamDomain(f"tol_rel must be positive and finite, got {tol_rel}")
-    grade, m = skew.grade, skew.rows
+    finite: dict = {}
+    if not deficit:
+        return finite
+    m = skew.rows
     coeffs = _coeff_arrays(skew)
-    try:
-        rho, minimal, infinite = _at_infinity(skew, lambda R: _stages(R, tol_rel))
-        last = rho * max(grade, 1) + 1
-        # companion eigenvalues with a positive local profile; its order 0 is rank P(z)
-        finite: dict = {}
-        for z in _eigenvalue_candidates(coeffs):
-            shifted = _shifted_coeffs(coeffs, z)
-            floor = _floor(shifted, tol_rel)
-            local = (_nullity(_toeplitz(shifted, k), (k + 1) * m, floor) for k in range(last + 1))
-            try:
-                positive = tuple(v for v in multiplicities_from_prefix_dims(local, m - rho, rho) if v)
-            except InternalInconsistency:
-                continue  # no eigenvalue has an impossible local profile
-            if positive:
-                finite[NumericRoot(round(z.real, 9), round(z.imag, 9))] = positive
-        return CompleteEigenstructure.skew(m, grade, rho, finite, infinite, minimal)
-    except InternalInconsistency as exc:
-        # an impossible profile or structure here is numeric noise, not a library bug
-        raise RankVerificationFailed(f"inconsistent numeric eigenstructure: {exc}") from exc
+    last = rho * skew.grade + 1
+    # order 0 of a local profile is rank P(z)
+    for z in _eigenvalue_candidates(coeffs):
+        shifted = _shifted_coeffs(coeffs, z)
+        floor = _floor(shifted, tol_rel)
+        local = (_nullity(_toeplitz(shifted, k), (k + 1) * m, floor) for k in range(last + 1))
+        try:
+            positive = tuple(v for v in multiplicities_from_prefix_dims(local, m - rho, rho) if v)
+        except InternalInconsistency:
+            continue  # no eigenvalue has an impossible local profile
+        if positive:
+            finite[NumericRoot(round(z.real, 9), round(z.imag, 9))] = positive
+    return finite
 
 
 def _eigenvalue_candidates(coeffs):

@@ -40,3 +40,27 @@ def test_only_importing_the_float_backend_loads_numpy():
     # numpy loads exactly when `skewstruct.floating` is imported
     assert _loaded_after("import skewstruct") == "[]"
     assert _loaded_after("import skewstruct.floating").startswith("['numpy'")
+
+
+STAGE_READERS = {"_staircase", "_read_profile", "_at_infinity"}
+
+
+def test_the_float_backend_reads_no_stages():
+    # the rank, minimal indices and infinity come from the exact driver: the
+    # float backend imports no stage reader and generates no stages of its own
+    tree = ast.parse((SRC / "floating.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not (imported | named) & STAGE_READERS
+    generators = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(inner, (ast.Yield, ast.YieldFrom)) for inner in ast.walk(node))
+    ]
+    assert generators == []

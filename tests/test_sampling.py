@@ -1,8 +1,8 @@
 """Tests for sampling, perturbation, and the floating backend."""
 
 import collections
+import dataclasses
 import importlib
-import itertools
 import random
 import sys
 from fractions import Fraction
@@ -34,7 +34,6 @@ from skewstruct.sampling import (
 )
 
 from oracles import (
-    kernel_dims_by_convolution,
     normal_rank_by_minors,
     prefix_dims_by_toeplitz,
     sample_by_fractions,
@@ -317,6 +316,27 @@ class TestMonteCarlo:
         assert set(data) == {"trials", "matches", "mismatch_seeds", "mismatches", "expected", "elapsed"}
 
 
+def _sweep_pencils(seed, sizes, count):
+    """(block list, pencil) of the bench's scrambled structured_blocks at Random(seed), `count` at each size."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+    rng = random.Random(seed)
+    for n in sizes:
+        for _ in range(count):
+            block_list = workloads.structured_blocks(rng, n)
+            yield block_list, workloads.scramble(rng, assemble_skew(block_list))
+
+
+def _raised(structure, grade):
+    """`structure` read at `grade`: every multiplicity at infinity raised by the grade's rise."""
+    rise = grade - structure.grade
+    return dataclasses.replace(structure, grade=grade, infinite=tuple(k + rise for k in structure.infinite))
+
+
 class TestAnalyzeFloat:
     def test_well_separated_pencil(self):
         structure = BlockList.skew([SkewBlock.h(1, 2), SkewBlock.h(1, -3), SkewBlock.m(0)])
@@ -360,10 +380,9 @@ class TestAnalyzeFloat:
         assert mults == exact.finite[0][1] == (1, 1, 3, 3)
 
     def test_stages_are_the_exact_toeplitz_nullities(self):
-        # dim S_k is the nullity of T_k, and from k = delta = deg P on dim F_k
-        # is that of C_{k-delta}, T_k's first k-delta+1 block columns (F_k = 0
-        # before): singular, non-square, constant (delta = 0), zero, and read
-        # at a grade above the degree
+        # a local profile's prefix dimensions, here at z = 0, are the
+        # nullities of T_k, the exact dim S_k: singular, non-square, constant,
+        # zero, and read at a grade above the degree
         singular = assemble_skew(BlockList.skew([SkewBlock.m(1), SkewBlock.h(1, 2), SkewBlock.k(1)]))
         constant = MatrixPolynomial([[1, 2, 0], [2, 4, 0]], grade=0)
         polys = [
@@ -377,16 +396,63 @@ class TestAnalyzeFloat:
         ]
         last = 7
         for poly in polys:
-            delta = max(poly.degree, 0)
-            stages = list(itertools.islice(floating._stages(poly, DEFAULT_TOL), last + 1))
-            assert [s for s, _ in stages] == prefix_dims_by_toeplitz(poly, last), str(poly)
-            assert [f for _, f in stages] == [0] * delta + kernel_dims_by_convolution(poly, last - delta), str(poly)
+            shifted = floating._shifted_coeffs(floating._coeff_arrays(poly), 0)
+            floor = floating._floor(shifted, DEFAULT_TOL)
+            local = [floating._nullity(floating._toeplitz(shifted, k), (k + 1) * poly.cols, floor) for k in range(last + 1)]
+            assert local == prefix_dims_by_toeplitz(poly, last), str(poly)
 
     def test_impossible_profile_is_a_numeric_failure(self, monkeypatch):
-        pencil = assemble_skew(BlockList.skew([SkewBlock.k(1), SkewBlock.m(1)]))
-        monkeypatch.setattr(floating, "_stages", lambda P, tol_rel: iter([]))
-        with pytest.raises(RankVerificationFailed):
+        # a positive deficit that no candidate fills fails the index sum
+        pencil = assemble_skew(BlockList.skew([SkewBlock.h(1, 2), SkewBlock.m(0)]))
+        monkeypatch.setattr(floating, "_eigenvalue_candidates", lambda coeffs: [])
+        with pytest.raises(RankVerificationFailed, match="index sums"):
             analyze_float(pencil, 1)
+
+    def test_zero_deficit_runs_no_qz(self, monkeypatch):
+        # by the index sum theorem there is no finite part to read
+        def unreachable(coeffs):
+            raise AssertionError("eigenvalue candidates read at a zero deficit")
+
+        monkeypatch.setattr(floating, "_eigenvalue_candidates", unreachable)
+        pencil = assemble_skew(BlockList.skew([SkewBlock.k(1), SkewBlock.m(1)]))
+        draw = sample_bounded_rank(SampleSpec(m=5, d=2, r=2, seed=0))
+        for poly, grade in ((pencil, 1), (pencil, 3), (draw, 2), (SkewMatrixPolynomial.zeros(2, 2, 1), 1)):
+            assert analyze_float(poly, grade) == analyze(poly, grade)
+
+    def test_a_grade_above_the_degree_reads_the_declared_coefficients(self, monkeypatch):
+        # QZ runs on P as declared, not on P padded to the grade, so the
+        # finite part is the one read at P's own grade, roots included
+        real, handed = floating._eigenvalue_candidates, []
+
+        def spy(coeffs):
+            handed.append(len(coeffs))
+            return real(coeffs)
+
+        monkeypatch.setattr(floating, "_eigenvalue_candidates", spy)
+        pencil = assemble_skew(BlockList.skew([SkewBlock.h(2, 1), SkewBlock.h(1, -3), SkewBlock.m(1)]))
+        own = analyze_float(pencil)
+        for grade in (2, 5):
+            handed.clear()
+            numeric = analyze_float(pencil, grade)
+            assert handed == [pencil.grade + 1]
+            assert numeric == _raised(own, grade)
+
+    def test_the_answer_does_not_depend_on_the_requested_grade(self):
+        # at a grade above the degree the answer is the one at P's own grade
+        # with infinity raised, or a raise if that one raises: the pencil of
+        # the sweep at Random(7) that raises at grade 1 raises at 2 and 3
+        blocks = "H_3(-2/1) + K_1 + M_0 + M_0"
+        [pencil] = [p for b, p in _sweep_pencils(7, (6, 8, 10, 12), 25) if str(b) == blocks]
+
+        def outcome(grade):
+            try:
+                return analyze_float(pencil, grade)
+            except RankVerificationFailed:
+                return "raises"
+
+        own = outcome(1)
+        for grade in (2, 3):
+            assert outcome(grade) == (own if own == "raises" else _raised(own, grade))
 
     def test_infinite_detection(self):
         pencil = assemble_skew(BlockList.skew([SkewBlock.k(1), SkewBlock.m(1)]))
@@ -418,31 +484,21 @@ class TestAnalyzeFloat:
         """The pencils of the bench's scrambled structured_blocks at Random(seed),
         `count` at each size, at `grade`: each float answer must be the exact
         one; returns the block lists of those that raise RankVerificationFailed."""
-        bench = str(Path(__file__).resolve().parents[1] / "bench")
-        sys.path.insert(0, bench)
-        try:
-            workloads = importlib.import_module("workloads")
-        finally:
-            sys.path.remove(bench)
-        rng = random.Random(seed)
         raised = []
-        for n in sizes:
-            for _ in range(count):
-                block_list = workloads.structured_blocks(rng, n)
-                pencil = workloads.scramble(rng, assemble_skew(block_list))
-                exact = analyze(pencil, grade)
-                try:
-                    numeric = analyze_float(pencil, grade)
-                except RankVerificationFailed:
-                    raised.append(str(block_list))
-                    continue
-                assert (numeric.rank, numeric.infinite, numeric.left_minimal, numeric.right_minimal) == (
-                    exact.rank,
-                    exact.infinite,
-                    exact.left_minimal,
-                    exact.right_minimal,
-                ), str(block_list)
-                assert sorted(m for _, m in numeric.finite) == sorted(m for _, m in exact.finite), str(block_list)
+        for block_list, pencil in _sweep_pencils(seed, sizes, count):
+            exact = analyze(pencil, grade)
+            try:
+                numeric = analyze_float(pencil, grade)
+            except RankVerificationFailed:
+                raised.append(str(block_list))
+                continue
+            assert (numeric.rank, numeric.infinite, numeric.left_minimal, numeric.right_minimal) == (
+                exact.rank,
+                exact.infinite,
+                exact.left_minimal,
+                exact.right_minimal,
+            ), str(block_list)
+            assert sorted(m for _, m in numeric.finite) == sorted(m for _, m in exact.finite), str(block_list)
         return raised
 
     def test_scrambled_sweep_agrees_or_raises(self):
@@ -459,11 +515,12 @@ class TestAnalyzeFloat:
 
     @pytest.mark.parametrize("seed", [7, 11])
     def test_scrambled_sweep_at_more_seeds(self, seed):
-        # 100 pencils at n = 6-12; only the one that raises today may raise:
-        # the float backend over-counts the eigenvalue of H_3(-2), and the
-        # index sum fails
-        raised = self._scrambled_sweep(1, seed, (6, 8, 10, 12), 25)
-        assert set(raised) <= {"H_3(-2/1) + K_1 + M_0 + M_0"}
+        # 100 pencils at n = 6-12, at grades 1-3; only the one that raises
+        # today may raise: the float backend over-counts the eigenvalue of
+        # H_3(-2), and the index sum fails at every grade
+        for grade in (1, 2, 3):
+            raised = self._scrambled_sweep(grade, seed, (6, 8, 10, 12), 25)
+            assert set(raised) <= {"H_3(-2/1) + K_1 + M_0 + M_0"}, grade
 
     def test_once_missed_eigenvalue_is_found(self):
         # (x + 1) C for a constant skew C of rank 4: H_1(-1) + H_1(-1) + M_0 + M_0
