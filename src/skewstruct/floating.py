@@ -105,7 +105,8 @@ def _finite_part(skew: MatrixPolynomial, rho: int, deficit: int, tol_rel: float)
         except InternalInconsistency:
             continue  # no eigenvalue has an impossible local profile
         if positive:
-            finite[NumericRoot(round(z.real, 9), round(z.imag, 9))] = positive
+            # + 0.0 turns a rounded -0.0 into 0.0, so no root prints the sign of a zero
+            finite[NumericRoot(round(z.real, 9) + 0.0, round(z.imag, 9) + 0.0)] = positive
     return finite
 
 

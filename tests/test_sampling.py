@@ -454,6 +454,15 @@ class TestAnalyzeFloat:
         for grade in (2, 3):
             assert outcome(grade) == (own if own == "raises" else _raised(own, grade))
 
+    def test_a_rounded_zero_has_no_sign(self, monkeypatch):
+        # QZ's -1e-12 for the eigenvalue 0 rounds to -0.0, which would print
+        # as root(-0-0j) beside root(+0+0j) for the same eigenvalue
+        pencil = assemble_skew(BlockList.skew([SkewBlock.h(1, 0), SkewBlock.m(0)]))
+        monkeypatch.setattr(floating, "_eigenvalue_candidates", lambda coeffs: [complex(-1e-12, -1e-12)])
+        [(root, mults)] = analyze_float(pencil, 1).finite
+        assert mults == (1, 1)
+        assert str(root) == "root(+0+0j)"
+
     def test_infinite_detection(self):
         pencil = assemble_skew(BlockList.skew([SkewBlock.k(1), SkewBlock.m(1)]))
         numeric = analyze_float(pencil, 1)
@@ -499,6 +508,7 @@ class TestAnalyzeFloat:
                 exact.right_minimal,
             ), str(block_list)
             assert sorted(m for _, m in numeric.finite) == sorted(m for _, m in exact.finite), str(block_list)
+            assert all(str(v) != "-0.0" for root, _ in numeric.finite for v in (root.real, root.imag)), str(block_list)
         return raised
 
     def test_scrambled_sweep_agrees_or_raises(self):
