@@ -33,7 +33,7 @@ every minimal index and every partial multiplicity at zero.
 `analyze` makes one pass, over rev(P, deg P), which has the rank and the
 minimal indices of P (De Teran-Dopico-Mackey 2014); its multiplicities at
 zero, raised by grade - deg P, are those of P at infinity (`_at_infinity`).
-`exact.normal_rank` reads the pass over P itself. One driver, `_analyze`,
+`exact.normal_rank` reads the pass over P itself. One analysis, `_analyze`,
 serves both backends; each reads only the finite part.
 """
 

@@ -3,10 +3,10 @@
 The only module that imports numpy or scipy, and the one way into the
 float backend: the package does not import it, so numpy loads exactly
 when `cli.cmd_analyze` imports it, under `--backend float`.
-`analyze_float` runs the exact driver, `eigenstructure._analyze`, so the
+`analyze_float` runs the exact analysis, `eigenstructure._analyze`, so the
 rank, minimal indices, infinity and deficit are exact, and reads only the
 finite part numerically: every rank is read by `_nullity` on a
-block-Toeplitz matrix of one builder, `_toeplitz`, of the Taylor
+block-Toeplitz matrix, built by `_toeplitz` alone, of the Taylor
 coefficients at a QZ eigenvalue candidate. The answer passes the skew
 checks of `CompleteEigenstructure.skew` or raises RankVerificationFailed.
 """

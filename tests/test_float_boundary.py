@@ -46,7 +46,7 @@ STAGE_READERS = {"_staircase", "_read_profile", "_at_infinity"}
 
 
 def test_the_float_backend_reads_no_stages():
-    # the rank, minimal indices and infinity come from the exact driver: the
+    # the rank, minimal indices and infinity come from the exact analysis: the
     # float backend imports no stage reader and generates no stages of its own
     tree = ast.parse((SRC / "floating.py").read_text())
     imported = {
