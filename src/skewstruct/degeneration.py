@@ -34,9 +34,14 @@ with one count field per block. A rule application is a cached delta
 whose consumed fields are checked with the same top-bit subtraction, a
 successor's key is its int (plus the per-symbol multisets when it holds
 symbols), and its Hom vector is its parent's plus a cached Hom delta. A
-state's counts dict is decoded only when the state is expanded, for the
-rule generator (`_applications`), so no state becomes a BlockList and no
-successor a dict.
+state's counts dict is decoded only when the state is first expanded, for
+the rule generator (`_applications`), so no state becomes a BlockList and
+no successor a dict. The packed layout is kept per thread and pencil
+shape, not per search: it memoizes each expanded state's (application,
+step) pairs under (state, pool, raise_rank), up to MAX_STATES pairs, so
+the searches of one cell share their rule steps and expansions. Each memo entry is a pure function of its key, so every
+search keys, expands and prunes the same states in the same order as on
+a fresh layout, with the same certificate and `states_explored`.
 `enumerate_applications`, `apply_rule` and `canonical_key` are the
 BlockList boundary: each reads `BlockList.counts` once and works on the
 dict (`_apply_to_counts`, `_key_from_counts`), which stay the reference
@@ -47,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -578,16 +584,28 @@ def closure_reachable(
     return result
 
 
-class _PackedStates:
-    """One search's states as ints, one count field per block, and each rule as a cached delta.
+_layout = threading.local()  # `states`: this thread's _PackedStates, kept from one search to the next
 
-    A block gets the next free field the first time the search meets it,
-    and keeps its offset for the rest of the search. A field is
+
+class _PackedStates:
+    """States of rows x cols pencils as ints, one count field per block; each rule a cached delta.
+
+    A block gets the next free field the first time a search meets it, and
+    keeps its offset for the life of the layout. A field is
     (rows + cols).bit_length() + 1 bits wide: every block has rows + cols at
     least 1, so no count exceeds rows + cols and the top bit of every field
     stays clear. A state is the sum of count << offset over its blocks, so
-    two states of one search are equal ints exactly when their counts are
-    equal. `symbols` holds every bit of the fields of blocks at a symbol.
+    two states are equal ints exactly when their counts are equal.
+    `symbols` holds every bit of the fields of blocks at a symbol.
+
+    One layout serves every search of its shape in a thread (`for_shape`),
+    and memoizes each expanded state's successors (`successors`). Every
+    field, step, symbol key and memo entry is a pure function of its key
+    once the fields are fixed, so a search on a shared layout keys, expands
+    and prunes the same states in the same order as one on a fresh layout.
+    The memo holds at most MAX_STATES successor entries in all. A state
+    whose entries do not fit leaves it full: the search goes on with the
+    layout, and the thread's next search starts a new one.
     """
 
     def __init__(self, rows: int, cols: int):
@@ -596,8 +614,18 @@ class _PackedStates:
         self.fields: dict = {}  # block -> (offset, packed Hom int)
         self.blocks: list = []  # field number -> block
         self.symbols = 0
-        self.steps: dict = {}  # RuleApplication -> its `step`
+        self.steps: dict = {}  # RuleApplication -> its `step` pair
         self.symbol_keys: dict = {}  # symbol fields of a state -> their per-symbol multisets
+        self.memo: dict = {}  # (state, pool, raise_rank) -> ((application, step), ...)
+        self.room = MAX_STATES  # successor entries the memo may still take; 0 when full
+
+    @classmethod
+    def for_shape(cls, rows: int, cols: int) -> "_PackedStates":
+        """This thread's layout, replaced by a new one when its shape differs or its memo is full."""
+        states = getattr(_layout, "states", None)
+        if states is None or (states.rows, states.cols) != (rows, cols) or not states.room:
+            states = _layout.states = cls(rows, cols)
+        return states
 
     def _field(self, block) -> tuple:
         field = self.fields.get(block)
@@ -640,7 +668,7 @@ class _PackedStates:
         return packed ^ symbolic, multisets
 
     def step(self, app: RuleApplication) -> tuple:
-        """(need, high, delta, Hom delta, rank delta) of one rule application, for every state.
+        """(app, (need, high, delta, Hom delta, rank delta)) of one rule application, for every state.
 
         `need` has a 1 in a consumed block's field per copy consumed, `high`
         the top bit of each such field, and `delta` is the produced minus the
@@ -648,7 +676,8 @@ class _PackedStates:
         state + delta. The Hom delta and rank delta are the produced minus
         the consumed blocks' `_block_hom` ints and ranks. Both are additive
         over blocks, so a successor's Hom vector and rank are its parent's
-        plus these.
+        plus these. The pair is cached in `steps`, and every memo entry that
+        holds the application shares it.
         """
         consumed, produced = _rule_blocks(app)
         need = high = hom = rank = 0
@@ -664,8 +693,38 @@ class _PackedStates:
             delta += 1 << offset
             hom += block_hom
             rank += block.rank
-        step = self.steps[app] = (need, high, delta, hom, rank)
-        return step
+        pair = self.steps[app] = app, (need, high, delta, hom, rank)
+        return pair
+
+    def successors(self, packed: int, pool: tuple, raise_rank: bool) -> tuple:
+        """The (application, step) pairs of `_applications` from a state, in its order; memoized.
+
+        On a miss the state's counts are decoded for the generator, and each
+        application is checked against the state with the top-bit
+        subtraction of `_hom_witness`: `(packed | high) - need` keeps a
+        consumed field's top bit exactly when the state holds enough copies,
+        and never borrows, since a rule consumes at most two copies of a
+        block and a field's top bit is worth at least 2. When a block is
+        missing, `_apply_to_counts` on the state's counts raises the
+        MissingBlocks that `apply_rule` would, and nothing is memoized. The
+        pairs are memoized if they fit in the memo's room, and otherwise
+        leave it full.
+        """
+        memo_key = packed, pool, raise_rank
+        successors = self.memo.get(memo_key)
+        if successors is None:
+            counts = self.counts(packed)
+            steps = self.steps
+            successors = tuple(steps.get(app) or self.step(app) for app in _applications(counts, pool, raise_rank))
+            for app, (need, high, _, _, _) in successors:
+                if ((packed | high) - need) & high != high:
+                    _apply_to_counts(counts, app)
+            if len(successors) <= self.room:
+                self.memo[memo_key] = successors
+                self.room -= len(successors)
+            else:
+                self.room = 0
+        return successors
 
 
 def _breadth_first(target_counts: dict, source_counts: dict, max_steps: int) -> ClosureResult:
@@ -686,40 +745,32 @@ def _breadth_first(target_counts: dict, source_counts: dict, max_steps: int) -> 
     target's. The generator yields only legal applications, so a rule error
     is a bug and propagates instead of dropping a path.
 
-    States are packed ints (`_PackedStates`). A successor is its parent
-    plus the application's cached delta, once the top-bit subtraction of
-    `_hom_witness` finds the consumed blocks present: `(packed | high) -
-    need` keeps a consumed field's top bit exactly when the state holds
-    enough copies, and never borrows, since a rule consumes at most two
-    copies of a block and a field's top bit is worth at least 2. When a
-    block is missing, `_apply_to_counts` on the state's counts raises the
-    MissingBlocks that `apply_rule` would. The key, Hom vector and rank
-    come off the int and the cached deltas, and a state's counts are
-    decoded only when it is expanded, for `_applications`, which reads
-    them in one sorted pass.
+    States are packed ints on this thread's layout for the pencil shape
+    (`_PackedStates.for_shape`), which earlier searches of that shape may
+    have filled. An expanded state's successors are its memoized (application,
+    step) pairs, and `_applications` and `_PackedStates.step` run only on a
+    miss. A successor is its parent plus the application's cached delta;
+    its key, Hom vector and rank come off the int and the cached deltas,
+    and a state's counts are decoded only on a miss.
     """
     rows, cols = _shape(source_counts)
-    states = _PackedStates(rows, cols)
+    states = _PackedStates.for_shape(rows, cols)
     source = states.pack(source_counts)
     target_key = states.key(states.pack(target_counts))
     source_key = states.key(source)
     target_blocks = sorted(target_counts, key=GeneralBlock.sort_key)
-    pool = [*dict.fromkeys(b.eigenvalue for b in target_blocks if isinstance(b.eigenvalue, Fraction))]
+    pool = tuple(dict.fromkeys(b.eigenvalue for b in target_blocks if isinstance(b.eigenvalue, Fraction)))
     target_rank = sum(b.rank * c for b, c in target_counts.items())
     _, _, high = _hom_layout(rows, cols)
     target_hom = _hom_vector(target_counts, rows, cols)
     source_rank = sum(b.rank * c for b, c in source_counts.items())
     visited = {source_key: (None, None)}
     frontier = [(source, source_key, _hom_vector(source_counts, rows, cols), source_rank)]
-    steps = states.steps
     explored = 1
     for _ in range(max_steps):
         next_frontier = []
         for packed, state_key, hom, rank in frontier:
-            for app in _applications(states.counts(packed), pool, rank < target_rank):
-                need, need_high, delta, hom_delta, rank_delta = steps.get(app) or states.step(app)
-                if ((packed | need_high) - need) & need_high != need_high:
-                    _apply_to_counts(states.counts(packed), app)
+            for app, (_, _, delta, hom_delta, rank_delta) in states.successors(packed, pool, rank < target_rank):
                 nxt = packed + delta
                 key = nxt if not nxt & states.symbols else states.key(nxt)
                 if key in visited:

@@ -87,8 +87,12 @@ def interned():
     assert _construction_sites("m", ast.parse(source)) == {"m.direct", "m.by_attribute", "m.Search.step", "m"}
 
 
-def yielded(monkeypatch, searches):
-    """Every application the rule generator yields in these (target, source) searches, per search."""
+def yielded(monkeypatch, fresh_layout, searches):
+    """Every application the rule generator yields in these (target, source) searches, per search.
+
+    Each search starts on an empty packed layout, so it memoizes nothing
+    yet and calls the generator for every state it expands.
+    """
     real = degeneration._applications
     per_search = []
 
@@ -100,6 +104,7 @@ def yielded(monkeypatch, searches):
     monkeypatch.setattr(degeneration, "_applications", recording)
     for target, source in searches:
         per_search.append([])
+        fresh_layout()
         closure_reachable(target, source)
     monkeypatch.undo()
     return per_search
@@ -117,11 +122,11 @@ def bfs_searches():
     return [(target, skew_to_general(source)) for source in sources]
 
 
-def test_equal_applications_are_one_object(monkeypatch):
+def test_equal_applications_are_one_object(monkeypatch, fresh_layout):
     # within a search, equal applications come from different states, and
     # the two searches share applications too; each is one object
     degeneration._application.cache_clear()
-    first, second = yielded(monkeypatch, bfs_searches())
+    first, second = yielded(monkeypatch, fresh_layout, bfs_searches())
     one = {}
     for app in first + second:
         assert one.setdefault(app, app) is app
@@ -178,9 +183,9 @@ def test_enumeration_equals_fresh_constructions(monkeypatch):
         assert not any(x is y for x, y in zip(a, b))
 
 
-def test_each_distinct_application_is_validated_once(monkeypatch):
-    # the first search checks no application twice, and the same search
-    # again checks none
+def test_each_distinct_application_is_validated_once(monkeypatch, fresh_layout):
+    # the first search, on an empty layout, checks no application twice,
+    # and the same search again checks none
     checked = []
     real = RuleApplication.__post_init__
 
@@ -189,6 +194,7 @@ def test_each_distinct_application_is_validated_once(monkeypatch):
         real(self)
 
     target, source = bfs_searches()[0]
+    fresh_layout()
     degeneration._application.cache_clear()
     monkeypatch.setattr(RuleApplication, "__post_init__", counting)
     assert closure_reachable(target, source).status == "yes"

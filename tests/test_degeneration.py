@@ -6,6 +6,8 @@ import itertools
 import json
 import random
 import signal
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -451,9 +453,11 @@ class TestClosureSearch:
             closure_reachable(target, source, max_steps=-1)
         assert closure_reachable(target, source, max_steps=0).status == "no_within_bound"
 
-    def test_invalid_application_raises(self, monkeypatch):
+    def test_invalid_application_raises(self, monkeypatch, fresh_layout):
         # a generator that yields an application the state cannot take is a
-        # bug the search must surface, not a path to skip
+        # bug the search must surface, not a path to skip; on an empty
+        # layout, so that no memoized expansion bypasses the generator
+        fresh_layout()
         real = degeneration._applications
 
         def with_invalid(counts, pool, raise_rank):
@@ -851,39 +855,36 @@ class TestPackedHomKernel:
         assert res.witness == degeneration.HomWitness(LT(k), "Hom(-, X)", 0, 1)
 
 
-def recorded_search(monkeypatch, target, source):
-    """closure_reachable(target, source) with the search's state packing and every application it applied.
+def recorded_search(monkeypatch, fresh_layout, target, source):
+    """closure_reachable(target, source) on an empty packed layout, with every application it applied.
 
-    Returns (result, the search's _PackedStates or None, [(decoded counts
-    of the expanded state, application)]). The generator is wrapped, and
-    the search applies every application it yields.
+    Returns (result, the layout the search used or None, [(decoded counts
+    of the expanded state, application)]). The layout's successor lists
+    are wrapped, so the record holds exactly the (state, application)
+    pairs the search took, in its order, and the search applies every
+    pair it takes.
     """
-    made, applied = [], []
+    slot = fresh_layout()
+    applied = []
+    real = degeneration._PackedStates.successors
 
-    class Recording(degeneration._PackedStates):
-        def __init__(self, rows, cols):
-            super().__init__(rows, cols)
-            made.append(self)
-
-    real = degeneration._applications
-
-    def recording(counts, pool, raise_rank):
-        for app in real(counts, pool, raise_rank):
+    def recording(states, packed, pool, raise_rank):
+        counts = states.counts(packed)
+        for app, step in real(states, packed, pool, raise_rank):
             applied.append((counts, app))
-            yield app
+            yield app, step
 
-    monkeypatch.setattr(degeneration, "_PackedStates", Recording)
-    monkeypatch.setattr(degeneration, "_applications", recording)
+    monkeypatch.setattr(degeneration._PackedStates, "successors", recording)
     result = closure_reachable(target, source)
+    states = getattr(slot, "states", None)
     monkeypatch.undo()
-    assert len(made) <= 1
-    return result, (made or [None])[0], applied
+    return result, states, applied
 
 
 class TestPackedStates:
     """The search's packed states against the dict reference: `_apply_to_counts` and `_key_from_counts`."""
 
-    def check_search(self, monkeypatch, target, source):
+    def check_search(self, monkeypatch, fresh_layout, target, source):
         # Every state the search keys: the source, and the successor of
         # every application it applied, made from its parent's int plus the
         # cached delta. Each decodes to the counts `_apply_to_counts` makes
@@ -891,7 +892,7 @@ class TestPackedStates:
         # packed keys and `_key_from_counts` keys pair one to one, as many
         # as the states the search counted. Returns (result, the packed
         # keys, the largest count in a field, the field width).
-        result, states, applied = recorded_search(monkeypatch, target, source)
+        result, states, applied = recorded_search(monkeypatch, fresh_layout, target, source)
         if states is None:
             assert applied == [] and result.states_explored == 1
             return result, set(), 0, 0
@@ -902,7 +903,7 @@ class TestPackedStates:
         for counts, app in applied:
             parent = states.pack(counts)
             assert states.counts(parent) == counts
-            _, _, delta, hom_delta, rank_delta = states.steps[app]
+            _, (_, _, delta, hom_delta, rank_delta) = states.steps[app]
             successor = parent + delta
             reference = dict(counts)
             degeneration._apply_to_counts(reference, app)
@@ -921,7 +922,7 @@ class TestPackedStates:
         assert largest <= rows + cols < 1 << (states.width - 1)
         return result, packed_keys, largest, states.width
 
-    def test_keys_and_counts_on_the_sweep(self, monkeypatch):
+    def test_keys_and_counts_on_the_sweep(self, monkeypatch, fresh_layout):
         # every skew source of the target's rank against each valid cell
         # with n <= 7, a superset of the benchmark's closure_sources sweep
         searches = searched = keyed = with_symbols = 0
@@ -933,7 +934,7 @@ class TestPackedStates:
                     for source in sources:
                         if source.rank != target.rank:
                             continue
-                        _, keys, _, _ = self.check_search(monkeypatch, target, source)
+                        _, keys, _, _ = self.check_search(monkeypatch, fresh_layout, target, source)
                         searches += 1
                         searched += bool(keys)
                         keyed += len(keys)
@@ -941,43 +942,209 @@ class TestPackedStates:
         assert (searches, searched, keyed, with_symbols) == (205, 80, 2500, 1573)
 
     @pytest.mark.parametrize("w, r", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
-    def test_zero_pencil_against_the_unpruned_search(self, monkeypatch, w, r):
+    def test_zero_pencil_against_the_unpruned_search(self, monkeypatch, fresh_layout, w, r):
         # 6 L_0 + 6 L^T_0, the 6 x 6 zero pencil: six copies of each block,
         # the most any 6 x 6 state holds, in fields 5 bits wide
         source = gl(*[L(0)] * 6, *[LT(0)] * 6)
         target = skew_to_general(generic_pencil_structure(6, w, r))
-        result, _, largest, width = self.check_search(monkeypatch, target, source)
+        result, _, largest, width = self.check_search(monkeypatch, fresh_layout, target, source)
         steps = codim_general(source.counts()) - codim_general(target.counts())
         full = closure_reachable_unpruned(target, source, max_steps=steps)
         assert (result.status, certificate_json(result)) == (full.status, certificate_json(full))
         assert result.status == "yes" and (largest, width) == (6, 5)
 
-    def test_target_with_symbols(self, monkeypatch):
+    def test_target_with_symbols(self, monkeypatch, fresh_layout):
         # a target with symbolic eigenvalues keys as a pair, and the search
         # reaches it under a renaming of the symbols
         target = gl(E(1, SymbolicPoint("z")), E(1, SymbolicPoint("w")))
-        result, keys, _, _ = self.check_search(monkeypatch, target, gl(L(0), L(0), LT(0), LT(0)))
+        result, keys, _, _ = self.check_search(monkeypatch, fresh_layout, target, gl(L(0), L(0), LT(0), LT(0)))
         assert result.status == "yes" and len(result.certificate) == 2
         assert sum(isinstance(key, tuple) for key in keys) > 0
 
-    def test_missing_block_raises_as_the_dict_path(self, monkeypatch):
+    def test_missing_block_raises_as_the_dict_path(self, monkeypatch, fresh_layout):
         # the HIGH-bit test finds a missing block, and a block held once
         # that rule 5 consumes twice; the search, given only that
-        # application, raises what the dict path raises
+        # application on an empty layout, raises what the dict path raises
         states = degeneration._PackedStates(4, 4)
         for counts, app in [
             ({L(0): 1, LT(0): 1, E(1, 2): 1}, RuleApplication(1, j=1, k=1)),
             ({E(1, 2): 1, E(2, 2): 1}, RuleApplication(5, j=1, k=1, eigenvalue=Fraction(2))),
         ]:
             packed = states.pack(counts)
-            need, high, _, _, _ = states.step(app)
+            _, (need, high, _, _, _) = states.step(app)
             assert ((packed | high) - need) & high != high
+            fresh_layout()
             monkeypatch.setattr(degeneration, "_applications", lambda *args, app=app: iter([app]))
             with pytest.raises(MissingBlocks) as search_error:
                 degeneration._breadth_first(counts, counts, 1)
             with pytest.raises(MissingBlocks) as dict_error:
                 degeneration._apply_to_counts(dict(counts), app)
             assert str(search_error.value) == str(dict_error.value)
+
+
+def cell_searches(n):
+    """(target, source) for every skew source of size n against each valid cell (n, w, r)."""
+    sources = skew_sources(n)
+    return [
+        (skew_to_general(generic_pencil_structure(n, w, r)), source)
+        for w in range(1, (n - 1) // 2 + 1)
+        for r in range(w + 1)
+        for source in sources
+    ]
+
+
+def expansions(monkeypatch, fresh_layout, searches, share):
+    """Run the searches in order, on one layout per shape or, unless `share`, on a fresh one each.
+
+    Returns (results, per search the states it called the generator on).
+    A state is (its counts as a set, pool, raise_rank).
+    """
+    real = degeneration._applications
+    calls = []
+
+    def recording(counts, pool, raise_rank):
+        calls[-1].append((frozenset(counts.items()), tuple(pool), raise_rank))
+        return real(counts, pool, raise_rank)
+
+    fresh_layout()
+    monkeypatch.setattr(degeneration, "_applications", recording)
+    results = []
+    for target, source in searches:
+        calls.append([])
+        if not share:
+            fresh_layout()
+        results.append(closure_reachable(target, source))
+    monkeypatch.undo()
+    return results, calls
+
+
+class TestSharedLayout:
+    """One packed layout per pencil shape and thread, its successors memoized, gives every search's own answer."""
+
+    def test_shuffled_sweep_equals_fresh_layouts(self, monkeypatch, fresh_layout):
+        # every skew source against each valid cell with n <= 6, a superset
+        # of the benchmark's closure_sources searches there: shape by shape
+        # in a shuffled order, each shape's searches shuffled, on one slot
+        rng = random.Random(47)
+        sizes = [3, 4, 5, 6]
+        rng.shuffle(sizes)
+        searches = []
+        for n in sizes:
+            group = cell_searches(n)
+            rng.shuffle(group)
+            searches += group
+        slot = fresh_layout()
+        layouts = []
+        shared = []
+        for target, source in searches:
+            shared.append(closure_reachable(target, source))
+            states = getattr(slot, "states", None)
+            if states is not None and not any(states is layout for layout in layouts):
+                layouts.append(states)
+        assert [(states.rows, states.cols) for states in layouts] == [(n, n) for n in sizes]
+        fresh = []
+        for target, source in searches:
+            fresh_layout()
+            fresh.append(closure_reachable(target, source))
+        assert len(shared) == 228 and sum(result.status == "yes" for result in shared) == 73
+        for (target, source), a, b in zip(searches, shared, fresh):
+            assert a == b and certificate_json(a) == certificate_json(b), (str(target), str(source))
+
+    def test_a_search_expands_only_states_no_earlier_search_expanded(self, monkeypatch, fresh_layout):
+        # the sources of the (5, 2, 1) cell in turn: on one layout no state
+        # reaches the generator twice, where a fresh layout per search
+        # expands again states that an earlier search already expanded
+        searches = [(target, source) for target, source in cell_searches(5)
+                    if target == skew_to_general(generic_pencil_structure(5, 2, 1))]
+        shared, shared_calls = expansions(monkeypatch, fresh_layout, searches, share=True)
+        fresh, fresh_calls = expansions(monkeypatch, fresh_layout, searches, share=False)
+        assert shared == fresh
+        seen = set()
+        for calls in shared_calls:
+            assert not seen & set(calls)
+            seen.update(calls)
+        assert sum(map(len, shared_calls)) == len(seen) == len(set().union(*fresh_calls))
+        assert sum(map(len, fresh_calls)) > len(seen)
+
+    def test_a_second_run_of_a_search_expands_nothing(self, monkeypatch, fresh_layout):
+        # every state a search expands is memoized, so the same search
+        # again never calls the generator
+        target = skew_to_general(generic_pencil_structure(6, 2, 2))
+        source = gl(*[L(0)] * 6, *[LT(0)] * 6)
+        (first, again), calls = expansions(monkeypatch, fresh_layout, [(target, source)] * 2, share=True)
+        assert first == again and first.status == "yes"
+        assert len(calls[0]) > 0 and calls[1] == []
+
+    def test_the_memo_is_bounded_and_a_full_or_other_shape_layout_is_replaced(self, monkeypatch, fresh_layout):
+        # the (5, 2, 1) zero pencil search keys 96 states and would memoize
+        # 329 successor entries; under a bound of 150 the memo stops below
+        # it, the search still ends as it does unbounded, and the next
+        # search of the shape starts a new layout
+        target = skew_to_general(generic_pencil_structure(5, 2, 1))
+        zero = gl(*[L(0)] * 5, *[LT(0)] * 5)
+        small = gl(L(1), L(0), L(0), LT(1), LT(0), LT(0))
+        fresh_layout()
+        unbounded = closure_reachable(target, zero)
+        monkeypatch.setattr(degeneration, "MAX_STATES", 150)
+        slot = fresh_layout()
+
+        def memoized(states):
+            return sum(map(len, states.memo.values()))
+
+        closure_reachable(target, small)
+        states = slot.states
+        assert 0 < memoized(states) == 150 - states.room
+        assert closure_reachable(target, zero) == unbounded and (unbounded.status, unbounded.states_explored) == (
+            "yes", 96)
+        assert slot.states is states and states.room == 0 and 0 < memoized(states) <= 150
+        closure_reachable(target, small)
+        assert slot.states is not states and memoized(slot.states) <= 150
+        kept = slot.states
+        closure_reachable(target, small)
+        assert slot.states is kept
+        other = skew_to_general(generic_pencil_structure(4, 1, 1))
+        closure_reachable(other, gl(*[L(0)] * 4, *[LT(0)] * 4))
+        assert slot.states is not kept and (slot.states.rows, slot.states.cols) == (4, 4)
+
+    def test_threads_on_one_shape_give_the_single_thread_answers(self, monkeypatch, fresh_layout):
+        # each thread keeps its own layout in the module's slot, so three
+        # threads (more than the cores of a 2-CPU machine) that search the
+        # (6, 2, 1) sources at once, in different orders and with frequent
+        # thread switches, get what one thread gets on fresh layouts, and
+        # leave this thread's layout alone
+        searches = [(target, source) for target, source in cell_searches(6)
+                    if target == skew_to_general(generic_pencil_structure(6, 2, 1))]
+        expected = []
+        for target, source in searches:
+            fresh_layout()
+            expected.append(closure_reachable(target, source))
+        monkeypatch.undo()
+        closure_reachable(*searches[0])
+        mine = degeneration._layout.states
+        shuffled = list(range(len(searches)))
+        random.Random(47).shuffle(shuffled)
+        orders = {"forward": range(len(searches)), "backward": range(len(searches) - 1, -1, -1), "shuffled": shuffled}
+        got, layouts = {}, {}
+
+        def run(name, order):
+            got[name] = [(i, closure_reachable(*searches[i])) for i in order]
+            layouts[name] = degeneration._layout.states
+
+        threads = [threading.Thread(target=run, args=item) for item in orders.items()]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert degeneration._layout.states is mine
+        assert len({id(layout) for layout in [mine, *layouts.values()]}) == 4
+        for name in orders:
+            assert sorted(got[name], key=lambda item: item[0]) == list(enumerate(expected))
 
 
 class TestEnumeration:
@@ -1058,9 +1225,10 @@ class TestRankRaisingOrder:
         assert made == list(rank_raising_by_signature(bl.counts(), ()))
 
     @pytest.mark.parametrize("cell", [(5, 2, 0), (6, 2, 0)])
-    def test_states_of_rank_bound_cells(self, cell, monkeypatch):
+    def test_states_of_rank_bound_cells(self, cell, monkeypatch, fresh_layout):
         # every state from which the search of a TestRankBound cell
-        # enumerates rule 6
+        # enumerates rule 6; each search starts on an empty layout, so none
+        # reuses an expansion that another memoized
         real = degeneration._applications
         calls = []
 
@@ -1072,6 +1240,7 @@ class TestRankRaisingOrder:
         monkeypatch.setattr(degeneration, "_applications", recording)
         target = skew_to_general(generic_pencil_structure(*cell))
         for source in skew_sources(cell[0]):
+            fresh_layout()
             closure_reachable(target, source)
         monkeypatch.undo()
         assert len(calls) > 100
