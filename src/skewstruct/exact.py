@@ -801,16 +801,17 @@ def smith_form(P: MatrixPolynomial) -> SmithForm:
 
 
 def _min_degree_pivot(work):
-    """A nonzero entry of least degree above the diagonal of a skew work matrix.
+    """A nonzero entry of least degree in the upper triangle of a skew work matrix.
 
     Ties go to the smallest coefficients: among entries of that degree, the
     one whose largest coefficient has the fewest bits wins, then the first
     in row-major order. Small pivots keep the pseudo-division multipliers,
     and with them coefficient growth, small. That pays: with ties broken
-    by position alone, `skew_smith` took 0.22-0.24 s over the 168
-    structured_cli bench inputs, against 0.165-0.172 s. The diagonal is
-    zero and (j, i) has the key of (i, j), so this is also the first such
-    entry of the whole matrix.
+    by position alone, `skew_smith` took 0.27-0.28 s over the 168
+    structured_cli bench inputs, against 0.22 s (at the benchmark's
+    reference speed, median of 5 passes). The diagonal is zero and
+    (j, i) has the key of (i, j), so this is also the first such entry of
+    the whole matrix.
     """
     best = None
     best_key = None
@@ -830,12 +831,18 @@ def _pseudo_divmod(a, b):
     integer s is as small as the leading coefficients allow: a step
     multiplies everything by |lc(b)|/gcd(c, lc(b)) only when lc(b) does not
     divide the coefficient c being cancelled, so s == 1 when lc(b) is +-1.
+    A constant b = [c] cancels every coefficient of a, and the product of
+    those steps is the least s that c divides s*a by: s = |c|/gcd(c, a),
+    q = s*a/c and r = 0, computed in one pass.
     """
     rem = list(a)
     nb = len(b)
     if len(rem) < nb:
         return 1, [], rem
     lead = b[-1]
+    if nb == 1:
+        s = abs(lead) // math.gcd(lead, *rem)
+        return s, [v * s // lead for v in rem], []
     s = 1
     quot = [0] * (len(rem) - nb + 1)
     for k in range(len(rem) - nb, -1, -1):
@@ -853,27 +860,16 @@ def _pseudo_divmod(a, b):
     return s, _trim(quot), _trim(rem)
 
 
-def _combine(s, a, q, b):
-    """s*a - q*b for integer coefficient lists, trimmed."""
-    out = [s * v for v in a] if s != 1 else list(a)
-    if b:
-        need = len(q) + len(b) - 1
-        if len(out) < need:
-            out.extend([0] * (need - len(out)))
-        for i, qi in enumerate(q):
-            for j, bj in enumerate(b):
-                out[i + j] -= qi * bj
-    return _trim(out)
-
-
 def _divisibility_chain(diagonal):
     """Make a diagonal of monic RationalPolynomials a divisibility chain, in place.
 
     Each d_i that is not 1 and does not divide a later d_j turns the pair
     into their monic gcd and lcm. Then d_i divides every later entry, and
     keeps dividing them: it divides the gcd and the lcm of its multiples.
-    The test for 1 pays: without it the pass took 0.06-0.08 s over the 168
-    structured_cli bench inputs, against 0.015-0.02 s.
+    A d_i equal to 1 divides everything, so it skips its divisions. That
+    pays: without the test `skew_smith` took 0.25 s over the 168
+    structured_cli bench inputs, against 0.22 s (measured as for
+    `_min_degree_pivot`).
     """
     for i in range(len(diagonal)):
         for j in range(i + 1, len(diagonal)):
@@ -895,34 +891,35 @@ def skew_smith(P: MatrixPolynomial) -> SmithForm:
     once each; P's full Smith form lists every one of them twice.
 
     The reduction is the constructive proof, run fraction-free on P's
-    stored integer coefficients and kept skew-symmetric throughout. Each
-    step takes a least-degree off-diagonal entry ``p`` as a 2x2 pivot
-    (ties as in `_min_degree_pivot`) and moves it to (0, 1) by a symmetric
-    permutation. `_clear_pair` then clears entries (0, k), and once those
-    are zero entries (1, k), for every k >= 2, each by one congruence step
-    on index k, ``index_k <- s*index_k - q*index_a`` with ``a = 1`` for
-    row 0 and ``a = 0`` for row 1, where ``s*entry = q*pivot + remainder``
-    is a pseudo-division by the pivot entry of that row. Scaling an index by a
-    nonzero constant and adding a polynomial multiple of one index to
-    another are congruences by matrices that are unimodular over Q[x], so
-    the invariant polynomials never change. A nonzero remainder has lower
-    degree than ``p``, so the next pivot's degree strictly falls; a sweep
-    without one leaves ``diag(p J, W)``, and ``p`` joins the diagonal while
-    indices 0 and 1 drop out. Degrees cannot fall forever and each clean
-    sweep removes two indices, so the reduction terminates.
-    Each d_i is then divided by its leading coefficient, where rationals
-    first appear, and `_divisibility_chain` makes d_1, ..., d_r a chain:
-    diag(a, b) and diag(gcd, lcm) are equivalent, and a chain of doubled
-    entries is the doubled chain.
+    stored integer coefficients. The work matrix stays skew-symmetric, so
+    only its strict upper triangle is stored: row i holds the entries
+    (i, j), j > i, and nothing below the diagonal is read or written. Each
+    step takes a least-degree entry ``p`` as a 2x2 pivot (ties as in
+    `_min_degree_pivot`) and moves it to (0, 1) by a symmetric permutation
+    (`_swap_index`). `_clear_pair` then clears entries (0, k), and once
+    those are zero entries (1, k), for every k >= 2. Each phase is one
+    congruence ``T^T W T`` with ``T e_k = s_k e_k - q_k e_a``, ``a = 1``
+    for row 0 and ``a = 0`` for row 1, where ``s_k*entry = q_k*pivot +
+    remainder`` is a pseudo-division by the pivot entry of that row.
+    Scaling an index by a nonzero constant and adding a polynomial multiple
+    of one index to another are congruences by matrices that are unimodular
+    over Q[x], so the invariant polynomials never change. A nonzero
+    remainder has lower degree than ``p``, so the next pivot's degree
+    strictly falls; a sweep without one leaves ``diag(p J, W)``, and ``p``
+    joins the diagonal while indices 0 and 1 drop out. Degrees cannot fall
+    forever and each clean sweep removes two indices, so the reduction
+    terminates. Each d_i is then divided by its leading coefficient, where
+    rationals first appear, and `_divisibility_chain` makes d_1, ..., d_r a
+    chain: diag(a, b) and diag(gcd, lcm) are equivalent, and a chain of
+    doubled entries is the doubled chain.
     """
     skew = as_skew(P)
     mats = skew.numerators
     n = skew.rows
-    work = [[_trim([m[i][j] for m in mats]) for j in range(n)] for i in range(n)]
+    work = [[_trim([m[i][j] for m in mats]) if j > i else [] for j in range(n)] for i in range(n)]
     diagonal = []
     # work is the trailing block; its pivot pair is indices 0 and 1. The
-    # pivot (i, j) has i < j, since `_min_degree_pivot` reads only the
-    # strict upper triangle, so swapping i to 0 leaves j in place
+    # pivot (i, j) has i < j, so swapping i to 0 leaves j in place
     while (piv := _min_degree_pivot(work)) is not None:
         while True:
             piv_len = len(work[piv[0]][piv[1]])
@@ -946,49 +943,104 @@ def skew_smith(P: MatrixPolynomial) -> SmithForm:
 
 
 def _swap_index(work, i, j):
-    """Symmetric permutation: swap rows i and j, then columns i and j."""
-    if i != j:
-        work[i], work[j] = work[j], work[i]
-        for row in work:
-            row[i], row[j] = row[j], row[i]
+    """Symmetric permutation of indices i <= j on the upper triangle of a skew work matrix.
+
+    Entry (x, y), x < y, takes the old entry at the swapped positions.
+    Those come in the other order, and so are negated, exactly for (i, j)
+    and for the entries between the two indices, (i, m) and (m, j) with
+    i < m < j.
+    """
+    if i == j:
+        return
+    row_i, row_j = work[i], work[j]
+    for row in work[:i]:
+        row[i], row[j] = row[j], row[i]
+    for m in range(i + 1, j):
+        row_m = work[m]
+        row_i[m], row_m[j] = [-v for v in row_m[j]], [-v for v in row_i[m]]
+    row_i[j] = [-v for v in row_i[j]]
+    row_i[j + 1 :], row_j[j + 1 :] = row_j[j + 1 :], row_i[j + 1 :]
 
 
 def _clear_pair(work) -> bool:
-    """Clear rows 0 and 1 of a skew work matrix past the pivot (0, 1).
+    """Clear rows 0 and 1 of a skew work matrix past the pivot (0, 1), one congruence per row.
 
-    Each nonzero (b, k), k >= 2, is pseudo-divided by the pivot entry
-    (b, a), a = 1 - b, and reduced by ``index_k <- s*index_k - q*index_a``:
-    row k is computed once and column k is written as its negation. No
-    integer content is divided out of index k: over the 168 structured_cli
-    bench inputs that pass cost more than it saved (0.186-0.188 s with it,
-    0.165-0.172 s without). Row 1 goes only once row 0 is zero past the
-    pivot. Index 0 is then zero but for the pivot, so the step only scales
-    index k by s, apart from turning (1, k) into the remainder; when that
-    is zero, the step followed by dividing index k by s just clears (1, k)
-    and (k, 1), which is all the code does. That shortcut pays: the full
-    step took 0.194-0.201 s over the same inputs. Returns whether a
-    nonzero remainder is left.
+    Row b's phase pseudo-divides each nonzero (b, k), k >= 2, by the pivot
+    entry (b, a), a = 1 - b, and applies ``T^T W T`` with
+    ``T e_k = s_k e_k - q_k e_a`` for all those k at once (`_congruence`).
+    The steps of a phase are independent: each combines index k with index
+    a only, and none changes a, (b, k') or (a, k'). Row 1 goes only once
+    row 0 is zero past the pivot. Index 0 is then zero but for the pivot,
+    so the step only scales index k by s_k, apart from turning (1, k) into
+    the remainder; when that is zero, the step followed by dividing index
+    k by s_k just clears (1, k), which is all the code does. Returns
+    whether a nonzero remainder is left.
+
+    Over the 168 structured_cli bench inputs `skew_smith` took 0.22 s in
+    all (measured as for `_min_degree_pivot`); 0.30-0.31 s with the steps
+    applied one index at a time, each rebuilding row k and writing column
+    k as its negation (the reference sweep in `tests/oracles.py`, which
+    leaves the same upper triangle); 0.23 s with the full step on row 1;
+    and 0.27-0.28 s with each moved index also divided by its integer
+    content.
     """
-    n = len(work)
-    for b, a in ((0, 1), (1, 0)):
-        row_b, row_a = work[b], work[a]
+    pivot = work[0][1]
+    for b, a, by in ((0, 1, pivot), (1, 0, [-v for v in pivot])):
+        row_b = work[b]
+        moves = {}
         dirty = False
-        for k in range(2, n):
+        for k in range(2, len(work)):
             if not row_b[k]:
                 continue
-            s, q, r = _pseudo_divmod(row_b[k], row_b[a])
+            s, q, r = _pseudo_divmod(row_b[k], by)
+            row_b[k] = r
             if r:
                 dirty = True
-            elif a == 0:
-                row_b[k] = []
-                work[k][b] = []
-                continue
-            if q:
-                row_k = work[k]
-                row_k[:] = [_combine(s, e, q, f) for e, f in zip(row_k, row_a)]
-                row_k[k] = []
-                for row, e in zip(work, row_k):
-                    row[k] = [-v for v in e]
+            if q and (r or a):
+                moves[k] = s, q
+        _congruence(work, a, moves)
         if dirty:
             return True
     return False
+
+
+def _congruence(work, a, moves):
+    """``W <- T^T W T`` on the upper triangle, ``T e_k = s_k e_k - q_k e_a`` for each k in moves.
+
+    Every other index k >= 2 has s_k = 1 and q_k = 0. With
+    ``B_k = s_k W[a][k]``, the new entries are ``W[a][k] = B_k`` and, for
+    2 <= k < j, ``W[k][j] = s_k s_j W[k][j] + q_j B_k - q_k B_j``; an
+    entry with neither index in moves keeps its value. Row 0 and row 1's
+    (b, k) are the caller's, and (a, a) is zero. The two products are
+    written out: one loop over both cost skew_smith 3% more over the 168
+    structured_cli bench inputs.
+    """
+    row_a = work[a]
+    n = len(work)
+    steps = [(1, ())] * n  # (s_k, q_k) of each index; (1, ()) leaves it in place
+    for k, (s, q) in moves.items():
+        steps[k] = s, q
+        if s != 1:
+            row_a[k] = [s * v for v in row_a[k]]
+    for k in range(2, n):
+        row_k, bk = work[k], row_a[k]
+        sk, qk = steps[k]
+        for j in range(k + 1, n) if qk else [j for j in moves if j > k]:
+            sj, qj = steps[j]
+            s, out, bj = sk * sj, row_k[j], row_a[j]
+            out = [s * v for v in out] if s != 1 else list(out)
+            if qj and bk:
+                need = len(qj) + len(bk) - 1
+                if len(out) < need:
+                    out += [0] * (need - len(out))
+                for i, c in enumerate(qj):
+                    for t, v in enumerate(bk, i):
+                        out[t] += c * v
+            if qk and bj:
+                need = len(qk) + len(bj) - 1
+                if len(out) < need:
+                    out += [0] * (need - len(out))
+                for i, c in enumerate(qk):
+                    for t, v in enumerate(bj, i):
+                        out[t] -= c * v
+            row_k[j] = _trim(out)

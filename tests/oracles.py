@@ -3,9 +3,11 @@
 These deliberately avoid the library's own reduction algorithms: Smith data
 comes from gcds of all k x k minors (Laplace determinants) and from the
 general reduction by row and column operations, which shares only the
-integer pseudo-division helpers and the gcd/lcm pass with the library's
-skew congruence reduction; minimal indices and prefix-space dimensions from
-explicit convolution matrices, so the fast paths are checked against
+integer pseudo-division and the gcd/lcm pass with the library's skew
+congruence reduction, whose fused sweep is checked against the same sweep
+run one congruence step at a time on the full skew matrix; minimal
+indices and prefix-space dimensions from explicit convolution matrices,
+so the fast paths are checked against
 slow, obviously-correct computations; the ranks of those matrices and of
 the draws' congruences come from a dense Bareiss elimination, not the
 library's sparse row reduction, nullspace vectors
@@ -54,7 +56,6 @@ from skewstruct.exact import (
     RationalPolynomial,
     SkewMatrixPolynomial,
     SmithForm,
-    _combine,
     _divisibility_chain,
     _pseudo_divmod,
     _trim,
@@ -219,6 +220,55 @@ def _clear_column(work) -> bool:
         if r:
             dirty = True
     return dirty
+
+
+def _combine(s, a, q, b):
+    """s*a - q*b for integer coefficient lists, trimmed."""
+    out = [s * v for v in a] if s != 1 else list(a)
+    if b:
+        need = len(q) + len(b) - 1
+        if len(out) < need:
+            out.extend([0] * (need - len(out)))
+        for i, qi in enumerate(q):
+            for j, bj in enumerate(b):
+                out[i + j] -= qi * bj
+    return _trim(out)
+
+
+def sequential_clear_pair(work) -> bool:
+    """One sweep of the skew Smith reduction, one congruence step per index, on a full skew matrix.
+
+    The reference for `exact._clear_pair`, which applies each row's steps
+    as one congruence on the upper triangle. Here each nonzero (b, k),
+    k >= 2, is pseudo-divided by the pivot entry (b, a), a = 1 - b, and
+    reduced by ``index_k <- s*index_k - q*index_a`` in turn: row k is
+    computed once and column k is written as its negation. Row 1 goes only
+    once row 0 is zero past the pivot, and a zero remainder there just
+    clears (1, k) and (k, 1). Returns whether a nonzero remainder is left.
+    """
+    n = len(work)
+    for b, a in ((0, 1), (1, 0)):
+        row_b, row_a = work[b], work[a]
+        dirty = False
+        for k in range(2, n):
+            if not row_b[k]:
+                continue
+            s, q, r = _pseudo_divmod(row_b[k], row_b[a])
+            if r:
+                dirty = True
+            elif a == 0:
+                row_b[k] = []
+                work[k][b] = []
+                continue
+            if q:
+                row_k = work[k]
+                row_k[:] = [_combine(s, e, q, f) for e, f in zip(row_k, row_a)]
+                row_k[k] = []
+                for row, e in zip(work, row_k):
+                    row[k] = [-v for v in e]
+        if dirty:
+            return True
+    return False
 
 
 def integer_rows(matrix) -> list:

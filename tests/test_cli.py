@@ -302,9 +302,13 @@ class TestAnalyzeCommand:
 
     def test_only_the_float_backend_loads_numpy(self, tmp_path):
         # exact analyze with rational eigenvalues, and generic, in a fresh
-        # interpreter: neither imports numpy or scipy; --backend float does
+        # interpreter: neither imports numpy or scipy; --backend float does.
+        # sympy loads only for a factor that the exact rules leave, an
+        # irreducible quartic here
         path = tmp_path / "r.json"
         write_polynomial(skew2((x - Fraction(1, 2)) * (x + 3)), str(path))
+        quartic = tmp_path / "q.json"
+        write_polynomial(skew2((x**4 + 1) * (x - Fraction(1, 3))), str(quartic))
         script = (
             "import sys\n"
             "from skewstruct.cli import main\n"
@@ -314,14 +318,22 @@ class TestAnalyzeCommand:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
-        def loaded(*argv):
-            result = subprocess.run(
+        def run(*argv):
+            return subprocess.run(
                 [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
-            )
-            return result.stdout.splitlines()[-1]
+            ).stdout.splitlines()
 
-        # the positive deficit loads sympy, which factors the eigenvalues
-        assert loaded("analyze", str(path)) == "[] True"
+        def loaded(*argv):
+            return run(*argv)[-1]
+
+        # rational roots are found by the exact rules, without sympy
+        assert loaded("analyze", str(path)) == "[] False"
+        *printed, last = run("analyze", str(quartic))
+        assert last == "[] True"
+        assert json.loads("\n".join(printed))["finite"] == [
+            {"factor": ["-1/3", "1/1"], "multiplicities": [1, 1]},
+            {"factor": ["1/1", "0/1", "0/1", "0/1", "1/1"], "multiplicities": [1, 1]},
+        ]
         assert loaded("generic", "--m", "7", "--d", "2", "--r", "2") == "[] False"
         assert loaded("analyze", str(path), "--backend", "float").startswith("['numpy'")
 

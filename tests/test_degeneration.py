@@ -1078,8 +1078,9 @@ class TestSharedLayout:
     def test_the_memo_is_bounded_and_a_full_or_other_shape_layout_is_replaced(self, monkeypatch, fresh_layout):
         # the (5, 2, 1) zero pencil search keys 96 states and would memoize
         # 329 successor entries; under a bound of 150 the memo stops below
-        # it, the search still ends as it does unbounded, and the next
-        # search of the shape starts a new layout
+        # it, the search still ends as it does unbounded, it takes the full
+        # layout out of the slot, and the next search of the shape starts a
+        # new layout
         target = skew_to_general(generic_pencil_structure(5, 2, 1))
         zero = gl(*[L(0)] * 5, *[LT(0)] * 5)
         small = gl(L(1), L(0), L(0), LT(1), LT(0), LT(0))
@@ -1096,7 +1097,7 @@ class TestSharedLayout:
         assert 0 < memoized(states) == 150 - states.room
         assert closure_reachable(target, zero) == unbounded and (unbounded.status, unbounded.states_explored) == (
             "yes", 96)
-        assert slot.states is states and states.room == 0 and 0 < memoized(states) <= 150
+        assert not hasattr(slot, "states") and states.room == 0 and 0 < memoized(states) <= 150
         closure_reachable(target, small)
         assert slot.states is not states and memoized(slot.states) <= 150
         kept = slot.states
@@ -1105,6 +1106,28 @@ class TestSharedLayout:
         other = skew_to_general(generic_pencil_structure(4, 1, 1))
         closure_reachable(other, gl(*[L(0)] * 4, *[LT(0)] * 4))
         assert slot.states is not kept and (slot.states.rows, slot.states.cols) == (4, 4)
+
+    def test_a_search_that_fills_the_memo_drops_its_layout(self, monkeypatch, fresh_layout):
+        # a full layout serves no later search, so the search that fills
+        # its memo takes it out of the slot when it ends, whatever its
+        # answer; a search that leaves room keeps its layout for the next
+        target = skew_to_general(generic_pencil_structure(5, 2, 1))
+        zero = gl(*[L(0)] * 5, *[LT(0)] * 5)
+        small = gl(L(1), L(0), L(0), LT(1), LT(0), LT(0))
+        fresh_layout()
+        expected = [closure_reachable(target, source) for source in (small, zero)]
+        monkeypatch.setattr(degeneration, "MAX_STATES", 150)
+        slot = fresh_layout()
+        assert closure_reachable(target, small) == expected[0]
+        kept = slot.states
+        assert kept.room > 0
+        assert closure_reachable(target, zero) == expected[1]
+        assert kept.room == 0 and not hasattr(slot, "states")
+        # a search cut short at MAX_STATES fills the memo too
+        monkeypatch.setattr(degeneration, "MAX_STATES", 20)
+        slot = fresh_layout()
+        assert closure_reachable(target, zero).status == "no_within_bound"
+        assert not hasattr(slot, "states")
 
     def test_threads_on_one_shape_give_the_single_thread_answers(self, monkeypatch, fresh_layout):
         # each thread keeps its own layout in the module's slot, so three

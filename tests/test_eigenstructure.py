@@ -708,6 +708,69 @@ class TestIndexSumGate:
             analyze(M1_PENCIL, 1)
 
 
+def _sympy_factors(poly):
+    """{(monic factor, exponent)} of a rational polynomial by sympy's factor_list."""
+    import sympy
+
+    lam = sympy.Symbol("lam")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * lam**k for k, c in enumerate(poly.coeffs))
+    out = set()
+    for factor, exponent in sympy.factor_list(expr, lam)[1]:
+        coeffs = sympy.Poly(factor, lam).monic().all_coeffs()
+        out.add((P([Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)]), exponent))
+    return out
+
+
+FACTOR_CASES = {
+    # rational roots only: repeated, zero and with non-monic leading coefficients
+    "repeated-roots": ((x - 2) ** 3 * (x + 1) ** 2, False),
+    "zero-roots": (x**3 * (x - Fraction(1, 2)) ** 2, False),
+    "non-monic": (P([Fraction(-7, 3)]) * (3 * x - 2) ** 2 * (5 * x + 4) * x, False),
+    "linear": (6 * x + 4, False),
+    # a rest of degree 2 or 3 with no rational root is irreducible
+    "quadratic": ((x**2 - 2) * (x + 3), False),
+    "zero-roots-and-quadratic": (x**2 * (2 * x**2 + 3 * x + 5), False),
+    "cubic": ((x**3 - 2) * (2 * x - 1) ** 2, False),
+    "cubic-alone": (4 * x**3 + 2 * x + 1, False),
+    # a rest of degree 4 or more goes to sympy
+    "square-of-quadratic": ((x**2 + 1) ** 2, True),
+    "two-quadratics": ((x**2 - 2) * (x**2 + 3), True),
+    "quartic-and-root": ((x**4 + 1) * (x - Fraction(1, 3)), True),
+    "quintic": (x**5 - x - 1, True),
+    # |a_0 * a_n| past the cap: the whole polynomial goes to sympy
+    "past-the-cap": ((x - 1001) * (1000 * x + 3) * x, True),
+}
+
+
+class TestFactorRational:
+    @pytest.mark.parametrize("name", FACTOR_CASES)
+    def test_against_sympy(self, name, monkeypatch):
+        poly, needs_sympy = FACTOR_CASES[name]
+        real = eigenstructure._factor_by_sympy
+        calls = []
+        monkeypatch.setattr(eigenstructure, "_factor_by_sympy", lambda ints: calls.append(ints) or real(ints))
+        factors = eigenstructure._factor_rational(poly)
+        assert len(factors) == len(set(factors))
+        assert set(factors) == _sympy_factors(poly)
+        assert bool(calls) == needs_sympy
+
+    def test_random_products_against_sympy(self):
+        # products of rational linear factors, quadratics and cubics with
+        # small coefficients, each to a power of up to 3, times a constant
+        rng = random.Random(48)
+        for _ in range(80):
+            poly = P([Fraction(rng.choice((-5, -2, 1, 3)), rng.randint(1, 4))])
+            for _ in range(rng.randint(1, 4)):
+                size = rng.choice((2, 2, 3, 4))
+                lower = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(size - 1)]
+                poly = poly * P(lower + [rng.randint(1, 3)]) ** rng.randint(1, 3)
+            assert set(eigenstructure._factor_rational(poly)) == _sympy_factors(poly), str(poly)
+
+    def test_constants_have_no_factors(self):
+        assert eigenstructure._factor_rational(P.zero()) == []
+        assert eigenstructure._factor_rational(P.constant(Fraction(-3, 4))) == []
+
+
 class TestSkewConstructor:
     """`CompleteEigenstructure.skew` checks what skew symmetry forces."""
 

@@ -1,10 +1,13 @@
 """Tests for the exact arithmetic layer: polynomials, ranks, Smith forms."""
 
+import importlib
 import math
 import random
 import re
 import signal
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +61,7 @@ from oracles import (
     nullspace_by_fractions,
     rank_by_fractions,
     rank_by_sparse_fractions,
+    sequential_clear_pair,
     smith_by_equivalence,
     smith_by_minors,
 )
@@ -949,6 +953,18 @@ class TestSmithForm:
             if abs(b[-1]) == 1:
                 assert s == 1
 
+    def test_pseudo_division_by_a_constant(self):
+        # one pass: the least s that makes every coefficient of s*a a
+        # multiple of c, the exact quotient and no remainder
+        rng = random.Random(48)
+        for _ in range(300):
+            c = rng.choice((-12, -6, -4, -1, 1, 2, 3, 8, 9, 30))
+            a = [rng.randint(-40, 40) for _ in range(rng.randint(1, 6))] + [rng.choice((-9, -2, 1, 4, 15))]
+            s, q, r = _pseudo_divmod(a, [c])
+            assert r == [] and P(a) * s == P(q) * c
+            assert s == min(t for t in range(1, abs(c) + 1) if all(t * v % c == 0 for v in a))
+        assert _pseudo_divmod([], [5]) == (1, [], [])
+
     def test_non_reducing_division_raises(self, monkeypatch):
         # a pseudo-division that returns its dividend as the remainder never
         # lowers the pivot degree; the guard must raise instead of sweeping
@@ -1179,6 +1195,66 @@ class TestSkewSmith:
             assert list(smith_by_equivalence(m).invariant_polynomials) == doubled, str(block_list)
             if n <= 6:
                 assert smith_by_minors(m) == doubled, str(block_list)
+
+
+class TestFusedSweep:
+    """`_clear_pair` applies each row's steps as one congruence; the sequential sweep is the reference."""
+
+    @staticmethod
+    def _structured_pencils(seed, sizes):
+        # the benchmark's structured_cli pencils: scrambled structured_blocks
+        bench = str(Path(__file__).resolve().parents[1] / "bench")
+        sys.path.insert(0, bench)
+        try:
+            workloads = importlib.import_module("workloads")
+        finally:
+            sys.path.remove(bench)
+        rng = random.Random(seed)
+        return [workloads.scramble(rng, assemble_skew(workloads.structured_blocks(rng, n))) for n in sizes]
+
+    def test_every_sweep_matches_the_sequential_reference(self, monkeypatch):
+        # every sweep of skew_smith on scrambled block pencils, on the same
+        # pencils times 6 under Q^T P Q with Q entries in {-2, 0, 2}, and on
+        # dense random skew inputs of grade 1-3: the fused sweep must leave
+        # the upper triangle and the dirty flag of the sequential one, run on
+        # the full skew matrix
+        fused = exact._clear_pair
+        seen = {"sweeps": 0, "dirty": 0, "non_unit": 0, "moved_pairs": 0}
+
+        def checked(work):
+            n = len(work)
+            full = [[[] for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    full[i][j], full[j][i] = list(work[i][j]), [-v for v in work[i][j]]
+            expected = sequential_clear_pair(full)
+            lead = abs(work[0][1][-1])
+            moved = sum(1 for k in range(2, n) if work[0][k]) >= 2
+            dirty = fused(work)
+            assert dirty == expected
+            assert [row[i + 1 :] for i, row in enumerate(work)] == [row[i + 1 :] for i, row in enumerate(full)]
+            seen["sweeps"] += 1
+            seen["dirty"] += dirty
+            seen["non_unit"] += lead != 1
+            seen["moved_pairs"] += moved
+            return dirty
+
+        monkeypatch.setattr(exact, "_clear_pair", checked)
+        rng = random.Random(48)
+        pencils = self._structured_pencils(48, (6, 8, 10, 12) * 3)
+        for pencil in pencils[:6]:
+            cm = mat(_nonsingular(rng, pencil.rows, (-2, 0, 2)), grade=0)
+            pencils.append(as_skew((cm.transpose() @ pencil.scale(6) @ cm).with_grade(1)))
+        for _ in range(12):
+            n, deg = rng.randint(3, 7), rng.randint(1, 3)
+            upper = {
+                (i, j): P([rng.randint(-5, 5) for _ in range(deg + 1)]) for i in range(n) for j in range(i + 1, n)
+            }
+            pencils.append(SkewMatrixPolynomial.from_upper(n, upper, grade=deg))
+        for pencil in pencils:
+            skew_smith(pencil)
+        assert seen["sweeps"] > 150, seen
+        assert min(seen["dirty"], seen["non_unit"], seen["moved_pairs"]) > 40, seen
 
 
 def _random_block_sum(rng, n):

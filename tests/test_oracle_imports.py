@@ -19,7 +19,7 @@ KERNEL = {"rank_exact", "nullspace_exact", "_extend_basis", "_integer_rows"}
 EXACT = ast.parse((ROOT / "src" / "skewstruct" / "exact.py").read_text())
 CODIMENSION = ast.parse((ROOT / "src" / "skewstruct" / "codimension.py").read_text())
 GENERAL_SMITH = {"_clear_column", "_bring_to_corner"}
-CONGRUENCE_SMITH = {"skew_smith", "smith_form", "_clear_pair", "_swap_index", "_min_degree_pivot"}
+CONGRUENCE_SMITH = {"skew_smith", "smith_form", "_clear_pair", "_congruence", "_swap_index", "_min_degree_pivot"}
 
 
 def _names_read(node) -> set:
