@@ -30,8 +30,9 @@ path to the target, so the certificate is the one a search without the
 test finds.
 
 The search runs on packed states (`_PackedStates`): one int per state,
-with one count field per block. A rule application is a cached delta
-whose consumed fields are checked with the same top-bit subtraction, a
+with one count field per block. A rule application is built once per
+layout, from the field tuple the generator yields, as a cached delta whose
+consumed fields are checked with the same top-bit subtraction, a
 successor's key is its int (plus the per-symbol multisets when it holds
 symbols), and its Hom vector is its parent's plus a cached Hom delta. A
 state's counts dict is decoded only when the state is first expanded, for
@@ -39,9 +40,10 @@ the rule generator (`_applications`), so no state becomes a BlockList and
 no successor a dict. The packed layout is kept per thread and pencil
 shape, not per search: it memoizes each expanded state's (application,
 step) pairs under (state, pool, raise_rank), up to MAX_STATES pairs, so
-the searches of one cell share their rule steps and expansions. Each memo entry is a pure function of its key, so every
-search keys, expands and prunes the same states in the same order as on
-a fresh layout, with the same certificate and `states_explored`.
+the searches of one cell share their rule steps and expansions. Each memo
+entry is a pure function of its key, so every search keys, expands and
+prunes the same states in the same order as on a fresh layout, with the
+same certificate and `states_explored`.
 `enumerate_applications`, `apply_rule` and `canonical_key` are the
 BlockList boundary: each reads `BlockList.counts` once and works on the
 dict (`_apply_to_counts`, `_key_from_counts`), which stay the reference
@@ -89,16 +91,16 @@ class RuleApplication:
     eigenvalues: tuple = None
 
     def __post_init__(self):
-        # Exact types, so that equal applications are the same application
-        # and share their cached blocks (`_rule_blocks`): True == 1 and
-        # 2.0 == Fraction(2), but neither makes a block. The search builds
-        # each distinct application once (`_application`)
+        # Exact types, checked on every construction: True == 1 and
+        # 2.0 == Fraction(2), but neither makes a block. So equal field
+        # tuples make one application, and the search's step table
+        # (`_PackedStates.steps`) may key each application by its fields
         ints = {type(self.rule), type(self.j), type(self.k), type(self.p), type(self.q)}
         points = {type(self.eigenvalue)}
         if self.rule == 6:
             ints.update(map(type, self.sizes or ()))
             points.update(map(type, self.eigenvalues or ()))
-            # a list would leave the application unhashable, with no cache key
+            # a list would leave the application unhashable
             if not {type(self.sizes), type(self.eigenvalues)} <= _TUPLE_TYPES:
                 raise InvalidBlock(f"rule 6 takes tuples of sizes and eigenvalues, not {self}")
         if not (ints <= _INT_TYPES and points <= _POINT_TYPES):
@@ -121,21 +123,6 @@ class RuleApplication:
         return out
 
 
-@functools.lru_cache(maxsize=4096, typed=True)
-def _application(rule, j, k, p, q, eigenvalue, sizes, eigenvalues) -> RuleApplication:
-    """The one validated RuleApplication with these fields, for the rule generator (`_applications`).
-
-    The generator passes all eight fields positionally, so one application
-    has one cache entry, and the search's step cache and `_rule_blocks` find
-    it by identity. As in `blocks._interned`, the cache is typed, so True
-    never finds the entry of 1, and a raise is not cached. Typing stops at
-    rule 6's tuples, whose sizes and eigenvalues the generator takes from
-    partitions and validated blocks. The cache is bounded, as `_rule_blocks`
-    is, so that input eigenvalues cannot grow it without limit.
-    """
-    return RuleApplication(rule, j, k, p, q, eigenvalue, sizes, eigenvalues)
-
-
 def _eigen_or_none(index: int, point):
     """E block of the given index at a finite point or INFINITY; None if empty."""
     if index == 0:
@@ -143,15 +130,13 @@ def _eigen_or_none(index: int, point):
     return GeneralBlock.eigen(index, point)
 
 
-@functools.lru_cache(maxsize=4096)
 def _rule_blocks(app: RuleApplication) -> tuple:
     """(consumed blocks, produced blocks) of one application; checks its side conditions.
 
     A produced eigenvalue block of size zero is empty and left out. The
     consumed and produced blocks must cover the same total rows and columns
-    (SideConditionViolated otherwise). The result is cached across calls
-    and searches: a RuleApplication's fields have exact types, so equal
-    applications have equal blocks. An error is not cached.
+    (SideConditionViolated otherwise). The search calls it once per
+    distinct application and layout (`_PackedStates.step`).
     """
     r = app.rule
     if r in (1, 2):
@@ -321,6 +306,9 @@ def _assignments(existing, fresh, runs):
 def _applications(counts: dict, pool, raise_rank: bool):
     """The legal rule applications from the state with these block multiplicities, in search order.
 
+    Each is yielded as the tuple of RuleApplication's eight fields, in
+    order, which keys the search's step table (`_PackedStates.step`).
+
     One pass over the blocks in list order reads the right and left
     singular indices and, per eigenvalue, its blocks' sizes with their
     multiplicities. Rules 1-5 come first; each keeps the rank, since its
@@ -363,19 +351,19 @@ def _applications(counts: dict, pool, raise_rank: bool):
         for u in idxs:
             for v in idxs:
                 if u + 2 <= v:
-                    yield _application(rule, u + 1, v - 1, None, None, None, None, None)
+                    yield rule, u + 1, v - 1, None, None, None, None, None
     # rules 3/4: a singular block absorbs one unit of an eigenvalue block
     for rule, idxs in ((3, rights), (4, lefts)):
         for u in idxs:
             for ev, sizes in eigen_indices.items():
                 for size in reversed(sizes):
-                    yield _application(rule, u, size - 1, None, None, ev, None, None)
+                    yield rule, u, size - 1, None, None, ev, None, None
     # rule 5: rebalance two blocks at one eigenvalue
     for ev, sizes in eigen_indices.items():
         for j in reversed(sizes):
             for k in reversed(sizes):
                 if j < k or (j == k and sizes[j] >= 2):
-                    yield _application(5, j, k, None, None, ev, None, None)
+                    yield 5, j, k, None, None, ev, None, None
     if not raise_rank:
         return
     # rule 6: a right and a left singular block become eigenvalue blocks
@@ -388,7 +376,7 @@ def _applications(counts: dict, pool, raise_rank: bool):
                 per_run = itertools.product(*(range(m, -1, -1) for m in runs))
                 for taken in sorted((c for c in per_run if sum(c) <= len(existing)), key=sum):
                     for evs in _assignments(existing, fresh, list(zip(runs, taken))):
-                        yield _application(6, None, None, p, q, None, sizes, evs)
+                        yield 6, None, None, p, q, None, sizes, evs
 
 
 def enumerate_applications(blocklist: BlockList):
@@ -399,7 +387,7 @@ def enumerate_applications(blocklist: BlockList):
     """
     if blocklist.flavor != "general":
         raise ShapeMismatch("rules rewrite general block lists")
-    return list(_applications(blocklist.counts(), (), True))
+    return [RuleApplication(*fields) for fields in _applications(blocklist.counts(), (), True)]
 
 
 MAX_STATES = 100_000  # explored states before the search gives up, inconclusive
@@ -599,14 +587,15 @@ class _PackedStates:
     `symbols` holds every bit of the fields of blocks at a symbol.
 
     One layout serves every search of its shape in a thread (`for_shape`),
-    and memoizes each expanded state's successors (`successors`). Every
-    field, step, symbol key and memo entry is a pure function of its key
-    once the fields are fixed, so a search on a shared layout keys, expands
-    and prunes the same states in the same order as one on a fresh layout.
-    The memo holds at most MAX_STATES successor entries in all. A state
-    whose entries do not fit leaves it full: the search goes on with the
-    layout and drops it from the thread's slot when it ends, and the
-    thread's next search starts a new one.
+    and memoizes each rule application's step (`step`) and each expanded
+    state's successors (`successors`). Every field, step, symbol key and
+    memo entry is a pure function of its key once the fields are fixed, so
+    a search on a shared layout keys, expands and prunes the same states in
+    the same order as one on a fresh layout. The memo holds at most
+    MAX_STATES successor entries in all, and every step comes from an
+    expansion. A state whose entries do not fit leaves it full: the search
+    goes on with the layout and drops it, steps included, from the thread's
+    slot when it ends, and the thread's next search starts a new one.
     """
 
     def __init__(self, rows: int, cols: int):
@@ -615,16 +604,16 @@ class _PackedStates:
         self.fields: dict = {}  # block -> (offset, packed Hom int)
         self.blocks: list = []  # field number -> block
         self.symbols = 0
-        self.steps: dict = {}  # RuleApplication -> its `step` pair
+        self.steps: dict = {}  # the generator's field tuple -> its `step` pair
         self.symbol_keys: dict = {}  # symbol fields of a state -> their per-symbol multisets
         self.memo: dict = {}  # (state, pool, raise_rank) -> ((application, step), ...)
         self.room = MAX_STATES  # successor entries the memo may still take; 0 when full
 
     @classmethod
     def for_shape(cls, rows: int, cols: int) -> "_PackedStates":
-        """This thread's layout, replaced by a new one when its shape differs or its memo is full."""
+        """This thread's layout, replaced by a new one when its shape differs."""
         states = getattr(_layout, "states", None)
-        if states is None or (states.rows, states.cols) != (rows, cols) or not states.room:
+        if states is None or (states.rows, states.cols) != (rows, cols):
             states = _layout.states = cls(rows, cols)
         return states
 
@@ -668,18 +657,20 @@ class _PackedStates:
             multisets = self.symbol_keys[symbolic] = _symbol_multisets(self.counts(symbolic))
         return packed ^ symbolic, multisets
 
-    def step(self, app: RuleApplication) -> tuple:
-        """(app, (need, high, delta, Hom delta, rank delta)) of one rule application, for every state.
+    def step(self, fields: tuple) -> tuple:
+        """(app, (need, high, delta, Hom delta, rank delta)) of the application with these fields.
 
-        `need` has a 1 in a consumed block's field per copy consumed, `high`
-        the top bit of each such field, and `delta` is the produced minus the
-        consumed fields, so a state that holds the consumed blocks goes to
-        state + delta. The Hom delta and rank delta are the produced minus
-        the consumed blocks' `_block_hom` ints and ranks. Both are additive
-        over blocks, so a successor's Hom vector and rank are its parent's
-        plus these. The pair is cached in `steps`, and every memo entry that
-        holds the application shares it.
+        The generator's field tuple builds, and so validates, the application
+        once per layout. `need` has a 1 in a consumed block's field per copy
+        consumed, `high` the top bit of each such field, and `delta` is the
+        produced minus the consumed fields, so every state that holds the
+        consumed blocks goes to state + delta. The Hom delta and rank delta
+        are the produced minus the consumed blocks' `_block_hom` ints and
+        ranks. Both are additive over blocks, so a successor's Hom vector and
+        rank are its parent's plus these. The pair is cached in `steps` under
+        `fields`, and every memo entry that holds the application shares it.
         """
+        app = RuleApplication(*fields)
         consumed, produced = _rule_blocks(app)
         need = high = hom = rank = 0
         for block in consumed:
@@ -694,29 +685,29 @@ class _PackedStates:
             delta += 1 << offset
             hom += block_hom
             rank += block.rank
-        pair = self.steps[app] = app, (need, high, delta, hom, rank)
+        pair = self.steps[fields] = app, (need, high, delta, hom, rank)
         return pair
 
     def successors(self, packed: int, pool: tuple, raise_rank: bool) -> tuple:
         """The (application, step) pairs of `_applications` from a state, in its order; memoized.
 
-        On a miss the state's counts are decoded for the generator, and each
-        application is checked against the state with the top-bit
-        subtraction of `_hom_witness`: `(packed | high) - need` keeps a
-        consumed field's top bit exactly when the state holds enough copies,
-        and never borrows, since a rule consumes at most two copies of a
-        block and a field's top bit is worth at least 2. When a block is
-        missing, `_apply_to_counts` on the state's counts raises the
-        MissingBlocks that `apply_rule` would, and nothing is memoized. The
-        pairs are memoized if they fit in the memo's room, and otherwise
-        leave it full.
+        On a miss the state's counts are decoded for the generator, each
+        field tuple it yields finds its step (`step`), and each application
+        is checked against the state with the top-bit subtraction of
+        `_hom_witness`: `(packed | high) - need` keeps a consumed field's top
+        bit exactly when the state holds enough copies, and never borrows,
+        since a rule consumes at most two copies of a block and a field's top
+        bit is worth at least 2. When a block is missing, `_apply_to_counts`
+        on the state's counts raises the MissingBlocks that `apply_rule`
+        would, and nothing is memoized. The pairs are memoized if they fit in
+        the memo's room, and otherwise leave it full.
         """
         memo_key = packed, pool, raise_rank
         successors = self.memo.get(memo_key)
         if successors is None:
             counts = self.counts(packed)
             steps = self.steps
-            successors = tuple(steps.get(app) or self.step(app) for app in _applications(counts, pool, raise_rank))
+            successors = tuple(steps.get(f) or self.step(f) for f in _applications(counts, pool, raise_rank))
             for app, (need, high, _, _, _) in successors:
                 if ((packed | high) - need) & high != high:
                     _apply_to_counts(counts, app)
@@ -803,7 +794,7 @@ def _breadth_first(target_counts: dict, source_counts: dict, max_steps: int) -> 
                 break
         return ClosureResult(status="no_within_bound", states_explored=explored)
     finally:
-        # for_shape hands a full layout to no later search, so it goes with this one
+        # a full layout would give later searches the same answers; dropped, it frees its memory
         if not states.room and getattr(_layout, "states", None) is states:
             del _layout.states
 

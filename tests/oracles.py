@@ -672,7 +672,8 @@ def closure_reachable_unpruned(target: BlockList, source: BlockList, max_steps=N
         next_frontier = []
         for state, state_key in frontier:
             counts = state.counts()
-            apps = chain(_applications(counts, (), False), rank_raising_by_signature(counts, pool))
+            rank_keeping = (RuleApplication(*fields) for fields in _applications(counts, (), False))
+            apps = chain(rank_keeping, rank_raising_by_signature(counts, pool))
             for app in apps:
                 try:
                     nxt = apply_rule(state, app)

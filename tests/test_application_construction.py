@@ -1,16 +1,18 @@
-"""Every rule application the library builds comes from the interned path.
+"""Every rule application the library builds comes from the step table or the public enumeration.
 
-`degeneration._application` returns one validated `RuleApplication` per
-tuple of its eight fields, and the closure search's speed rests on the rule
-generator going through it: the dataclass `__init__` and the field type
-check run once per distinct application, and the search's step cache and
-`_rule_blocks` find each application by identity. The public constructor
-keeps its checks, on every call.
+The rule generator `degeneration._applications` yields each application as
+the tuple of its eight fields. The closure search's packed layout keys its
+step table by that tuple and builds one validated `RuleApplication` per
+distinct tuple (`_PackedStates.step`), so the dataclass `__init__` and the
+field type check run once per application and layout, and no application
+outlives its layout. `enumerate_applications` builds one per yield. The
+public constructor keeps its checks, on every call.
 """
 
 import ast
 import dataclasses
-import random
+import gc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,18 +20,14 @@ import pytest
 
 import skewstruct
 from skewstruct import degeneration
-from skewstruct.blocks import BlockList, GeneralBlock, SkewBlock, skew_to_general
+from skewstruct.blocks import BlockList, SkewBlock, skew_to_general
 from skewstruct.degeneration import RuleApplication, closure_reachable, enumerate_applications
 from skewstruct.errors import InvalidBlock
 from skewstruct.generic import generic_pencil_structure
 from skewstruct.points import SymbolicPoint
 
 SRC = Path(skewstruct.__file__).resolve().parent
-ALLOWED = {"degeneration._application"}
-
-L = GeneralBlock.right
-LT = GeneralBlock.left
-E = GeneralBlock.finite
+ALLOWED = {"degeneration._PackedStates.step", "degeneration.enumerate_applications"}
 
 
 def _construction_sites(module: str, tree) -> set:
@@ -81,33 +79,10 @@ class Search:
 
 AT_IMPORT = RuleApplication(1, j=1, k=1)
 
-def interned():
-    return _application(1, 1, 1, None, None, None, None, None)
+def fields():
+    yield 1, 1, 1, None, None, None, None, None
 '''
     assert _construction_sites("m", ast.parse(source)) == {"m.direct", "m.by_attribute", "m.Search.step", "m"}
-
-
-def yielded(monkeypatch, fresh_layout, searches):
-    """Every application the rule generator yields in these (target, source) searches, per search.
-
-    Each search starts on an empty packed layout, so it memoizes nothing
-    yet and calls the generator for every state it expands.
-    """
-    real = degeneration._applications
-    per_search = []
-
-    def recording(counts, pool, raise_rank):
-        for app in real(counts, pool, raise_rank):
-            per_search[-1].append(app)
-            yield app
-
-    monkeypatch.setattr(degeneration, "_applications", recording)
-    for target, source in searches:
-        per_search.append([])
-        fresh_layout()
-        closure_reachable(target, source)
-    monkeypatch.undo()
-    return per_search
 
 
 def bfs_searches():
@@ -122,19 +97,52 @@ def bfs_searches():
     return [(target, skew_to_general(source)) for source in sources]
 
 
+def typed(app):
+    return [(value, type(value)) for value in dataclasses.astuple(app)]
+
+
 def test_equal_applications_are_one_object(monkeypatch, fresh_layout):
-    # within a search, equal applications come from different states, and
-    # the two searches share applications too; each is one object
-    degeneration._application.cache_clear()
-    first, second = yielded(monkeypatch, fresh_layout, bfs_searches())
-    one = {}
-    for app in first + second:
-        assert one.setdefault(app, app) is app
+    # two searches on one layout: the generator yields equal field tuples
+    # from different states and from both searches, and each distinct tuple
+    # is one application object, in the step table and in every memo entry
+    real = degeneration._applications
+    per_search = []
+
+    def recording(counts, pool, raise_rank):
+        for fields in real(counts, pool, raise_rank):
+            per_search[-1].append(fields)
+            yield fields
+
+    slot = fresh_layout()
+    monkeypatch.setattr(degeneration, "_applications", recording)
+    kept = {}
+    layouts = []
+    for target, source in bfs_searches():
+        per_search.append([])
+        assert closure_reachable(target, source).status == "yes"
+        layouts.append(slot.states)
+        for fields, (app, _) in slot.states.steps.items():
+            assert kept.setdefault(fields, app) is app
+    monkeypatch.undo()
+    states, again = layouts
+    first, second = per_search
+    assert states is again
     assert len(first) > len(set(first)) and set(first) & set(second)
-    # and so are those of the public enumeration of two different lists
-    a = enumerate_applications(BlockList.general([L(0), L(2)]))
-    b = enumerate_applications(BlockList.general([L(0), L(2), LT(1)]))
-    assert a[0] == b[0] == RuleApplication(1, j=1, k=1) and a[0] is b[0]
+    assert set(states.steps) == set(first) | set(second) == set(kept)
+    objects = {id(app) for app in kept.values()}
+    assert len(objects) == len(kept)
+    # every memo entry holds the table's object, and the table's
+    # applications are the public enumeration's, field by field, type by
+    # type and in order (rules 1-5 only where rule 6 is not generated)
+    compared = 0
+    for (packed, pool, raise_rank), successors in states.memo.items():
+        assert all(id(app) in objects for app, _ in successors) and pool == ()
+        counts = states.counts(packed)
+        public = enumerate_applications(BlockList.general(b for b, c in counts.items() for _ in range(c)))
+        public = [app for app in public if raise_rank or app.rule != 6]
+        assert [typed(app) for app, _ in successors] == [typed(app) for app in public]
+        compared += len(public)
+    assert compared > 100
 
 
 @pytest.mark.parametrize(
@@ -146,41 +154,13 @@ def test_equal_applications_are_one_object(monkeypatch, fresh_layout):
     ],
 )
 def test_inexact_fields_raise_on_every_call(exact, inexact):
-    # True == 1, 2.0 == Fraction(2) and [1] == (1,) once hashed, but none
-    # finds the interned application: the public constructor raises each
-    # time, and so does the typed cache, which caches no raise (a list is
-    # no cache key, and the generator passes tuples)
-    assert degeneration._application(*exact) is degeneration._application(*exact) == RuleApplication(*exact)
+    # True == 1 and 2.0 == Fraction(2), and [1] holds what (1,) does, but
+    # only the exact fields make an application: the public constructor
+    # raises on every call
+    assert dataclasses.astuple(RuleApplication(*exact)) == exact
     for _ in range(2):
         with pytest.raises(InvalidBlock):
             RuleApplication(*inexact)
-        if type(inexact[6]) is not list:
-            with pytest.raises(InvalidBlock):
-                degeneration._application(*inexact)
-
-
-def test_enumeration_equals_fresh_constructions(monkeypatch):
-    # the interned applications are, field by field, type by type and in
-    # order, the ones the generator makes when it builds each anew
-    rng = random.Random(45)
-    points = [Fraction(-1), Fraction(1, 2), SymbolicPoint("s0"), SymbolicPoint("p")]
-    lists = [skew_to_general(BlockList.skew([SkewBlock.m(1), SkewBlock.k(1)]))]
-    for _ in range(20):
-        blocks = [L(rng.randint(0, 3)), LT(rng.randint(0, 3))]
-        blocks += [E(rng.randint(1, 2), rng.choice(points)) for _ in range(rng.randint(0, 3))]
-        blocks += [GeneralBlock.infinite(rng.randint(1, 2)) for _ in range(rng.randint(0, 1))]
-        lists.append(BlockList.general(blocks))
-
-    def fields(apps):
-        return [[(value, type(value)) for value in dataclasses.astuple(app)] for app in apps]
-
-    interned = [enumerate_applications(bl) for bl in lists]
-    monkeypatch.setattr(degeneration, "_application", lambda *fields: RuleApplication(*fields))
-    fresh = [enumerate_applications(bl) for bl in lists]
-    assert sum(map(len, fresh)) > 500
-    for a, b in zip(interned, fresh):
-        assert a == b and fields(a) == fields(b)
-        assert not any(x is y for x, y in zip(a, b))
 
 
 def test_each_distinct_application_is_validated_once(monkeypatch, fresh_layout):
@@ -195,10 +175,33 @@ def test_each_distinct_application_is_validated_once(monkeypatch, fresh_layout):
 
     target, source = bfs_searches()[0]
     fresh_layout()
-    degeneration._application.cache_clear()
     monkeypatch.setattr(RuleApplication, "__post_init__", counting)
     assert closure_reachable(target, source).status == "yes"
     assert len(checked) == len(set(checked)) > 0
     del checked[:]
     assert closure_reachable(target, source).status == "yes"
     assert checked == []
+
+
+def test_no_application_outlives_a_dropped_layout(monkeypatch, fresh_layout):
+    # the n = 15 zero-polynomial search, cut short at 150 states, fills its
+    # layout's memo and drops the layout; with it go the step table and
+    # every application the search built, so none is left alive
+    built = []
+    real = RuleApplication.__post_init__
+
+    def tracked(self):
+        real(self)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(degeneration, "MAX_STATES", 150)
+    monkeypatch.setattr(RuleApplication, "__post_init__", tracked)
+    slot = fresh_layout()
+    target = skew_to_general(generic_pencil_structure(15, 7, 2))
+    source = skew_to_general(BlockList.skew([SkewBlock.m(1)] * 5))
+    result = closure_reachable(target, source)
+    assert (result.status, result.states_explored) == ("no_within_bound", 150)
+    assert not hasattr(slot, "states") and len(built) > 50
+    del result
+    gc.collect()
+    assert [ref for ref in built if ref() is not None] == []

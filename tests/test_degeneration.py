@@ -120,9 +120,7 @@ class TestApplyRule:
             apply_rule(gl(L(0), LT(0)), app)
 
     def test_size_change_raises(self, monkeypatch):
-        # no rule changes the total size; a rule-3 product one row too large
-        # (an uncached _rule_blocks, so that no cached result hides it) does
-        monkeypatch.setattr(degeneration, "_rule_blocks", degeneration._rule_blocks.__wrapped__)
+        # no rule changes the total size; a rule-3 product one row too large does
         monkeypatch.setattr(degeneration, "_eigen_or_none", lambda index, point: E(index + 1, point))
         with pytest.raises(SideConditionViolated, match="changed the total size"):
             apply_rule(gl(L(0), E(2, 5)), RuleApplication(3, j=0, k=1, eigenvalue=Fraction(5)))
@@ -132,9 +130,8 @@ class TestApplyRule:
             apply_rule(gl(L(0)), RuleApplication(1, j=1, k=1))
 
     def test_bool_index_raises_after_a_search(self):
-        # the search and apply_rule share one cache of each application's
-        # blocks, and RuleApplication(1, j=True, k=1) would equal the j = 1
-        # one the search below applies; it raises when built
+        # RuleApplication(1, j=True, k=1) would equal, and hash like, the
+        # j = 1 one the search below applies; it raises when built
         assert closure_reachable(gl(L(1), L(1)), gl(L(0), L(2))).certificate == (RuleApplication(1, j=1, k=1),)
         with pytest.raises(InvalidBlock):
             apply_rule(gl(L(0), L(2)), RuleApplication(1, j=True, k=1))
@@ -150,8 +147,8 @@ class TestApplyRule:
         ],
     )
     def test_inexact_fields_raise_after_a_search(self, fields):
-        # each equals, and hashes like, an application whose blocks the
-        # searches below cache, so it must raise when built
+        # each equals, and hashes like, an application that the searches
+        # below apply, so it must raise when built
         certificates = [
             closure_reachable(gl(L(1), L(1)), gl(L(0), L(2))).certificate,
             closure_reachable(gl(L(1), E(1, 2)), gl(L(0), E(2, 2))).certificate,
@@ -166,8 +163,7 @@ class TestApplyRule:
             RuleApplication(**fields)
 
     def test_rule6_lists_raise(self):
-        # a list field would leave the application unhashable, and the
-        # blocks cache, which apply_rule reads, keys on it
+        # a list field would leave the application unhashable
         with pytest.raises(InvalidBlock, match="tuples"):
             RuleApplication(6, p=0, q=1, sizes=[1, 1], eigenvalues=(SymbolicPoint("a"), SymbolicPoint("b")))
 
@@ -461,7 +457,7 @@ class TestClosureSearch:
         real = degeneration._applications
 
         def with_invalid(counts, pool, raise_rank):
-            yield RuleApplication(1, j=7, k=7)
+            yield 1, 7, 7, None, None, None, None, None
             yield from real(counts, pool, raise_rank)
 
         monkeypatch.setattr(degeneration, "_applications", with_invalid)
@@ -855,6 +851,11 @@ class TestPackedHomKernel:
         assert res.witness == degeneration.HomWitness(LT(k), "Hom(-, X)", 0, 1)
 
 
+def fields_of(app):
+    """The tuple of an application's eight fields, as the rule generator yields it: its step table key."""
+    return tuple(getattr(app, field.name) for field in dataclasses.fields(app))
+
+
 def recorded_search(monkeypatch, fresh_layout, target, source):
     """closure_reachable(target, source) on an empty packed layout, with every application it applied.
 
@@ -903,7 +904,7 @@ class TestPackedStates:
         for counts, app in applied:
             parent = states.pack(counts)
             assert states.counts(parent) == counts
-            _, (_, _, delta, hom_delta, rank_delta) = states.steps[app]
+            _, (_, _, delta, hom_delta, rank_delta) = states.steps[fields_of(app)]
             successor = parent + delta
             reference = dict(counts)
             degeneration._apply_to_counts(reference, app)
@@ -966,15 +967,15 @@ class TestPackedStates:
         # that rule 5 consumes twice; the search, given only that
         # application on an empty layout, raises what the dict path raises
         states = degeneration._PackedStates(4, 4)
-        for counts, app in [
-            ({L(0): 1, LT(0): 1, E(1, 2): 1}, RuleApplication(1, j=1, k=1)),
-            ({E(1, 2): 1, E(2, 2): 1}, RuleApplication(5, j=1, k=1, eigenvalue=Fraction(2))),
+        for counts, fields in [
+            ({L(0): 1, LT(0): 1, E(1, 2): 1}, (1, 1, 1, None, None, None, None, None)),
+            ({E(1, 2): 1, E(2, 2): 1}, (5, 1, 1, None, None, Fraction(2), None, None)),
         ]:
             packed = states.pack(counts)
-            _, (need, high, _, _, _) = states.step(app)
+            app, (need, high, _, _, _) = states.step(fields)
             assert ((packed | high) - need) & high != high
             fresh_layout()
-            monkeypatch.setattr(degeneration, "_applications", lambda *args, app=app: iter([app]))
+            monkeypatch.setattr(degeneration, "_applications", lambda *args, fields=fields: iter([fields]))
             with pytest.raises(MissingBlocks) as search_error:
                 degeneration._breadth_first(counts, counts, 1)
             with pytest.raises(MissingBlocks) as dict_error:
@@ -1184,7 +1185,7 @@ class TestEnumeration:
         for _ in range(25):
             cases.append((random_general_list(rng), rng.sample([s0, s1, s2, Fraction(-1), Fraction(5)], 2)))
         for bl, pool in cases:
-            apps = list(degeneration._applications(bl.counts(), pool, True))
+            apps = [RuleApplication(*fields) for fields in degeneration._applications(bl.counts(), pool, True)]
             assert any(app.rule == 6 for app in apps)
             for app in apps:
                 out = apply_rule(bl, app)  # must not raise
@@ -1225,7 +1226,7 @@ def random_general_list(rng):
 
 def rule6(counts, pool):
     """The rule-6 applications `_applications` makes from these counts, in its order."""
-    return [app for app in degeneration._applications(counts, pool, True) if app.rule == 6]
+    return [RuleApplication(*fields) for fields in degeneration._applications(counts, pool, True) if fields[0] == 6]
 
 
 class TestRankRaisingOrder:
