@@ -23,7 +23,10 @@ applies rule 6 only below the target's rank and never builds a state of
 higher rank: `states_explored` counts only states of rank at most the
 target's. The witness pass and the search share one kernel, packed Hom
 vectors (`_hom_layout`): one int per list, one field per candidate block
-and direction, and one subtraction that compares every field. The search
+and direction, and one subtraction that compares every field. A block's
+int is `dim_hom`'s table read along the candidates in closed form, a few
+masked ramps per block kind (`_block_hom`), so no candidate block is built
+and the pass builds only the witness it reports. The search
 keys and counts every successor but expands only those whose vector is at
 least the target's in every field; by transitivity the others lie on no
 path to the target, so the certificate is the one a search without the
@@ -59,7 +62,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .blocks import BlockList, GeneralBlock, skew_to_general
-from .codimension import _shape, codim_general, dim_hom
+from .codimension import _shape, codim_general
 from .errors import InvalidBlock, MissingBlocks, ParamDomain, ShapeMismatch, SideConditionViolated
 from .points import INFINITY, SymbolicPoint, format_eigenvalue
 
@@ -439,50 +442,111 @@ class ClosureResult:
 
 @functools.lru_cache(maxsize=None)
 def _hom_layout(rows: int, cols: int) -> tuple:
-    """(candidates, field width, HIGH) of the packed Hom vectors of rows x cols pencils.
+    """(field count, field width, HIGH) of the packed Hom vectors of rows x cols pencils.
 
-    The candidates are the (X, direction) pairs of the witness pass, in its
-    order: L_k, L^T_k and E_k(inf) for k <= max(rows, cols), each in both
-    directions. Field i of a packed vector holds the Hom dimension of
-    candidate i, at bit i * width. dim Hom(X, P) and dim Hom(P, X) are at
-    most rows(X) rows(P) + cols(X) cols(P), and no candidate has more than
-    max(rows, cols) + 1 rows or columns, so every field stays below the
-    bound's next power of two and its top bit, the bit HIGH sets, is clear.
+    Field i of a packed vector holds one Hom dimension, at bit i * width,
+    in the witness pass's order of candidates X and directions, "Hom(X, -)"
+    then "Hom(-, X)": fields 0-3 are L_0 and L^T_0, and group k = 1..size,
+    size = max(rows, cols), is the six fields from 6k - 2 on, L_k, L^T_k
+    and E_k(inf); slot s of group k is field 6k - 2 + s. dim Hom(X, P) and
+    dim Hom(P, X) are at most rows(X) rows(P) + cols(X) cols(P), and no
+    candidate has more than size + 1 rows or columns, so every field stays
+    below the bound's next power of two and its top bit, the bit HIGH sets,
+    is clear.
     """
     size = max(rows, cols)
-    candidates = []
-    for k in range(size + 1):
-        for x in [GeneralBlock.right(k), GeneralBlock.left(k)] + ([GeneralBlock.infinite(k)] if k else []):
-            candidates += [(x, "Hom(X, -)"), (x, "Hom(-, X)")]
+    count = 6 * size + 4
     width = ((size + 1) * (rows + cols)).bit_length() + 1
-    high = ((1 << len(candidates) * width) - 1) // ((1 << width) - 1) << (width - 1)  # a repunit, built whole
-    return tuple(candidates), width, high
+    high = ((1 << count * width) - 1) // ((1 << width) - 1) << (width - 1)  # a repunit, built whole
+    return count, width, high
+
+
+@functools.lru_cache(maxsize=None)
+def _hom_ramps(rows: int, cols: int) -> tuple:
+    """(R, T): R holds 1 and T holds k in slot 0 of each group k = 1..size, and every other field is 0.
+
+    With x = 2**(6 * width), one group's step, both are geometric series
+    shifted to field 4, each built whole: R = (x^n - 1) / (x - 1) and
+    T = sum of k x^(k-1) = (n x^(n+1) - (n+1) x^n + 1) / (x - 1)^2, where
+    n = size and both divisions are exact. A field at a time would be
+    quadratic in the length.
+    """
+    size = max(rows, cols)
+    _, width, _ = _hom_layout(rows, cols)
+    x = 1 << 6 * width
+    power = 1 << 6 * width * size  # x**size, without the squarings
+    ramp = (power - 1) // (x - 1) << 4 * width
+    steps = (size * power * x - (size + 1) * power + 1) // (x - 1) ** 2 << 4 * width
+    return ramp, steps
+
+
+def _hom_pieces(kind: str, t: int) -> tuple:
+    """`dim_hom`'s table against a block of this kind and index t, read along the candidates.
+
+    Each (slot, a, b, lo, hi) puts a k + b in the slot's field for
+    lo <= k <= hi (hi None: every k), and every other field is 0. Slot s is
+    dim Hom(X, block) for even s and dim Hom(block, X) for odd s, with
+    X = L_k, L^T_k, E_k(inf) for s // 2 = 0, 1, 2; at k = 0 only slots 0-3
+    exist. No candidate has a finite eigenvalue, so E_t at a finite point or
+    a symbol meets E_k(inf) in no dimension.
+    """
+    if kind == "L":
+        return (0, 1, 1 - t, t, None), (1, -1, t + 1, 0, t), (2, 1, t, 0, None), (4, 1, 0, 1, None)
+    if kind == "L_T":
+        return (1, 1, t, 0, None), (2, -1, t + 1, 0, t), (3, 1, 1 - t, t, None), (5, 1, 0, 1, None)
+    pieces = (1, 0, t, 0, None), (2, 0, t, 0, None)
+    if kind == "E_infinite":
+        pieces += (4, 1, 0, 1, t), (4, 0, t, t + 1, None), (5, 1, 0, 1, t), (5, 0, t, t + 1, None)
+    return pieces
 
 
 @functools.lru_cache(maxsize=None)
 def _block_hom(kind: str, index: int, rows: int, cols: int) -> int:
     """The packed Hom dimensions of one block of this kind and index against the candidates.
 
-    No candidate has a finite eigenvalue, so the value of a block's finite
-    eigenvalue never enters, and one int serves every such block. The cache
-    holds one int per kind, index and pencil shape searched.
+    Each piece of `_hom_pieces` is a T + b R (`_hom_ramps`) cut to groups
+    lo..hi by a mask and shifted to its slot; a piece that starts at k = 0
+    (only slots 0-3 do) adds its k = 0 field, b, directly. The mask comes
+    before the combination: a T + b R is negative in the fields where
+    a k + b is, such as T - (t - 1) R below k = t, and a negative field
+    borrows from the next. Cut first, every field of the sum is the
+    dimension `dim_hom` gives, and none borrows. The cache holds one int
+    per kind, index and pencil shape searched; the value of a finite
+    eigenvalue never enters.
     """
-    block = GeneralBlock(kind, index, Fraction(0) if kind == "E_finite" else None)
-    candidates, width, _ = _hom_layout(rows, cols)
-    fields = [dim_hom(x, block) if direction == "Hom(X, -)" else dim_hom(block, x) for x, direction in candidates]
-    # merge neighbours level by level, each level linear, down to 64 fields; a field at a time is quadratic
-    while len(fields) > 64:
-        fields = [lo | hi << width for lo, hi in zip(fields[::2], fields[1::2] + [0])]
-        width *= 2
+    _, width, _ = _hom_layout(rows, cols)
+    ramp, steps = _hom_ramps(rows, cols)
+    size = max(rows, cols)
     packed = 0
-    for value in reversed(fields):
-        packed = packed << width | value
+    for slot, a, b, lo, hi in _hom_pieces(kind, index):
+        if lo == 0:
+            packed += b << slot * width
+            lo = 1
+        hi = size if hi is None else min(hi, size)
+        if lo > hi:
+            continue
+        cut = (1 << (6 * hi + 4) * width) - (1 << (6 * lo - 2) * width)  # groups lo..hi
+        packed += (a * (steps & cut) + b * (ramp & cut)) << slot * width
     return packed
 
 
 def _hom_vector(counts: dict, rows: int, cols: int) -> int:
     """The packed Hom vector of a block -> multiplicity dict: the sum of count times each block's int."""
     return sum(count * _block_hom(b.kind, b.index, rows, cols) for b, count in counts.items())
+
+
+def _hom_candidate(field: int) -> tuple:
+    """The candidate (X, direction) of one field of the packed Hom vectors (`_hom_layout`).
+
+    A field below 4 is that slot at k = 0, and any other is slot s of
+    group k, (k, s) = divmod(field + 2, 6). Slot s is X = L_k, L^T_k or
+    E_k(inf) for s // 2 = 0, 1, 2, as "Hom(X, -)" for even s and
+    "Hom(-, X)" for odd s. Only X is built, through the interned
+    constructors.
+    """
+    k, slot = divmod(field + 2, 6) if field >= 4 else (0, field)
+    x = (GeneralBlock.right, GeneralBlock.left, GeneralBlock.infinite)[slot // 2](k)
+    return x, ("Hom(X, -)", "Hom(-, X)")[slot % 2]
 
 
 def _hom_witness(target_counts: dict, source_counts: dict):
@@ -502,17 +566,20 @@ def _hom_witness(target_counts: dict, source_counts: dict):
     `(source | HIGH) - target` keeps field i's top bit exactly when the
     source's field is at least the target's. No field borrows from the
     next, since each is below its top bit. Only when a top bit is cleared
-    is the lowest such field, the first candidate in order, decoded.
+    is the lowest such field, the first candidate in order, decoded
+    (`_hom_candidate`), and only its block is built.
     """
     rows, cols = _shape(source_counts)
-    candidates, width, high = _hom_layout(rows, cols)
+    _, width, high = _hom_layout(rows, cols)
     source = _hom_vector(source_counts, rows, cols)
     target = _hom_vector(target_counts, rows, cols)
-    failed = high & ~((source | high) - target)
+    # positive operands only: `&` on a negative int (`~x`, `-x`) first builds
+    # its two's complement, one more int of the full length
+    failed = high ^ (((source | high) - target) & high)
     if not failed:
         return None
-    i = (failed & -failed).bit_length() // width - 1
-    x, direction = candidates[i]
+    i = (failed ^ (failed - 1)).bit_length() // width - 1  # failed ^ (failed - 1): its bits up to the lowest set one
+    x, direction = _hom_candidate(i)
     mask = (1 << width) - 1
     return HomWitness(x, direction, (source >> i * width) & mask, (target >> i * width) & mask)
 

@@ -21,7 +21,8 @@ RationalPolynomial formulas on entry grids; the closure search is checked
 against the same breadth-first search without its rank bound, which applies
 every rule from every state, with rule 6 enumerated by brute force over all
 assignments and deduplicated by signature; the Hom witness pass is checked
-against its sums over one candidate block at a time; Hom dimensions
+against its sums over one candidate block at a time, and each block's
+packed Hom int against one `dim_hom` call per candidate field; Hom dimensions
 between blocks, and general orbit codimensions, come from the kernel and
 the rank of the linear maps on the assembled pencils.
 """
@@ -712,6 +713,43 @@ def _hom_sum(counts, x: GeneralBlock, direction: str) -> int:
     return sum(count * dim_hom(block, x) for block, count in counts)
 
 
+def hom_candidates(rows: int, cols: int) -> list:
+    """The (X, direction) pairs of the Hom witness pass on rows x cols pencils, in field order.
+
+    L_k, L^T_k and E_k(inf) for k <= max(rows, cols), each as "Hom(X, -)"
+    then "Hom(-, X)", one list entry per field of the packed Hom vectors.
+    """
+    candidates = []
+    for k in range(max(rows, cols) + 1):
+        for x in [GeneralBlock.right(k), GeneralBlock.left(k)] + ([GeneralBlock.infinite(k)] if k else []):
+            candidates += [(x, "Hom(X, -)"), (x, "Hom(-, X)")]
+    return candidates
+
+
+def block_hom_by_dim_hom(kind: str, index: int, rows: int, cols: int) -> int:
+    """The packed Hom int of one block against the candidates, one `dim_hom` call per field.
+
+    Field i, at bit i * width, is dim Hom(X, block) or dim Hom(block, X)
+    for candidate i of `hom_candidates`, with the width derived from the
+    shape: no candidate has more than max(rows, cols) + 1 rows or columns.
+    Neighbouring fields are merged level by level down to 64, then added by
+    Horner's rule, so a large shape is not quadratic in its field count.
+    """
+    block = GeneralBlock(kind, index, Fraction(0) if kind == "E_finite" else None)
+    width = ((max(rows, cols) + 1) * (rows + cols)).bit_length() + 1
+    fields = [
+        dim_hom(x, block) if direction == "Hom(X, -)" else dim_hom(block, x)
+        for x, direction in hom_candidates(rows, cols)
+    ]
+    while len(fields) > 64:
+        fields = [lo | hi << width for lo, hi in zip(fields[::2], fields[1::2] + [0])]
+        width *= 2
+    packed = 0
+    for value in reversed(fields):
+        packed = packed << width | value
+    return packed
+
+
 def hom_witness_by_sums(target_counts: dict, source_counts: dict, size: int):
     """The first HomWitness among L_k, L^T_k and E_k(inf) for k <= size, or None.
 
@@ -723,14 +761,11 @@ def hom_witness_by_sums(target_counts: dict, source_counts: dict, size: int):
     for block, count in target_counts.items():
         diff[block] = diff.get(block, 0) - count
     diff = [(block, count) for block, count in diff.items() if count]
-    for k in range(size + 1):
-        candidates = [GeneralBlock.right(k), GeneralBlock.left(k)] + ([GeneralBlock.infinite(k)] if k else [])
-        for x in candidates:
-            for direction in ("Hom(X, -)", "Hom(-, X)"):
-                if _hom_sum(diff, x, direction) < 0:
-                    source_dim = _hom_sum(source_counts.items(), x, direction)
-                    target_dim = _hom_sum(target_counts.items(), x, direction)
-                    return HomWitness(x, direction, source_dim, target_dim)
+    for x, direction in hom_candidates(size, size):
+        if _hom_sum(diff, x, direction) < 0:
+            source_dim = _hom_sum(source_counts.items(), x, direction)
+            target_dim = _hom_sum(target_counts.items(), x, direction)
+            return HomWitness(x, direction, source_dim, target_dim)
     return None
 
 

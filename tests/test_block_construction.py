@@ -3,9 +3,8 @@
 `blocks._interned` returns one validated block per class, kind, index and
 eigenvalue, and the search's speed rests on every library construction site
 going through it. The constructor is called directly only by the cache
-itself, by `BlockList.from_json_dict`, which reads each block from outside
-once, and by `degeneration._block_hom`, whose result is memoized per kind,
-index and pencil shape.
+itself and by `BlockList.from_json_dict`, which reads each block from
+outside once.
 """
 
 import ast
@@ -19,7 +18,6 @@ ALLOWED = {
     "blocks._cached_block",
     "blocks._interned",
     "blocks.BlockList.from_json_dict",
-    "degeneration._block_hom",
 }
 
 

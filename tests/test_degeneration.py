@@ -11,10 +11,17 @@ import threading
 from fractions import Fraction
 
 import pytest
-from oracles import closure_reachable_unpruned, equal_by_renaming, hom_witness_by_sums, rank_raising_by_signature
+from oracles import (
+    block_hom_by_dim_hom,
+    closure_reachable_unpruned,
+    equal_by_renaming,
+    hom_candidates,
+    hom_witness_by_sums,
+    rank_raising_by_signature,
+)
 
 from skewstruct import degeneration
-from skewstruct.blocks import BlockList, GeneralBlock, SkewBlock, skew_to_general
+from skewstruct.blocks import BlockList, GeneralBlock, SkewBlock, _cached_block, skew_to_general
 from skewstruct.codimension import codim_general
 from skewstruct.degeneration import (
     RuleApplication,
@@ -847,6 +854,54 @@ class TestPackedHomKernel:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+        assert (res.status, res.states_explored) == ("no", 1)
+        assert res.witness == degeneration.HomWitness(LT(k), "Hom(-, X)", 0, 1)
+
+    def test_block_ints_match_one_dim_hom_per_field(self):
+        # the closed form against the per-candidate fill, on every kind,
+        # every index from the least to size + 2 and every shape up to
+        # 21 x 21: up to 130 fields, so the oracle's merge past 64 fields
+        # runs too. The layout's field count and HIGH are the candidates'
+        cases = 0
+        for rows in range(22):
+            for cols in range(1, 22):
+                count, width, high = degeneration._hom_layout(rows, cols)
+                assert count == len(hom_candidates(rows, cols))
+                assert high == sum(1 << (i * width + width - 1) for i in range(count))
+                for kind, least in (("L", 0), ("L_T", 0), ("E_finite", 1), ("E_infinite", 1)):
+                    for index in range(least, max(rows, cols) + 3):
+                        packed = degeneration._block_hom.__wrapped__(kind, index, rows, cols)
+                        assert packed == block_hom_by_dim_hom(kind, index, rows, cols), (kind, index, rows, cols)
+                        cases += 1
+        assert cases == 31108
+
+    def test_each_field_decodes_to_its_candidate(self):
+        for size in range(30):
+            candidates = hom_candidates(size, size)
+            assert degeneration._hom_layout(size, size)[0] == len(candidates)
+            for i, candidate in enumerate(candidates):
+                assert degeneration._hom_candidate(i) == candidate, (size, i)
+
+    def test_large_pencils_build_no_candidate_blocks(self):
+        # L_k + L^T_k against L_{k-1} + L^T_{k+1} at k = 10^5: 200,001 x
+        # 200,001 pencils with 1,200,010 fields. The pass reads each block's
+        # int in closed form and builds only the witness, where a list of
+        # candidates interns 600,002 blocks first. The alarm only guards
+        # against a hang; the block count is what this test checks
+        def hang(signum, frame):
+            raise TimeoutError("the Hom witness pass took more than 60 s")
+
+        k = 100_000
+        target, source = gl(L(k), LT(k)), gl(L(k - 1), LT(k + 1))
+        before = _cached_block.cache_info().currsize
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(60)
+        try:
+            res = closure_reachable(target, source)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert _cached_block.cache_info().currsize - before <= 4
         assert (res.status, res.states_explored) == ("no", 1)
         assert res.witness == degeneration.HomWitness(LT(k), "Hom(-, X)", 0, 1)
 
