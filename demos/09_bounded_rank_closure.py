@@ -4,8 +4,9 @@ The bounded-rank set is the closure of the generic orbit. P -> L(pad(P)) is
 linear and the generic pencil structure is one congruence orbit, so the
 linearization of every bounded-rank polynomial must lie in that orbit's
 closure. Low-range draws (`coeff_range=1`, factor entries in {-1, 0, 1})
-hit eigenvalues, irrational ones among them; each distinct structure is
-searched against the generic pencil structure. The orbit codimension of
+hit eigenvalues, irrational ones among them. Each draw's pencil structure
+is `linearized_structure` of its own at grade d + 1, and each distinct one
+is searched against the generic pencil structure. The orbit codimension of
 each (the Dmytryshyn-Kågström-Sergeichuk count) exceeds the generic one,
 the template-space value of `codim_poly_generic`, unless it is the generic
 structure itself. The zero polynomial is left out: at (5, 2, 2) its search
@@ -19,12 +20,11 @@ import time
 from skewstruct import (
     SampleSpec,
     analyze,
-    build_linearization,
     closure_reachable,
     codim_blocksum,
     codim_poly_generic,
     generic_pencil_structure,
-    pad_grade,
+    linearized_structure,
     sample_bounded_rank,
     skew_to_general,
     structure_to_skew_blocks,
@@ -35,7 +35,7 @@ for m, d, r, seeds in [(3, 2, 1, 300), (5, 2, 2, 100)]:
     sources = {}
     for seed in range(seeds):
         draw = sample_bounded_rank(SampleSpec(m=m, d=d, r=r, coeff_range=1, seed=seed))
-        skew = structure_to_skew_blocks(analyze(build_linearization(pad_grade(draw)).pencil, 1))
+        skew = structure_to_skew_blocks(linearized_structure(analyze(draw), d + 1))
         sources.setdefault(canonical_key(skew_to_general(skew)), (seed, skew))
     n, w = m * (d + 1), (m * d + 2 * r) // 2
     target = skew_to_general(generic_pencil_structure(n, w, r))

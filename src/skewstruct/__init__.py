@@ -78,6 +78,7 @@ from .linearize import (
     GsylPencil,
     build_linearization,
     gsyl_membership,
+    linearized_structure,
     pad_grade,
     verify_shift,
 )
@@ -131,6 +132,7 @@ __all__ = [
     "generic_poly_structure",
     "gsyl_membership",
     "infinite_structure",
+    "linearized_structure",
     "minimal_indices",
     "monte_carlo_genericity",
     "normal_rank",

@@ -143,6 +143,8 @@ def cmd_mc(args) -> int:
 def cmd_linearize(args) -> int:
     P = read_polynomial(args.file)
     if args.pad:
+        if P.grade % 2:
+            raise SkewstructError(f"--pad applies to even grades, and the file has grade {P.grade}")
         P = pad_grade(P)
     lin = build_linearization(P)
     if args.out:

@@ -55,8 +55,8 @@ def polynomial_from_dict(data: dict) -> SkewMatrixPolynomial:
         # a JSON integer: int() would truncate 0.5 and take true for 1
         if type(value) is not int:
             raise FileFormatError(f"{name} must be an integer, got {value!r}")
-    if grade < 0:
-        raise FileFormatError(f"grade must be nonnegative, got {grade}")
+        if value < 0:
+            raise FileFormatError(f"{name} must be nonnegative, got {value}")
     if not isinstance(raw, list) or len(raw) != grade + 1:
         raise FileFormatError(f"expected a list of {grade + 1} coefficient matrices")
     parsed: dict = {}  # entry text -> (num, den): each distinct text is checked and parsed once

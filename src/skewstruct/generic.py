@@ -13,17 +13,18 @@ parity; evenness only matters downstream, where verification must pad by one
 grade before linearizing.
 
 `structure_consistency` checks the arithmetic identities tying the two
-pictures together through the grade-(d+1) linearization of the padded
-generic polynomial.
+pictures together through `linearize.linearized_structure`, the structure
+of the grade-(d+1) linearization of the padded generic polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import BlockList, GeneralBlock, SkewBlock, skew_to_general
+from .blocks import BlockList, SkewBlock, structure_to_skew_blocks
 from .eigenstructure import CompleteEigenstructure
 from .errors import InternalInconsistency, ParamDomain
+from .linearize import linearized_structure
 
 
 @dataclass(frozen=True)
@@ -109,29 +110,12 @@ class ConsistencyReport:
     blocklists_match: bool
 
 
-def linearized_generic_blocklist(m: int, d: int, r: int) -> BlockList:
-    """KCF expected for the linearized padding of the generic polynomial.
-
-    Shift every minimal index of the generic grade-d structure by eta = d/2
-    (once per side) and append 2r infinite blocks of size 1.
-    """
-    p = PolyGenericParams.validate(m, d, r)
-    if d % 2:
-        raise ParamDomain("linearized comparison needs even grade")
-    eta = d // 2
-    structure = generic_poly_structure(m, d, r)
-    blocks = [GeneralBlock.right(e + eta) for e in structure.right_minimal]
-    blocks += [GeneralBlock.left(e + eta) for e in structure.left_minimal]
-    blocks += [GeneralBlock.infinite(1)] * (2 * r)
-    return BlockList.general(blocks)
-
-
 def structure_consistency(m: int, d: int, r: int) -> ConsistencyReport:
     """Verify the identities tying the generic polynomial to the generic pencil.
 
     With n = m(d+1) and w = (md + 2r)/2, checks beta + d/2 == alpha, t == s,
-    m - 2r - t == n - 2w - s, and that unfolding the generic pencil gives
-    exactly the shifted-index block list of the linearized padded polynomial.
+    m - 2r - t == n - 2w - s, and that the generic pencil's skew block list
+    is that of `linearized_structure` of the generic polynomial at grade d+1.
     """
     if d % 2:
         raise ParamDomain("consistency check applies to even grades")
@@ -140,8 +124,7 @@ def structure_consistency(m: int, d: int, r: int) -> ConsistencyReport:
     w = (m * d + 2 * r) // 2
     pencil = PencilGenericParams.validate(n, w, r)
     eta = d // 2
-    expected = linearized_generic_blocklist(m, d, r)
-    actual = skew_to_general(generic_pencil_structure(n, w, r))
+    expected = structure_to_skew_blocks(linearized_structure(generic_poly_structure(m, d, r), d + 1))
     return ConsistencyReport(
         poly=poly,
         pencil=pencil,
@@ -149,5 +132,5 @@ def structure_consistency(m: int, d: int, r: int) -> ConsistencyReport:
         sizes_match=poly.beta + eta == pencil.alpha,
         counts_match=poly.t == pencil.s,
         remainders_match=(m - 2 * r - poly.t) == (n - 2 * w - pencil.s),
-        blocklists_match=expected == actual,
+        blocklists_match=expected == generic_pencil_structure(n, w, r),
     )

@@ -4,11 +4,11 @@ An m x m skew-symmetric polynomial of odd grade d linearizes into an md x md
 skew-symmetric pencil with a fixed block template: odd diagonal block
 positions carry x*A_{d-i+1} + A_{d-i}, even diagonal positions are zero, and
 consecutive blocks are coupled by -I/+I (odd rows) or -xI/+xI (even rows).
-The pencil keeps the finite and infinite elementary divisors of the
-polynomial and shifts every minimal index up by (d-1)/2. No such skew
-template exists for even grade; even-grade inputs must be padded to grade
-d+1 first, which shifts the infinite multiplicities up by one and leaves
-everything else alone.
+No such skew template exists for even grade; even-grade inputs must be
+padded to grade d+1 first, which shifts the infinite multiplicities up by
+one and leaves everything else alone. `linearized_structure` states the
+pencil's structure in one place (Dmytryshyn-Dopico 2018), and
+`verify_shift` checks it against the analyzed pencil.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .eigenstructure import CompleteEigenstructure, analyze
-from .errors import EvenGrade, InternalInconsistency, ParamDomain, ShapeMismatch
+from .errors import EvenGrade, GradeTooSmall, InternalInconsistency, ParamDomain, ShapeMismatch
 from .exact import MatrixPolynomial, SkewMatrixPolynomial, as_skew
 
 
@@ -105,54 +105,59 @@ def gsyl_membership(Q: MatrixPolynomial, m: int, d: int) -> bool:
     return _template_source(Q, m, d) is not None
 
 
+def linearized_structure(structure: CompleteEigenstructure, grade: int) -> CompleteEigenstructure:
+    """Complete eigenstructure of `build_linearization(P.with_grade(grade)).pencil`.
+
+    It holds for every skew P whose `analyze` is `structure`. Re-declaring
+    the grade raises every multiplicity at infinity, zeros included, by
+    grade - structure.grade; the pencil keeps the finite structure and the
+    nonzero multiplicities at infinity, raises every minimal index by
+    (grade - 1)/2 and has rank rank + m(grade - 1). A grade below
+    structure.grade raises GradeTooSmall and an even one EvenGrade.
+    """
+    if grade < structure.grade:
+        raise GradeTooSmall(f"grade {grade} is below the structure's grade {structure.grade}")
+    if grade % 2 == 0:
+        raise EvenGrade(f"linearization template needs odd grade, got {grade}")
+    m = structure.size
+    rank = structure.rank + m * (grade - 1)
+    raised = [v + grade - structure.grade for v in structure.infinite]
+    infinite = [v for v in raised if v]
+    infinite += [0] * (rank - len(infinite))
+    minimal = [e + (grade - 1) // 2 for e in structure.right_minimal]
+    return CompleteEigenstructure.skew(m * grade, 1, rank, structure.finite, infinite, minimal)
+
+
 @dataclass(frozen=True)
 class ShiftReport:
-    """Eigenstructure comparison between a polynomial and its linearization."""
+    """A polynomial's structure, its linearization's, and the one `linearized_structure` predicts."""
 
     base: CompleteEigenstructure
     linearized: CompleteEigenstructure
+    expected: CompleteEigenstructure
     shift: int
-    minimal_ok: bool
-    finite_ok: bool
-    infinite_ok: bool
-    rank_ok: bool
 
     @property
     def all_ok(self) -> bool:
-        return self.minimal_ok and self.finite_ok and self.infinite_ok and self.rank_ok
+        return self.linearized == self.expected
 
 
 def verify_shift(P: SkewMatrixPolynomial) -> ShiftReport:
-    """Check the strong-linearization contracts on an odd-grade polynomial.
+    """Check the strong-linearization contract on a polynomial of odd grade >= 3.
 
-    The linearized pencil must keep the finite elementary divisors and the
-    nonzero infinite multiplicities, shift every minimal index by (d-1)/2,
-    and satisfy rank(pencil) = rank(P) + m(d-1).
+    The analyzed pencil must equal `linearized_structure` of the analyzed
+    polynomial at its own grade; a mismatch raises InternalInconsistency.
     """
     skew = as_skew(P)
     if skew.grade < 3:
         raise ParamDomain("shift verification needs odd grade >= 3")
     lin = build_linearization(skew)
-    d, m = lin.d, lin.m
     base = analyze(lin.source)
-    linearized = analyze(lin.pencil, 1)
-    shift = (d - 1) // 2
-    expected_minimal = tuple(sorted(e + shift for e in base.right_minimal))
-    rank_expected = base.rank + m * (d - 1)
-    # zero multiplicities pad to rank on both sides, so compare nonzero parts
-    base_inf = tuple(v for v in base.infinite if v)
-    lin_inf = tuple(v for v in linearized.infinite if v)
     report = ShiftReport(
         base=base,
-        linearized=linearized,
-        shift=shift,
-        minimal_ok=(
-            linearized.right_minimal == expected_minimal
-            and linearized.left_minimal == expected_minimal
-        ),
-        finite_ok=linearized.finite == base.finite,
-        infinite_ok=lin_inf == base_inf,
-        rank_ok=linearized.rank == rank_expected,
+        linearized=analyze(lin.pencil, 1),
+        expected=linearized_structure(base, lin.d),
+        shift=(lin.d - 1) // 2,
     )
     if not report.all_ok:
         raise InternalInconsistency(f"linearization contract violated: {report}")

@@ -109,6 +109,18 @@ class TestPolynomialFile:
             with pytest.raises(ValueError):
                 parse_rational(text)
 
+    @pytest.mark.parametrize("grade", [0, 0.5, -1])
+    def test_negative_size(self, tmp_path, capsys, grade):
+        # the size is checked before the grade and before the coefficient
+        # shapes, which named a -1 x -1 list
+        data = {"m": -1, "grade": grade, "coefficients": [[]]}
+        with pytest.raises(FileFormatError, match="^m must be nonnegative, got -1$"):
+            polynomial_from_dict(data)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: m must be nonnegative, got -1\n")
+
     def test_rejects_non_skew(self):
         data = {
             "m": 2,
@@ -730,6 +742,14 @@ class TestLinearizeCommand:
         assert main(["linearize", poly_file, "--pad"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["m"] == 6 and data["grade"] == 1
+
+    def test_pad_on_an_odd_grade_names_the_flag(self, tmp_path, capsys):
+        # padding a grade-3 file gave grade 4, and the error named grade 4
+        path = tmp_path / "p.json"
+        write_polynomial(skew2(x**3, grade=3), str(path))
+        assert main(["linearize", str(path), "--pad"]) == 1
+        assert capsys.readouterr() == ("", "error: --pad applies to even grades, and the file has grade 3\n")
+        assert main(["linearize", str(path)]) == 0
 
 
 class TestCodimCommand:

@@ -4,18 +4,21 @@ import random
 
 import pytest
 
-from skewstruct.blocks import skew_to_general
+from skewstruct import linearize
+from skewstruct.blocks import structure_to_skew_blocks
 from skewstruct.eigenstructure import analyze
-from skewstruct.errors import EvenGrade, ShapeMismatch
+from skewstruct.errors import EvenGrade, GradeTooSmall, InternalInconsistency, ShapeMismatch
 from skewstruct.exact import MatrixPolynomial, RationalPolynomial, SkewMatrixPolynomial, normal_rank
-from skewstruct.generic import generic_pencil_structure, linearized_generic_blocklist
+from skewstruct.generic import generic_pencil_structure, generic_poly_structure
 from skewstruct.linearize import (
     _template_source,
     build_linearization,
     gsyl_membership,
+    linearized_structure,
     pad_grade,
     verify_shift,
 )
+from skewstruct.sampling import SampleSpec, sample_bounded_rank
 
 P = RationalPolynomial
 x = P.variable()
@@ -136,14 +139,52 @@ class TestVerifyShift:
     def test_padded_generic_matches_pencil_generic(self):
         # the identity behind the main structural theorem, on a small case:
         # linearize the padded generic polynomial (m=3, d=2, r=1) and compare
-        # with the generic pencil (n=9, w=4, r=1)
+        # with the generic pencil (n=9, w=4, r=1), at the level of structures
         m, d, r = 3, 2, 1
-        # build a concrete polynomial with the generic structure: the M_1
-        # pencil at grade 1... instead use a sampled representative below in
-        # sampling tests; here check the block-level identity
-        expected = linearized_generic_blocklist(m, d, r)
-        actual = skew_to_general(generic_pencil_structure(m * (d + 1), (m * d + 2 * r) // 2, r))
-        assert expected == actual
+        expected = structure_to_skew_blocks(linearized_structure(generic_poly_structure(m, d, r), d + 1))
+        assert expected == generic_pencil_structure(m * (d + 1), (m * d + 2 * r) // 2, r)
+
+    def test_mismatch_raises(self, monkeypatch):
+        # a pencil analysis that disagrees with the prediction: here the
+        # polynomial's own structure stands in for its linearization's
+        rng = random.Random(24)
+        p = random_skew(rng, 3, 3)
+        real_analyze = linearize.analyze
+        monkeypatch.setattr(linearize, "analyze", lambda q, grade=None: real_analyze(p))
+        with pytest.raises(InternalInconsistency):
+            verify_shift(p)
+
+
+class TestLinearizedStructure:
+    CELLS = [(3, 2, 1), (4, 2, 1), (5, 2, 2), (3, 3, 1), (4, 3, 1), (5, 4, 1), (3, 1, 1), (4, 4, 1)]
+
+    def test_map_equals_the_analyzed_linearization(self):
+        # low-range draws at odd and even grades, each linearized at every
+        # odd grade in {d, d+1, d+2}, plus each cell's zero polynomial; the
+        # draws cover finite eigenvalues, irreducible factors of degree
+        # above 1 and nonzero multiplicities at infinity at their own grade
+        checked = finite = irreducible = at_infinity = 0
+        for m, d, r in self.CELLS:
+            draws = [sample_bounded_rank(SampleSpec(m, d, r, coeff_range=1, seed=s)) for s in range(40)]
+            draws.append(SkewMatrixPolynomial.zeros(m, m, grade=d))
+            for draw in draws:
+                base = analyze(draw)
+                finite += bool(base.finite)
+                irreducible += any(f.degree > 1 for f, _ in base.finite)
+                at_infinity += any(base.infinite)
+                for g in [g for g in (d, d + 1, d + 2) if g % 2]:
+                    pencil = build_linearization(draw.with_grade(g)).pencil
+                    assert linearized_structure(base, g) == analyze(pencil, 1), (m, d, r, g)
+                    checked += 1
+        assert checked == 451
+        assert (finite, irreducible, at_infinity) == (59, 6, 20)
+
+    def test_grade_errors(self):
+        base = analyze(skew2(x**2 + 1, grade=2))
+        with pytest.raises(EvenGrade):
+            linearized_structure(base, 4)
+        with pytest.raises(GradeTooSmall):
+            linearized_structure(base, 1)
 
 
 class TestPaddedLinearization:
