@@ -85,9 +85,15 @@ def dim_hom(a: GeneralBlock, b: GeneralBlock) -> int:
     return min(i, j)
 
 
-def _shape(counts: dict) -> tuple:
-    """(total rows, total columns) of the list with these block multiplicities."""
-    return (sum(b.shape[0] * c for b, c in counts.items()), sum(b.shape[1] * c for b, c in counts.items()))
+def _shape_and_rank(counts: dict) -> tuple:
+    """(total rows, total columns, rank) of the list with these block multiplicities, in one pass."""
+    rows = cols = rank = 0
+    for block, count in counts.items():
+        block_rows, block_cols = block.shape
+        rows += block_rows * count
+        cols += block_cols * count
+        rank += block.rank * count
+    return rows, cols, rank
 
 
 def codim_general(counts: dict) -> int:
@@ -97,7 +103,7 @@ def codim_general(counts: dict) -> int:
     the 2mn-dimensional space of pencils (Demmel-Edelman, LAA 1995), and
     End(P) is the sum of Hom(a, b) over the ordered pairs of its blocks.
     """
-    rows, cols = _shape(counts)
+    rows, cols, _ = _shape_and_rank(counts)
     end = sum(ca * cb * dim_hom(a, b) for a, ca in counts.items() for b, cb in counts.items())
     return end - (rows - cols) ** 2
 

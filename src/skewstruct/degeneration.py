@@ -62,7 +62,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .blocks import BlockList, GeneralBlock, skew_to_general
-from .codimension import _shape, codim_general
+from .codimension import _shape_and_rank, codim_general
 from .errors import InvalidBlock, MissingBlocks, ParamDomain, ShapeMismatch, SideConditionViolated
 from .points import INFINITY, SymbolicPoint, format_eigenvalue
 
@@ -549,8 +549,11 @@ def _hom_candidate(field: int) -> tuple:
     return x, ("Hom(X, -)", "Hom(-, X)")[slot % 2]
 
 
-def _hom_witness(target_counts: dict, source_counts: dict):
+def _hom_witness(target_counts: dict, source_counts: dict, rows: int, cols: int):
     """The first HomWitness among L_k, L^T_k and E_k(inf) for k <= the pencil size, or None.
+
+    Both lists are rows x cols pencils, a shape the caller has already read
+    (`_shape_and_rank`).
 
     dim Hom(X, P) and dim Hom(P, X) are upper semicontinuous in P and
     constant on orbits, so a source in the target's orbit closure has both
@@ -569,7 +572,6 @@ def _hom_witness(target_counts: dict, source_counts: dict):
     is the lowest such field, the first candidate in order, decoded
     (`_hom_candidate`), and only its block is built.
     """
-    rows, cols = _shape(source_counts)
     _, width, high = _hom_layout(rows, cols)
     source = _hom_vector(source_counts, rows, cols)
     target = _hom_vector(target_counts, rows, cols)
@@ -596,16 +598,24 @@ def closure_reachable(
     rank, a `HomWitness` or, under the default step bound, an exhausted
     search (below). "no_within_bound" is inconclusive:
     nothing was found within an explicit step bound or `MAX_STATES`. A
-    negative step bound raises ParamDomain; zero searches no step. A
+    step bound that is negative or not an int (a bool included) raises
+    ParamDomain; zero searches no step. A
     skew-flavor target or source is searched as its `skew_to_general`
     unfolding, which is also the list a certificate replays from.
 
-    Rules 1-5 keep the rank and rule 6 raises it by one, so no state of
-    rank above the target's leads to the target, and a source above it is
-    answered "no" at once. Then the witness pass runs, and only a source
-    that it leaves open is searched. Every rule application strictly
-    lowers the orbit codimension, so no path is longer than
-    `codim_general(source) - codim_general(target)`, the default step
+    Each list's block counts are read once, for its rows, columns and rank
+    (`_shape_and_rank`), and the answers come in this order: ShapeMismatch
+    for unequal shapes, ParamDomain for the step bound, "no" for a source
+    of rank above the target's, "no" for a witness, "yes" (no step, one
+    state) for a source equal to the target modulo renaming, and then the
+    search. Equal `_key_from_counts` keys mean the same multiset of (kind,
+    index), hence equal ranks and equal Hom vectors, since no symbol's
+    value enters either. So the order cannot change an answer, and a
+    refuted source builds no key. Rules 1-5 keep the rank and rule 6 raises
+    it by one, so no state of rank above the target's leads to the target,
+    and only a source that the witness pass leaves open is searched. Every rule
+    application strictly lowers the orbit codimension, so no path is longer
+    than `codim_general(source) - codim_general(target)`, the default step
     bound. A search under that bound that ends below `MAX_STATES`, out of
     steps or out of frontier, has met every state on every path, since the
     pruned states cannot reach the target (`_breadth_first`), so it is a
@@ -616,18 +626,23 @@ def closure_reachable(
         target = skew_to_general(target)
     if source.flavor == "skew":
         source = skew_to_general(source)
-    if (target.total_rows, target.total_cols) != (source.total_rows, source.total_cols):
-        raise ShapeMismatch("target and source must have equal total sizes")
-    if max_steps is not None and max_steps < 0:
-        raise ParamDomain(f"the step bound {max_steps} is negative")
     target_counts, source_counts = target.counts(), source.counts()
-    if _key_from_counts(source_counts) == _key_from_counts(target_counts):
-        return ClosureResult(status="yes", certificate=(), states_explored=1)
-    if source.rank > target.rank:
+    target_rows, target_cols, target_rank = _shape_and_rank(target_counts)
+    rows, cols, source_rank = _shape_and_rank(source_counts)
+    if (rows, cols) != (target_rows, target_cols):
+        raise ShapeMismatch("target and source must have equal total sizes")
+    if max_steps is not None:
+        if type(max_steps) is not int:  # not isinstance: True is an int
+            raise ParamDomain(f"the step bound {max_steps!r} is not an integer")
+        if max_steps < 0:
+            raise ParamDomain(f"the step bound {max_steps} is negative")
+    if source_rank > target_rank:
         return ClosureResult(status="no", states_explored=1)
-    witness = _hom_witness(target_counts, source_counts)
+    witness = _hom_witness(target_counts, source_counts, rows, cols)
     if witness is not None:
         return ClosureResult(status="no", states_explored=1, witness=witness)
+    if _key_from_counts(source_counts) == _key_from_counts(target_counts):
+        return ClosureResult(status="yes", certificate=(), states_explored=1)
     if max_steps is not None:
         return _breadth_first(target_counts, source_counts, max_steps)
     gap = codim_general(source_counts) - codim_general(target_counts)
@@ -814,7 +829,8 @@ def _breadth_first(target_counts: dict, source_counts: dict, max_steps: int) -> 
     the layout's memo takes the layout out of the thread's slot when it
     ends, so the process does not hold it until the next search.
     """
-    rows, cols = _shape(source_counts)
+    rows, cols, source_rank = _shape_and_rank(source_counts)
+    target_rank = _shape_and_rank(target_counts)[2]
     states = _PackedStates.for_shape(rows, cols)
     try:
         source = states.pack(source_counts)
@@ -822,10 +838,8 @@ def _breadth_first(target_counts: dict, source_counts: dict, max_steps: int) -> 
         source_key = states.key(source)
         target_blocks = sorted(target_counts, key=GeneralBlock.sort_key)
         pool = tuple(dict.fromkeys(b.eigenvalue for b in target_blocks if isinstance(b.eigenvalue, Fraction)))
-        target_rank = sum(b.rank * c for b, c in target_counts.items())
         _, _, high = _hom_layout(rows, cols)
         target_hom = _hom_vector(target_counts, rows, cols)
-        source_rank = sum(b.rank * c for b, c in source_counts.items())
         visited = {source_key: (None, None)}
         frontier = [(source, source_key, _hom_vector(source_counts, rows, cols), source_rank)]
         explored = 1

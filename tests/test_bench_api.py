@@ -147,11 +147,13 @@ def test_closure_bfs_ops_are_pinned(bench_modules):
 def test_closure_bfs_ops_stay_on_packed_states(bench_modules, monkeypatch):
     # The search keys, applies and Hom-tests its successors on packed ints.
     # The dict-based reference functions run a fixed number of times per
-    # op, never once per successor: `_key_from_counts` for the source's and
-    # the target's keys in closure_reachable, `_hom_vector` for both lists
-    # in the witness pass and again in the search, `_apply_to_counts` not at
-    # all. The searched ops key up to 64 states each, so a per-successor
-    # call shows at once
+    # op, never once per successor: `_hom_vector` for both lists in the
+    # witness pass and again in the search, `_key_from_counts` for the
+    # source's and the target's keys in closure_reachable, `_apply_to_counts`
+    # not at all. The searched ops key up to 64 states each, so a
+    # per-successor call shows at once. closure_reachable compares the keys
+    # only after the rank and the witness pass, so the 18 ops that a witness
+    # refutes (and any that the rank would) build no key
     from skewstruct import degeneration
 
     workloads, _ = bench_modules
@@ -170,13 +172,17 @@ def test_closure_bfs_ops_stay_on_packed_states(bench_modules, monkeypatch):
     for name in bounds:
         monkeypatch.setattr(degeneration, name, counting(name))
     most = dict.fromkeys(bounds, 0)
-    explored = []
+    explored, refuted = [], 0
     for op in workloads.ClosureBfs(seed=1, workdir=None).population:
         calls.update(dict.fromkeys(bounds, 0))
-        explored.append(op.run().states_explored)
+        result = op.run()
+        explored.append(result.states_explored)
         most = {name: max(most[name], calls[name]) for name in bounds}
+        if result.witness is not None or op.source.rank > op.target.rank:
+            refuted += 1
+            assert calls["_key_from_counts"] == 0, op.label
     assert most == bounds
-    assert (len(explored), max(explored)) == (29, 64)
+    assert (len(explored), max(explored), refuted) == (29, 64, 18)
 
 
 def test_lin_generic_staircase_reduces_each_row_once(bench_modules, monkeypatch):

@@ -446,8 +446,10 @@ class TestClosureSearch:
         assert (res.status, res.states_explored, res.certificate) == ("no_within_bound", 5, None)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            closure_reachable(gl(L(1)), gl(L(0)))
+        # the shapes are compared before the step bound is checked
+        for steps in (None, -1, 1.5):
+            with pytest.raises(ShapeMismatch):
+                closure_reachable(gl(L(1)), gl(L(0)), max_steps=steps)
 
     def test_negative_step_bound(self):
         target = gl(E(1, SymbolicPoint("z")), E(1, SymbolicPoint("w")))
@@ -455,6 +457,29 @@ class TestClosureSearch:
         with pytest.raises(ParamDomain):
             closure_reachable(target, source, max_steps=-1)
         assert closure_reachable(target, source, max_steps=0).status == "no_within_bound"
+
+    @pytest.mark.parametrize("steps", [True, False, 1.5, 2.0, Fraction(2), "3"])
+    def test_step_bound_must_be_an_integer(self, steps):
+        # True == 1 ran a search of one step, and 1.5 or "3" raised a bare
+        # TypeError. The bound is checked before the rank can answer, so a
+        # source of higher rank raises too
+        searched = gl(E(1, SymbolicPoint("z")), E(1, SymbolicPoint("w"))), gl(L(0), L(0), LT(0), LT(0))
+        rank_refuted = gl(L(0), LT(0), E(1, SymbolicPoint("z"))), gl(E(1, 5), E(1, 7))
+        for target, source in (searched, rank_refuted):
+            with pytest.raises(ParamDomain):
+                closure_reachable(target, source, max_steps=steps)
+
+    def test_source_equal_up_to_renaming_is_yes(self):
+        # equal keys mean equal ranks and equal Hom vectors, so neither the
+        # rank nor the witness pass refutes the source, and it is "yes" at
+        # once, whatever the step bound
+        a, b = SymbolicPoint("a"), SymbolicPoint("b")
+        target = gl(L(1), LT(0), E(1, a), E(2, b), EINF(1))
+        source = gl(L(1), LT(0), E(2, a), E(1, b), EINF(1))
+        assert source != target
+        for steps in (None, 0):
+            res = closure_reachable(target, source, max_steps=steps)
+            assert (res.status, res.certificate, res.states_explored, res.witness) == ("yes", (), 1, None)
 
     def test_invalid_application_raises(self, monkeypatch, fresh_layout):
         # a generator that yields an application the state cannot take is a
@@ -544,7 +569,7 @@ class TestClosureSearch:
             assert res.states_explored > 1 or res.witness is not None
             assert built == [], (str(source), len(built))
         assert statuses == ["yes", "no", "no_within_bound", "yes", "no_within_bound"]
-        assert degeneration._hom_witness(cut[0].counts(), cut[1].counts()) is None
+        assert degeneration._hom_witness(cut[0].counts(), cut[1].counts(), 6, 6) is None
         assert len(closure_reachable(cut[0], cut[1]).certificate) == 4
 
     def test_trivial_identity(self):
@@ -729,7 +754,7 @@ class TestRankBound:
                 relation = (source.rank > target.rank) - (source.rank < target.rank)
                 relations[relation] += 1
                 if full.status == "yes":
-                    assert degeneration._hom_witness(target.counts(), source.counts()) is None, label
+                    assert degeneration._hom_witness(target.counts(), source.counts(), n, n) is None, label
                 if relation == 1:
                     assert (bounded.status, bounded.states_explored, bounded.witness) == ("no", 1, None), label
                     assert full.status == "no_within_bound", label
@@ -770,6 +795,48 @@ def random_list_of_shape(rng, rows, cols):
     return gl(*blocks, *(GeneralBlock.eigen(index, point) for index, point in eigen))
 
 
+class TestPrechecks:
+    def test_answers_match_the_oracles(self):
+        # closure_reachable answers by the rank, then a Hom witness, then
+        # equal keys, and only then searches. At a step bound of 0 the
+        # search takes no step and ends "no_within_bound", so every other
+        # answer is a precheck's: each "no" has a higher source rank or the
+        # witness of the per-candidate sums, and each pair with equal keys,
+        # (a, a) and a list against its copy with the symbol renamed, is
+        # "yes". The default bound gives the prechecks' answers the same
+        # way. Equal keys never meet a higher rank or a witness, so the
+        # order of the three cannot change an answer
+        rng = random.Random(52)
+        renamed = {SymbolicPoint("a"): SymbolicPoint("b")}
+        seen = collections.Counter()
+        for rows in range(7):
+            for cols in range(7):
+                draws = (random_list_of_shape(rng, rows, cols) for _ in range(8))
+                lists = list({canonical_key(draw): draw for draw in draws}.values())[:5]
+                lists.append(gl(*(E(b.index, renamed[b.eigenvalue]) if b.eigenvalue in renamed else b
+                                  for b in lists[0].blocks)))
+                for target, source in itertools.product(lists, repeat=2):
+                    label = str(target), str(source)
+                    higher = source.rank > target.rank
+                    witness = hom_witness_by_sums(target.counts(), source.counts(), max(rows, cols))
+                    equal = canonical_key(source) == canonical_key(target)
+                    assert not (equal and (higher or witness)), label
+                    if higher:
+                        kind, expected = "rank", ("no", None, 1, None)
+                    elif witness is not None:
+                        kind, expected = "witness", ("no", None, 1, witness)
+                    elif equal:
+                        kind, expected = "equal", ("yes", (), 1, None)
+                    else:
+                        kind, expected = "searched", ("no_within_bound", None, 1, None)
+                    seen[kind] += 1
+                    seen["equal, distinct lists"] += equal and source != target
+                    for steps in (0, None) if kind != "searched" else (0,):
+                        res = closure_reachable(target, source, max_steps=steps)
+                        assert (res.status, res.certificate, res.states_explored, res.witness) == expected, label
+        assert seen == {"rank": 294, "witness": 115, "equal": 318, "equal, distinct lists": 16, "searched": 399}
+
+
 class TestPackedHomKernel:
     def test_matches_the_sums_on_the_rank_bound_cells(self):
         # the packed pass returns the witness of the per-candidate sums, or
@@ -779,7 +846,7 @@ class TestPackedHomKernel:
             target = skew_to_general(generic_pencil_structure(n, w, r))
             for source in skew_sources(n):
                 for a, b in ((target, source), (source, target)):
-                    packed = degeneration._hom_witness(a.counts(), b.counts())
+                    packed = degeneration._hom_witness(a.counts(), b.counts(), n, n)
                     assert packed == hom_witness_by_sums(a.counts(), b.counts(), n), (n, w, r, str(b))
                     witnessed += packed is not None
         assert witnessed == 120
@@ -796,7 +863,7 @@ class TestPackedHomKernel:
             source = random_list_of_shape(rng, rows, cols)
             targets = [source, random_list_of_shape(rng, rows, cols), random_list_of_shape(rng, rows, cols)]
             for target in targets:
-                packed = degeneration._hom_witness(target.counts(), source.counts())
+                packed = degeneration._hom_witness(target.counts(), source.counts(), rows, cols)
                 expected = hom_witness_by_sums(target.counts(), source.counts(), max(rows, cols))
                 assert packed == expected, (str(target), str(source))
                 witnessed += packed is not None
@@ -831,7 +898,7 @@ class TestPackedHomKernel:
                         state = source
                         for app in res.certificate:
                             state = apply_rule(state, app)
-                            assert degeneration._hom_witness(target.counts(), state.counts()) is None
+                            assert degeneration._hom_witness(target.counts(), state.counts(), n, n) is None
                             assert hom_witness_by_sums(target.counts(), state.counts(), n) is None
                             states += 1
                         assert canonical_key(state) == canonical_key(target)
