@@ -22,15 +22,16 @@ Rules 1-5 keep the rank and rule 6 raises it by exactly one, so the search
 applies rule 6 only below the target's rank and never builds a state of
 higher rank: `states_explored` counts only states of rank at most the
 target's. The witness pass and the search share one kernel, packed Hom
-vectors (`_hom_layout`): one int per list, one field per candidate block
-and direction, and one subtraction that compares every field. A block's
-int is `dim_hom`'s table read along the candidates in closed form, a few
-masked ramps per block kind (`_block_hom`), so no candidate block is built
-and the pass builds only the witness it reports. The search
-keys and counts every successor but expands only those whose vector is at
-least the target's in every field; by transitivity the others lie on no
-path to the target, so the certificate is the one a search without the
-test finds.
+vectors in one layout per shape (`_hom_layout`): one int per list, one
+field per candidate block and direction, and one subtraction that
+compares every field. A call reads each list once, and the search starts
+from the prechecks' reads. A block's int is `dim_hom`'s table read along
+the candidates in closed form, a few masked ramps per block kind
+(`_block_hom`), so no candidate block is built and the pass builds only
+the witness it reports. The search keys and counts every successor but
+expands only those whose vector is at least the target's in every field;
+by transitivity the others lie on no path to the target, so the
+certificate is the one a search without the test finds.
 
 The search runs on packed states (`_PackedStates`): one int per state,
 with one count field per block. A rule application is built once per
@@ -442,42 +443,35 @@ class ClosureResult:
 
 @functools.lru_cache(maxsize=None)
 def _hom_layout(rows: int, cols: int) -> tuple:
-    """(field count, field width, HIGH) of the packed Hom vectors of rows x cols pencils.
+    """(width, HIGH, R, T): the one layout of the packed Hom vectors of rows x cols pencils.
 
     Field i of a packed vector holds one Hom dimension, at bit i * width,
     in the witness pass's order of candidates X and directions, "Hom(X, -)"
     then "Hom(-, X)": fields 0-3 are L_0 and L^T_0, and group k = 1..size,
     size = max(rows, cols), is the six fields from 6k - 2 on, L_k, L^T_k
-    and E_k(inf); slot s of group k is field 6k - 2 + s. dim Hom(X, P) and
-    dim Hom(P, X) are at most rows(X) rows(P) + cols(X) cols(P), and no
-    candidate has more than size + 1 rows or columns, so every field stays
-    below the bound's next power of two and its top bit, the bit HIGH sets,
-    is clear.
+    and E_k(inf); slot s of group k is field 6k - 2 + s, and there are
+    6 size + 4 fields. dim Hom(X, P) and dim Hom(P, X) are at most
+    rows(X) rows(P) + cols(X) cols(P), and no candidate has more than
+    size + 1 rows or columns, so every field stays below the bound's next
+    power of two and its top bit, the bit HIGH sets, is clear.
+
+    R and T, the ramps every block's int is cut from (`_block_hom`), hold
+    1 and k in slot 0 of each group k = 1..size and 0 elsewhere. With
+    x = 2**(6 * width), one group's step, they are geometric series
+    shifted to field 4, built whole like HIGH, a repunit: R = (x^n - 1) /
+    (x - 1) and T = sum of k x^(k-1) = (n x^(n+1) - (n+1) x^n + 1) /
+    (x - 1)^2, n = size, both divisions exact. A field at a time would be
+    quadratic in the length.
     """
     size = max(rows, cols)
     count = 6 * size + 4
     width = ((size + 1) * (rows + cols)).bit_length() + 1
-    high = ((1 << count * width) - 1) // ((1 << width) - 1) << (width - 1)  # a repunit, built whole
-    return count, width, high
-
-
-@functools.lru_cache(maxsize=None)
-def _hom_ramps(rows: int, cols: int) -> tuple:
-    """(R, T): R holds 1 and T holds k in slot 0 of each group k = 1..size, and every other field is 0.
-
-    With x = 2**(6 * width), one group's step, both are geometric series
-    shifted to field 4, each built whole: R = (x^n - 1) / (x - 1) and
-    T = sum of k x^(k-1) = (n x^(n+1) - (n+1) x^n + 1) / (x - 1)^2, where
-    n = size and both divisions are exact. A field at a time would be
-    quadratic in the length.
-    """
-    size = max(rows, cols)
-    _, width, _ = _hom_layout(rows, cols)
+    high = ((1 << count * width) - 1) // ((1 << width) - 1) << (width - 1)
     x = 1 << 6 * width
     power = 1 << 6 * width * size  # x**size, without the squarings
     ramp = (power - 1) // (x - 1) << 4 * width
     steps = (size * power * x - (size + 1) * power + 1) // (x - 1) ** 2 << 4 * width
-    return ramp, steps
+    return width, high, ramp, steps
 
 
 def _hom_pieces(kind: str, t: int) -> tuple:
@@ -504,18 +498,18 @@ def _hom_pieces(kind: str, t: int) -> tuple:
 def _block_hom(kind: str, index: int, rows: int, cols: int) -> int:
     """The packed Hom dimensions of one block of this kind and index against the candidates.
 
-    Each piece of `_hom_pieces` is a T + b R (`_hom_ramps`) cut to groups
-    lo..hi by a mask and shifted to its slot; a piece that starts at k = 0
-    (only slots 0-3 do) adds its k = 0 field, b, directly. The mask comes
+    Each piece of `_hom_pieces` is a T + b R cut to groups lo..hi by a
+    mask and shifted to its slot, with the width, R and T of the shape's
+    layout read in one lookup (`_hom_layout`); a piece that starts at
+    k = 0 (only slots 0-3 do) adds its k = 0 field, b, directly. The mask comes
     before the combination: a T + b R is negative in the fields where
     a k + b is, such as T - (t - 1) R below k = t, and a negative field
     borrows from the next. Cut first, every field of the sum is the
     dimension `dim_hom` gives, and none borrows. The cache holds one int
-    per kind, index and pencil shape searched; the value of a finite
+    per kind, index and pencil shape met; the value of a finite
     eigenvalue never enters.
     """
-    _, width, _ = _hom_layout(rows, cols)
-    ramp, steps = _hom_ramps(rows, cols)
+    width, _, ramp, steps = _hom_layout(rows, cols)
     size = max(rows, cols)
     packed = 0
     for slot, a, b, lo, hi in _hom_pieces(kind, index):
@@ -549,11 +543,11 @@ def _hom_candidate(field: int) -> tuple:
     return x, ("Hom(X, -)", "Hom(-, X)")[slot % 2]
 
 
-def _hom_witness(target_counts: dict, source_counts: dict, rows: int, cols: int):
+def _hom_witness(target_hom: int, source_hom: int, rows: int, cols: int):
     """The first HomWitness among L_k, L^T_k and E_k(inf) for k <= the pencil size, or None.
 
-    Both lists are rows x cols pencils, a shape the caller has already read
-    (`_shape_and_rank`).
+    Both lists are rows x cols pencils, given by the packed Hom vectors
+    that `closure_reachable` reads once per list and hands to the search.
 
     dim Hom(X, P) and dim Hom(P, X) are upper semicontinuous in P and
     constant on orbits, so a source in the target's orbit closure has both
@@ -572,18 +566,16 @@ def _hom_witness(target_counts: dict, source_counts: dict, rows: int, cols: int)
     is the lowest such field, the first candidate in order, decoded
     (`_hom_candidate`), and only its block is built.
     """
-    _, width, high = _hom_layout(rows, cols)
-    source = _hom_vector(source_counts, rows, cols)
-    target = _hom_vector(target_counts, rows, cols)
+    width, high, _, _ = _hom_layout(rows, cols)
     # positive operands only: `&` on a negative int (`~x`, `-x`) first builds
     # its two's complement, one more int of the full length
-    failed = high ^ (((source | high) - target) & high)
+    failed = high ^ (((source_hom | high) - target_hom) & high)
     if not failed:
         return None
     i = (failed ^ (failed - 1)).bit_length() // width - 1  # failed ^ (failed - 1): its bits up to the lowest set one
     x, direction = _hom_candidate(i)
     mask = (1 << width) - 1
-    return HomWitness(x, direction, (source >> i * width) & mask, (target >> i * width) & mask)
+    return HomWitness(x, direction, (source_hom >> i * width) & mask, (target_hom >> i * width) & mask)
 
 
 def closure_reachable(
@@ -596,37 +588,36 @@ def closure_reachable(
     "yes" comes with a rule sequence found by breadth-first search, and
     symbolic eigenvalues match modulo renaming. "no" is certified: by the
     rank, a `HomWitness` or, under the default step bound, an exhausted
-    search (below). "no_within_bound" is inconclusive:
-    nothing was found within an explicit step bound or `MAX_STATES`. A
-    step bound that is negative or not an int (a bool included) raises
-    ParamDomain; zero searches no step. A
-    skew-flavor target or source is searched as its `skew_to_general`
-    unfolding, which is also the list a certificate replays from.
+    search (below). "no_within_bound" is inconclusive: nothing was found
+    within an explicit step bound or `MAX_STATES`. A step bound that is
+    negative or not an int (a bool included) raises ParamDomain; zero
+    searches no step. A skew-flavor target or source is searched as its
+    `skew_to_general` unfolding, which is also the list a certificate
+    replays from.
 
-    Each list's block counts are read once, for its rows, columns and rank
-    (`_shape_and_rank`), and the answers come in this order: ShapeMismatch
-    for unequal shapes, ParamDomain for the step bound, "no" for a source
-    of rank above the target's, "no" for a witness, "yes" (no step, one
-    state) for a source equal to the target modulo renaming, and then the
-    search. Equal `_key_from_counts` keys mean the same multiset of (kind,
-    index), hence equal ranks and equal Hom vectors, since no symbol's
-    value enters either. So the order cannot change an answer, and a
-    refuted source builds no key. Rules 1-5 keep the rank and rule 6 raises
-    it by one, so no state of rank above the target's leads to the target,
-    and only a source that the witness pass leaves open is searched. Every rule
-    application strictly lowers the orbit codimension, so no path is longer
-    than `codim_general(source) - codim_general(target)`, the default step
+    Each list is read once: its rows, columns and rank in one pass
+    (`_shape_and_rank`), then its packed Hom vector (`_hom_vector`), and
+    the search starts from these reads. The answers come in this order:
+    ShapeMismatch for unequal shapes, ParamDomain for the step bound, "no"
+    for a source of rank above the target's, "no" for a witness, "yes" (no
+    step, one state) for a source equal to the target modulo renaming, and
+    then the search. Equal `_key_from_counts` keys mean the same multiset
+    of (kind, index), hence equal ranks and equal Hom vectors, since no
+    symbol's value enters either. So the order cannot change an answer,
+    and a refuted source builds no key. Rules 1-5 keep the rank and rule 6
+    raises it by one, so no state of rank above the target's leads to the
+    target, and only a source that the witness pass leaves open is
+    searched. Every rule application strictly lowers the orbit
+    codimension, so no path is longer than
+    `codim_general(source) - codim_general(target)`, the default step
     bound. A search under that bound that ends below `MAX_STATES`, out of
     steps or out of frontier, has met every state on every path, since the
     pruned states cannot reach the target (`_breadth_first`), so it is a
     "no". At a gap of 0 or less that search takes no step and ends after
     one state. Only `MAX_STATES` leaves it inconclusive.
     """
-    if target.flavor == "skew":
-        target = skew_to_general(target)
-    if source.flavor == "skew":
-        source = skew_to_general(source)
-    target_counts, source_counts = target.counts(), source.counts()
+    target_counts = (skew_to_general(target) if target.flavor == "skew" else target).counts()
+    source_counts = (skew_to_general(source) if source.flavor == "skew" else source).counts()
     target_rows, target_cols, target_rank = _shape_and_rank(target_counts)
     rows, cols, source_rank = _shape_and_rank(source_counts)
     if (rows, cols) != (target_rows, target_cols):
@@ -638,16 +629,15 @@ def closure_reachable(
             raise ParamDomain(f"the step bound {max_steps} is negative")
     if source_rank > target_rank:
         return ClosureResult(status="no", states_explored=1)
-    witness = _hom_witness(target_counts, source_counts, rows, cols)
+    homs = _hom_vector(target_counts, rows, cols), _hom_vector(source_counts, rows, cols)
+    witness = _hom_witness(*homs, rows, cols)
     if witness is not None:
         return ClosureResult(status="no", states_explored=1, witness=witness)
     if _key_from_counts(source_counts) == _key_from_counts(target_counts):
         return ClosureResult(status="yes", certificate=(), states_explored=1)
-    if max_steps is not None:
-        return _breadth_first(target_counts, source_counts, max_steps)
-    gap = codim_general(source_counts) - codim_general(target_counts)
-    result = _breadth_first(target_counts, source_counts, gap)
-    if result.status == "no_within_bound" and result.states_explored < MAX_STATES:
+    bound = codim_general(source_counts) - codim_general(target_counts) if max_steps is None else max_steps
+    result = _breadth_first(target_counts, source_counts, rows, cols, (target_rank, source_rank), homs, bound)
+    if max_steps is None and result.status == "no_within_bound" and result.states_explored < MAX_STATES:
         # no path is longer than the gap and no pruned state leads to the
         # target, so a search that ended below MAX_STATES has seen them all
         return replace(result, status="no")
@@ -801,10 +791,14 @@ class _PackedStates:
         return successors
 
 
-def _breadth_first(target_counts: dict, source_counts: dict, max_steps: int) -> ClosureResult:
+def _breadth_first(
+    target_counts: dict, source_counts: dict, rows: int, cols: int, ranks: tuple, homs: tuple, max_steps: int
+) -> ClosureResult:
     """Breadth-first search for a rule sequence from the source's counts to the target's.
 
-    The search generates rule 6 only from states below the target's rank,
+    The shape and the (target, source) ranks and packed Hom vectors are
+    what `closure_reachable` read, so one call reads each list once. The
+    search generates rule 6 only from states below the target's rank,
     and it expands only states whose packed Hom vector (`_hom_witness`) has
     every field at least the target's. A successor that fails this test is
     keyed and counted but never expanded. Every rule moves toward more
@@ -829,8 +823,7 @@ def _breadth_first(target_counts: dict, source_counts: dict, max_steps: int) -> 
     the layout's memo takes the layout out of the thread's slot when it
     ends, so the process does not hold it until the next search.
     """
-    rows, cols, source_rank = _shape_and_rank(source_counts)
-    target_rank = _shape_and_rank(target_counts)[2]
+    (target_rank, source_rank), (target_hom, source_hom) = ranks, homs
     states = _PackedStates.for_shape(rows, cols)
     try:
         source = states.pack(source_counts)
@@ -838,10 +831,9 @@ def _breadth_first(target_counts: dict, source_counts: dict, max_steps: int) -> 
         source_key = states.key(source)
         target_blocks = sorted(target_counts, key=GeneralBlock.sort_key)
         pool = tuple(dict.fromkeys(b.eigenvalue for b in target_blocks if isinstance(b.eigenvalue, Fraction)))
-        _, _, high = _hom_layout(rows, cols)
-        target_hom = _hom_vector(target_counts, rows, cols)
+        _, high, _, _ = _hom_layout(rows, cols)
         visited = {source_key: (None, None)}
-        frontier = [(source, source_key, _hom_vector(source_counts, rows, cols), source_rank)]
+        frontier = [(source, source_key, source_hom, source_rank)]
         explored = 1
         for _ in range(max_steps):
             next_frontier = []
@@ -855,16 +847,10 @@ def _breadth_first(target_counts: dict, source_counts: dict, max_steps: int) -> 
                     explored += 1
                     if key == target_key:
                         cert = []
-                        k = key
-                        while visited[k][1] is not None:
-                            parent, used = visited[k]
+                        while visited[key][1] is not None:
+                            key, used = visited[key]
                             cert.append(used)
-                            k = parent
-                        return ClosureResult(
-                            status="yes",
-                            certificate=tuple(reversed(cert)),
-                            states_explored=explored,
-                        )
+                        return ClosureResult(status="yes", certificate=tuple(reversed(cert)), states_explored=explored)
                     nxt_hom = hom + hom_delta
                     if ((nxt_hom | high) - target_hom) & high == high:
                         next_frontier.append((nxt, key, nxt_hom, rank + rank_delta))

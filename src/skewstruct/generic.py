@@ -27,6 +27,13 @@ from .errors import InternalInconsistency, ParamDomain
 from .linearize import linearized_structure
 
 
+def require_ints(**values) -> None:
+    """ParamDomain for the first value that is not exactly an int (not isinstance: True is an int)."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ParamDomain(f"{name}={value!r} must be an integer")
+
+
 @dataclass(frozen=True)
 class PencilGenericParams:
     """Validated (n, w, r) with the derived block size alpha and count split s."""
@@ -39,6 +46,7 @@ class PencilGenericParams:
 
     @classmethod
     def validate(cls, n: int, w: int, r: int) -> "PencilGenericParams":
+        require_ints(n=n, w=w, r=r)
         if n < 2:
             raise ParamDomain(f"pencil size n={n} must be at least 2")
         if not 2 <= 2 * w <= n - 1:
@@ -61,6 +69,7 @@ class PolyGenericParams:
 
     @classmethod
     def validate(cls, m: int, d: int, r: int) -> "PolyGenericParams":
+        require_ints(m=m, d=d, r=r)
         if m < 2:
             raise ParamDomain(f"size m={m} must be at least 2")
         if d < 1:

@@ -41,7 +41,7 @@ from .exact import (
     nullspace_exact,
     rank_exact,
 )
-from .generic import PolyGenericParams, generic_poly_structure
+from .generic import PolyGenericParams, generic_poly_structure, require_ints
 
 DEFAULT_COEFF_RANGE = 9
 
@@ -58,6 +58,7 @@ class SampleSpec:
 
     def __post_init__(self):
         PolyGenericParams.validate(self.m, self.d, self.r)
+        require_ints(coeff_range=self.coeff_range)
         if self.coeff_range < 1:
             raise ParamDomain("coefficient range must be at least 1")
 
@@ -164,6 +165,7 @@ def perturb_rank_increase(Q: SkewMatrixPolynomial, r: int, k: int) -> Perturbati
     """
     skew = as_skew(Q)
     m = skew.rows
+    require_ints(r=r, k=k)
     if not 2 * r <= m - 1:
         raise ParamDomain(f"target rank 2r={2 * r} must stay below m={m}")
     if k < 1:
@@ -259,6 +261,7 @@ def monte_carlo_genericity(spec: SampleSpec, trials: int) -> ExperimentReport:
     the structure the draw was analyzed to. In exact arithmetic a mismatch means the draw hit a proper algebraic
     subset, so the match rate should be overwhelming.
     """
+    require_ints(trials=trials)
     if trials < 1:
         raise ParamDomain(f"trials must be at least 1, got {trials}")
     expected = generic_poly_structure(spec.m, spec.d, spec.r)

@@ -26,3 +26,24 @@ def fresh_layout(monkeypatch):
         return slot
 
     return reset
+
+
+@pytest.fixture
+def prechecks():
+    """What `closure_reachable` reads of two lists' counts before it searches, for the seams that take it.
+
+    Returns a function of (target counts, source counts) that gives
+    (rows, cols, (target rank, source rank), (target Hom vector, source Hom
+    vector)), each list read once as `closure_reachable` reads it: the
+    arguments `degeneration._breadth_first` takes between the counts and the
+    step bound. `degeneration._hom_witness` takes the two vectors, then
+    rows and cols.
+    """
+
+    def read(target_counts, source_counts):
+        rows, cols, target_rank = degeneration._shape_and_rank(target_counts)
+        source_rank = degeneration._shape_and_rank(source_counts)[2]
+        homs = degeneration._hom_vector(target_counts, rows, cols), degeneration._hom_vector(source_counts, rows, cols)
+        return rows, cols, (target_rank, source_rank), homs
+
+    return read

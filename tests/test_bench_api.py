@@ -116,13 +116,14 @@ def pinned(res):
     return res.status, res.states_explored, digest
 
 
-def test_closure_bfs_searches_are_pinned(bench_modules):
+def test_closure_bfs_searches_are_pinned(bench_modules, prechecks):
     from skewstruct import degeneration
 
     workloads, _ = bench_modules
     got = {}
     for op in workloads.ClosureBfs(seed=1, workdir=None).population:
-        res = degeneration._breadth_first(op.target.counts(), op.source.counts(), op.steps)
+        target, source = op.target.counts(), op.source.counts()
+        res = degeneration._breadth_first(target, source, *prechecks(target, source), op.steps)
         got[op.steps, op.label] = pinned(res)
     assert got == CLOSURE_BFS_GOLDEN
 
@@ -147,18 +148,20 @@ def test_closure_bfs_ops_are_pinned(bench_modules):
 def test_closure_bfs_ops_stay_on_packed_states(bench_modules, monkeypatch):
     # The search keys, applies and Hom-tests its successors on packed ints.
     # The dict-based reference functions run a fixed number of times per
-    # op, never once per successor: `_hom_vector` for both lists in the
-    # witness pass and again in the search, `_key_from_counts` for the
-    # source's and the target's keys in closure_reachable, `_apply_to_counts`
-    # not at all. The searched ops key up to 64 states each, so a
-    # per-successor call shows at once. closure_reachable compares the keys
-    # only after the rank and the witness pass, so the 18 ops that a witness
-    # refutes (and any that the rank would) build no key
+    # op, never once per successor: `_shape_and_rank` and `_hom_vector`
+    # once per list in closure_reachable, whose reads the search starts
+    # from, `_key_from_counts` for the source's and the target's keys in
+    # closure_reachable, `_apply_to_counts` not at all. The searched ops key
+    # up to 64 states each, so a per-successor call shows at once.
+    # closure_reachable compares the keys only after the rank and the
+    # witness pass, so the 18 ops that a witness refutes (and any that the
+    # rank would) build no key. Under the default step bound a searched op
+    # reads the lists the same way and searches once
     from skewstruct import degeneration
 
     workloads, _ = bench_modules
-    bounds = {"_key_from_counts": 2, "_apply_to_counts": 0, "_hom_vector": 4}
-    calls = dict.fromkeys(bounds, 0)
+    bounds = {"_shape_and_rank": 2, "_key_from_counts": 2, "_apply_to_counts": 0, "_hom_vector": 2}
+    calls = dict.fromkeys([*bounds, "_breadth_first"], 0)
 
     def counting(name):
         real = getattr(degeneration, name)
@@ -169,18 +172,23 @@ def test_closure_bfs_ops_stay_on_packed_states(bench_modules, monkeypatch):
 
         return wrapper
 
-    for name in bounds:
+    for name in calls:
         monkeypatch.setattr(degeneration, name, counting(name))
     most = dict.fromkeys(bounds, 0)
-    explored, refuted = [], 0
+    explored, refuted, searched = [], 0, []
     for op in workloads.ClosureBfs(seed=1, workdir=None).population:
-        calls.update(dict.fromkeys(bounds, 0))
+        calls.update(dict.fromkeys(calls, 0))
         result = op.run()
         explored.append(result.states_explored)
         most = {name: max(most[name], calls[name]) for name in bounds}
         if result.witness is not None or op.source.rank > op.target.rank:
             refuted += 1
-            assert calls["_key_from_counts"] == 0, op.label
+            assert calls["_key_from_counts"] == calls["_breadth_first"] == 0, op.label
+        else:
+            searched.append(op)
+    calls.update(dict.fromkeys(calls, 0))
+    degeneration.closure_reachable(searched[0].target, searched[0].source)
+    assert (calls["_hom_vector"], calls["_breadth_first"]) == (2, 1)
     assert most == bounds
     assert (len(explored), max(explored), refuted) == (29, 64, 18)
 

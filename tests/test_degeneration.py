@@ -346,7 +346,7 @@ class TestClosureSearch:
         res = closure_reachable(gl(LT(0), LT(2)), gl(LT(1), LT(1)))
         assert res.witness == degeneration.HomWitness(LT(0), "Hom(-, X)", 0, 1)
 
-    def test_witnesses_hold_for_every_valuation(self):
+    def test_witnesses_hold_for_every_valuation(self, prechecks):
         # a witness reads no eigenvalue, so it refutes the source with its
         # symbols set to any rationals, equal or not, and the search from
         # that source finds nothing either
@@ -365,7 +365,8 @@ class TestClosureSearch:
                                   for b in source.blocks])
                     assert closure_reachable(target, valued).witness == res.witness, str(valued)
                     steps = codim_general(valued.counts()) - codim_general(target.counts())
-                    bfs = degeneration._breadth_first(target.counts(), valued.counts(), steps)
+                    read = prechecks(target.counts(), valued.counts())
+                    bfs = degeneration._breadth_first(target.counts(), valued.counts(), *read, steps)
                     assert bfs.status == "no_within_bound", str(valued)
         assert checked == 14
 
@@ -532,7 +533,7 @@ class TestClosureSearch:
         assert final.flavor == "general"
         assert canonical_key(final) == canonical_key(skew_to_general(target))
 
-    def test_builds_no_blocklist(self, monkeypatch):
+    def test_builds_no_blocklist(self, monkeypatch, prechecks):
         # the search runs on block counts from entry to return: rules are
         # enumerated and applied, and successors keyed and tested, without
         # any list. A Hom witness refutes the exhaustive case before any
@@ -547,7 +548,8 @@ class TestClosureSearch:
             (closure_reachable, skew_to_general(generic_pencil_structure(5, 2, 1)),
              skew_to_general(BlockList.skew([SkewBlock.m(0), SkewBlock.h(1, 3), SkewBlock.k(1)])), 10),
             (closure_reachable, *exhaustive),
-            (lambda t, s, steps: degeneration._breadth_first(t.counts(), s.counts(), steps), *cut),
+            (lambda t, s, steps: degeneration._breadth_first(
+                t.counts(), s.counts(), *prechecks(t.counts(), s.counts()), steps), *cut),
             (closure_reachable, skew_to_general(generic_pencil_structure(6, 2, 1)),
              skew_to_general(BlockList.skew([SkewBlock.m(0)] * 6)), 8),
             (closure_reachable, gl(E(1, SymbolicPoint("z")), E(1, SymbolicPoint("w"))),
@@ -569,7 +571,7 @@ class TestClosureSearch:
             assert res.states_explored > 1 or res.witness is not None
             assert built == [], (str(source), len(built))
         assert statuses == ["yes", "no", "no_within_bound", "yes", "no_within_bound"]
-        assert degeneration._hom_witness(cut[0].counts(), cut[1].counts(), 6, 6) is None
+        assert degeneration._hom_witness(*prechecks(cut[0].counts(), cut[1].counts())[3], 6, 6) is None
         assert len(closure_reachable(cut[0], cut[1]).certificate) == 4
 
     def test_trivial_identity(self):
@@ -734,7 +736,7 @@ class TestRankBound:
     CELLS = [(3, 1, 0), (3, 1, 1), (4, 1, 0), (4, 1, 1), (5, 1, 0), (5, 1, 1),
              (5, 2, 0), (5, 2, 1), (5, 2, 2), (6, 2, 0)]
 
-    def test_matches_the_unbounded_search(self):
+    def test_matches_the_unbounded_search(self, prechecks):
         # every skew source against the generic structure of each cell, of
         # every rank, both searches with closure_reachable's default step
         # bound: below the target's (rule 6 still runs, the zero pencil
@@ -754,7 +756,8 @@ class TestRankBound:
                 relation = (source.rank > target.rank) - (source.rank < target.rank)
                 relations[relation] += 1
                 if full.status == "yes":
-                    assert degeneration._hom_witness(target.counts(), source.counts(), n, n) is None, label
+                    homs = prechecks(target.counts(), source.counts())[3]
+                    assert degeneration._hom_witness(*homs, n, n) is None, label
                 if relation == 1:
                     assert (bounded.status, bounded.states_explored, bounded.witness) == ("no", 1, None), label
                     assert full.status == "no_within_bound", label
@@ -838,7 +841,7 @@ class TestPrechecks:
 
 
 class TestPackedHomKernel:
-    def test_matches_the_sums_on_the_rank_bound_cells(self):
+    def test_matches_the_sums_on_the_rank_bound_cells(self, prechecks):
         # the packed pass returns the witness of the per-candidate sums, or
         # None with them, on every cell pair of TestRankBound, both ways
         witnessed = 0
@@ -846,12 +849,12 @@ class TestPackedHomKernel:
             target = skew_to_general(generic_pencil_structure(n, w, r))
             for source in skew_sources(n):
                 for a, b in ((target, source), (source, target)):
-                    packed = degeneration._hom_witness(a.counts(), b.counts(), n, n)
+                    packed = degeneration._hom_witness(*prechecks(a.counts(), b.counts())[3], n, n)
                     assert packed == hom_witness_by_sums(a.counts(), b.counts(), n), (n, w, r, str(b))
                     witnessed += packed is not None
         assert witnessed == 120
 
-    def test_matches_the_sums_on_random_lists(self):
+    def test_matches_the_sums_on_random_lists(self, prechecks):
         # lists up to size 24 against themselves (no witness), and against
         # other lists of their size (most differences negative somewhere).
         # Some lists fill a field's upper half, so a field one bit narrower
@@ -863,18 +866,18 @@ class TestPackedHomKernel:
             source = random_list_of_shape(rng, rows, cols)
             targets = [source, random_list_of_shape(rng, rows, cols), random_list_of_shape(rng, rows, cols)]
             for target in targets:
-                packed = degeneration._hom_witness(target.counts(), source.counts(), rows, cols)
+                packed = degeneration._hom_witness(*prechecks(target.counts(), source.counts())[3], rows, cols)
                 expected = hom_witness_by_sums(target.counts(), source.counts(), max(rows, cols))
                 assert packed == expected, (str(target), str(source))
                 witnessed += packed is not None
-            _, width, _ = degeneration._hom_layout(rows, cols)
+            width, _, _, _ = degeneration._hom_layout(rows, cols)
             vector = degeneration._hom_vector(source.counts(), rows, cols)
             mask = (1 << width) - 1
             fields = [(vector >> shift) & mask for shift in range(0, vector.bit_length(), width)]
             upper_half += max(fields) >= 1 << (width - 2)
         assert (witnessed, upper_half) == (172, 43)
 
-    def test_certificate_states_pass_against_their_target(self):
+    def test_certificate_states_pass_against_their_target(self, prechecks):
         # the theorem the search's pruning rests on: every state on a path
         # to the target lies in its orbit closure, so it has every Hom
         # dimension at least the target's. Each certificate of the n <= 7
@@ -898,7 +901,8 @@ class TestPackedHomKernel:
                         state = source
                         for app in res.certificate:
                             state = apply_rule(state, app)
-                            assert degeneration._hom_witness(target.counts(), state.counts(), n, n) is None
+                            homs = prechecks(target.counts(), state.counts())[3]
+                            assert degeneration._hom_witness(*homs, n, n) is None
                             assert hom_witness_by_sums(target.counts(), state.counts(), n) is None
                             states += 1
                         assert canonical_key(state) == canonical_key(target)
@@ -932,7 +936,8 @@ class TestPackedHomKernel:
         cases = 0
         for rows in range(22):
             for cols in range(1, 22):
-                count, width, high = degeneration._hom_layout(rows, cols)
+                width, high, _, _ = degeneration._hom_layout(rows, cols)
+                count = high.bit_length() // width
                 assert count == len(hom_candidates(rows, cols))
                 assert high == sum(1 << (i * width + width - 1) for i in range(count))
                 for kind, least in (("L", 0), ("L_T", 0), ("E_finite", 1), ("E_infinite", 1)):
@@ -945,7 +950,8 @@ class TestPackedHomKernel:
     def test_each_field_decodes_to_its_candidate(self):
         for size in range(30):
             candidates = hom_candidates(size, size)
-            assert degeneration._hom_layout(size, size)[0] == len(candidates)
+            width, high, _, _ = degeneration._hom_layout(size, size)
+            assert high.bit_length() // width == len(candidates)
             for i, candidate in enumerate(candidates):
                 assert degeneration._hom_candidate(i) == candidate, (size, i)
 
@@ -1084,7 +1090,7 @@ class TestPackedStates:
         assert result.status == "yes" and len(result.certificate) == 2
         assert sum(isinstance(key, tuple) for key in keys) > 0
 
-    def test_missing_block_raises_as_the_dict_path(self, monkeypatch, fresh_layout):
+    def test_missing_block_raises_as_the_dict_path(self, monkeypatch, fresh_layout, prechecks):
         # the HIGH-bit test finds a missing block, and a block held once
         # that rule 5 consumes twice; the search, given only that
         # application on an empty layout, raises what the dict path raises
@@ -1099,7 +1105,7 @@ class TestPackedStates:
             fresh_layout()
             monkeypatch.setattr(degeneration, "_applications", lambda *args, fields=fields: iter([fields]))
             with pytest.raises(MissingBlocks) as search_error:
-                degeneration._breadth_first(counts, counts, 1)
+                degeneration._breadth_first(counts, counts, *prechecks(counts, counts), 1)
             with pytest.raises(MissingBlocks) as dict_error:
                 degeneration._apply_to_counts(dict(counts), app)
             assert str(search_error.value) == str(dict_error.value)

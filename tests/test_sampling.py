@@ -24,7 +24,7 @@ from skewstruct.exact import (
     rank_exact,
 )
 from skewstruct.floating import DEFAULT_TOL, analyze_float
-from skewstruct.generic import generic_poly_structure
+from skewstruct.generic import generic_pencil_structure, generic_poly_structure
 from skewstruct.sampling import (
     DEFAULT_COEFF_RANGE,
     SampleSpec,
@@ -314,6 +314,31 @@ class TestMonteCarlo:
         report = monte_carlo_genericity(SampleSpec(m=3, d=2, r=1, seed=1), trials=3)
         data = report.to_json_dict()
         assert set(data) == {"trials", "matches", "mismatch_seeds", "mismatches", "expected", "elapsed"}
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "3"], ids=repr)
+def test_integer_parameters_take_exactly_ints(bad):
+    # True == 1 and 2.0 == 2, but neither is a size, grade, rank, range or
+    # count: every integer parameter refuses a value that is not exactly an
+    # int with ParamDomain, before it reaches a structure's JSON, a block
+    # or randrange
+    zero = SkewMatrixPolynomial.zeros(3, 3, grade=1)
+    calls = [
+        (generic_poly_structure, (bad, 2, 1)),
+        (generic_poly_structure, (3, bad, 1)),
+        (generic_poly_structure, (3, 2, bad)),
+        (generic_pencil_structure, (bad, 2, 1)),
+        (generic_pencil_structure, (5, bad, 1)),
+        (generic_pencil_structure, (5, 2, bad)),
+        (SampleSpec, (3, bad, 1)),
+        (SampleSpec, (3, 2, 1, bad)),
+        (monte_carlo_genericity, (SampleSpec(3, 2, 1), bad)),
+        (perturb_rank_increase, (zero, bad, 1)),
+        (perturb_rank_increase, (zero, 1, bad)),
+    ]
+    for call, args in calls:
+        with pytest.raises(ParamDomain, match="must be an integer"):
+            call(*args)
 
 
 def _sweep_pencils(seed, sizes, count):
