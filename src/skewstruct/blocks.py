@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .eigenstructure import CompleteEigenstructure
@@ -208,10 +208,20 @@ def _interned(cls, kind, index, eigenvalue):
 
 @dataclass(frozen=True)
 class BlockList:
-    """Canonically sorted multiset of canonical blocks of one flavor."""
+    """Canonically sorted multiset of canonical blocks of one flavor.
+
+    The blocks are read once, when the list is built: the pass over the
+    sorted blocks also counts them and sums their rows, columns and ranks.
+    The totals and the counts are not compared, hashed or shown, so two
+    lists are equal exactly when their flavors and sorted blocks are.
+    """
 
     flavor: str
     blocks: tuple
+    total_rows: int = field(init=False, compare=False, repr=False)
+    total_cols: int = field(init=False, compare=False, repr=False)
+    rank: int = field(init=False, compare=False, repr=False)
+    _counts: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.flavor not in ("general", "skew"):
@@ -220,9 +230,18 @@ class BlockList:
         for b in self.blocks:
             if not isinstance(b, wanted):
                 raise FlavorMismatch(f"{self.flavor} list holds {type(b).__name__}")
-        object.__setattr__(
-            self, "blocks", tuple(sorted(self.blocks, key=lambda b: b.sort_key()))
-        )
+        blocks = tuple(sorted(self.blocks, key=lambda b: b.sort_key()))
+        counts: dict = {}
+        rows = cols = rank = 0
+        for b in blocks:
+            counts[b] = counts.get(b, 0) + 1
+            block_rows, block_cols = b.shape
+            rows += block_rows
+            cols += block_cols
+            rank += b.rank
+        read = {"blocks": blocks, "total_rows": rows, "total_cols": cols, "rank": rank, "_counts": counts}
+        for name, value in read.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def general(cls, blocks) -> "BlockList":
@@ -232,23 +251,9 @@ class BlockList:
     def skew(cls, blocks) -> "BlockList":
         return cls("skew", tuple(blocks))
 
-    @property
-    def total_rows(self) -> int:
-        return sum(b.shape[0] for b in self.blocks)
-
-    @property
-    def total_cols(self) -> int:
-        return sum(b.shape[1] for b in self.blocks)
-
-    @property
-    def rank(self) -> int:
-        return sum(b.rank for b in self.blocks)
-
     def counts(self) -> dict:
-        out: dict = {}
-        for b in self.blocks:
-            out[b] = out.get(b, 0) + 1
-        return out
+        """block -> multiplicity, blocks in list order: a copy, which the caller may change."""
+        return self._counts.copy()
 
     def __str__(self):
         if not self.blocks:

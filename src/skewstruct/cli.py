@@ -16,11 +16,7 @@ import dataclasses
 import sys
 
 from .blocks import BlockList
-from .codimension import (
-    codim_poly_generic,
-    pencil_codim_reports,
-    poly_codim_reports,
-)
+from .codimension import pencil_codim_reports, poly_codim_reports
 from .degeneration import closure_reachable
 from .eigenstructure import analyze
 from .errors import SkewstructError
@@ -79,14 +75,12 @@ def cmd_generic(args) -> int:
     _check_variant(args)
     if args.pencil:
         structure = generic_pencil_structure(args.n, args.w, args.r)
-        if args.json:
-            print(dump_json(structure.to_json_dict()), end="")
-        else:
-            print(_format_skew_blocks(structure))
-        return EXIT_OK
-    structure = generic_poly_structure(args.m, args.d, args.r)
+    else:
+        structure = generic_poly_structure(args.m, args.d, args.r)
     if args.json:
         print(dump_json(structure.to_json_dict()), end="")
+    elif args.pencil:
+        print(_format_skew_blocks(structure))
     else:
         print(f"size: {args.m}x{args.m}, grade: {args.d}, rank: {structure.rank}")
         print(f"left minimal indices: {_descending(structure.left_minimal)}")
@@ -174,7 +168,7 @@ def cmd_codim(args) -> int:
     if args.json:
         print(dump_json({"reports": [dataclasses.asdict(rep) for rep in reports]}), end="")
     else:
-        print(codim_poly_generic(args.m, args.d, args.r).value)
+        print(reports[0].value)
     return EXIT_OK
 
 

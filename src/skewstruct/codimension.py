@@ -18,7 +18,7 @@ polynomial-space codimensions.
 A general pencil's strict-equivalence orbit codimension is dim End(P) -
 (rows - cols)^2, and End(P) splits over pairs of blocks: `dim_hom` is the
 table of Hom dimensions between two canonical blocks, and `codim_general`
-sums it over a block count.
+sums it over a general list's block counts.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def codim_blocksum(blocklist: BlockList) -> int:
     """
     if blocklist.flavor != "skew":
         raise FlavorMismatch("codim_blocksum needs a skew block list")
-    return (codim_general(skew_to_general(blocklist).counts()) + blocklist.rank - 2 * blocklist.total_rows) // 2
+    return (codim_general(skew_to_general(blocklist)) + blocklist.rank - 2 * blocklist.total_rows) // 2
 
 
 def dim_hom(a: GeneralBlock, b: GeneralBlock) -> int:
@@ -85,27 +85,20 @@ def dim_hom(a: GeneralBlock, b: GeneralBlock) -> int:
     return min(i, j)
 
 
-def _shape_and_rank(counts: dict) -> tuple:
-    """(total rows, total columns, rank) of the list with these block multiplicities, in one pass."""
-    rows = cols = rank = 0
-    for block, count in counts.items():
-        block_rows, block_cols = block.shape
-        rows += block_rows * count
-        cols += block_cols * count
-        rank += block.rank * count
-    return rows, cols, rank
-
-
-def codim_general(counts: dict) -> int:
-    """Strict-equivalence orbit codimension of the general pencil with these block multiplicities.
+def codim_general(blocklist: BlockList) -> int:
+    """Strict-equivalence orbit codimension of the pencil of a general block list.
 
     The orbit of an m x n pencil P has codimension dim End(P) - (m - n)^2 in
     the 2mn-dimensional space of pencils (Demmel-Edelman, LAA 1995), and
-    End(P) is the sum of Hom(a, b) over the ordered pairs of its blocks.
+    End(P) is the sum of Hom(a, b) over the ordered pairs of its blocks. The
+    list's block counts and shape are those its one pass read when it was
+    built (`BlockList.counts`, `total_rows`, `total_cols`).
     """
-    rows, cols, _ = _shape_and_rank(counts)
+    if blocklist.flavor != "general":
+        raise FlavorMismatch("codim_general needs a general block list")
+    counts = blocklist.counts()
     end = sum(ca * cb * dim_hom(a, b) for a, ca in counts.items() for b, cb in counts.items())
-    return end - (rows - cols) ** 2
+    return end - (blocklist.total_rows - blocklist.total_cols) ** 2
 
 
 def codim_pencil_closed(n: int, w: int, r: int) -> int:

@@ -24,8 +24,9 @@ higher rank: `states_explored` counts only states of rank at most the
 target's. The witness pass and the search share one kernel, packed Hom
 vectors in one layout per shape (`_hom_layout`): one int per list, one
 field per candidate block and direction, and one subtraction that
-compares every field. A call reads each list once, and the search starts
-from the prechecks' reads. A block's int is `dim_hom`'s table read along
+compares every field. A list's counts, shape and rank are read once, when
+the list is built (`BlockList`), and a call adds one Hom vector per list,
+which the search starts from. A block's int is `dim_hom`'s table read along
 the candidates in closed form, a few masked ramps per block kind
 (`_block_hom`), so no candidate block is built and the pass builds only
 the witness it reports. The search keys and counts every successor but
@@ -49,9 +50,10 @@ entry is a pure function of its key, so every search keys, expands and
 prunes the same states in the same order as on a fresh layout, with the
 same certificate and `states_explored`.
 `enumerate_applications`, `apply_rule` and `canonical_key` are the
-BlockList boundary: each reads `BlockList.counts` once and works on the
-dict (`_apply_to_counts`, `_key_from_counts`), which stay the reference
-that the packed path is tested against.
+BlockList boundary: each takes a copy of the counts the list read when it
+was built (`BlockList.counts`) and works on the dict (`_apply_to_counts`,
+`_key_from_counts`), which stay the reference that the packed path is
+tested against.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .blocks import BlockList, GeneralBlock, skew_to_general
-from .codimension import _shape_and_rank, codim_general
+from .codimension import codim_general
 from .errors import InvalidBlock, MissingBlocks, ParamDomain, ShapeMismatch, SideConditionViolated
 from .points import INFINITY, SymbolicPoint, format_eigenvalue
 
@@ -595,16 +597,17 @@ def closure_reachable(
     `skew_to_general` unfolding, which is also the list a certificate
     replays from.
 
-    Each list is read once: its rows, columns and rank in one pass
-    (`_shape_and_rank`), then its packed Hom vector (`_hom_vector`), and
-    the search starts from these reads. The answers come in this order:
-    ShapeMismatch for unequal shapes, ParamDomain for the step bound, "no"
-    for a source of rank above the target's, "no" for a witness, "yes" (no
-    step, one state) for a source equal to the target modulo renaming, and
-    then the search. Equal `_key_from_counts` keys mean the same multiset
-    of (kind, index), hence equal ranks and equal Hom vectors, since no
-    symbol's value enters either. So the order cannot change an answer,
-    and a refuted source builds no key. Rules 1-5 keep the rank and rule 6
+    A skew list is unfolded, and each general list's shape, rank and
+    counts are those its one pass read when it was built; the call adds
+    one packed Hom vector per list (`_hom_vector`), which the search starts
+    from. The answers come in this order: ShapeMismatch for unequal
+    shapes, ParamDomain for the step bound, "no" for a source of rank
+    above the target's, "no" for a witness, "yes" (no step, one state) for
+    a source equal to the target modulo renaming, and then the search.
+    Equal `_key_from_counts` keys mean the same multiset of (kind, index),
+    hence equal ranks and equal Hom vectors, since no symbol's value
+    enters either. So the order cannot change an answer, and a refuted
+    source builds no key. Rules 1-5 keep the rank and rule 6
     raises it by one, so no state of rank above the target's leads to the
     target, and only a source that the witness pass leaves open is
     searched. Every rule application strictly lowers the orbit
@@ -616,27 +619,27 @@ def closure_reachable(
     "no". At a gap of 0 or less that search takes no step and ends after
     one state. Only `MAX_STATES` leaves it inconclusive.
     """
-    target_counts = (skew_to_general(target) if target.flavor == "skew" else target).counts()
-    source_counts = (skew_to_general(source) if source.flavor == "skew" else source).counts()
-    target_rows, target_cols, target_rank = _shape_and_rank(target_counts)
-    rows, cols, source_rank = _shape_and_rank(source_counts)
-    if (rows, cols) != (target_rows, target_cols):
+    target = skew_to_general(target) if target.flavor == "skew" else target
+    source = skew_to_general(source) if source.flavor == "skew" else source
+    rows, cols = source.total_rows, source.total_cols
+    if (rows, cols) != (target.total_rows, target.total_cols):
         raise ShapeMismatch("target and source must have equal total sizes")
     if max_steps is not None:
         if type(max_steps) is not int:  # not isinstance: True is an int
             raise ParamDomain(f"the step bound {max_steps!r} is not an integer")
         if max_steps < 0:
             raise ParamDomain(f"the step bound {max_steps} is negative")
-    if source_rank > target_rank:
+    if source.rank > target.rank:
         return ClosureResult(status="no", states_explored=1)
+    target_counts, source_counts = target.counts(), source.counts()
     homs = _hom_vector(target_counts, rows, cols), _hom_vector(source_counts, rows, cols)
     witness = _hom_witness(*homs, rows, cols)
     if witness is not None:
         return ClosureResult(status="no", states_explored=1, witness=witness)
     if _key_from_counts(source_counts) == _key_from_counts(target_counts):
         return ClosureResult(status="yes", certificate=(), states_explored=1)
-    bound = codim_general(source_counts) - codim_general(target_counts) if max_steps is None else max_steps
-    result = _breadth_first(target_counts, source_counts, rows, cols, (target_rank, source_rank), homs, bound)
+    bound = codim_general(source) - codim_general(target) if max_steps is None else max_steps
+    result = _breadth_first(target, source, homs, bound)
     if max_steps is None and result.status == "no_within_bound" and result.states_explored < MAX_STATES:
         # no path is longer than the gap and no pruned state leads to the
         # target, so a search that ended below MAX_STATES has seen them all
@@ -791,19 +794,17 @@ class _PackedStates:
         return successors
 
 
-def _breadth_first(
-    target_counts: dict, source_counts: dict, rows: int, cols: int, ranks: tuple, homs: tuple, max_steps: int
-) -> ClosureResult:
-    """Breadth-first search for a rule sequence from the source's counts to the target's.
+def _breadth_first(target: BlockList, source: BlockList, homs: tuple, max_steps: int) -> ClosureResult:
+    """Breadth-first search for a rule sequence from one general list to another of its shape.
 
-    The shape and the (target, source) ranks and packed Hom vectors are
-    what `closure_reachable` read, so one call reads each list once. The
-    search generates rule 6 only from states below the target's rank,
-    and it expands only states whose packed Hom vector (`_hom_witness`) has
-    every field at least the target's. A successor that fails this test is
-    keyed and counted but never expanded. Every rule moves toward more
-    generic structures, so a state lies in the orbit closure of every state
-    reached from it. If one of those were in the target's orbit closure,
+    The shape, ranks and counts are those each list read when it was built,
+    and the (target, source) packed Hom vectors those `closure_reachable`
+    built, so one call reads each list once. The search generates rule 6
+    only from states below the target's rank, and it expands only states
+    whose packed Hom vector (`_hom_witness`) has every field at least the
+    target's. A successor that fails this test is keyed and counted but
+    never expanded. Every rule moves toward more generic structures, so a
+    state lies in the orbit closure of every state reached from it. If one of those were in the target's orbit closure,
     the failing state would be too, and would pass. So every state on a
     path to the target passes, and so does the parent that first finds it:
     the search finds each such state from the same parent, in the same
@@ -823,17 +824,17 @@ def _breadth_first(
     the layout's memo takes the layout out of the thread's slot when it
     ends, so the process does not hold it until the next search.
     """
-    (target_rank, source_rank), (target_hom, source_hom) = ranks, homs
-    states = _PackedStates.for_shape(rows, cols)
+    target_hom, source_hom = homs
+    target_rank = target.rank
+    states = _PackedStates.for_shape(source.total_rows, source.total_cols)
     try:
-        source = states.pack(source_counts)
-        target_key = states.key(states.pack(target_counts))
-        source_key = states.key(source)
-        target_blocks = sorted(target_counts, key=GeneralBlock.sort_key)
-        pool = tuple(dict.fromkeys(b.eigenvalue for b in target_blocks if isinstance(b.eigenvalue, Fraction)))
-        _, high, _, _ = _hom_layout(rows, cols)
+        start = states.pack(source.counts())
+        target_key = states.key(states.pack(target.counts()))
+        source_key = states.key(start)
+        pool = tuple(dict.fromkeys(b.eigenvalue for b in target.blocks if isinstance(b.eigenvalue, Fraction)))
+        _, high, _, _ = _hom_layout(states.rows, states.cols)
         visited = {source_key: (None, None)}
-        frontier = [(source, source_key, source_hom, source_rank)]
+        frontier = [(start, source_key, source_hom, source.rank)]
         explored = 1
         for _ in range(max_steps):
             next_frontier = []

@@ -58,7 +58,7 @@ class SampleSpec:
 
     def __post_init__(self):
         PolyGenericParams.validate(self.m, self.d, self.r)
-        require_ints(coeff_range=self.coeff_range)
+        require_ints(coeff_range=self.coeff_range, seed=self.seed)
         if self.coeff_range < 1:
             raise ParamDomain("coefficient range must be at least 1")
 

@@ -30,20 +30,17 @@ def fresh_layout(monkeypatch):
 
 @pytest.fixture
 def prechecks():
-    """What `closure_reachable` reads of two lists' counts before it searches, for the seams that take it.
+    """The two packed Hom vectors `closure_reachable` builds before it searches, for the seams that take them.
 
-    Returns a function of (target counts, source counts) that gives
-    (rows, cols, (target rank, source rank), (target Hom vector, source Hom
-    vector)), each list read once as `closure_reachable` reads it: the
-    arguments `degeneration._breadth_first` takes between the counts and the
-    step bound. `degeneration._hom_witness` takes the two vectors, then
-    rows and cols.
+    Returns a function of two general lists of one shape, (target, source),
+    that gives (target Hom vector, source Hom vector), each built from the
+    counts, rows and columns the list read when it was built. That pair is
+    the `homs` argument of `degeneration._breadth_first`, and
+    `degeneration._hom_witness` takes the two vectors, then rows and cols.
     """
 
-    def read(target_counts, source_counts):
-        rows, cols, target_rank = degeneration._shape_and_rank(target_counts)
-        source_rank = degeneration._shape_and_rank(source_counts)[2]
-        homs = degeneration._hom_vector(target_counts, rows, cols), degeneration._hom_vector(source_counts, rows, cols)
-        return rows, cols, (target_rank, source_rank), homs
+    def read(target, source):
+        rows, cols = target.total_rows, target.total_cols
+        return degeneration._hom_vector(target.counts(), rows, cols), degeneration._hom_vector(source.counts(), rows, cols)
 
     return read

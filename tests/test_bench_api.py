@@ -122,8 +122,7 @@ def test_closure_bfs_searches_are_pinned(bench_modules, prechecks):
     workloads, _ = bench_modules
     got = {}
     for op in workloads.ClosureBfs(seed=1, workdir=None).population:
-        target, source = op.target.counts(), op.source.counts()
-        res = degeneration._breadth_first(target, source, *prechecks(target, source), op.steps)
+        res = degeneration._breadth_first(op.target, op.source, prechecks(op.target, op.source), op.steps)
         got[op.steps, op.label] = pinned(res)
     assert got == CLOSURE_BFS_GOLDEN
 
@@ -148,20 +147,30 @@ def test_closure_bfs_ops_are_pinned(bench_modules):
 def test_closure_bfs_ops_stay_on_packed_states(bench_modules, monkeypatch):
     # The search keys, applies and Hom-tests its successors on packed ints.
     # The dict-based reference functions run a fixed number of times per
-    # op, never once per successor: `_shape_and_rank` and `_hom_vector`
-    # once per list in closure_reachable, whose reads the search starts
-    # from, `_key_from_counts` for the source's and the target's keys in
+    # op, never once per successor: `_hom_vector` once per list in
+    # closure_reachable, whose vectors the search starts from,
+    # `_key_from_counts` for the source's and the target's keys in
     # closure_reachable, `_apply_to_counts` not at all. The searched ops key
     # up to 64 states each, so a per-successor call shows at once.
     # closure_reachable compares the keys only after the rank and the
     # witness pass, so the 18 ops that a witness refutes (and any that the
     # rank would) build no key. Under the default step bound a searched op
-    # reads the lists the same way and searches once
-    from skewstruct import degeneration
+    # reads the lists the same way and searches once. The ops' lists are
+    # general, and each read its counts, shape and rank when it was built,
+    # so no op builds a BlockList
+    from skewstruct import blocks, degeneration
 
     workloads, _ = bench_modules
-    bounds = {"_shape_and_rank": 2, "_key_from_counts": 2, "_apply_to_counts": 0, "_hom_vector": 2}
+    bounds = {"_key_from_counts": 2, "_apply_to_counts": 0, "_hom_vector": 2}
     calls = dict.fromkeys([*bounds, "_breadth_first"], 0)
+    built = []
+    real_post_init = blocks.BlockList.__post_init__
+
+    def building(self):
+        built.append(self)
+        real_post_init(self)
+
+    monkeypatch.setattr(blocks.BlockList, "__post_init__", building)
 
     def counting(name):
         real = getattr(degeneration, name)
@@ -176,7 +185,9 @@ def test_closure_bfs_ops_stay_on_packed_states(bench_modules, monkeypatch):
         monkeypatch.setattr(degeneration, name, counting(name))
     most = dict.fromkeys(bounds, 0)
     explored, refuted, searched = [], 0, []
-    for op in workloads.ClosureBfs(seed=1, workdir=None).population:
+    population = workloads.ClosureBfs(seed=1, workdir=None).population
+    built.clear()
+    for op in population:
         calls.update(dict.fromkeys(calls, 0))
         result = op.run()
         explored.append(result.states_explored)
@@ -189,6 +200,7 @@ def test_closure_bfs_ops_stay_on_packed_states(bench_modules, monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     degeneration.closure_reachable(searched[0].target, searched[0].source)
     assert (calls["_hom_vector"], calls["_breadth_first"]) == (2, 1)
+    assert built == []
     assert most == bounds
     assert (len(explored), max(explored), refuted) == (29, 64, 18)
 

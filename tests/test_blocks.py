@@ -126,6 +126,65 @@ class TestBlockBasics:
             assemble_general(BlockList.skew([SkewBlock.m(1)]))
 
 
+def random_blocks(rng, flavor, count):
+    """`count` random blocks of one flavor, repeats likely, at rationals and one symbol."""
+    out = []
+    for _ in range(count):
+        k = rng.randint(1, 3)
+        point = rng.choice([Fraction(0), Fraction(1, 2), Fraction(-3), SymbolicPoint("a")])
+        if flavor == "general":
+            choices = [GeneralBlock.right(k - 1), GeneralBlock.left(k - 1), GeneralBlock.infinite(k),
+                       GeneralBlock.finite(k, point)]
+        else:
+            choices = [SkewBlock.m(k - 1), SkewBlock.k(k), SkewBlock.h(k, point)]
+        out.append(rng.choice(choices))
+    return out
+
+
+class TestOnePassReader:
+    """A list counts its blocks and sums their shapes and ranks once, when it is built."""
+
+    def test_totals_and_counts_are_the_per_block_sums(self):
+        rng = random.Random(54)
+        for _ in range(300):
+            flavor = rng.choice(["general", "skew"])
+            blocks = random_blocks(rng, flavor, rng.randint(0, 8))
+            bl = BlockList(flavor, tuple(blocks))
+            assert bl.total_rows == sum(b.shape[0] for b in blocks), str(bl)
+            assert bl.total_cols == sum(b.shape[1] for b in blocks), str(bl)
+            assert bl.rank == sum(b.rank for b in blocks), str(bl)
+            expected = {}
+            for b in bl.blocks:
+                expected[b] = expected.get(b, 0) + 1
+            counts = bl.counts()
+            assert counts == {b: blocks.count(b) for b in blocks}, str(bl)
+            assert list(counts.items()) == list(expected.items()), str(bl)
+
+    def test_counts_is_a_copy(self):
+        rng = random.Random(5454)
+        for flavor in ("general", "skew"):
+            for _ in range(50):
+                blocks = random_blocks(rng, flavor, rng.randint(1, 6))
+                bl = BlockList(flavor, tuple(blocks))
+                first, stray = bl.blocks[0], random_blocks(rng, flavor, 1)[0]
+                before = bl.counts(), hash(bl), repr(bl)
+                counts = bl.counts()
+                counts[first] += 2
+                counts[stray] = counts.get(stray, 0) + 1
+                del counts[bl.blocks[-1]]
+                assert (bl.counts(), hash(bl), repr(bl)) == before, str(bl)
+                assert bl == BlockList(flavor, tuple(blocks))
+                assert bl.counts() is not bl.counts()
+
+    def test_totals_are_not_compared_or_shown(self):
+        bl = BlockList.skew([SkewBlock.m(1), SkewBlock.k(2), SkewBlock.m(1)])
+        assert repr(bl) == f"BlockList(flavor='skew', blocks={bl.blocks!r})"
+        assert hash(bl) == hash(("skew", bl.blocks))
+        again = pickle.loads(pickle.dumps(bl))
+        assert again == bl and hash(again) == hash(bl)
+        assert (again.total_rows, again.total_cols, again.rank, again.counts()) == (10, 10, 8, bl.counts())
+
+
 class TestBlockValues:
     """Blocks are interned values: built once per argument tuple, hashed once, pickled by value."""
 

@@ -255,6 +255,15 @@ class TestGenericCommand:
         assert data["left_minimal"] == [4]
         assert data["rank"] == 4
 
+    @pytest.mark.parametrize("command", ["generic", "codim"])
+    def test_each_variant_needs_its_sizes(self, capsys, command):
+        assert main([command, "--r", "2"]) == 1
+        assert capsys.readouterr() == ("", "error: needs --m and --d (or --pencil with --n/--w)\n")
+        assert main([command, "--pencil", "--r", "1"]) == 1
+        assert capsys.readouterr() == ("", "error: --pencil needs --n and --w\n")
+        assert main([command, "--pencil", "--n", "5", "--r", "1"]) == 1
+        assert capsys.readouterr() == ("", "error: --pencil needs --n and --w\n")
+
 
 class TestAnalyzeCommand:
     def test_exact(self, poly_file, capsys):
@@ -751,11 +760,29 @@ class TestLinearizeCommand:
         assert capsys.readouterr() == ("", "error: --pad applies to even grades, and the file has grade 3\n")
         assert main(["linearize", str(path)]) == 0
 
+    def test_out_writes_the_stdout_bytes(self, poly_file, tmp_path, capsys):
+        assert main(["linearize", poly_file, "--pad"]) == 0
+        printed = capsys.readouterr()
+        out = tmp_path / "lin.json"
+        assert main(["linearize", poly_file, "--pad", "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert printed.err == "" and out.read_text() == printed.out
+
 
 class TestCodimCommand:
     def test_poly(self, capsys):
         assert main(["codim", "--m", "7", "--d", "2", "--r", "2"]) == 0
-        assert capsys.readouterr().out.strip() == "17"
+        assert capsys.readouterr() == ("17\n", "")
+
+    def test_poly_json(self, capsys):
+        assert main(["codim", "--m", "7", "--d", "2", "--r", "2", "--json"]) == 0
+        report = '    {\n      "method": "closed_form",\n      "space": "%s",\n      "value": %d\n    }'
+        reports = [report % ("POL(7,2)", 17), report % ("GSYL(7,3)", 38)]
+        assert capsys.readouterr() == ('{\n  "reports": [\n' + ",\n".join(reports) + "\n  ]\n}\n", "")
+
+    def test_via_tangent_needs_the_pencil_variant(self, capsys):
+        assert main(["codim", "--m", "7", "--d", "2", "--r", "2", "--via-tangent"]) == 1
+        assert capsys.readouterr() == ("", "error: --via-tangent applies to the --pencil variant\n")
 
     def test_pencil_with_tangent(self, capsys):
         code = main(

@@ -62,6 +62,9 @@ class TestBlocksum:
     def test_needs_a_skew_list(self):
         with pytest.raises(FlavorMismatch):
             codim_blocksum(BlockList.general([]))
+        # and codim_general a general one: a skew list's blocks are not in the Hom table
+        with pytest.raises(FlavorMismatch, match="codim_general needs a general block list"):
+            codim_general(BlockList.skew([SkewBlock.m(1)]))
 
     def test_symbol_renaming_invariance(self):
         a, b = SymbolicPoint("a"), SymbolicPoint("b")
@@ -150,7 +153,7 @@ class TestCodimGeneral:
                 else:
                     blocks.append(GeneralBlock.eigen(rng.randint(1, 3), rng.choice(points)))
             structure = BlockList.general(blocks)
-            assert codim_general(structure.counts()) == codim_general_by_tangent(structure), str(structure)
+            assert codim_general(structure) == codim_general_by_tangent(structure), str(structure)
             checked += structure.total_rows != structure.total_cols
         assert checked > 20
 

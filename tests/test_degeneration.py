@@ -364,9 +364,8 @@ class TestClosureSearch:
                     valued = gl(*[E(b.index, value[b.eigenvalue]) if b.eigenvalue in value else b
                                   for b in source.blocks])
                     assert closure_reachable(target, valued).witness == res.witness, str(valued)
-                    steps = codim_general(valued.counts()) - codim_general(target.counts())
-                    read = prechecks(target.counts(), valued.counts())
-                    bfs = degeneration._breadth_first(target.counts(), valued.counts(), *read, steps)
+                    steps = codim_general(valued) - codim_general(target)
+                    bfs = degeneration._breadth_first(target, valued, prechecks(target, valued), steps)
                     assert bfs.status == "no_within_bound", str(valued)
         assert checked == 14
 
@@ -374,7 +373,7 @@ class TestClosureSearch:
         # every rule lowers the orbit codimension, so the gap bounds every
         # path; the old default, the pencil size, cut this search short
         source, target = gl(*[L(0)] * 3, *[LT(0)] * 3), gl(L(1), LT(1))
-        assert codim_general(source.counts()) - codim_general(target.counts()) == 14
+        assert codim_general(source) - codim_general(target) == 14
         assert closure_reachable(target, source, max_steps=3).status == "no_within_bound"
         res = closure_reachable(target, source)
         assert (res.status, res.states_explored) == ("yes", 17)
@@ -385,7 +384,7 @@ class TestClosureSearch:
         # path joins them: under the default step bound that is a "no"
         a, b = SymbolicPoint("a"), SymbolicPoint("b")
         target, source = gl(E(1, a), E(1, b)), gl(E(2, a))
-        assert codim_general(source.counts()) == codim_general(target.counts()) == 2
+        assert codim_general(source) == codim_general(target) == 2
         res = closure_reachable(target, source)
         assert (res.status, res.states_explored, res.witness) == ("no", 1, None)
         assert closure_reachable(target, source, max_steps=0).status == "no_within_bound"
@@ -409,7 +408,7 @@ class TestClosureSearch:
         for n in (3, 4, 5):
             for target, source in itertools.permutations(skew_sources(n), 2):
                 pairs += 1
-                if codim_general(source.counts()) > codim_general(target.counts()):
+                if codim_general(source) > codim_general(target):
                     continue
                 res = closure_reachable(target, source)
                 assert (res.status, res.states_explored) == ("no", 1), (str(target), str(source))
@@ -431,7 +430,7 @@ class TestClosureSearch:
                 statuses[res.status] += 1
                 if res.status == "no" and res.witness is None and res.states_explored > 1:
                     exhausted += 1
-                    gap = codim_general(source.counts()) - codim_general(target.counts())
+                    gap = codim_general(source) - codim_general(target)
                     assert res.states_explored < degeneration.MAX_STATES
                     assert closure_reachable(target, source, max_steps=gap).status == "no_within_bound"
                     full = closure_reachable_unpruned(target, source, max_steps=gap + 4)
@@ -548,8 +547,7 @@ class TestClosureSearch:
             (closure_reachable, skew_to_general(generic_pencil_structure(5, 2, 1)),
              skew_to_general(BlockList.skew([SkewBlock.m(0), SkewBlock.h(1, 3), SkewBlock.k(1)])), 10),
             (closure_reachable, *exhaustive),
-            (lambda t, s, steps: degeneration._breadth_first(
-                t.counts(), s.counts(), *prechecks(t.counts(), s.counts()), steps), *cut),
+            (lambda t, s, steps: degeneration._breadth_first(t, s, prechecks(t, s), steps), *cut),
             (closure_reachable, skew_to_general(generic_pencil_structure(6, 2, 1)),
              skew_to_general(BlockList.skew([SkewBlock.m(0)] * 6)), 8),
             (closure_reachable, gl(E(1, SymbolicPoint("z")), E(1, SymbolicPoint("w"))),
@@ -571,7 +569,7 @@ class TestClosureSearch:
             assert res.states_explored > 1 or res.witness is not None
             assert built == [], (str(source), len(built))
         assert statuses == ["yes", "no", "no_within_bound", "yes", "no_within_bound"]
-        assert degeneration._hom_witness(*prechecks(cut[0].counts(), cut[1].counts())[3], 6, 6) is None
+        assert degeneration._hom_witness(*prechecks(*cut[:2]), 6, 6) is None
         assert len(closure_reachable(cut[0], cut[1]).certificate) == 4
 
     def test_trivial_identity(self):
@@ -749,15 +747,14 @@ class TestRankBound:
         for n, w, r in self.CELLS:
             target = skew_to_general(generic_pencil_structure(n, w, r))
             for source in skew_sources(n):
-                steps = max(codim_general(source.counts()) - codim_general(target.counts()), 0)
+                steps = max(codim_general(source) - codim_general(target), 0)
                 bounded = closure_reachable(target, source, max_steps=steps)
                 full = closure_reachable_unpruned(target, source, max_steps=steps)
                 label = (n, w, r, str(source))
                 relation = (source.rank > target.rank) - (source.rank < target.rank)
                 relations[relation] += 1
                 if full.status == "yes":
-                    homs = prechecks(target.counts(), source.counts())[3]
-                    assert degeneration._hom_witness(*homs, n, n) is None, label
+                    assert degeneration._hom_witness(*prechecks(target, source), n, n) is None, label
                 if relation == 1:
                     assert (bounded.status, bounded.states_explored, bounded.witness) == ("no", 1, None), label
                     assert full.status == "no_within_bound", label
@@ -849,7 +846,7 @@ class TestPackedHomKernel:
             target = skew_to_general(generic_pencil_structure(n, w, r))
             for source in skew_sources(n):
                 for a, b in ((target, source), (source, target)):
-                    packed = degeneration._hom_witness(*prechecks(a.counts(), b.counts())[3], n, n)
+                    packed = degeneration._hom_witness(*prechecks(a, b), n, n)
                     assert packed == hom_witness_by_sums(a.counts(), b.counts(), n), (n, w, r, str(b))
                     witnessed += packed is not None
         assert witnessed == 120
@@ -866,7 +863,7 @@ class TestPackedHomKernel:
             source = random_list_of_shape(rng, rows, cols)
             targets = [source, random_list_of_shape(rng, rows, cols), random_list_of_shape(rng, rows, cols)]
             for target in targets:
-                packed = degeneration._hom_witness(*prechecks(target.counts(), source.counts())[3], rows, cols)
+                packed = degeneration._hom_witness(*prechecks(target, source), rows, cols)
                 expected = hom_witness_by_sums(target.counts(), source.counts(), max(rows, cols))
                 assert packed == expected, (str(target), str(source))
                 witnessed += packed is not None
@@ -901,8 +898,7 @@ class TestPackedHomKernel:
                         state = source
                         for app in res.certificate:
                             state = apply_rule(state, app)
-                            homs = prechecks(target.counts(), state.counts())[3]
-                            assert degeneration._hom_witness(*homs, n, n) is None
+                            assert degeneration._hom_witness(*prechecks(target, state), n, n) is None
                             assert hom_witness_by_sums(target.counts(), state.counts(), n) is None
                             states += 1
                         assert canonical_key(state) == canonical_key(target)
@@ -1077,7 +1073,7 @@ class TestPackedStates:
         source = gl(*[L(0)] * 6, *[LT(0)] * 6)
         target = skew_to_general(generic_pencil_structure(6, w, r))
         result, _, largest, width = self.check_search(monkeypatch, fresh_layout, target, source)
-        steps = codim_general(source.counts()) - codim_general(target.counts())
+        steps = codim_general(source) - codim_general(target)
         full = closure_reachable_unpruned(target, source, max_steps=steps)
         assert (result.status, certificate_json(result)) == (full.status, certificate_json(full))
         assert result.status == "yes" and (largest, width) == (6, 5)
@@ -1104,8 +1100,9 @@ class TestPackedStates:
             assert ((packed | high) - need) & high != high
             fresh_layout()
             monkeypatch.setattr(degeneration, "_applications", lambda *args, fields=fields: iter([fields]))
+            bl = gl(*[block for block, count in counts.items() for _ in range(count)])
             with pytest.raises(MissingBlocks) as search_error:
-                degeneration._breadth_first(counts, counts, *prechecks(counts, counts), 1)
+                degeneration._breadth_first(bl, bl, prechecks(bl, bl), 1)
             with pytest.raises(MissingBlocks) as dict_error:
                 degeneration._apply_to_counts(dict(counts), app)
             assert str(search_error.value) == str(dict_error.value)

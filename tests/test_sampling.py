@@ -332,6 +332,7 @@ def test_integer_parameters_take_exactly_ints(bad):
         (generic_pencil_structure, (5, 2, bad)),
         (SampleSpec, (3, bad, 1)),
         (SampleSpec, (3, 2, 1, bad)),
+        (SampleSpec, (3, 2, 1, 9, bad)),
         (monte_carlo_genericity, (SampleSpec(3, 2, 1), bad)),
         (perturb_rank_increase, (zero, bad, 1)),
         (perturb_rank_increase, (zero, 1, bad)),
