@@ -243,6 +243,10 @@ class BlockList:
         for name, value in read.items():
             object.__setattr__(self, name, value)
 
+    def __setstate__(self, state):
+        """Load a pickle or a copy from its flavor and blocks, and read them again."""
+        self.__init__(state["flavor"], state["blocks"])
+
     @classmethod
     def general(cls, blocks) -> "BlockList":
         return cls("general", tuple(blocks))

@@ -390,12 +390,11 @@ def smallest_infinite_multiplicity_law(P: MatrixPolynomial) -> GradeLawReport:
         raise ZeroRank("law undefined for rank-zero polynomials")
     gamma1 = min(infinite)
     gap = P.grade - int(P.degree)
-    leading_is_zero = gap > 0
-    if gamma1 != gap or leading_is_zero != (gamma1 >= 1):
+    if gamma1 != gap:
         raise InternalInconsistency(
             f"smallest infinite multiplicity {gamma1} disagrees with grade gap {gap}"
         )
-    return GradeLawReport(gamma1, gap, leading_is_zero)
+    return GradeLawReport(gamma1, gap, gap > 0)
 
 
 _ROOT_CAP = 10**6  # largest |a_0 * a_n| whose divisor pairs `_factor_rational` tries

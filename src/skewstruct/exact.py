@@ -20,7 +20,6 @@ integer -1), which behaves correctly under ``max`` and comparisons.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -748,24 +747,6 @@ def normal_rank(P: MatrixPolynomial) -> int:
     from .eigenstructure import _structure_at_zero
 
     return _structure_at_zero(P)[0]
-
-
-def _points():
-    """The integer evaluation points 0, 1, -1, 2, -2, ..., without end."""
-    yield 0
-    for half in itertools.count(1):
-        yield half
-        yield -half
-
-
-def _point_ranks(P: MatrixPolynomial):
-    """(x, exact rank of P at x) for the points x of `_points`, in that order, without end.
-
-    Each value is the stored integer coefficients (P times its denominator,
-    which keeps the rank) evaluated at the point, `P._scaled_value(x, 1)`.
-    """
-    for x in _points():
-        yield x, rank_exact(P._scaled_value(x, 1))
 
 
 class SmithForm(NamedTuple):

@@ -17,6 +17,10 @@ The perturbation routine adds (1/k) times a constant skew matrix built from
 an exact kernel basis of the polynomial at a point attaining its normal rank,
 raising the rank to an exact target while converging to the unperturbed
 polynomial at rate 1/k. It works in exact rationals.
+
+Both tools read P at the points 0, 1, -1, 2, ... (`_points`), which no
+other module reads, as `P._scaled_value(x, 1)`: the denominator times
+P(x), with P(x)'s rank and kernel.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .exact import (
     FrobeniusDistance,
     MatrixPolynomial,
     SkewMatrixPolynomial,
-    _point_ranks,
     as_skew,
     frobenius_distance,
     normal_rank,
@@ -69,6 +72,14 @@ class SampleSpec:
 MAX_ATTEMPTS = 100  # draws before sample_bounded_rank gives up with AttemptsExhausted
 
 
+def _points():
+    """The integer evaluation points 0, 1, -1, 2, -2, ..., without end."""
+    yield 0
+    for half in itertools.count(1):
+        yield half
+        yield -half
+
+
 def sample_bounded_rank(spec: SampleSpec) -> SkewMatrixPolynomial:
     """Draw a random skew polynomial of size m, grade d, rank exactly 2r.
 
@@ -98,7 +109,7 @@ def sample_bounded_rank(spec: SampleSpec) -> SkewMatrixPolynomial:
             continue
         # entries[a][b][k], regrouped as B's coefficient matrices B_k[a][b]
         block = MatrixPolynomial._make(r, m - r, d, list(zip(*(zip(*row) for row in entries))))
-        if any(rank == r for _, rank in itertools.islice(_point_ranks(block), r * d + 1)):
+        if any(rank_exact(block._scaled_value(x, 1)) == r for x in itertools.islice(_points(), r * d + 1)):
             return _congruence_product(block, congruence)
     raise AttemptsExhausted(f"no rank-{2 * r} draw in {MAX_ATTEMPTS} attempts")
 
@@ -148,8 +159,9 @@ class Perturbation:
 def perturb_rank_increase(Q: SkewMatrixPolynomial, r: int, k: int) -> Perturbation:
     """Add (1/k) times a constant skew matrix E raising the rank to exactly 2r.
 
-    Let mu be the first point where Q attains its normal rank 2 r1. E is
-    built in exact rationals from the kernel of Q(mu): the first 2(r - r1)
+    Let mu be the first point of `_points` where Q attains its normal rank
+    2 r1, read off the nullity of the one kernel reduced there. E is built
+    in exact rationals from that kernel of Q(mu): the first 2(r - r1)
     vectors of its integer basis are made orthogonal by Gram-Schmidt, and
     each pair (n_a, n_b) of them adds
     (n_a n_b^T - n_b n_a^T) * 2 / (|n_a|^2 + |n_b|^2), so rank E = 2(r - r1).
@@ -174,16 +186,19 @@ def perturb_rank_increase(Q: SkewMatrixPolynomial, r: int, k: int) -> Perturbati
     r1 = rank_q // 2
     if r <= r1:
         raise ParamDomain(f"target half-rank {r} must exceed current {r1}")
-    point = Fraction(next(x for x, rank in _point_ranks(skew) if rank == rank_q))
+    for x in _points():
+        kernel = nullspace_exact(value := skew._scaled_value(x, 1))
+        if m - len(kernel) == rank_q:
+            break
+    point = Fraction(x)
 
-    at_point = skew.evaluate(point)
     basis = []
-    for v in nullspace_exact(at_point)[: 2 * (r - r1)]:
+    for v in kernel[: 2 * (r - r1)]:
         n = [Fraction(c) for c in v]
         for b in basis:
             f = _dot(n, b) / _dot(b, b)
             n = [c - f * d for c, d in zip(n, b)]
-        if any(_dot(row, n) for row in at_point):
+        if any(_dot(row, n) for row in value):
             raise InternalInconsistency(f"kernel vector {n} of Q({point}) is not in its kernel")
         basis.append(n)
     e = [[Fraction(0)] * m for _ in range(m)]

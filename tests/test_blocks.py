@@ -1,5 +1,6 @@
 """Tests for canonical blocks: assembly, conversion, eigenstructure reading."""
 
+import copy
 import itertools
 import json
 import pickle
@@ -183,6 +184,22 @@ class TestOnePassReader:
         again = pickle.loads(pickle.dumps(bl))
         assert again == bl and hash(again) == hash(bl)
         assert (again.total_rows, again.total_cols, again.rank, again.counts()) == (10, 10, 8, bl.counts())
+
+    def test_a_pickle_or_copy_reads_its_blocks_again(self):
+        # a list pickled before the totals were fields holds only its flavor
+        # and blocks, and stale totals in a pickle are read again, not trusted
+        bl = BlockList.skew([SkewBlock.m(1), SkewBlock.k(2), SkewBlock.m(1)])
+        whole = (bl.total_rows, bl.total_cols, bl.rank, bl.counts())
+        bare = object.__new__(BlockList)
+        bare.__dict__.update(flavor=bl.flavor, blocks=bl.blocks)
+        stale = object.__new__(BlockList)
+        stale.__dict__.update(bl.__dict__, total_rows=0, rank=0, _counts={})
+        for loaded in (pickle.loads(pickle.dumps(bare)), pickle.loads(pickle.dumps(stale))):
+            assert loaded == bl and hash(loaded) == hash(bl)
+            assert (loaded.total_rows, loaded.total_cols, loaded.rank, loaded.counts()) == whole
+        for again in (pickle.loads(pickle.dumps(bl)), copy.copy(bl), copy.deepcopy(bl)):
+            assert again == bl and repr(again) == repr(bl)
+            assert (again.total_rows, again.total_cols, again.rank, again.counts()) == whole
 
 
 class TestBlockValues:

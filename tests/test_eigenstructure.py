@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import pytest
 
-from skewstruct import eigenstructure, exact
+from skewstruct import eigenstructure, exact, sampling
 from skewstruct.blocks import BlockList, SkewBlock, assemble_skew, blocklist_eigenstructure
 from skewstruct.eigenstructure import (
     CompleteEigenstructure,
@@ -268,7 +268,7 @@ class TestMinimalIndices:
             raise AssertionError("a point-based rank ran")
 
         monkeypatch.setattr(exact, "rank_exact", counted_rank)
-        monkeypatch.setattr(exact, "_point_ranks", no_points)
+        monkeypatch.setattr(sampling, "_points", no_points)
         monkeypatch.setattr(exact, "normal_rank", no_points)
         assert analyze(pencil, 1).rank == 2 + 8 * 4
         assert ranks == []

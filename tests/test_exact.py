@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewstruct import exact
+from skewstruct import exact, sampling
 from skewstruct.blocks import BlockList, SkewBlock, assemble_skew, blocklist_eigenstructure
 from skewstruct.codimension import tangent_map_matrix
 from skewstruct.eigenstructure import analyze
@@ -738,7 +738,7 @@ class TestNormalRank:
         def no_points(*args):
             raise AssertionError("a rank was read at a point")
 
-        monkeypatch.setattr(exact, "_point_ranks", no_points)
+        monkeypatch.setattr(sampling, "_points", no_points)
         monkeypatch.setattr(exact, "rank_exact", no_points)
         # past the cache, which earlier tests may have filled
         assert [normal_rank.__wrapped__(m) for m in inputs] == expected == [1, 2, 3, 2]

@@ -2,23 +2,25 @@
 
 The normal rank, the minimal indices and the structure at infinity all come
 from one reader of kernel-profile stages (`eigenstructure._read_profile`), in
-both backends. `exact._point_ranks`, the ranks at 0, 1, -1, 2, ..., is read
-only by `sampling.sample_bounded_rank`, which accepts a draw when its
-r x (m-r) block B has rank r at one of the first r*d + 1 points (the draw
-C^T [[0, B], [-B^T, 0]] C has rank 2 * rank B(x) at every point x, since C
-is nonsingular), and `sampling.perturb_rank_increase`, which needs a point
-where the polynomial attains its normal rank. The sampler ranks no m x m
-matrix at a point. In `floating`, the one rank read is an `svd` in
-`_nullity`, which reads the ranks of block-Toeplitz truncations: the local
-profile at an eigenvalue candidate starts with the rank of P(z), so no
-function of the float backend evaluates P and ranks it on its own.
+both backends. The points 0, 1, -1, 2, ... are `sampling._points`, and only
+the two sampling tools read them: `sampling.sample_bounded_rank`, which
+accepts a draw when its r x (m-r) block B has rank r at one of the first
+r*d + 1 points (the draw C^T [[0, B], [-B^T, 0]] C has rank 2 * rank B(x)
+at every point x, since C is nonsingular), and
+`sampling.perturb_rank_increase`, which needs a point where the polynomial
+attains its normal rank. The sampler ranks no m x m matrix at a point. In
+`floating`, the one rank read is an `svd` in `_nullity`, which reads the
+ranks of block-Toeplitz truncations: the local profile at an eigenvalue
+candidate starts with the rank of P(z), so no function of the float backend
+evaluates P and ranks it on its own.
 """
 
 import ast
 from pathlib import Path
 
 import skewstruct
-from skewstruct import exact
+from skewstruct import sampling
+from skewstruct.exact import MatrixPolynomial
 from skewstruct.sampling import SampleSpec, sample_bounded_rank
 
 SRC = Path(skewstruct.__file__).resolve().parent
@@ -35,8 +37,8 @@ def _names(node) -> set:
 def _point_rank_readers(module: str, tree) -> set:
     """Qualified names of the functions of a module that read ranks at chosen points.
 
-    A function reads them if it reads `_point_ranks` (other than by being
-    it), or, in `floating`, if it reads `svd` and is not `_nullity`.
+    A function reads them if it reads `_points` (other than by being it),
+    or, in `floating`, if it reads `svd` and is not `_nullity`.
     """
     readers = set()
 
@@ -45,7 +47,7 @@ def _point_rank_readers(module: str, tree) -> set:
             if isinstance(child, ast.ClassDef):
                 visit(child, f"{prefix}{child.name}.")
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if child.name != "_point_ranks" and "_point_ranks" in _names(child):
+                if child.name != "_points" and "_points" in _names(child):
                     readers.add(prefix + child.name)
                 elif module == "floating" and child.name != "_nullity" and "svd" in _names(child):
                     readers.add(prefix + child.name)
@@ -62,33 +64,52 @@ def test_only_sampling_reads_ranks_at_points():
 
 
 def test_the_sampler_ranks_only_its_block_at_points(monkeypatch):
-    real_rank = exact.rank_exact
-    shapes = []
+    # every matrix the sampler ranks is its constant m x m C or a value at
+    # a point, and each value it takes at a point is its block's, ranked once
+    real_rank, real_value = sampling.rank_exact, MatrixPolynomial._scaled_value
+    values, ranked = [], []
 
     def recording_rank(matrix):
-        shapes.append((len(matrix), len(matrix[0])))
+        ranked.append(matrix)
         return real_rank(matrix)
 
-    monkeypatch.setattr(exact, "rank_exact", recording_rank)
+    def recording_value(P, p, q):
+        value = real_value(P, p, q)
+        values.append(value)
+        return value
+
+    monkeypatch.setattr(sampling, "rank_exact", recording_rank)
+    monkeypatch.setattr(MatrixPolynomial, "_scaled_value", recording_value)
     for m, d, r in [(3, 1, 1), (4, 2, 1), (5, 2, 2), (6, 4, 2), (7, 2, 3), (9, 2, 4)]:
         for coeff_range in (1, 9):
             for seed in range(4):
-                shapes.clear()
+                values.clear()
+                ranked.clear()
                 sample_bounded_rank(SampleSpec(m, d, r, coeff_range, seed))
-                assert shapes and set(shapes) == {(r, m - r)}, (m, d, r, coeff_range, seed)
+                point_ids = {id(value) for value in values}
+                at_points = [_shape(matrix) for matrix in ranked if id(matrix) in point_ids]
+                constants = {_shape(matrix) for matrix in ranked if id(matrix) not in point_ids}
+                assert at_points and set(at_points) == {(r, m - r)}, (m, d, r, coeff_range, seed)
+                assert len(at_points) == len(values) and constants == {(m, m)}, (m, d, r, coeff_range, seed)
+
+
+def _shape(matrix) -> tuple:
+    return len(matrix), len(matrix[0])
 
 
 def test_the_guard_sees_each_kind_of_point_rank():
     source = '''
 def by_name(P):
-    return max(rank for _, rank in _point_ranks(P))
+    return max(rank_exact(P._scaled_value(x, 1)) for x in _points())
 
 def by_module(P):
-    return next(exact._point_ranks(P))
+    return next(sampling._points())
 
-def _point_ranks(P):
-    for x in _points():
-        yield x, rank_exact(P._scaled_value(x, 1))
+def _points():
+    yield 0
+    for half in itertools.count(1):
+        yield half
+        yield -half
 
 def on_a_circle(coeffs, tol_rel):
     return max(np.linalg.svd(sum(c * z**i for i, c in enumerate(coeffs)), compute_uv=False)[0] for z in circle())

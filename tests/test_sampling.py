@@ -88,9 +88,10 @@ class TestSampling:
         singular = 0
 
         def counting_rank(matrix):
+            # C is m x m; the block B, ranked at points, is r x (m-r) with r < m-r
             nonlocal singular
             rank = real_rank(matrix)
-            singular += rank < len(matrix)
+            singular += len(matrix) == len(matrix[0]) and rank < len(matrix)
             return rank
 
         monkeypatch.setattr(sampling, "rank_exact", counting_rank)
@@ -110,36 +111,34 @@ class TestSampling:
         # Fraction product's: a singular C, a block B of rank r at x = 0, a B
         # of rank r first at a later point, and a B whose normal rank falls
         # short of r, rejected after all r*d + 1 of its points
-        real_rank, real_point_ranks = sampling.rank_exact, sampling._point_ranks
+        real_rank = sampling.rank_exact
         singular = 0
-        blocks = []
+        attempts = []  # per nonsingular C, the ranks of B at the points read, in order
 
-        def counting_rank(matrix):
+        def recording_rank(matrix):
+            # C is m x m; the block B, ranked at points, is r x (m-r) with r < m-r
             nonlocal singular
             rank = real_rank(matrix)
-            singular += rank < len(matrix)
+            if len(matrix) != len(matrix[0]):
+                attempts[-1].append(rank)
+            elif rank < len(matrix):
+                singular += 1
+            else:
+                attempts.append([])
             return rank
 
-        def recording_point_ranks(block):
-            read = []
-            blocks.append((block, read))
-            for x, rank in real_point_ranks(block):
-                read.append((x, rank))
-                yield x, rank
-
-        monkeypatch.setattr(sampling, "rank_exact", counting_rank)
-        monkeypatch.setattr(sampling, "_point_ranks", recording_point_ranks)
+        monkeypatch.setattr(sampling, "rank_exact", recording_rank)
         specs = [SampleSpec(5, 2, 2, 1, seed) for seed in range(3)] + [SampleSpec(3, 1, 1, 1, 90)]
-        for spec in specs:
-            assert sample_bounded_rank(spec) == sample_by_fractions(spec), spec
         branches = collections.Counter()
-        for block, read in blocks:
-            x, rank = read[-1]
-            if rank == block.rows:
-                branches["at 0" if x == 0 else "past 0"] += 1
-            else:
-                assert len(read) == block.rows * block.grade + 1
-                branches["short"] += 1
+        for spec in specs:
+            attempts.clear()
+            assert sample_bounded_rank(spec) == sample_by_fractions(spec), spec
+            for ranks in attempts:
+                if ranks[-1] == spec.r:
+                    branches["at 0" if len(ranks) == 1 else "past 0"] += 1
+                else:
+                    assert len(ranks) == spec.r * spec.d + 1
+                    branches["short"] += 1
         assert singular > 0
         assert branches == {"past 0": 3, "short": 1, "at 0": 1}
 
@@ -211,30 +210,54 @@ class TestPerturbation:
 
     def test_point_is_the_first_to_attain_the_normal_rank(self):
         # the evaluation points are 0, 1, -1, 2, ...; each factor vanishes
-        # at the points before the expected one
-        for factor, expected in ((x, 1), (x * (x - 1), -1), (x * (x - 1) * (x + 1), 2)):
-            base = SkewMatrixPolynomial.from_upper(5, {(0, 1): factor}, grade=factor.degree)
+        # at the points before the expected one. The kernel at the point is
+        # spanned by e_2, e_3, e_4, so E is e_2 e_3^T - e_3 e_2^T; the last
+        # base has denominators 2, 3 and 5, and its kernel at 1 starts with
+        # (-6, 5, 0, 0, 0), so E pairs that vector with e_3 and is scaled by
+        # 2 / (61 + 1). E is pinned as literals, so a change of the kernel
+        # basis, its order or the point it is read at shows
+        unit = ((0,) * 5, (0,) * 5, (0, 0, 0, 1, 0), (0, 0, -1, 0, 0), (0,) * 5)
+        a, b = Fraction(6, 31), Fraction(5, 31)
+        paired = ((0, 0, 0, -a, 0), (0, 0, 0, b, 0), (0,) * 5, (a, -b, 0, 0, 0), (0,) * 5)
+        half, third, fifth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)
+        bases = [
+            ({(0, 1): x}, 1, unit),
+            ({(0, 1): x * (x - 1)}, -1, unit),
+            ({(0, 1): x * (x - 1) * (x + 1)}, 2, unit),
+            ({(0, 1): x * (x - 1) * half, (0, 2): x * third, (1, 2): (x + 1) * x * fifth}, 1, paired),
+        ]
+        for entries, expected, e in bases:
+            base = SkewMatrixPolynomial.from_upper(5, entries, grade=max(p.degree for p in entries.values()))
             result = perturb_rank_increase(base, r=2, k=3)
             assert result.point == expected and isinstance(result.point, Fraction)
             assert rank_exact(base.evaluate(result.point)) == normal_rank(base) == 2
             assert normal_rank(result.polynomial) == 4
+            assert result.perturbation == e and all(type(v) is Fraction for row in result.perturbation for v in row)
+        assert base.denominator == 30
 
     def test_point_comes_from_the_normal_rank_pass(self, monkeypatch):
         # normal_rank evaluates no point, and the first point of rank 2 is
-        # the fourth: rank_exact runs once at each of 0, 1, -1 and 2
-        calls = []
-        real_rank = exact.rank_exact
+        # the fourth: nullspace_exact runs once at each of 0, 1, -1 and 2,
+        # on the value that the point's rank and E are both read from, and
+        # no rank_exact or evaluate runs
+        kernels = []
+        real_nullspace = sampling.nullspace_exact
 
-        def counted_rank(matrix):
-            calls.append(1)
-            return real_rank(matrix)
+        def recorded_nullspace(matrix):
+            kernels.append(tuple(map(tuple, matrix)))
+            return real_nullspace(matrix)
 
-        monkeypatch.setattr(exact, "rank_exact", counted_rank)
-        monkeypatch.setattr(sampling, "rank_exact", counted_rank)
+        def no_call(*args):
+            raise AssertionError("a rank or a value was read twice")
+
+        monkeypatch.setattr(sampling, "nullspace_exact", recorded_nullspace)
+        monkeypatch.setattr(exact, "rank_exact", no_call)
+        monkeypatch.setattr(sampling, "rank_exact", no_call)
+        monkeypatch.setattr(MatrixPolynomial, "evaluate", no_call)
         factor = x * (x - 1) * (x + 1)
         base = SkewMatrixPolynomial.from_upper(5, {(0, 1): factor}, grade=3)
         assert perturb_rank_increase(base, r=2, k=3).point == 2
-        assert len(calls) == 4
+        assert kernels == [tuple(map(tuple, base._scaled_value(p, 1))) for p in (0, 1, -1, 2)]
 
     def test_target_must_exceed_current(self):
         base = assemble_skew(BlockList.skew([SkewBlock.m(1), SkewBlock.m(0), SkewBlock.m(0)]))

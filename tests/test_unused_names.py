@@ -1,6 +1,7 @@
-"""No dead names in `src/`: every import is used, every private function is called, and
-every public function, class and method has a caller outside the tests' own checks, which
-also passes every parameter that has a default.
+"""No dead names in `src/`: every import is used, every private function is called, every
+private function and class is read in its own module, and every public function, class and
+method has a caller outside the tests' own checks, which also passes every parameter that
+has a default.
 
 The method guard reads receivers where it can: `C.name`, with `C` the bare name of a
 class defined in `src/`, counts only for `C`, its `src/` base classes and its `src/`
@@ -68,6 +69,22 @@ def test_every_private_function_is_referenced():
         and node.name not in referenced
     ]
     assert dead == []
+
+
+def test_every_private_name_is_read_in_its_own_module():
+    # A private function or class belongs to the module that reads it: one
+    # read only by another module, or only inside its own definition, moves
+    # to its reader
+    misplaced = [
+        f"{module}: {node.name}"
+        for module, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in set().union(*(_referenced(other) for other in tree.body if other is not node))
+    ]
+    assert misplaced == []
 
 
 def _caller_trees() -> tuple:
