@@ -6,7 +6,8 @@ Exit codes: 0 success, 1 validation failure, 2 inconclusive closure search,
 disagree ("agree": false), 4 closure answered "no" (the source is not in the
 target's orbit closure, by rank, a Hom witness or, without --max-steps, a
 search exhausted below the state cap; at a codimension gap <= 0 that search
-takes no step). All randomness flows from --seed flags.
+takes no step). All randomness flows from --seed flags. Each command imports
+the modules it uses, so a call loads only those.
 """
 
 from __future__ import annotations
@@ -15,27 +16,7 @@ import argparse
 import dataclasses
 import sys
 
-from .blocks import BlockList
-from .codimension import pencil_codim_reports, poly_codim_reports
-from .degeneration import closure_reachable
-from .eigenstructure import analyze
 from .errors import SkewstructError
-from .exact import NEG_INF
-from .fileio import (
-    dump_json,
-    polynomial_to_dict,
-    read_json,
-    read_polynomial,
-    write_polynomial,
-)
-from .generic import generic_pencil_structure, generic_poly_structure
-from .linearize import build_linearization, pad_grade
-from .sampling import (
-    DEFAULT_COEFF_RANGE,
-    SampleSpec,
-    monte_carlo_genericity,
-    sample_bounded_rank,
-)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -72,6 +53,9 @@ def _check_variant(args) -> None:
 
 
 def cmd_generic(args) -> int:
+    from .fileio import dump_json
+    from .generic import generic_pencil_structure, generic_poly_structure
+
     _check_variant(args)
     if args.pencil:
         structure = generic_pencil_structure(args.n, args.w, args.r)
@@ -90,6 +74,10 @@ def cmd_generic(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .eigenstructure import analyze
+    from .exact import NEG_INF
+    from .fileio import dump_json, read_polynomial
+
     if args.tol is not None and args.backend != "float":
         raise SkewstructError("--tol applies to --backend float")
     P = read_polynomial(args.file)
@@ -117,9 +105,19 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _spec(args):
+    """The draw that `sample` and `mc` describe; --coeff-range defaults to the sampler's."""
+    from .sampling import DEFAULT_COEFF_RANGE, SampleSpec
+
+    coeff_range = DEFAULT_COEFF_RANGE if args.coeff_range is None else args.coeff_range
+    return SampleSpec(m=args.m, d=args.d, r=args.r, coeff_range=coeff_range, seed=args.seed)
+
+
 def cmd_sample(args) -> int:
-    spec = SampleSpec(m=args.m, d=args.d, r=args.r, coeff_range=args.coeff_range, seed=args.seed)
-    P = sample_bounded_rank(spec)
+    from .fileio import dump_json, polynomial_to_dict, write_polynomial
+    from .sampling import sample_bounded_rank
+
+    P = sample_bounded_rank(_spec(args))
     if args.out:
         write_polynomial(P, args.out)
     else:
@@ -128,13 +126,18 @@ def cmd_sample(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    spec = SampleSpec(m=args.m, d=args.d, r=args.r, coeff_range=args.coeff_range, seed=args.seed)
-    report = monte_carlo_genericity(spec, args.trials)
+    from .fileio import dump_json
+    from .sampling import monte_carlo_genericity
+
+    report = monte_carlo_genericity(_spec(args), args.trials)
     print(dump_json(report.to_json_dict()), end="")
     return EXIT_OK
 
 
 def cmd_linearize(args) -> int:
+    from .fileio import dump_json, polynomial_to_dict, read_polynomial, write_polynomial
+    from .linearize import build_linearization, pad_grade
+
     P = read_polynomial(args.file)
     if args.pad:
         if P.grade % 2:
@@ -149,6 +152,9 @@ def cmd_linearize(args) -> int:
 
 
 def cmd_codim(args) -> int:
+    from .codimension import pencil_codim_reports, poly_codim_reports
+    from .fileio import dump_json
+
     _check_variant(args)
     if args.pencil:
         reports = pencil_codim_reports(args.n, args.w, args.r, via_tangent=args.via_tangent)
@@ -173,6 +179,10 @@ def cmd_codim(args) -> int:
 
 
 def cmd_closure(args) -> int:
+    from .blocks import BlockList
+    from .degeneration import closure_reachable
+    from .fileio import dump_json, read_json
+
     target = BlockList.from_json_dict(read_json(args.target))
     source = BlockList.from_json_dict(read_json(args.source))
     result = closure_reachable(target, source, max_steps=args.max_steps)
@@ -248,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--m", type=_size, required=True)
     s.add_argument("--d", type=_size, required=True)
     s.add_argument("--r", type=_size, required=True)
-    s.add_argument("--coeff-range", type=int, default=DEFAULT_COEFF_RANGE)
+    s.add_argument("--coeff-range", type=int)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", help="write the polynomial file here instead of stdout")
     s.set_defaults(func=cmd_sample)
@@ -258,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--d", type=_size, required=True)
     mc.add_argument("--r", type=_size, required=True)
     mc.add_argument("--trials", type=_size, default=100)
-    mc.add_argument("--coeff-range", type=int, default=DEFAULT_COEFF_RANGE)
+    mc.add_argument("--coeff-range", type=int)
     mc.add_argument("--seed", type=int, default=0)
     mc.set_defaults(func=cmd_mc)
 

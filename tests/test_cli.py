@@ -325,32 +325,41 @@ class TestAnalyzeCommand:
         # exact analyze with rational eigenvalues, and generic, in a fresh
         # interpreter: neither imports numpy or scipy; --backend float does.
         # sympy loads only for a factor that the exact rules leave, an
-        # irreducible quartic here
+        # irreducible quartic here. `import skewstruct` loads no submodule,
+        # and exact analyze loads only the modules it reads
         path = tmp_path / "r.json"
         write_polynomial(skew2((x - Fraction(1, 2)) * (x + 3)), str(path))
         quartic = tmp_path / "q.json"
         write_polynomial(skew2((x**4 + 1) * (x - Fraction(1, 3))), str(quartic))
         script = (
             "import sys\n"
+            "submodules = lambda: sorted(m.removeprefix('skewstruct.') for m in sys.modules if m.startswith('skewstruct.'))\n"
+            "import skewstruct\n"
+            "print(submodules())\n"
             "from skewstruct.cli import main\n"
             "main(sys.argv[1:])\n"
             "print(sorted({'numpy', 'scipy'} & sys.modules.keys()), 'sympy' in sys.modules)\n"
+            "print(submodules())\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
         def run(*argv):
-            return subprocess.run(
+            """(what the command printed, the float modules line, the submodules line)."""
+            after_import, *printed, floats, modules = subprocess.run(
                 [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
             ).stdout.splitlines()
+            assert after_import == "[]"
+            return printed, floats, modules
 
         def loaded(*argv):
-            return run(*argv)[-1]
+            return run(*argv)[1]
 
+        analyze_modules = str(["cli", "eigenstructure", "errors", "exact", "fileio", "points"])
         # rational roots are found by the exact rules, without sympy
-        assert loaded("analyze", str(path)) == "[] False"
-        *printed, last = run("analyze", str(quartic))
-        assert last == "[] True"
+        assert run("analyze", str(path))[1:] == ("[] False", analyze_modules)
+        printed, last, modules = run("analyze", str(quartic))
+        assert (last, modules) == ("[] True", analyze_modules)
         assert json.loads("\n".join(printed))["finite"] == [
             {"factor": ["-1/3", "1/1"], "multiplicities": [1, 1]},
             {"factor": ["1/1", "0/1", "0/1", "0/1", "1/1"], "multiplicities": [1, 1]},

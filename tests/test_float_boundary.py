@@ -1,6 +1,7 @@
 """numpy and scipy stay inside `skewstruct.floating`, the float backend, and load with it."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -29,9 +30,15 @@ def test_numpy_and_scipy_only_in_the_float_backend():
 
 
 def _loaded_after(statement) -> str:
-    """numpy and scipy in `sys.modules` after `statement`, run in a fresh interpreter."""
+    """numpy and scipy in `sys.modules` after `statement`, run in a fresh interpreter.
+
+    The interpreter imports skewstruct from the `src/` that this test imported,
+    whatever the runner's environment or an installed copy.
+    """
     probe = f"import sys\n{statement}\nprint(sorted({{'numpy', 'scipy'}} & sys.modules.keys()))"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
     return done.stdout.strip()
 
 

@@ -144,6 +144,19 @@ class TestVerifyShift:
         expected = structure_to_skew_blocks(linearized_structure(generic_poly_structure(m, d, r), d + 1))
         assert expected == generic_pencil_structure(m * (d + 1), (m * d + 2 * r) // 2, r)
 
+    def test_odd_grade_generic_matches_pencil_generic(self):
+        # a positive control: at odd grades the generic bounded-rank
+        # structures are known (Dmytryshyn and Dopico, 2018), and the
+        # linearization at the grade itself, with no pad, lands on the
+        # generic pencil with no infinite blocks
+        cells = [
+            (m, d, r) for d in (1, 3, 5, 7) for m in range(3, 10) for r in range(1, (m - 1) // 2 + 1)
+        ]
+        assert len(cells) == 64
+        for m, d, r in cells:
+            linearized = structure_to_skew_blocks(linearized_structure(generic_poly_structure(m, d, r), d))
+            assert linearized == generic_pencil_structure(m * d, (m * (d - 1) + 2 * r) // 2, 0), (m, d, r)
+
     def test_mismatch_raises(self, monkeypatch):
         # a pencil analysis that disagrees with the prediction: here the
         # polynomial's own structure stands in for its linearization's

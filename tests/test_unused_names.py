@@ -38,11 +38,8 @@ def _read_or_imported(tree) -> set:
 
 
 def test_every_import_is_used():
-    # `__init__` imports names to re-export them
     unused = []
     for module, tree in TREES.items():
-        if module == "__init__":
-            continue
         read = _referenced(tree)
         for node in ast.walk(tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
